@@ -61,7 +61,7 @@ type wireClass struct {
 
 // wireSink records why a function is wire-reachable, for diagnostics.
 type wireSink struct {
-	desc string     // root description, e.g. "the tivd.Backend surface (tivshard.(*Gateway).Rank)"
+	desc string     // root description, e.g. "the tivd.Backend surface (tivshard.(*Backend).QueryBatch)"
 	via  *flow.Func // backward-BFS predecessor (the caller that returns our error), nil at roots
 }
 

@@ -6,7 +6,6 @@ import (
 	"fmt"
 
 	"tivaware/internal/delayspace"
-	"tivaware/internal/tiv"
 )
 
 // The batch query surface: a Query is one typed request from the
@@ -58,6 +57,26 @@ type Query struct {
 	// Scatter restricts rank/closest candidates, detour relays, or top
 	// edges to one residue class (the sharded plane's primitive).
 	Scatter Scatter
+}
+
+// SelectionQuery spells a typed selection call (Rank, KClosest,
+// ClosestNode) as the rank-shaped Query it is — the inverse of
+// Query.options, shared by the remote Queriers that forward such calls
+// as queries. An explicit candidate list wins over opts.Candidates, as
+// on Service.Rank.
+func SelectionQuery(kind QueryKind, target, k int, candidates []int, opts QueryOptions) Query {
+	if candidates == nil {
+		candidates = opts.Candidates
+	}
+	return Query{
+		Kind:            kind,
+		Target:          target,
+		K:               k,
+		Candidates:      candidates,
+		SeverityPenalty: opts.SeverityPenalty,
+		ExcludeViolated: opts.ExcludeViolated,
+		Scatter:         opts.Scatter,
+	}
 }
 
 // options lifts the query's selection knobs into QueryOptions.
@@ -178,20 +197,18 @@ func (v *View) resolveQuery(ctx context.Context, q Query) Result {
 		}
 		res.Selections = []Selection{sel}
 	case KindDetour:
-		sc := q.Scatter
-		d, err := detourEpoch(ctx, v.e, q.I, q.J, sc.Mod, sc.Rem)
+		d, err := detourEpoch(ctx, v.e, q.I, q.J, q.Scatter)
 		if err != nil {
 			res.Err = err
 			break
 		}
 		res.Detour = d
 	case KindTop:
-		edges, err := v.TopEdgesMod(q.K, q.Scatter.Mod, q.Scatter.Rem)
-		if err != nil {
+		if err := q.Scatter.check(); err != nil {
 			res.Err = err
 			break
 		}
-		res.Edges = edges
+		res.Edges = v.e.sev.TopEdgesMod(q.K, q.Scatter.Mod, q.Scatter.Rem)
 	case KindDelay:
 		if err := v.e.checkNode("node", q.I); err != nil {
 			res.Err = err
@@ -219,150 +236,6 @@ func (v *View) resolveQuery(ctx context.Context, q Query) Result {
 		}
 	default:
 		res.Err = fmt.Errorf("%w: %q", ErrUnsupportedQuery, q.Kind)
-	}
-	return res
-}
-
-// Optional capabilities ResolveBatch discovers on a SingleQuerier.
-// Two shapes each where in-process (View) and wire (tivclient.Client,
-// tivshard.Gateway) surfaces differ.
-type (
-	detourModder interface {
-		DetourPathMod(ctx context.Context, i, j, mod, rem int) (Detour, error)
-	}
-	topEdger interface {
-		TopEdgesMod(k, mod, rem int) ([]delayspace.Edge, error)
-	}
-	ctxTopEdger interface {
-		TopEdgesMod(ctx context.Context, k, mod, rem int) ([]delayspace.Edge, error)
-	}
-	delayReader interface {
-		Delay(i, j int) (float64, bool)
-	}
-	ctxDelayReader interface {
-		Delay(ctx context.Context, i, j int) (float64, bool, error)
-	}
-	analyzer interface {
-		Analysis() (tiv.Analysis, error)
-	}
-	nodeCounter interface {
-		N() int
-	}
-	versioner interface {
-		Versions() (uint64, uint64)
-	}
-)
-
-// ResolveBatch is the single-call adapter behind Querier: it answers a
-// batch by issuing one SingleQuerier call per query, so any single-call
-// implementation satisfies Querier with a one-line QueryBatch. It
-// resolves rank/closest/detour on the core interface and top, delay,
-// and analysis through optional capability methods, marking queries the
-// querier cannot answer with ErrUnsupportedQuery. Unlike a native batch
-// path it pins nothing: cross-query consistency is whatever the
-// underlying calls provide (exact on a View, epoch-per-call on a
-// Service).
-func ResolveBatch(ctx context.Context, sq SingleQuerier, queries []Query) ([]Result, error) {
-	out := make([]Result, len(queries))
-	for i, q := range queries {
-		if err := checkCtx(ctx); err != nil {
-			return nil, err
-		}
-		out[i] = resolveSingle(ctx, sq, q)
-	}
-	return out, nil
-}
-
-func resolveSingle(ctx context.Context, sq SingleQuerier, q Query) Result {
-	res := Result{Kind: q.Kind}
-	fail := func(err error) Result { res.Err = err; return res }
-	switch q.Kind {
-	case KindRank:
-		sel, err := sq.Rank(ctx, q.Target, q.Candidates, q.options())
-		if err != nil {
-			return fail(err)
-		}
-		if q.K > 0 && len(sel) > q.K {
-			sel = sel[:q.K]
-			res.Truncated = true
-		}
-		res.Selections = sel
-	case KindClosest:
-		sel, err := sq.ClosestNode(ctx, q.Target, q.options())
-		if err != nil {
-			return fail(err)
-		}
-		res.Selections = []Selection{sel}
-	case KindDetour:
-		var (
-			d   Detour
-			err error
-		)
-		if dm, ok := sq.(detourModder); ok {
-			d, err = dm.DetourPathMod(ctx, q.I, q.J, q.Scatter.Mod, q.Scatter.Rem)
-		} else if q.Scatter.Mod == 0 {
-			d, err = sq.DetourPath(ctx, q.I, q.J)
-		} else {
-			err = fmt.Errorf("%w: scattered detour", ErrUnsupportedQuery)
-		}
-		if err != nil {
-			return fail(err)
-		}
-		res.Detour = d
-	case KindTop:
-		var (
-			edges []delayspace.Edge
-			err   error
-		)
-		switch t := sq.(type) {
-		case topEdger:
-			edges, err = t.TopEdgesMod(q.K, q.Scatter.Mod, q.Scatter.Rem)
-		case ctxTopEdger:
-			edges, err = t.TopEdgesMod(ctx, q.K, q.Scatter.Mod, q.Scatter.Rem)
-		default:
-			err = fmt.Errorf("%w: top", ErrUnsupportedQuery)
-		}
-		if err != nil {
-			return fail(err)
-		}
-		res.Edges = edges
-	case KindDelay:
-		switch d := sq.(type) {
-		case delayReader:
-			res.Delay, res.DelayOK = d.Delay(q.I, q.J)
-		case ctxDelayReader:
-			delay, ok, err := d.Delay(ctx, q.I, q.J)
-			if err != nil {
-				return fail(err)
-			}
-			res.Delay, res.DelayOK = delay, ok
-		default:
-			return fail(fmt.Errorf("%w: delay", ErrUnsupportedQuery))
-		}
-		if !res.DelayOK {
-			res.Delay = delayspace.Missing
-		}
-	case KindAnalysis:
-		a, ok := sq.(analyzer)
-		if !ok {
-			return fail(fmt.Errorf("%w: analysis", ErrUnsupportedQuery))
-		}
-		an, err := a.Analysis()
-		if err != nil {
-			return fail(err)
-		}
-		res.Analysis = AnalysisSummary{
-			ViolatingTriangles: an.ViolatingTriangles,
-			Triangles:          an.Triangles,
-		}
-		if nc, ok := sq.(nodeCounter); ok {
-			res.Analysis.N = nc.N()
-		}
-		if ver, ok := sq.(versioner); ok {
-			res.Analysis.Version, _ = ver.Versions()
-		}
-	default:
-		return fail(fmt.Errorf("%w: %q", ErrUnsupportedQuery, q.Kind))
 	}
 	return res
 }

@@ -248,20 +248,6 @@ func (v *View) ViolatingTriangleFraction() float64 { return v.e.fraction() }
 // view, most severe first.
 func (v *View) TopEdges(k int) []delayspace.Edge { return v.e.sev.TopEdges(k) }
 
-// TopEdgesMod returns the k highest-severity edges owned by the
-// residue class (mod, rem): edges (i, j), i < j, with i % mod == rem
-// (mod 0 means every edge). The classes partition the edge set, so a
-// sharded gateway merges the per-class results into the exact global
-// ranking. An invalid residue class errors (matching Rank and
-// DetourPathMod — and the gateway, so the wire behaves the same on a
-// monolithic daemon and a cluster).
-func (v *View) TopEdgesMod(k, mod, rem int) ([]delayspace.Edge, error) {
-	if err := checkResidue(mod, rem); err != nil {
-		return nil, err
-	}
-	return v.e.sev.TopEdgesMod(k, mod, rem), nil
-}
-
 // Rank scores candidates against this view; see Service.Rank.
 func (v *View) Rank(ctx context.Context, target int, candidates []int, opts QueryOptions) ([]Selection, error) {
 	return rankEpoch(ctx, v.e, target, candidates, opts)
@@ -282,11 +268,5 @@ func (v *View) ClosestNode(ctx context.Context, target int, opts QueryOptions) (
 // DetourPath finds the best one-hop detour in this view; see
 // Service.DetourPath.
 func (v *View) DetourPath(ctx context.Context, i, j int) (Detour, error) {
-	return detourEpoch(ctx, v.e, i, j, 0, 0)
-}
-
-// DetourPathMod restricts the relay scan to the residue class
-// (mod, rem); see Service.DetourPathMod.
-func (v *View) DetourPathMod(ctx context.Context, i, j, mod, rem int) (Detour, error) {
-	return detourEpoch(ctx, v.e, i, j, mod, rem)
+	return detourEpoch(ctx, v.e, i, j, Scatter{})
 }

@@ -9,12 +9,14 @@ import (
 	"tivaware/internal/delayspace"
 )
 
-// SingleQuerier is the one-call-per-query TIV-aware query surface:
-// what a Service answers in-process, a View answers against one
-// pinned epoch, and a tivclient.Client answers over the wire from a
-// tivd daemon. Consumers written against SingleQuerier (the examples,
-// overlay builders) run unchanged against any of the three.
-type SingleQuerier interface {
+// Querier is the TIV-aware query surface: what a Service answers
+// in-process, a View answers against one pinned epoch, a
+// tivclient.Client answers over the wire from a tivd daemon, and a
+// tivshard.Gateway answers from a sharded cluster. Consumers written
+// against Querier (the examples, overlay builders) run unchanged
+// against any of them. The per-kind methods are typed spellings of one
+// Query each; QueryBatch is the general form.
+type Querier interface {
 	// Rank scores candidates for the target, best first.
 	Rank(ctx context.Context, target int, candidates []int, opts QueryOptions) ([]Selection, error)
 	// KClosest returns the k best-ranked candidates.
@@ -23,19 +25,11 @@ type SingleQuerier interface {
 	ClosestNode(ctx context.Context, target int, opts QueryOptions) (Selection, error)
 	// DetourPath finds the best one-hop detour for the pair (i, j).
 	DetourPath(ctx context.Context, i, j int) (Detour, error)
-}
-
-// Querier is the full query surface: single-shot calls plus QueryBatch,
-// which answers a vector of heterogeneous queries in one round trip
-// against a single consistent state. Implementations that have no
-// native batch path satisfy it with one line via ResolveBatch.
-type Querier interface {
-	SingleQuerier
-	// QueryBatch resolves the queries against one mutually consistent
-	// state (a pinned epoch in-process, one /v1/batch round trip over
-	// the wire). Per-query failures land in Result.Err; the call-level
-	// error is reserved for whole-batch failures (cancellation,
-	// transport loss).
+	// QueryBatch resolves a vector of heterogeneous queries against one
+	// mutually consistent state (a pinned epoch in-process, one
+	// /v1/batch round trip over the wire). Per-query failures land in
+	// Result.Err; the call-level error is reserved for whole-batch
+	// failures (cancellation, transport loss).
 	QueryBatch(ctx context.Context, queries []Query) ([]Result, error)
 }
 
@@ -56,10 +50,18 @@ type Scatter struct {
 }
 
 // check validates the residue class.
-func (sc Scatter) check() error { return checkResidue(sc.Mod, sc.Rem) }
+func (sc Scatter) check() error {
+	if sc.Mod < 0 {
+		return fmt.Errorf("tivaware: negative residue modulus %d", sc.Mod)
+	}
+	if sc.Mod > 0 && (sc.Rem < 0 || sc.Rem >= sc.Mod) {
+		return fmt.Errorf("tivaware: residue %d outside [0,%d)", sc.Rem, sc.Mod)
+	}
+	return nil
+}
 
 // admits reports whether id belongs to the class; Mod ≤ 1 admits all.
-func (sc Scatter) admits(id int) bool { return inClass(id, sc.Mod, sc.Rem) }
+func (sc Scatter) admits(id int) bool { return sc.Mod <= 1 || id%sc.Mod == sc.Rem }
 
 // QueryOptions tunes one selection query. The zero value ranks purely
 // by source delay, the TIV-oblivious baseline.
@@ -81,39 +83,6 @@ type QueryOptions struct {
 	// Scatter restricts the candidate set to one residue class of node
 	// ids, after validation of any explicit candidate list.
 	Scatter Scatter
-	// Mod and Rem are the deprecated spelling of Scatter, still honored
-	// when Scatter is zero so pre-typed callers (and the wire's old
-	// mod=/rem= params) keep working.
-	//
-	// Deprecated: set Scatter instead.
-	Mod int
-	Rem int
-}
-
-// Residue returns the effective residue-class restriction: the typed
-// Scatter field when set, else the deprecated Mod/Rem pair.
-func (o QueryOptions) Residue() Scatter {
-	if o.Scatter.Mod != 0 {
-		return o.Scatter
-	}
-	return Scatter{Mod: o.Mod, Rem: o.Rem}
-}
-
-// checkResidue validates a Mod/Rem residue-class restriction.
-func checkResidue(mod, rem int) error {
-	if mod < 0 {
-		return fmt.Errorf("tivaware: negative residue modulus %d", mod)
-	}
-	if mod > 0 && (rem < 0 || rem >= mod) {
-		return fmt.Errorf("tivaware: residue %d outside [0,%d)", rem, mod)
-	}
-	return nil
-}
-
-// inClass reports whether id belongs to the residue class (mod, rem);
-// mod ≤ 1 admits every id.
-func inClass(id, mod, rem int) bool {
-	return mod <= 1 || id%mod == rem
 }
 
 // Selection is one ranked candidate.
@@ -163,7 +132,7 @@ func rankEpoch(ctx context.Context, e *epoch, target int, candidates []int, opts
 	if err := e.checkNode("target", target); err != nil {
 		return nil, err
 	}
-	sc := opts.Residue()
+	sc := opts.Scatter
 	if err := sc.check(); err != nil {
 		return nil, err
 	}
@@ -327,16 +296,6 @@ func (d Detour) Beneficial() bool { return d.Via >= 0 && d.Gain > 0 }
 // when the direct edge is unmeasured, the best relay route (if one
 // exists) is returned with Gain 0.
 func (s *Service) DetourPath(ctx context.Context, i, j int) (Detour, error) {
-	return s.DetourPathMod(ctx, i, j, 0, 0)
-}
-
-// DetourPathMod is DetourPath with the relay scan restricted to the
-// residue class (mod, rem): only relays k with k % mod == rem are
-// considered (mod 0 considers every relay). A sharded gateway scans
-// each shard's class remotely and reduces the per-class bests to the
-// global best detour; the reduction is exact because each class
-// returns its lowest-id relay achieving the class-minimal via delay.
-func (s *Service) DetourPathMod(ctx context.Context, i, j, mod, rem int) (Detour, error) {
 	if err := checkCtx(ctx); err != nil {
 		return Detour{}, err
 	}
@@ -344,10 +303,15 @@ func (s *Service) DetourPathMod(ctx context.Context, i, j, mod, rem int) (Detour
 	if err != nil {
 		return Detour{}, err
 	}
-	return detourEpoch(ctx, e, i, j, mod, rem)
+	return detourEpoch(ctx, e, i, j, Scatter{})
 }
 
-func detourEpoch(ctx context.Context, e *epoch, i, j, mod, rem int) (Detour, error) {
+// detourEpoch scans the relays in the residue class sc (the zero class
+// considers every relay). A sharded gateway scans each shard's class
+// remotely and reduces the per-class bests to the global best detour;
+// the reduction is exact because each class returns its lowest-id relay
+// achieving the class-minimal via delay.
+func detourEpoch(ctx context.Context, e *epoch, i, j int, sc Scatter) (Detour, error) {
 	if err := checkCtx(ctx); err != nil {
 		return Detour{}, err
 	}
@@ -360,7 +324,7 @@ func detourEpoch(ctx context.Context, e *epoch, i, j, mod, rem int) (Detour, err
 	if i == j {
 		return Detour{}, fmt.Errorf("tivaware: DetourPath on diagonal (%d,%d)", i, j)
 	}
-	if err := checkResidue(mod, rem); err != nil {
+	if err := sc.check(); err != nil {
 		return Detour{}, err
 	}
 	d := Detour{I: i, J: j, Via: -1, Direct: delayspace.Missing}
@@ -377,7 +341,7 @@ func detourEpoch(ctx context.Context, e *epoch, i, j, mod, rem int) (Detour, err
 				return Detour{}, err
 			}
 		}
-		if k == i || k == j || !inClass(k, mod, rem) {
+		if k == i || k == j || !sc.admits(k) {
 			continue
 		}
 		dik, ok := e.q.Delay(i, k)

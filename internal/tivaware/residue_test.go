@@ -8,10 +8,10 @@ import (
 	"tivaware/internal/synth"
 )
 
-// The residue-class restrictions (QueryOptions.Mod/Rem, DetourPathMod,
-// TopEdgesMod) are the scatter primitives of the sharded query plane:
-// their defining property is that the classes of a fixed modulus
-// partition the unrestricted result. These tests pin that partition
+// The residue-class restriction (Scatter, on QueryOptions and Query) is
+// the scatter primitive of the sharded query plane: its defining
+// property is that the classes of a fixed modulus partition the
+// unrestricted result. These tests pin that partition
 // lemma in-process; internal/tivshard's differential suite re-proves
 // it through real shard servers.
 
@@ -38,7 +38,7 @@ func TestRankResiduePartition(t *testing.T) {
 	const mod = 3
 	var union []Selection
 	for rem := 0; rem < mod; rem++ {
-		part, err := svc.Rank(ctx, 3, nil, QueryOptions{SeverityPenalty: 2, Mod: mod, Rem: rem})
+		part, err := svc.Rank(ctx, 3, nil, QueryOptions{SeverityPenalty: 2, Scatter: Scatter{Mod: mod, Rem: rem}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -68,18 +68,29 @@ func TestRankResiduePartition(t *testing.T) {
 func TestRankResidueValidation(t *testing.T) {
 	svc := residueService(t)
 	ctx := context.Background()
-	if _, err := svc.Rank(ctx, 0, nil, QueryOptions{Mod: -1}); err == nil {
+	if _, err := svc.Rank(ctx, 0, nil, QueryOptions{Scatter: Scatter{Mod: -1}}); err == nil {
 		t.Error("negative Mod should error")
 	}
-	if _, err := svc.Rank(ctx, 0, nil, QueryOptions{Mod: 3, Rem: 3}); err == nil {
+	if _, err := svc.Rank(ctx, 0, nil, QueryOptions{Scatter: Scatter{Mod: 3, Rem: 3}}); err == nil {
 		t.Error("Rem >= Mod should error")
 	}
-	if _, err := svc.Rank(ctx, 0, nil, QueryOptions{Mod: 3, Rem: -1}); err == nil {
+	if _, err := svc.Rank(ctx, 0, nil, QueryOptions{Scatter: Scatter{Mod: 3, Rem: -1}}); err == nil {
 		t.Error("negative Rem should error")
 	}
-	if _, err := svc.DetourPathMod(ctx, 0, 1, 2, 5); err == nil {
-		t.Error("DetourPathMod residue outside [0,Mod) should error")
+	if res := scattered(t, svc, Query{Kind: KindDetour, I: 0, J: 1, Scatter: Scatter{Mod: 2, Rem: 5}}); res.Err == nil {
+		t.Error("detour residue outside [0,Mod) should error")
 	}
+}
+
+// scattered answers one query through the batch path, the only
+// spelling that carries a residue class for detour and top queries.
+func scattered(t *testing.T, q Querier, query Query) Result {
+	t.Helper()
+	res, err := q.QueryBatch(context.Background(), []Query{query})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res[0]
 }
 
 func TestDetourResidueReduce(t *testing.T) {
@@ -95,10 +106,11 @@ func TestDetourResidueReduce(t *testing.T) {
 		// via delay wins, ties to the lowest relay id.
 		best := Detour{I: pair[0], J: pair[1], Via: -1, Direct: full.Direct}
 		for rem := 0; rem < mod; rem++ {
-			part, err := svc.DetourPathMod(ctx, pair[0], pair[1], mod, rem)
-			if err != nil {
-				t.Fatal(err)
+			res := scattered(t, svc, Query{Kind: KindDetour, I: pair[0], J: pair[1], Scatter: Scatter{Mod: mod, Rem: rem}})
+			if res.Err != nil {
+				t.Fatal(res.Err)
 			}
+			part := res.Detour
 			if part.Via < 0 {
 				continue
 			}
@@ -125,15 +137,15 @@ func TestTopEdgesResiduePartition(t *testing.T) {
 		i, j int
 		sev  float64
 	}
-	if _, err := v.TopEdgesMod(k, 3, 5); err == nil {
-		t.Error("TopEdgesMod with Rem >= Mod should error")
+	if res := scattered(t, v, Query{Kind: KindTop, K: k, Scatter: Scatter{Mod: 3, Rem: 5}}); res.Err == nil {
+		t.Error("top with Rem >= Mod should error")
 	}
 	for rem := 0; rem < mod; rem++ {
-		part, err := v.TopEdgesMod(k, mod, rem)
-		if err != nil {
-			t.Fatal(err)
+		res := scattered(t, v, Query{Kind: KindTop, K: k, Scatter: Scatter{Mod: mod, Rem: rem}})
+		if res.Err != nil {
+			t.Fatal(res.Err)
 		}
-		for _, e := range part {
+		for _, e := range res.Edges {
 			if e.I%mod != rem {
 				t.Fatalf("class (%d,%d) returned edge (%d,%d)", mod, rem, e.I, e.J)
 			}

@@ -321,28 +321,77 @@ func (c *Client) Healthz(ctx context.Context) (tivwire.Health, error) {
 	return h, err
 }
 
-// selectionParams encodes the shared selection parameters.
-func selectionParams(candidates []int, opts tivaware.QueryOptions) url.Values {
+// query answers one typed query: the single path under every per-kind
+// method below, which only build the Query and unwrap the one payload
+// its kind answers with. Over HTTP the query travels as its kind's
+// single-shot GET; over frames as a batch of one — which is how the
+// daemon answers a single-shot GET internally, so both transports hit
+// the same cache entries and produce the same answers. A per-query
+// error envelope comes back as a typed *Error, and a result without
+// the kind's payload as CodeBadPayload, so a returned result always
+// carries the payload the caller is about to read.
+func (c *Client) query(ctx context.Context, q tivaware.Query) (*tivwire.Result, error) {
+	if c.frames != nil {
+		return c.frameQuery(ctx, q)
+	}
+	r := &tivwire.Result{Kind: string(q.Kind)}
+	var out any
+	switch q.Kind {
+	case tivaware.KindRank, tivaware.KindClosest:
+		r.Rank = new(tivwire.RankResponse)
+		out = r.Rank
+	case tivaware.KindDetour:
+		r.Detour = new(tivwire.DetourResponse)
+		out = r.Detour
+	case tivaware.KindTop:
+		r.Top = new(tivwire.TopResponse)
+		out = r.Top
+	case tivaware.KindDelay:
+		r.Delay = new(tivwire.DelayResponse)
+		out = r.Delay
+	case tivaware.KindAnalysis:
+		r.Analysis = new(tivwire.AnalysisResponse)
+		out = r.Analysis
+	}
+	if err := c.get(ctx, "/v1/"+string(q.Kind), getParams(q), out); err != nil {
+		return nil, err
+	}
+	return r, nil
+}
+
+// getParams spells q in its endpoint's URL parameters. Optional
+// parameters are sent only when set, so the daemon's defaults (and its
+// cache keys) see the same effective query the framed spelling gives.
+func getParams(q tivaware.Query) url.Values {
 	params := url.Values{}
-	if opts.SeverityPenalty != 0 {
-		params.Set("penalty", strconv.FormatFloat(opts.SeverityPenalty, 'g', -1, 64))
-	}
-	if opts.ExcludeViolated {
-		params.Set("exclude", "true")
-	}
-	if sc := opts.Residue(); sc.Mod != 0 {
-		params.Set("mod", strconv.Itoa(sc.Mod))
-		params.Set("rem", strconv.Itoa(sc.Rem))
-	}
-	if candidates == nil {
-		candidates = opts.Candidates
-	}
-	if candidates != nil {
-		fields := make([]string, len(candidates))
-		for k, cand := range candidates {
-			fields[k] = strconv.Itoa(cand)
+	switch q.Kind {
+	case tivaware.KindRank, tivaware.KindClosest:
+		params.Set("target", strconv.Itoa(q.Target))
+		if q.K > 0 {
+			params.Set("k", strconv.Itoa(q.K))
 		}
-		params.Set("candidates", strings.Join(fields, ","))
+		if q.SeverityPenalty != 0 {
+			params.Set("penalty", strconv.FormatFloat(q.SeverityPenalty, 'g', -1, 64))
+		}
+		if q.ExcludeViolated {
+			params.Set("exclude", "true")
+		}
+		if q.Candidates != nil {
+			fields := make([]string, len(q.Candidates))
+			for k, cand := range q.Candidates {
+				fields[k] = strconv.Itoa(cand)
+			}
+			params.Set("candidates", strings.Join(fields, ","))
+		}
+	case tivaware.KindDetour, tivaware.KindDelay:
+		params.Set("i", strconv.Itoa(q.I))
+		params.Set("j", strconv.Itoa(q.J))
+	case tivaware.KindTop:
+		params.Set("k", strconv.Itoa(q.K))
+	}
+	if q.Scatter.Mod != 0 {
+		params.Set("mod", strconv.Itoa(q.Scatter.Mod))
+		params.Set("rem", strconv.Itoa(q.Scatter.Rem))
 	}
 	return params
 }
@@ -352,11 +401,17 @@ func selectionParams(candidates []int, opts tivaware.QueryOptions) url.Values {
 // (the daemon treats an absent parameter as all nodes), so the client
 // reproduces the Service's empty-set semantics locally: nothing to
 // rank.
-func emptyCandidates(candidates []int, opts tivaware.QueryOptions) bool {
-	if candidates == nil {
-		candidates = opts.Candidates
+func emptyCandidates(q tivaware.Query) bool {
+	return q.Candidates != nil && len(q.Candidates) == 0
+}
+
+// toSelections converts a wire ranking to the in-process type.
+func toSelections(sels []tivwire.Selection) []tivaware.Selection {
+	out := make([]tivaware.Selection, len(sels))
+	for k, sel := range sels {
+		out[k] = sel.ToSelection()
 	}
-	return candidates != nil && len(candidates) == 0
+	return out
 }
 
 // Rank scores the candidates for the target, best first; it mirrors
@@ -364,32 +419,19 @@ func emptyCandidates(candidates []int, opts tivaware.QueryOptions) bool {
 // truncated the ranking at its configured cap (4096 selections by
 // default; raise tivd -maxk, or use KClosest for a bounded prefix).
 func (c *Client) Rank(ctx context.Context, target int, candidates []int, opts tivaware.QueryOptions) ([]tivaware.Selection, error) {
-	if emptyCandidates(candidates, opts) {
+	q := tivaware.SelectionQuery(tivaware.KindRank, target, 0, candidates, opts)
+	if emptyCandidates(q) {
 		return nil, nil
 	}
-	var resp tivwire.RankResponse
-	if c.frames != nil {
-		var err error
-		resp, err = c.frameRank(ctx, "FRAME rank", selectionQuery(tivaware.KindRank, target, 0, candidates, opts))
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		params := selectionParams(candidates, opts)
-		params.Set("target", strconv.Itoa(target))
-		if err := c.get(ctx, "/v1/rank", params, &resp); err != nil {
-			return nil, err
-		}
+	r, err := c.query(ctx, q)
+	if err != nil {
+		return nil, err
 	}
-	if resp.Truncated {
+	if r.Rank.Truncated {
 		return nil, &Error{Code: tivwire.CodeBadRequest,
-			Message: fmt.Sprintf("ranking for node %d truncated at %d selections by the daemon's cap; raise tivd -maxk or use KClosest", target, len(resp.Selections))}
+			Message: fmt.Sprintf("ranking for node %d truncated at %d selections by the daemon's cap; raise tivd -maxk or use KClosest", target, len(r.Rank.Selections))}
 	}
-	out := make([]tivaware.Selection, len(resp.Selections))
-	for k, sel := range resp.Selections {
-		out[k] = sel.ToSelection()
-	}
-	return out, nil
+	return toSelections(r.Rank.Selections), nil
 }
 
 // KClosest returns the k best-ranked candidates for the target.
@@ -397,143 +439,71 @@ func (c *Client) KClosest(ctx context.Context, target, k int, opts tivaware.Quer
 	if k <= 0 {
 		return nil, &Error{Code: tivwire.CodeBadRequest, Message: fmt.Sprintf("KClosest k = %d, want > 0", k)}
 	}
-	if emptyCandidates(nil, opts) {
+	q := tivaware.SelectionQuery(tivaware.KindRank, target, k, nil, opts)
+	if emptyCandidates(q) {
 		return nil, nil
 	}
-	var resp tivwire.RankResponse
-	if c.frames != nil {
-		var err error
-		resp, err = c.frameRank(ctx, "FRAME rank", selectionQuery(tivaware.KindRank, target, k, nil, opts))
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		params := selectionParams(nil, opts)
-		params.Set("target", strconv.Itoa(target))
-		params.Set("k", strconv.Itoa(k))
-		if err := c.get(ctx, "/v1/rank", params, &resp); err != nil {
-			return nil, err
-		}
+	r, err := c.query(ctx, q)
+	if err != nil {
+		return nil, err
 	}
-	out := make([]tivaware.Selection, len(resp.Selections))
-	for i, sel := range resp.Selections {
-		out[i] = sel.ToSelection()
-	}
-	return out, nil
+	return toSelections(r.Rank.Selections), nil
 }
 
 // ClosestNode returns the best-ranked candidate for the target.
 func (c *Client) ClosestNode(ctx context.Context, target int, opts tivaware.QueryOptions) (tivaware.Selection, error) {
-	if emptyCandidates(nil, opts) {
+	q := tivaware.SelectionQuery(tivaware.KindClosest, target, 0, nil, opts)
+	if emptyCandidates(q) {
 		return tivaware.Selection{}, &Error{Code: tivwire.CodeBadRequest,
 			Message: fmt.Sprintf("no eligible candidate for node %d", target)}
 	}
-	var resp tivwire.RankResponse
-	if c.frames != nil {
-		var err error
-		resp, err = c.frameRank(ctx, "FRAME closest", selectionQuery(tivaware.KindClosest, target, 0, nil, opts))
-		if err != nil {
-			return tivaware.Selection{}, err
-		}
-	} else {
-		params := selectionParams(nil, opts)
-		params.Set("target", strconv.Itoa(target))
-		if err := c.get(ctx, "/v1/closest", params, &resp); err != nil {
-			return tivaware.Selection{}, err
-		}
+	r, err := c.query(ctx, q)
+	if err != nil {
+		return tivaware.Selection{}, err
 	}
-	if len(resp.Selections) == 0 {
+	if len(r.Rank.Selections) == 0 {
 		return tivaware.Selection{}, &Error{Code: CodeBadPayload, Message: "empty closest response"}
 	}
-	return resp.Selections[0].ToSelection(), nil
+	return r.Rank.Selections[0].ToSelection(), nil
 }
 
 // DetourPath finds the best one-hop detour for the pair (i, j).
 func (c *Client) DetourPath(ctx context.Context, i, j int) (tivaware.Detour, error) {
-	return c.DetourPathMod(ctx, i, j, 0, 0)
-}
-
-// DetourPathMod restricts the relay scan to the residue class
-// (mod, rem); see tivaware.Service.DetourPathMod. Sharded gateways
-// scatter the relay scan across shards with it.
-func (c *Client) DetourPathMod(ctx context.Context, i, j, mod, rem int) (tivaware.Detour, error) {
-	var resp tivwire.DetourResponse
-	if c.frames != nil {
-		q := tivaware.Query{Kind: tivaware.KindDetour, I: i, J: j,
-			Scatter: tivaware.Scatter{Mod: mod, Rem: rem}}
-		var err error
-		resp, err = c.frameDetour(ctx, "FRAME detour", q)
-		if err != nil {
-			return tivaware.Detour{}, err
-		}
-		return resp.Detour.ToDetour(), nil
-	}
-	params := url.Values{}
-	params.Set("i", strconv.Itoa(i))
-	params.Set("j", strconv.Itoa(j))
-	if mod != 0 {
-		params.Set("mod", strconv.Itoa(mod))
-		params.Set("rem", strconv.Itoa(rem))
-	}
-	if err := c.get(ctx, "/v1/detour", params, &resp); err != nil {
+	r, err := c.query(ctx, tivaware.Query{Kind: tivaware.KindDetour, I: i, J: j})
+	if err != nil {
 		return tivaware.Detour{}, err
 	}
-	return resp.Detour.ToDetour(), nil
+	return r.Detour.Detour.ToDetour(), nil
 }
 
 // TopEdges returns the k edges with the highest current severity,
 // most severe first (severity in the Delay field, matching
 // tivaware.Service.TopEdges).
 func (c *Client) TopEdges(ctx context.Context, k int) ([]delayspace.Edge, error) {
-	return c.TopEdgesMod(ctx, k, 0, 0)
-}
-
-// TopEdgesMod returns the k worst edges owned by the residue class
-// (mod, rem) — edges (i, j), i < j, with i % mod == rem; see
-// tivaware.View.TopEdgesMod.
-func (c *Client) TopEdgesMod(ctx context.Context, k, mod, rem int) ([]delayspace.Edge, error) {
-	var resp tivwire.TopResponse
-	if c.frames != nil {
-		q := tivaware.Query{Kind: tivaware.KindTop, K: k,
-			Scatter: tivaware.Scatter{Mod: mod, Rem: rem}}
-		var err error
-		resp, err = c.frameTop(ctx, "FRAME top", q)
-		if err != nil {
-			return nil, err
-		}
-		return tivwire.ToEdges(resp.Edges), nil
-	}
-	params := url.Values{}
-	params.Set("k", strconv.Itoa(k))
-	if mod != 0 {
-		params.Set("mod", strconv.Itoa(mod))
-		params.Set("rem", strconv.Itoa(rem))
-	}
-	if err := c.get(ctx, "/v1/top", params, &resp); err != nil {
+	r, err := c.query(ctx, tivaware.Query{Kind: tivaware.KindTop, K: k})
+	if err != nil {
 		return nil, err
 	}
-	return tivwire.ToEdges(resp.Edges), nil
+	return tivwire.ToEdges(r.Top.Edges), nil
 }
 
 // Delay returns the daemon's delay estimate for (i, j) and whether
 // one exists.
 func (c *Client) Delay(ctx context.Context, i, j int) (float64, bool, error) {
-	var resp tivwire.DelayResponse
-	if c.frames != nil {
-		var err error
-		resp, err = c.frameDelay(ctx, "FRAME delay", tivaware.Query{Kind: tivaware.KindDelay, I: i, J: j})
-		if err != nil {
-			return 0, false, err
-		}
-		return resp.Delay, resp.OK, nil
-	}
-	params := url.Values{}
-	params.Set("i", strconv.Itoa(i))
-	params.Set("j", strconv.Itoa(j))
-	if err := c.get(ctx, "/v1/delay", params, &resp); err != nil {
+	r, err := c.query(ctx, tivaware.Query{Kind: tivaware.KindDelay, I: i, J: j})
+	if err != nil {
 		return 0, false, err
 	}
-	return resp.Delay, resp.OK, nil
+	return r.Delay.Delay, r.Delay.OK, nil
+}
+
+// Analysis returns the daemon's aggregate triangle statistics.
+func (c *Client) Analysis(ctx context.Context) (tivwire.AnalysisResponse, error) {
+	r, err := c.query(ctx, tivaware.Query{Kind: tivaware.KindAnalysis})
+	if err != nil {
+		return tivwire.AnalysisResponse{}, err
+	}
+	return *r.Analysis, nil
 }
 
 // QueryBatch answers a vector of heterogeneous typed queries in one
@@ -574,16 +544,6 @@ func (c *Client) QueryBatch(ctx context.Context, queries []tivaware.Query) ([]ti
 		out[i] = res
 	}
 	return out, nil
-}
-
-// Analysis returns the daemon's aggregate triangle statistics.
-func (c *Client) Analysis(ctx context.Context) (tivwire.AnalysisResponse, error) {
-	if c.frames != nil {
-		return c.frameAnalysis(ctx, "FRAME analysis")
-	}
-	var resp tivwire.AnalysisResponse
-	err := c.get(ctx, "/v1/analysis", nil, &resp)
-	return resp, err
 }
 
 // ApplyUpdate streams one edge measurement into a live daemon and

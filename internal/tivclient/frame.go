@@ -14,10 +14,7 @@ import (
 // update, and health ping travels over a pool of persistent raw
 // connections (tivd -frame-listen) carrying the same binary frames the
 // HTTP binary codec uses — multiplexed by request id, with no
-// per-request HTTP overhead. Single-shot queries become framed batches
-// of one, which is exactly how the daemon answers a single-shot GET
-// internally, so both transports hit the same cache entries and
-// produce the same answers. Every failure is classified into the same
+// per-request HTTP overhead. Every failure is classified into the same
 // typed *Error taxonomy the HTTP path produces, so the retry layers
 // above (tivshard) dispatch identically no matter the transport.
 
@@ -47,10 +44,10 @@ func (c *Client) frameCall(ctx context.Context, op string, req, resp any) error 
 	}
 }
 
-// frameQuery answers one single-shot query as a framed batch of one
-// and returns the aligned result; a per-query error envelope comes
-// back as a typed *Error.
-func (c *Client) frameQuery(ctx context.Context, op string, q tivaware.Query) (*tivwire.Result, error) {
+// frameQuery is the framed arm of Client.query: one query as a framed
+// batch of one.
+func (c *Client) frameQuery(ctx context.Context, q tivaware.Query) (*tivwire.Result, error) {
+	op := "FRAME " + string(q.Kind)
 	var resp tivwire.BatchResponse
 	req := tivwire.BatchRequest{Queries: tivwire.FromQueries([]tivaware.Query{q})}
 	if err := c.frameCall(ctx, op, &req, &resp); err != nil {
@@ -65,91 +62,24 @@ func (c *Client) frameQuery(ctx context.Context, op string, q tivaware.Query) (*
 		return nil, &Error{Op: op, Code: r.Err.Code, Message: r.Err.Error,
 			RetryAfter: retryAfter(r.Err.RetryAfter)}
 	}
+	var ok bool
+	switch q.Kind {
+	case tivaware.KindRank, tivaware.KindClosest:
+		ok = r.Rank != nil
+	case tivaware.KindDetour:
+		ok = r.Detour != nil
+	case tivaware.KindTop:
+		ok = r.Top != nil
+	case tivaware.KindDelay:
+		ok = r.Delay != nil
+	case tivaware.KindAnalysis:
+		ok = r.Analysis != nil
+	}
+	if !ok {
+		// Decoded, but carries neither the kind's payload nor an error
+		// envelope.
+		return nil, &Error{Op: op, Code: CodeBadPayload,
+			Message: fmt.Sprintf("missing %s payload in %q result", q.Kind, r.Kind)}
+	}
 	return r, nil
-}
-
-// frameRank runs a rank-shaped query (rank, closest) and unwraps its
-// payload.
-func (c *Client) frameRank(ctx context.Context, op string, q tivaware.Query) (tivwire.RankResponse, error) {
-	r, err := c.frameQuery(ctx, op, q)
-	if err != nil {
-		return tivwire.RankResponse{}, err
-	}
-	if r.Rank == nil {
-		return tivwire.RankResponse{}, missingPayload(op, "rank", r)
-	}
-	return *r.Rank, nil
-}
-
-// frameDetour runs a detour query and unwraps its payload.
-func (c *Client) frameDetour(ctx context.Context, op string, q tivaware.Query) (tivwire.DetourResponse, error) {
-	r, err := c.frameQuery(ctx, op, q)
-	if err != nil {
-		return tivwire.DetourResponse{}, err
-	}
-	if r.Detour == nil {
-		return tivwire.DetourResponse{}, missingPayload(op, "detour", r)
-	}
-	return *r.Detour, nil
-}
-
-// frameTop runs a top-edges query and unwraps its payload.
-func (c *Client) frameTop(ctx context.Context, op string, q tivaware.Query) (tivwire.TopResponse, error) {
-	r, err := c.frameQuery(ctx, op, q)
-	if err != nil {
-		return tivwire.TopResponse{}, err
-	}
-	if r.Top == nil {
-		return tivwire.TopResponse{}, missingPayload(op, "top", r)
-	}
-	return *r.Top, nil
-}
-
-// frameDelay runs a delay query and unwraps its payload.
-func (c *Client) frameDelay(ctx context.Context, op string, q tivaware.Query) (tivwire.DelayResponse, error) {
-	r, err := c.frameQuery(ctx, op, q)
-	if err != nil {
-		return tivwire.DelayResponse{}, err
-	}
-	if r.Delay == nil {
-		return tivwire.DelayResponse{}, missingPayload(op, "delay", r)
-	}
-	return *r.Delay, nil
-}
-
-// frameAnalysis runs an analysis query and unwraps its payload.
-func (c *Client) frameAnalysis(ctx context.Context, op string) (tivwire.AnalysisResponse, error) {
-	r, err := c.frameQuery(ctx, op, tivaware.Query{Kind: tivaware.KindAnalysis})
-	if err != nil {
-		return tivwire.AnalysisResponse{}, err
-	}
-	if r.Analysis == nil {
-		return tivwire.AnalysisResponse{}, missingPayload(op, "analysis", r)
-	}
-	return *r.Analysis, nil
-}
-
-// missingPayload reports a result that decoded but carries neither the
-// expected payload nor an error envelope.
-func missingPayload(op, want string, r *tivwire.Result) error {
-	return &Error{Op: op, Code: CodeBadPayload,
-		Message: fmt.Sprintf("missing %s payload in %q result", want, r.Kind)}
-}
-
-// selectionQuery mirrors selectionParams for the framed path: the same
-// effective query the GET parameters would have encoded, so both
-// transports produce the same canonical cache key daemon-side.
-func selectionQuery(kind tivaware.QueryKind, target, k int, candidates []int, opts tivaware.QueryOptions) tivaware.Query {
-	if candidates == nil {
-		candidates = opts.Candidates
-	}
-	return tivaware.Query{
-		Kind:            kind,
-		Target:          target,
-		K:               k,
-		Candidates:      candidates,
-		SeverityPenalty: opts.SeverityPenalty,
-		ExcludeViolated: opts.ExcludeViolated,
-		Scatter:         opts.Residue(),
-	}
 }

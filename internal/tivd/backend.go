@@ -3,7 +3,6 @@ package tivd
 import (
 	"context"
 
-	"tivaware/internal/delayspace"
 	"tivaware/internal/tiv"
 	"tivaware/internal/tivaware"
 )
@@ -15,14 +14,11 @@ import (
 // same handlers, so a client cannot tell a gateway from a monolithic
 // daemon by the wire protocol.
 //
-// Query methods return the epoch sequence number the answer reflects
-// (stamped into the response bodies); for a gateway it is the gateway
-// generation counter, see tivshard. The mod/rem pairs restrict relay
-// and edge scans to a residue class of node ids (0 means
-// unrestricted), the scatter primitive shard daemons answer for their
-// gateway — see tivaware.QueryOptions.Mod.
+// Every read — a single-shot GET, a /v1/batch vector, a framed batch —
+// reaches the backend as typed queries through QueryBatch; there is no
+// per-kind method to keep in step with it.
 //
-// The signatures reference only tivaware/tiv/delayspace types, so an
+// The signatures reference only tivaware/tiv types, so an
 // implementation never needs to import this package.
 type Backend interface {
 	// N returns the node count.
@@ -31,20 +27,10 @@ type Backend interface {
 	Live() bool
 	// Health returns the current epoch and delay-source version.
 	Health(ctx context.Context) (epoch, version uint64, err error)
-	// Rank scores candidates for the target, best first.
-	Rank(ctx context.Context, target int, candidates []int, opts tivaware.QueryOptions) ([]tivaware.Selection, uint64, error)
-	// ClosestNode returns the best-ranked candidate.
-	ClosestNode(ctx context.Context, target int, opts tivaware.QueryOptions) (tivaware.Selection, uint64, error)
-	// DetourPath finds the best one-hop detour for (i, j) over relays
-	// in the (mod, rem) residue class.
-	DetourPath(ctx context.Context, i, j, mod, rem int) (tivaware.Detour, uint64, error)
-	// TopEdges returns the k worst edges owned by the (mod, rem) class.
-	TopEdges(ctx context.Context, k, mod, rem int) ([]delayspace.Edge, uint64, error)
-	// Delay returns the delay estimate for (i, j).
-	Delay(ctx context.Context, i, j int) (float64, bool, error)
 	// QueryBatch answers a vector of typed queries against one pinned
-	// epoch (returned alongside); per-query failures land in
-	// Result.Err, the call-level error is whole-batch.
+	// epoch (returned alongside; for a gateway it is the generation
+	// counter, see tivshard); per-query failures land in Result.Err,
+	// the call-level error is whole-batch.
 	QueryBatch(ctx context.Context, queries []tivaware.Query) ([]tivaware.Result, uint64, error)
 	// CacheVersion returns the backend's logical state token, cheap
 	// enough for every request. Equal token pairs guarantee identical
@@ -52,17 +38,14 @@ type Backend interface {
 	// epoch-keyed cache. For a service it is the source version pair;
 	// for a gateway the generation counter (see tivshard.Backend).
 	CacheVersion() (uint64, uint64)
-	// Analysis returns the aggregate triangle statistics (only the
-	// integer totals need to be populated) plus epoch and version.
-	Analysis(ctx context.Context) (tiv.Analysis, uint64, uint64, error)
 	// ApplyBatch applies edge measurements as one batch.
 	ApplyBatch(ctx context.Context, updates []tiv.Update) (tiv.ChangeSet, error)
 	// Subscribe registers fn for violated-edge change sets.
 	Subscribe(fn func(tiv.ChangeSet)) (cancel func(), err error)
 }
 
-// serviceBackend adapts a tivaware.Service: every query pins one View
-// so the response body and its epoch stamp are mutually consistent.
+// serviceBackend adapts a tivaware.Service: a batch pins one View so
+// the results and their epoch stamp are mutually consistent.
 type serviceBackend struct {
 	svc *tivaware.Service
 }
@@ -79,60 +62,6 @@ func (b serviceBackend) Health(ctx context.Context) (uint64, uint64, error) {
 		return 0, 0, err
 	}
 	return v.Seq(), v.Version(), nil
-}
-
-func (b serviceBackend) Rank(ctx context.Context, target int, candidates []int, opts tivaware.QueryOptions) ([]tivaware.Selection, uint64, error) {
-	v, err := b.svc.View(ctx)
-	if err != nil {
-		return nil, 0, err
-	}
-	sels, err := v.Rank(ctx, target, candidates, opts)
-	return sels, v.Seq(), err
-}
-
-func (b serviceBackend) ClosestNode(ctx context.Context, target int, opts tivaware.QueryOptions) (tivaware.Selection, uint64, error) {
-	v, err := b.svc.View(ctx)
-	if err != nil {
-		return tivaware.Selection{}, 0, err
-	}
-	sel, err := v.ClosestNode(ctx, target, opts)
-	return sel, v.Seq(), err
-}
-
-func (b serviceBackend) DetourPath(ctx context.Context, i, j, mod, rem int) (tivaware.Detour, uint64, error) {
-	v, err := b.svc.View(ctx)
-	if err != nil {
-		return tivaware.Detour{}, 0, err
-	}
-	d, err := v.DetourPathMod(ctx, i, j, mod, rem)
-	return d, v.Seq(), err
-}
-
-func (b serviceBackend) TopEdges(ctx context.Context, k, mod, rem int) ([]delayspace.Edge, uint64, error) {
-	v, err := b.svc.View(ctx)
-	if err != nil {
-		return nil, 0, err
-	}
-	edges, err := v.TopEdgesMod(k, mod, rem)
-	return edges, v.Seq(), err
-}
-
-func (b serviceBackend) Delay(ctx context.Context, i, j int) (float64, bool, error) {
-	v, err := b.svc.View(ctx)
-	if err != nil {
-		return 0, false, err
-	}
-	d, ok := v.Delay(i, j)
-	return d, ok, nil
-}
-
-func (b serviceBackend) Analysis(ctx context.Context) (tiv.Analysis, uint64, uint64, error) {
-	v, err := b.svc.View(ctx)
-	if err != nil {
-		return tiv.Analysis{}, 0, 0, err
-	}
-	an, err := v.Analysis()
-	return an, v.Seq(), v.Version(), err
 }
 
 func (b serviceBackend) QueryBatch(ctx context.Context, queries []tivaware.Query) ([]tivaware.Result, uint64, error) {

@@ -20,19 +20,22 @@
 //	GET  /v1/subscribe   SSE stream of violated-edge change sets
 //
 // The optional mod/rem pair restricts a query to one residue class of
-// node ids — the scatter primitive a tivshard gateway uses to fan one
-// query out over its shards (see tivaware.QueryOptions.Scatter). The
-// server itself serves any Backend: an in-process tivaware.Service or
-// a tivshard.Gateway, so gateways re-export this exact protocol.
+// node ids (tivaware.Scatter) — the primitive a tivshard gateway
+// partitions one query over its shards with. The server itself serves
+// any Backend: an in-process tivaware.Service or a tivshard.Gateway,
+// so gateways re-export this exact protocol.
+//
+// There is one read path. A GET's URL, a /v1/batch body and a framed
+// batch all decode into typed tivaware.Query values, pass the same
+// normalization and epoch-keyed hot-query cache (cache.go), and reach
+// the backend through Backend.QueryBatch; a single-shot GET is a batch
+// of one whose single payload is written bare (batch.go).
 //
 // Every endpoint speaks two codecs: JSON (the default) and the
 // compact binary framing (tivwire.BinaryContentType), negotiated per
 // request — Accept selects the response codec, Content-Type the
 // request-body codec. SSE streams stay JSON (they are line-oriented
-// by design). /v1/batch answers all its queries against one pinned
-// epoch, and read queries flow through an epoch-keyed hot-query cache
-// with request coalescing (see cache.go); both are transparent at the
-// protocol level.
+// by design).
 //
 // Queries run lock-free against the service's current epoch, so the
 // daemon serves concurrent requests at full GOMAXPROCS without a
@@ -45,7 +48,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math/rand"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"sync"
@@ -114,6 +119,10 @@ type Server struct {
 	opts  Options
 	mux   *http.ServeMux
 	cache *queryCache // nil when disabled
+	// boot is this server's identity in /healthz: random and nonzero,
+	// so a restarted daemon is distinguishable from the one it replaced
+	// even when every counter it reports is the same.
+	boot uint64
 
 	// Subscriber bookkeeping so Close can end SSE streams.
 	subMu     sync.Mutex
@@ -136,18 +145,16 @@ func NewBackend(b Backend, opts Options) (*Server, error) {
 	if b == nil {
 		return nil, fmt.Errorf("tivd: nil backend")
 	}
-	s := &Server{b: b, opts: opts, mux: http.NewServeMux(), subCancel: make(map[int]context.CancelFunc)}
+	s := &Server{b: b, opts: opts, mux: http.NewServeMux(), subCancel: make(map[int]context.CancelFunc),
+		boot: rand.Uint64() | 1}
 	if n := opts.cacheEntries(); n > 0 {
 		s.cache = newQueryCache(n)
 	}
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
 	s.mux.HandleFunc("/v1/batch", s.handleBatch)
-	s.mux.HandleFunc("/v1/rank", s.handleRank)
-	s.mux.HandleFunc("/v1/closest", s.handleClosest)
-	s.mux.HandleFunc("/v1/detour", s.handleDetour)
-	s.mux.HandleFunc("/v1/top", s.handleTop)
-	s.mux.HandleFunc("/v1/delay", s.handleDelay)
-	s.mux.HandleFunc("/v1/analysis", s.handleAnalysis)
+	for _, ep := range getEndpoints {
+		s.mux.HandleFunc(ep.path, s.handleGet(ep))
+	}
 	s.mux.HandleFunc("/v1/update", s.handleUpdate)
 	s.mux.HandleFunc("/v1/subscribe", s.handleSubscribe)
 	return s, nil
@@ -321,8 +328,103 @@ func requireMethod(w http.ResponseWriter, r *http.Request, method string) bool {
 	return true
 }
 
-func intParam(r *http.Request, name string, def int) (int, error) {
-	raw := r.URL.Query().Get(name)
+// getEndpoint is one single-shot GET endpoint: the query kind it
+// serves and the URL parameters it reads, in validation order (the
+// first malformed one is the error the client sees). Parameters an
+// endpoint does not list are ignored.
+type getEndpoint struct {
+	path   string
+	kind   tivaware.QueryKind
+	params []string
+}
+
+// getEndpoints is the whole single-shot GET surface. mod/rem restrict
+// a query to one residue class of node ids (tivaware.Scatter).
+var getEndpoints = []getEndpoint{
+	{"/v1/rank", tivaware.KindRank, []string{"target", "k", "penalty", "mod", "rem", "exclude", "candidates"}},
+	{"/v1/closest", tivaware.KindClosest, []string{"target", "penalty", "mod", "rem", "exclude", "candidates"}},
+	{"/v1/detour", tivaware.KindDetour, []string{"i", "j", "mod", "rem"}},
+	{"/v1/top", tivaware.KindTop, []string{"k", "mod", "rem"}},
+	{"/v1/delay", tivaware.KindDelay, []string{"i", "j"}},
+	{"/v1/analysis", tivaware.KindAnalysis, nil},
+}
+
+// handleGet serves one single-shot endpoint: decode the URL into the
+// typed query, then the path every read takes (serveQuery).
+func (s *Server) handleGet(ep getEndpoint) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if !requireMethod(w, r, http.MethodGet) {
+			return
+		}
+		q, err := s.parseQuery(ep, r.URL.Query())
+		if err != nil {
+			serviceError(w, r, err)
+			return
+		}
+		s.serveQuery(w, r, q)
+	}
+}
+
+// parseQuery decodes the URL parameters ep reads into its typed query.
+// Only syntax is checked here (plus the range of an explicit k, which
+// normalizeQuery would otherwise mistake for "use the default");
+// node ids and residue classes are validated by the query layer, the
+// same for a GET and for a batched query.
+func (s *Server) parseQuery(ep getEndpoint, values url.Values) (tivaware.Query, error) {
+	q := tivaware.Query{Kind: ep.kind}
+	for _, name := range ep.params {
+		raw := values.Get(name)
+		var err error
+		switch name {
+		case "target":
+			q.Target, err = intParam(name, raw, -1)
+		case "i":
+			q.I, err = intParam(name, raw, -1)
+		case "j":
+			q.J, err = intParam(name, raw, -1)
+		case "k":
+			q.K, err = intParam(name, raw, 0)
+			if max := s.opts.maxRankK(); err == nil && raw != "" && (q.K <= 0 || q.K > max) {
+				err = badRequestf("parameter k: %d outside [1,%d]", q.K, max)
+			}
+		case "mod":
+			q.Scatter.Mod, err = intParam(name, raw, 0)
+		case "rem":
+			q.Scatter.Rem, err = intParam(name, raw, 0)
+		case "penalty":
+			q.SeverityPenalty, err = floatParam(name, raw)
+		case "exclude":
+			switch raw {
+			case "", "false", "0":
+			case "true", "1":
+				q.ExcludeViolated = true
+			default:
+				err = badRequestf("parameter exclude: want true or false, have %q", raw)
+			}
+		case "candidates":
+			if raw == "" {
+				break
+			}
+			for _, f := range strings.Split(raw, ",") {
+				c, cerr := strconv.Atoi(strings.TrimSpace(f))
+				if cerr != nil {
+					err = badRequestf("parameter candidates: %v", cerr)
+					break
+				}
+				q.Candidates = append(q.Candidates, c)
+			}
+		}
+		if err != nil {
+			return q, err
+		}
+	}
+	return q, nil
+}
+
+// intParam decodes one integer parameter; an absent one takes def
+// (-1 for node ids, so a forgotten parameter fails the query layer's
+// range check by name).
+func intParam(name, raw string, def int) (int, error) {
 	if raw == "" {
 		return def, nil
 	}
@@ -333,60 +435,16 @@ func intParam(r *http.Request, name string, def int) (int, error) {
 	return v, nil
 }
 
-func floatParam(r *http.Request, name string, def float64) (float64, error) {
-	raw := r.URL.Query().Get(name)
+// floatParam decodes one float parameter; an absent one is 0.
+func floatParam(name, raw string) (float64, error) {
 	if raw == "" {
-		return def, nil
+		return 0, nil
 	}
 	v, err := strconv.ParseFloat(raw, 64)
 	if err != nil {
 		return 0, badRequestf("parameter %s: %v", name, err)
 	}
 	return v, nil
-}
-
-// queryOptions decodes the shared selection parameters: penalty,
-// exclude, candidates (comma-separated node ids), and the mod/rem
-// residue-class restriction sharded gateways scatter with.
-func queryOptions(r *http.Request) (tivaware.QueryOptions, error) {
-	var opts tivaware.QueryOptions
-	penalty, err := floatParam(r, "penalty", 0)
-	if err != nil {
-		return opts, err
-	}
-	opts.SeverityPenalty = penalty
-	if opts.Scatter.Mod, opts.Scatter.Rem, err = residueParams(r); err != nil {
-		return opts, err
-	}
-	switch raw := r.URL.Query().Get("exclude"); raw {
-	case "", "false", "0":
-	case "true", "1":
-		opts.ExcludeViolated = true
-	default:
-		return opts, badRequestf("parameter exclude: want true or false, have %q", raw)
-	}
-	if raw := r.URL.Query().Get("candidates"); raw != "" {
-		for _, f := range strings.Split(raw, ",") {
-			c, err := strconv.Atoi(strings.TrimSpace(f))
-			if err != nil {
-				return opts, badRequestf("parameter candidates: %v", err)
-			}
-			opts.Candidates = append(opts.Candidates, c)
-		}
-	}
-	return opts, nil
-}
-
-// residueParams decodes the mod/rem residue-class restriction
-// (validated downstream by the query layer).
-func residueParams(r *http.Request) (mod, rem int, err error) {
-	if mod, err = intParam(r, "mod", 0); err != nil {
-		return 0, 0, err
-	}
-	if rem, err = intParam(r, "rem", 0); err != nil {
-		return 0, 0, err
-	}
-	return mod, rem, nil
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -421,157 +479,12 @@ func (s *Server) healthWire(ctx context.Context) (tivwire.Health, error) {
 		Live:    s.b.Live(),
 		Epoch:   epoch,
 		Version: version,
+		Boot:    s.boot,
 	}
 	if s.cache != nil {
 		h.Cache = s.cache.stats()
 	}
 	return h, nil
-}
-
-func (s *Server) handleRank(w http.ResponseWriter, r *http.Request) {
-	if !requireMethod(w, r, http.MethodGet) {
-		return
-	}
-	target, err := intParam(r, "target", -1)
-	if err != nil {
-		writeError(w, r, http.StatusBadRequest, tivwire.CodeBadRequest, "%v", err)
-		return
-	}
-	k, err := intParam(r, "k", s.opts.maxRankK())
-	if err != nil {
-		writeError(w, r, http.StatusBadRequest, tivwire.CodeBadRequest, "%v", err)
-		return
-	}
-	if k <= 0 || k > s.opts.maxRankK() {
-		writeError(w, r, http.StatusBadRequest, tivwire.CodeBadRequest, "parameter k: %d outside [1,%d]", k, s.opts.maxRankK())
-		return
-	}
-	opts, err := queryOptions(r)
-	if err != nil {
-		writeError(w, r, http.StatusBadRequest, tivwire.CodeBadRequest, "%v", err)
-		return
-	}
-	s.serveQuery(w, r, tivaware.Query{
-		Kind:            tivaware.KindRank,
-		Target:          target,
-		K:               k,
-		Candidates:      opts.Candidates,
-		SeverityPenalty: opts.SeverityPenalty,
-		ExcludeViolated: opts.ExcludeViolated,
-		Scatter:         opts.Scatter,
-	})
-}
-
-func (s *Server) handleClosest(w http.ResponseWriter, r *http.Request) {
-	if !requireMethod(w, r, http.MethodGet) {
-		return
-	}
-	target, err := intParam(r, "target", -1)
-	if err != nil {
-		writeError(w, r, http.StatusBadRequest, tivwire.CodeBadRequest, "%v", err)
-		return
-	}
-	opts, err := queryOptions(r)
-	if err != nil {
-		writeError(w, r, http.StatusBadRequest, tivwire.CodeBadRequest, "%v", err)
-		return
-	}
-	s.serveQuery(w, r, tivaware.Query{
-		Kind:            tivaware.KindClosest,
-		Target:          target,
-		Candidates:      opts.Candidates,
-		SeverityPenalty: opts.SeverityPenalty,
-		ExcludeViolated: opts.ExcludeViolated,
-		Scatter:         opts.Scatter,
-	})
-}
-
-func (s *Server) handleDetour(w http.ResponseWriter, r *http.Request) {
-	if !requireMethod(w, r, http.MethodGet) {
-		return
-	}
-	i, err := intParam(r, "i", -1)
-	if err != nil {
-		writeError(w, r, http.StatusBadRequest, tivwire.CodeBadRequest, "%v", err)
-		return
-	}
-	j, err := intParam(r, "j", -1)
-	if err != nil {
-		writeError(w, r, http.StatusBadRequest, tivwire.CodeBadRequest, "%v", err)
-		return
-	}
-	mod, rem, err := residueParams(r)
-	if err != nil {
-		writeError(w, r, http.StatusBadRequest, tivwire.CodeBadRequest, "%v", err)
-		return
-	}
-	s.serveQuery(w, r, tivaware.Query{
-		Kind:    tivaware.KindDetour,
-		I:       i,
-		J:       j,
-		Scatter: tivaware.Scatter{Mod: mod, Rem: rem},
-	})
-}
-
-func (s *Server) handleTop(w http.ResponseWriter, r *http.Request) {
-	if !requireMethod(w, r, http.MethodGet) {
-		return
-	}
-	k, err := intParam(r, "k", 10)
-	if err != nil {
-		writeError(w, r, http.StatusBadRequest, tivwire.CodeBadRequest, "%v", err)
-		return
-	}
-	if k <= 0 || k > s.opts.maxRankK() {
-		writeError(w, r, http.StatusBadRequest, tivwire.CodeBadRequest, "parameter k: %d outside [1,%d]", k, s.opts.maxRankK())
-		return
-	}
-	mod, rem, err := residueParams(r)
-	if err != nil {
-		writeError(w, r, http.StatusBadRequest, tivwire.CodeBadRequest, "%v", err)
-		return
-	}
-	s.serveQuery(w, r, tivaware.Query{
-		Kind:    tivaware.KindTop,
-		K:       k,
-		Scatter: tivaware.Scatter{Mod: mod, Rem: rem},
-	})
-}
-
-func (s *Server) handleDelay(w http.ResponseWriter, r *http.Request) {
-	if !requireMethod(w, r, http.MethodGet) {
-		return
-	}
-	i, err := intParam(r, "i", -1)
-	if err != nil {
-		writeError(w, r, http.StatusBadRequest, tivwire.CodeBadRequest, "%v", err)
-		return
-	}
-	j, err := intParam(r, "j", -1)
-	if err != nil {
-		writeError(w, r, http.StatusBadRequest, tivwire.CodeBadRequest, "%v", err)
-		return
-	}
-	if i < 0 || j < 0 || i >= s.b.N() || j >= s.b.N() {
-		writeError(w, r, http.StatusBadRequest, tivwire.CodeBadRequest, "pair (%d,%d) out of range [0,%d)", i, j, s.b.N())
-		return
-	}
-	d, ok, err := s.b.Delay(r.Context(), i, j)
-	if err != nil {
-		serviceError(w, r, err)
-		return
-	}
-	if !ok {
-		d = -1
-	}
-	writeMsg(w, r, http.StatusOK, tivwire.DelayResponse{I: i, J: j, Delay: d, OK: ok})
-}
-
-func (s *Server) handleAnalysis(w http.ResponseWriter, r *http.Request) {
-	if !requireMethod(w, r, http.MethodGet) {
-		return
-	}
-	s.serveQuery(w, r, tivaware.Query{Kind: tivaware.KindAnalysis})
 }
 
 func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {

@@ -11,6 +11,7 @@ import (
 	"reflect"
 	"testing"
 
+	"tivaware/internal/delayspace"
 	"tivaware/internal/synth"
 	"tivaware/internal/tivaware"
 	"tivaware/internal/tivclient"
@@ -213,6 +214,12 @@ func TestBinaryJSONEndpointParity(t *testing.T) {
 
 	hj, err1 := js.Healthz(ctx)
 	hb, err2 := bin.Healthz(ctx)
+	// The twins are two processes: each reports its own boot identity,
+	// in both codecs, and everything else must agree.
+	if hj.Boot == 0 || hb.Boot == 0 || hj.Boot == hb.Boot {
+		t.Errorf("healthz boot identities: json %d, binary %d; want distinct and nonzero", hj.Boot, hb.Boot)
+	}
+	hj.Boot, hb.Boot = 0, 0
 	check("healthz", hj, hb, err1, err2)
 
 	rj, err1 := js.KClosest(ctx, 0, 5, tivaware.QueryOptions{SeverityPenalty: 2})
@@ -300,10 +307,12 @@ func TestMixedNegotiation(t *testing.T) {
 	}
 }
 
-// TestDeprecatedResidueOptions proves the deprecated QueryOptions
-// Mod/Rem spelling answers identically to the typed Scatter, one
-// round trip per residue-aware endpoint.
-func TestDeprecatedResidueOptions(t *testing.T) {
+// TestResidueParamsMatchScatter holds the GET spelling of a residue
+// class (mod=&rem=) equal to the typed one (Query.Scatter in a batch),
+// one round trip per residue-aware endpoint, and checks the class
+// actually restricts the answer — equality alone would also hold if
+// both spellings ignored it.
+func TestResidueParamsMatchScatter(t *testing.T) {
 	svc := synthService(t)
 	srv, err := tivd.New(svc, tivd.Options{})
 	if err != nil {
@@ -313,56 +322,135 @@ func TestDeprecatedResidueOptions(t *testing.T) {
 	client := tivclient.New(url, tivclient.Options{})
 	ctx := context.Background()
 
-	deprecated := tivaware.QueryOptions{Mod: 2, Rem: 1}
-	typed := tivaware.QueryOptions{Scatter: tivaware.Scatter{Mod: 2, Rem: 1}}
-
-	rd, err := client.KClosest(ctx, 0, 4, deprecated)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rt, err := client.KClosest(ctx, 0, 4, typed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(rd, rt) {
-		t.Errorf("rank: deprecated Mod/Rem diverges from Scatter:\n old: %v\n new: %v", rd, rt)
-	}
-
-	cd, err := client.ClosestNode(ctx, 3, deprecated)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ct, err := client.ClosestNode(ctx, 3, typed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(cd, ct) {
-		t.Errorf("closest: deprecated Mod/Rem diverges from Scatter: %v vs %v", cd, ct)
-	}
-
-	// Detour and top take residues as explicit ints on the client; the
-	// typed path is the batch Query.Scatter. Equality across the two
-	// spellings proves the server folds them into one code path.
-	dm, err := client.DetourPathMod(ctx, 0, 5, 2, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	results, err := client.QueryBatch(ctx, []tivaware.Query{
-		{Kind: tivaware.KindDetour, I: 0, J: 5, Scatter: tivaware.Scatter{Mod: 2, Rem: 1}},
-		{Kind: tivaware.KindTop, K: 6, Scatter: tivaware.Scatter{Mod: 2, Rem: 1}},
+	class := tivaware.Scatter{Mod: 2, Rem: 1}
+	typed, err := client.QueryBatch(ctx, []tivaware.Query{
+		{Kind: tivaware.KindRank, Target: 0, K: 4, Scatter: class},
+		{Kind: tivaware.KindClosest, Target: 3, Scatter: class},
+		{Kind: tivaware.KindDetour, I: 0, J: 5, Scatter: class},
+		{Kind: tivaware.KindTop, K: 6, Scatter: class},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if results[0].Err != nil || !reflect.DeepEqual(results[0].Detour, dm) {
-		t.Errorf("detour: mod/rem params diverge from typed Scatter: %+v vs %+v (err %v)", results[0].Detour, dm, results[0].Err)
+	for i, res := range typed {
+		if res.Err != nil {
+			t.Fatalf("typed query %d: %v", i, res.Err)
+		}
 	}
-	tm, err := client.TopEdgesMod(ctx, 6, 2, 1)
+
+	// Rank and closest carry the class in QueryOptions, which the client
+	// spells as mod=&rem= on the GET.
+	opts := tivaware.QueryOptions{Scatter: class}
+	ranked, err := client.KClosest(ctx, 0, 4, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if results[1].Err != nil || !reflect.DeepEqual(results[1].Edges, tm) {
-		t.Errorf("top: mod/rem params diverge from typed Scatter: %v vs %v (err %v)", results[1].Edges, tm, results[1].Err)
+	if !reflect.DeepEqual(ranked, typed[0].Selections) {
+		t.Errorf("rank: mod/rem params diverge from typed Scatter:\n get:   %v\n batch: %v", ranked, typed[0].Selections)
+	}
+	for _, sel := range ranked {
+		if sel.Node%class.Mod != class.Rem {
+			t.Errorf("rank: class (%d,%d) returned node %d", class.Mod, class.Rem, sel.Node)
+		}
+	}
+	closest, err := client.ClosestNode(ctx, 3, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual([]tivaware.Selection{closest}, typed[1].Selections) {
+		t.Errorf("closest: mod/rem params diverge from typed Scatter: %v vs %v", closest, typed[1].Selections)
+	}
+
+	// Detour and top have no typed single-shot spelling of a class; the
+	// GET parameters are the wire's.
+	get := func(pathAndQuery string, into any) {
+		t.Helper()
+		resp, err := http.Get(url + pathAndQuery)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s = %d", pathAndQuery, resp.StatusCode)
+		}
+		if err := readJSON(resp.Body, into); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var detour tivwire.DetourResponse
+	get("/v1/detour?i=0&j=5&mod=2&rem=1", &detour)
+	if got := detour.Detour.ToDetour(); got != typed[2].Detour {
+		t.Errorf("detour: mod/rem params diverge from typed Scatter: %+v vs %+v", got, typed[2].Detour)
+	}
+	if via := typed[2].Detour.Via; via >= 0 && via%class.Mod != class.Rem {
+		t.Errorf("detour: class (%d,%d) relayed via %d", class.Mod, class.Rem, via)
+	}
+	var top tivwire.TopResponse
+	get("/v1/top?k=6&mod=2&rem=1", &top)
+	if got := tivwire.ToEdges(top.Edges); !reflect.DeepEqual(got, typed[3].Edges) {
+		t.Errorf("top: mod/rem params diverge from typed Scatter: %v vs %v", got, typed[3].Edges)
+	}
+	for _, e := range typed[3].Edges {
+		if e.I%class.Mod != class.Rem {
+			t.Errorf("top: class (%d,%d) returned edge (%d,%d)", class.Mod, class.Rem, e.I, e.J)
+		}
+	}
+}
+
+// TestDelayGetMatchesBatch pins GET /v1/delay to the path every other
+// read takes: the same answer as a batched delay query for a measured
+// pair, a missing pair (-1, ok=false) and an out-of-range one
+// (bad_request, the query layer's message).
+func TestDelayGetMatchesBatch(t *testing.T) {
+	m := tivMatrix()
+	m.Set(1, 3, delayspace.Missing)
+	svc, err := tivaware.NewFromMatrix(m, tivaware.Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	client, _ := startDaemon(t, svc, tivd.Options{})
+	ctx := context.Background()
+	n := svc.N()
+
+	pairs := [][2]int{{0, 1}, {1, 3}, {0, n}, {-1, 2}}
+	queries := make([]tivaware.Query, len(pairs))
+	for k, p := range pairs {
+		queries[k] = tivaware.Query{Kind: tivaware.KindDelay, I: p[0], J: p[1]}
+	}
+	batched, err := client.QueryBatch(ctx, queries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sawMissing, sawBad := false, false
+	for k, p := range pairs {
+		d, ok, gerr := client.Delay(ctx, p[0], p[1])
+		want := batched[k]
+		if want.Err != nil {
+			var ge, be *tivclient.Error
+			if !errors.As(gerr, &ge) || !errors.As(want.Err, &be) {
+				t.Fatalf("pair %v: GET err %v, batch err %v; want typed errors from both", p, gerr, want.Err)
+			}
+			if ge.Code != tivwire.CodeBadRequest || ge.Code != be.Code || ge.Message != be.Message || ge.Status != http.StatusBadRequest {
+				t.Errorf("pair %v: GET error %+v, batch error %+v", p, ge, be)
+			}
+			sawBad = true
+			continue
+		}
+		if gerr != nil {
+			t.Fatalf("pair %v: GET failed (%v), batch answered", p, gerr)
+		}
+		if d != want.Delay || ok != want.DelayOK {
+			t.Errorf("pair %v: GET (%g,%v), batch (%g,%v)", p, d, ok, want.Delay, want.DelayOK)
+		}
+		if !ok {
+			sawMissing = true
+			if d != -1 {
+				t.Errorf("pair %v: missing delay travels as %g, want -1", p, d)
+			}
+		}
+	}
+	if !sawMissing || !sawBad {
+		t.Fatalf("corpus lost a case: missing pair seen %v, out-of-range seen %v", sawMissing, sawBad)
 	}
 }
 

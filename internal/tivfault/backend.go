@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"tivaware/internal/delayspace"
 	"tivaware/internal/tiv"
 	"tivaware/internal/tivaware"
 	"tivaware/internal/tivd"
@@ -44,48 +43,6 @@ func (f *faultBackend) Health(ctx context.Context) (uint64, uint64, error) {
 		return 0, 0, err
 	}
 	return f.b.Health(ctx)
-}
-
-func (f *faultBackend) Rank(ctx context.Context, target int, candidates []int, opts tivaware.QueryOptions) ([]tivaware.Selection, uint64, error) {
-	if err := f.gate(ctx); err != nil {
-		return nil, 0, err
-	}
-	return f.b.Rank(ctx, target, candidates, opts)
-}
-
-func (f *faultBackend) ClosestNode(ctx context.Context, target int, opts tivaware.QueryOptions) (tivaware.Selection, uint64, error) {
-	if err := f.gate(ctx); err != nil {
-		return tivaware.Selection{}, 0, err
-	}
-	return f.b.ClosestNode(ctx, target, opts)
-}
-
-func (f *faultBackend) DetourPath(ctx context.Context, i, j, mod, rem int) (tivaware.Detour, uint64, error) {
-	if err := f.gate(ctx); err != nil {
-		return tivaware.Detour{}, 0, err
-	}
-	return f.b.DetourPath(ctx, i, j, mod, rem)
-}
-
-func (f *faultBackend) TopEdges(ctx context.Context, k, mod, rem int) ([]delayspace.Edge, uint64, error) {
-	if err := f.gate(ctx); err != nil {
-		return nil, 0, err
-	}
-	return f.b.TopEdges(ctx, k, mod, rem)
-}
-
-func (f *faultBackend) Delay(ctx context.Context, i, j int) (float64, bool, error) {
-	if err := f.gate(ctx); err != nil {
-		return 0, false, err
-	}
-	return f.b.Delay(ctx, i, j)
-}
-
-func (f *faultBackend) Analysis(ctx context.Context) (tiv.Analysis, uint64, uint64, error) {
-	if err := f.gate(ctx); err != nil {
-		return tiv.Analysis{}, 0, 0, err
-	}
-	return f.b.Analysis(ctx)
 }
 
 func (f *faultBackend) QueryBatch(ctx context.Context, queries []tivaware.Query) ([]tivaware.Result, uint64, error) {

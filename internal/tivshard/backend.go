@@ -4,9 +4,7 @@ import (
 	"context"
 	"sync/atomic"
 
-	"tivaware/internal/delayspace"
 	"tivaware/internal/tiv"
-	"tivaware/internal/tivaware"
 	"tivaware/internal/tivwire"
 )
 
@@ -47,51 +45,6 @@ func (b *Backend) Health(ctx context.Context) (uint64, uint64, error) {
 		return 0, 0, err
 	}
 	return h.Epoch, h.Version, nil
-}
-
-// Rank scatter-gathers the ranking; see Gateway.Rank.
-func (b *Backend) Rank(ctx context.Context, target int, candidates []int, opts tivaware.QueryOptions) ([]tivaware.Selection, uint64, error) {
-	sels, err := b.g.Rank(ctx, target, candidates, opts)
-	return sels, b.g.Generation(), err
-}
-
-// ClosestNode returns the globally best-ranked candidate.
-func (b *Backend) ClosestNode(ctx context.Context, target int, opts tivaware.QueryOptions) (tivaware.Selection, uint64, error) {
-	sel, err := b.g.ClosestNode(ctx, target, opts)
-	return sel, b.g.Generation(), err
-}
-
-// DetourPath reduces the per-shard relay scans; see
-// Gateway.DetourPathMod.
-func (b *Backend) DetourPath(ctx context.Context, i, j, mod, rem int) (tivaware.Detour, uint64, error) {
-	d, err := b.g.DetourPathMod(ctx, i, j, mod, rem)
-	return d, b.g.Generation(), err
-}
-
-// TopEdges merges the per-shard owned-edge rankings; see
-// Gateway.TopEdgesMod.
-func (b *Backend) TopEdges(ctx context.Context, k, mod, rem int) ([]delayspace.Edge, uint64, error) {
-	edges, err := b.g.TopEdgesMod(ctx, k, mod, rem)
-	return edges, b.g.Generation(), err
-}
-
-// Delay is answered by the edge's owning shard.
-func (b *Backend) Delay(ctx context.Context, i, j int) (float64, bool, error) {
-	return b.g.Delay(ctx, i, j)
-}
-
-// Analysis returns the agreement-checked triangle totals of the
-// cluster (severity and count fields stay nil: edge-level data is
-// served by rank/top, as on a monolithic daemon).
-func (b *Backend) Analysis(ctx context.Context) (tiv.Analysis, uint64, uint64, error) {
-	a, err := b.g.Analysis(ctx)
-	if err != nil {
-		return tiv.Analysis{}, 0, 0, err
-	}
-	return tiv.Analysis{
-		ViolatingTriangles: a.ViolatingTriangles,
-		Triangles:          a.Triangles,
-	}, a.Epoch, a.Version, nil
 }
 
 // ApplyBatch replicates the batch across the cluster; see

@@ -2,6 +2,7 @@ package tivshard
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 
@@ -11,15 +12,13 @@ import (
 	"tivaware/internal/tivclient"
 )
 
-// The gateway's batch path. A batch of M heterogeneous queries costs
-// at most one /v1/batch round trip per shard: every query is either
-// routed to one class (explicit residue restrictions, delay reads) or
-// expanded into K class sub-queries (unrestricted rank/closest/top/
-// detour), the per-class sub-batches scatter concurrently, and the
-// class answers merge with the same comparators the single-shot paths
-// use — so the batch path is exactly as precise as issuing the
-// queries one by one, while amortizing the per-request overhead the
-// single-shot scatter pays K times per query.
+// The gateway's one read path. A batch of M heterogeneous queries
+// costs at most one /v1/batch round trip per shard: every query is
+// either routed to one class (explicit residue restrictions, delay
+// reads) or expanded into K class sub-queries (unrestricted rank/
+// closest/top/detour), the per-class sub-batches scatter concurrently,
+// and the class answers merge with the monolithic comparators. The
+// per-kind Gateway methods are batches of one through this path.
 
 // gwPart is one class-routed sub-query of a batch.
 type gwPart struct {
@@ -82,7 +81,7 @@ func (g *Gateway) QueryBatch(ctx context.Context, queries []tivaware.Query) ([]t
 			}
 			if q.Kind == tivaware.KindClosest {
 				// Resolved as a per-class rank of 1 so an empty class
-				// cannot fail the query (mirrors Gateway.ClosestNode).
+				// cannot fail the query.
 				q.Kind = tivaware.KindRank
 				q.K = 1
 			}
@@ -206,9 +205,60 @@ func (g *Gateway) QueryBatch(ctx context.Context, queries []tivaware.Query) ([]t
 	return out, nil
 }
 
-// mergeRank k-way merges per-class rankings exactly as Gateway.Rank
-// and KClosest do; limit ≤ 0 keeps everything. Truncated reports a
-// shard-side cut or a merge-side one.
+// scatterClasses runs fn once per residue class concurrently. The
+// class, not the shard, is the unit of work: fn resolves its class
+// against the class's own shard when that shard is live and fails
+// over to another replica otherwise (any replica answers any class
+// exactly — the full-replication invariant).
+func (g *Gateway) scatterClasses(ctx context.Context, fn func(ctx context.Context, class int) error) error {
+	errs := make([]error, g.k)
+	var wg sync.WaitGroup
+	for class := 0; class < g.k; class++ {
+		wg.Add(1)
+		go func(class int) {
+			defer wg.Done()
+			errs[class] = fn(ctx, class)
+		}(class)
+	}
+	wg.Wait()
+	return errors.Join(errs...)
+}
+
+// mergeSorted k-way merges per-shard result lists (each sorted by
+// less) into one list sorted by less, stopping at limit elements
+// (< 0 means all). With the monolithic comparator and per-class
+// inputs, the merged order is exactly the monolithic order.
+func mergeSorted[T any](lists [][]T, less func(a, b T) bool, limit int) []T {
+	total := 0
+	for _, l := range lists {
+		total += len(l)
+	}
+	if limit < 0 || limit > total {
+		limit = total
+	}
+	out := make([]T, 0, limit)
+	idx := make([]int, len(lists))
+	for len(out) < limit {
+		best := -1
+		for s, l := range lists {
+			if idx[s] >= len(l) {
+				continue
+			}
+			if best < 0 || less(l[idx[s]], lists[best][idx[best]]) {
+				best = s
+			}
+		}
+		if best < 0 {
+			break
+		}
+		out = append(out, lists[best][idx[best]])
+		idx[best]++
+	}
+	return out
+}
+
+// mergeRank k-way merges per-class rankings; limit ≤ 0 keeps
+// everything. Truncated reports a shard-side cut or a merge-side one.
 func (g *Gateway) mergeRank(a *gwAccum, limit int) ([]tivaware.Selection, bool) {
 	total := 0
 	for _, l := range a.sels {
@@ -222,7 +272,7 @@ func (g *Gateway) mergeRank(a *gwAccum, limit int) ([]tivaware.Selection, bool) 
 
 // mergeDetour reduces per-class detour scans to the smallest via
 // delay, ties to the lowest relay id — the monolithic scan's first
-// strict minimum (mirrors DetourPathMod).
+// strict minimum.
 func (g *Gateway) mergeDetour(a *gwAccum, i, j int) tivaware.Detour {
 	best := tivaware.Detour{I: i, J: j, Via: -1}
 	for class, ok := range a.answered {

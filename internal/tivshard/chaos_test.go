@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -466,6 +467,96 @@ func TestKillRestartConvergence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestRestartBetweenProbesReplaysFullJournal is the deterministic
+// form of the window TestKillRestartConvergence only hits by timing:
+// a shard applies updates, dies and restarts from its seed with no
+// health probe completing in between. While the gate is shut every
+// /healthz request is lost in transit (and the breaker is off, so a
+// lost probe changes nothing): from construction until the restart the
+// gateway learns nothing about the shard except its own successful
+// applies. The restart must still be recognised — the reborn process
+// reports a new boot identity — and the whole journal replayed: the
+// updates the shard had applied before dying included, not only the
+// ones it was down for.
+func TestRestartBetweenProbesReplaysFullJournal(t *testing.T) {
+	const (
+		shards = 3
+		n      = 36 // assertAgreement probes fixed node ids up to 31
+		victim = 2
+	)
+	var probesLost atomic.Bool
+	gwOpts := chaosGatewayOptions()
+	gwOpts.BreakerThreshold = -1
+	c, err := testcluster.Start(testcluster.Config{
+		N:              n,
+		Shards:         shards,
+		Seed:           17,
+		Live:           true,
+		Workers:        1,
+		GatewayOptions: gwOpts,
+		ShardMiddleware: func(_ int, h http.Handler) http.Handler {
+			return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if r.URL.Path == "/healthz" && probesLost.Load() {
+					panic(http.ErrAbortHandler)
+				}
+				h.ServeHTTP(w, r)
+			})
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	// A probe that slips in before this line sees the seed state, the
+	// same thing construction saw.
+	probesLost.Store(true)
+	mono, err := c.NewMonolith()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	rng := rand.New(rand.NewSource(5))
+	lockstep := func(phase string, steps int) {
+		t.Helper()
+		for step := 0; step < steps; step++ {
+			i := rng.Intn(n)
+			j := (i + 1 + rng.Intn(n-1)) % n
+			rtt := 1 + rng.Float64()*2000
+			if _, err := c.Gateway.ApplyUpdate(ctx, i, j, rtt); err != nil {
+				t.Fatalf("%s step %d: gateway refused update: %v", phase, step, err)
+			}
+			if _, err := mono.ApplyUpdate(i, j, rtt); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	lockstep("healthy", 12) // applied by the victim directly, never probed
+	c.KillShard(victim)
+	lockstep("degraded", 6) // the first failed apply takes the victim out
+	if down := c.Gateway.DownShards(); len(down) != 1 || down[0] != victim {
+		t.Fatalf("DownShards = %v, want [%d]", down, victim)
+	}
+	if err := c.RestartShard(victim); err != nil {
+		t.Fatal(err)
+	}
+	probesLost.Store(false)
+	waitStatus(t, c.Gateway, "ok", 10*time.Second)
+
+	reborn := c.Shards[victim].Service
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			gd, gok := reborn.Delay(i, j)
+			wd, wok := mono.Delay(i, j)
+			if gd != wd || gok != wok {
+				t.Fatalf("restarted shard: delay (%d,%d) = (%g,%v), monolith (%g,%v): updates applied before the crash were not replayed",
+					i, j, gd, gok, wd, wok)
+			}
+		}
+	}
+	assertAgreement(t, mono, c)
 }
 
 // accountStreams runs the full per-shard delta accounting once;

@@ -21,18 +21,21 @@
 //
 // # Merge semantics
 //
-// Rank/KClosest/ClosestNode scatter the query with one residue class
-// per shard (tivaware.QueryOptions.Mod/Rem) and k-way merge the
-// per-shard rankings by (Score, Node) — the exact comparator the
-// monolithic service sorts with, so the merged ranking is identical
-// to the monolithic one. DetourPath scans each shard's relay class
-// remotely and reduces to the smallest via delay (ties to the lowest
-// relay id), which reproduces the monolithic first-strict-minimum
-// scan exactly. TopEdges merges the per-shard owned-edge rankings by
-// (severity desc, edge asc). Analysis queries every shard and
-// requires the integer triangle totals to agree exactly — a built-in
-// replica-divergence detector. The differential suite in this package
-// pins gateway ≡ monolithic tivaware.Service over the same matrix.
+// Every read is a tivaware.Query answered by QueryBatch (batch.go),
+// the one scatter/merge; Rank, KClosest, ClosestNode, DetourPath,
+// TopEdges and Delay are typed spellings of a batch of one. Rank and
+// closest queries scatter with one residue class per shard
+// (tivaware.Scatter) and k-way merge the per-shard rankings by
+// (Score, Node) — the exact comparator the monolithic service sorts
+// with, so the merged ranking is identical to the monolithic one.
+// Detour queries scan each shard's relay class remotely and reduce to
+// the smallest via delay (ties to the lowest relay id), which
+// reproduces the monolithic first-strict-minimum scan exactly. Top
+// queries merge the per-shard owned-edge rankings by (severity desc,
+// edge asc). Analysis queries every shard and requires the integer
+// triangle totals to agree exactly — a built-in replica-divergence
+// detector. The differential suite in this package pins gateway ≡
+// monolithic tivaware.Service over the same matrix.
 //
 // # Updates and subscriptions
 //
@@ -59,7 +62,6 @@ import (
 	"time"
 
 	"tivaware/internal/delayspace"
-	"tivaware/internal/tiv"
 	"tivaware/internal/tivaware"
 	"tivaware/internal/tivclient"
 	"tivaware/internal/tivwire"
@@ -288,7 +290,7 @@ func New(ctx context.Context, shardURLs []string, opts Options) (*Gateway, error
 		}
 	}
 	for s, h := range healths {
-		g.states[s].lastVersion.Store(h.Version)
+		g.states[s].boot.Store(h.Boot)
 	}
 	g.pumpCtx, g.pumpCancel = context.WithCancel(context.Background())
 	g.startProber()
@@ -359,65 +361,6 @@ func (g *Gateway) scatter(ctx context.Context, fn func(ctx context.Context, shar
 	return errors.Join(errs...)
 }
 
-// scatterClasses runs fn once per residue class concurrently. The
-// class, not the shard, is the unit of work: fn resolves its class
-// against the class's own shard when that shard is live and fails
-// over to another replica otherwise (any replica answers any class
-// exactly — the full-replication invariant).
-func (g *Gateway) scatterClasses(ctx context.Context, fn func(ctx context.Context, class int) error) error {
-	errs := make([]error, g.k)
-	var wg sync.WaitGroup
-	for class := 0; class < g.k; class++ {
-		wg.Add(1)
-		go func(class int) {
-			defer wg.Done()
-			errs[class] = fn(ctx, class)
-		}(class)
-	}
-	wg.Wait()
-	return errors.Join(errs...)
-}
-
-// mergeSorted k-way merges per-shard result lists (each sorted by
-// less) into one list sorted by less, stopping at limit elements
-// (< 0 means all). With the monolithic comparator and per-class
-// inputs, the merged order is exactly the monolithic order.
-func mergeSorted[T any](lists [][]T, less func(a, b T) bool, limit int) []T {
-	total := 0
-	for _, l := range lists {
-		total += len(l)
-	}
-	if limit < 0 || limit > total {
-		limit = total
-	}
-	out := make([]T, 0, limit)
-	idx := make([]int, len(lists))
-	for len(out) < limit {
-		best := -1
-		for s, l := range lists {
-			if idx[s] >= len(l) {
-				continue
-			}
-			if best < 0 || less(l[idx[s]], lists[best][idx[best]]) {
-				best = s
-			}
-		}
-		if best < 0 {
-			break
-		}
-		out = append(out, lists[best][idx[best]])
-		idx[best]++
-	}
-	return out
-}
-
-// withClass returns opts restricted to shard s's residue class.
-func (g *Gateway) withClass(opts tivaware.QueryOptions, s int) tivaware.QueryOptions {
-	opts.Scatter = tivaware.Scatter{Mod: g.k, Rem: s}
-	opts.Mod, opts.Rem = 0, 0
-	return opts
-}
-
 // classShard validates a caller-supplied residue class and picks the
 // replica that answers it. Validation must happen here, before the
 // class indexes a shard: a monolithic daemon rejects a bad residue
@@ -433,33 +376,30 @@ func (g *Gateway) classShard(mod, rem int) (int, error) {
 	return rem % g.k, nil
 }
 
-// Rank scores the candidates for the target, best first, by
-// scattering one residue class to each shard and k-way merging the
-// per-shard rankings; see tivaware.Service.Rank. A query already
-// carrying a residue restriction is routed to a single shard (every
-// shard holds the full replica, so any shard answers any class).
-func (g *Gateway) Rank(ctx context.Context, target int, candidates []int, opts tivaware.QueryOptions) ([]tivaware.Selection, error) {
-	if sc := opts.Residue(); sc.Mod != 0 {
-		s, err := g.classShard(sc.Mod, sc.Rem)
-		if err != nil {
-			return nil, err
-		}
-		return callClass(g, ctx, s, func(ctx context.Context, c *tivclient.Client) ([]tivaware.Selection, error) {
-			return c.Rank(ctx, target, candidates, opts)
-		})
+// queryOne answers one query as a batch of one, folding the per-query
+// failure into the call error.
+func (g *Gateway) queryOne(ctx context.Context, q tivaware.Query) (tivaware.Result, error) {
+	res, err := g.QueryBatch(ctx, []tivaware.Query{q})
+	if err != nil {
+		return tivaware.Result{}, err
 	}
-	lists := make([][]tivaware.Selection, g.k)
-	err := g.scatterClasses(ctx, func(ctx context.Context, class int) error {
-		part, err := callClass(g, ctx, class, func(ctx context.Context, c *tivclient.Client) ([]tivaware.Selection, error) {
-			return c.Rank(ctx, target, candidates, g.withClass(opts, class))
-		})
-		lists[class] = part
-		return err
-	})
+	return res[0], res[0].Err
+}
+
+// Rank scores the candidates for the target, best first; see
+// tivaware.Service.Rank. It errors when a shard truncated its class
+// ranking at the daemon's cap: the merge of truncated classes is not
+// the full ranking (raise tivd -maxk, or use KClosest for a bounded
+// prefix).
+func (g *Gateway) Rank(ctx context.Context, target int, candidates []int, opts tivaware.QueryOptions) ([]tivaware.Selection, error) {
+	res, err := g.queryOne(ctx, tivaware.SelectionQuery(tivaware.KindRank, target, 0, candidates, opts))
 	if err != nil {
 		return nil, err
 	}
-	return mergeSorted(lists, tivaware.SelectionLess, -1), nil
+	if res.Truncated {
+		return nil, errBadRequestf("ranking for node %d truncated at %d selections by a shard's cap; raise tivd -maxk or use KClosest", target, len(res.Selections))
+	}
+	return res.Selections, nil
 }
 
 // KClosest returns the k best-ranked candidates for the target: each
@@ -469,132 +409,43 @@ func (g *Gateway) KClosest(ctx context.Context, target, k int, opts tivaware.Que
 	if k <= 0 {
 		return nil, fmt.Errorf("tivshard: KClosest k = %d, want > 0", k)
 	}
-	if sc := opts.Residue(); sc.Mod != 0 {
-		s, err := g.classShard(sc.Mod, sc.Rem)
-		if err != nil {
-			return nil, err
-		}
-		return callClass(g, ctx, s, func(ctx context.Context, c *tivclient.Client) ([]tivaware.Selection, error) {
-			return c.KClosest(ctx, target, k, opts)
-		})
-	}
-	lists := make([][]tivaware.Selection, g.k)
-	err := g.scatterClasses(ctx, func(ctx context.Context, class int) error {
-		part, err := callClass(g, ctx, class, func(ctx context.Context, c *tivclient.Client) ([]tivaware.Selection, error) {
-			return c.KClosest(ctx, target, k, g.withClass(opts, class))
-		})
-		lists[class] = part
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return mergeSorted(lists, tivaware.SelectionLess, k), nil
+	res, err := g.queryOne(ctx, tivaware.SelectionQuery(tivaware.KindRank, target, k, nil, opts))
+	return res.Selections, err
 }
 
 // ClosestNode returns the best-ranked candidate for the target. It
 // errors when no shard has an eligible candidate.
 func (g *Gateway) ClosestNode(ctx context.Context, target int, opts tivaware.QueryOptions) (tivaware.Selection, error) {
-	ranked, err := g.KClosest(ctx, target, 1, opts)
+	res, err := g.queryOne(ctx, tivaware.SelectionQuery(tivaware.KindClosest, target, 0, nil, opts))
 	if err != nil {
 		return tivaware.Selection{}, err
 	}
-	if len(ranked) == 0 {
-		return tivaware.Selection{}, fmt.Errorf("tivshard: no eligible candidate for node %d", target)
+	if len(res.Selections) == 0 {
+		// A class routed to one shard answers verbatim; a reply without
+		// its selection must not panic the gateway.
+		return tivaware.Selection{}, errUnavailable(fmt.Sprintf("empty closest answer for node %d", target), nil)
 	}
-	return ranked[0], nil
+	return res.Selections[0], nil
 }
 
-// DetourPath finds the best one-hop detour for (i, j): each shard
-// scans its relay class, and the per-class bests reduce to the
-// smallest via delay, ties to the lowest relay id — exactly the
-// monolithic scan's first strict minimum.
+// DetourPath finds the best one-hop detour for (i, j) over every
+// relay.
 func (g *Gateway) DetourPath(ctx context.Context, i, j int) (tivaware.Detour, error) {
-	return g.DetourPathMod(ctx, i, j, 0, 0)
+	res, err := g.queryOne(ctx, tivaware.Query{Kind: tivaware.KindDetour, I: i, J: j})
+	return res.Detour, err
 }
 
-// DetourPathMod restricts the relay scan to the residue class
-// (mod, rem); mod 0 scans everything (scattered across the shards),
-// any other class is routed to a single replica.
-func (g *Gateway) DetourPathMod(ctx context.Context, i, j, mod, rem int) (tivaware.Detour, error) {
-	if mod != 0 {
-		s, err := g.classShard(mod, rem)
-		if err != nil {
-			return tivaware.Detour{}, err
-		}
-		return callClass(g, ctx, s, func(ctx context.Context, c *tivclient.Client) (tivaware.Detour, error) {
-			return c.DetourPathMod(ctx, i, j, mod, rem)
-		})
-	}
-	parts := make([]tivaware.Detour, g.k)
-	err := g.scatterClasses(ctx, func(ctx context.Context, class int) error {
-		d, err := callClass(g, ctx, class, func(ctx context.Context, c *tivclient.Client) (tivaware.Detour, error) {
-			return c.DetourPathMod(ctx, i, j, g.k, class)
-		})
-		parts[class] = d
-		return err
-	})
-	if err != nil {
-		return tivaware.Detour{}, err
-	}
-	best := tivaware.Detour{I: i, J: j, Via: -1, Direct: parts[0].Direct}
-	for _, d := range parts {
-		if d.Via < 0 {
-			continue
-		}
-		if best.Via < 0 || d.ViaDelay < best.ViaDelay ||
-			(d.ViaDelay == best.ViaDelay && d.Via < best.Via) {
-			best = d
-		}
-	}
-	return best, nil
-}
-
-// TopEdges returns the k globally worst edges by severity: each shard
-// ranks the edges it owns, and the disjoint per-shard rankings merge
-// into the exact global ranking.
+// TopEdges returns the k globally worst edges by severity.
 func (g *Gateway) TopEdges(ctx context.Context, k int) ([]delayspace.Edge, error) {
-	return g.TopEdgesMod(ctx, k, 0, 0)
-}
-
-// TopEdgesMod restricts the ranking to the residue class (mod, rem);
-// mod 0 covers every edge via the owned-class scatter.
-func (g *Gateway) TopEdgesMod(ctx context.Context, k, mod, rem int) ([]delayspace.Edge, error) {
-	if mod != 0 {
-		s, err := g.classShard(mod, rem)
-		if err != nil {
-			return nil, err
-		}
-		return callClass(g, ctx, s, func(ctx context.Context, c *tivclient.Client) ([]delayspace.Edge, error) {
-			return c.TopEdgesMod(ctx, k, mod, rem)
-		})
-	}
-	lists := make([][]delayspace.Edge, g.k)
-	err := g.scatterClasses(ctx, func(ctx context.Context, class int) error {
-		part, err := callClass(g, ctx, class, func(ctx context.Context, c *tivclient.Client) ([]delayspace.Edge, error) {
-			return c.TopEdgesMod(ctx, k, g.k, class)
-		})
-		lists[class] = part
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return mergeSorted(lists, tiv.EdgeLess, k), nil
+	res, err := g.queryOne(ctx, tivaware.Query{Kind: tivaware.KindTop, K: k})
+	return res.Edges, err
 }
 
 // Delay returns the delay estimate for (i, j), answered by the edge's
 // owning shard when live, any other replica otherwise.
 func (g *Gateway) Delay(ctx context.Context, i, j int) (float64, bool, error) {
-	type delayResult struct {
-		d  float64
-		ok bool
-	}
-	r, err := callClass(g, ctx, g.edgeOwner(i, j), func(ctx context.Context, c *tivclient.Client) (delayResult, error) {
-		d, ok, err := c.Delay(ctx, i, j)
-		return delayResult{d, ok}, err
-	})
-	return r.d, r.ok, err
+	res, err := g.queryOne(ctx, tivaware.Query{Kind: tivaware.KindDelay, I: i, J: j})
+	return res.Delay, res.DelayOK, err
 }
 
 // Analysis returns the aggregate triangle statistics. Every live
@@ -797,12 +648,7 @@ func (g *Gateway) ApplyBatch(ctx context.Context, updates []tivwire.Update) (tiv
 }
 
 // applyTo applies one batch to one shard under the per-try timeout,
-// resetting the shard's breaker on success. The response's monitor
-// version is deliberately NOT fed into lastVersion: that watermark
-// tracks the healthz-reported source version, a different counter
-// (the monitor version also counts value-identical no-op re-applies,
-// which never touch the source), and mixing the two makes the prober
-// see phantom version regressions.
+// resetting the shard's breaker on success.
 func (g *Gateway) applyTo(ctx context.Context, s int, updates []tivwire.Update) (tivwire.ChangeSet, error) {
 	actx := ctx
 	if to := g.opts.Retry.perTryTimeout(); to > 0 {

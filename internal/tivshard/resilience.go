@@ -33,10 +33,11 @@ import (
 //     readmits the shard. Replays are idempotent (re-applying an
 //     (i,j,rtt) the shard already has yields an empty change set), so
 //     an ambiguous mid-broadcast failure cannot double-apply.
-//   - The prober also detects restarts: a shard whose monitor version
-//     went backwards was reseeded and must replay from journal index
-//     0. If the bounded journal no longer reaches that far back, the
-//     shard is stale — surfaced via Status, never silently readmitted.
+//   - The prober also detects restarts: a shard answering /healthz
+//     with a different boot identity is a new process that reloaded
+//     its seed, and must replay from journal index 0. If the bounded
+//     journal no longer reaches that far back, the shard is stale —
+//     surfaced via Status, never silently readmitted.
 type shardState struct {
 	// down gates reads and direct updates; flipped under journalMu so
 	// the skip/replay decision and the journal contents stay mutually
@@ -44,14 +45,13 @@ type shardState struct {
 	down atomic.Bool
 	// fails counts consecutive failed calls (the breaker input).
 	fails atomic.Int64
-	// lastVersion is the highest source version this shard has
-	// reported through /healthz. A probe reporting a LOWER version
-	// means the shard restarted from its seed. Only healthz responses
-	// feed it: apply responses carry the shard's *monitor* version, a
-	// different counter that also counts value-identical no-op
-	// re-applies (which never advance the source) — mixing the two
-	// would make every post-replay probe look like a regression.
-	lastVersion atomic.Uint64
+	// boot is the process identity (tivwire.Health.Boot) the shard
+	// last reported. A probe reporting a different one means the shard
+	// restarted from its seed and lost every update it had applied —
+	// including any the gateway sent it after the previous probe, which
+	// is why the evidence has to come from the shard and not from a
+	// watermark the probes themselves maintain.
+	boot atomic.Uint64
 
 	// replayFrom is the absolute journal index of the first entry the
 	// shard may have missed; meaningful only while down. Guarded by
@@ -179,26 +179,6 @@ func (g *Gateway) recordFailure(s int) {
 	}
 	if g.states[s].fails.Add(1) >= int64(g.opts.breakerThreshold()) {
 		g.markDown(s)
-	}
-}
-
-// recordSuccess resets the shard's breaker and raises its healthz
-// version watermark. It never readmits a down shard — only the
-// prober's replay path does that, because a down shard's replica may
-// be missing updates and must not serve reads until caught up.
-// version must come from a /healthz response (see shardState).
-func (g *Gateway) recordSuccess(s int, version uint64) {
-	g.states[s].fails.Store(0)
-	maxVersion(&g.states[s].lastVersion, version)
-}
-
-// maxVersion raises v to at least version.
-func maxVersion(v *atomic.Uint64, version uint64) {
-	for {
-		cur := v.Load()
-		if version <= cur || v.CompareAndSwap(cur, version) {
-			return
-		}
 	}
 }
 
@@ -480,21 +460,15 @@ func (g *Gateway) probeAll(ctx context.Context) {
 	wg.Wait()
 }
 
-// probe health-checks one shard. For a live shard it feeds the
-// breaker (probe failures trip it even when no query traffic is
-// flowing) and watches for a restart — a monitor version running
-// BACKWARDS means the shard was reseeded and silently lost every
-// update it had, so it is tripped with a full-history replay cursor.
-// For a down shard, a successful probe starts recovery.
+// probe health-checks one shard. A failed probe feeds the breaker
+// (probe failures trip it even when no query traffic is flowing). An
+// answer from a different process than last time (see shardState.boot)
+// means the shard restarted from its seed, whether or not the breaker
+// ever saw it down: it is tripped with a full-history replay cursor.
+// A down shard that answers is replayed and readmitted; only this
+// path readmits, because a down shard's replica may be missing updates
+// and must not serve reads until caught up.
 func (g *Gateway) probe(ctx context.Context, s int) {
-	// Sample the version watermark BEFORE the probe goes out. A
-	// shard's monitor version is monotone (absent a restart), so the
-	// health response — read at the shard strictly after this sample
-	// was recorded — can never legitimately come back below it.
-	// Comparing against a post-response load instead would race
-	// concurrent applies (they advance lastVersion while the probe is
-	// in flight) and misread a perfectly live shard as restarted.
-	pre := g.states[s].lastVersion.Load()
 	pctx, cancel := context.WithTimeout(ctx, g.opts.probeTimeout())
 	defer cancel()
 	h, err := g.clients[s].Healthz(pctx)
@@ -504,22 +478,14 @@ func (g *Gateway) probe(ctx context.Context, s int) {
 		}
 		return
 	}
-	if !g.isDown(s) {
-		if h.Version < pre {
-			// Restarted under us: everything it ever applied is gone.
-			g.ensureReplayFrom(s, 0)
-			return
-		}
-		g.recordSuccess(s, h.Version)
-		return
-	}
-	// Down shard answered. A version regression means restart-from-
-	// seed: pull the cursor back to the beginning of history before
-	// replaying.
-	if h.Version < pre {
+	if g.states[s].boot.Swap(h.Boot) != h.Boot {
 		g.ensureReplayFrom(s, 0)
 	}
-	g.recover(ctx, s)
+	if g.isDown(s) {
+		g.recover(ctx, s)
+		return
+	}
+	g.states[s].fails.Store(0)
 }
 
 // recover replays the journal to a down-but-answering shard and
@@ -557,9 +523,6 @@ func (g *Gateway) recover(ctx context.Context, s int) {
 		g.journalMu.Unlock()
 
 		actx, cancel := context.WithTimeout(ctx, g.opts.probeTimeout())
-		// The response changeset is dropped: its Version is the shard's
-		// monitor counter, not the healthz source version lastVersion
-		// tracks (see shardState).
 		_, err := g.clients[s].ApplyBatch(actx, entry.updates)
 		cancel()
 		if err != nil {

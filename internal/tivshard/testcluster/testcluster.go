@@ -317,9 +317,10 @@ func (c *Cluster) KillShard(s int) {
 // RestartShard boots a fresh shard process behind the same URL: a new
 // service over a pristine clone of the source matrix (its monitor
 // version restarts from scratch, exactly like a rebooted daemon
-// reloading its seed measurements) served by a new tivd server. The
-// gateway's prober detects the version regression and replays the
-// full update journal before readmitting the shard.
+// reloading its seed measurements) served by a new tivd server — and
+// hence a new boot identity. The gateway's prober sees the identity
+// change and replays the full update journal before readmitting the
+// shard.
 func (c *Cluster) RestartShard(s int) error {
 	sh := c.Shards[s]
 	svc, srv, err := c.newShardServer()

@@ -586,6 +586,11 @@ func encHealth(w *binWriter, h *Health) {
 		w.u64(h.Cache.Misses)
 		w.i(h.Cache.Entries)
 	}
+	// Boot trails the original layout and is written only when set
+	// (≡ JSON omitempty), so frames without it are unchanged.
+	if h.Boot != 0 {
+		w.u64(h.Boot)
+	}
 }
 
 func decHealth(r *binReader, h *Health) {
@@ -603,6 +608,10 @@ func decHealth(r *binReader, h *Health) {
 		h.Cache.Entries = r.i()
 	} else {
 		h.Cache = nil
+	}
+	h.Boot = 0
+	if r.err == nil && r.off < len(r.b) {
+		h.Boot = r.u64()
 	}
 }
 

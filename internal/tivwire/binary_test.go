@@ -15,6 +15,7 @@ func wireMessages() []any {
 	return []any{
 		&Health{Status: "ok", N: 64, Live: true, Epoch: 9, Version: 12},
 		&Health{Status: "degraded", N: 3, Cache: &CacheStats{Hits: 10, Misses: 4, Entries: 2}},
+		&Health{Status: "ok", N: 8, Epoch: 1, Version: 1, Boot: 0x9e3779b97f4a7c15},
 		&RankResponse{Target: 5, Epoch: 2, Truncated: true, Selections: []Selection{
 			{Node: 1, Delay: 10.5, Severity: 0.25, Violated: true, Violations: 3, Score: 11},
 			{Node: -1, Delay: 0, Severity: 0, Violations: -1, Score: 0},
@@ -85,6 +86,35 @@ func TestBinaryJSONDifferential(t *testing.T) {
 				t.Errorf("UnmarshalBinaryInto disagrees with UnmarshalBinary:\n into:    %#v\n generic: %#v", into, viaBinary)
 			}
 		})
+	}
+}
+
+// TestHealthBootIsOptionalTrailer pins the one layout extension the
+// Health frame has had: Boot trails the original fields and is written
+// only when set, so a frame from a daemon that predates it is
+// byte-identical to a Boot-less frame today and still decodes — also
+// into a reused struct, whose stale Boot must not survive.
+func TestHealthBootIsOptionalTrailer(t *testing.T) {
+	old, err := MarshalBinary(&Health{Status: "ok", N: 4, Version: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	with, err := MarshalBinary(&Health{Status: "ok", N: 4, Version: 9, Boot: 300})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(old[binHeaderLen:], with[binHeaderLen:len(old)]) || len(with) <= len(old) {
+		t.Fatalf("Boot is not a pure trailer:\n without: %x\n with:    %x", old, with)
+	}
+	h := Health{Boot: 77}
+	if err := UnmarshalBinaryInto(old, &h); err != nil {
+		t.Fatalf("Boot-less frame: %v", err)
+	}
+	if h.Boot != 0 || h.Version != 9 {
+		t.Fatalf("Boot-less frame decoded to %+v", h)
+	}
+	if err := UnmarshalBinaryInto(with, &h); err != nil || h.Boot != 300 {
+		t.Fatalf("frame with Boot decoded to %+v (err %v)", h, err)
 	}
 }
 

@@ -28,6 +28,11 @@ type Health struct {
 	// Cache reports the daemon's query-cache counters; absent when the
 	// cache is disabled. Load tools diff two readings for a hit rate.
 	Cache *CacheStats `json:"cache,omitempty"`
+	// Boot identifies the serving process: a random nonzero value drawn
+	// once at start-up, so a prober that sees it change knows the daemon
+	// restarted (and lost every update it held) however quickly it came
+	// back. Absent (0) from daemons that predate it.
+	Boot uint64 `json:"boot,omitempty"`
 }
 
 // CacheStats are the daemon's epoch-keyed query-cache counters,
