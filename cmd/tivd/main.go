@@ -1,9 +1,11 @@
 // Command tivd is the TIV query daemon: it loads (or synthesizes) a
 // delay matrix, wraps it in a tivaware.Service, and serves the
-// TIV-aware query API over HTTP/JSON — severity-penalized ranking,
-// closest-node selection, one-hop detour discovery, worst-edge
-// listing, live updates, and an SSE stream of violated-edge change
-// sets. Remote consumers use internal/tivclient (or plain curl).
+// TIV-aware query API over HTTP/JSON and framed binary —
+// severity-penalized ranking, closest-node selection, one-hop detour
+// discovery, worst-edge listing, live updates, and (HTTP only) an SSE
+// stream of violated-edge change sets. HTTP/JSON is the surface for
+// people and curl; -frame-listen adds the persistent framed transport
+// for machines. Remote consumers use internal/tivclient for either.
 //
 // Serve a measured matrix, read-only:
 //
@@ -15,9 +17,10 @@
 //
 // Serve a scatter-gather gateway over three shard daemons (the wire
 // protocol is identical, so clients cannot tell a gateway from a
-// single daemon):
+// single daemon), dialing the shards over frames:
 //
-//	tivd -shards http://10.0.0.1:7070,http://10.0.0.2:7070,http://10.0.0.3:7070
+//	tivd -shards http://10.0.0.1:7070,http://10.0.0.2:7070,http://10.0.0.3:7070 \
+//	     -shard-frames 10.0.0.1:7071,10.0.0.2:7071,10.0.0.3:7071
 //
 // Rehearse failure handling against a daemon that misbehaves on
 // purpose (injected latency, 503s, torn responses, hangs, or a hard

@@ -3,6 +3,9 @@ package main
 import (
 	"context"
 	"errors"
+	"fmt"
+	"net"
+	"reflect"
 	"regexp"
 	"strings"
 	"sync"
@@ -124,14 +127,7 @@ func TestDaemonEndToEnd(t *testing.T) {
 
 	// Clean shutdown.
 	cancel()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Errorf("daemon shutdown: %v", err)
-		}
-	case <-time.After(15 * time.Second):
-		t.Fatal("daemon did not shut down")
-	}
+	waitExit(t, "daemon", done)
 	if !strings.Contains(w.buf.String(), "shutting down") {
 		t.Error("daemon did not log its shutdown")
 	}
@@ -152,6 +148,204 @@ func startDaemon(t *testing.T, ctx context.Context, args []string) (addr string,
 		t.Fatalf("daemon %v did not start serving", args)
 	}
 	return w.addr(), w, done
+}
+
+var frameAddrRe = regexp.MustCompile(`frames on tcp://(\S+)`)
+
+// frameAddr waits for the daemon's "frames on tcp://…" line (printed
+// after the HTTP one startDaemon waits for) and returns the address.
+func (w *notifyWriter) frameAddr(t *testing.T) string {
+	t.Helper()
+	for deadline := time.Now().Add(15 * time.Second); time.Now().Before(deadline); time.Sleep(2 * time.Millisecond) {
+		w.mu.Lock()
+		m := frameAddrRe.FindStringSubmatch(w.buf.String())
+		w.mu.Unlock()
+		if m != nil {
+			return m[1]
+		}
+	}
+	t.Fatal("daemon did not log its framed listener")
+	return ""
+}
+
+// waitExit requires a daemon to return nil promptly after its context
+// was cancelled.
+func waitExit(t *testing.T, name string, done chan error) {
+	t.Helper()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Errorf("%s shutdown: %v", name, err)
+		}
+	case <-time.After(15 * time.Second):
+		t.Fatalf("%s did not shut down", name)
+	}
+}
+
+// processCorpus is a mixed batch over every query kind, with one
+// per-query failure.
+func processCorpus(n int) []tivaware.Query {
+	return []tivaware.Query{
+		{Kind: tivaware.KindRank, Target: 0, K: 5, SeverityPenalty: 2},
+		{Kind: tivaware.KindClosest, Target: 3, ExcludeViolated: true},
+		{Kind: tivaware.KindDetour, I: 0, J: 5},
+		{Kind: tivaware.KindTop, K: 7},
+		{Kind: tivaware.KindDelay, I: 1, J: 4},
+		{Kind: tivaware.KindAnalysis},
+		{Kind: tivaware.KindRank, Target: n + 9, K: 2},
+	}
+}
+
+// sameResults holds two batch answers equal: payloads exactly,
+// per-query failures by taxonomy code and message.
+func sameResults(t *testing.T, label string, got, want []tivaware.Result) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d results, want %d", label, len(got), len(want))
+	}
+	failed := 0
+	for i := range got {
+		g, w := got[i], want[i]
+		if g.Err != nil || w.Err != nil {
+			failed++
+			var ge, we *tivclient.Error
+			if !errors.As(g.Err, &ge) || !errors.As(w.Err, &we) || ge.Code != we.Code || ge.Message != we.Message {
+				t.Errorf("%s query %d: err %v, want %v", label, i, g.Err, w.Err)
+			}
+		}
+		g.Err, w.Err = nil, nil
+		if !reflect.DeepEqual(g, w) {
+			t.Errorf("%s query %d:\n got %+v\nwant %+v", label, i, g, w)
+		}
+	}
+	if failed != 1 {
+		t.Errorf("%s: %d failed queries, want the corpus's 1", label, failed)
+	}
+}
+
+// TestFramedDaemonEndToEnd boots `tivd -frame-listen` as a process
+// would run: the framed listener answers the same batch, update and
+// health ping the HTTP one does (same cores, same cache), and the
+// daemon drains to a nil exit while the client's framed connection is
+// still pooled.
+func TestFramedDaemonEndToEnd(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	addr, w, done := startDaemon(t, ctx, []string{"-listen", "127.0.0.1:0", "-frame-listen", "127.0.0.1:0", "-synth", "32", "-live"})
+	httpC := tivclient.New("http://"+addr, tivclient.Options{})
+	frameC := tivclient.New("http://"+addr, tivclient.Options{FrameAddr: w.frameAddr(t)})
+	defer frameC.Close()
+
+	hh, err := httpC.Healthz(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hf, err := frameC.Healthz(ctx)
+	if err != nil {
+		t.Fatalf("framed health ping: %v", err)
+	}
+	if hf.N != 32 || !hf.Live || hf.Boot != hh.Boot {
+		t.Fatalf("framed healthz %+v, HTTP healthz %+v: want one live 32-node daemon", hf, hh)
+	}
+
+	// An update over frames is visible over HTTP, and the batch agrees
+	// on the post-update state.
+	if _, err := frameC.ApplyUpdate(ctx, 0, 1, 1e6); err != nil {
+		t.Fatalf("framed update: %v", err)
+	}
+	if d, ok, err := httpC.Delay(ctx, 0, 1); err != nil || !ok || d != 1e6 {
+		t.Fatalf("HTTP delay(0,1) after the framed update = (%g,%v,%v), want 1e6", d, ok, err)
+	}
+	want, err := httpC.QueryBatch(ctx, processCorpus(32))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := frameC.QueryBatch(ctx, processCorpus(32))
+	if err != nil {
+		t.Fatalf("framed batch: %v", err)
+	}
+	sameResults(t, "framed vs HTTP", got, want)
+
+	// Drain with frameC's connection idle in its pool.
+	cancel()
+	waitExit(t, "framed daemon", done)
+}
+
+// TestFramedGatewayDaemonEndToEnd boots three `tivd -frame-listen`
+// shards and a `tivd -shards … -shard-frames …` gateway over them:
+// scattered queries through the gateway (over HTTP and over its own
+// framed listener) equal a shard's monolithic answers, the gateway
+// really dials what -shard-frames names, and both tiers drain to a nil
+// exit with framed connections still pooled.
+func TestFramedGatewayDaemonEndToEnd(t *testing.T) {
+	shardCtx, stopShards := context.WithCancel(context.Background())
+	defer stopShards()
+	gwCtx, stopGateway := context.WithCancel(context.Background())
+	defer stopGateway()
+
+	// One analysis worker per shard: severities are witness sums, so a
+	// fixed accumulation order makes every replica bit-equal.
+	var shardURLs, shardFrames []string
+	var shardDone []chan error
+	for s := 0; s < 3; s++ {
+		addr, w, done := startDaemon(t, shardCtx, []string{"-listen", "127.0.0.1:0", "-frame-listen", "127.0.0.1:0", "-synth", "24", "-workers", "1"})
+		shardURLs = append(shardURLs, "http://"+addr)
+		shardFrames = append(shardFrames, w.frameAddr(t))
+		shardDone = append(shardDone, done)
+	}
+	gwArgs := []string{"-listen", "127.0.0.1:0", "-frame-listen", "127.0.0.1:0", "-shards", strings.Join(shardURLs, ",")}
+
+	// -shard-frames is what the gateway dials: a framed address nobody
+	// listens on fails the startup probe although HTTP would answer.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dead := ln.Addr().String()
+	ln.Close()
+	if err := run(append(gwArgs, "-shard-frames", strings.Join([]string{shardFrames[0], dead, shardFrames[2]}, ",")), &strings.Builder{}, gwCtx); err == nil {
+		t.Fatal("gateway started although shard 1's framed address is dead")
+	}
+
+	gwAddr, gwW, gwDone := startDaemon(t, gwCtx, append(gwArgs, "-shard-frames", strings.Join(shardFrames, ",")))
+	ctx := context.Background()
+	mono := tivclient.New(shardURLs[0], tivclient.Options{}) // any shard is a full replica
+	gwHTTP := tivclient.New("http://"+gwAddr, tivclient.Options{})
+	gwFrame := tivclient.New("http://"+gwAddr, tivclient.Options{FrameAddr: gwW.frameAddr(t)})
+	defer gwFrame.Close()
+
+	for _, opts := range []tivaware.QueryOptions{{}, {SeverityPenalty: 2, ExcludeViolated: true}} {
+		want, err := mono.ClosestNode(ctx, 0, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, c := range map[string]*tivclient.Client{"HTTP": gwHTTP, "frames": gwFrame} {
+			if got, err := c.ClosestNode(ctx, 0, opts); err != nil || got != want {
+				t.Errorf("gateway ClosestNode(%+v) over %s = %+v, %v; monolith %+v", opts, name, got, err, want)
+			}
+		}
+	}
+	wantTop, err := mono.TopEdges(ctx, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, c := range map[string]*tivclient.Client{"HTTP": gwHTTP, "frames": gwFrame} {
+		if got, err := c.TopEdges(ctx, 8); err != nil || !reflect.DeepEqual(got, wantTop) {
+			t.Errorf("gateway TopEdges over %s = %v, %v; monolith %v", name, got, err, wantTop)
+		}
+	}
+	if !strings.Contains(gwW.buf.String(), "gateway over 3 shards") {
+		t.Error("gateway daemon did not log its shard count")
+	}
+
+	// Shards first: the running gateway still pools framed connections
+	// to each of them. Then the gateway, with gwFrame's connection pooled.
+	stopShards()
+	for s, done := range shardDone {
+		waitExit(t, fmt.Sprintf("shard %d", s), done)
+	}
+	stopGateway()
+	waitExit(t, "gateway", gwDone)
 }
 
 // TestGatewayDaemonEndToEnd boots three real shard daemons plus a
@@ -241,14 +435,7 @@ func TestGatewayDaemonEndToEnd(t *testing.T) {
 	// Clean shutdown of the whole fleet.
 	cancel()
 	for _, done := range append(shardDone, gwDone) {
-		select {
-		case err := <-done:
-			if err != nil {
-				t.Errorf("daemon shutdown: %v", err)
-			}
-		case <-time.After(15 * time.Second):
-			t.Fatal("a daemon did not shut down")
-		}
+		waitExit(t, "daemon", done)
 	}
 	if !strings.Contains(gwW.buf.String(), "gateway over 3 shards") {
 		t.Error("gateway daemon did not log its shard count")

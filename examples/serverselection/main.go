@@ -139,7 +139,7 @@ func main() {
 		daemon.Close()
 		_ = hs.Shutdown(context.Background())
 	}()
-	client := tivclient.New("http://"+ln.Addr().String(), tivclient.Options{Binary: true})
+	client := tivclient.New("http://"+ln.Addr().String(), tivclient.Options{})
 	h, err := client.Healthz(ctx)
 	if err != nil {
 		log.Fatal(err)

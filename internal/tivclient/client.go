@@ -74,15 +74,10 @@ type Options struct {
 	// disables. Once attached, the stream is bounded only by its
 	// context.
 	HandshakeTimeout time.Duration
-	// Binary selects the compact binary wire framing
-	// (tivwire.BinaryContentType) for request and response bodies,
-	// negotiated per request via Accept/Content-Type. JSON is the
-	// default. SSE subscription streams stay JSON either way.
-	Binary bool
 	// FrameAddr, when set, routes queries, updates, and health pings
 	// over the persistent framed transport (tivd -frame-listen)
-	// instead of HTTP: a pool of multiplexed raw connections carrying
-	// the same binary frames, with no per-request HTTP overhead.
+	// instead of HTTP/JSON: a pool of multiplexed raw connections
+	// carrying compact binary frames, with no per-request HTTP overhead.
 	// Accepts "host:port", "tcp://host:port", or "unix:///path.sock".
 	// SSE subscriptions always stay on the HTTP base URL. Call
 	// Client.Close to release the pool.
@@ -118,7 +113,6 @@ type Client struct {
 	hc        *http.Client
 	reqTO     time.Duration
 	handshake time.Duration
-	binary    bool
 	frames    *tivframe.Pool // nil unless Options.FrameAddr was set
 }
 
@@ -139,8 +133,7 @@ func New(baseURL string, opts Options) *Client {
 	if handshake == 0 {
 		handshake = 10 * time.Second
 	}
-	c := &Client{base: strings.TrimRight(baseURL, "/"), hc: hc, reqTO: reqTO,
-		handshake: handshake, binary: opts.Binary}
+	c := &Client{base: strings.TrimRight(baseURL, "/"), hc: hc, reqTO: reqTO, handshake: handshake}
 	if opts.FrameAddr != "" {
 		c.frames = tivframe.NewPool(opts.FrameAddr, opts.FrameConns, tivframe.ClientOptions{})
 	}
@@ -193,52 +186,22 @@ func (c *Client) get(ctx context.Context, path string, params url.Values, out an
 	return c.do(req, out)
 }
 
-// scratchPool recycles the per-request encode and read buffers so the
-// steady-state hot path — encode body, send, read response — performs
-// no buffer allocation. Buffers keep their grown capacity across
-// uses; decoded values never alias them (both codecs copy what they
-// keep), so returning a buffer to the pool is always safe.
+// scratchPool recycles the per-request encode and read buffers.
+// Buffers keep their grown capacity across uses; decoded values never
+// alias them (encoding/json copies what it keeps), so returning a
+// buffer to the pool is always safe.
 var scratchPool = sync.Pool{
 	New: func() any { b := make([]byte, 0, 4096); return &b },
 }
 
-// encodeBody renders a request body into the scratch buffer in the
-// client's codec, returning the bytes and the content type. The
-// returned slice aliases scratch; callers recycle it after the
-// request is sent.
-func (c *Client) encodeBody(scratch []byte, body any) ([]byte, string, error) {
-	if c.binary {
-		raw, err := appendBinaryBody(scratch, body)
-		return raw, tivwire.BinaryContentType, err
-	}
-	raw, err := appendJSONBody(scratch, body)
-	return raw, "application/json", err
-}
-
-// appendBinaryBody is the steady-state encode arm: one frame appended
-// into the recycled scratch buffer, no allocation once the buffer has
-// grown to the working batch size.
-//
-//tiv:hotpath pooled per-request encode buffer
-func appendBinaryBody(scratch []byte, body any) ([]byte, error) {
-	return tivwire.AppendBinary(scratch[:0], body)
-}
-
-// appendJSONBody renders body as JSON into the scratch buffer. The
-// encoder itself allocates (reflection), so this arm is not a hot
-// path — binary clients never take it.
-func appendJSONBody(scratch []byte, body any) ([]byte, error) {
-	buf := bytes.NewBuffer(scratch[:0])
-	if err := json.NewEncoder(buf).Encode(body); err != nil {
-		return scratch, err
-	}
-	return buf.Bytes(), nil
-}
-
+// post issues one POST with body as JSON and decodes the JSON response
+// into out.
 func (c *Client) post(ctx context.Context, path string, body, out any) error {
 	bp := scratchPool.Get().(*[]byte)
 	defer func() { scratchPool.Put(bp) }()
-	raw, contentType, err := c.encodeBody(*bp, body)
+	buf := bytes.NewBuffer((*bp)[:0])
+	err := json.NewEncoder(buf).Encode(body)
+	raw := buf.Bytes()
 	*bp = raw[:0]
 	if err != nil {
 		return &Error{Code: tivwire.CodeBadRequest, Message: "encoding request: " + err.Error(), cause: err}
@@ -249,26 +212,14 @@ func (c *Client) post(ctx context.Context, path string, body, out any) error {
 	if err != nil {
 		return &Error{Code: CodeTransport, Message: err.Error(), cause: err}
 	}
-	req.Header.Set("Content-Type", contentType)
+	req.Header.Set("Content-Type", "application/json")
 	return c.do(req, out)
-}
-
-// decodeBody decodes one response body in the codec its Content-Type
-// declares. The decoded value shares no memory with body.
-func decodeBody(binary bool, body []byte, out any) error {
-	if binary {
-		return tivwire.UnmarshalBinaryInto(body, out)
-	}
-	return json.Unmarshal(body, out)
 }
 
 // do executes one request and decodes its result, classifying every
 // failure into a typed *Error (transport, server envelope, or torn
 // payload) so retry layers can tell retryable from terminal.
 func (c *Client) do(req *http.Request, out any) error {
-	if c.binary {
-		req.Header.Set("Accept", tivwire.BinaryContentType)
-	}
 	op := req.Method + " " + req.URL.Path
 	resp, err := c.hc.Do(req)
 	if err != nil {
@@ -286,11 +237,10 @@ func (c *Client) do(req *http.Request, out any) error {
 		return &Error{Op: op, Code: CodeTransport, Status: resp.StatusCode,
 			Message: "reading response: " + err.Error(), cause: err}
 	}
-	gotBinary := strings.HasPrefix(resp.Header.Get("Content-Type"), tivwire.BinaryContentType)
 	if resp.StatusCode != http.StatusOK {
 		e := &Error{Op: op, Status: resp.StatusCode, Message: fmt.Sprintf("HTTP %d", resp.StatusCode)}
 		var we tivwire.Error
-		if decodeBody(gotBinary, body, &we) == nil && we.Error != "" {
+		if json.Unmarshal(body, &we) == nil && we.Error != "" {
 			e.Message, e.Code, e.RetryAfter = we.Error, we.Code, retryAfter(we.RetryAfter)
 		}
 		return e
@@ -298,7 +248,7 @@ func (c *Client) do(req *http.Request, out any) error {
 	if out == nil {
 		return nil
 	}
-	if err := decodeBody(gotBinary, body, out); err != nil {
+	if err := json.Unmarshal(body, out); err != nil {
 		return &Error{Op: op, Code: CodeBadPayload, Status: resp.StatusCode,
 			Message: "decoding response: " + err.Error(), cause: err}
 	}
@@ -507,12 +457,12 @@ func (c *Client) Analysis(ctx context.Context) (tivwire.AnalysisResponse, error)
 }
 
 // QueryBatch answers a vector of heterogeneous typed queries in one
-// POST /v1/batch round trip, all against one pinned daemon epoch.
-// Results align with queries by index; a per-query failure lands in
-// Result.Err as a typed *Error (dispatch on Code/Retryable exactly as
-// for single-shot calls), while the call-level error means the batch
-// itself failed. Combined with Options.Binary this is the highest-
-// throughput query path the daemon offers.
+// round trip — POST /v1/batch, or one frame when Options.FrameAddr is
+// set, the highest-throughput path the daemon offers — all against one
+// pinned daemon epoch. Results align with queries by index; a
+// per-query failure lands in Result.Err as a typed *Error (dispatch on
+// Code/Retryable exactly as for single-shot calls), while the
+// call-level error means the batch itself failed.
 func (c *Client) QueryBatch(ctx context.Context, queries []tivaware.Query) ([]tivaware.Result, error) {
 	if len(queries) == 0 {
 		return nil, nil
@@ -599,7 +549,10 @@ type SubscribeOptions struct {
 	Ready chan<- struct{}
 	// OnHello, if non-nil, receives the stream's hello event (the
 	// state counters at attach time) before any change set is
-	// delivered. Daemons predating the hello event never invoke it.
+	// delivered. A daemon that could not read its counters at attach
+	// (its Backend.Health failed: a gateway with no shard answering, an
+	// injected fault) sends no hello, and OnHello is never invoked for
+	// that stream.
 	OnHello func(tivwire.Hello)
 }
 
@@ -608,6 +561,18 @@ type SubscribeOptions struct {
 // stream byte) is additionally bounded by Options.HandshakeTimeout,
 // so a hung daemon fails the call instead of wedging it.
 func (c *Client) SubscribeOpts(ctx context.Context, opts SubscribeOptions, fn func(tivwire.ChangeSet)) error {
+	return c.subscribe(ctx, func() {
+		if opts.Ready != nil {
+			close(opts.Ready)
+		}
+	}, opts.OnHello, fn)
+}
+
+// subscribe runs one subscription stream. onAttach, onHello and fn are
+// invoked synchronously from the read loop, in stream order: onAttach
+// once the handshake completes, onHello (if the stream carries a
+// hello) before any change set.
+func (c *Client) subscribe(ctx context.Context, onAttach func(), onHello func(tivwire.Hello), fn func(tivwire.ChangeSet)) error {
 	if fn == nil {
 		return &Error{Code: tivwire.CodeBadRequest, Message: "nil subscriber"}
 	}
@@ -666,7 +631,7 @@ func (c *Client) SubscribeOpts(ctx context.Context, opts SubscribeOptions, fn fu
 
 	// The handshake comment is the first frame the daemon flushes;
 	// any readable byte means we are attached.
-	rr := &readyReader{r: resp.Body, ready: opts.Ready, attached: attached}
+	rr := &readyReader{r: resp.Body, onFirst: func() { close(attached); onAttach() }}
 	sc := tivwire.NewSSEScanner(rr)
 	for {
 		ev, err := sc.Next()
@@ -688,8 +653,8 @@ func (c *Client) SubscribeOpts(ctx context.Context, opts SubscribeOptions, fn fu
 			if err := json.Unmarshal([]byte(ev.Data), &h); err != nil {
 				return &Error{Code: CodeBadPayload, Message: "decoding hello event: " + err.Error(), cause: err}
 			}
-			if opts.OnHello != nil {
-				opts.OnHello(h)
+			if onHello != nil {
+				onHello(h)
 			}
 		case "changeset":
 			var cs tivwire.ChangeSet
@@ -709,27 +674,19 @@ func (c *Client) SubscribeOpts(ctx context.Context, opts SubscribeOptions, fn fu
 	return fmt.Errorf("tivclient: %w", ErrSubscribeClosed)
 }
 
-// readyReader closes ready and attached on the first byte read from
-// the stream — the subscription handshake signal.
+// readyReader calls onFirst on the first byte read from the stream —
+// the subscription handshake signal.
 type readyReader struct {
-	r        io.Reader
-	ready    chan<- struct{}
-	attached chan struct{}
-	sawByte  bool
+	r       io.Reader
+	onFirst func()
+	sawByte bool
 }
 
 func (r *readyReader) Read(p []byte) (int, error) {
 	n, err := r.r.Read(p)
 	if n > 0 && !r.sawByte {
 		r.sawByte = true
-		if r.ready != nil {
-			close(r.ready)
-			r.ready = nil
-		}
-		if r.attached != nil {
-			close(r.attached)
-			r.attached = nil
-		}
+		r.onFirst()
 	}
 	return n, err
 }
@@ -755,13 +712,14 @@ type AutoSubscribeOptions struct {
 //
 // Gap handling: deltas streamed while detached are gone (the daemon
 // keeps no replay buffer), so on every reconnect AutoSubscribe
-// compares the new stream's hello version against the last change-set
-// version it delivered. Equality proves the violated-edge picture
-// survived the gap intact; anything else — including a hello-less
-// older daemon — makes fn receive a synthetic ChangeSet{Rescan: true}
-// marker first, telling the consumer to rebuild its picture (TopEdges)
-// before trusting subsequent deltas. The first attach never emits a
-// marker.
+// compares the new stream's hello version against the last version it
+// saw on the previous one. Equality proves the violated-edge picture
+// survived the gap intact; anything else — including a stream that
+// attached without a hello because the daemon's health read failed at
+// that moment — makes fn receive a synthetic ChangeSet{Rescan: true}
+// marker before the stream's first delta, telling the consumer to
+// rebuild its picture (TopEdges) before trusting subsequent deltas.
+// The first attach never emits a marker.
 func (c *Client) AutoSubscribe(ctx context.Context, opts AutoSubscribeOptions, fn func(tivwire.ChangeSet)) error {
 	if fn == nil {
 		return &Error{Code: tivwire.CodeBadRequest, Message: "nil subscriber"}
@@ -775,49 +733,38 @@ func (c *Client) AutoSubscribe(ctx context.Context, opts AutoSubscribeOptions, f
 		maxDelay = 5 * time.Second
 	}
 	var (
-		lastVer  uint64
-		everUp   bool // at least one attach succeeded
+		lastVer  uint64 // stream position: the last hello or change-set version seen
+		everUp   bool   // at least one attach succeeded
 		ready    = opts.Ready
 		failures int
 	)
 	for {
-		var (
-			sawHello bool
-			helloVer uint64
-			attach   = make(chan struct{})
-		)
-		err := c.SubscribeOpts(ctx, SubscribeOptions{
-			Ready: attach,
-			OnHello: func(h tivwire.Hello) {
-				sawHello, helloVer = true, h.Version
-			},
-		}, func(cs tivwire.ChangeSet) {
-			lastVer = cs.Version
-			fn(cs)
-		})
-		select {
-		case <-attach:
-			// Attached: reset the backoff, signal first readiness, and
-			// bridge any reconnect gap. The hello event precedes every
-			// change set, so sawHello is settled by the time the first
-			// delta lands; a reconnect whose hello version matches the
-			// last delivered version provably missed nothing.
-			failures = 0
+		// gapSettled: this attach has decided whether the gap since the
+		// previous stream could hide deltas — by its hello, or
+		// conservatively before the first change set when the daemon sent
+		// none. A first attach has no gap.
+		gapSettled := !everUp
+		err := c.subscribe(ctx, func() {
+			everUp, failures = true, 0
 			if ready != nil {
 				close(ready)
 				ready = nil
 			}
-			if everUp && (!sawHello || helloVer != lastVer) {
-				ver := helloVer
-				if !sawHello {
-					ver = lastVer
-				}
-				lastVer = ver
-				fn(tivwire.ChangeSet{Version: ver, Rescan: true})
+		}, func(h tivwire.Hello) {
+			if !gapSettled && h.Version != lastVer {
+				fn(tivwire.ChangeSet{Version: h.Version, Rescan: true})
 			}
-			everUp = true
-		default:
-		}
+			gapSettled, lastVer = true, h.Version
+		}, func(cs tivwire.ChangeSet) {
+			if !gapSettled {
+				// No hello preceded the data (the daemon could not read
+				// its counters at attach): assume the worst about the gap.
+				fn(tivwire.ChangeSet{Version: lastVer, Rescan: true})
+				gapSettled = true
+			}
+			lastVer = cs.Version
+			fn(cs)
+		})
 		if ctx.Err() != nil {
 			return nil
 		}

@@ -12,9 +12,8 @@ import (
 
 // The framed call path. When Options.FrameAddr is set, every query,
 // update, and health ping travels over a pool of persistent raw
-// connections (tivd -frame-listen) carrying the same binary frames the
-// HTTP binary codec uses — multiplexed by request id, with no
-// per-request HTTP overhead. Every failure is classified into the same
+// connections (tivd -frame-listen) carrying tivwire binary frames —
+// multiplexed by request id, with no per-request HTTP overhead. Every failure is classified into the same
 // typed *Error taxonomy the HTTP path produces, so the retry layers
 // above (tivshard) dispatch identically no matter the transport.
 

@@ -71,7 +71,6 @@ func transports(t *testing.T, opts tivd.Options) (map[string]*Client, int) {
 	t.Cleanup(func() { frames.Close() })
 	return map[string]*Client{
 		"json":   New(ts.URL, Options{}),
-		"binary": New(ts.URL, Options{Binary: true}),
 		"frames": frames,
 	}, svc.N()
 }

@@ -3,7 +3,6 @@ package tivd
 import (
 	"context"
 	"encoding/json"
-	"io"
 	"net/http"
 
 	"tivaware/internal/tivaware"
@@ -22,19 +21,9 @@ import (
 // for the biggest sane batch, small enough to bound a hostile post.
 const maxBodyBytes = 16 << 20
 
-// decodeBody reads and decodes a request body in the codec its
-// Content-Type declares: the compact binary framing when negotiated,
-// JSON otherwise.
+// decodeBody reads and decodes a JSON request body.
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
-	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	if sendsBinary(r) {
-		data, err := io.ReadAll(body)
-		if err != nil {
-			return err
-		}
-		return tivwire.UnmarshalBinaryInto(data, v)
-	}
-	return json.NewDecoder(body).Decode(v)
+	return json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
 }
 
 // normalizeQuery applies the daemon's defaults and caps so the cache
@@ -113,35 +102,35 @@ func (s *Server) resolveWire(ctx context.Context, q tivaware.Query) (*tivwire.Re
 // kind produces.
 func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, q tivaware.Query) {
 	if err := s.normalizeQuery(&q); err != nil {
-		serviceError(w, r, err)
+		serviceError(w, err)
 		return
 	}
 	wr, _, err := s.resolveWire(r.Context(), q)
 	if err != nil {
-		serviceError(w, r, err)
+		serviceError(w, err)
 		return
 	}
-	writeWireResult(w, r, wr)
+	writeWireResult(w, wr)
 }
 
 // writeWireResult writes the payload (or error envelope) a resolved
 // wire result carries, exactly as the kind's endpoint would.
-func writeWireResult(w http.ResponseWriter, r *http.Request, wr *tivwire.Result) {
+func writeWireResult(w http.ResponseWriter, wr *tivwire.Result) {
 	switch {
 	case wr.Err != nil:
-		writeMsg(w, r, statusForCode(wr.Err.Code), *wr.Err)
+		writeMsg(w, statusForCode(wr.Err.Code), *wr.Err)
 	case wr.Rank != nil:
-		writeMsg(w, r, http.StatusOK, *wr.Rank)
+		writeMsg(w, http.StatusOK, *wr.Rank)
 	case wr.Detour != nil:
-		writeMsg(w, r, http.StatusOK, *wr.Detour)
+		writeMsg(w, http.StatusOK, *wr.Detour)
 	case wr.Top != nil:
-		writeMsg(w, r, http.StatusOK, *wr.Top)
+		writeMsg(w, http.StatusOK, *wr.Top)
 	case wr.Delay != nil:
-		writeMsg(w, r, http.StatusOK, *wr.Delay)
+		writeMsg(w, http.StatusOK, *wr.Delay)
 	case wr.Analysis != nil:
-		writeMsg(w, r, http.StatusOK, *wr.Analysis)
+		writeMsg(w, http.StatusOK, *wr.Analysis)
 	default:
-		writeError(w, r, http.StatusServiceUnavailable, tivwire.CodeInternal, "query %q produced no payload", wr.Kind)
+		writeError(w, http.StatusServiceUnavailable, tivwire.CodeInternal, "query %q produced no payload", wr.Kind)
 	}
 }
 
@@ -159,15 +148,15 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	var req tivwire.BatchRequest
 	if err := decodeBody(w, r, &req); err != nil {
-		writeError(w, r, http.StatusBadRequest, tivwire.CodeBadRequest, "decoding body: %v", err)
+		writeError(w, http.StatusBadRequest, tivwire.CodeBadRequest, "decoding body: %v", err)
 		return
 	}
 	resp, err := s.resolveBatch(r.Context(), &req)
 	if err != nil {
-		serviceError(w, r, err)
+		serviceError(w, err)
 		return
 	}
-	writeMsg(w, r, http.StatusOK, *resp)
+	writeMsg(w, http.StatusOK, *resp)
 }
 
 // resolveBatch answers one decoded batch request — the transport-free

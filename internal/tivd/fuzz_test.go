@@ -9,13 +9,14 @@ import (
 
 	"tivaware/internal/synth"
 	"tivaware/internal/tivaware"
+	"tivaware/internal/tivwire"
 )
 
 // FuzzRequests throws arbitrary request lines and bodies at every
 // endpoint of a live server: fuzzed query strings (unparsable ints,
 // absurd residues, hostile candidate lists) and fuzzed POST bodies.
-// The server must answer every one of them — any status is fine, a
-// panic or hang is not. The live service is shared across iterations,
+// The server must answer every one of them — any status but 500 is
+// fine, a panic or hang is not. The live service is shared across iterations,
 // so fuzzed updates that happen to validate also mutate real state
 // while later iterations query it.
 func FuzzRequests(f *testing.F) {
@@ -44,6 +45,19 @@ func FuzzRequests(f *testing.F) {
 	f.Add("POST", "/v1/update", `{"updates":[{"i":0,"j":0,"rtt":-99}]}`)
 	f.Add("POST", "/v1/update", `{"updates":`)
 	f.Add("PUT", "/healthz", "x")
+	f.Add("POST", "/v1/batch", `{"queries":[{"kind":"closest","target":0},{"kind":"top","k":3}]}`)
+	// Bodies in the binary codec HTTP no longer negotiates: refused as
+	// malformed JSON like any other garbage.
+	for path, msg := range map[string]any{
+		"/v1/batch":  &tivwire.BatchRequest{Queries: []tivwire.Query{{Kind: "closest", Target: 0}}},
+		"/v1/update": &tivwire.UpdateRequest{Updates: []tivwire.Update{{I: 0, J: 1, RTT: 50}}},
+	} {
+		tb, err := tivwire.AppendBinary(nil, msg)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add("POST", path, string(tb))
+	}
 	f.Fuzz(func(t *testing.T, method, target, body string) {
 		// Reject targets net/http itself could never deliver (and the
 		// subscribe endpoint, whose stream outlives the recorder).
@@ -61,6 +75,9 @@ func FuzzRequests(f *testing.F) {
 		h.ServeHTTP(rec, req)
 		if rec.Code == 0 {
 			t.Fatalf("%s %s: no status written", method, target)
+		}
+		if rec.Code == http.StatusInternalServerError {
+			t.Fatalf("%s %s: 500 — every failure has a taxonomy status: %s", method, target, rec.Body)
 		}
 	})
 }

@@ -31,11 +31,10 @@
 // the backend through Backend.QueryBatch; a single-shot GET is a batch
 // of one whose single payload is written bare (batch.go).
 //
-// Every endpoint speaks two codecs: JSON (the default) and the
-// compact binary framing (tivwire.BinaryContentType), negotiated per
-// request — Accept selects the response codec, Content-Type the
-// request-body codec. SSE streams stay JSON (they are line-oriented
-// by design).
+// HTTP speaks JSON only — the surface for humans, curl and the SSE
+// stream. Machines that want the compact binary codec dial the framed
+// transport (FrameHandler, tivd -frame-listen), which reaches the same
+// cores.
 //
 // Queries run lock-free against the service's current epoch, so the
 // daemon serves concurrent requests at full GOMAXPROCS without a
@@ -179,44 +178,19 @@ func (s *Server) Close() {
 	}
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// writeMsg writes one wire message — payload or error envelope — as
+// JSON, the only codec HTTP speaks.
+func writeMsg(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(v)
 }
 
-// acceptsBinary reports whether the request negotiated the compact
-// binary response framing via Accept.
-func acceptsBinary(r *http.Request) bool {
-	return r != nil && strings.Contains(r.Header.Get("Accept"), tivwire.BinaryContentType)
-}
-
-// sendsBinary reports whether the request body is binary-framed.
-func sendsBinary(r *http.Request) bool {
-	return strings.HasPrefix(r.Header.Get("Content-Type"), tivwire.BinaryContentType)
-}
-
-// writeMsg writes one wire message in the codec the request
-// negotiated: binary when Accept names it, JSON otherwise. Error
-// envelopes flow through here too, so a binary client never has to
-// parse JSON mid-stream.
-func writeMsg(w http.ResponseWriter, r *http.Request, status int, v any) {
-	if acceptsBinary(r) {
-		if b, err := tivwire.MarshalBinary(v); err == nil {
-			w.Header().Set("Content-Type", tivwire.BinaryContentType)
-			w.WriteHeader(status)
-			_, _ = w.Write(b)
-			return
-		}
-	}
-	writeJSON(w, status, v)
-}
-
 // writeError writes the structured error envelope: a human-readable
 // message plus the machine-readable taxonomy code (tivwire.Code*).
 // Retryable codes carry the default retry-after hint.
-func writeError(w http.ResponseWriter, r *http.Request, status int, code string, format string, args ...any) {
-	writeMsg(w, r, status, envelope(code, fmt.Errorf(format, args...)))
+func writeError(w http.ResponseWriter, status int, code string, format string, args ...any) {
+	writeMsg(w, status, envelope(code, fmt.Errorf(format, args...)))
 }
 
 // envelope builds the wire error envelope for one taxonomy code.
@@ -314,15 +288,15 @@ func statusForCode(code string) int {
 }
 
 // serviceError writes a backend error through the taxonomy mapping.
-func serviceError(w http.ResponseWriter, r *http.Request, err error) {
+func serviceError(w http.ResponseWriter, err error) {
 	status, e := errorEnvelope(err)
-	writeMsg(w, r, status, e)
+	writeMsg(w, status, e)
 }
 
 func requireMethod(w http.ResponseWriter, r *http.Request, method string) bool {
 	if r.Method != method {
 		w.Header().Set("Allow", method)
-		writeError(w, r, http.StatusMethodNotAllowed, tivwire.CodeMethodNotAllowed, "method %s not allowed", r.Method)
+		writeError(w, http.StatusMethodNotAllowed, tivwire.CodeMethodNotAllowed, "method %s not allowed", r.Method)
 		return false
 	}
 	return true
@@ -358,7 +332,7 @@ func (s *Server) handleGet(ep getEndpoint) http.HandlerFunc {
 		}
 		q, err := s.parseQuery(ep, r.URL.Query())
 		if err != nil {
-			serviceError(w, r, err)
+			serviceError(w, err)
 			return
 		}
 		s.serveQuery(w, r, q)
@@ -453,10 +427,10 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	}
 	h, err := s.healthWire(r.Context())
 	if err != nil {
-		serviceError(w, r, err)
+		serviceError(w, err)
 		return
 	}
-	writeMsg(w, r, http.StatusOK, h)
+	writeMsg(w, http.StatusOK, h)
 }
 
 // healthWire builds the health report — the transport-free core
@@ -492,20 +466,20 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if !s.b.Live() {
-		serviceError(w, r, errNotLive())
+		serviceError(w, errNotLive())
 		return
 	}
 	var req tivwire.UpdateRequest
 	if err := decodeBody(w, r, &req); err != nil {
-		writeError(w, r, http.StatusBadRequest, tivwire.CodeBadRequest, "decoding body: %v", err)
+		writeError(w, http.StatusBadRequest, tivwire.CodeBadRequest, "decoding body: %v", err)
 		return
 	}
 	cs, err := s.applyWire(r.Context(), &req)
 	if err != nil {
-		serviceError(w, r, err)
+		serviceError(w, err)
 		return
 	}
-	writeMsg(w, r, http.StatusOK, cs)
+	writeMsg(w, http.StatusOK, cs)
 }
 
 // applyWire applies one decoded update batch — the transport-free
@@ -538,12 +512,12 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if !s.b.Live() {
-		writeError(w, r, http.StatusConflict, tivwire.CodeNotLive, "subscriptions require a live service (tivd -live)")
+		writeError(w, http.StatusConflict, tivwire.CodeNotLive, "subscriptions require a live service (tivd -live)")
 		return
 	}
 	flusher, ok := w.(http.Flusher)
 	if !ok {
-		writeError(w, r, http.StatusInternalServerError, tivwire.CodeInternal, "streaming unsupported by this connection")
+		writeError(w, http.StatusInternalServerError, tivwire.CodeInternal, "streaming unsupported by this connection")
 		return
 	}
 	ctx, stop := context.WithCancel(r.Context())
@@ -555,7 +529,7 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 	s.subMu.Lock()
 	if s.closed.Load() {
 		s.subMu.Unlock()
-		writeError(w, r, http.StatusServiceUnavailable, tivwire.CodeUnavailable, "server shutting down")
+		writeError(w, http.StatusServiceUnavailable, tivwire.CodeUnavailable, "server shutting down")
 		return
 	}
 	id := s.subSeq
@@ -581,7 +555,7 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 		}
 	})
 	if err != nil {
-		serviceError(w, r, err)
+		serviceError(w, err)
 		return
 	}
 	defer cancel()

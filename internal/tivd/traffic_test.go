@@ -61,20 +61,21 @@ func trafficQueries(n int) []tivaware.Query {
 }
 
 // TestBatchMatchesSingles proves POST /v1/batch answers exactly what
-// the per-endpoint surface answers, for JSON and binary framing, on
+// the per-endpoint surface answers, over HTTP/JSON and over frames, on
 // both a cold and a cache-hot pass.
 func TestBatchMatchesSingles(t *testing.T) {
 	svc := synthService(t)
 	n := svc.N()
-	for _, binary := range []bool{false, true} {
-		name := map[bool]string{false: "json", true: "binary"}[binary]
+	for _, framed := range []bool{false, true} {
+		name := map[bool]string{false: "json", true: "frames"}[framed]
 		t.Run(name, func(t *testing.T) {
-			srv, err := tivd.New(svc, tivd.Options{})
-			if err != nil {
-				t.Fatal(err)
+			url, frameAddr := startFramedDaemon(t, svc)
+			opts := tivclient.Options{}
+			if framed {
+				opts.FrameAddr = frameAddr
 			}
-			ts := newTestServer(t, srv)
-			client := tivclient.New(ts, tivclient.Options{Binary: binary})
+			client := tivclient.New(url, opts)
+			t.Cleanup(func() { client.Close() })
 			ctx := context.Background()
 
 			for pass := 0; pass < 2; pass++ { // second pass is cache-hot
@@ -174,101 +175,17 @@ func newTestServer(t *testing.T, srv *tivd.Server) string {
 	return ts
 }
 
-// TestBinaryJSONEndpointParity runs every endpoint (and the error
-// envelope path) through a JSON client and a binary client and
-// requires decoded-struct equality. The two clients talk to twin
-// daemons over identical matrices so that write traffic (updates)
-// can be compared too, in lockstep.
-func TestBinaryJSONEndpointParity(t *testing.T) {
-	mk := func(binary bool) *tivclient.Client {
-		svc := synthService(t) // same seed ⇒ identical twin
-		srv, err := tivd.New(svc, tivd.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return tivclient.New(newTestServer(t, srv), tivclient.Options{Binary: binary})
-	}
-	js := mk(false)
-	bin := mk(true)
-	ctx := context.Background()
+// retiredBinaryType is the MIME type of the HTTP binary negotiation the
+// daemon used to offer. Nothing in the tree speaks it any more; a
+// client that still does must get plain JSON, not a surprise.
+const retiredBinaryType = "application/x-tiv-binary"
 
-	check := func(name string, a, b any, errA, errB error) {
-		t.Helper()
-		if (errA == nil) != (errB == nil) {
-			t.Fatalf("%s: json err=%v binary err=%v", name, errA, errB)
-		}
-		if errA != nil {
-			var ea, eb *tivclient.Error
-			if !errors.As(errA, &ea) || !errors.As(errB, &eb) {
-				t.Fatalf("%s: errors not typed: %v / %v", name, errA, errB)
-			}
-			if ea.Code != eb.Code || ea.Status != eb.Status || ea.Message != eb.Message {
-				t.Errorf("%s: error envelopes diverge:\n json:   %+v\n binary: %+v", name, ea, eb)
-			}
-			return
-		}
-		if !reflect.DeepEqual(a, b) {
-			t.Errorf("%s: codecs disagree:\n json:   %#v\n binary: %#v", name, a, b)
-		}
-	}
-
-	hj, err1 := js.Healthz(ctx)
-	hb, err2 := bin.Healthz(ctx)
-	// The twins are two processes: each reports its own boot identity,
-	// in both codecs, and everything else must agree.
-	if hj.Boot == 0 || hb.Boot == 0 || hj.Boot == hb.Boot {
-		t.Errorf("healthz boot identities: json %d, binary %d; want distinct and nonzero", hj.Boot, hb.Boot)
-	}
-	hj.Boot, hb.Boot = 0, 0
-	check("healthz", hj, hb, err1, err2)
-
-	rj, err1 := js.KClosest(ctx, 0, 5, tivaware.QueryOptions{SeverityPenalty: 2})
-	rb, err2 := bin.KClosest(ctx, 0, 5, tivaware.QueryOptions{SeverityPenalty: 2})
-	check("rank", rj, rb, err1, err2)
-
-	cj, err1 := js.ClosestNode(ctx, 1, tivaware.QueryOptions{})
-	cb, err2 := bin.ClosestNode(ctx, 1, tivaware.QueryOptions{})
-	check("closest", cj, cb, err1, err2)
-
-	dj, err1 := js.DetourPath(ctx, 0, 3)
-	db, err2 := bin.DetourPath(ctx, 0, 3)
-	check("detour", dj, db, err1, err2)
-
-	tj, err1 := js.TopEdges(ctx, 5)
-	tb, err2 := bin.TopEdges(ctx, 5)
-	check("top", tj, tb, err1, err2)
-
-	dlj, okj, err1 := js.Delay(ctx, 2, 3)
-	dlb, okb, err2 := bin.Delay(ctx, 2, 3)
-	check("delay", [2]any{dlj, okj}, [2]any{dlb, okb}, err1, err2)
-
-	aj, err1 := js.Analysis(ctx)
-	ab, err2 := bin.Analysis(ctx)
-	check("analysis", aj, ab, err1, err2)
-
-	uj, err1 := js.ApplyUpdate(ctx, 0, 1, 42.5)
-	ub, err2 := bin.ApplyUpdate(ctx, 0, 1, 42.5)
-	check("update", uj, ub, err1, err2)
-
-	// Error envelopes: out-of-range target through both codecs.
-	_, err1 = js.KClosest(ctx, 10_000, 3, tivaware.QueryOptions{})
-	_, err2 = bin.KClosest(ctx, 10_000, 3, tivaware.QueryOptions{})
-	check("rank-error", nil, nil, err1, err2)
-	_, _, err1 = js.Delay(ctx, -1, 2)
-	_, _, err2 = bin.Delay(ctx, -1, 2)
-	check("delay-error", nil, nil, err1, err2)
-	// Per-query error envelopes inside a batch (unknown kind).
-	bj, err1 := js.QueryBatch(ctx, []tivaware.Query{{Kind: "nonsense"}})
-	bb, err2 := bin.QueryBatch(ctx, []tivaware.Query{{Kind: "nonsense"}})
-	if err1 != nil || err2 != nil {
-		t.Fatalf("batch call errors: %v / %v", err1, err2)
-	}
-	check("batch-unknown-kind", nil, nil, bj[0].Err, bb[0].Err)
-}
-
-// TestMixedNegotiation sends a JSON body with a binary Accept: the
-// request codec and response codec negotiate independently.
-func TestMixedNegotiation(t *testing.T) {
+// TestRetiredBinaryNegotiation pins what a client built against the
+// removed HTTP binary negotiation sees today: its TB-framed bodies are
+// refused as malformed JSON with the ordinary bad_request envelope
+// (never a 500, never a binary body), and its Accept header is ignored
+// — the answer is the JSON one.
+func TestRetiredBinaryNegotiation(t *testing.T) {
 	svc := synthService(t)
 	srv, err := tivd.New(svc, tivd.Options{})
 	if err != nil {
@@ -276,34 +193,64 @@ func TestMixedNegotiation(t *testing.T) {
 	}
 	url := newTestServer(t, srv)
 
-	body := []byte(`{"queries":[{"kind":"closest","target":0}]}`)
-	req, err := http.NewRequest("POST", url+"/v1/batch", bytes.NewReader(body))
+	do := func(method, path string, body []byte) (*http.Response, []byte) {
+		t.Helper()
+		req, err := http.NewRequest(method, url+path, bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if body != nil {
+			req.Header.Set("Content-Type", retiredBinaryType)
+		}
+		req.Header.Set("Accept", retiredBinaryType)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		raw, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
+			t.Errorf("%s %s: response Content-Type %q, want application/json", method, path, ct)
+		}
+		return resp, raw
+	}
+
+	batch, err := tivwire.AppendBinary(nil, &tivwire.BatchRequest{Queries: tivwire.FromQueries(trafficQueries(svc.N()))})
 	if err != nil {
 		t.Fatal(err)
 	}
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set("Accept", tivwire.BinaryContentType)
-	resp, err := http.DefaultClient.Do(req)
+	update, err := tivwire.AppendBinary(nil, &tivwire.UpdateRequest{Updates: []tivwire.Update{{I: 0, J: 1, RTT: 42.5}}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
+	for path, body := range map[string][]byte{"/v1/batch": batch, "/v1/update": update} {
+		resp, raw := do("POST", path, body)
+		var env tivwire.Error
+		if err := json.Unmarshal(raw, &env); err != nil {
+			t.Fatalf("POST %s: body is not a JSON envelope (%v): %q", path, err, raw)
+		}
+		if resp.StatusCode != http.StatusBadRequest || env.Code != tivwire.CodeBadRequest || env.Error == "" {
+			t.Errorf("POST %s with a TB-framed body: status %d, envelope %+v; want 400 %s", path, resp.StatusCode, env, tivwire.CodeBadRequest)
+		}
 	}
+
+	resp, raw := do("GET", "/v1/top?k=3", nil)
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d: %s", resp.StatusCode, raw)
+		t.Fatalf("GET /v1/top: status %d: %s", resp.StatusCode, raw)
 	}
-	if ct := resp.Header.Get("Content-Type"); ct != tivwire.BinaryContentType {
-		t.Fatalf("response Content-Type %q, want %q", ct, tivwire.BinaryContentType)
+	var got tivwire.TopResponse
+	if err := json.Unmarshal(raw, &got); err != nil {
+		t.Fatalf("GET /v1/top with the retired Accept: not JSON (%v): %q", err, raw)
 	}
-	var br tivwire.BatchResponse
-	if err := tivwire.UnmarshalBinaryInto(raw, &br); err != nil {
-		t.Fatalf("binary response did not decode: %v", err)
+	want, err := tivclient.New(url, tivclient.Options{}).TopEdges(context.Background(), 3)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(br.Results) != 1 || br.Results[0].Rank == nil {
-		t.Fatalf("unexpected batch response: %+v", br)
+	if len(want) != 3 || !reflect.DeepEqual(tivwire.ToEdges(got.Edges), want) {
+		t.Errorf("GET /v1/top with the retired Accept answered %v, plain client %v", got.Edges, want)
 	}
 }
 

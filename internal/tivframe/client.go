@@ -209,10 +209,10 @@ func (c *Conn) take(id uint64) *call {
 }
 
 // Call sends req and decodes the matching response into resp
-// (in-place, zero-alloc when resp's type matches — the same
-// UnmarshalBinaryInto reuse the HTTP binary path performs). A
-// server-sent error envelope returns *ServerError; a transport
-// failure returns the underlying error and kills the connection.
+// (in-place via UnmarshalBinaryInto, zero-alloc when resp's type
+// matches). A server-sent error envelope returns *ServerError; a
+// transport failure returns the underlying error and kills the
+// connection.
 func (c *Conn) Call(ctx context.Context, req, resp any) error {
 	ca := &call{resp: resp, done: make(chan error, 1)}
 	id, ok := c.register(ca)

@@ -1,13 +1,9 @@
 // Package tivframe carries tivwire's binary frames over persistent
-// raw TCP or unix-socket connections, bypassing net/http entirely.
-// PR 7's batch+binary path amortized the HTTP overhead; this
-// transport removes it: one long-lived connection multiplexes many
-// concurrent in-flight requests, each a 12-byte envelope (a u64
-// request id plus the self-describing "TB" frame length) ahead of the
-// exact bytes the HTTP binary endpoints already exchange. The codec
-// is deliberately untouched — a framed answer and an HTTP binary
-// answer are the same TB frame, which is what makes the differential
-// suite's bit-exactness claim cheap to state and check.
+// raw TCP or unix-socket connections, bypassing net/http entirely:
+// one long-lived connection multiplexes many concurrent in-flight
+// requests, each a u64 request id ahead of one self-describing "TB"
+// frame. It is the machine surface; HTTP carries JSON only, and the
+// differential suites hold the two equal at the decoded-struct level.
 //
 // Envelope layout (little-endian):
 //

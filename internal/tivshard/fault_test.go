@@ -4,12 +4,16 @@ import (
 	"context"
 	"errors"
 	"net/http"
+	"net/http/httptest"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"tivaware/internal/delayspace"
 	"tivaware/internal/synth"
 	"tivaware/internal/tivaware"
+	"tivaware/internal/tivclient"
+	"tivaware/internal/tivd"
 	"tivaware/internal/tivfault"
 	"tivaware/internal/tivshard"
 	"tivaware/internal/tivshard/testcluster"
@@ -255,4 +259,143 @@ func TestGatewayHedgedReadsUnderLatency(t *testing.T) {
 	if elapsed > 250*time.Millisecond {
 		t.Fatalf("hedged Delay took %v; hedge did not race the slow shard", elapsed)
 	}
+}
+
+// helloLessDaemon serves a live 4-node service through the tivfault
+// Backend seam, so a test can make Backend.Health — and with it the
+// subscription stream's hello event — fail at will. Subscribe passes
+// through the seam unfaulted, so deltas still flow. toggle flips edge
+// (0,1) in and out of violation directly on the service (every call
+// produces a non-empty change set); tear drops every open connection,
+// the SSE stream included.
+func helloLessDaemon(t *testing.T) (url string, inj *tivfault.Injector, toggle, tear func()) {
+	t.Helper()
+	m := delayspace.New(4)
+	m.Set(0, 1, 25) // violation-free: 10+20 > 25
+	m.Set(0, 2, 10)
+	m.Set(1, 2, 20)
+	m.Set(0, 3, 40)
+	m.Set(1, 3, 40)
+	m.Set(2, 3, 45)
+	svc, err := tivaware.NewFromMatrix(m, tivaware.Options{Live: true, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inj = tivfault.New(tivfault.Spec{})
+	srv, err := tivd.NewBackend(inj.Backend(tivd.ServiceBackend(svc)), tivd.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(func() {
+		srv.Close()
+		ts.Close()
+	})
+	violated := false
+	toggle = func() {
+		t.Helper()
+		violated = !violated
+		rtt := 25.0
+		if violated {
+			rtt = 100
+		}
+		if cs, err := svc.ApplyUpdate(0, 1, rtt); err != nil || cs.Empty() {
+			t.Fatalf("toggle to %g: change set %+v, err %v", rtt, cs, err)
+		}
+	}
+	return ts.URL, inj, toggle, ts.CloseClientConnections
+}
+
+// TestHelloLessAttachForcesRescan drives the one subscription case no
+// hello can vouch for: tivd omits the hello event whenever
+// Backend.Health fails at attach, so a re-attaching consumer cannot
+// compare versions and must assume the gap hid deltas. Both re-attach
+// loops — tivclient.AutoSubscribe and the gateway's per-shard pump —
+// deliver the conservative Rescan marker before the new stream's first
+// delta.
+func TestHelloLessAttachForcesRescan(t *testing.T) {
+	// next returns the next event; until one arrives it keeps toggling,
+	// because a re-attach is only observable through the deltas it
+	// carries (toggles that land in the gap are the lost deltas the
+	// marker stands for).
+	next := func(t *testing.T, events <-chan tivwire.ChangeSet, toggle func()) tivwire.ChangeSet {
+		t.Helper()
+		deadline := time.After(10 * time.Second)
+		for {
+			select {
+			case cs := <-events:
+				return cs
+			case <-deadline:
+				t.Fatal("no event within 10s")
+			case <-time.After(5 * time.Millisecond):
+				if toggle != nil {
+					toggle()
+				}
+			}
+		}
+	}
+	// reattach runs the shared script once the consumer is attached:
+	// a clean first stream, then a tear with Health failing.
+	reattach := func(t *testing.T, events <-chan tivwire.ChangeSet, inj *tivfault.Injector, toggle, tear func(), tearMarker bool) {
+		t.Helper()
+		toggle()
+		if cs := next(t, events, nil); cs.Rescan || cs.Empty() {
+			t.Fatalf("first attach (with hello): got %+v, want a plain delta", cs)
+		}
+		inj.SetSpec(tivfault.Spec{ErrRate: 1}) // Health fails from here on
+		tear()
+		if tearMarker {
+			if cs := next(t, events, nil); !cs.Rescan {
+				t.Fatalf("tear: got %+v, want the tear-time Rescan marker", cs)
+			}
+		}
+		if cs := next(t, events, toggle); !cs.Rescan {
+			t.Fatalf("hello-less re-attach: first event %+v, want the Rescan marker before any delta", cs)
+		}
+		if cs := next(t, events, toggle); cs.Rescan || cs.Empty() {
+			t.Fatalf("hello-less re-attach: event after the marker %+v, want the delta it preceded", cs)
+		}
+	}
+
+	t.Run("AutoSubscribe", func(t *testing.T) {
+		url, inj, toggle, tear := helloLessDaemon(t)
+		ctx, cancel := context.WithCancel(context.Background())
+		events := make(chan tivwire.ChangeSet, 1024)
+		ready, done := make(chan struct{}), make(chan error, 1)
+		go func() {
+			done <- tivclient.New(url, tivclient.Options{}).AutoSubscribe(ctx,
+				tivclient.AutoSubscribeOptions{ReconnectDelay: 5 * time.Millisecond, MaxDelay: 20 * time.Millisecond, Ready: ready},
+				func(cs tivwire.ChangeSet) { events <- cs })
+		}()
+		select {
+		case <-ready:
+		case err := <-done:
+			t.Fatalf("AutoSubscribe ended before its first handshake: %v", err)
+		case <-time.After(10 * time.Second):
+			t.Fatal("AutoSubscribe never signalled Ready")
+		}
+		reattach(t, events, inj, toggle, tear, false)
+		cancel()
+		if err := <-done; err != nil {
+			t.Errorf("AutoSubscribe after cancel: %v", err)
+		}
+	})
+
+	t.Run("Gateway", func(t *testing.T) {
+		url, inj, toggle, tear := helloLessDaemon(t)
+		opts := chaosGatewayOptions()
+		opts.ProbeInterval = -1 // the pump is the subject; a failing probe would only mark the shard down
+		gw, err := tivshard.New(context.Background(), []string{url}, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer gw.Close()
+		events := make(chan tivwire.ChangeSet, 1024)
+		stop, err := gw.Subscribe(func(ev tivshard.ShardChangeSet) { events <- ev.Changes })
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer stop()
+		reattach(t, events, inj, toggle, tear, true)
+	})
 }

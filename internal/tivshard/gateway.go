@@ -781,9 +781,12 @@ func (g *Gateway) startPumps() error {
 // monitor version advances on every apply), so the gap is provably
 // empty and the marker — and the resync it would trigger — is
 // skipped. Any inequality, a restarted shard (version reset), or a
-// hello-less legacy daemon emits the marker: only once the new
-// handshake has landed, so a resync it triggers is gap-free — every
-// delta applied after the resync is observed on the new stream.
+// stream that attached without a hello (the shard's health read
+// failed at that moment — a gateway-backed shard with none of its own
+// shards answering, an injected backend fault) emits the marker: only
+// once the new handshake has landed, so a resync it triggers is
+// gap-free — every delta applied after the resync is observed on the
+// new stream.
 func (g *Gateway) pump(ctx context.Context, shard int, attach chan<- error) {
 	defer g.pumpWG.Done()
 	var reportOnce sync.Once
@@ -826,8 +829,8 @@ func (g *Gateway) pump(ctx context.Context, shard int, attach chan<- error) {
 			},
 		}, func(cs tivwire.ChangeSet) {
 			if !markerDecided {
-				// No hello preceded the data (legacy daemon): assume
-				// the worst about the gap.
+				// No hello preceded the data (the shard could not read
+				// its counters at attach): assume the worst about the gap.
 				g.deliver(shard, tivwire.ChangeSet{Rescan: true})
 				markerDecided = true
 			}

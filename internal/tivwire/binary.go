@@ -8,11 +8,11 @@ import (
 )
 
 // The binary framing: a compact length-prefixed encoding of the same
-// wire messages the JSON codec carries, negotiated per request via
-// Accept/Content-Type (BinaryContentType). The two codecs are
-// interchangeable by construction — one struct definition, two
-// encodings — and the differential suite asserts equality at the
-// decoded-struct level for every message.
+// wire messages the JSON codec carries. It is the payload of the
+// framed transport (internal/tivframe); HTTP carries JSON only. The
+// two codecs are interchangeable by construction — one struct
+// definition, two encodings — and the differential suite asserts
+// equality at the decoded-struct level for every message.
 //
 // Frame layout:
 //
@@ -29,11 +29,6 @@ import (
 // counts are validated against the remaining payload before any
 // allocation, so hostile frames cannot drive memory use (see
 // FuzzBinaryFrameDecode).
-
-// BinaryContentType is the MIME type of binary-framed messages;
-// clients opt in per request with Accept (responses) and
-// Content-Type (bodies).
-const BinaryContentType = "application/x-tiv-binary"
 
 const (
 	binMagic0    = 'T'
