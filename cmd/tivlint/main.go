@@ -9,14 +9,8 @@
 // -json output so every suppression stays reviewable (CI uploads that
 // JSON as an artifact).
 //
-// The ratcheting baseline: -baseline tivlint.baseline.json accepts the
-// findings recorded there (keyed by structural hash, not line numbers)
-// so a new analyzer can land over a tree with known debt. New findings
-// still fail the run; stale entries — debt that no longer fires — are
-// reported, and -baseline-prune rewrites the file without them, keeping
-// the debt count monotonically non-increasing. -baseline-write creates
-// or refreshes the file from the current active findings (the only way
-// the count may grow, and it requires an explicit human-run flag).
+// Any active finding fails the run; a justified //lint:tiv directive is
+// the one sanctioned exception.
 package main
 
 import (
@@ -33,12 +27,8 @@ import (
 func main() {
 	jsonOut := flag.Bool("json", false, "write the full result (findings incl. suppressed, warnings) as JSON to stdout")
 	outFile := flag.String("out", "", "also write the JSON result to this file (written even when findings fail the run)")
-	baselinePath := flag.String("baseline", "", "accept findings recorded in this baseline file; only new findings fail the run")
-	baselineWrite := flag.Bool("baseline-write", false, "rewrite the -baseline file accepting every currently-active finding")
-	baselinePrune := flag.Bool("baseline-prune", false, "rewrite the -baseline file dropping stale entries (debt that no longer fires)")
-	sarifFile := flag.String("sarif", "", "write the active findings as SARIF 2.1.0 to this file")
 	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(), "usage: tivlint [-json] [-out file] [-baseline file [-baseline-write|-baseline-prune]] [-sarif file] [packages]\n\n")
+		fmt.Fprintf(flag.CommandLine.Output(), "usage: tivlint [-json] [-out file] [packages]\n\n")
 		fmt.Fprintf(flag.CommandLine.Output(), "Analyzers:\n")
 		for _, a := range analyzers.All() {
 			fmt.Fprintf(flag.CommandLine.Output(), "  %-18s %s\n", a.Name, a.Doc)
@@ -60,47 +50,6 @@ func main() {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "tivlint:", err)
 		os.Exit(2)
-	}
-
-	var stale []lint.BaselineEntry
-	if *baselinePath != "" {
-		bl, err := lint.LoadBaseline(*baselinePath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "tivlint:", err)
-			os.Exit(2)
-		}
-		if *baselineWrite {
-			bl = lint.BaselineFrom(res)
-			if err := bl.Write(*baselinePath); err != nil {
-				fmt.Fprintln(os.Stderr, "tivlint: write -baseline:", err)
-				os.Exit(2)
-			}
-			fmt.Fprintf(os.Stderr, "tivlint: wrote %s with %d entries\n", *baselinePath, len(bl.Entries))
-			return
-		}
-		stale = bl.Apply(res)
-		if *baselinePrune {
-			bl.Prune(stale)
-			if err := bl.Write(*baselinePath); err != nil {
-				fmt.Fprintln(os.Stderr, "tivlint: write -baseline:", err)
-				os.Exit(2)
-			}
-			if len(stale) > 0 {
-				fmt.Fprintf(os.Stderr, "tivlint: pruned %d stale entries from %s (%d remain)\n", len(stale), *baselinePath, len(bl.Entries))
-			}
-			stale = nil
-		}
-	}
-
-	if *sarifFile != "" {
-		data, err := lint.SARIF(res, analyzers.All())
-		if err == nil {
-			err = os.WriteFile(*sarifFile, data, 0o644)
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "tivlint: write -sarif:", err)
-			os.Exit(2)
-		}
 	}
 
 	if *outFile != "" {
@@ -126,15 +75,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "tivlint: warning:", w)
 	}
 	active := res.Active()
-	var suppressed, baselined int
-	for _, f := range res.Findings {
-		switch {
-		case f.Suppressed:
-			suppressed++
-		case f.Baselined:
-			baselined++
-		}
-	}
+	suppressed := len(res.Findings) - len(active)
 	if !*jsonOut {
 		for _, f := range active {
 			fmt.Fprintln(os.Stderr, f)
@@ -142,12 +83,6 @@ func main() {
 	}
 	if suppressed > 0 {
 		fmt.Fprintf(os.Stderr, "tivlint: %d suppressed finding(s) with //lint:tiv justifications\n", suppressed)
-	}
-	if baselined > 0 {
-		fmt.Fprintf(os.Stderr, "tivlint: %d baselined finding(s) accepted from %s\n", baselined, *baselinePath)
-	}
-	for _, e := range stale {
-		fmt.Fprintf(os.Stderr, "tivlint: stale baseline entry (no longer fires, run -baseline-prune): %s %s %s\n", e.Analyzer, e.Package, e.Key)
 	}
 	if len(active) > 0 {
 		fmt.Fprintf(os.Stderr, "tivlint: %d finding(s)\n", len(active))

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"path/filepath"
 	"testing"
 
 	"tivaware/internal/lint"
@@ -9,11 +8,9 @@ import (
 )
 
 // TestTreeIsClean runs the full tivlint suite over the repository the
-// same way CI does — baseline applied — and fails on any NEW finding:
-// `go test ./...` alone enforces every machine-checked invariant, with
-// or without the CI wiring. Accepted debt (tivlint.baseline.json) and
-// //lint:tiv suppressions are logged, not failed, so the ratchet only
-// bites on regressions.
+// same way CI does and fails on any active finding: `go test ./...`
+// alone enforces every machine-checked invariant, with or without the
+// CI wiring. //lint:tiv suppressions are logged, not failed.
 func TestTreeIsClean(t *testing.T) {
 	root, err := moduleRoot()
 	if err != nil {
@@ -23,26 +20,15 @@ func TestTreeIsClean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bl, err := lint.LoadBaseline(filepath.Join(root, "tivlint.baseline.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	stale := bl.Apply(res)
 	for _, w := range res.Warnings {
 		t.Logf("loader warning: %s", w)
 	}
 	for _, f := range res.Active() {
 		t.Errorf("%s", f)
 	}
-	for _, e := range stale {
-		t.Logf("stale baseline entry (run tivlint -baseline tivlint.baseline.json -baseline-prune): %s %s %s", e.Analyzer, e.Package, e.Key)
-	}
 	for _, f := range res.Findings {
-		switch {
-		case f.Suppressed:
+		if f.Suppressed {
 			t.Logf("suppressed: %s — %s", f, f.Justification)
-		case f.Baselined:
-			t.Logf("baselined: %s", f)
 		}
 	}
 }

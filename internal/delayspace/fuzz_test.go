@@ -25,6 +25,7 @@ func FuzzReadCSV(f *testing.F) {
 		"0,NaN\nNaN,0\n",     // NaN
 		"0,5,\n5,0,\n,,0\n",  // empty fields become Missing
 		strings.Repeat("0\n", 3),
+		"0,Inf\nInf,0\n", // infinite delay: parsed by strconv, refused by Valid
 	}
 	for _, s := range seeds {
 		f.Add([]byte(s))

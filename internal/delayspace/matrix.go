@@ -21,6 +21,15 @@ import (
 // analyses must skip them rather than treat them as zero delay.
 const Missing = -1
 
+// IsDelay reports whether d is a measured delay: finite and ≥ 0 (so
+// not NaN, not ±Inf, not negative).
+func IsDelay(d float64) bool { return d >= 0 && d <= math.MaxFloat64 }
+
+// Valid reports whether d may be stored in a delay space: a measured
+// delay or Missing. It is the one input-validity rule every ingress
+// shares — Set, the loaders, Monitor updates, the wire surfaces.
+func Valid(d float64) bool { return d == Missing || IsDelay(d) }
+
 // Matrix is a symmetric N×N round-trip delay matrix in milliseconds.
 // The diagonal is zero. Entries equal to Missing denote pairs with no
 // measurement. The zero value is an empty (0-node) matrix.
@@ -72,8 +81,8 @@ func New(n int) *Matrix {
 // FromRows builds a matrix from a square slice of rows, symmetrizing
 // by averaging d(i,j) and d(j,i) when both are present and taking the
 // present one when only one is. It returns an error if the input is
-// ragged, has a non-zero diagonal, or contains negative non-Missing
-// values.
+// ragged, has a non-zero diagonal, or contains values that are not
+// Valid.
 func FromRows(rows [][]float64) (*Matrix, error) {
 	n := len(rows)
 	m := New(n)
@@ -99,10 +108,7 @@ func FromRows(rows [][]float64) (*Matrix, error) {
 }
 
 func symmetrize(a, b float64) (float64, error) {
-	bad := func(x float64) bool {
-		return math.IsNaN(x) || (x < 0 && x != Missing)
-	}
-	if bad(a) || bad(b) {
+	if !Valid(a) || !Valid(b) {
 		return 0, fmt.Errorf("invalid delay pair (%g,%g)", a, b)
 	}
 	switch {
@@ -113,7 +119,7 @@ func symmetrize(a, b float64) (float64, error) {
 	case b == Missing:
 		return a, nil
 	default:
-		return (a + b) / 2, nil
+		return a/2 + b/2, nil // halve first: the sum of two finite delays can overflow
 	}
 }
 
@@ -127,14 +133,15 @@ func (m *Matrix) At(i, j int) float64 { return m.data[i*m.n+j] }
 // Has reports whether the pair (i, j) has a measurement.
 func (m *Matrix) Has(i, j int) bool { return m.data[i*m.n+j] != Missing }
 
-// Set stores a symmetric delay for the pair (i, j). It panics on
-// negative delays (other than Missing), NaN, or i == j, because a
-// corrupted matrix invalidates every downstream analysis.
+// Set stores a symmetric delay for the pair (i, j). It panics on a
+// delay that is not Valid (negative other than Missing, NaN, ±Inf) or
+// i == j, because a corrupted matrix invalidates every downstream
+// analysis.
 func (m *Matrix) Set(i, j int, d float64) {
 	if i == j {
 		panic("delayspace: Set on diagonal")
 	}
-	if math.IsNaN(d) || (d < 0 && d != Missing) {
+	if !Valid(d) {
 		panic(fmt.Sprintf("delayspace: invalid delay %g", d))
 	}
 	m.set(i, j, d)
@@ -302,7 +309,7 @@ func (m *Matrix) Validate() error {
 			if a != b {
 				return fmt.Errorf("delayspace: asymmetry at (%d,%d): %g vs %g", i, j, a, b)
 			}
-			if math.IsNaN(a) || (a < 0 && a != Missing) {
+			if !Valid(a) {
 				return fmt.Errorf("delayspace: invalid delay %g at (%d,%d)", a, i, j)
 			}
 		}

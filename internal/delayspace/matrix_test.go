@@ -1,6 +1,8 @@
 package delayspace
 
 import (
+	"bytes"
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"testing"
@@ -53,6 +55,8 @@ func TestSetPanics(t *testing.T) {
 		"diagonal": func() { m.Set(1, 1, 5) },
 		"negative": func() { m.Set(0, 1, -3) },
 		"nan":      func() { m.Set(0, 1, math.NaN()) },
+		"+inf":     func() { m.Set(0, 1, math.Inf(1)) },
+		"-inf":     func() { m.Set(0, 1, math.Inf(-1)) },
 	} {
 		func() {
 			defer func() {
@@ -104,6 +108,8 @@ func TestFromRowsErrors(t *testing.T) {
 		"diagonal": {{5, 1}, {1, 0}},
 		"negative": {{0, -2}, {-2, 0}},
 		"nan":      {{0, math.NaN()}, {1, 0}},
+		"+inf":     {{0, math.Inf(1)}, {math.Inf(1), 0}},
+		"-inf":     {{0, 3}, {math.Inf(-1), 0}},
 	}
 	for name, rows := range cases {
 		if _, err := FromRows(rows); err == nil {
@@ -308,5 +314,51 @@ func TestSubmatrixIdentityProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestValid pins the one input-validity rule: finite and ≥ 0, or
+// Missing.
+func TestValid(t *testing.T) {
+	for _, d := range []float64{0, 1e-300, 42.5, math.MaxFloat64, Missing} {
+		if !Valid(d) {
+			t.Errorf("Valid(%g) = false", d)
+		}
+	}
+	for _, d := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1.5, -1e-300} {
+		if Valid(d) || IsDelay(d) {
+			t.Errorf("Valid(%g) = %v, IsDelay = %v; want both false", d, Valid(d), IsDelay(d))
+		}
+	}
+	if IsDelay(Missing) {
+		t.Error("Missing is storable but not a measured delay")
+	}
+	// Symmetrizing two finite delays must not overflow into +Inf.
+	m, err := FromRows([][]float64{{0, math.MaxFloat64}, {math.MaxFloat64, 0}})
+	if err != nil || m.At(0, 1) != math.MaxFloat64 {
+		t.Errorf("FromRows(MaxFloat64 pair) = %v, %v", m, err)
+	}
+}
+
+// TestReadBinaryRejectsNonFinite: the binary loader bypasses FromRows,
+// so Validate is what stands between a hostile file and a poisoned
+// matrix. (Failed before delayspace.Valid: +Inf loaded.)
+func TestReadBinaryRejectsNonFinite(t *testing.T) {
+	const marker = 1234.5
+	m := New(2)
+	m.Set(0, 1, marker)
+	var buf bytes.Buffer
+	if err := WriteBinary(&buf, m); err != nil {
+		t.Fatal(err)
+	}
+	var want, inf [8]byte
+	binary.LittleEndian.PutUint64(want[:], math.Float64bits(marker))
+	binary.LittleEndian.PutUint64(inf[:], math.Float64bits(math.Inf(1)))
+	if bytes.Count(buf.Bytes(), want[:]) != 2 {
+		t.Fatalf("marker appears %d times in the encoding, want 2", bytes.Count(buf.Bytes(), want[:]))
+	}
+	poisoned := bytes.ReplaceAll(buf.Bytes(), want[:], inf[:])
+	if _, err := ReadBinary(bytes.NewReader(poisoned)); err == nil {
+		t.Fatal("ReadBinary loaded a +Inf delay")
 	}
 }

@@ -19,10 +19,6 @@ func TestCtxPoll(t *testing.T) {
 	linttest.Run(t, "testdata/ctxpoll", analyzers.CtxPoll)
 }
 
-func TestWireParity(t *testing.T) {
-	linttest.Run(t, "testdata/wireparity", analyzers.WireParity)
-}
-
 func TestLayerBoundary(t *testing.T) {
 	linttest.Run(t, "testdata/layerboundary", analyzers.LayerBoundary)
 }
@@ -39,13 +35,13 @@ func TestGoLeak(t *testing.T) {
 	linttest.Run(t, "testdata/goleak", analyzers.GoLeak)
 }
 
-// TestRegistry pins the suite: eight analyzers, unique names (the
+// TestRegistry pins the suite: seven analyzers, unique names (the
 // names are the //lint:tiv suppression vocabulary and the DESIGN.md
 // invariant table rows).
 func TestRegistry(t *testing.T) {
 	all := analyzers.All()
-	if len(all) != 8 {
-		t.Fatalf("expected 8 analyzers, got %d", len(all))
+	if len(all) != 7 {
+		t.Fatalf("expected 7 analyzers, got %d", len(all))
 	}
 	seen := map[string]bool{}
 	for _, a := range all {

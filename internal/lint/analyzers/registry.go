@@ -10,7 +10,6 @@ func All() []*analysis.Analyzer {
 		EpochImmutability,
 		LockOrder,
 		CtxPoll,
-		WireParity,
 		LayerBoundary,
 		AllocFree,
 		WireErr,

@@ -78,7 +78,7 @@ func runWireErr(pass *analysis.Pass) error {
 	if g == nil {
 		return nil
 	}
-	facts := g.Memo("wireerr", func() any { return computeWireFacts(g) }).(*wireFacts)
+	facts := g.Memo("wireerr", func() any { return buildWireFacts(g) }).(*wireFacts)
 	for _, f := range g.UnitFuncs(pass.Path) {
 		if f.Test {
 			continue
@@ -120,7 +120,7 @@ func wireChain(facts *wireFacts, f *flow.Func, sink wireSink) string {
 	return "flows via " + strings.Join(hops, " → ") + " to " + s.desc
 }
 
-func computeWireFacts(g *flow.Graph) *wireFacts {
+func buildWireFacts(g *flow.Graph) *wireFacts {
 	facts := &wireFacts{
 		reach:    map[*flow.Func]wireSink{},
 		classes:  map[*flow.Func]*wireClass{},

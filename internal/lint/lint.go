@@ -8,12 +8,7 @@
 package lint
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
-	"go/ast"
-	"go/token"
-	"os"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -39,23 +34,12 @@ type Finding struct {
 	Line    int    `json:"line"`
 	Col     int    `json:"col"`
 	Message string `json:"message"`
-	// Key is the finding's structural identity for the ratcheting
-	// baseline: a hash over the analyzer, unit, enclosing top-level
-	// declaration, and the whitespace-normalized source text of the
-	// flagged line (plus a same-line occurrence counter). Line numbers
-	// deliberately do not participate, so edits elsewhere in the file
-	// never invalidate a baseline entry.
-	Key string `json:"key"`
 	// Suppressed marks findings silenced by a //lint:tiv directive;
 	// Justification carries the directive's stated reason. Suppressed
 	// findings do not fail the run but are reported in -json output,
 	// so every silenced invariant stays reviewable.
 	Suppressed    bool   `json:"suppressed,omitempty"`
 	Justification string `json:"justification,omitempty"`
-	// Baselined marks findings matched by an entry in the accepted
-	// baseline (tivlint.baseline.json): pre-existing debt that does
-	// not fail the run but may never grow.
-	Baselined bool `json:"baselined,omitempty"`
 }
 
 func (f Finding) String() string {
@@ -69,12 +53,12 @@ type Result struct {
 	Warnings []string  `json:"warnings,omitempty"`
 }
 
-// Active returns the findings that fail the run: neither suppressed
-// in source nor accepted by the baseline.
+// Active returns the findings that fail the run: every one not
+// suppressed in source by a justified //lint:tiv directive.
 func (r *Result) Active() []Finding {
 	var out []Finding
 	for _, f := range r.Findings {
-		if !f.Suppressed && !f.Baselined {
+		if !f.Suppressed {
 			out = append(out, f)
 		}
 	}
@@ -128,13 +112,11 @@ func Run(root string, patterns []string, analyzers []*analysis.Analyzer) (*Resul
 	return res, nil
 }
 
-// RunPackage applies the analyzers to one loaded unit, resolving
-// suppressions and computing each finding's structural baseline key.
-// root anchors the relative file paths in findings; g may be nil for
+// RunPackage applies the analyzers to one loaded unit and resolves
+// suppressions. root anchors the relative file paths in findings; g may be nil for
 // runs without the interprocedural layer.
 func RunPackage(root string, pkg *load.Package, g *flow.Graph, analyzers []*analysis.Analyzer) ([]Finding, error) {
 	supp := collectSuppressions(pkg)
-	keyer := newKeyer(pkg)
 	var out []Finding
 	for _, a := range analyzers {
 		var diags []analysis.Diagnostic
@@ -168,7 +150,6 @@ func RunPackage(root string, pkg *load.Package, g *flow.Graph, analyzers []*anal
 				Line:     pos.Line,
 				Col:      pos.Column,
 				Message:  d.Message,
-				Key:      keyer.key(a.Name, d.Pos),
 			}
 			if j, ok := supp.lookup(pos.Filename, pos.Line, a.Name); ok {
 				f.Suppressed = true
@@ -178,75 +159,6 @@ func RunPackage(root string, pkg *load.Package, g *flow.Graph, analyzers []*anal
 		}
 	}
 	return out, nil
-}
-
-// keyer computes structural finding keys for one unit: a truncated
-// SHA-256 over (analyzer, unit path, enclosing top-level declaration
-// name, whitespace-normalized flagged-line text, occurrence counter).
-// The inputs deliberately exclude line numbers, so inserting or
-// deleting lines elsewhere never invalidates a baseline entry; editing
-// the flagged line itself does, which is the desired ratchet behavior
-// (a changed line is a new claim to review).
-type keyer struct {
-	pkg   *load.Package
-	lines map[string][]string // filename → content lines
-	seen  map[string]int      // structural identity → occurrences so far
-}
-
-func newKeyer(pkg *load.Package) *keyer {
-	return &keyer{pkg: pkg, lines: map[string][]string{}, seen: map[string]int{}}
-}
-
-func (k *keyer) key(analyzer string, pos token.Pos) string {
-	p := k.pkg.Fset.Position(pos)
-	lines, ok := k.lines[p.Filename]
-	if !ok {
-		data, err := os.ReadFile(p.Filename)
-		if err == nil {
-			lines = strings.Split(string(data), "\n")
-		}
-		k.lines[p.Filename] = lines
-	}
-	text := ""
-	if p.Line-1 >= 0 && p.Line-1 < len(lines) {
-		text = strings.Join(strings.Fields(lines[p.Line-1]), " ")
-	}
-	ident := analyzer + "\x00" + k.pkg.Path + "\x00" + k.declName(p.Filename, pos) + "\x00" + text
-	n := k.seen[ident]
-	k.seen[ident] = n + 1
-	sum := sha256.Sum256([]byte(fmt.Sprintf("%s\x00%d", ident, n)))
-	return hex.EncodeToString(sum[:8])
-}
-
-// declName finds the top-level declaration enclosing pos in the unit's
-// files ("" when pos sits between declarations).
-func (k *keyer) declName(filename string, pos token.Pos) string {
-	for _, f := range k.pkg.Files {
-		if k.pkg.Fset.Position(f.Pos()).Filename != filename {
-			continue
-		}
-		for _, d := range f.Decls {
-			if pos < d.Pos() || pos > d.End() {
-				continue
-			}
-			switch d := d.(type) {
-			case *ast.FuncDecl:
-				return d.Name.Name
-			case *ast.GenDecl:
-				for _, spec := range d.Specs {
-					switch s := spec.(type) {
-					case *ast.TypeSpec:
-						return s.Name.Name
-					case *ast.ValueSpec:
-						if len(s.Names) > 0 {
-							return s.Names[0].Name
-						}
-					}
-				}
-			}
-		}
-	}
-	return ""
 }
 
 // suppressionKey addresses one directive: the analyzer it silences at

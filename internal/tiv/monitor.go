@@ -206,7 +206,7 @@ func (mon *Monitor) checkUpdate(i, j int, rtt float64) error {
 	if i < 0 || j < 0 || i >= mon.n || j >= mon.n {
 		return fmt.Errorf("tiv: Monitor update (%d,%d) out of range [0,%d)", i, j, mon.n)
 	}
-	if math.IsNaN(rtt) || (rtt < 0 && rtt != delayspace.Missing) {
+	if !delayspace.Valid(rtt) {
 		return fmt.Errorf("tiv: Monitor update (%d,%d) invalid delay %g", i, j, rtt)
 	}
 	return nil

@@ -186,6 +186,8 @@ func TestMonitorRejectsInvalidUpdates(t *testing.T) {
 		{"out of range j", 0, 8, 5},
 		{"NaN", 0, 1, math.NaN()},
 		{"negative delay", 0, 1, -7},
+		{"+Inf", 0, 1, math.Inf(1)},
+		{"-Inf", 0, 1, math.Inf(-1)},
 	} {
 		if _, err := mon.ApplyUpdate(tc.i, tc.j, tc.rtt); err == nil {
 			t.Errorf("%s: no error", tc.name)

@@ -136,6 +136,11 @@ func rankEpoch(ctx context.Context, e *epoch, target int, candidates []int, opts
 	if err := sc.check(); err != nil {
 		return nil, err
 	}
+	// A non-finite penalty scores every candidate NaN or ±Inf: an
+	// unordered ranking no wire format can carry.
+	if !finite(opts.SeverityPenalty) {
+		return nil, fmt.Errorf("tivaware: severity penalty %g is not finite", opts.SeverityPenalty)
+	}
 	if candidates == nil {
 		candidates = opts.Candidates
 	}
@@ -195,11 +200,18 @@ func rankEpoch(ctx context.Context, e *epoch, target int, candidates []int, opts
 			continue
 		}
 		sel.Score = d * (1 + opts.SeverityPenalty*sel.Severity)
+		if !finite(sel.Score) {
+			// A finite but absurd penalty: refuse it like a non-finite
+			// one rather than rank on scores that no longer order.
+			return nil, fmt.Errorf("tivaware: severity penalty %g overflows the score of candidate %d", opts.SeverityPenalty, c)
+		}
 		out = append(out, sel)
 	}
 	sort.Slice(out, func(a, b int) bool { return SelectionLess(out[a], out[b]) })
 	return out, nil
 }
+
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
 // SelectionLess is the total order every ranking sorts with: lower
 // score first, ties broken by node id. It is exported because the

@@ -20,7 +20,6 @@ package tivaware
 
 import (
 	"fmt"
-	"math"
 	"sync/atomic"
 
 	"tivaware/internal/delayspace"
@@ -114,15 +113,15 @@ func FromPredictor(p Predictor, n int) *PredictorSource {
 // N implements DelaySource.
 func (s *PredictorSource) N() int { return s.n }
 
-// Delay implements DelaySource. Negative or NaN predictions report
-// ok == false (inner-product predictors can produce them; they carry
+// Delay implements DelaySource. Negative, NaN or infinite predictions
+// report ok == false (inner-product predictors can produce them; they carry
 // no meaning for selection).
 func (s *PredictorSource) Delay(i, j int) (float64, bool) {
 	if i == j {
 		return 0, true
 	}
 	d := s.p.Predict(i, j)
-	if math.IsNaN(d) || d < 0 {
+	if !delayspace.IsDelay(d) {
 		return 0, false
 	}
 	return d, true

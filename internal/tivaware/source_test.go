@@ -56,6 +56,8 @@ func TestPredictorSource(t *testing.T) {
 			return -1 // unusable prediction
 		case i == 3 || j == 3:
 			return math.NaN()
+		case i == 4 || j == 4:
+			return math.Inf(1)
 		default:
 			return float64(10 * (i + j))
 		}
@@ -74,6 +76,9 @@ func TestPredictorSource(t *testing.T) {
 	}
 	if _, ok := src.Delay(0, 3); ok {
 		t.Error("NaN prediction reported ok")
+	}
+	if _, ok := src.Delay(0, 4); ok {
+		t.Error("infinite prediction reported ok")
 	}
 	v := src.Version()
 	src.Invalidate()

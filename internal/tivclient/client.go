@@ -12,7 +12,7 @@
 //	best, err := q.ClosestNode(ctx, target, tivaware.QueryOptions{SeverityPenalty: 2})
 //
 // A Client is safe for concurrent use; it holds no state beyond the
-// base URL and the underlying *http.Client.
+// base URL and, when Options.FrameAddr is set, the framed pool.
 package tivclient
 
 import (
@@ -22,7 +22,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand"
 	"net"
 	"net/http"
 	"net/url"
@@ -56,24 +55,19 @@ var (
 	ErrSubscribeClosed = errors.New("subscription stream closed by daemon")
 )
 
+const (
+	// requestTimeout backstops every non-streaming call that arrives
+	// without a context deadline (a caller-supplied deadline always
+	// wins).
+	requestTimeout = 30 * time.Second
+	// handshakeTimeout bounds a Subscribe call's attach phase: the
+	// request plus the first stream byte. Once attached, the stream is
+	// bounded only by its context.
+	handshakeTimeout = 10 * time.Second
+)
+
 // Options configures a Client. The zero value is valid.
 type Options struct {
-	// HTTPClient overrides the transport; nil means a shared default
-	// transport with bounded connection phases (5s dial, 5s TLS, 15s
-	// response headers) and no whole-request timeout, so subscription
-	// streams can live forever while a dead daemon still fails fast.
-	// A custom client must likewise not carry a global timeout if
-	// Subscribe is used.
-	HTTPClient *http.Client
-	// RequestTimeout backstops every non-streaming call that arrives
-	// without a context deadline (a caller-supplied deadline always
-	// wins). Zero means 30s; negative disables the backstop.
-	RequestTimeout time.Duration
-	// HandshakeTimeout bounds a Subscribe call's attach phase: the
-	// request plus the first stream byte. Zero means 10s; negative
-	// disables. Once attached, the stream is bounded only by its
-	// context.
-	HandshakeTimeout time.Duration
 	// FrameAddr, when set, routes queries, updates, and health pings
 	// over the persistent framed transport (tivd -frame-listen)
 	// instead of HTTP/JSON: a pool of multiplexed raw connections
@@ -88,13 +82,14 @@ type Options struct {
 	FrameConns int
 }
 
-// defaultTransport backs every client built without an explicit
-// HTTPClient. Connection-establishment phases are individually
-// bounded so a black-holed daemon surfaces as an error instead of a
-// wedged goroutine; there is deliberately no whole-request timeout
-// (SSE streams are long-lived) — per-call deadlines come from the
-// request context, backstopped by Options.RequestTimeout.
-var defaultTransport = &http.Transport{
+// httpClient is the transport every client shares.
+// Connection-establishment phases are individually bounded (5s dial,
+// 5s TLS, 15s response headers) so a black-holed daemon surfaces as an
+// error instead of a wedged goroutine; there is deliberately no
+// whole-request timeout (SSE streams are long-lived) — per-call
+// deadlines come from the request context, backstopped by
+// requestTimeout.
+var httpClient = &http.Client{Transport: &http.Transport{
 	Proxy:                 http.ProxyFromEnvironment,
 	DialContext:           (&net.Dialer{Timeout: 5 * time.Second, KeepAlive: 30 * time.Second}).DialContext,
 	TLSHandshakeTimeout:   5 * time.Second,
@@ -103,17 +98,12 @@ var defaultTransport = &http.Transport{
 	IdleConnTimeout:       90 * time.Second,
 	MaxIdleConnsPerHost:   32,
 	ForceAttemptHTTP2:     true,
-}
-
-var defaultHTTPClient = &http.Client{Transport: defaultTransport}
+}}
 
 // Client talks to one tivd daemon.
 type Client struct {
-	base      string
-	hc        *http.Client
-	reqTO     time.Duration
-	handshake time.Duration
-	frames    *tivframe.Pool // nil unless Options.FrameAddr was set
+	base   string
+	frames *tivframe.Pool // nil unless Options.FrameAddr was set
 }
 
 var _ tivaware.Querier = (*Client)(nil)
@@ -121,19 +111,7 @@ var _ tivaware.Querier = (*Client)(nil)
 // New builds a client for the daemon at baseURL (e.g.
 // "http://127.0.0.1:7070", no trailing slash required).
 func New(baseURL string, opts Options) *Client {
-	hc := opts.HTTPClient
-	if hc == nil {
-		hc = defaultHTTPClient
-	}
-	reqTO := opts.RequestTimeout
-	if reqTO == 0 {
-		reqTO = 30 * time.Second
-	}
-	handshake := opts.HandshakeTimeout
-	if handshake == 0 {
-		handshake = 10 * time.Second
-	}
-	c := &Client{base: strings.TrimRight(baseURL, "/"), hc: hc, reqTO: reqTO, handshake: handshake}
+	c := &Client{base: strings.TrimRight(baseURL, "/")}
 	if opts.FrameAddr != "" {
 		c.frames = tivframe.NewPool(opts.FrameAddr, opts.FrameConns, tivframe.ClientOptions{})
 	}
@@ -159,16 +137,13 @@ func (c *Client) FrameAddr() string {
 	return c.frames.Addr()
 }
 
-// callCtx applies the RequestTimeout backstop: calls arriving without
+// callCtx applies the requestTimeout backstop: calls arriving without
 // a deadline get one, calls with a deadline keep theirs.
-func (c *Client) callCtx(ctx context.Context) (context.Context, context.CancelFunc) {
-	if c.reqTO <= 0 {
-		return ctx, func() {}
-	}
+func callCtx(ctx context.Context) (context.Context, context.CancelFunc) {
 	if _, has := ctx.Deadline(); has {
 		return ctx, func() {}
 	}
-	return context.WithTimeout(ctx, c.reqTO)
+	return context.WithTimeout(ctx, requestTimeout)
 }
 
 // get issues one GET and decodes the JSON response into out.
@@ -177,7 +152,7 @@ func (c *Client) get(ctx context.Context, path string, params url.Values, out an
 	if len(params) > 0 {
 		u += "?" + params.Encode()
 	}
-	ctx, cancel := c.callCtx(ctx)
+	ctx, cancel := callCtx(ctx)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
 	if err != nil {
@@ -206,7 +181,7 @@ func (c *Client) post(ctx context.Context, path string, body, out any) error {
 	if err != nil {
 		return &Error{Code: tivwire.CodeBadRequest, Message: "encoding request: " + err.Error(), cause: err}
 	}
-	ctx, cancel := c.callCtx(ctx)
+	ctx, cancel := callCtx(ctx)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+path, bytes.NewReader(raw))
 	if err != nil {
@@ -221,7 +196,7 @@ func (c *Client) post(ctx context.Context, path string, body, out any) error {
 // payload) so retry layers can tell retryable from terminal.
 func (c *Client) do(req *http.Request, out any) error {
 	op := req.Method + " " + req.URL.Path
-	resp, err := c.hc.Do(req)
+	resp, err := httpClient.Do(req)
 	if err != nil {
 		return &Error{Op: op, Code: CodeTransport, Message: err.Error(), cause: err}
 	}
@@ -557,22 +532,14 @@ type SubscribeOptions struct {
 }
 
 // SubscribeOpts is Subscribe with the full option set; see Subscribe
-// for the reconnect semantics. The attach phase (request plus first
-// stream byte) is additionally bounded by Options.HandshakeTimeout,
-// so a hung daemon fails the call instead of wedging it.
+// for the reconnect semantics. It runs one subscription stream:
+// opts.OnHello and fn are invoked synchronously from the read loop, in
+// stream order — Ready closes once the handshake completes, OnHello
+// (if the stream carries a hello) runs before any change set. The
+// attach phase (request plus first stream byte) is additionally
+// bounded by handshakeTimeout, so a hung daemon fails the call instead
+// of wedging it.
 func (c *Client) SubscribeOpts(ctx context.Context, opts SubscribeOptions, fn func(tivwire.ChangeSet)) error {
-	return c.subscribe(ctx, func() {
-		if opts.Ready != nil {
-			close(opts.Ready)
-		}
-	}, opts.OnHello, fn)
-}
-
-// subscribe runs one subscription stream. onAttach, onHello and fn are
-// invoked synchronously from the read loop, in stream order: onAttach
-// once the handshake completes, onHello (if the stream carries a
-// hello) before any change set.
-func (c *Client) subscribe(ctx context.Context, onAttach func(), onHello func(tivwire.Hello), fn func(tivwire.ChangeSet)) error {
 	if fn == nil {
 		return &Error{Code: tivwire.CodeBadRequest, Message: "nil subscriber"}
 	}
@@ -583,23 +550,21 @@ func (c *Client) subscribe(ctx context.Context, onAttach func(), onHello func(ti
 	defer cancel()
 	attached := make(chan struct{})
 	timedOut := make(chan struct{})
-	if c.handshake > 0 {
-		t := time.AfterFunc(c.handshake, func() { close(timedOut); cancel() })
-		defer t.Stop()
-		go func() {
-			select {
-			case <-attached:
-				t.Stop()
-			case <-sctx.Done():
-			}
-		}()
-	}
+	t := time.AfterFunc(handshakeTimeout, func() { close(timedOut); cancel() })
+	defer t.Stop()
+	go func() {
+		select {
+		case <-attached:
+			t.Stop()
+		case <-sctx.Done():
+		}
+	}()
 
 	handshakeErr := func(err error) error {
 		select {
 		case <-timedOut:
 			return &Error{Op: "subscribe", Code: CodeTransport,
-				Message: fmt.Sprintf("handshake timed out after %v", c.handshake), cause: err}
+				Message: fmt.Sprintf("handshake timed out after %v", handshakeTimeout), cause: err}
 		default:
 		}
 		if ctx.Err() != nil {
@@ -613,7 +578,7 @@ func (c *Client) subscribe(ctx context.Context, onAttach func(), onHello func(ti
 		return &Error{Code: CodeTransport, Message: err.Error(), cause: err}
 	}
 	req.Header.Set("Accept", "text/event-stream")
-	resp, err := c.hc.Do(req)
+	resp, err := httpClient.Do(req)
 	if err != nil {
 		return handshakeErr(err)
 	}
@@ -631,7 +596,12 @@ func (c *Client) subscribe(ctx context.Context, onAttach func(), onHello func(ti
 
 	// The handshake comment is the first frame the daemon flushes;
 	// any readable byte means we are attached.
-	rr := &readyReader{r: resp.Body, onFirst: func() { close(attached); onAttach() }}
+	rr := &readyReader{r: resp.Body, onFirst: func() {
+		close(attached)
+		if opts.Ready != nil {
+			close(opts.Ready)
+		}
+	}}
 	sc := tivwire.NewSSEScanner(rr)
 	for {
 		ev, err := sc.Next()
@@ -653,8 +623,8 @@ func (c *Client) subscribe(ctx context.Context, onAttach func(), onHello func(ti
 			if err := json.Unmarshal([]byte(ev.Data), &h); err != nil {
 				return &Error{Code: CodeBadPayload, Message: "decoding hello event: " + err.Error(), cause: err}
 			}
-			if onHello != nil {
-				onHello(h)
+			if opts.OnHello != nil {
+				opts.OnHello(h)
 			}
 		case "changeset":
 			var cs tivwire.ChangeSet
@@ -689,115 +659,4 @@ func (r *readyReader) Read(p []byte) (int, error) {
 		r.onFirst()
 	}
 	return n, err
-}
-
-// AutoSubscribeOptions configures AutoSubscribe.
-type AutoSubscribeOptions struct {
-	// ReconnectDelay is the base backoff between attach attempts,
-	// growing exponentially (jittered) to MaxDelay on consecutive
-	// failures and resetting after a successful attach. Zero means
-	// 250ms.
-	ReconnectDelay time.Duration
-	// MaxDelay caps the backoff; zero means 5s.
-	MaxDelay time.Duration
-	// Ready, if non-nil, is closed after the first successful
-	// handshake.
-	Ready chan<- struct{}
-}
-
-// AutoSubscribe is Subscribe with automatic reconnection: it holds a
-// subscription open across stream tears, daemon restarts, and
-// overflow disconnects until ctx is cancelled (returning nil) or a
-// terminal failure surfaces (a non-live daemon, a bad request).
-//
-// Gap handling: deltas streamed while detached are gone (the daemon
-// keeps no replay buffer), so on every reconnect AutoSubscribe
-// compares the new stream's hello version against the last version it
-// saw on the previous one. Equality proves the violated-edge picture
-// survived the gap intact; anything else — including a stream that
-// attached without a hello because the daemon's health read failed at
-// that moment — makes fn receive a synthetic ChangeSet{Rescan: true}
-// marker before the stream's first delta, telling the consumer to
-// rebuild its picture (TopEdges) before trusting subsequent deltas.
-// The first attach never emits a marker.
-func (c *Client) AutoSubscribe(ctx context.Context, opts AutoSubscribeOptions, fn func(tivwire.ChangeSet)) error {
-	if fn == nil {
-		return &Error{Code: tivwire.CodeBadRequest, Message: "nil subscriber"}
-	}
-	base := opts.ReconnectDelay
-	if base <= 0 {
-		base = 250 * time.Millisecond
-	}
-	maxDelay := opts.MaxDelay
-	if maxDelay <= 0 {
-		maxDelay = 5 * time.Second
-	}
-	var (
-		lastVer  uint64 // stream position: the last hello or change-set version seen
-		everUp   bool   // at least one attach succeeded
-		ready    = opts.Ready
-		failures int
-	)
-	for {
-		// gapSettled: this attach has decided whether the gap since the
-		// previous stream could hide deltas — by its hello, or
-		// conservatively before the first change set when the daemon sent
-		// none. A first attach has no gap.
-		gapSettled := !everUp
-		err := c.subscribe(ctx, func() {
-			everUp, failures = true, 0
-			if ready != nil {
-				close(ready)
-				ready = nil
-			}
-		}, func(h tivwire.Hello) {
-			if !gapSettled && h.Version != lastVer {
-				fn(tivwire.ChangeSet{Version: h.Version, Rescan: true})
-			}
-			gapSettled, lastVer = true, h.Version
-		}, func(cs tivwire.ChangeSet) {
-			if !gapSettled {
-				// No hello preceded the data (the daemon could not read
-				// its counters at attach): assume the worst about the gap.
-				fn(tivwire.ChangeSet{Version: lastVer, Rescan: true})
-				gapSettled = true
-			}
-			lastVer = cs.Version
-			fn(cs)
-		})
-		if ctx.Err() != nil {
-			return nil
-		}
-		if err == nil {
-			// Subscribe returns nil only on context cancellation.
-			return nil
-		}
-		if !errors.Is(err, ErrSubscribeOverflow) && !errors.Is(err, ErrSubscribeClosed) && !IsRetryable(err) {
-			return err
-		}
-		failures++
-		t := time.NewTimer(backoff(base, maxDelay, failures))
-		select {
-		case <-ctx.Done():
-			t.Stop()
-			return nil
-		case <-t.C:
-		}
-	}
-}
-
-// backoff returns the jittered exponential backoff for the given
-// consecutive-failure count: base·2^(n-1), capped at max, with ±25%
-// jitter so a fleet of reconnecting subscribers does not stampede.
-func backoff(base, max time.Duration, failures int) time.Duration {
-	d := base
-	for i := 1; i < failures && d < max; i++ {
-		d *= 2
-	}
-	if d > max {
-		d = max
-	}
-	// ±25% jitter.
-	j := time.Duration(rand.Int63n(int64(d)/2+1)) - d/4
-	return d + j
 }

@@ -48,7 +48,14 @@ func subscribeAgainst(t *testing.T, h http.Handler, ctx context.Context) (events
 	select {
 	case <-ready:
 	case err := <-done:
-		t.Fatalf("Subscribe ended before handshake: %v", err)
+		// A short scripted stream can finish before this goroutine
+		// looks: then both channels are ready and select picks either.
+		select {
+		case <-ready:
+			done <- err
+		default:
+			t.Fatalf("Subscribe ended before handshake: %v", err)
+		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("handshake timed out")
 	}

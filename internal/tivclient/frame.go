@@ -20,7 +20,7 @@ import (
 // frameCall performs one request/response exchange on the framed pool
 // and decodes the response into resp.
 func (c *Client) frameCall(ctx context.Context, op string, req, resp any) error {
-	ctx, cancel := c.callCtx(ctx)
+	ctx, cancel := callCtx(ctx)
 	defer cancel()
 	err := c.frames.Do(ctx, req, resp)
 	if err == nil {

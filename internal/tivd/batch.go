@@ -9,13 +9,13 @@ import (
 	"tivaware/internal/tivwire"
 )
 
-// The unified query path. Every read endpoint — the single-shot GETs
-// and POST /v1/batch — funnels through resolveWire, so the epoch-keyed
-// cache, the request coalescing, and the error taxonomy behave
-// identically no matter how a query arrives. A single-shot GET is
-// served as a batch of one against the same machinery, which is what
-// makes the cache coherent across paths: both produce the same
-// canonical key for the same effective query.
+// The unified query path. Every read — the single-shot GETs, POST
+// /v1/batch and a framed batch — is a []tivaware.Query answered by
+// resolveQueries, the one function that reads or writes the
+// epoch-keyed cache on behalf of a request, so cache coherence, miss
+// accounting and the error taxonomy cannot differ by how a query
+// arrives. A single-shot GET is a batch of one whose single payload is
+// written bare.
 
 // maxBodyBytes caps request bodies (update and batch): large enough
 // for the biggest sane batch, small enough to bound a hostile post.
@@ -56,61 +56,16 @@ func (s *Server) normalizeQuery(q *tivaware.Query) error {
 	return nil
 }
 
-// computeWire answers one query through the backend's batch path and
-// renders it to its wire shape. The whole-call error is a backend
-// failure (no epoch pinned); per-query failures land in Result.Err as
-// taxonomy envelopes.
-func (s *Server) computeWire(ctx context.Context, q tivaware.Query) (*tivwire.Result, uint64, error) {
-	res, epoch, err := s.b.QueryBatch(ctx, []tivaware.Query{q})
-	if err != nil {
-		return nil, 0, err
-	}
-	if len(res) != 1 {
-		return nil, 0, internalErrorf("backend answered %d results for 1 query", len(res))
-	}
-	wr := tivwire.FromResult(q, res[0], epoch, func(err error) tivwire.Error {
-		_, e := resultEnvelope(q.Kind, err)
-		return e
-	})
-	return &wr, epoch, nil
-}
-
-// resolveWire answers one query, consulting the epoch-keyed cache for
-// cacheable kinds. The double version read brackets the computation:
-// the key embeds the versions observed before, and the entry is
-// stored only if the versions still hold after — so a stored entry
-// can never describe a state its key predates. Failed results are
-// never cached (they may be transient).
-func (s *Server) resolveWire(ctx context.Context, q tivaware.Query) (*tivwire.Result, uint64, error) {
-	if s.cache == nil || !cacheableKind(q.Kind) {
-		return s.computeWire(ctx, q)
-	}
-	qv, av := s.b.CacheVersion()
-	key := canonicalKey(q, qv, av)
-	return s.cache.do(ctx, key, func() (*tivwire.Result, uint64, bool, error) {
-		wr, epoch, err := s.computeWire(ctx, q)
-		if err != nil {
-			return nil, 0, false, err
-		}
-		qv2, av2 := s.b.CacheVersion()
-		return wr, epoch, wr.Err == nil && qv2 == qv && av2 == av, nil
-	})
-}
-
-// serveQuery is the single-shot tail shared by the GET endpoints:
-// normalize, resolve through the cache, unwrap the one payload the
-// kind produces.
+// serveQuery is the single-shot tail shared by the GET endpoints: a
+// batch of one through resolveQueries, unwrapped to the one payload
+// (or error envelope) the kind produces.
 func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, q tivaware.Query) {
-	if err := s.normalizeQuery(&q); err != nil {
-		serviceError(w, err)
-		return
-	}
-	wr, _, err := s.resolveWire(r.Context(), q)
+	results, _, err := s.resolveQueries(r.Context(), []tivaware.Query{q})
 	if err != nil {
 		serviceError(w, err)
 		return
 	}
-	writeWireResult(w, wr)
+	writeWireResult(w, &results[0])
 }
 
 // writeWireResult writes the payload (or error envelope) a resolved
@@ -160,11 +115,10 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 }
 
 // resolveBatch answers one decoded batch request — the transport-free
-// core shared by POST /v1/batch and the framed listener, so the
-// cache, coalescing, and taxonomy behavior cannot drift between
-// transports. A returned error is a whole-call failure already typed
-// for errorEnvelope (reqError or a backend error); per-query failures
-// land in the aligned Results vector.
+// core shared by POST /v1/batch and the framed listener. A returned
+// error is a whole-call failure already typed for errorEnvelope
+// (reqError or a backend error); per-query failures land in the
+// aligned Results vector.
 func (s *Server) resolveBatch(ctx context.Context, req *tivwire.BatchRequest) (*tivwire.BatchResponse, error) {
 	if len(req.Queries) == 0 {
 		return nil, badRequestf("empty batch")
@@ -172,86 +126,89 @@ func (s *Server) resolveBatch(ctx context.Context, req *tivwire.BatchRequest) (*
 	if max := s.opts.maxBatch(); len(req.Queries) > max {
 		return nil, badRequestf("batch of %d queries exceeds limit %d", len(req.Queries), max)
 	}
+	results, epoch, err := s.resolveQueries(ctx, tivwire.ToQueries(req.Queries))
+	if err != nil {
+		return nil, err
+	}
+	return &tivwire.BatchResponse{Epoch: epoch, Results: results}, nil
+}
 
-	queries := tivwire.ToQueries(req.Queries)
+// resolveQueries answers a vector of typed queries (which it
+// normalizes in place): cache hits from the resident entries, every
+// miss in ONE Backend.QueryBatch call against one pinned epoch. The
+// double version read brackets that call: keys embed the version pair
+// observed before, and results are stored only if the pair still holds
+// after — so a stored entry can never describe a state its key
+// predates. Failed results are never stored (they may be transient).
+func (s *Server) resolveQueries(ctx context.Context, queries []tivaware.Query) ([]tivwire.Result, uint64, error) {
 	results := make([]tivwire.Result, len(queries))
-
-	// Normalize every query first (the cache key must see effective
-	// parameters); a bad query fails alone, never the batch.
-	valid := make([]bool, len(queries))
+	var qv, av uint64
+	if s.cache != nil {
+		qv, av = s.b.CacheVersion()
+	}
+	// missed is one query the backend must answer: its index, and the
+	// key to store the answer under ("" bypasses the cache).
+	type missed struct {
+		idx int
+		key string
+	}
+	var misses []missed
+	var epoch uint64
 	for i := range queries {
+		// Normalize first (the cache key must see effective parameters);
+		// a bad query fails alone, never the batch.
 		if err := s.normalizeQuery(&queries[i]); err != nil {
 			e := envelope(tivwire.CodeBadRequest, err)
 			results[i] = tivwire.Result{Kind: string(queries[i].Kind), Err: &e}
 			continue
 		}
-		valid[i] = true
-	}
-
-	// Partition valid queries into cache hits and misses under one
-	// version-pair reading.
-	var qv, av uint64
-	var keys []string
-	if s.cache != nil {
-		qv, av = s.b.CacheVersion()
-		keys = make([]string, len(queries))
-	}
-	var epoch uint64
-	missIdx := make([]int, 0, len(queries))
-	for i := range queries {
-		if !valid[i] {
-			continue
-		}
+		key := ""
 		if s.cache != nil && cacheableKind(queries[i].Kind) {
-			keys[i] = canonicalKey(queries[i], qv, av)
-			if val, e, ok := s.cache.get(keys[i]); ok {
+			key = canonicalKey(queries[i], qv, av)
+			if val, e, ok := s.cache.get(key); ok {
 				results[i] = *val
 				if e > epoch {
 					epoch = e
 				}
 				continue
 			}
-			s.cache.misses.Add(1)
 		}
-		missIdx = append(missIdx, i)
+		misses = append(misses, missed{i, key})
+	}
+	if len(misses) == 0 {
+		return results, epoch, nil
 	}
 
-	// One backend round trip answers every miss against one pinned
-	// epoch.
-	if len(missIdx) > 0 {
-		miss := make([]tivaware.Query, len(missIdx))
-		for k, i := range missIdx {
-			miss[k] = queries[i]
-		}
-		res, e, err := s.b.QueryBatch(ctx, miss)
-		if err != nil {
-			return nil, err
-		}
-		if len(res) != len(miss) {
-			return nil, internalErrorf("backend answered %d results for %d queries", len(res), len(miss))
-		}
-		epoch = e
-		// Store successes only if the version pair survived the
-		// computation — otherwise the key would lie about the state the
-		// entry reflects.
-		store := false
-		if s.cache != nil {
-			qv2, av2 := s.b.CacheVersion()
-			store = qv2 == qv && av2 == av
-		}
-		for k, i := range missIdx {
-			q := miss[k]
-			wr := tivwire.FromResult(q, res[k], e, func(err error) tivwire.Error {
-				_, env := resultEnvelope(q.Kind, err)
-				return env
-			})
-			results[i] = wr
-			if store && wr.Err == nil && keys[i] != "" {
-				stored := wr
-				s.cache.put(keys[i], &stored, e)
-			}
+	miss := queries
+	if len(misses) < len(queries) {
+		miss = make([]tivaware.Query, len(misses))
+		for k, m := range misses {
+			miss[k] = queries[m.idx]
 		}
 	}
-
-	return &tivwire.BatchResponse{Epoch: epoch, Results: results}, nil
+	res, epoch, err := s.b.QueryBatch(ctx, miss)
+	if err != nil {
+		return nil, 0, err
+	}
+	if len(res) != len(miss) {
+		return nil, 0, internalErrorf("backend answered %d results for %d queries", len(res), len(miss))
+	}
+	store := false
+	if s.cache != nil {
+		qv2, av2 := s.b.CacheVersion()
+		store = qv2 == qv && av2 == av
+	}
+	for k, m := range misses {
+		q := miss[k]
+		wr := tivwire.FromResult(q, res[k], epoch, func(err error) tivwire.Error {
+			_, env := resultEnvelope(q.Kind, err)
+			return env
+		})
+		results[m.idx] = wr
+		if store && wr.Err == nil && m.key != "" {
+			stored := wr
+			s.cache.put(m.key, &stored, epoch)
+		}
+	}
+	return results, epoch, nil
 }

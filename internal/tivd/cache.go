@@ -1,7 +1,6 @@
 package tivd
 
 import (
-	"context"
 	"sort"
 	"strconv"
 	"sync"
@@ -16,16 +15,18 @@ import (
 // guarantee identical answers, so every cache key embeds the pair and
 // the cache needs no invalidation — an update moves the version,
 // every old key simply stops being generated, and stale entries age
-// out of the LRU. Concurrent identical misses coalesce behind one
-// backend computation (the thundering-herd guard for hot keys).
+// out of the LRU. Identical concurrent misses are NOT coalesced here:
+// each costs one bounded O(N) scan, and the expensive part of a cold
+// miss — the O(N³) epoch build — already coalesces under the
+// service's epoch mutex (DESIGN.md, "The query cache").
 //
 // Entries are stored as decoded wire results, not encoded bytes, so
-// one entry serves both the JSON and binary codecs and the batch and
-// single-shot paths; re-encoding a hit is a few microseconds against
-// the O(N) scan a miss costs.
+// one entry serves both the JSON and binary codecs; re-encoding a hit
+// is a few microseconds against the O(N) scan a miss costs.
 
 // queryCache is a fixed-capacity LRU keyed by canonical query key
-// (version pair included) with per-key singleflight coalescing.
+// (version pair included). resolveQueries is its only request-path
+// caller.
 type queryCache struct {
 	cap int
 
@@ -33,7 +34,6 @@ type queryCache struct {
 	entries map[string]*cacheEntry
 	head    *cacheEntry // most recent
 	tail    *cacheEntry // least recent
-	flights map[string]*cacheFlight
 
 	hits   atomic.Uint64
 	misses atomic.Uint64
@@ -47,21 +47,8 @@ type cacheEntry struct {
 	prev, next *cacheEntry
 }
 
-// cacheFlight is one in-progress computation concurrent callers wait
-// on; the fields are written once before done closes.
-type cacheFlight struct {
-	done  chan struct{}
-	val   *tivwire.Result
-	epoch uint64
-	err   error
-}
-
 func newQueryCache(capacity int) *queryCache {
-	return &queryCache{
-		cap:     capacity,
-		entries: make(map[string]*cacheEntry, capacity),
-		flights: make(map[string]*cacheFlight),
-	}
+	return &queryCache{cap: capacity, entries: make(map[string]*cacheEntry, capacity)}
 }
 
 // stats returns the cache counters for /healthz.
@@ -72,13 +59,15 @@ func (c *queryCache) stats() *tivwire.CacheStats {
 	return &tivwire.CacheStats{Hits: c.hits.Load(), Misses: c.misses.Load(), Entries: n}
 }
 
-// get returns the cached result for key, bumping its recency. The
-// returned result is shared and must not be mutated.
+// get returns the cached result for key, bumping its recency and
+// counting the lookup as a hit or a miss. The returned result is
+// shared and must not be mutated.
 func (c *queryCache) get(key string) (*tivwire.Result, uint64, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e, ok := c.entries[key]
 	if !ok {
+		c.misses.Add(1)
 		return nil, 0, false
 	}
 	c.bumpLocked(e)
@@ -93,51 +82,19 @@ func (c *queryCache) get(key string) (*tivwire.Result, uint64, bool) {
 func (c *queryCache) put(key string, val *tivwire.Result, epoch uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.insertLocked(key, val, epoch)
-}
-
-// do returns the result for key, computing it at most once across
-// concurrent callers. compute runs on exactly one caller (the rest
-// wait for its outcome or their own ctx); it returns the result, its
-// epoch stamp, whether the result may be stored (version unchanged
-// across the compute, no per-query error), and the whole-call error.
-func (c *queryCache) do(ctx context.Context, key string, compute func() (*tivwire.Result, uint64, bool, error)) (*tivwire.Result, uint64, error) {
-	c.mu.Lock()
 	if e, ok := c.entries[key]; ok {
+		e.val, e.epoch = val, epoch
 		c.bumpLocked(e)
-		c.mu.Unlock()
-		c.hits.Add(1)
-		return e.val, e.epoch, nil
+		return
 	}
-	if fl, ok := c.flights[key]; ok {
-		c.mu.Unlock()
-		select {
-		case <-fl.done:
-			if fl.err != nil {
-				return nil, 0, fl.err
-			}
-			c.hits.Add(1) // coalesced: answered without a backend call
-			return fl.val, fl.epoch, nil
-		case <-ctx.Done():
-			return nil, 0, ctx.Err()
-		}
+	for len(c.entries) >= c.cap && c.tail != nil {
+		evict := c.tail
+		c.unlinkLocked(evict)
+		delete(c.entries, evict.key)
 	}
-	fl := &cacheFlight{done: make(chan struct{})}
-	c.flights[key] = fl
-	c.mu.Unlock()
-	c.misses.Add(1)
-
-	val, epoch, store, err := compute()
-	fl.val, fl.epoch, fl.err = val, epoch, err
-
-	c.mu.Lock()
-	delete(c.flights, key)
-	if err == nil && store {
-		c.insertLocked(key, val, epoch)
-	}
-	c.mu.Unlock()
-	close(fl.done)
-	return val, epoch, err
+	e := &cacheEntry{key: key, val: val, epoch: epoch}
+	c.entries[key] = e
+	c.linkFrontLocked(e)
 }
 
 // bumpLocked moves e to the head of the recency list.
@@ -172,22 +129,6 @@ func (c *queryCache) linkFrontLocked(e *cacheEntry) {
 	if c.tail == nil {
 		c.tail = e
 	}
-}
-
-func (c *queryCache) insertLocked(key string, val *tivwire.Result, epoch uint64) {
-	if e, ok := c.entries[key]; ok {
-		e.val, e.epoch = val, epoch
-		c.bumpLocked(e)
-		return
-	}
-	for len(c.entries) >= c.cap && c.tail != nil {
-		evict := c.tail
-		c.unlinkLocked(evict)
-		delete(c.entries, evict.key)
-	}
-	e := &cacheEntry{key: key, val: val, epoch: epoch}
-	c.entries[key] = e
-	c.linkFrontLocked(e)
 }
 
 // cacheableKind reports whether results of this kind enter the cache:

@@ -1,6 +1,8 @@
 package tivd
 
 import (
+	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -16,7 +18,9 @@ import (
 // endpoint of a live server: fuzzed query strings (unparsable ints,
 // absurd residues, hostile candidate lists) and fuzzed POST bodies.
 // The server must answer every one of them — any status but 500 is
-// fine, a panic or hang is not. The live service is shared across iterations,
+// fine, a panic or hang is not — and whatever it answers 200 must be a
+// JSON body (the non-finite penalty seeds answered 200 with an empty
+// body before input validity was enforced). The live service is shared across iterations,
 // so fuzzed updates that happen to validate also mutate real state
 // while later iterations query it.
 func FuzzRequests(f *testing.F) {
@@ -41,6 +45,10 @@ func FuzzRequests(f *testing.F) {
 	f.Add("GET", "/v1/top?k=-2&mod=1&rem=7", "")
 	f.Add("GET", "/v1/delay?i=&j=12e9", "")
 	f.Add("GET", "/v1/analysis", "")
+	f.Add("GET", "/v1/rank?target=0&penalty=NaN", "")
+	f.Add("GET", "/v1/closest?target=0&penalty=Inf", "")
+	f.Add("GET", "/v1/rank?target=0&penalty=-Inf", "")
+	f.Add("GET", "/v1/rank?target=0&penalty=1e308", "")
 	f.Add("POST", "/v1/update", `{"updates":[{"i":0,"j":1,"rtt":50}]}`)
 	f.Add("POST", "/v1/update", `{"updates":[{"i":0,"j":0,"rtt":-99}]}`)
 	f.Add("POST", "/v1/update", `{"updates":`)
@@ -79,5 +87,23 @@ func FuzzRequests(f *testing.F) {
 		if rec.Code == http.StatusInternalServerError {
 			t.Fatalf("%s %s: 500 — every failure has a taxonomy status: %s", method, target, rec.Body)
 		}
+		if rec.Code == http.StatusOK && method != http.MethodHead && !json.Valid(rec.Body.Bytes()) {
+			t.Fatalf("%s %s: 200 with a body that is not JSON: %q", method, target, rec.Body)
+		}
 	})
+}
+
+// TestWriteMsgUnencodablePayload pins writeMsg's last line of defence:
+// a payload JSON cannot carry must answer 503 with an internal
+// envelope, never the promised status with an empty body.
+func TestWriteMsgUnencodablePayload(t *testing.T) {
+	rec := httptest.NewRecorder()
+	writeMsg(rec, http.StatusOK, tivwire.DelayResponse{I: 0, J: 1, Delay: math.Inf(1)})
+	if rec.Code != http.StatusServiceUnavailable {
+		t.Fatalf("status = %d, want 503", rec.Code)
+	}
+	var e tivwire.Error
+	if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || e.Code != tivwire.CodeInternal || e.Error == "" {
+		t.Fatalf("body %q: want an internal error envelope (decode err %v)", rec.Body, err)
+	}
 }

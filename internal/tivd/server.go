@@ -43,6 +43,7 @@
 package tivd
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -178,12 +179,27 @@ func (s *Server) Close() {
 	}
 }
 
+// encodePool recycles writeMsg's encode buffers.
+var encodePool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
 // writeMsg writes one wire message — payload or error envelope — as
-// JSON, the only codec HTTP speaks.
+// JSON, the only codec HTTP speaks. The message is encoded before the
+// status line is committed, so a payload JSON cannot carry (a
+// non-finite float that slipped past input validation) answers 503
+// with an internal envelope instead of the promised status and an
+// empty body.
 func writeMsg(w http.ResponseWriter, status int, v any) {
+	buf := encodePool.Get().(*bytes.Buffer)
+	defer encodePool.Put(buf)
+	buf.Reset()
+	if err := json.NewEncoder(buf).Encode(v); err != nil {
+		buf.Reset()
+		status = http.StatusServiceUnavailable
+		_ = json.NewEncoder(buf).Encode(envelope(tivwire.CodeInternal, fmt.Errorf("encoding response: %w", err)))
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
+	_, _ = w.Write(buf.Bytes())
 }
 
 // writeError writes the structured error envelope: a human-readable

@@ -2,6 +2,7 @@ package tivfault
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"tivaware/internal/tiv"
@@ -66,4 +67,15 @@ func (f *faultBackend) ApplyBatch(ctx context.Context, updates []tiv.Update) (ti
 
 func (f *faultBackend) Subscribe(fn func(tiv.ChangeSet)) (func(), error) {
 	return f.b.Subscribe(fn)
+}
+
+// ErrInjected is the root of every injected Backend-seam failure
+// (matched with errors.Is).
+var ErrInjected = errors.New("injected fault (tivfault)")
+
+// hangContext is a helper for Backend-seam hangs: it blocks until the
+// context dies and returns its error.
+func hangContext(ctx context.Context) error {
+	<-ctx.Done()
+	return ctx.Err()
 }

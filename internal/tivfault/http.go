@@ -1,10 +1,7 @@
 package tivfault
 
 import (
-	"context"
-	"errors"
 	"fmt"
-	"io"
 	"net/http"
 
 	"tivaware/internal/tivwire"
@@ -90,83 +87,4 @@ func (t *tearWriter) Flush() {
 	if f, ok := t.ResponseWriter.(http.Flusher); ok {
 		f.Flush()
 	}
-}
-
-// ErrInjected is the root of every client-side injected transport
-// failure (matched with errors.Is).
-var ErrInjected = errors.New("injected transport fault (tivfault)")
-
-// Transport wraps rt with client-side fault injection: added latency,
-// injected transport errors, hangs bounded by the request context,
-// and response bodies that cut off after a few bytes (io.ErrUnexpectedEOF
-// to the reader). nil rt wraps http.DefaultTransport.
-func (i *Injector) Transport(rt http.RoundTripper) http.RoundTripper {
-	if rt == nil {
-		rt = http.DefaultTransport
-	}
-	return &faultTransport{i: i, rt: rt}
-}
-
-type faultTransport struct {
-	i  *Injector
-	rt http.RoundTripper
-}
-
-func (t *faultTransport) RoundTrip(req *http.Request) (*http.Response, error) {
-	if !t.i.matches(req.URL.Path) {
-		return t.rt.RoundTrip(req)
-	}
-	switch t.i.roll(req.Context().Done()) {
-	case faultErr:
-		return nil, fmt.Errorf("%s %s: %w", req.Method, req.URL.Path, ErrInjected)
-	case faultHang:
-		<-req.Context().Done()
-		return nil, req.Context().Err()
-	case faultTear:
-		resp, err := t.rt.RoundTrip(req)
-		if err != nil {
-			return nil, err
-		}
-		resp.Body = &tearBody{rc: resp.Body, remaining: t.i.cutBudget()}
-		return resp, nil
-	}
-	return t.rt.RoundTrip(req)
-}
-
-// tearBody truncates a response body: after the byte budget it
-// reports io.ErrUnexpectedEOF — what a torn TCP stream surfaces as —
-// and closes the underlying body so the connection is not reused.
-type tearBody struct {
-	rc        io.ReadCloser
-	remaining int
-}
-
-func (b *tearBody) Read(p []byte) (int, error) {
-	if b.remaining <= 0 {
-		return 0, io.ErrUnexpectedEOF
-	}
-	if len(p) > b.remaining {
-		p = p[:b.remaining]
-	}
-	n, err := b.rc.Read(p)
-	b.remaining -= n
-	if err == io.EOF {
-		return n, err
-	}
-	if b.remaining <= 0 {
-		_ = b.rc.Close()
-		if err == nil {
-			err = io.ErrUnexpectedEOF
-		}
-	}
-	return n, err
-}
-
-func (b *tearBody) Close() error { return b.rc.Close() }
-
-// hangContext is a helper for Backend-seam hangs: it blocks until the
-// context dies and returns its error.
-func hangContext(ctx context.Context) error {
-	<-ctx.Done()
-	return ctx.Err()
 }

@@ -1,14 +1,11 @@
 // Package tivfault injects faults into the TIV query plane — the
 // chaos layer behind the resilience tests and `tivd -chaos`. One
-// Injector wraps any of the plane's three seams:
+// Injector wraps either of the plane's two seams:
 //
 //   - Handler: an http.Handler middleware (server side) — added
 //     latency, injected 503 envelopes, pre-header hangs, torn
 //     responses (the connection dies mid-body, truncating JSON and
 //     tearing SSE streams), and crash-on-Nth-request.
-//   - Transport: an http.RoundTripper wrapper (client side) — the
-//     same fault classes expressed as transport errors, hangs bounded
-//     by the request context, and bodies that cut off early.
 //   - Backend: a tivd.Backend wrapper — faults below the HTTP
 //     surface, for in-process tests.
 //
@@ -39,7 +36,7 @@ type Spec struct {
 	// Jitter spreads the added latency uniformly over ±Jitter.
 	Jitter time.Duration
 	// ErrRate is the probability of an injected failure: a 503
-	// envelope (Handler/Backend) or a transport error (Transport).
+	// envelope (Handler) or an ErrInjected error (Backend).
 	ErrRate float64
 	// HangRate is the probability the request blocks until its
 	// context is cancelled or the connection dies — never answering.
@@ -162,12 +159,12 @@ const (
 )
 
 // Injector rolls faults from a Spec. Safe for concurrent use; one
-// injector is typically shared by all of a server's (or client's)
-// requests so CrashAfter counts globally.
+// injector is typically shared by all of a server's requests so
+// CrashAfter counts globally.
 type Injector struct {
 	// Match, when non-nil, restricts injection to matching request
-	// paths (Handler and Transport seams only; the Backend seam
-	// ignores it). Health probes are a common exemption:
+	// paths (Handler seam only; the Backend seam ignores it). Health
+	// probes are a common exemption:
 	//
 	//	inj.Match = func(path string) bool { return path != "/healthz" }
 	Match func(path string) bool

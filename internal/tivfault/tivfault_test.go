@@ -3,7 +3,6 @@ package tivfault
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -158,27 +157,6 @@ func TestHandlerCrashAfter(t *testing.T) {
 	}
 	if got := inj.Requests(); got != 3 {
 		t.Fatalf("Requests() = %d, want 3", got)
-	}
-}
-
-func TestTransportErrAndTear(t *testing.T) {
-	srv := httptest.NewServer(okHandler())
-	defer srv.Close()
-
-	inj := New(Spec{ErrRate: 1})
-	hc := &http.Client{Transport: inj.Transport(nil)}
-	if _, err := hc.Get(srv.URL); err == nil || !errors.Is(err, ErrInjected) {
-		t.Fatalf("injected transport error = %v, want ErrInjected", err)
-	}
-
-	inj.SetSpec(Spec{TearRate: 1})
-	resp, err := hc.Get(srv.URL)
-	if err != nil {
-		t.Fatalf("torn GET failed at transport: %v", err)
-	}
-	defer resp.Body.Close()
-	if _, err := io.ReadAll(resp.Body); !errors.Is(err, io.ErrUnexpectedEOF) {
-		t.Fatalf("torn body error = %v, want ErrUnexpectedEOF", err)
 	}
 }
 

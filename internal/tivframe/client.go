@@ -14,15 +14,10 @@ import (
 )
 
 // ClientOptions tune a framed client connection or pool. The zero
-// value dials with the documented defaults.
+// value dials with the documented default.
 type ClientOptions struct {
 	// DialTimeout bounds one dial; zero means 5s.
 	DialTimeout time.Duration
-	// WriteTimeout bounds one request write; zero means 30s.
-	WriteTimeout time.Duration
-	// MaxFrameBytes caps one response frame; zero means
-	// DefaultMaxFrameBytes.
-	MaxFrameBytes int
 }
 
 func (o ClientOptions) dialTimeout() time.Duration {
@@ -30,20 +25,6 @@ func (o ClientOptions) dialTimeout() time.Duration {
 		return o.DialTimeout
 	}
 	return 5 * time.Second
-}
-
-func (o ClientOptions) writeTimeout() time.Duration {
-	if o.WriteTimeout > 0 {
-		return o.WriteTimeout
-	}
-	return 30 * time.Second
-}
-
-func (o ClientOptions) maxFrameBytes() int {
-	if o.MaxFrameBytes > 0 {
-		return o.MaxFrameBytes
-	}
-	return DefaultMaxFrameBytes
 }
 
 // ErrConnClosed reports a call against (or interrupted by) a closed
@@ -104,9 +85,8 @@ type call struct {
 // back by id. When the connection dies every pending call fails with
 // the transport error and Dead reports true; callers redial.
 type Conn struct {
-	c    net.Conn
-	br   *bufio.Reader
-	opts ClientOptions
+	c  net.Conn
+	br *bufio.Reader
 
 	wmu  sync.Mutex
 	wbuf []byte // encode buffer, guarded by wmu, reused across calls
@@ -135,7 +115,6 @@ func Dial(ctx context.Context, addr string, opts ClientOptions) (*Conn, error) {
 	c := &Conn{
 		c:       nc,
 		br:      bufio.NewReaderSize(nc, 32<<10),
-		opts:    opts,
 		wbuf:    getBuf(),
 		pending: make(map[uint64]*call),
 		done:    make(chan struct{}),
@@ -231,7 +210,7 @@ func (c *Conn) Call(ctx context.Context, req, resp any) error {
 		return encErr // caller bug (unregistered type); conn is fine
 	}
 	c.wbuf = b
-	_ = c.c.SetWriteDeadline(time.Now().Add(c.opts.writeTimeout()))
+	_ = c.c.SetWriteDeadline(time.Now().Add(writeTimeout))
 	_, werr := c.c.Write(b)
 	c.wmu.Unlock()
 	if werr != nil {
@@ -273,7 +252,7 @@ func (c *Conn) readLoop() {
 	buf := getBuf()
 	defer func() { putBuf(buf) }()
 	for {
-		id, frame, out, err := readEnvelope(c.br, buf, c.opts.maxFrameBytes())
+		id, frame, out, err := readEnvelope(c.br, buf, MaxFrameBytes)
 		buf = out
 		if err != nil {
 			if errors.Is(err, net.ErrClosed) {

@@ -37,10 +37,10 @@ const (
 	// u32 payload length) so the reader can bound a body before
 	// consuming it.
 	tbHeaderLen = 8
-	// DefaultMaxFrameBytes caps one TB frame (header+payload) read off
+	// MaxFrameBytes caps one TB frame (header+payload) read off
 	// a connection, matching tivd's HTTP body cap: large enough for
 	// the biggest sane batch, small enough to bound a hostile peer.
-	DefaultMaxFrameBytes = 16 << 20
+	MaxFrameBytes = 16 << 20
 )
 
 // ErrFrameTooLarge reports a TB frame whose declared payload exceeds

@@ -102,19 +102,19 @@ func TestReadEnvelopeTornFrame(t *testing.T) {
 	// mistaken for a clean close.
 	for cut := envIDLen + tbHeaderLen; cut < len(full); cut++ {
 		br := bufio.NewReader(bytes.NewReader(full[:cut]))
-		_, _, _, err := readEnvelope(br, nil, DefaultMaxFrameBytes)
+		_, _, _, err := readEnvelope(br, nil, MaxFrameBytes)
 		if !errors.Is(err, io.ErrUnexpectedEOF) {
 			t.Fatalf("cut at %d: err = %v, want io.ErrUnexpectedEOF", cut, err)
 		}
 	}
 	// A cut inside the header is equally torn.
 	br := bufio.NewReader(bytes.NewReader(full[:5]))
-	if _, _, _, err := readEnvelope(br, nil, DefaultMaxFrameBytes); !errors.Is(err, io.ErrUnexpectedEOF) {
+	if _, _, _, err := readEnvelope(br, nil, MaxFrameBytes); !errors.Is(err, io.ErrUnexpectedEOF) {
 		t.Fatalf("mid-header cut: err = %v, want io.ErrUnexpectedEOF", err)
 	}
 	// Zero bytes is a clean EOF (a peer that hung up between frames).
 	br = bufio.NewReader(bytes.NewReader(nil))
-	if _, _, _, err := readEnvelope(br, nil, DefaultMaxFrameBytes); !errors.Is(err, io.EOF) {
+	if _, _, _, err := readEnvelope(br, nil, MaxFrameBytes); !errors.Is(err, io.EOF) {
 		t.Fatalf("empty stream: err = %v, want io.EOF", err)
 	}
 }
@@ -223,7 +223,7 @@ func TestTornFrameMidBodyKillsConn(t *testing.T) {
 			return
 		}
 		br := bufio.NewReader(nc)
-		id, _, _, err := readEnvelope(br, nil, DefaultMaxFrameBytes)
+		id, _, _, err := readEnvelope(br, nil, MaxFrameBytes)
 		if err != nil {
 			nc.Close()
 			return

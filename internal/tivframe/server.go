@@ -23,36 +23,28 @@ type Handler interface {
 	ServeFrame(ctx context.Context, msg any) any
 }
 
+// Fixed limits.
+const (
+	// writeTimeout bounds one response (or, on a client, request) write.
+	writeTimeout = 30 * time.Second
+	// writeQueue bounds the per-connection response queue (responses
+	// finish out of order; a full queue applies backpressure to the
+	// handlers, not unbounded memory).
+	writeQueue = 128
+	// maxInflight bounds concurrently executing handlers per connection.
+	maxInflight = 64
+)
+
 // Options tune a frame server. The zero value serves with the
 // documented defaults.
 type Options struct {
-	// MaxFrameBytes caps one request frame; zero means
-	// DefaultMaxFrameBytes (the same 16 MiB bound tivd puts on HTTP
-	// bodies).
-	MaxFrameBytes int
 	// IdleTimeout closes a connection with no in-flight requests that
 	// has been silent this long; zero means 5m, negative disables.
 	IdleTimeout time.Duration
-	// WriteTimeout bounds one response write; zero means 30s.
-	WriteTimeout time.Duration
-	// WriteQueue bounds the per-connection response queue (responses
-	// finish out of order; a full queue applies backpressure to the
-	// handlers, not unbounded memory); zero means 128.
-	WriteQueue int
-	// MaxInflight bounds concurrently executing handlers per
-	// connection; zero means 64.
-	MaxInflight int
 	// DrainTimeout bounds Close's graceful drain: in-flight requests
 	// get this long to finish and flush before the server hard-closes
 	// the stragglers; zero means 5s.
 	DrainTimeout time.Duration
-}
-
-func (o Options) maxFrameBytes() int {
-	if o.MaxFrameBytes > 0 {
-		return o.MaxFrameBytes
-	}
-	return DefaultMaxFrameBytes
 }
 
 func (o Options) idleTimeout() time.Duration {
@@ -60,27 +52,6 @@ func (o Options) idleTimeout() time.Duration {
 		return o.IdleTimeout
 	}
 	return 5 * time.Minute
-}
-
-func (o Options) writeTimeout() time.Duration {
-	if o.WriteTimeout > 0 {
-		return o.WriteTimeout
-	}
-	return 30 * time.Second
-}
-
-func (o Options) writeQueue() int {
-	if o.WriteQueue > 0 {
-		return o.WriteQueue
-	}
-	return 128
-}
-
-func (o Options) maxInflight() int {
-	if o.MaxInflight > 0 {
-		return o.MaxInflight
-	}
-	return 64
 }
 
 func (o Options) drainTimeout() time.Duration {
@@ -109,7 +80,7 @@ func getBuf() []byte {
 }
 
 func putBuf(b []byte) {
-	if cap(b) == 0 || cap(b) > DefaultMaxFrameBytes {
+	if cap(b) == 0 || cap(b) > MaxFrameBytes {
 		return // never pool pathological capacities
 	}
 	b = b[:0]
@@ -194,9 +165,9 @@ func (s *Server) newConn(nc net.Conn) *serverConn {
 		c:       nc,
 		ctx:     ctx,
 		cancel:  cancel,
-		writeCh: make(chan []byte, s.opts.writeQueue()),
+		writeCh: make(chan []byte, writeQueue),
 		done:    make(chan struct{}),
-		sem:     make(chan struct{}, s.opts.maxInflight()),
+		sem:     make(chan struct{}, maxInflight),
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -371,7 +342,7 @@ func (c *serverConn) readLoop() {
 			c.kill()
 			return
 		}
-		id, frame, out, err := readEnvelope(br, buf, c.srv.opts.maxFrameBytes())
+		id, frame, out, err := readEnvelope(br, buf, MaxFrameBytes)
 		buf = out
 		if err != nil {
 			// Torn frame, oversized frame, or protocol garbage: the
@@ -447,7 +418,7 @@ func (c *serverConn) writeLoop() {
 				c.finish()
 				return
 			}
-			_ = c.c.SetWriteDeadline(time.Now().Add(c.srv.opts.writeTimeout()))
+			_ = c.c.SetWriteDeadline(time.Now().Add(writeTimeout))
 			_, err := c.c.Write(b)
 			putBuf(b)
 			if err != nil {

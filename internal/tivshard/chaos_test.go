@@ -14,6 +14,7 @@ import (
 
 	"tivaware/internal/synth"
 	"tivaware/internal/tivaware"
+	"tivaware/internal/tivclient"
 	"tivaware/internal/tivd"
 	"tivaware/internal/tivfault"
 	"tivaware/internal/tivshard"
@@ -557,6 +558,77 @@ func TestRestartBetweenProbesReplaysFullJournal(t *testing.T) {
 		}
 	}
 	assertAgreement(t, mono, c)
+}
+
+// TestJournalEvictionMarksShardStale covers the safety path no test set
+// JournalLimit to reach (new coverage): a shard that needs a journal
+// entry the bounded journal already evicted cannot be caught up by
+// replay, so it must be flagged stale — on Status and on the served
+// /healthz — and never readmitted, while reads stay exact from the
+// surviving replicas.
+func TestJournalEvictionMarksShardStale(t *testing.T) {
+	const (
+		n      = 36
+		victim = 1
+	)
+	gwOpts := chaosGatewayOptions()
+	gwOpts.JournalLimit = 4
+	c, err := testcluster.Start(testcluster.Config{
+		N: n, Shards: 3, Seed: 31, Live: true, Workers: 1,
+		ServeGateway: true, GatewayOptions: gwOpts,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	mono, err := c.NewMonolith()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+
+	c.KillShard(victim)
+	rng := rand.New(rand.NewSource(7))
+	for step := 0; step < 6; step++ { // two more batches than the journal holds
+		i := rng.Intn(n)
+		j := (i + 1 + rng.Intn(n-1)) % n
+		rtt := 1 + rng.Float64()*2000
+		if _, err := c.Gateway.ApplyUpdate(ctx, i, j, rtt); err != nil {
+			t.Fatalf("step %d: gateway refused update: %v", step, err)
+		}
+		if _, err := mono.ApplyUpdate(i, j, rtt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitStatus(t, c.Gateway, "degraded", 10*time.Second)
+
+	// The shard comes back from its seed: it needs all six batches, the
+	// journal kept the last four.
+	if err := c.RestartShard(victim); err != nil {
+		t.Fatal(err)
+	}
+	waitStatus(t, c.Gateway, "stale", 10*time.Second)
+	// Many probe ticks later it is still out: stale is not a state the
+	// prober talks itself out of.
+	time.Sleep(10 * gwOpts.ProbeInterval)
+	if down := c.Gateway.DownShards(); len(down) != 1 || down[0] != victim {
+		t.Fatalf("DownShards = %v, want [%d]: a stale shard was readmitted", down, victim)
+	}
+	if got := c.Gateway.Status(); got != "stale" {
+		t.Fatalf("Status = %q, want stale", got)
+	}
+	h, err := tivclient.New(c.GatewayURL, tivclient.Options{}).Healthz(ctx)
+	if err != nil || h.Status != "stale" {
+		t.Fatalf("served /healthz status = %q (err %v), want stale", h.Status, err)
+	}
+	// The restarted replica really is behind, and nothing reads it.
+	victimV, _ := c.Shards[victim].Service.Versions()
+	survivorV, _ := c.Shards[0].Service.Versions()
+	if victimV >= survivorV {
+		t.Fatalf("victim version %d not behind a survivor's %d: the scenario did not leave it stale", victimV, survivorV)
+	}
+	assertAgreement(t, mono, c)
+	assertBatchAgreement(t, mono, c.Gateway)
 }
 
 // accountStreams runs the full per-shard delta accounting once;

@@ -12,7 +12,6 @@ import (
 	"tivaware/internal/delayspace"
 	"tivaware/internal/synth"
 	"tivaware/internal/tivaware"
-	"tivaware/internal/tivclient"
 	"tivaware/internal/tivd"
 	"tivaware/internal/tivfault"
 	"tivaware/internal/tivshard"
@@ -207,60 +206,6 @@ func TestGatewayTypedErrorWhenAllShardsFault(t *testing.T) {
 	}
 }
 
-// TestGatewayHedgedReadsUnderLatency exercises the hedge path: with
-// shard 0 adding latency far beyond the hedge delay, single-class
-// reads must still answer correctly (the hedge races a replica) and
-// the answers stay exact.
-func TestGatewayHedgedReadsUnderLatency(t *testing.T) {
-	inj := tivfault.New(tivfault.Spec{})
-	cfg := synth.DS2Like(36, 13)
-	sp, err := synth.Generate(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := chaosGatewayOptions()
-	opts.HedgeDelay = 10 * time.Millisecond
-	c, err := testcluster.Start(testcluster.Config{
-		Matrix:         sp.Matrix,
-		Shards:         3,
-		Workers:        1,
-		GatewayOptions: opts,
-		ShardMiddleware: func(s int, h http.Handler) http.Handler {
-			if s != 0 {
-				return h
-			}
-			return inj.Handler(h)
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(c.Close)
-	mono, err := c.NewMonolith()
-	if err != nil {
-		t.Fatal(err)
-	}
-	inj.SetSpec(tivfault.Spec{Latency: 300 * time.Millisecond})
-	inj.Match = func(path string) bool { return path != "/healthz" }
-
-	ctx := context.Background()
-	// Edge (0,3) is owned by shard 0 (the slow one): Delay routes to
-	// the owner and the hedge must beat the injected latency.
-	start := time.Now()
-	got, gotOK, err := c.Gateway.Delay(ctx, 0, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	elapsed := time.Since(start)
-	want, wantOK := mono.Delay(0, 3)
-	if got != want || gotOK != wantOK {
-		t.Fatalf("Delay(0,3) = (%v,%v), monolith (%v,%v)", got, gotOK, want, wantOK)
-	}
-	if elapsed > 250*time.Millisecond {
-		t.Fatalf("hedged Delay took %v; hedge did not race the slow shard", elapsed)
-	}
-}
-
 // helloLessDaemon serves a live 4-node service through the tivfault
 // Backend seam, so a test can make Backend.Health — and with it the
 // subscription stream's hello event — fail at will. Subscribe passes
@@ -309,10 +254,9 @@ func helloLessDaemon(t *testing.T) (url string, inj *tivfault.Injector, toggle, 
 // TestHelloLessAttachForcesRescan drives the one subscription case no
 // hello can vouch for: tivd omits the hello event whenever
 // Backend.Health fails at attach, so a re-attaching consumer cannot
-// compare versions and must assume the gap hid deltas. Both re-attach
-// loops — tivclient.AutoSubscribe and the gateway's per-shard pump —
-// deliver the conservative Rescan marker before the new stream's first
-// delta.
+// compare versions and must assume the gap hid deltas. The one
+// re-attach loop — the gateway's per-shard pump — delivers the
+// conservative Rescan marker before the new stream's first delta.
 func TestHelloLessAttachForcesRescan(t *testing.T) {
 	// next returns the next event; until one arrives it keeps toggling,
 	// because a re-attach is only observable through the deltas it
@@ -334,53 +278,6 @@ func TestHelloLessAttachForcesRescan(t *testing.T) {
 			}
 		}
 	}
-	// reattach runs the shared script once the consumer is attached:
-	// a clean first stream, then a tear with Health failing.
-	reattach := func(t *testing.T, events <-chan tivwire.ChangeSet, inj *tivfault.Injector, toggle, tear func(), tearMarker bool) {
-		t.Helper()
-		toggle()
-		if cs := next(t, events, nil); cs.Rescan || cs.Empty() {
-			t.Fatalf("first attach (with hello): got %+v, want a plain delta", cs)
-		}
-		inj.SetSpec(tivfault.Spec{ErrRate: 1}) // Health fails from here on
-		tear()
-		if tearMarker {
-			if cs := next(t, events, nil); !cs.Rescan {
-				t.Fatalf("tear: got %+v, want the tear-time Rescan marker", cs)
-			}
-		}
-		if cs := next(t, events, toggle); !cs.Rescan {
-			t.Fatalf("hello-less re-attach: first event %+v, want the Rescan marker before any delta", cs)
-		}
-		if cs := next(t, events, toggle); cs.Rescan || cs.Empty() {
-			t.Fatalf("hello-less re-attach: event after the marker %+v, want the delta it preceded", cs)
-		}
-	}
-
-	t.Run("AutoSubscribe", func(t *testing.T) {
-		url, inj, toggle, tear := helloLessDaemon(t)
-		ctx, cancel := context.WithCancel(context.Background())
-		events := make(chan tivwire.ChangeSet, 1024)
-		ready, done := make(chan struct{}), make(chan error, 1)
-		go func() {
-			done <- tivclient.New(url, tivclient.Options{}).AutoSubscribe(ctx,
-				tivclient.AutoSubscribeOptions{ReconnectDelay: 5 * time.Millisecond, MaxDelay: 20 * time.Millisecond, Ready: ready},
-				func(cs tivwire.ChangeSet) { events <- cs })
-		}()
-		select {
-		case <-ready:
-		case err := <-done:
-			t.Fatalf("AutoSubscribe ended before its first handshake: %v", err)
-		case <-time.After(10 * time.Second):
-			t.Fatal("AutoSubscribe never signalled Ready")
-		}
-		reattach(t, events, inj, toggle, tear, false)
-		cancel()
-		if err := <-done; err != nil {
-			t.Errorf("AutoSubscribe after cancel: %v", err)
-		}
-	})
-
 	t.Run("Gateway", func(t *testing.T) {
 		url, inj, toggle, tear := helloLessDaemon(t)
 		opts := chaosGatewayOptions()
@@ -396,6 +293,22 @@ func TestHelloLessAttachForcesRescan(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer stop()
-		reattach(t, events, inj, toggle, tear, true)
+
+		// A clean first stream, then a tear with Health failing.
+		toggle()
+		if cs := next(t, events, nil); cs.Rescan || cs.Empty() {
+			t.Fatalf("first attach (with hello): got %+v, want a plain delta", cs)
+		}
+		inj.SetSpec(tivfault.Spec{ErrRate: 1}) // Health fails from here on
+		tear()
+		if cs := next(t, events, nil); !cs.Rescan {
+			t.Fatalf("tear: got %+v, want the tear-time Rescan marker", cs)
+		}
+		if cs := next(t, events, toggle); !cs.Rescan {
+			t.Fatalf("hello-less re-attach: first event %+v, want the Rescan marker before any delta", cs)
+		}
+		if cs := next(t, events, toggle); cs.Rescan || cs.Empty() {
+			t.Fatalf("hello-less re-attach: event after the marker %+v, want the delta it preceded", cs)
+		}
 	})
 }

@@ -1,69 +1,17 @@
 package tivshard_test
 
 import (
-	"net/http"
 	"testing"
 	"time"
 
 	"tivaware/internal/synth"
 	"tivaware/internal/tivaware"
-	"tivaware/internal/tivfault"
 	"tivaware/internal/tivshard/testcluster"
 )
 
-// Framed-transport and batch-hedging fault coverage: the gateway must
-// stay exact when its shard dialing runs over persistent frames, when
-// a framed shard is killed outright (redial + failover), and when one
-// shard answers batches slowly (sub-batch hedging races a replica).
-
-// TestGatewayBatchHedgesSlowSubBatch pins satellite coverage for the
-// batch path: with shard 0 adding latency far beyond the hedge delay,
-// a heterogeneous QueryBatch — whose class-0 sub-batch lands on the
-// slow shard — must answer exactly and fast, because each sub-batch
-// rides callClass and hedges against the next live replica.
-func TestGatewayBatchHedgesSlowSubBatch(t *testing.T) {
-	inj := tivfault.New(tivfault.Spec{})
-	cfg := synth.DS2Like(36, 13)
-	cfg.MissingFrac = 0.08
-	sp, err := synth.Generate(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := chaosGatewayOptions()
-	opts.HedgeDelay = 10 * time.Millisecond
-	c, err := testcluster.Start(testcluster.Config{
-		Matrix:         sp.Matrix,
-		Shards:         3,
-		Workers:        1,
-		GatewayOptions: opts,
-		ShardMiddleware: func(s int, h http.Handler) http.Handler {
-			if s != 0 {
-				return h
-			}
-			return inj.Handler(h)
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(c.Close)
-	mono, err := c.NewMonolith()
-	if err != nil {
-		t.Fatal(err)
-	}
-	inj.SetSpec(tivfault.Spec{Latency: 500 * time.Millisecond})
-	inj.Match = func(path string) bool { return path != "/healthz" }
-
-	start := time.Now()
-	assertBatchAgreement(t, mono, c.Gateway)
-	elapsed := time.Since(start)
-	// The batch fans one sub-batch per class; class 0's lands on the
-	// slow shard every time. Unhedged, each of the three batch calls in
-	// assertBatchAgreement would eat the injected 500ms.
-	if elapsed > 450*time.Millisecond {
-		t.Fatalf("hedged batches took %v; sub-batches did not race the slow shard", elapsed)
-	}
-}
+// Framed-transport fault coverage: the gateway must stay exact when
+// its shard dialing runs over persistent frames and when a framed
+// shard is killed outright (redial + failover).
 
 // framedCluster boots a 3-shard cluster whose gateway dials the shards
 // over the framed transport.

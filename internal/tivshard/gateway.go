@@ -56,7 +56,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net/http"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -69,22 +68,11 @@ import (
 
 // Options configures a Gateway. The zero value is valid.
 type Options struct {
-	// HTTPClient overrides the transport for all shard clients; nil
-	// means the tivclient default (bounded connection phases, no
-	// whole-request timeout). It must not carry a global timeout if
-	// Subscribe is used (shard streams are long-lived).
-	HTTPClient *http.Client
 	// ResubscribeDelay is the pause before re-attaching a dropped
 	// shard event stream; zero means 500ms.
 	ResubscribeDelay time.Duration
 	// Retry bounds the per-query retry/failover loop; see RetryPolicy.
 	Retry RetryPolicy
-	// HedgeDelay, when positive, hedges slow reads: if a per-shard
-	// attempt has not answered after this long, a second attempt races
-	// on another live replica and the first success wins. Exactness is
-	// unaffected (replicas answer identically); only tail latency is.
-	// Zero disables hedging.
-	HedgeDelay time.Duration
 	// BreakerThreshold is the number of consecutive failures that trip
 	// a shard's circuit breaker (no reads, updates journal for
 	// replay); zero means 3, negative disables the breaker.
@@ -107,10 +95,9 @@ type Options struct {
 	// persistent multiplexed raw connections instead of per-request
 	// HTTP. Aligned by index with the shard URL list; an empty entry
 	// keeps that shard on HTTP. SSE subscriptions always stay on the
-	// HTTP URLs. Must be empty or match the shard count.
+	// HTTP URLs. Must be empty or match the shard count. Each shard gets
+	// tivclient's default framed pool size.
 	FrameAddrs []string
-	// FrameConns is the per-shard framed pool size; zero means 2.
-	FrameConns int
 }
 
 func (o Options) resubscribeDelay() time.Duration {
@@ -254,10 +241,9 @@ func New(ctx context.Context, shardURLs []string, opts Options) (*Gateway, error
 		states:  make([]shardState, len(shardURLs)),
 	}
 	for i, u := range shardURLs {
-		copts := tivclient.Options{HTTPClient: opts.HTTPClient}
-		if i < len(opts.FrameAddrs) && opts.FrameAddrs[i] != "" {
+		var copts tivclient.Options
+		if i < len(opts.FrameAddrs) {
 			copts.FrameAddr = opts.FrameAddrs[i]
-			copts.FrameConns = opts.FrameConns
 		}
 		g.clients = append(g.clients, tivclient.New(u, copts))
 	}
@@ -557,6 +543,9 @@ func (g *Gateway) ApplyBatch(ctx context.Context, updates []tivwire.Update) (tiv
 		}
 		if u.I == u.J {
 			return tivwire.ChangeSet{}, errBadRequestf("update on diagonal (%d,%d)", u.I, u.J)
+		}
+		if !delayspace.Valid(u.RTT) {
+			return tivwire.ChangeSet{}, errBadRequestf("update (%d,%d) invalid delay %g", u.I, u.J, u.RTT)
 		}
 	}
 	primary := g.edgeOwner(updates[0].I, updates[0].J)

@@ -20,9 +20,9 @@ import (
 // layer makes it real:
 //
 //   - Reads run through a try chain (owner first, then the other live
-//     replicas) with bounded, jitter-backed retries, per-try
-//     timeouts, and optional hedging. A query fails only when every
-//     replica is unreachable — and then with a typed retryable error.
+//     replicas) with bounded, jitter-backed retries and per-try
+//     timeouts. A query fails only when every replica is unreachable
+//     — and then with a typed retryable error.
 //   - A per-shard circuit breaker (consecutive-failure threshold)
 //     marks a shard down: down shards get no reads (their replica may
 //     be behind) and no direct updates (they skip, see below).
@@ -264,7 +264,7 @@ func (g *Gateway) DownShards() []int {
 	return out
 }
 
-// ---- read path: try chain, retries, hedging ------------------------
+// ---- read path: try chain, retries, failover -----------------------
 
 // tryOnce runs one attempt against shard s under the per-try timeout.
 func tryOnce[T any](g *Gateway, ctx context.Context, s int, call func(ctx context.Context, c *tivclient.Client) (T, error)) (T, error) {
@@ -289,7 +289,8 @@ func tryOnce[T any](g *Gateway, ctx context.Context, s int, call func(ctx contex
 // callClass resolves one logical read: it walks the live replicas
 // (preferred shard first — for class queries that is the class's own
 // shard, keeping the healthy path identical to PR 5's routing), with
-// bounded jittered retries and optional hedging. Terminal errors
+// bounded jittered retries; a slow shard is cut off by the per-try
+// timeout and the walk moves to the next replica. Terminal errors
 // (bad requests) surface immediately: every replica would reject them
 // identically. It fails only when the caller's context dies or every
 // attempt on every live replica failed — then with a typed retryable
@@ -319,7 +320,7 @@ func callClass[T any](g *Gateway, ctx context.Context, preferred int, call func(
 			}
 		}
 		for _, s := range candidates {
-			v, err := hedgedTry(g, ctx, s, candidates, call)
+			v, err := tryOnce(g, ctx, s, call)
 			if err == nil {
 				return v, nil
 			}
@@ -333,87 +334,6 @@ func callClass[T any](g *Gateway, ctx context.Context, preferred int, call func(
 		}
 	}
 	return zero, errUnavailable(fmt.Sprintf("no shard could answer after %d attempts", g.opts.Retry.maxAttempts()), lastErr)
-}
-
-// hedgedTry runs one attempt on shard s and, when hedging is enabled
-// and the attempt is slow, races a second attempt on the next live
-// replica; the first success wins (both attempts carry the per-try
-// timeout, so the loser's goroutine is bounded).
-func hedgedTry[T any](g *Gateway, ctx context.Context, s int, candidates []int, call func(ctx context.Context, c *tivclient.Client) (T, error)) (T, error) {
-	hedge := g.opts.HedgeDelay
-	var other int
-	hasOther := false
-	if hedge > 0 {
-		for _, c := range candidates {
-			if c != s {
-				other, hasOther = c, true
-				break
-			}
-		}
-	}
-	if hedge <= 0 || !hasOther {
-		return tryOnce(g, ctx, s, call)
-	}
-
-	type result struct {
-		v   T
-		err error
-	}
-	results := make(chan result, 2)
-	launch := func(shard int) {
-		go func() {
-			v, err := tryOnce(g, ctx, shard, call)
-			results <- result{v, err}
-		}()
-	}
-	launch(s)
-	t := time.NewTimer(hedge)
-	defer t.Stop()
-	launched, failed := 1, 0
-	var firstErr error
-	var zero T
-	for {
-		select {
-		case r := <-results:
-			if r.err == nil {
-				return r.v, nil // first success wins
-			}
-			failed++
-			if firstErr == nil {
-				firstErr = r.err
-			}
-			if failed >= launched {
-				if launched == 1 && ctx.Err() == nil && tivclient.IsRetryable(r.err) {
-					// The primary failed *before* the hedge timer
-					// fired. The hedge replica is still an unspent
-					// chance at this attempt — launch it immediately
-					// instead of surfacing the fast failure. (Without
-					// this, fast failures returned here and the hedge
-					// candidate never raced at all.) Terminal errors
-					// and dead contexts still return: every replica
-					// would answer those identically.
-					t.Stop()
-					launch(other)
-					launched = 2
-					continue
-				}
-				// Every launched attempt failed.
-				return zero, firstErr
-			}
-			// One of two failed; the other may yet succeed.
-		case <-t.C:
-			if launched == 2 {
-				// The fast-failure path already launched the hedge
-				// before Stop could win the race; nothing left to
-				// launch.
-				continue
-			}
-			// Primary is slow: race a second attempt on the next live
-			// replica.
-			launch(other)
-			launched = 2
-		}
-	}
 }
 
 // ---- prober --------------------------------------------------------

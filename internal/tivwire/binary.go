@@ -37,20 +37,23 @@ const (
 	binHeaderLen = 8
 )
 
-// Message type codes. Append-only: codes are wire surface.
+// Message type codes: one per message a frame carries. Append-only —
+// codes are wire surface. 2–6 are reserved: they carried the five
+// single-shot responses (rank … analysis) as top-level frames while
+// HTTP still negotiated this codec; those now travel only as Result
+// payloads inside a BatchResponse, and a frame carrying a reserved
+// code answers the unknown-message-type error. The registry is newMsg,
+// msgTypeOf, encodeMsg and decodePayload; TestFrameRegistryRoundTrip
+// holds the four in step.
 const (
-	mtHealth byte = 1 + iota
-	mtRankResponse
-	mtDetourResponse
-	mtTopResponse
-	mtDelayResponse
-	mtAnalysisResponse
-	mtChangeSet
-	mtError
-	mtHello
-	mtUpdateRequest
-	mtBatchRequest
-	mtBatchResponse
+	mtHealth        byte = 1
+	mtChangeSet     byte = 7
+	mtError         byte = 8
+	mtHello         byte = 9
+	mtUpdateRequest byte = 10
+	mtBatchRequest  byte = 11
+	mtBatchResponse byte = 12
+	mtEnd           byte = 13 // one past the last assigned code
 )
 
 // Minimum encoded element sizes, used to bound slice counts against
@@ -77,8 +80,8 @@ var (
 )
 
 // AppendBinary appends msg's binary frame to dst and returns the
-// extended slice, allocating nothing when dst has capacity. msg is
-// one of the wire structs (pointer or value).
+// extended slice, allocating nothing when dst has capacity. msg is a
+// pointer to one of the framed wire structs.
 //
 //tiv:hotpath steady-state encode: every response frame and pooled client body
 func AppendBinary(dst []byte, msg any) ([]byte, error) {
@@ -99,45 +102,42 @@ func AppendBinary(dst []byte, msg any) ([]byte, error) {
 }
 
 // UnmarshalBinary decodes one binary frame into a freshly allocated
-// wire struct, returned as a pointer (*Health, *RankResponse, ...).
+// wire struct, returned as a pointer (*Health, *BatchResponse, ...).
 func UnmarshalBinary(data []byte) (any, error) {
 	mt, payload, err := splitFrame(data)
 	if err != nil {
 		return nil, err
 	}
-	var msg any
-	switch mt {
-	case mtHealth:
-		msg = new(Health)
-	case mtRankResponse:
-		msg = new(RankResponse)
-	case mtDetourResponse:
-		msg = new(DetourResponse)
-	case mtTopResponse:
-		msg = new(TopResponse)
-	case mtDelayResponse:
-		msg = new(DelayResponse)
-	case mtAnalysisResponse:
-		msg = new(AnalysisResponse)
-	case mtChangeSet:
-		msg = new(ChangeSet)
-	case mtError:
-		msg = new(Error)
-	case mtHello:
-		msg = new(Hello)
-	case mtUpdateRequest:
-		msg = new(UpdateRequest)
-	case mtBatchRequest:
-		msg = new(BatchRequest)
-	case mtBatchResponse:
-		msg = new(BatchResponse)
-	default:
+	msg := newMsg(mt)
+	if msg == nil {
 		return nil, fmt.Errorf("tivwire: binary frame has unknown message type %d", mt)
 	}
 	if err := decodePayload(payload, msg); err != nil {
 		return nil, err
 	}
 	return msg, nil
+}
+
+// newMsg allocates the wire struct a frame type code carries; nil for
+// a reserved or unassigned code.
+func newMsg(mt byte) any {
+	switch mt {
+	case mtHealth:
+		return new(Health)
+	case mtChangeSet:
+		return new(ChangeSet)
+	case mtError:
+		return new(Error)
+	case mtHello:
+		return new(Hello)
+	case mtUpdateRequest:
+		return new(UpdateRequest)
+	case mtBatchRequest:
+		return new(BatchRequest)
+	case mtBatchResponse:
+		return new(BatchResponse)
+	}
+	return nil
 }
 
 // UnmarshalBinaryInto decodes one binary frame into msg (a pointer to
@@ -184,16 +184,6 @@ func msgTypeOf(msg any) (byte, bool) {
 	switch msg.(type) {
 	case *Health:
 		return mtHealth, true
-	case *RankResponse:
-		return mtRankResponse, true
-	case *DetourResponse:
-		return mtDetourResponse, true
-	case *TopResponse:
-		return mtTopResponse, true
-	case *DelayResponse:
-		return mtDelayResponse, true
-	case *AnalysisResponse:
-		return mtAnalysisResponse, true
 	case *ChangeSet:
 		return mtChangeSet, true
 	case *Error:
@@ -216,74 +206,23 @@ func encodeMsg(w *binWriter, msg any) (byte, error) {
 	case *Health:
 		encHealth(w, m)
 		return mtHealth, nil
-	case Health:
-		encHealth(w, &m)
-		return mtHealth, nil
-	case *RankResponse:
-		encRank(w, m)
-		return mtRankResponse, nil
-	case RankResponse:
-		encRank(w, &m)
-		return mtRankResponse, nil
-	case *DetourResponse:
-		encDetourResp(w, m)
-		return mtDetourResponse, nil
-	case DetourResponse:
-		encDetourResp(w, &m)
-		return mtDetourResponse, nil
-	case *TopResponse:
-		encTop(w, m)
-		return mtTopResponse, nil
-	case TopResponse:
-		encTop(w, &m)
-		return mtTopResponse, nil
-	case *DelayResponse:
-		encDelay(w, m)
-		return mtDelayResponse, nil
-	case DelayResponse:
-		encDelay(w, &m)
-		return mtDelayResponse, nil
-	case *AnalysisResponse:
-		encAnalysis(w, m)
-		return mtAnalysisResponse, nil
-	case AnalysisResponse:
-		encAnalysis(w, &m)
-		return mtAnalysisResponse, nil
 	case *ChangeSet:
 		encChangeSet(w, m)
-		return mtChangeSet, nil
-	case ChangeSet:
-		encChangeSet(w, &m)
 		return mtChangeSet, nil
 	case *Error:
 		encError(w, m)
 		return mtError, nil
-	case Error:
-		encError(w, &m)
-		return mtError, nil
 	case *Hello:
 		encHello(w, m)
-		return mtHello, nil
-	case Hello:
-		encHello(w, &m)
 		return mtHello, nil
 	case *UpdateRequest:
 		encUpdateReq(w, m)
 		return mtUpdateRequest, nil
-	case UpdateRequest:
-		encUpdateReq(w, &m)
-		return mtUpdateRequest, nil
 	case *BatchRequest:
 		encBatchReq(w, m)
 		return mtBatchRequest, nil
-	case BatchRequest:
-		encBatchReq(w, &m)
-		return mtBatchRequest, nil
 	case *BatchResponse:
 		encBatchResp(w, m)
-		return mtBatchResponse, nil
-	case BatchResponse:
-		encBatchResp(w, &m)
 		return mtBatchResponse, nil
 	}
 	//lint:tiv allocfree unknown-type tail is a programming error, never reached by the wire structs
@@ -303,16 +242,6 @@ func decodePayload(payload []byte, msg any) error {
 	switch m := msg.(type) {
 	case *Health:
 		decHealth(r, m)
-	case *RankResponse:
-		decRank(r, m)
-	case *DetourResponse:
-		decDetourResp(r, m)
-	case *TopResponse:
-		decTop(r, m)
-	case *DelayResponse:
-		decDelay(r, m)
-	case *AnalysisResponse:
-		decAnalysis(r, m)
 	case *ChangeSet:
 		decChangeSet(r, m)
 	case *Error:

@@ -3,32 +3,60 @@ package tivwire
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"reflect"
+	"strings"
 	"testing"
 )
 
-// wireMessages is one representative of every framed message type,
-// deliberately exercising the awkward states: nil vs empty slices,
-// absent optional structs, negative ints, zero floats, SSE rescan
-// markers, and error envelopes.
+// resultPayloads is the five single-shot response payloads in their
+// awkward states: null vs present-empty slices, via:-1, a missing
+// delay, negative ints, zero floats. On the binary codec they travel
+// only as BatchResponse.Results entries, so wireMessages wraps them.
+func resultPayloads() []Result {
+	return []Result{
+		{Kind: "rank", Rank: &RankResponse{Target: 5, Epoch: 2, Truncated: true, Selections: []Selection{
+			{Node: 1, Delay: 10.5, Severity: 0.25, Violated: true, Violations: 3, Score: 11},
+			{Node: -1, Delay: 0, Severity: 0, Violations: -1, Score: 0},
+		}}},
+		{Kind: "rank", Rank: &RankResponse{Target: 0, Selections: []Selection{}}}, // present-empty, not null
+		{Kind: "closest", Rank: &RankResponse{Target: 7}},                         // null selections
+		{Kind: "detour", Detour: &DetourResponse{Epoch: 4, Detour: Detour{I: 1, J: 2, Direct: 30, Via: 17, ViaDelay: 22.5, Gain: 7.5}}},
+		{Kind: "detour", Detour: &DetourResponse{Detour: Detour{I: 0, J: 9, Direct: 5, Via: -1}}}, // no detour found
+		{Kind: "top", Top: &TopResponse{Epoch: 1, Edges: []Edge{{I: 0, J: 1, Severity: 9.5}, {I: 4, J: 2, Severity: 0.125}}}},
+		{Kind: "top", Top: &TopResponse{Edges: []Edge{}}},
+		{Kind: "delay", Delay: &DelayResponse{I: 3, J: 8, Delay: 41.25, OK: true}},
+		{Kind: "delay", Delay: &DelayResponse{I: 8, J: 3, Delay: -1, OK: false}}, // missing delay
+		{Kind: "analysis", Analysis: &AnalysisResponse{Epoch: 3, Version: 5, N: 100, ViolatingTriangles: 1234, Triangles: 161700, ViolatingTriangleFraction: 1234.0 / 161700}},
+	}
+}
+
+// payloadOf returns the one payload a result carries.
+func payloadOf(r *Result) any {
+	switch {
+	case r.Rank != nil:
+		return r.Rank
+	case r.Detour != nil:
+		return r.Detour
+	case r.Top != nil:
+		return r.Top
+	case r.Delay != nil:
+		return r.Delay
+	case r.Analysis != nil:
+		return r.Analysis
+	}
+	return r.Err
+}
+
+// wireMessages is at least one representative of every framed message
+// type, deliberately exercising the awkward states: nil vs empty
+// slices, absent optional structs, negative ints, zero floats, SSE
+// rescan markers, and error envelopes.
 func wireMessages() []any {
 	return []any{
 		&Health{Status: "ok", N: 64, Live: true, Epoch: 9, Version: 12},
 		&Health{Status: "degraded", N: 3, Cache: &CacheStats{Hits: 10, Misses: 4, Entries: 2}},
 		&Health{Status: "ok", N: 8, Epoch: 1, Version: 1, Boot: 0x9e3779b97f4a7c15},
-		&RankResponse{Target: 5, Epoch: 2, Truncated: true, Selections: []Selection{
-			{Node: 1, Delay: 10.5, Severity: 0.25, Violated: true, Violations: 3, Score: 11},
-			{Node: -1, Delay: 0, Severity: 0, Violations: -1, Score: 0},
-		}},
-		&RankResponse{Target: 0, Selections: []Selection{}}, // present-empty, not null
-		&RankResponse{Target: 7},                            // null selections
-		&DetourResponse{Epoch: 4, Detour: Detour{I: 1, J: 2, Direct: 30, Via: 17, ViaDelay: 22.5, Gain: 7.5}},
-		&DetourResponse{Detour: Detour{I: 0, J: 9, Direct: 5, Via: -1}}, // no detour found
-		&TopResponse{Epoch: 1, Edges: []Edge{{I: 0, J: 1, Severity: 9.5}, {I: 4, J: 2, Severity: 0.125}}},
-		&TopResponse{Edges: []Edge{}},
-		&DelayResponse{I: 3, J: 8, Delay: 41.25, OK: true},
-		&DelayResponse{I: 8, J: 3, OK: false},
-		&AnalysisResponse{Epoch: 3, Version: 5, N: 100, ViolatingTriangles: 1234, Triangles: 161700, ViolatingTriangleFraction: 1234.0 / 161700},
 		&ChangeSet{Version: 7, NewlyViolated: []Edge{{I: 1, J: 2, Severity: 3}}, Cleared: []Edge{{I: 4, J: 5}}},
 		&ChangeSet{Version: 8, Rescan: true}, // the SSE resync marker
 		&Error{Error: "node 99 out of range", Code: CodeBadRequest},
@@ -47,12 +75,14 @@ func wireMessages() []any {
 			{Kind: "delay", Delay: &DelayResponse{I: 1, J: 2, Delay: 8, OK: true}},
 			{Kind: "analysis", Analysis: &AnalysisResponse{Epoch: 11, N: 32, Triangles: 4960}},
 		}},
+		&BatchResponse{Epoch: 12, Results: resultPayloads()},
 	}
 }
 
 // TestBinaryJSONDifferential proves the two codecs are interchangeable
-// at the decoded-struct level: for every message, JSON round trip and
-// binary round trip must land on identical structs.
+// at the decoded-struct level: for every framed message, and for every
+// result payload (framed as a batch of one, the only way it travels),
+// JSON round trip and binary round trip must land on identical structs.
 func TestBinaryJSONDifferential(t *testing.T) {
 	for _, msg := range wireMessages() {
 		t.Run(reflect.TypeOf(msg).Elem().Name(), func(t *testing.T) {
@@ -86,6 +116,86 @@ func TestBinaryJSONDifferential(t *testing.T) {
 				t.Errorf("UnmarshalBinaryInto disagrees with UnmarshalBinary:\n into:    %#v\n generic: %#v", into, viaBinary)
 			}
 		})
+	}
+	for _, res := range resultPayloads() {
+		payload := payloadOf(&res)
+		t.Run(reflect.TypeOf(payload).Elem().Name(), func(t *testing.T) {
+			// JSON carries the payload bare (the single-shot GET body).
+			jsBuf, err := json.Marshal(payload)
+			if err != nil {
+				t.Fatalf("json encode: %v", err)
+			}
+			viaJSON := reflect.New(reflect.TypeOf(payload).Elem()).Interface()
+			if err := json.Unmarshal(jsBuf, viaJSON); err != nil {
+				t.Fatalf("json decode: %v", err)
+			}
+			binBuf, err := MarshalBinary(&BatchResponse{Results: []Result{res}})
+			if err != nil {
+				t.Fatalf("binary encode: %v", err)
+			}
+			var into BatchResponse
+			if err := UnmarshalBinaryInto(binBuf, &into); err != nil || len(into.Results) != 1 {
+				t.Fatalf("binary decode: %v (%d results)", err, len(into.Results))
+			}
+			if viaBinary := payloadOf(&into.Results[0]); !reflect.DeepEqual(viaJSON, viaBinary) {
+				t.Errorf("codecs disagree:\n json:   %#v\n binary: %#v", viaJSON, viaBinary)
+			}
+		})
+	}
+}
+
+// TestFrameRegistryRoundTrip holds the frame registry's four switches
+// (newMsg, msgTypeOf, encodeMsg, decodePayload) in step — the parity
+// the retired wireparity analyzer checked statically: every assigned
+// code allocates a struct that maps back to the same code, encodes
+// under it and decodes into its own type; every reserved code is
+// refused; and every assigned code has a wireMessages representative.
+func TestFrameRegistryRoundTrip(t *testing.T) {
+	represented := map[byte]bool{}
+	for _, msg := range wireMessages() {
+		mt, ok := msgTypeOf(msg)
+		if !ok {
+			t.Fatalf("wireMessages entry %T has no frame code", msg)
+		}
+		represented[mt] = true
+	}
+	live := 0
+	for mt := byte(1); mt < mtEnd; mt++ {
+		msg := newMsg(mt)
+		if msg == nil {
+			frame := []byte{binMagic0, binMagic1, binVersion, mt, 0, 0, 0, 0}
+			if _, err := UnmarshalBinary(frame); err == nil || !strings.Contains(err.Error(), "unknown message type") {
+				t.Errorf("reserved code %d: UnmarshalBinary err = %v, want unknown message type", mt, err)
+			}
+			continue
+		}
+		live++
+		if got, ok := msgTypeOf(msg); !ok || got != mt {
+			t.Errorf("code %d: newMsg gives %T, which msgTypeOf maps to (%d, %v)", mt, msg, got, ok)
+		}
+		frame, err := AppendBinary(nil, msg)
+		if err != nil {
+			t.Errorf("code %d: AppendBinary(%T): %v", mt, msg, err)
+			continue
+		}
+		if frame[3] != mt {
+			t.Errorf("code %d: %T encodes under header code %d", mt, msg, frame[3])
+		}
+		if err := UnmarshalBinaryInto(frame, newMsg(mt)); err != nil {
+			t.Errorf("code %d: UnmarshalBinaryInto(%T): %v", mt, msg, err)
+		}
+		if back, err := UnmarshalBinary(frame); err != nil || reflect.TypeOf(back) != reflect.TypeOf(msg) {
+			t.Errorf("code %d: UnmarshalBinary gives %T (err %v), want %T", mt, back, err, msg)
+		}
+		if !represented[mt] {
+			t.Errorf("code %d (%T) has no wireMessages entry: JSON≡binary parity does not see it", mt, msg)
+		}
+	}
+	if live != len(represented) {
+		t.Errorf("%d live codes below mtEnd, wireMessages covers %d: a code at or past mtEnd is registered", live, len(represented))
+	}
+	if newMsg(mtEnd) != nil {
+		t.Errorf("mtEnd (%d) is an assigned code; it must stay one past the last", mtEnd)
 	}
 }
 
@@ -153,20 +263,20 @@ func TestBinaryRejectsMangledFrames(t *testing.T) {
 
 // TestBinarySteadyStateZeroAlloc pins the pooled traffic-plane
 // property: encoding into a reused buffer and decoding into a reused
-// struct allocates nothing once capacities are warm (string-free
-// messages; decoded strings inherently allocate).
+// struct allocates nothing once capacities are warm (a decoded string
+// allocates only when it differs from the one already there).
 func TestBinarySteadyStateZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops puts under the race detector; alloc counts are meaningless")
 	}
-	rank := &RankResponse{Target: 3, Epoch: 9, Selections: []Selection{
+	rank := &BatchResponse{Epoch: 9, Results: []Result{{Kind: "rank", Rank: &RankResponse{Target: 3, Epoch: 9, Selections: []Selection{
 		{Node: 1, Delay: 2, Severity: 3, Violated: true, Violations: 4, Score: 5},
 		{Node: 6, Delay: 7, Severity: 8, Violations: 9, Score: 10},
-	}}
+	}}}}}
 	cs := &ChangeSet{Version: 4, NewlyViolated: []Edge{{I: 1, J: 2, Severity: 3}}, Cleared: []Edge{{I: 9, J: 8, Severity: 7}}}
 
 	var buf []byte
-	var intoRank RankResponse
+	var intoRank BatchResponse
 	var intoCS ChangeSet
 	round := func() {
 		var err error
@@ -192,12 +302,13 @@ func TestBinarySteadyStateZeroAlloc(t *testing.T) {
 }
 
 func BenchmarkBinaryRoundTrip(b *testing.B) {
-	rank := &RankResponse{Target: 3, Epoch: 9, Selections: make([]Selection, 16)}
-	for i := range rank.Selections {
-		rank.Selections[i] = Selection{Node: i, Delay: float64(i), Score: float64(i) * 2}
+	rr := &RankResponse{Target: 3, Epoch: 9, Selections: make([]Selection, 16)}
+	for i := range rr.Selections {
+		rr.Selections[i] = Selection{Node: i, Delay: float64(i), Score: float64(i) * 2}
 	}
+	rank := &BatchResponse{Epoch: 9, Results: []Result{{Kind: "rank", Rank: rr}}}
 	var buf []byte
-	var into RankResponse
+	var into BatchResponse
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		var err error
@@ -242,9 +353,23 @@ func FuzzBinaryFrameDecode(f *testing.F) {
 		}
 		f.Add(frame)
 	}
+	for _, res := range resultPayloads() {
+		frame, err := MarshalBinary(&BatchResponse{Results: []Result{res}})
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(frame)
+	}
 	f.Add([]byte("TB"))
 	f.Add([]byte{'T', 'B', 1, mtHealth, 0, 0, 0, 0})
 	f.Add([]byte{'T', 'B', 1, mtBatchResponse, 255, 255, 255, 255})
+	// Non-finite RTTs are codec-legal (validity is the monitor's rule,
+	// not the codec's): they must round-trip bit-exactly, not be mangled.
+	nonFinite, err := MarshalBinary(&UpdateRequest{Updates: []Update{{I: 0, J: 1, RTT: math.Inf(1)}, {I: 1, J: 2, RTT: math.NaN()}}})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(nonFinite)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		msg, err := UnmarshalBinary(data)
 		if err != nil {
