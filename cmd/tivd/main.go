@@ -15,7 +15,7 @@
 //
 //	tivd -synth 200 -live -listen 127.0.0.1:7070
 //
-// Serve a scatter-gather gateway over three shard daemons (the wire
+// Serve a gateway over three replica shard daemons (the wire
 // protocol is identical, so clients cannot tell a gateway from a
 // single daemon), dialing the shards over frames:
 //
@@ -86,7 +86,7 @@ func run(args []string, stdout io.Writer, ctx context.Context) error {
 		maxK        = fs.Int("maxk", 0, "cap on k for /v1/rank and /v1/top (0 = default 4096)")
 		maxBatch    = fs.Int("maxbatch", 0, "cap on queries per POST /v1/batch request (0 = default 256)")
 		cacheN      = fs.Int("cache", 0, "epoch-keyed query cache capacity in entries (0 = default 4096, negative disables)")
-		shards      = fs.String("shards", "", "comma-separated shard daemon URLs: serve a scatter-gather gateway over them instead of a local matrix")
+		shards      = fs.String("shards", "", "comma-separated shard daemon URLs: serve a gateway over these replicas instead of a local matrix")
 		chaos       = fs.String("chaos", "", "inject faults into every served request, e.g. latency=50ms,jitter=10ms,err=0.05,hang=0.01,tear=0.05,crash=500,seed=7 (crash=N exits the process hard on the Nth request)")
 		frameListen = fs.String("frame-listen", "", "framed binary transport listen address — tcp \"host:port\" (use :0 for ephemeral) or \"unix:///path.sock\"; empty disables")
 		shardFrames = fs.String("shard-frames", "", "comma-separated framed addresses for the -shards daemons, aligned by index (an empty entry keeps that shard on HTTP)")

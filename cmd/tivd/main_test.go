@@ -351,7 +351,7 @@ func TestFramedGatewayDaemonEndToEnd(t *testing.T) {
 // TestGatewayDaemonEndToEnd boots three real shard daemons plus a
 // `tivd -shards` gateway daemon over them — four HTTP servers over
 // real TCP inside this process — and runs the full client round trip
-// against the gateway: health, a scatter-gathered query, an update
+// against the gateway: health, a query, an update
 // replicated across the shards, and its change set arriving on the
 // fanned-in SSE stream. The wire protocol is the single-daemon one
 // throughout; the client cannot tell it is talking to a cluster.

@@ -157,7 +157,7 @@ func main() {
 
 	// Sharded mode: the same selection through a 3-shard loopback
 	// cluster — three real tivd shard servers, each holding a replica
-	// of the measured matrix, scatter-gathered by a tivshard gateway.
+	// of the measured matrix, fronted by a tivshard gateway.
 	// The gateway implements the same Querier seam, and its answers
 	// must match a monolithic matrix-backed service exactly (both run
 	// Workers=1, which makes the severity sums bit-reproducible).

@@ -203,9 +203,9 @@ func (e *EdgeSeverities) TopEdgesMod(k, mod, rem int) []delayspace.Edge {
 	return selectTopEdges(edges, k)
 }
 
-// EdgeLess is the total order all edge rankings use — here, in the
-// sharded gateway's k-way merge (internal/tivshard), and anywhere
-// else edge rankings must agree byte-for-byte: higher severity
+// EdgeLess is the total order all edge rankings use — here, and
+// anywhere else edge rankings must agree byte-for-byte (a caller
+// merging per-residue-class top lists, say): higher severity
 // (carried in Delay) first, ties broken by (I, J) so results are
 // stable across runs regardless of sort or selection internals.
 func EdgeLess(a, b delayspace.Edge) bool {

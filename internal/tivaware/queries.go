@@ -214,8 +214,8 @@ func rankEpoch(ctx context.Context, e *epoch, target int, candidates []int, opts
 func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
 // SelectionLess is the total order every ranking sorts with: lower
-// score first, ties broken by node id. It is exported because the
-// sharded gateway's k-way merge (internal/tivshard) must use the
+// score first, ties broken by node id. It is exported because a caller
+// merging per-residue-class rankings (Scatter) must use the
 // byte-identical comparator to reassemble the monolithic order.
 func SelectionLess(a, b Selection) bool {
 	if a.Score != b.Score {

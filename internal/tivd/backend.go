@@ -10,7 +10,7 @@ import (
 // Backend is the query-and-update surface the HTTP server serves. Two
 // implementations exist: the in-process tivaware.Service (via
 // ServiceBackend — one daemon, one matrix) and tivshard.Gateway (a
-// scatter-gather front over K shard daemons). Both speak through the
+// front over K replica shard daemons). Both speak through the
 // same handlers, so a client cannot tell a gateway from a monolithic
 // daemon by the wire protocol.
 //

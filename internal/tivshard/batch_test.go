@@ -2,8 +2,13 @@ package tivshard_test
 
 import (
 	"context"
+	"encoding/json"
+	"errors"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"reflect"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -12,6 +17,7 @@ import (
 	"tivaware/internal/tivclient"
 	"tivaware/internal/tivshard"
 	"tivaware/internal/tivshard/testcluster"
+	"tivaware/internal/tivwire"
 )
 
 // The batch-path acceptance bar: Gateway.QueryBatch must agree with
@@ -229,4 +235,168 @@ func TestGatewayBatchSurvivesKilledShard(t *testing.T) {
 	}
 	waitStatus(t, c.Gateway, "ok", 10*time.Second)
 	assertBatchAgreement(t, mono, c.Gateway)
+}
+
+// countingCluster boots a 3-shard cluster over n nodes whose shards
+// count the sub-batches (POST /v1/batch) they are sent; health probes
+// and updates travel on other paths and are not counted.
+func countingCluster(t *testing.T, n int, opts tivshard.Options) (*testcluster.Cluster, *tivaware.Service, func() [3]int64) {
+	t.Helper()
+	var counts [3]atomic.Int64
+	c, err := testcluster.Start(testcluster.Config{
+		N: n, Shards: 3, Seed: 7, Workers: 1,
+		GatewayOptions: opts,
+		ShardMiddleware: func(s int, h http.Handler) http.Handler {
+			return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if r.URL.Path == "/v1/batch" {
+					counts[s].Add(1)
+				}
+				h.ServeHTTP(w, r)
+			})
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	mono, err := c.NewMonolith()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c, mono, func() [3]int64 {
+		return [3]int64{counts[0].Load(), counts[1].Load(), counts[2].Load()}
+	}
+}
+
+// hotMixBatch is 16 queries in the bench's hot mix (rank K=8, closest,
+// detour), without its top.
+func hotMixBatch(n, salt int) []tivaware.Query {
+	var qs []tivaware.Query
+	for i := 0; len(qs) < 16; i++ {
+		a, b := (salt+7*i)%n, (salt+7*i+11)%n
+		qs = append(qs,
+			tivaware.Query{Kind: tivaware.KindRank, Target: a, K: 8},
+			tivaware.Query{Kind: tivaware.KindRank, Target: b, K: 8, SeverityPenalty: 2},
+			tivaware.Query{Kind: tivaware.KindClosest, Target: a},
+			tivaware.Query{Kind: tivaware.KindDetour, I: a, J: b})
+	}
+	return qs
+}
+
+// sendExact issues one batch, requires it bit-equal to the monolith's
+// answers, and returns how many sub-batches each shard was sent.
+func sendExact(t *testing.T, c *testcluster.Cluster, mono *tivaware.Service, counts func() [3]int64, queries []tivaware.Query) [3]int64 {
+	t.Helper()
+	ctx := context.Background()
+	want, err := mono.QueryBatch(ctx, queries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := counts()
+	got, err := c.Gateway.QueryBatch(ctx, queries)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("gateway batch differs from the monolith's:\n got %+v\nwant %+v", got, want)
+	}
+	after := counts()
+	return [3]int64{after[0] - before[0], after[1] - before[1], after[2] - before[2]}
+}
+
+// TestShardRequestsPerBatch is the count the routing exists for, read
+// off the shards: a batch — with or without a top in it — is one shard
+// request on a home that takes turns, and a query naming a residue
+// class goes to that class's shard alone.
+func TestShardRequestsPerBatch(t *testing.T) {
+	const n = 120
+	c, mono, counts := countingCluster(t, n, tivshard.Options{ProbeInterval: -1})
+	var homes [3]int64
+	for b := 0; b < 6; b++ {
+		batch := hotMixBatch(n, b)
+		if b%2 == 1 {
+			batch[15] = tivaware.Query{Kind: tivaware.KindTop, K: 16}
+		}
+		sent := sendExact(t, c, mono, counts, batch)
+		if sent[0]+sent[1]+sent[2] != 1 {
+			t.Fatalf("batch %d: shard requests %v, want exactly one", b, sent)
+		}
+		for s := range homes {
+			homes[s] += sent[s]
+		}
+	}
+	if homes != [3]int64{2, 2, 2} {
+		t.Errorf("6 batches landed %v on the shards, want the home to take turns (2 each)", homes)
+	}
+	for b := 0; b < 3; b++ {
+		classed := []tivaware.Query{
+			{Kind: tivaware.KindRank, Target: 5, K: 4, Scatter: tivaware.Scatter{Mod: 3, Rem: 2}},
+			{Kind: tivaware.KindTop, K: 6, Scatter: tivaware.Scatter{Mod: 3, Rem: 2}},
+			{Kind: tivaware.KindDetour, I: 1, J: 9, Scatter: tivaware.Scatter{Mod: 6, Rem: 5}},
+		}
+		if sent := sendExact(t, c, mono, counts, classed); sent != [3]int64{0, 0, 1} {
+			t.Errorf("batch %d of class-2 queries: shard requests %v, want shard 2 alone", b, sent)
+		}
+	}
+}
+
+// TestPerQueryShardErrors: a shard's terminal refusal of one query
+// reaches the gateway's caller in the shard service's own words, while
+// a retryable per-query failure (the shard is itself a gateway with
+// nothing behind it, say) stays the client error it was — retryable,
+// naming the shard-ward call.
+func TestPerQueryShardErrors(t *testing.T) {
+	shard := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch r.URL.Path {
+		case "/healthz":
+			json.NewEncoder(w).Encode(tivwire.Health{Status: "ok", N: 8})
+		case "/v1/batch":
+			json.NewEncoder(w).Encode(tivwire.BatchResponse{Results: []tivwire.Result{
+				{Kind: "rank", Err: &tivwire.Error{Error: "tivaware: node 99 out of range [0,8)", Code: tivwire.CodeBadRequest}},
+				{Kind: "rank", Err: &tivwire.Error{Error: "no shard could answer", Code: tivwire.CodeUnavailable}},
+			}})
+		}
+	}))
+	defer shard.Close()
+	g, err := tivshard.New(context.Background(), []string{shard.URL}, tivshard.Options{ProbeInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	res, err := g.QueryBatch(context.Background(), []tivaware.Query{
+		{Kind: tivaware.KindRank, Target: 99},
+		{Kind: tivaware.KindRank, Target: 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wc interface{ WireCode() string }
+	if err := res[0].Err; err == nil || err.Error() != "tivaware: node 99 out of range [0,8)" ||
+		!errors.As(err, &wc) || wc.WireCode() != tivwire.CodeBadRequest || tivclient.IsRetryable(err) {
+		t.Errorf("terminal refusal came through as %v", err)
+	}
+	if err, ok := res[1].Err.(*tivclient.Error); !ok || err.Code != tivwire.CodeUnavailable || !err.Retryable() || err.Op == "" {
+		t.Errorf("retryable per-query failure came through as %#v", res[1].Err)
+	}
+}
+
+// TestHomeSharesLoadAmongSurvivors: with one of three shards down the
+// home rotates over the two live ones, so they split the batches evenly
+// (a ring walk from the dead shard would give its successor two
+// thirds), and every answer stays exact.
+func TestHomeSharesLoadAmongSurvivors(t *testing.T) {
+	const n = 48
+	c, mono, counts := countingCluster(t, n, chaosGatewayOptions())
+	c.KillShard(1)
+	waitStatus(t, c.Gateway, "degraded", 10*time.Second)
+	var total [3]int64
+	for b := 0; b < 10; b++ {
+		sent := sendExact(t, c, mono, counts, hotMixBatch(n, b))
+		for s := range total {
+			total[s] += sent[s]
+		}
+	}
+	if total != [3]int64{5, 0, 5} {
+		t.Errorf("10 batches with shard 1 down landed %v, want 5 on each survivor", total)
+	}
 }

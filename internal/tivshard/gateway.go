@@ -1,6 +1,7 @@
 // Package tivshard is the sharded TIV query plane: a Gateway that
 // fronts K backend tivd shard daemons and answers the full TIV-aware
-// query surface by scatter-gathering over internal/tivclient.
+// query surface by routing each batch to a live replica over
+// internal/tivclient.
 //
 // # Partitioning scheme
 //
@@ -14,28 +15,25 @@
 // per-query cross-shard traffic — the communication bottleneck the
 // distributed triangle-detection literature (CONGEST triangle
 // finding, expander-decomposition detection) works around. This plane
-// therefore replicates the data and partitions the *work* and the
-// *authority*: each shard scans only its residue class per query, and
-// each delta stream is authoritative only for the edges its shard
-// owns.
+// therefore replicates the data and partitions the *authority* (each
+// delta stream is authoritative only for the edges its shard owns) and
+// the *load* (the replicas take turns answering whole batches).
 //
-// # Merge semantics
+// # Read semantics
 //
-// Every read is a tivaware.Query answered by QueryBatch (batch.go),
-// the one scatter/merge; Rank, KClosest, ClosestNode, DetourPath,
-// TopEdges and Delay are typed spellings of a batch of one. Rank and
-// closest queries scatter with one residue class per shard
-// (tivaware.Scatter) and k-way merge the per-shard rankings by
-// (Score, Node) — the exact comparator the monolithic service sorts
-// with, so the merged ranking is identical to the monolithic one.
-// Detour queries scan each shard's relay class remotely and reduce to
-// the smallest via delay (ties to the lowest relay id), which
-// reproduces the monolithic first-strict-minimum scan exactly. Top
-// queries merge the per-shard owned-edge rankings by (severity desc,
-// edge asc). Analysis queries every shard and requires the integer
-// triangle totals to agree exactly — a built-in replica-divergence
-// detector. The differential suite in this package pins gateway ≡
-// monolithic tivaware.Service over the same matrix.
+// Every read is a tivaware.Query answered by QueryBatch (batch.go);
+// Rank, KClosest, ClosestNode, DetourPath, TopEdges and Delay are
+// typed spellings of a batch of one. Because replicas are full, no
+// query is split across shards — the communication round, not the
+// local scan, is the unit of cost: a batch is handed on whole to its
+// home, one live replica chosen per batch in rotation, and the answer
+// is that shard service's own — exact by construction, one pinned
+// epoch per batch. A query that names a residue class itself
+// (tivaware.Scatter) goes to that class's shard. Analysis queries
+// every shard and requires the integer triangle totals to agree
+// exactly — a built-in replica-divergence detector. The differential
+// suites in this package pin gateway ≡ monolithic tivaware.Service
+// over the same matrix.
 //
 // # Updates and subscriptions
 //
@@ -141,7 +139,7 @@ func (o Options) journalLimit() int {
 	return 8192
 }
 
-// Gateway scatter-gathers TIV queries over K shard daemons. It
+// Gateway answers TIV queries from K replica shard daemons. It
 // implements tivaware.Querier (consumers written against the seam run
 // unchanged against one service, one daemon, or a sharded cluster)
 // and, structurally, the tivd Backend — so cmd/tivd -shards serves a
@@ -159,6 +157,9 @@ type Gateway struct {
 	// the epoch stamp of gateway responses (cross-shard queries have
 	// no shared service epoch to report).
 	gen atomic.Uint64
+
+	// turn rotates the batches' home over the live shards (see home).
+	turn atomic.Uint64
 
 	// ownerMu[s] serializes update batches touching edges owned by
 	// shard s, keeping the replicas' same-edge apply order identical.
@@ -315,22 +316,16 @@ func (g *Gateway) Close() {
 	}
 }
 
-// owner returns the shard owning node id v.
-func (g *Gateway) owner(v int) int { return v % g.k }
-
-// edgeOwner returns the shard owning edge (i, j): the owner of the
-// lower endpoint.
+// edgeOwner returns the shard owning edge (i, j): the owner (id mod K)
+// of the lower endpoint.
 func (g *Gateway) edgeOwner(i, j int) int {
-	if j < i {
-		i = j
-	}
-	return g.owner(i)
+	return min(i, j) % g.k
 }
 
 // scatter runs fn once per shard concurrently and waits for all of
 // them; shard errors are annotated with the shard index and joined.
-// It has no failover — construction-time probes and whole-cluster
-// sweeps use it; query paths scatter by residue class instead.
+// It has no failover — the construction-time probes use it; queries
+// go through QueryBatch instead.
 func (g *Gateway) scatter(ctx context.Context, fn func(ctx context.Context, shard int, c *tivclient.Client) error) error {
 	errs := make([]error, g.k)
 	var wg sync.WaitGroup
@@ -373,10 +368,9 @@ func (g *Gateway) queryOne(ctx context.Context, q tivaware.Query) (tivaware.Resu
 }
 
 // Rank scores the candidates for the target, best first; see
-// tivaware.Service.Rank. It errors when a shard truncated its class
-// ranking at the daemon's cap: the merge of truncated classes is not
-// the full ranking (raise tivd -maxk, or use KClosest for a bounded
-// prefix).
+// tivaware.Service.Rank. It errors when the shard truncated the
+// ranking at the daemon's cap: a cut ranking is not the full one (raise
+// tivd -maxk, or use KClosest for a bounded prefix).
 func (g *Gateway) Rank(ctx context.Context, target int, candidates []int, opts tivaware.QueryOptions) ([]tivaware.Selection, error) {
 	res, err := g.queryOne(ctx, tivaware.SelectionQuery(tivaware.KindRank, target, 0, candidates, opts))
 	if err != nil {
@@ -388,9 +382,7 @@ func (g *Gateway) Rank(ctx context.Context, target int, candidates []int, opts t
 	return res.Selections, nil
 }
 
-// KClosest returns the k best-ranked candidates for the target: each
-// shard returns the k best of its class, and the merge keeps the
-// global k best.
+// KClosest returns the k best-ranked candidates for the target.
 func (g *Gateway) KClosest(ctx context.Context, target, k int, opts tivaware.QueryOptions) ([]tivaware.Selection, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("tivshard: KClosest k = %d, want > 0", k)
@@ -400,15 +392,15 @@ func (g *Gateway) KClosest(ctx context.Context, target, k int, opts tivaware.Que
 }
 
 // ClosestNode returns the best-ranked candidate for the target. It
-// errors when no shard has an eligible candidate.
+// errors when there is no eligible candidate.
 func (g *Gateway) ClosestNode(ctx context.Context, target int, opts tivaware.QueryOptions) (tivaware.Selection, error) {
 	res, err := g.queryOne(ctx, tivaware.SelectionQuery(tivaware.KindClosest, target, 0, nil, opts))
 	if err != nil {
 		return tivaware.Selection{}, err
 	}
 	if len(res.Selections) == 0 {
-		// A class routed to one shard answers verbatim; a reply without
-		// its selection must not panic the gateway.
+		// A shard's answer is handed on verbatim; a reply without its
+		// selection must not panic the gateway.
 		return tivaware.Selection{}, errUnavailable(fmt.Sprintf("empty closest answer for node %d", target), nil)
 	}
 	return res.Selections[0], nil
@@ -427,8 +419,8 @@ func (g *Gateway) TopEdges(ctx context.Context, k int) ([]delayspace.Edge, error
 	return res.Edges, err
 }
 
-// Delay returns the delay estimate for (i, j), answered by the edge's
-// owning shard when live, any other replica otherwise.
+// Delay returns the delay estimate for (i, j), read from one live
+// replica.
 func (g *Gateway) Delay(ctx context.Context, i, j int) (float64, bool, error) {
 	res, err := g.queryOne(ctx, tivaware.Query{Kind: tivaware.KindDelay, I: i, J: j})
 	return res.Delay, res.DelayOK, err
@@ -449,7 +441,10 @@ func (g *Gateway) Analysis(ctx context.Context) (tivwire.AnalysisResponse, error
 	var lastErr error
 	var mu sync.Mutex
 	var wg sync.WaitGroup
-	for _, s := range g.upShards(0) {
+	for s := 0; s < g.k; s++ {
+		if g.isDown(s) {
+			continue
+		}
 		wg.Add(1)
 		go func(s int) {
 			defer wg.Done()
@@ -902,7 +897,10 @@ func (g *Gateway) Healthz(ctx context.Context) (tivwire.Health, error) {
 	var lastErr error
 	out := tivwire.Health{Status: g.Status(), N: g.n, Live: g.live, Epoch: g.gen.Load()}
 	var wg sync.WaitGroup
-	for _, s := range g.upShards(0) {
+	for s := 0; s < g.k; s++ {
+		if g.isDown(s) {
+			continue
+		}
 		wg.Add(1)
 		go func(s int) {
 			defer wg.Done()

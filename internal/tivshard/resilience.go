@@ -19,10 +19,11 @@ import (
 // any live replica can answer any residue class bit-for-bit. The
 // layer makes it real:
 //
-//   - Reads run through a try chain (owner first, then the other live
-//     replicas) with bounded, jitter-backed retries and per-try
-//     timeouts. A query fails only when every replica is unreachable
-//     — and then with a typed retryable error.
+//   - Reads run through a try chain (the batch's home or a named
+//     class's shard first, then the other live replicas) with bounded,
+//     jitter-backed retries and per-try timeouts. A query fails only
+//     when every replica is unreachable — and then with a typed
+//     retryable error.
 //   - A per-shard circuit breaker (consecutive-failure threshold)
 //     marks a shard down: down shards get no reads (their replica may
 //     be behind) and no direct updates (they skip, see below).
@@ -217,17 +218,26 @@ func (g *Gateway) ensureReplayFrom(s int, idx int64) {
 // isDown reports whether the breaker currently excludes shard s.
 func (g *Gateway) isDown(s int) bool { return g.states[s].down.Load() }
 
-// upShards returns the live shard indices, preferred first, then the
-// rest in ring order. With no live shard it returns nil.
-func (g *Gateway) upShards(preferred int) []int {
-	out := make([]int, 0, g.k)
-	for d := 0; d < g.k; d++ {
-		s := (preferred + d) % g.k
-		if !g.isDown(s) {
-			out = append(out, s)
-		}
+// home picks the replica that answers a batch: the live shards take
+// turns, so they share the batches evenly whichever of them are down.
+// With none live (or one tripping under the walk) the pick is
+// arbitrary — callClass walks on from it.
+func (g *Gateway) home() int {
+	live := g.k - len(g.DownShards())
+	if live == 0 {
+		return 0
 	}
-	return out
+	turn := int(g.turn.Add(1) % uint64(live))
+	for s := 0; s < g.k; s++ {
+		if g.isDown(s) {
+			continue
+		}
+		if turn == 0 {
+			return s
+		}
+		turn--
+	}
+	return 0
 }
 
 // Status summarizes the gateway's health: "ok" with every shard
@@ -253,7 +263,8 @@ func (g *Gateway) Status() string {
 }
 
 // DownShards returns the indices of shards the breaker currently
-// excludes (diagnostics; the set changes concurrently).
+// excludes (the set changes concurrently); nil, without allocating,
+// when every shard is live.
 func (g *Gateway) DownShards() []int {
 	var out []int
 	for s := 0; s < g.k; s++ {
@@ -286,15 +297,14 @@ func tryOnce[T any](g *Gateway, ctx context.Context, s int, call func(ctx contex
 	return zero, err
 }
 
-// callClass resolves one logical read: it walks the live replicas
-// (preferred shard first — for class queries that is the class's own
-// shard, keeping the healthy path identical to PR 5's routing), with
-// bounded jittered retries; a slow shard is cut off by the per-try
-// timeout and the walk moves to the next replica. Terminal errors
-// (bad requests) surface immediately: every replica would reject them
-// identically. It fails only when the caller's context dies or every
-// attempt on every live replica failed — then with a typed retryable
-// error so clients above know to come back.
+// callClass resolves one logical read: it walks the live replicas in
+// ring order from the preferred shard (a class's own, or the batch's
+// home) with bounded jittered retries; a slow shard is cut off by the
+// per-try timeout and the walk moves to the next replica. Terminal
+// errors (bad requests) surface immediately: every replica would
+// reject them identically. It fails only when the caller's context
+// dies or every attempt on every live replica failed — then with a
+// typed retryable error so clients above know to come back.
 func callClass[T any](g *Gateway, ctx context.Context, preferred int, call func(ctx context.Context, c *tivclient.Client) (T, error)) (T, error) {
 	var zero T
 	var lastErr error
@@ -308,28 +318,32 @@ func callClass[T any](g *Gateway, ctx context.Context, preferred int, call func(
 			case <-t.C:
 			}
 		}
-		candidates := g.upShards(preferred)
-		if len(candidates) == 0 {
-			// Desperation pass: with every breaker open there is
-			// nothing to lose by asking anyway (a probe may simply not
-			// have readmitted a recovered shard yet — but a *down*
-			// shard's replica may be behind, so this pass only runs
-			// when the alternative is failing the query).
+		// Pass 0 walks the live replicas. If it tried nobody — every
+		// breaker open, or the last live shard tripped under the walk
+		// — the desperation pass asks the down ones too: there is
+		// nothing to lose (a probe may simply not have readmitted a
+		// recovered shard yet — but a *down* shard's replica may be
+		// behind, so this pass only runs when the alternative is
+		// failing the query).
+		tried := false
+		for pass := 0; pass < 2 && !tried; pass++ {
 			for d := 0; d < g.k; d++ {
-				candidates = append(candidates, (preferred+d)%g.k)
-			}
-		}
-		for _, s := range candidates {
-			v, err := tryOnce(g, ctx, s, call)
-			if err == nil {
-				return v, nil
-			}
-			lastErr = err
-			if ctx.Err() != nil {
-				return zero, errUnavailable("query aborted", ctx.Err())
-			}
-			if !tivclient.IsRetryable(err) {
-				return zero, err // terminal: every replica would say the same
+				s := (preferred + d) % g.k
+				if pass == 0 && g.isDown(s) {
+					continue
+				}
+				tried = true
+				v, err := tryOnce(g, ctx, s, call)
+				if err == nil {
+					return v, nil
+				}
+				lastErr = err
+				if ctx.Err() != nil {
+					return zero, errUnavailable("query aborted", ctx.Err())
+				}
+				if !tivclient.IsRetryable(err) {
+					return zero, err // terminal: every replica would say the same
+				}
 			}
 		}
 	}

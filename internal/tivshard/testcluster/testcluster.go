@@ -165,7 +165,7 @@ type Cluster struct {
 	Matrix *delayspace.Matrix
 	// Shards are the running shard servers, index == shard id.
 	Shards []*Shard
-	// Gateway scatter-gathers over the shards.
+	// Gateway fronts the shards.
 	Gateway *tivshard.Gateway
 	// GatewayURL is set when Config.ServeGateway is true.
 	GatewayURL string
@@ -350,16 +350,6 @@ func serve(h http.Handler) (url string, hs *http.Server, err error) {
 	hs = &http.Server{Handler: h}
 	go func() { _ = hs.Serve(ln) }()
 	return "http://" + ln.Addr().String(), hs, nil
-}
-
-// ShardURLs returns the shard base URLs in shard order (the order
-// that defines the partition).
-func (c *Cluster) ShardURLs() []string {
-	urls := make([]string, len(c.Shards))
-	for s, sh := range c.Shards {
-		urls[s] = sh.URL
-	}
-	return urls
 }
 
 // NewMonolith builds the differential twin: one in-process service

@@ -161,6 +161,7 @@ func TestNonFinitePenaltyIsBadRequest(t *testing.T) {
 	defer frameShard.Close()
 	defer frameGW.Close()
 	queriers := map[string]tivaware.Querier{
+		"monolith":      mono,
 		"shard http":    httpShard,
 		"shard frame":   frameShard,
 		"gateway":       c.Gateway,
@@ -174,18 +175,48 @@ func TestNonFinitePenaltyIsBadRequest(t *testing.T) {
 		}
 		return h.Cache.Entries
 	}
+	// refusal reads a failed call as (wire code, message): the envelope
+	// fields of a client's own error (asserted, not unwrapped to — the
+	// in-process gateway wraps one), or an in-process error's own text.
+	refusal := func(err error) (string, string) {
+		if ce, ok := err.(*tivclient.Error); ok {
+			return ce.Code, ce.Message
+		}
+		var wc interface{ WireCode() string }
+		if errors.As(err, &wc) {
+			return wc.WireCode(), err.Error()
+		}
+		return tivwire.CodeBadRequest, err.Error() // the monolith's bare validation error
+	}
+	// sameRefusal holds the gateway to the code and the words a monolith
+	// gives on the same surface: in-process, HTTP JSON, frame.
+	sameRefusal := func(what string, call func(q tivaware.Querier) error) {
+		t.Helper()
+		for _, pair := range [][2]string{{"monolith", "gateway"}, {"shard http", "gateway http"}, {"shard frame", "gateway frame"}} {
+			merr, gerr := call(queriers[pair[0]]), call(queriers[pair[1]])
+			wantBadRequest(t, what+": "+pair[1], gerr)
+			if merr == nil || gerr == nil {
+				t.Errorf("%s: %s err %v, %s err %v, want both refused", what, pair[0], merr, pair[1], gerr)
+				continue
+			}
+			mcode, mmsg := refusal(merr)
+			if gcode, gmsg := refusal(gerr); gcode != mcode || gmsg != mmsg {
+				t.Errorf("%s: %s says (%s) %q, %s says (%s) %q", what, pair[1], gcode, gmsg, pair[0], mcode, mmsg)
+			}
+		}
+	}
 	refused := func(pen float64) {
 		t.Helper()
 		opts := tivaware.QueryOptions{SeverityPenalty: pen}
-		if _, err := mono.Rank(ctx, 0, nil, opts); err == nil {
-			t.Errorf("penalty %g: in-process Rank accepted it", pen)
-		}
-		for name, q := range queriers {
+		what := fmt.Sprintf("penalty %g", pen)
+		sameRefusal(what+" Rank", func(q tivaware.Querier) error {
 			_, err := q.Rank(ctx, 0, nil, opts)
-			wantBadRequest(t, fmt.Sprintf("penalty %g: %s Rank", pen, name), err)
-			_, err = q.ClosestNode(ctx, 0, opts)
-			wantBadRequest(t, fmt.Sprintf("penalty %g: %s ClosestNode", pen, name), err)
-		}
+			return err
+		})
+		sameRefusal(what+" ClosestNode", func(q tivaware.Querier) error {
+			_, err := q.ClosestNode(ctx, 0, opts)
+			return err
+		})
 	}
 	before := cached()
 	for _, pen := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
@@ -194,10 +225,22 @@ func TestNonFinitePenaltyIsBadRequest(t *testing.T) {
 	if after := cached(); after != before {
 		t.Errorf("refused queries grew the shard's query cache: %d → %d entries", before, after)
 	}
-	// Finite, but it overflows every violated candidate's score. (A
-	// residue class without one still answers its shard-ward sub-query,
-	// so the cache may legitimately grow here.)
+	// Finite, but it overflows every violated candidate's score.
 	refused(math.MaxFloat64)
+	// The other refusals a whole-routed query brings back from its shard.
+	n := c.Matrix.N()
+	sameRefusal("out-of-range target", func(q tivaware.Querier) error {
+		_, err := q.ClosestNode(ctx, n+5, tivaware.QueryOptions{})
+		return err
+	})
+	sameRefusal("detour on the diagonal", func(q tivaware.Querier) error {
+		_, err := q.DetourPath(ctx, 4, 4)
+		return err
+	})
+	sameRefusal("closest with no eligible candidate", func(q tivaware.Querier) error {
+		_, err := q.ClosestNode(ctx, 3, tivaware.QueryOptions{Candidates: []int{3}})
+		return err
+	})
 	// In a batch the bad query fails alone (framed: JSON cannot spell it).
 	results, err := frameShard.QueryBatch(ctx, []tivaware.Query{
 		{Kind: tivaware.KindRank, Target: 0, SeverityPenalty: math.Inf(1)},
