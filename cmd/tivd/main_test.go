@@ -273,10 +273,10 @@ func TestFramedDaemonEndToEnd(t *testing.T) {
 
 // TestFramedGatewayDaemonEndToEnd boots three `tivd -frame-listen`
 // shards and a `tivd -shards … -shard-frames …` gateway over them:
-// scattered queries through the gateway (over HTTP and over its own
-// framed listener) equal a shard's monolithic answers, the gateway
-// really dials what -shard-frames names, and both tiers drain to a nil
-// exit with framed connections still pooled.
+// queries through the gateway (over HTTP and over its own framed
+// listener) equal a shard's monolithic answers, the gateway really
+// dials what -shard-frames names, and both tiers drain to a nil exit
+// with framed connections still pooled.
 func TestFramedGatewayDaemonEndToEnd(t *testing.T) {
 	shardCtx, stopShards := context.WithCancel(context.Background())
 	defer stopShards()

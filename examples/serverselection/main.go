@@ -11,7 +11,7 @@
 // gateway — same code, same answers, verified exactly in the sharded
 // case. All clients resolve in one QueryBatch per run: one pinned
 // epoch in-process, one /v1/batch round trip over the wire, one
-// sub-batch per shard through the gateway.
+// shard request through the gateway.
 package main
 
 import (
@@ -200,10 +200,10 @@ func main() {
 // resolved in ONE QueryBatch call against a single consistent state —
 // in-process that is one pinned epoch; over the wire it is one
 // /v1/batch round trip instead of a request per client; through the
-// gateway it is one sub-batch per shard instead of a scatter per
-// client. A per-client failure (no eligible server) lands in its
-// Result.Err and just skips that client, exactly as the old
-// one-call-per-client loop did.
+// gateway it is one shard request instead of one per client. A
+// per-client failure (no eligible server) lands in its Result.Err and
+// just skips that client, exactly as the old one-call-per-client loop
+// did.
 func servicePenalties(ctx context.Context, q tivaware.Querier, m *delayspace.Matrix, servers, clients []int, penalty float64) ([]float64, error) {
 	queries := make([]tivaware.Query, len(clients))
 	for i, c := range clients {

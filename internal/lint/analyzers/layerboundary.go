@@ -30,12 +30,10 @@ var servingPlane = []string{
 // consume the service API, they do not edit delay data.
 var servingPlaneSegments = []string{"cmd", "examples"}
 
-// LayerBoundary is the type-aware replacement for the old grep-based
-// TestNoEngineConstructionOutsideServiceLayer: it resolves tiv.Engine
-// and tiv.Monitor construction through go/types (no false hits on
-// comments or same-named locals, no misses through aliased imports)
-// and additionally fences delayspace.Matrix.Set out of the serving
-// plane.
+// LayerBoundary resolves tiv.Engine and tiv.Monitor construction
+// through go/types (no false hits on comments or same-named locals,
+// no misses through aliased imports) and additionally fences
+// delayspace.Matrix.Set out of the serving plane.
 var LayerBoundary = &analysis.Analyzer{
 	Name: "layerboundary",
 	Doc: "tiv.NewEngine/tiv.NewMonitor calls and tiv.Engine/tiv.Monitor composite literals " +

@@ -14,7 +14,7 @@ import (
 
 // WireErr enforces the wire error taxonomy interprocedurally: every
 // error value that can flow to a tivd handler response, a gateway
-// scatter reply, or the tivclient API surface must be (or wrap, via a
+// reply, or the tivclient API surface must be (or wrap, via a
 // typed constructor) a WireCode-carrying type, so clients dispatch on
 // structured codes instead of string-matching messages.
 var WireErr = &analysis.Analyzer{

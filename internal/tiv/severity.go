@@ -164,48 +164,20 @@ func (e *EdgeSeverities) WorstEdges(frac float64) []delayspace.Edge {
 // TopEdges returns the k edges with the highest severity, most severe
 // first (fewer when the matrix has fewer edges, nil when k <= 0).
 func (e *EdgeSeverities) TopEdges(k int) []delayspace.Edge {
-	return e.TopEdgesMod(k, 0, 0)
-}
-
-// TopEdgesMod returns the k highest-severity edges whose lower
-// endpoint falls in the residue class (mod, rem): edges (i, j) with
-// i < j and i % mod == rem, most severe first. mod ≤ 1 considers every
-// edge (TopEdges). The residue classes of a fixed modulus partition
-// the edge set, which is what lets a sharded gateway reassemble the
-// exact global ranking from per-class ones.
-func (e *EdgeSeverities) TopEdgesMod(k, mod, rem int) []delayspace.Edge {
 	numEdges := e.n * (e.n - 1) / 2
-	if k <= 0 || numEdges == 0 || mod < 0 || (mod > 0 && (rem < 0 || rem >= mod)) {
+	if k <= 0 || numEdges == 0 {
 		return nil
 	}
-	capEdges := numEdges
-	if mod > 1 {
-		capEdges = 0
-		for i := rem; i < e.n; i += mod {
-			capEdges += e.n - 1 - i
-		}
-	}
-	edges := make([]delayspace.Edge, 0, capEdges)
+	edges := make([]delayspace.Edge, 0, numEdges)
 	for i := 0; i < e.n; i++ {
-		if mod > 1 && i%mod != rem {
-			continue
-		}
 		for j := i + 1; j < e.n; j++ {
 			edges = append(edges, delayspace.Edge{I: i, J: j, Delay: e.At(i, j)})
 		}
 	}
-	if k > len(edges) {
-		k = len(edges)
-	}
-	if k == 0 {
-		return nil
-	}
 	return selectTopEdges(edges, k)
 }
 
-// EdgeLess is the total order all edge rankings use — here, and
-// anywhere else edge rankings must agree byte-for-byte (a caller
-// merging per-residue-class top lists, say): higher severity
+// EdgeLess is the total order all edge rankings use: higher severity
 // (carried in Delay) first, ties broken by (I, J) so results are
 // stable across runs regardless of sort or selection internals.
 func EdgeLess(a, b delayspace.Edge) bool {

@@ -12,8 +12,7 @@ import (
 // union of read queries the plane serves, and QueryBatch answers a
 // vector of them against a single consistent state. In-process that
 // state is one pinned epoch; over the wire it is one /v1/batch round
-// trip, which is where the batching pays — a K-shard scatter costs
-// one request per shard per batch instead of one per query.
+// trip, which is where the batching pays.
 
 // QueryKind discriminates the Query union.
 type QueryKind string
@@ -54,9 +53,6 @@ type Query struct {
 	ExcludeViolated bool
 	// I, J name the pair for detour and delay queries.
 	I, J int
-	// Scatter restricts rank/closest candidates, detour relays, or top
-	// edges to one residue class (the sharded plane's primitive).
-	Scatter Scatter
 }
 
 // SelectionQuery spells a typed selection call (Rank, KClosest,
@@ -75,7 +71,6 @@ func SelectionQuery(kind QueryKind, target, k int, candidates []int, opts QueryO
 		Candidates:      candidates,
 		SeverityPenalty: opts.SeverityPenalty,
 		ExcludeViolated: opts.ExcludeViolated,
-		Scatter:         opts.Scatter,
 	}
 }
 
@@ -85,7 +80,6 @@ func (q Query) options() QueryOptions {
 		Candidates:      q.Candidates,
 		SeverityPenalty: q.SeverityPenalty,
 		ExcludeViolated: q.ExcludeViolated,
-		Scatter:         q.Scatter,
 	}
 }
 
@@ -197,18 +191,14 @@ func (v *View) resolveQuery(ctx context.Context, q Query) Result {
 		}
 		res.Selections = []Selection{sel}
 	case KindDetour:
-		d, err := detourEpoch(ctx, v.e, q.I, q.J, q.Scatter)
+		d, err := detourEpoch(ctx, v.e, q.I, q.J)
 		if err != nil {
 			res.Err = err
 			break
 		}
 		res.Detour = d
 	case KindTop:
-		if err := q.Scatter.check(); err != nil {
-			res.Err = err
-			break
-		}
-		res.Edges = v.e.sev.TopEdgesMod(q.K, q.Scatter.Mod, q.Scatter.Rem)
+		res.Edges = v.e.sev.TopEdges(q.K)
 	case KindDelay:
 		if err := v.e.checkNode("node", q.I); err != nil {
 			res.Err = err

@@ -268,5 +268,5 @@ func (v *View) ClosestNode(ctx context.Context, target int, opts QueryOptions) (
 // DetourPath finds the best one-hop detour in this view; see
 // Service.DetourPath.
 func (v *View) DetourPath(ctx context.Context, i, j int) (Detour, error) {
-	return detourEpoch(ctx, v.e, i, j, Scatter{})
+	return detourEpoch(ctx, v.e, i, j)
 }

@@ -38,31 +38,6 @@ var (
 	_ Querier = (*View)(nil)
 )
 
-// Scatter names a residue class of node ids: ids c with
-// c % Mod == Rem. It is the scatter primitive of the sharded query
-// plane (internal/tivshard): a gateway that owns nodes round-robin
-// sends every shard the same query with that shard's class, and the
-// per-shard answers partition the unrestricted one. The zero value
-// (Mod 0) applies no restriction; Mod ≥ 1 requires 0 ≤ Rem < Mod.
-type Scatter struct {
-	Mod int `json:"mod,omitempty"`
-	Rem int `json:"rem,omitempty"`
-}
-
-// check validates the residue class.
-func (sc Scatter) check() error {
-	if sc.Mod < 0 {
-		return fmt.Errorf("tivaware: negative residue modulus %d", sc.Mod)
-	}
-	if sc.Mod > 0 && (sc.Rem < 0 || sc.Rem >= sc.Mod) {
-		return fmt.Errorf("tivaware: residue %d outside [0,%d)", sc.Rem, sc.Mod)
-	}
-	return nil
-}
-
-// admits reports whether id belongs to the class; Mod ≤ 1 admits all.
-func (sc Scatter) admits(id int) bool { return sc.Mod <= 1 || id%sc.Mod == sc.Rem }
-
 // QueryOptions tunes one selection query. The zero value ranks purely
 // by source delay, the TIV-oblivious baseline.
 type QueryOptions struct {
@@ -80,9 +55,6 @@ type QueryOptions struct {
 	// currently violates the triangle inequality (Selection.Violated),
 	// the hard-filter variant of the penalty.
 	ExcludeViolated bool
-	// Scatter restricts the candidate set to one residue class of node
-	// ids, after validation of any explicit candidate list.
-	Scatter Scatter
 }
 
 // Selection is one ranked candidate.
@@ -132,10 +104,6 @@ func rankEpoch(ctx context.Context, e *epoch, target int, candidates []int, opts
 	if err := e.checkNode("target", target); err != nil {
 		return nil, err
 	}
-	sc := opts.Scatter
-	if err := sc.check(); err != nil {
-		return nil, err
-	}
 	// A non-finite penalty scores every candidate NaN or ±Inf: an
 	// unordered ranking no wire format can carry.
 	if !finite(opts.SeverityPenalty) {
@@ -182,7 +150,7 @@ func rankEpoch(ctx context.Context, e *epoch, target int, candidates []int, opts
 				return nil, err
 			}
 		}
-		if c == target || !sc.admits(c) {
+		if c == target {
 			continue
 		}
 		d, ok := e.q.Delay(target, c)
@@ -207,17 +175,15 @@ func rankEpoch(ctx context.Context, e *epoch, target int, candidates []int, opts
 		}
 		out = append(out, sel)
 	}
-	sort.Slice(out, func(a, b int) bool { return SelectionLess(out[a], out[b]) })
+	sort.Slice(out, func(a, b int) bool { return selectionLess(out[a], out[b]) })
 	return out, nil
 }
 
 func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
-// SelectionLess is the total order every ranking sorts with: lower
-// score first, ties broken by node id. It is exported because a caller
-// merging per-residue-class rankings (Scatter) must use the
-// byte-identical comparator to reassemble the monolithic order.
-func SelectionLess(a, b Selection) bool {
+// selectionLess is the total order every ranking sorts with: lower
+// score first, ties broken by node id.
+func selectionLess(a, b Selection) bool {
 	if a.Score != b.Score {
 		return a.Score < b.Score
 	}
@@ -315,15 +281,10 @@ func (s *Service) DetourPath(ctx context.Context, i, j int) (Detour, error) {
 	if err != nil {
 		return Detour{}, err
 	}
-	return detourEpoch(ctx, e, i, j, Scatter{})
+	return detourEpoch(ctx, e, i, j)
 }
 
-// detourEpoch scans the relays in the residue class sc (the zero class
-// considers every relay). A sharded gateway scans each shard's class
-// remotely and reduces the per-class bests to the global best detour;
-// the reduction is exact because each class returns its lowest-id relay
-// achieving the class-minimal via delay.
-func detourEpoch(ctx context.Context, e *epoch, i, j int, sc Scatter) (Detour, error) {
+func detourEpoch(ctx context.Context, e *epoch, i, j int) (Detour, error) {
 	if err := checkCtx(ctx); err != nil {
 		return Detour{}, err
 	}
@@ -335,9 +296,6 @@ func detourEpoch(ctx context.Context, e *epoch, i, j int, sc Scatter) (Detour, e
 	}
 	if i == j {
 		return Detour{}, fmt.Errorf("tivaware: DetourPath on diagonal (%d,%d)", i, j)
-	}
-	if err := sc.check(); err != nil {
-		return Detour{}, err
 	}
 	d := Detour{I: i, J: j, Via: -1, Direct: delayspace.Missing}
 	direct, hasDirect := e.q.Delay(i, j)
@@ -353,7 +311,7 @@ func detourEpoch(ctx context.Context, e *epoch, i, j int, sc Scatter) (Detour, e
 				return Detour{}, err
 			}
 		}
-		if k == i || k == j || !sc.admits(k) {
+		if k == i || k == j {
 			continue
 		}
 		dik, ok := e.q.Delay(i, k)

@@ -314,10 +314,6 @@ func getParams(q tivaware.Query) url.Values {
 	case tivaware.KindTop:
 		params.Set("k", strconv.Itoa(q.K))
 	}
-	if q.Scatter.Mod != 0 {
-		params.Set("mod", strconv.Itoa(q.Scatter.Mod))
-		params.Set("rem", strconv.Itoa(q.Scatter.Rem))
-	}
 	return params
 }
 

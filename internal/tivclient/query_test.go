@@ -78,16 +78,13 @@ func transports(t *testing.T, opts tivd.Options) (map[string]*Client, int) {
 func TestTypedWrappersMatchQueryBatch(t *testing.T) {
 	clients, n := transports(t, tivd.Options{})
 	ctx := context.Background()
-	class := tivaware.Scatter{Mod: 3, Rem: 2}
-	opts := tivaware.QueryOptions{SeverityPenalty: 1.5, ExcludeViolated: true, Scatter: class}
+	opts := tivaware.QueryOptions{SeverityPenalty: 1.5, ExcludeViolated: true}
 	cands := []int{1, 4, 9, 16, 25}
 
 	cases := []struct {
 		name string
 		q    tivaware.Query
-		// typed answers q through the exported method that spells it; nil
-		// for the residue-restricted detour and top queries, which only
-		// Query{Scatter: …} can say (query still serves their GET form).
+		// typed answers q through the exported method that spells it.
 		typed func(c *Client) (tivaware.Result, error)
 	}{
 		{"rank", tivaware.Query{Kind: tivaware.KindRank, Target: 2, Candidates: cands, SeverityPenalty: 2},
@@ -95,12 +92,12 @@ func TestTypedWrappersMatchQueryBatch(t *testing.T) {
 				sels, err := c.Rank(ctx, 2, cands, tivaware.QueryOptions{SeverityPenalty: 2})
 				return tivaware.Result{Selections: sels}, err
 			}},
-		{"kclosest", tivaware.Query{Kind: tivaware.KindRank, Target: 5, K: 4, SeverityPenalty: 1.5, ExcludeViolated: true, Scatter: class},
+		{"kclosest", tivaware.Query{Kind: tivaware.KindRank, Target: 5, K: 4, SeverityPenalty: 1.5, ExcludeViolated: true},
 			func(c *Client) (tivaware.Result, error) {
 				sels, err := c.KClosest(ctx, 5, 4, opts)
 				return tivaware.Result{Selections: sels}, err
 			}},
-		{"closest", tivaware.Query{Kind: tivaware.KindClosest, Target: n - 1, SeverityPenalty: 1.5, ExcludeViolated: true, Scatter: class},
+		{"closest", tivaware.Query{Kind: tivaware.KindClosest, Target: n - 1, SeverityPenalty: 1.5, ExcludeViolated: true},
 			func(c *Client) (tivaware.Result, error) {
 				sel, err := c.ClosestNode(ctx, n-1, opts)
 				return tivaware.Result{Selections: []tivaware.Selection{sel}}, err
@@ -110,13 +107,11 @@ func TestTypedWrappersMatchQueryBatch(t *testing.T) {
 				d, err := c.DetourPath(ctx, 0, 7)
 				return tivaware.Result{Detour: d}, err
 			}},
-		{"detour scattered", tivaware.Query{Kind: tivaware.KindDetour, I: 3, J: 11, Scatter: class}, nil},
 		{"top", tivaware.Query{Kind: tivaware.KindTop, K: 6},
 			func(c *Client) (tivaware.Result, error) {
 				edges, err := c.TopEdges(ctx, 6)
 				return tivaware.Result{Edges: edges}, err
 			}},
-		{"top scattered", tivaware.Query{Kind: tivaware.KindTop, K: 6, Scatter: class}, nil},
 		{"delay", tivaware.Query{Kind: tivaware.KindDelay, I: 1, J: 2},
 			func(c *Client) (tivaware.Result, error) {
 				d, ok, err := c.Delay(ctx, 1, 2)
@@ -149,9 +144,6 @@ func TestTypedWrappersMatchQueryBatch(t *testing.T) {
 				t.Errorf("%s over %s: query diverges from QueryBatch:\n query: %+v\n batch: %+v", tc.name, name, got, want)
 			}
 
-			if tc.typed == nil {
-				continue
-			}
 			typed, err := tc.typed(c)
 			if err != nil {
 				t.Fatalf("%s over %s: typed method: %v", tc.name, name, err)

@@ -92,8 +92,8 @@ func writeWireResult(w http.ResponseWriter, wr *tivwire.Result) {
 // handleBatch answers POST /v1/batch: a vector of heterogeneous typed
 // queries in one round trip. Cache hits are served from the resident
 // entries; all misses go to the backend as ONE QueryBatch call (the
-// request-coalescing win a gateway turns into one scatter per shard
-// per batch). Per-query failures — unknown kinds, out-of-range
+// request-coalescing win a gateway turns into one shard request per
+// batch). Per-query failures — unknown kinds, out-of-range
 // parameters, analysis divergence — land in the aligned Results
 // vector; only a malformed request or a whole-backend failure fails
 // the call.

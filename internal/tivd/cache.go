@@ -170,10 +170,6 @@ func canonicalKey(q tivaware.Query, qv, av uint64) string {
 	b = append(b, ',')
 	b = strconv.AppendInt(b, int64(q.J), 10)
 	b = append(b, '|')
-	b = strconv.AppendInt(b, int64(q.Scatter.Mod), 10)
-	b = append(b, ',')
-	b = strconv.AppendInt(b, int64(q.Scatter.Rem), 10)
-	b = append(b, '|')
 	if q.Candidates == nil {
 		b = append(b, '*')
 	} else {

@@ -70,7 +70,6 @@ func frameCorpus(n int) []tivaware.Query {
 		{},
 		{SeverityPenalty: 2.5},
 		{SeverityPenalty: 1, ExcludeViolated: true},
-		{Scatter: tivaware.Scatter{Mod: 3, Rem: 1}},
 	}
 	for _, target := range []int{0, 5, n - 1} {
 		for _, o := range opts {
@@ -89,9 +88,7 @@ func frameCorpus(n int) []tivaware.Query {
 	}
 	qs = append(qs,
 		tivaware.Query{Kind: tivaware.KindDetour, I: 0, J: 1},
-		tivaware.Query{Kind: tivaware.KindDetour, I: 2, J: n - 1, Scatter: tivaware.Scatter{Mod: 2, Rem: 0}},
 		tivaware.Query{Kind: tivaware.KindTop, K: 10},
-		tivaware.Query{Kind: tivaware.KindTop, K: 5, Scatter: tivaware.Scatter{Mod: 2, Rem: 1}},
 		tivaware.Query{Kind: tivaware.KindDelay, I: 0, J: 1},
 		tivaware.Query{Kind: tivaware.KindDelay, I: 3, J: n - 2},
 		tivaware.Query{Kind: tivaware.KindAnalysis},
@@ -145,7 +142,6 @@ func TestFramedAgreesWithHTTPSingles(t *testing.T) {
 		opts := tivaware.QueryOptions{
 			SeverityPenalty: q.SeverityPenalty,
 			ExcludeViolated: q.ExcludeViolated,
-			Scatter:         q.Scatter,
 		}
 		switch q.Kind {
 		case tivaware.KindRank:
@@ -162,28 +158,14 @@ func TestFramedAgreesWithHTTPSingles(t *testing.T) {
 			check(t, "ClosestNode", func(c *tivclient.Client) (any, error) {
 				return c.ClosestNode(ctx, q.Target, opts)
 			})
-		case tivaware.KindDetour, tivaware.KindTop:
-			if q.Scatter.Mod != 0 {
-				// A residue class on a detour or top query has no typed
-				// method: Query{Scatter: …} through a batch of one is its
-				// spelling (tivclient's own suite holds the mod=/rem= GET
-				// equal to it).
-				check(t, "scattered "+string(q.Kind), func(c *tivclient.Client) (any, error) {
-					res, err := c.QueryBatch(ctx, []tivaware.Query{q})
-					if err != nil {
-						return nil, err
-					}
-					return res[0], res[0].Err
-				})
-			} else if q.Kind == tivaware.KindDetour {
-				check(t, "DetourPath", func(c *tivclient.Client) (any, error) {
-					return c.DetourPath(ctx, q.I, q.J)
-				})
-			} else {
-				check(t, "TopEdges", func(c *tivclient.Client) (any, error) {
-					return c.TopEdges(ctx, q.K)
-				})
-			}
+		case tivaware.KindDetour:
+			check(t, "DetourPath", func(c *tivclient.Client) (any, error) {
+				return c.DetourPath(ctx, q.I, q.J)
+			})
+		case tivaware.KindTop:
+			check(t, "TopEdges", func(c *tivclient.Client) (any, error) {
+				return c.TopEdges(ctx, q.K)
+			})
 		case tivaware.KindDelay:
 			check(t, "Delay", func(c *tivclient.Client) (any, error) {
 				type dr struct {

@@ -16,7 +16,8 @@ import (
 
 // FuzzRequests throws arbitrary request lines and bodies at every
 // endpoint of a live server: fuzzed query strings (unparsable ints,
-// absurd residues, hostile candidate lists) and fuzzed POST bodies.
+// parameters no endpoint reads — mod= and rem= among them — hostile
+// candidate lists) and fuzzed POST bodies.
 // The server must answer every one of them — any status but 500 is
 // fine, a panic or hang is not — and whatever it answers 200 must be a
 // JSON body (the non-finite penalty seeds answered 200 with an empty

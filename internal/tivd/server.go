@@ -9,21 +9,18 @@
 // internal/tivclient):
 //
 //	GET  /healthz        liveness + epoch/version counters
-//	GET  /v1/rank        ?target=&k=&penalty=&exclude=&candidates=&mod=&rem=
-//	GET  /v1/closest     ?target=&penalty=&exclude=&candidates=&mod=&rem=
-//	GET  /v1/detour      ?i=&j=&mod=&rem=
-//	GET  /v1/top         ?k=&mod=&rem=
+//	GET  /v1/rank        ?target=&k=&penalty=&exclude=&candidates=
+//	GET  /v1/closest     ?target=&penalty=&exclude=&candidates=
+//	GET  /v1/detour      ?i=&j=
+//	GET  /v1/top         ?k=
 //	GET  /v1/delay       ?i=&j=
 //	GET  /v1/analysis    aggregate triangle statistics
 //	POST /v1/update      apply edge measurements (live services only)
 //	POST /v1/batch       answer a vector of typed queries in one round trip
 //	GET  /v1/subscribe   SSE stream of violated-edge change sets
 //
-// The optional mod/rem pair restricts a query to one residue class of
-// node ids (tivaware.Scatter) — the primitive a tivshard gateway
-// partitions one query over its shards with. The server itself serves
-// any Backend: an in-process tivaware.Service or a tivshard.Gateway,
-// so gateways re-export this exact protocol.
+// The server serves any Backend: an in-process tivaware.Service or a
+// tivshard.Gateway, so gateways re-export this exact protocol.
 //
 // There is one read path. A GET's URL, a /v1/batch body and a framed
 // batch all decode into typed tivaware.Query values, pass the same
@@ -328,13 +325,12 @@ type getEndpoint struct {
 	params []string
 }
 
-// getEndpoints is the whole single-shot GET surface. mod/rem restrict
-// a query to one residue class of node ids (tivaware.Scatter).
+// getEndpoints is the whole single-shot GET surface.
 var getEndpoints = []getEndpoint{
-	{"/v1/rank", tivaware.KindRank, []string{"target", "k", "penalty", "mod", "rem", "exclude", "candidates"}},
-	{"/v1/closest", tivaware.KindClosest, []string{"target", "penalty", "mod", "rem", "exclude", "candidates"}},
-	{"/v1/detour", tivaware.KindDetour, []string{"i", "j", "mod", "rem"}},
-	{"/v1/top", tivaware.KindTop, []string{"k", "mod", "rem"}},
+	{"/v1/rank", tivaware.KindRank, []string{"target", "k", "penalty", "exclude", "candidates"}},
+	{"/v1/closest", tivaware.KindClosest, []string{"target", "penalty", "exclude", "candidates"}},
+	{"/v1/detour", tivaware.KindDetour, []string{"i", "j"}},
+	{"/v1/top", tivaware.KindTop, []string{"k"}},
 	{"/v1/delay", tivaware.KindDelay, []string{"i", "j"}},
 	{"/v1/analysis", tivaware.KindAnalysis, nil},
 }
@@ -358,8 +354,8 @@ func (s *Server) handleGet(ep getEndpoint) http.HandlerFunc {
 // parseQuery decodes the URL parameters ep reads into its typed query.
 // Only syntax is checked here (plus the range of an explicit k, which
 // normalizeQuery would otherwise mistake for "use the default");
-// node ids and residue classes are validated by the query layer, the
-// same for a GET and for a batched query.
+// node ids are validated by the query layer, the same for a GET and
+// for a batched query.
 func (s *Server) parseQuery(ep getEndpoint, values url.Values) (tivaware.Query, error) {
 	q := tivaware.Query{Kind: ep.kind}
 	for _, name := range ep.params {
@@ -377,10 +373,6 @@ func (s *Server) parseQuery(ep getEndpoint, values url.Values) (tivaware.Query, 
 			if max := s.opts.maxRankK(); err == nil && raw != "" && (q.K <= 0 || q.K > max) {
 				err = badRequestf("parameter k: %d outside [1,%d]", q.K, max)
 			}
-		case "mod":
-			q.Scatter.Mod, err = intParam(name, raw, 0)
-		case "rem":
-			q.Scatter.Rem, err = intParam(name, raw, 0)
 		case "penalty":
 			q.SeverityPenalty, err = floatParam(name, raw)
 		case "exclude":

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"testing"
 
 	"tivaware/internal/delayspace"
@@ -254,96 +255,6 @@ func TestRetiredBinaryNegotiation(t *testing.T) {
 	}
 }
 
-// TestResidueParamsMatchScatter holds the GET spelling of a residue
-// class (mod=&rem=) equal to the typed one (Query.Scatter in a batch),
-// one round trip per residue-aware endpoint, and checks the class
-// actually restricts the answer — equality alone would also hold if
-// both spellings ignored it.
-func TestResidueParamsMatchScatter(t *testing.T) {
-	svc := synthService(t)
-	srv, err := tivd.New(svc, tivd.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	url := newTestServer(t, srv)
-	client := tivclient.New(url, tivclient.Options{})
-	ctx := context.Background()
-
-	class := tivaware.Scatter{Mod: 2, Rem: 1}
-	typed, err := client.QueryBatch(ctx, []tivaware.Query{
-		{Kind: tivaware.KindRank, Target: 0, K: 4, Scatter: class},
-		{Kind: tivaware.KindClosest, Target: 3, Scatter: class},
-		{Kind: tivaware.KindDetour, I: 0, J: 5, Scatter: class},
-		{Kind: tivaware.KindTop, K: 6, Scatter: class},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, res := range typed {
-		if res.Err != nil {
-			t.Fatalf("typed query %d: %v", i, res.Err)
-		}
-	}
-
-	// Rank and closest carry the class in QueryOptions, which the client
-	// spells as mod=&rem= on the GET.
-	opts := tivaware.QueryOptions{Scatter: class}
-	ranked, err := client.KClosest(ctx, 0, 4, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(ranked, typed[0].Selections) {
-		t.Errorf("rank: mod/rem params diverge from typed Scatter:\n get:   %v\n batch: %v", ranked, typed[0].Selections)
-	}
-	for _, sel := range ranked {
-		if sel.Node%class.Mod != class.Rem {
-			t.Errorf("rank: class (%d,%d) returned node %d", class.Mod, class.Rem, sel.Node)
-		}
-	}
-	closest, err := client.ClosestNode(ctx, 3, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual([]tivaware.Selection{closest}, typed[1].Selections) {
-		t.Errorf("closest: mod/rem params diverge from typed Scatter: %v vs %v", closest, typed[1].Selections)
-	}
-
-	// Detour and top have no typed single-shot spelling of a class; the
-	// GET parameters are the wire's.
-	get := func(pathAndQuery string, into any) {
-		t.Helper()
-		resp, err := http.Get(url + pathAndQuery)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("GET %s = %d", pathAndQuery, resp.StatusCode)
-		}
-		if err := readJSON(resp.Body, into); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var detour tivwire.DetourResponse
-	get("/v1/detour?i=0&j=5&mod=2&rem=1", &detour)
-	if got := detour.Detour.ToDetour(); got != typed[2].Detour {
-		t.Errorf("detour: mod/rem params diverge from typed Scatter: %+v vs %+v", got, typed[2].Detour)
-	}
-	if via := typed[2].Detour.Via; via >= 0 && via%class.Mod != class.Rem {
-		t.Errorf("detour: class (%d,%d) relayed via %d", class.Mod, class.Rem, via)
-	}
-	var top tivwire.TopResponse
-	get("/v1/top?k=6&mod=2&rem=1", &top)
-	if got := tivwire.ToEdges(top.Edges); !reflect.DeepEqual(got, typed[3].Edges) {
-		t.Errorf("top: mod/rem params diverge from typed Scatter: %v vs %v", got, typed[3].Edges)
-	}
-	for _, e := range typed[3].Edges {
-		if e.I%class.Mod != class.Rem {
-			t.Errorf("top: class (%d,%d) returned edge (%d,%d)", class.Mod, class.Rem, e.I, e.J)
-		}
-	}
-}
-
 // TestDelayGetMatchesBatch pins GET /v1/delay to the path every other
 // read takes: the same answer as a batched delay query for a measured
 // pair, a missing pair (-1, ok=false) and an out-of-range one
@@ -439,6 +350,49 @@ func TestQueryCacheCoherence(t *testing.T) {
 	}
 	if h1.Cache.Hits == h0.Cache.Hits {
 		t.Errorf("repeat of an identical query recorded no cache hit: %+v", h1.Cache)
+	}
+
+	// The retired residue-class spellings are an unlisted parameter and
+	// an unknown field like any other: the plain query's answer, served
+	// from the plain query's cache entry.
+	fetch := func(path, body string) (string, tivwire.CacheStats) {
+		t.Helper()
+		method := http.MethodGet
+		if body != "" {
+			method = http.MethodPost
+		}
+		req, err := http.NewRequest(method, url+path, strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		raw, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s %s: status %d, err %v: %s", method, path, resp.StatusCode, err, raw)
+		}
+		h, err := client.Healthz(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(raw), *h.Cache
+	}
+	for _, sp := range []struct{ path, body, retiredPath, retiredBody string }{
+		{path: "/v1/rank?target=0&k=4", retiredPath: "/v1/rank?target=0&k=4&mod=3&rem=1"},
+		{path: "/v1/batch", body: `{"queries":[{"kind":"detour","i":0,"j":5}]}`,
+			retiredPath: "/v1/batch", retiredBody: `{"queries":[{"kind":"detour","i":0,"j":5,"scatter":{"mod":3,"rem":1}}]}`},
+	} {
+		want, c0 := fetch(sp.path, sp.body)
+		got, c1 := fetch(sp.retiredPath, sp.retiredBody)
+		if got != want {
+			t.Errorf("%s %s answered\n%s, the plain query\n%s", sp.retiredPath, sp.retiredBody, got, want)
+		}
+		if c1.Hits != c0.Hits+1 || c1.Misses != c0.Misses {
+			t.Errorf("%s %s: cache went %+v → %+v, want one more hit and no miss", sp.retiredPath, sp.retiredBody, c0, c1)
+		}
 	}
 
 	// Perturb the edge currently at the top: the next read must see

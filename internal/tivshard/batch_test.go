@@ -21,28 +21,24 @@ import (
 )
 
 // The batch-path acceptance bar: Gateway.QueryBatch must agree with
-// the monolith's QueryBatch exactly — same merge comparators, same
-// per-query error surface — for every query kind, with and without
-// explicit residue restrictions, at every shard count, and the
-// agreement must survive a killed shard (replica failover) without
-// widening any tolerance.
+// the monolith's QueryBatch exactly — same per-query error surface —
+// for every query kind, at every shard count, and the agreement must
+// survive a killed shard (replica failover) without widening any
+// tolerance.
 
 // batchQueries is the mixed batch the differential runs: every kind,
-// scattered and explicitly-routed variants, plus two per-query error
-// cases (out-of-range target, unsupported kind).
+// plus two per-query error cases (out-of-range target, unsupported
+// kind).
 func batchQueries(n int) []tivaware.Query {
 	return []tivaware.Query{
 		{Kind: tivaware.KindRank, Target: 0},
 		{Kind: tivaware.KindRank, Target: 3, K: 5, SeverityPenalty: 2.5},
 		{Kind: tivaware.KindRank, Target: n - 1, SeverityPenalty: 1, ExcludeViolated: true},
 		{Kind: tivaware.KindRank, Target: 0, K: 4, Candidates: []int{n - 1, 3, 17, 8, 21}, SeverityPenalty: 2},
-		{Kind: tivaware.KindRank, Target: 2, Scatter: tivaware.Scatter{Mod: 2, Rem: 1}},
 		{Kind: tivaware.KindClosest, Target: 7, SeverityPenalty: 1.5},
 		{Kind: tivaware.KindClosest, Target: n - 1},
 		{Kind: tivaware.KindDetour, I: 1, J: n - 1},
-		{Kind: tivaware.KindDetour, I: 10, J: 20, Scatter: tivaware.Scatter{Mod: 3, Rem: 0}},
 		{Kind: tivaware.KindTop, K: 10},
-		{Kind: tivaware.KindTop, K: 6, Scatter: tivaware.Scatter{Mod: 2, Rem: 0}},
 		{Kind: tivaware.KindDelay, I: 4, J: 9},
 		{Kind: tivaware.KindDelay, I: 9, J: 4},
 		{Kind: tivaware.KindAnalysis},
@@ -104,9 +100,9 @@ func assertBatchAgreement(t *testing.T, mono *tivaware.Service, gw *tivshard.Gat
 }
 
 // TestGatewayBatchMatchesMonolith is the batch-path twin of
-// TestGatewayMatchesMonolith: one scatter-gather /v1/batch round per
-// shard must land on exactly the answers of issuing the queries
-// against a monolithic service.
+// TestGatewayMatchesMonolith: one /v1/batch round to the home shard
+// must land on exactly the answers of issuing the queries against a
+// monolithic service.
 func TestGatewayBatchMatchesMonolith(t *testing.T) {
 	for _, k := range shardCounts {
 		k := k
@@ -176,7 +172,7 @@ func TestGatewayBatchMatchesSingles(t *testing.T) {
 
 // TestGatewayBatchSurvivesKilledShard: every shard is a full replica,
 // so one dead shard must not change a single batch answer — the
-// class sub-batch fails over — and when every replica is dead, each
+// batch fails over — and when every replica is dead, each
 // query fails individually with a retryable unavailable envelope
 // while the batch call itself still returns.
 func TestGatewayBatchSurvivesKilledShard(t *testing.T) {
@@ -238,7 +234,7 @@ func TestGatewayBatchSurvivesKilledShard(t *testing.T) {
 }
 
 // countingCluster boots a 3-shard cluster over n nodes whose shards
-// count the sub-batches (POST /v1/batch) they are sent; health probes
+// count the batches (POST /v1/batch) they are sent; health probes
 // and updates travel on other paths and are not counted.
 func countingCluster(t *testing.T, n int, opts tivshard.Options) (*testcluster.Cluster, *tivaware.Service, func() [3]int64) {
 	t.Helper()
@@ -284,7 +280,7 @@ func hotMixBatch(n, salt int) []tivaware.Query {
 }
 
 // sendExact issues one batch, requires it bit-equal to the monolith's
-// answers, and returns how many sub-batches each shard was sent.
+// answers, and returns how many batches each shard was sent.
 func sendExact(t *testing.T, c *testcluster.Cluster, mono *tivaware.Service, counts func() [3]int64, queries []tivaware.Query) [3]int64 {
 	t.Helper()
 	ctx := context.Background()
@@ -306,8 +302,7 @@ func sendExact(t *testing.T, c *testcluster.Cluster, mono *tivaware.Service, cou
 
 // TestShardRequestsPerBatch is the count the routing exists for, read
 // off the shards: a batch — with or without a top in it — is one shard
-// request on a home that takes turns, and a query naming a residue
-// class goes to that class's shard alone.
+// request on a home that takes turns.
 func TestShardRequestsPerBatch(t *testing.T) {
 	const n = 120
 	c, mono, counts := countingCluster(t, n, tivshard.Options{ProbeInterval: -1})
@@ -328,29 +323,28 @@ func TestShardRequestsPerBatch(t *testing.T) {
 	if homes != [3]int64{2, 2, 2} {
 		t.Errorf("6 batches landed %v on the shards, want the home to take turns (2 each)", homes)
 	}
-	for b := 0; b < 3; b++ {
-		classed := []tivaware.Query{
-			{Kind: tivaware.KindRank, Target: 5, K: 4, Scatter: tivaware.Scatter{Mod: 3, Rem: 2}},
-			{Kind: tivaware.KindTop, K: 6, Scatter: tivaware.Scatter{Mod: 3, Rem: 2}},
-			{Kind: tivaware.KindDetour, I: 1, J: 9, Scatter: tivaware.Scatter{Mod: 6, Rem: 5}},
-		}
-		if sent := sendExact(t, c, mono, counts, classed); sent != [3]int64{0, 0, 1} {
-			t.Errorf("batch %d of class-2 queries: shard requests %v, want shard 2 alone", b, sent)
-		}
-	}
 }
 
-// TestPerQueryShardErrors: a shard's terminal refusal of one query
+// TestPerQueryShardErrors: a shard's terminal refusal — of one query,
+// or of the whole batch (a batch limit below the gateway's, say) —
 // reaches the gateway's caller in the shard service's own words, while
 // a retryable per-query failure (the shard is itself a gateway with
 // nothing behind it, say) stays the client error it was — retryable,
 // naming the shard-ward call.
 func TestPerQueryShardErrors(t *testing.T) {
+	const tooMany = "batch of 3 queries exceeds limit 2"
 	shard := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		switch r.URL.Path {
 		case "/healthz":
 			json.NewEncoder(w).Encode(tivwire.Health{Status: "ok", N: 8})
 		case "/v1/batch":
+			var req tivwire.BatchRequest
+			json.NewDecoder(r.Body).Decode(&req)
+			if len(req.Queries) > 2 {
+				w.WriteHeader(http.StatusBadRequest)
+				json.NewEncoder(w).Encode(tivwire.Error{Error: tooMany, Code: tivwire.CodeBadRequest})
+				return
+			}
 			json.NewEncoder(w).Encode(tivwire.BatchResponse{Results: []tivwire.Result{
 				{Kind: "rank", Err: &tivwire.Error{Error: "tivaware: node 99 out of range [0,8)", Code: tivwire.CodeBadRequest}},
 				{Kind: "rank", Err: &tivwire.Error{Error: "no shard could answer", Code: tivwire.CodeUnavailable}},
@@ -377,6 +371,23 @@ func TestPerQueryShardErrors(t *testing.T) {
 	}
 	if err, ok := res[1].Err.(*tivclient.Error); !ok || err.Code != tivwire.CodeUnavailable || !err.Retryable() || err.Op == "" {
 		t.Errorf("retryable per-query failure came through as %#v", res[1].Err)
+	}
+
+	// Refused whole: no retry can shrink the batch, so each query
+	// carries the shard's bad_request, not a retryable unavailable.
+	res, err = g.QueryBatch(context.Background(), []tivaware.Query{
+		{Kind: tivaware.KindRank, Target: 1},
+		{Kind: tivaware.KindDetour, I: 1, J: 2},
+		{Kind: tivaware.KindDelay, I: 1, J: 2},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range res {
+		if err := r.Err; err == nil || err.Error() != tooMany ||
+			!errors.As(err, &wc) || wc.WireCode() != tivwire.CodeBadRequest || tivclient.IsRetryable(err) {
+			t.Errorf("query %d of a batch refused whole came through as %v", i, err)
+		}
 	}
 }
 

@@ -51,7 +51,7 @@ func TestFramedGatewayExact(t *testing.T) {
 
 // TestFramedGatewayKilledShardRedial is the redial-after-SIGKILL case
 // over frames: killing a shard aborts its framed connections mid-use,
-// the gateway's retry taxonomy fails the class over to live replicas
+// the gateway's retry taxonomy fails the batch over to live replicas
 // (exactly), and after a restart the redialed frames serve it again.
 func TestFramedGatewayKilledShardRedial(t *testing.T) {
 	c, mono := framedCluster(t, 23)

@@ -28,12 +28,11 @@
 // local scan, is the unit of cost: a batch is handed on whole to its
 // home, one live replica chosen per batch in rotation, and the answer
 // is that shard service's own — exact by construction, one pinned
-// epoch per batch. A query that names a residue class itself
-// (tivaware.Scatter) goes to that class's shard. Analysis queries
-// every shard and requires the integer triangle totals to agree
-// exactly — a built-in replica-divergence detector. The differential
-// suites in this package pin gateway ≡ monolithic tivaware.Service
-// over the same matrix.
+// epoch per batch. Analysis queries every shard and requires the
+// integer triangle totals to agree exactly — a built-in
+// replica-divergence detector. The differential suites in this
+// package pin gateway ≡ monolithic tivaware.Service over the same
+// matrix.
 //
 // # Updates and subscriptions
 //
@@ -340,21 +339,6 @@ func (g *Gateway) scatter(ctx context.Context, fn func(ctx context.Context, shar
 	}
 	wg.Wait()
 	return errors.Join(errs...)
-}
-
-// classShard validates a caller-supplied residue class and picks the
-// replica that answers it. Validation must happen here, before the
-// class indexes a shard: a monolithic daemon rejects a bad residue
-// with an error from the query layer, and the gateway must be
-// wire-compatible (and not let a remote caller panic it).
-func (g *Gateway) classShard(mod, rem int) (int, error) {
-	if mod < 0 {
-		return 0, fmt.Errorf("tivshard: negative residue modulus %d", mod)
-	}
-	if rem < 0 || rem >= mod {
-		return 0, fmt.Errorf("tivshard: residue %d outside [0,%d)", rem, mod)
-	}
-	return rem % g.k, nil
 }
 
 // queryOne answers one query as a batch of one, folding the per-query

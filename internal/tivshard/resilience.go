@@ -12,18 +12,16 @@ import (
 	"tivaware/internal/tivwire"
 )
 
-// This file is the gateway's resilience layer. PR 5's partitioning
-// replicates the full delay matrix on every shard and partitions only
-// the per-query *work* (residue classes) and the delta-stream
-// *authority* (owned edges) — which makes exact failover possible:
-// any live replica can answer any residue class bit-for-bit. The
+// This file is the gateway's resilience layer. The plane replicates
+// the full delay matrix on every shard and partitions only the
+// delta-stream *authority* (owned edges) — which makes exact failover
+// possible: any live replica can answer any query bit-for-bit. The
 // layer makes it real:
 //
-//   - Reads run through a try chain (the batch's home or a named
-//     class's shard first, then the other live replicas) with bounded,
-//     jitter-backed retries and per-try timeouts. A query fails only
-//     when every replica is unreachable — and then with a typed
-//     retryable error.
+//   - Reads run through a try chain (the batch's home first, then the
+//     other live replicas) with bounded, jitter-backed retries and
+//     per-try timeouts. A query fails only when every replica is
+//     unreachable — and then with a typed retryable error.
 //   - A per-shard circuit breaker (consecutive-failure threshold)
 //     marks a shard down: down shards get no reads (their replica may
 //     be behind) and no direct updates (they skip, see below).
@@ -116,7 +114,7 @@ type RetryPolicy struct {
 	// MaxBackoff caps the pause; zero means 1s.
 	MaxBackoff time.Duration
 	// PerTryTimeout bounds each attempt, so a mid-body hang costs one
-	// bounded try instead of wedging the scatter; zero means 15s,
+	// bounded try instead of wedging the batch; zero means 15s,
 	// negative disables.
 	PerTryTimeout time.Duration
 }
@@ -221,7 +219,7 @@ func (g *Gateway) isDown(s int) bool { return g.states[s].down.Load() }
 // home picks the replica that answers a batch: the live shards take
 // turns, so they share the batches evenly whichever of them are down.
 // With none live (or one tripping under the walk) the pick is
-// arbitrary — callClass walks on from it.
+// arbitrary — callHome walks on from it.
 func (g *Gateway) home() int {
 	live := g.k - len(g.DownShards())
 	if live == 0 {
@@ -297,15 +295,15 @@ func tryOnce[T any](g *Gateway, ctx context.Context, s int, call func(ctx contex
 	return zero, err
 }
 
-// callClass resolves one logical read: it walks the live replicas in
-// ring order from the preferred shard (a class's own, or the batch's
-// home) with bounded jittered retries; a slow shard is cut off by the
-// per-try timeout and the walk moves to the next replica. Terminal
-// errors (bad requests) surface immediately: every replica would
-// reject them identically. It fails only when the caller's context
-// dies or every attempt on every live replica failed — then with a
-// typed retryable error so clients above know to come back.
-func callClass[T any](g *Gateway, ctx context.Context, preferred int, call func(ctx context.Context, c *tivclient.Client) (T, error)) (T, error) {
+// callHome resolves one logical read: it walks the live replicas in
+// ring order from the batch's home with bounded jittered retries; a
+// slow shard is cut off by the per-try timeout and the walk moves to
+// the next replica. Terminal errors (bad requests) surface
+// immediately: every replica would reject them identically. It fails
+// only when the caller's context dies or every attempt on every live
+// replica failed — then with a typed retryable error so clients above
+// know to come back.
+func callHome[T any](g *Gateway, ctx context.Context, home int, call func(ctx context.Context, c *tivclient.Client) (T, error)) (T, error) {
 	var zero T
 	var lastErr error
 	for attempt := 0; attempt < g.opts.Retry.maxAttempts(); attempt++ {
@@ -328,7 +326,7 @@ func callClass[T any](g *Gateway, ctx context.Context, preferred int, call func(
 		tried := false
 		for pass := 0; pass < 2 && !tried; pass++ {
 			for d := 0; d < g.k; d++ {
-				s := (preferred + d) % g.k
+				s := (home + d) % g.k
 				if pass == 0 && g.isDown(s) {
 					continue
 				}

@@ -17,7 +17,7 @@ import (
 // Frame layout:
 //
 //	offset 0: magic "TB"
-//	offset 2: framing version (1)
+//	offset 2: framing version (2)
 //	offset 3: message type (one of the mt* codes)
 //	offset 4: payload length, uint32 little-endian
 //	offset 8: payload
@@ -30,10 +30,13 @@ import (
 // allocation, so hostile frames cannot drive memory use (see
 // FuzzBinaryFrameDecode).
 
+// binVersion changes whenever a payload layout does, so peers from
+// different builds refuse each other's frames by name instead of
+// misreading fields.
 const (
 	binMagic0    = 'T'
 	binMagic1    = 'B'
-	binVersion   = 1
+	binVersion   = 2
 	binHeaderLen = 8
 )
 
@@ -63,8 +66,8 @@ const (
 	minEdge      = 10 // i ≥1 + j ≥1 + severity 8
 	minUpdate    = 10 // i ≥1 + j ≥1 + rtt 8
 	minInt       = 1
-	minQuery     = 10
-	minResult    = 3 // kind ≥2 + ≥1 presence byte
+	minQuery     = 15 // kind ≥1 + target ≥1 + k ≥1 + candidates ≥1 + penalty 8 + exclude 1 + i ≥1 + j ≥1
+	minResult    = 3  // kind ≥2 + ≥1 presence byte
 )
 
 // MarshalBinary encodes one wire message as a binary frame.
@@ -678,8 +681,6 @@ func encQuery(w *binWriter, q *Query) {
 	w.bool(q.Exclude)
 	w.i(q.I)
 	w.i(q.J)
-	w.i(q.Scatter.Mod)
-	w.i(q.Scatter.Rem)
 }
 
 func decQuery(r *binReader, q *Query) {
@@ -691,8 +692,6 @@ func decQuery(r *binReader, q *Query) {
 	q.Exclude = r.bool()
 	q.I = r.i()
 	q.J = r.i()
-	q.Scatter.Mod = r.i()
-	q.Scatter.Rem = r.i()
 }
 
 func encBatchReq(w *binWriter, v *BatchRequest) {

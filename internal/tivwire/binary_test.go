@@ -66,7 +66,7 @@ func wireMessages() []any {
 		&BatchRequest{Queries: []Query{
 			{Kind: "rank", Target: 4, K: 8, Candidates: []int{1, 2, 3}, Penalty: 2, Exclude: true},
 			{Kind: "rank", Target: 1, Candidates: []int{}}, // empty candidate set ≠ all nodes
-			{Kind: "detour", I: 3, J: 9, Scatter: Scatter{Mod: 3, Rem: 1}},
+			{Kind: "detour", I: 3, J: 9},
 			{Kind: "analysis"},
 		}},
 		&BatchResponse{Epoch: 11, Results: []Result{
@@ -249,6 +249,12 @@ func TestBinaryRejectsMangledFrames(t *testing.T) {
 			t.Errorf("mangled frame %d decoded without error", i)
 		}
 	}
+	// A peer from the build before Query lost two fields: refused by
+	// name, not decoded field-shifted.
+	v1 := append([]byte{'T', 'B', 1}, frame[3:]...)
+	if _, err := UnmarshalBinary(v1); err == nil || !strings.Contains(err.Error(), "unsupported binary framing version 1") {
+		t.Errorf("version-1 frame: err %v, want the unsupported-version refusal", err)
+	}
 	var h Health
 	if err := UnmarshalBinaryInto(frame, &h); err == nil {
 		t.Error("Hello frame decoded into *Health without error")
@@ -361,8 +367,8 @@ func FuzzBinaryFrameDecode(f *testing.F) {
 		f.Add(frame)
 	}
 	f.Add([]byte("TB"))
-	f.Add([]byte{'T', 'B', 1, mtHealth, 0, 0, 0, 0})
-	f.Add([]byte{'T', 'B', 1, mtBatchResponse, 255, 255, 255, 255})
+	f.Add([]byte{'T', 'B', binVersion, mtHealth, 0, 0, 0, 0})
+	f.Add([]byte{'T', 'B', binVersion, mtBatchResponse, 255, 255, 255, 255})
 	// Non-finite RTTs are codec-legal (validity is the monitor's rule,
 	// not the codec's): they must round-trip bit-exactly, not be mangled.
 	nonFinite, err := MarshalBinary(&UpdateRequest{Updates: []Update{{I: 0, J: 1, RTT: math.Inf(1)}, {I: 1, J: 2, RTT: math.NaN()}}})

@@ -11,13 +11,7 @@ import (
 // into) and answers all of them against one pinned epoch. One round
 // trip amortizes the per-request overhead that dominates once the
 // plane is distributed; a gateway reuses the same framing shard-ward,
-// so a K-shard scatter costs one request per shard per batch.
-
-// Scatter mirrors tivaware.Scatter: a residue class of node ids.
-type Scatter struct {
-	Mod int `json:"mod,omitempty"`
-	Rem int `json:"rem,omitempty"`
-}
+// so a batch costs one shard request.
 
 // Query mirrors tivaware.Query: one typed query from the union. Kind
 // is a tivaware.QueryKind string; unused fields are ignored. The
@@ -32,7 +26,6 @@ type Query struct {
 	Exclude    bool    `json:"exclude,omitempty"`
 	I          int     `json:"i,omitempty"`
 	J          int     `json:"j,omitempty"`
-	Scatter    Scatter `json:"scatter"`
 }
 
 // FromQuery converts the in-process type.
@@ -46,7 +39,6 @@ func FromQuery(q tivaware.Query) Query {
 		Exclude:    q.ExcludeViolated,
 		I:          q.I,
 		J:          q.J,
-		Scatter:    Scatter{Mod: q.Scatter.Mod, Rem: q.Scatter.Rem},
 	}
 }
 
@@ -62,7 +54,6 @@ func (q Query) ToQuery() tivaware.Query {
 		ExcludeViolated: q.Exclude,
 		I:               q.I,
 		J:               q.J,
-		Scatter:         tivaware.Scatter{Mod: q.Scatter.Mod, Rem: q.Scatter.Rem},
 	}
 }
 
