@@ -214,8 +214,44 @@ func BenchmarkServiceClosestNodeParallel(b *testing.B) {
 	})
 }
 
+// BenchmarkServiceRankK measures one severity-penalized rank of all
+// candidates truncated to the 8 best on a warm service: the query
+// keeps the K it returns, so it must not pay for sorting all N.
+func BenchmarkServiceRankK(b *testing.B) {
+	svc, sp := benchService(b, 400, tivaware.Options{})
+	ctx := context.Background()
+	n := sp.Matrix.N()
+	opts := tivaware.QueryOptions{SeverityPenalty: 2}
+	if _, err := svc.KClosest(ctx, 0, 8, opts); err != nil { // warm the analysis
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := svc.KClosest(ctx, i%n, 8, opts); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkServiceTopEdges measures one worst-16-edges query on a warm
+// service: a streamed scan of the severity triangle that must not
+// materialise its N(N-1)/2 edges.
+func BenchmarkServiceTopEdges(b *testing.B) {
+	svc, _ := benchService(b, 400, tivaware.Options{})
+	if len(svc.TopEdges(16)) != 16 { // warm the analysis
+		b.Fatal("short top")
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		svc.TopEdges(16)
+	}
+}
+
 // BenchmarkDetourPath measures one best-one-hop-detour query: an O(N)
-// scan over the delay source.
+// scan over two delay rows. It walks every edge, not one pair: the
+// changing endpoints are what expose a strided (column) read.
 func BenchmarkDetourPath(b *testing.B) {
 	svc, sp := benchService(b, 400, tivaware.Options{})
 	ctx := context.Background()

@@ -77,6 +77,10 @@ func (c *EdgeCounts) N() int { return c.n }
 // (i, j); At(i,i) is 0.
 func (c *EdgeCounts) At(i, j int) int { return int(c.data[i*c.n+j]) }
 
+// Row returns node i's violation counts to every node, indexed by
+// node. The slice aliases the store: read-only.
+func (c *EdgeCounts) Row(i int) []int32 { return c.data[i*c.n : (i+1)*c.n] }
+
 // Analysis bundles the results of one full triple-scan pass.
 type Analysis struct {
 	// Severities holds every edge's TIV severity (exact).

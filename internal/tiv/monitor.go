@@ -632,25 +632,3 @@ func (mon *Monitor) Analysis() Analysis {
 		Triangles:          mon.Triangles(),
 	}
 }
-
-// TopEdges returns the k edges with the highest current severity, most
-// severe first (fewer when the matrix has fewer edges).
-func (mon *Monitor) TopEdges(k int) []delayspace.Edge {
-	if k <= 0 {
-		return nil
-	}
-	n := mon.n
-	edges := make([]delayspace.Edge, 0, n*(n-1)/2)
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			edges = append(edges, delayspace.Edge{I: i, J: j, Delay: mon.rawSev[i*n+j] / float64(n)})
-		}
-	}
-	if k > len(edges) {
-		k = len(edges)
-	}
-	if k == 0 {
-		return nil
-	}
-	return selectTopEdges(edges, k)
-}

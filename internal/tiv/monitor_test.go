@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"tivaware/internal/delayspace"
-	"tivaware/internal/synth"
 )
 
 // monitorMatrix builds an n-node matrix with a missing fraction and
@@ -376,27 +375,6 @@ func TestMonitorJournalRing(t *testing.T) {
 	}
 	if len(mon2.Journal()) != 0 {
 		t.Error("disabled journal retained entries")
-	}
-}
-
-func TestMonitorTopEdges(t *testing.T) {
-	s, err := synth.Generate(synth.DS2Like(60, 9))
-	if err != nil {
-		t.Fatal(err)
-	}
-	mon := NewMonitor(s.Matrix, MonitorOptions{})
-	top := mon.TopEdges(5)
-	if len(top) != 5 {
-		t.Fatalf("TopEdges(5) returned %d edges", len(top))
-	}
-	want := mon.Severities().WorstEdges(5.0 / float64(60*59/2))
-	for k := range top {
-		if top[k] != want[k] {
-			t.Fatalf("TopEdges[%d] = %+v, want %+v", k, top[k], want[k])
-		}
-	}
-	if mon.TopEdges(0) != nil {
-		t.Error("TopEdges(0) should be nil")
 	}
 }
 

@@ -2,14 +2,9 @@ package tiv
 
 import (
 	"math/rand"
-	"sort"
 
 	"tivaware/internal/delayspace"
 )
-
-func sortSlice(edges []delayspace.Edge, less func(a, b delayspace.Edge) bool) {
-	sort.Slice(edges, func(i, j int) bool { return less(edges[i], edges[j]) })
-}
 
 // PairDifferences runs the paper's proximity experiment (§2.2,
 // Fig 9): sample numEdges random edges; for each edge AB find its

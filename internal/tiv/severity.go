@@ -27,6 +27,7 @@ import (
 	"math/bits"
 	"math/rand"
 	"runtime"
+	"sort"
 
 	"tivaware/internal/delayspace"
 )
@@ -135,6 +136,10 @@ func (e *EdgeSeverities) N() int { return e.n }
 // At returns the severity of edge (i, j); At(i,i) is 0.
 func (e *EdgeSeverities) At(i, j int) float64 { return e.data[i*e.n+j] }
 
+// Row returns node i's severities to every node, indexed by node. The
+// slice aliases the store: read-only.
+func (e *EdgeSeverities) Row(i int) []float64 { return e.data[i*e.n : (i+1)*e.n] }
+
 // Values returns the severities of all edges i < j as a flat slice
 // (length N·(N−1)/2), the sample Figures 2 and 9 build CDFs over.
 func (e *EdgeSeverities) Values() []float64 {
@@ -153,28 +158,40 @@ func (e *EdgeSeverities) WorstEdges(frac float64) []delayspace.Edge {
 	if frac <= 0 || frac > 1 {
 		panic(fmt.Sprintf("tiv: WorstEdges fraction %g outside (0,1]", frac))
 	}
-	numEdges := e.n * (e.n - 1) / 2
-	k := int(float64(numEdges) * frac)
-	if k == 0 && numEdges > 0 {
-		k = 1
-	}
-	return e.TopEdges(k)
-}
-
-// TopEdges returns the k edges with the highest severity, most severe
-// first (fewer when the matrix has fewer edges, nil when k <= 0).
-func (e *EdgeSeverities) TopEdges(k int) []delayspace.Edge {
-	numEdges := e.n * (e.n - 1) / 2
-	if k <= 0 || numEdges == 0 {
-		return nil
-	}
-	edges := make([]delayspace.Edge, 0, numEdges)
+	edges := make([]delayspace.Edge, 0, e.n*(e.n-1)/2)
 	for i := 0; i < e.n; i++ {
 		for j := i + 1; j < e.n; j++ {
 			edges = append(edges, delayspace.Edge{I: i, J: j, Delay: e.At(i, j)})
 		}
 	}
-	return selectTopEdges(edges, k)
+	return selectTopEdges(edges, max(1, int(float64(len(edges))*frac)))
+}
+
+// TopEdges returns the k edges with the highest severity, most severe
+// first (fewer when the matrix has fewer edges, nil when k <= 0). The
+// served count selector: the upper triangle streams through KeepTop,
+// allocating the k edges returned, not the E scanned. The offline
+// fraction selectors (WorstEdges, TopEdgesBy) keep quickselect over a
+// materialised list, which wins once k is a sizeable share of E.
+func (e *EdgeSeverities) TopEdges(k int) []delayspace.Edge {
+	k = min(k, e.n*(e.n-1)/2)
+	if k <= 0 {
+		return nil
+	}
+	top := make([]delayspace.Edge, 0, k)
+	for i := 0; i < e.n; i++ {
+		row := e.Row(i)
+		for j := i + 1; j < e.n; j++ {
+			// Edges arrive in ascending (I, J), so one that only ties
+			// the root's severity sorts after it: <= rejects exactly.
+			if len(top) == k && row[j] <= top[0].Delay {
+				continue
+			}
+			top = KeepTop(top, k, delayspace.Edge{I: i, J: j, Delay: row[j]}, EdgeLess)
+		}
+	}
+	sortEdgesBySeverityDesc(top)
+	return top
 }
 
 // EdgeLess is the total order all edge rankings use: higher severity
@@ -191,7 +208,7 @@ func EdgeLess(a, b delayspace.Edge) bool {
 }
 
 func sortEdgesBySeverityDesc(edges []delayspace.Edge) {
-	sortSlice(edges, EdgeLess)
+	sort.Slice(edges, func(i, j int) bool { return EdgeLess(edges[i], edges[j]) })
 }
 
 // selectTopEdges partially selects the k first edges under EdgeLess

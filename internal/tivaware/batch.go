@@ -173,16 +173,13 @@ func (v *View) resolveQuery(ctx context.Context, q Query) Result {
 	res := Result{Kind: q.Kind}
 	switch q.Kind {
 	case KindRank:
-		sel, err := rankEpoch(ctx, v.e, q.Target, q.Candidates, q.options())
+		sel, qualified, err := selectEpoch(ctx, v.e, q.Target, q.Candidates, q.options(), q.K)
 		if err != nil {
 			res.Err = err
 			break
 		}
-		if q.K > 0 && len(sel) > q.K {
-			sel = sel[:q.K]
-			res.Truncated = true
-		}
 		res.Selections = sel
+		res.Truncated = q.K > 0 && qualified > q.K
 	case KindClosest:
 		sel, err := closestNodeEpoch(ctx, v.e, q.Target, q.options())
 		if err != nil {

@@ -57,6 +57,39 @@ func (e *epoch) fraction() float64 {
 	return float64(e.violating) / float64(e.triangles)
 }
 
+// delayRow returns the delays from node i to every node, indexed by
+// node, with delayspace.Missing where the source has no estimate: the
+// matrix's own row (read-only) for a matrix-backed epoch, a row
+// materialised through Delay otherwise. Every query scan reads rows,
+// so there is one loop per query whatever the source.
+func (e *epoch) delayRow(i int) []float64 { return e.row(i, false) }
+
+// delayRowTo returns the delays from every node to node j. A matrix is
+// symmetric, so it is the same row; a predictor need not be, and keeps
+// its argument order.
+func (e *epoch) delayRowTo(j int) []float64 { return e.row(j, true) }
+
+func (e *epoch) row(i int, to bool) []float64 {
+	if ms, ok := e.q.(matrixSource); ok {
+		return ms.m.Row(i)
+	}
+	row := make([]float64, e.q.N())
+	for k := range row {
+		var d float64
+		var ok bool
+		if to {
+			d, ok = e.q.Delay(k, i)
+		} else {
+			d, ok = e.q.Delay(i, k)
+		}
+		if !ok {
+			d = delayspace.Missing
+		}
+		row[k] = d
+	}
+	return row
+}
+
 // fresh reports whether e still reflects both sources' current
 // versions. Source Version methods are safe for concurrent use (see
 // the DelaySource contract), so this runs on the lock-free path.
@@ -250,7 +283,8 @@ func (v *View) TopEdges(k int) []delayspace.Edge { return v.e.sev.TopEdges(k) }
 
 // Rank scores candidates against this view; see Service.Rank.
 func (v *View) Rank(ctx context.Context, target int, candidates []int, opts QueryOptions) ([]Selection, error) {
-	return rankEpoch(ctx, v.e, target, candidates, opts)
+	kept, _, err := selectEpoch(ctx, v.e, target, candidates, opts, 0)
+	return kept, err
 }
 
 // KClosest returns the k best-ranked candidates in this view; see

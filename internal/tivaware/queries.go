@@ -4,9 +4,10 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"tivaware/internal/delayspace"
+	"tivaware/internal/tiv"
 )
 
 // Querier is the TIV-aware query surface: what a Service answers
@@ -94,72 +95,80 @@ func (s *Service) Rank(ctx context.Context, target int, candidates []int, opts Q
 	if err != nil {
 		return nil, err
 	}
-	return rankEpoch(ctx, e, target, candidates, opts)
+	kept, _, err := selectEpoch(ctx, e, target, candidates, opts, 0)
+	return kept, err
 }
 
-func rankEpoch(ctx context.Context, e *epoch, target int, candidates []int, opts QueryOptions) ([]Selection, error) {
+// selectEpoch is the one scan behind Rank, KClosest, ClosestNode and
+// their Query kinds: it scores the candidates for the target off the
+// epoch's delay, severity and count rows and keeps the k best (k <= 0:
+// all) through tiv.KeepTop, so a query pays for the k it returns and
+// not the n it scans. kept is best first; qualified counts every
+// candidate that ranked, kept or not.
+func selectEpoch(ctx context.Context, e *epoch, target int, candidates []int, opts QueryOptions, k int) (kept []Selection, qualified int, err error) {
 	if err := checkCtx(ctx); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	if err := e.checkNode("target", target); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	// A non-finite penalty scores every candidate NaN or ±Inf: an
 	// unordered ranking no wire format can carry.
 	if !finite(opts.SeverityPenalty) {
-		return nil, fmt.Errorf("tivaware: severity penalty %g is not finite", opts.SeverityPenalty)
+		return nil, 0, fmt.Errorf("tivaware: severity penalty %g is not finite", opts.SeverityPenalty)
 	}
 	if candidates == nil {
 		candidates = opts.Candidates
 	}
-	seen := make(map[int]bool, len(candidates))
-	for k, c := range candidates {
-		if k&ctxPollMask == 0 {
-			if err := checkCtx(ctx); err != nil {
-				return nil, err
-			}
-		}
-		if err := e.checkNode("candidate", c); err != nil {
-			return nil, err
-		}
-		if seen[c] {
-			return nil, fmt.Errorf("tivaware: duplicate candidate %d", c)
-		}
-		seen[c] = true
-	}
 	n := e.q.N()
-	if candidates == nil {
-		all := make([]int, 0, n-1)
-		for c := 0; c < n; c++ {
-			if c&ctxPollMask == 0 {
+	count := n // nil candidates: every node, the target skipped below
+	if candidates != nil {
+		count = len(candidates)
+		// One bit per node, not one map slot per list entry: what a
+		// request can make the check allocate is bounded by the matrix.
+		seen := make([]uint64, (n+63)/64)
+		for idx, c := range candidates {
+			if idx&ctxPollMask == 0 {
 				if err := checkCtx(ctx); err != nil {
-					return nil, err
+					return nil, 0, err
 				}
 			}
-			if c != target {
-				all = append(all, c)
+			if err := e.checkNode("candidate", c); err != nil {
+				return nil, 0, err
 			}
+			if seen[c>>6]&(1<<(c&63)) != 0 {
+				return nil, 0, fmt.Errorf("tivaware: duplicate candidate %d", c)
+			}
+			seen[c>>6] |= 1 << (c & 63)
 		}
-		candidates = all
+	}
+	if k <= 0 || k > count {
+		k = count
 	}
 
-	out := make([]Selection, 0, len(candidates))
-	for k, c := range candidates {
-		if k&ctxPollMask == 0 {
+	delays, sevs := e.delayRow(target), e.sev.Row(target)
+	var counts []int32
+	if e.full {
+		counts = e.counts.Row(target)
+	}
+	kept = make([]Selection, 0, k)
+	for idx := 0; idx < count; idx++ {
+		if idx&ctxPollMask == 0 {
 			if err := checkCtx(ctx); err != nil {
-				return nil, err
+				return nil, 0, err
 			}
 		}
-		if c == target {
+		c := idx
+		if candidates != nil {
+			c = candidates[idx]
+		}
+		d := delays[c]
+		if c == target || d == delayspace.Missing {
 			continue
 		}
-		d, ok := e.q.Delay(target, c)
-		if !ok {
-			continue
-		}
-		sel := Selection{Node: c, Delay: d, Severity: e.sev.At(target, c), Violations: -1}
+		sel := Selection{Node: c, Delay: d, Severity: sevs[c], Violations: -1}
 		if e.full {
-			sel.Violations = e.counts.At(target, c)
+			sel.Violations = int(counts[c])
 			sel.Violated = sel.Violations > 0
 		} else {
 			sel.Violated = sel.Severity > 0
@@ -171,12 +180,21 @@ func rankEpoch(ctx context.Context, e *epoch, target int, candidates []int, opts
 		if !finite(sel.Score) {
 			// A finite but absurd penalty: refuse it like a non-finite
 			// one rather than rank on scores that no longer order.
-			return nil, fmt.Errorf("tivaware: severity penalty %g overflows the score of candidate %d", opts.SeverityPenalty, c)
+			return nil, 0, fmt.Errorf("tivaware: severity penalty %g overflows the score of candidate %d", opts.SeverityPenalty, c)
 		}
-		out = append(out, sel)
+		qualified++
+		kept = tiv.KeepTop(kept, k, sel, selectionLess)
 	}
-	sort.Slice(out, func(a, b int) bool { return selectionLess(out[a], out[b]) })
-	return out, nil
+	slices.SortFunc(kept, func(a, b Selection) int {
+		switch {
+		case selectionLess(a, b):
+			return -1
+		case selectionLess(b, a):
+			return 1
+		}
+		return 0
+	})
+	return kept, qualified, nil
 }
 
 func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
@@ -207,14 +225,8 @@ func kClosestEpoch(ctx context.Context, e *epoch, target, k int, opts QueryOptio
 	if k <= 0 {
 		return nil, fmt.Errorf("tivaware: KClosest k = %d, want > 0", k)
 	}
-	ranked, err := rankEpoch(ctx, e, target, opts.Candidates, opts)
-	if err != nil {
-		return nil, err
-	}
-	if len(ranked) > k {
-		ranked = ranked[:k]
-	}
-	return ranked, nil
+	kept, _, err := selectEpoch(ctx, e, target, nil, opts, k)
+	return kept, err
 }
 
 // ClosestNode returns the best-ranked candidate for the target. It
@@ -304,22 +316,16 @@ func detourEpoch(ctx context.Context, e *epoch, i, j int) (Detour, error) {
 	}
 	best := math.Inf(1)
 	bestVia := -1
-	n := e.q.N()
-	for k := 0; k < n; k++ {
+	// Two contiguous rows, not a strided column of Delay(k, j) calls.
+	fromI, toJ := e.delayRow(i), e.delayRowTo(j)
+	for k, dik := range fromI {
 		if k&ctxPollMask == 0 && k > 0 {
 			if err := checkCtx(ctx); err != nil {
 				return Detour{}, err
 			}
 		}
-		if k == i || k == j {
-			continue
-		}
-		dik, ok := e.q.Delay(i, k)
-		if !ok {
-			continue
-		}
-		dkj, ok := e.q.Delay(k, j)
-		if !ok {
+		dkj := toJ[k]
+		if k == i || k == j || dik == delayspace.Missing || dkj == delayspace.Missing {
 			continue
 		}
 		if total := dik + dkj; total < best {
