@@ -2,7 +2,6 @@ package analyzers
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 	"strings"
 
@@ -15,8 +14,8 @@ import (
 // holding mutexes that appear EARLIER in its package's list. These
 // are the orders the deadlock-freedom arguments in DESIGN.md rest on:
 //
-//   - tivshard: ApplyBatch holds per-owner ownerMu locks (ascending)
-//     and journals under journalMu inside that critical section; the
+//   - tivshard: ApplyBatch holds the update sequencer applyMu and
+//     journals under journalMu inside that critical section; the
 //     subscription registry subMu is leaf-level (never held across a
 //     callback or another acquisition).
 //   - tivaware: the epoch-build mutex mu is released before fan-out
@@ -25,24 +24,22 @@ import (
 //     independent today; declaring mu < subMu pins the direction any
 //     future nesting must take.
 var lockOrders = map[string][]string{
-	"internal/tivshard": {"ownerMu", "journalMu", "subMu"},
+	"internal/tivshard": {"applyMu", "journalMu", "subMu"},
 	"internal/tivaware": {"mu", "subMu"},
 	"internal/tivd":     {"mu", "subMu"},
 }
 
-// LockOrder enforces the two structural halves of the deadlock-
-// freedom argument: (1) named mutexes nest only in the declared
-// per-package order, and (2) any site acquiring multiple locks of one
-// indexed mutex family (ownerMu[s]) does so in provably ascending
-// index order. The analysis is per function, source order, with
+// LockOrder enforces the structural half of the deadlock-freedom
+// argument: named mutexes nest only in the declared per-package order,
+// and never re-enter. The analysis is per function, source order, with
 // same-package call summaries: calling a function that (transitively)
 // acquires a lock counts as acquiring it at the call site. Goroutine
 // and deferred closures are analyzed with an empty held set — they do
 // not run under the launcher's locks.
 var LockOrder = &analysis.Analyzer{
 	Name: "lockorder",
-	Doc: "enforce the declared mutex hierarchy (tivshard ownerMu < journalMu < subMu; " +
-		"tivaware/tivd mu < subMu) and ascending acquisition of indexed lock families",
+	Doc: "enforce the declared mutex hierarchy (tivshard applyMu < journalMu < subMu; " +
+		"tivaware/tivd mu < subMu)",
 	Run: runLockOrder,
 }
 
@@ -61,8 +58,6 @@ func runLockOrder(pass *analysis.Pass) error {
 	for i, name := range order {
 		rank[name] = i
 	}
-	parents := buildParents(pass.Files)
-
 	// Pass 1: per-function summaries — the set of declared locks a
 	// function acquires anywhere in its body (closures included),
 	// closed transitively over same-package calls.
@@ -118,11 +113,10 @@ func runLockOrder(pass *analysis.Pass) error {
 
 	// Pass 2: walk each function in source order tracking the held
 	// set, flagging order-inverting acquisitions (direct, or through
-	// a summarized callee) and unprovable indexed-family multi-locks.
+	// a summarized callee).
 	w := &lockWalker{
-		pass:    pass,
-		rank:    rank,
-		parents: parents,
+		pass: pass,
+		rank: rank,
 		summary: func(fn *types.Func) map[string]bool {
 			if fi := infos[fn]; fi != nil {
 				return fi.acquires
@@ -131,31 +125,10 @@ func runLockOrder(pass *analysis.Pass) error {
 		},
 	}
 	for _, fi := range infos {
-		held := []heldLock{}
+		held := []string{}
 		w.walkStmts(fi.decl.Body.List, &held)
 	}
 	return nil
-}
-
-// buildParents records each node's syntactic parent, for climbing to
-// enclosing loops and functions.
-func buildParents(files []*ast.File) map[ast.Node]ast.Node {
-	parents := map[ast.Node]ast.Node{}
-	for _, f := range files {
-		var stack []ast.Node
-		ast.Inspect(f, func(n ast.Node) bool {
-			if n == nil {
-				stack = stack[:len(stack)-1]
-				return true
-			}
-			if len(stack) > 0 {
-				parents[n] = stack[len(stack)-1]
-			}
-			stack = append(stack, n)
-			return true
-		})
-	}
-	return parents
 }
 
 type lockKind int
@@ -168,8 +141,7 @@ const (
 
 // lockCall classifies a call as Lock/Unlock on a declared mutex and
 // returns the mutex's declared name. RLock/RUnlock count: read locks
-// participate in deadlock cycles the same way. Indexed acquisitions
-// (fam[i].Lock) report the family's field name.
+// participate in deadlock cycles the same way.
 func lockCall(pass *analysis.Pass, call *ast.CallExpr, rank map[string]int) (string, lockKind) {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
@@ -196,33 +168,16 @@ func lockCall(pass *analysis.Pass, call *ast.CallExpr, rank map[string]int) (str
 }
 
 // mutexName names the mutex a Lock/Unlock receiver path refers to:
-// the final selector field (s.mu → "mu", g.ownerMu[s] → "ownerMu"),
-// or the identifier itself for locals.
+// the final selector field (s.mu → "mu"), or the identifier itself for
+// locals.
 func mutexName(e ast.Expr) string {
-	for {
-		switch x := ast.Unparen(e).(type) {
-		case *ast.IndexExpr:
-			e = x.X
-		case *ast.SelectorExpr:
-			return x.Sel.Name
-		case *ast.Ident:
-			return x.Name
-		default:
-			return ""
-		}
+	switch x := ast.Unparen(e).(type) {
+	case *ast.SelectorExpr:
+		return x.Sel.Name
+	case *ast.Ident:
+		return x.Name
 	}
-}
-
-// exprObject resolves a plain identifier to its object.
-func exprObject(pass *analysis.Pass, e ast.Expr) types.Object {
-	id, ok := ast.Unparen(e).(*ast.Ident)
-	if !ok {
-		return nil
-	}
-	if obj := pass.Info.Uses[id]; obj != nil {
-		return obj
-	}
-	return pass.Info.Defs[id]
+	return ""
 }
 
 // lockWalker tracks the held set through one function body in source
@@ -232,23 +187,16 @@ func exprObject(pass *analysis.Pass, e ast.Expr) types.Object {
 type lockWalker struct {
 	pass    *analysis.Pass
 	rank    map[string]int
-	parents map[ast.Node]ast.Node
 	summary func(*types.Func) map[string]bool
 }
 
-type heldLock struct {
-	name    string
-	indexed bool
-	pos     token.Pos
-}
-
-func (w *lockWalker) walkStmts(stmts []ast.Stmt, held *[]heldLock) {
+func (w *lockWalker) walkStmts(stmts []ast.Stmt, held *[]string) {
 	for _, s := range stmts {
 		w.walkNode(s, held)
 	}
 }
 
-func (w *lockWalker) walkNode(n ast.Node, held *[]heldLock) {
+func (w *lockWalker) walkNode(n ast.Node, held *[]string) {
 	if n == nil {
 		return
 	}
@@ -258,7 +206,7 @@ func (w *lockWalker) walkNode(n ast.Node, held *[]heldLock) {
 			// Runs on another goroutine: empty held set; summaries do
 			// not apply across the spawn.
 			if lit, ok := s.Call.Fun.(*ast.FuncLit); ok {
-				fresh := []heldLock{}
+				fresh := []string{}
 				w.walkStmts(lit.Body.List, &fresh)
 			}
 			return false
@@ -267,7 +215,7 @@ func (w *lockWalker) walkNode(n ast.Node, held *[]heldLock) {
 			// for the remaining body (correct for nesting edges); a
 			// deferred closure is analyzed with an empty held set.
 			if lit, ok := s.Call.Fun.(*ast.FuncLit); ok {
-				fresh := []heldLock{}
+				fresh := []string{}
 				w.walkStmts(lit.Body.List, &fresh)
 			}
 			return false
@@ -296,7 +244,7 @@ func (w *lockWalker) walkNode(n ast.Node, held *[]heldLock) {
 		case *ast.FuncLit:
 			// A closure not launched by go/defer may run immediately
 			// (inline invocation) — analyze under the current held set.
-			heldCopy := append([]heldLock(nil), *held...)
+			heldCopy := append([]string(nil), *held...)
 			w.walkStmts(s.Body.List, &heldCopy)
 			return false
 		}
@@ -307,9 +255,9 @@ func (w *lockWalker) walkNode(n ast.Node, held *[]heldLock) {
 // walkBranch walks an if/else block; when the block terminates
 // (return or panic as its final statement), held-set changes made
 // inside stay inside.
-func (w *lockWalker) walkBranch(blk *ast.BlockStmt, held *[]heldLock) {
+func (w *lockWalker) walkBranch(blk *ast.BlockStmt, held *[]string) {
 	if terminates(blk) {
-		branch := append([]heldLock(nil), *held...)
+		branch := append([]string(nil), *held...)
 		w.walkStmts(blk.List, &branch)
 		return
 	}
@@ -335,34 +283,28 @@ func terminates(blk *ast.BlockStmt) bool {
 	return false
 }
 
-func (w *lockWalker) handleCall(call *ast.CallExpr, held *[]heldLock) {
+func (w *lockWalker) handleCall(call *ast.CallExpr, held *[]string) {
 	for _, arg := range call.Args {
 		w.walkNode(arg, held) // nested calls in arguments evaluate first
 	}
 	name, kind := lockCall(w.pass, call, w.rank)
 	switch kind {
 	case lockAcquire:
-		indexed := isIndexedRecv(call)
 		for _, h := range *held {
-			if h.name == name {
-				if !(indexed && h.indexed) {
-					w.pass.Reportf(call.Pos(), "%s acquired while already held (self-deadlock)", name)
-				}
+			if h == name {
+				w.pass.Reportf(call.Pos(), "%s acquired while already held (self-deadlock)", name)
 				continue
 			}
-			if w.rank[h.name] > w.rank[name] {
+			if w.rank[h] > w.rank[name] {
 				w.pass.Reportf(call.Pos(),
 					"lock order violation: %s acquired while holding %s — the declared order is %s before %s (see DESIGN.md machine-checked invariants)",
-					name, h.name, name, h.name)
+					name, h, name, h)
 			}
 		}
-		if indexed {
-			w.checkAscending(call, name, held)
-		}
-		*held = append(*held, heldLock{name: name, indexed: indexed, pos: call.Pos()})
+		*held = append(*held, name)
 	case lockRelease:
 		for i := len(*held) - 1; i >= 0; i-- {
-			if (*held)[i].name == name {
+			if (*held)[i] == name {
 				*held = append((*held)[:i], (*held)[i+1:]...)
 				break
 			}
@@ -374,174 +316,17 @@ func (w *lockWalker) handleCall(call *ast.CallExpr, held *[]heldLock) {
 		}
 		for lockName := range w.summary(callee) {
 			for _, h := range *held {
-				if h.name == lockName {
-					// Same-name re-entrancy through a callee is real
-					// (self-deadlock) only for non-indexed locks; the
-					// indexed family's discipline is the ascending
-					// check's business.
-					if !h.indexed {
-						w.pass.Reportf(call.Pos(),
-							"call to %s may re-acquire %s already held here (self-deadlock)", callee.Name(), lockName)
-					}
+				if h == lockName {
+					w.pass.Reportf(call.Pos(),
+						"call to %s may re-acquire %s already held here (self-deadlock)", callee.Name(), lockName)
 					continue
 				}
-				if w.rank[h.name] > w.rank[lockName] {
+				if w.rank[h] > w.rank[lockName] {
 					w.pass.Reportf(call.Pos(),
 						"lock order violation: call to %s acquires %s while holding %s — the declared order is %s before %s",
-						callee.Name(), lockName, h.name, lockName, h.name)
+						callee.Name(), lockName, h, lockName, h)
 				}
 			}
 		}
 	}
-}
-
-func isIndexedRecv(call *ast.CallExpr) bool {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return false
-	}
-	_, ok = ast.Unparen(sel.X).(*ast.IndexExpr)
-	return ok
-}
-
-// checkAscending verifies that an indexed-family acquisition
-// fam[idx].Lock() inside a loop provably walks ascending indices:
-// either idx is the variable of an ascending three-clause for loop,
-// or the site ranges over a slice whose every append in the function
-// happens inside such a loop with the loop variable as the element
-// (the "collect indices in order, then lock in order" idiom
-// ApplyBatch uses). Everything else — including a second family
-// acquisition while one is already held outside a provable loop — is
-// flagged: ascending order is what prevents deadlock between racing
-// multi-shard batches.
-func (w *lockWalker) checkAscending(call *ast.CallExpr, name string, held *[]heldLock) {
-	sel := call.Fun.(*ast.SelectorExpr)
-	idx := ast.Unparen(sel.X).(*ast.IndexExpr).Index
-	idxObj := exprObject(w.pass, idx)
-
-	loop := w.enclosingLoop(call)
-	if loop == nil {
-		for _, h := range *held {
-			if h.name == name && h.indexed {
-				w.pass.Reportf(call.Pos(),
-					"multiple %s[...] acquisitions outside a provably ascending loop; take all family locks in one ascending-index loop", name)
-				return
-			}
-		}
-		return // single acquisition: no order to violate
-	}
-	switch l := loop.(type) {
-	case *ast.ForStmt:
-		if v := ascendingForVar(w.pass, l); v != nil && v == idxObj {
-			return
-		}
-	case *ast.RangeStmt:
-		if l.Value != nil && idxObj != nil && exprObject(w.pass, l.Value) == idxObj {
-			if sliceVar := exprObject(w.pass, l.X); sliceVar != nil && w.appendsAscending(call, sliceVar) {
-				return
-			}
-		}
-	}
-	w.pass.Reportf(call.Pos(),
-		"cannot prove ascending index order for %s[...] acquisition in this loop; iterate indices in increasing order (deadlock-freedom of racing multi-lock batches depends on it)", name)
-}
-
-// enclosingLoop climbs to the innermost for/range statement around n,
-// stopping at function boundaries.
-func (w *lockWalker) enclosingLoop(n ast.Node) ast.Stmt {
-	for p := w.parents[n]; p != nil; p = w.parents[p] {
-		switch s := p.(type) {
-		case *ast.ForStmt:
-			return s
-		case *ast.RangeStmt:
-			return s
-		case *ast.FuncLit, *ast.FuncDecl:
-			return nil
-		}
-	}
-	return nil
-}
-
-// ascendingForVar returns the loop variable of `for i := lo; i < hi;
-// i++` (or i <= hi), the canonical ascending scan.
-func ascendingForVar(pass *analysis.Pass, l *ast.ForStmt) types.Object {
-	post, ok := l.Post.(*ast.IncDecStmt)
-	if !ok || post.Tok != token.INC {
-		return nil
-	}
-	v := exprObject(pass, post.X)
-	if v == nil {
-		return nil
-	}
-	cond, ok := l.Cond.(*ast.BinaryExpr)
-	if !ok || (cond.Op != token.LSS && cond.Op != token.LEQ) || exprObject(pass, cond.X) != v {
-		return nil
-	}
-	return v
-}
-
-// appendsAscending reports whether every assignment to the slice
-// object within its function is `s = append(s, v)` under an ascending
-// for loop with v the loop variable.
-func (w *lockWalker) appendsAscending(at ast.Node, sliceVar types.Object) bool {
-	fn := w.enclosingFunc(at)
-	if fn == nil {
-		return false
-	}
-	ok := true
-	seen := false
-	ast.Inspect(fn, func(n ast.Node) bool {
-		as, isAssign := n.(*ast.AssignStmt)
-		if !isAssign {
-			return true
-		}
-		for i, lhs := range as.Lhs {
-			if exprObject(w.pass, lhs) != sliceVar || i >= len(as.Rhs) {
-				continue
-			}
-			if as.Tok == token.DEFINE && !isAppendOf(w.pass, as.Rhs[i], sliceVar, nil) {
-				// The declaration (locked := make(...)) is fine.
-				continue
-			}
-			loop, _ := w.enclosingLoop(as).(*ast.ForStmt)
-			var loopVar types.Object
-			if loop != nil {
-				loopVar = ascendingForVar(w.pass, loop)
-			}
-			if loopVar == nil || !isAppendOf(w.pass, as.Rhs[i], sliceVar, loopVar) {
-				ok = false
-			} else {
-				seen = true
-			}
-		}
-		return true
-	})
-	return ok && seen
-}
-
-// isAppendOf reports whether e is append(sliceVar, v) where v is
-// elem (elem nil matches any element expression).
-func isAppendOf(pass *analysis.Pass, e ast.Expr, sliceVar, elem types.Object) bool {
-	call, ok := ast.Unparen(e).(*ast.CallExpr)
-	if !ok || len(call.Args) != 2 || call.Ellipsis.IsValid() {
-		return false
-	}
-	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
-	if !ok || id.Name != "append" {
-		return false
-	}
-	if exprObject(pass, call.Args[0]) != sliceVar {
-		return false
-	}
-	return elem == nil || exprObject(pass, call.Args[1]) == elem
-}
-
-func (w *lockWalker) enclosingFunc(n ast.Node) ast.Node {
-	for p := w.parents[n]; p != nil; p = w.parents[p] {
-		switch p.(type) {
-		case *ast.FuncLit, *ast.FuncDecl:
-			return p
-		}
-	}
-	return nil
 }

@@ -1,11 +1,11 @@
 // Package tivshard is the lockorder fixture for the gateway's
-// declared hierarchy: ownerMu (indexed family) < journalMu < subMu.
+// declared hierarchy: applyMu < journalMu < subMu.
 package tivshard
 
 import "sync"
 
 type gateway struct {
-	ownerMu   []sync.Mutex
+	applyMu   sync.Mutex
 	journalMu sync.Mutex
 	subMu     sync.RWMutex
 }
@@ -74,61 +74,21 @@ func (g *gateway) reentrantCallee() {
 	g.journalMu.Unlock()
 }
 
-// ascendingOK is the canonical family scan: indices strictly
-// increase, so racing multi-lock holders cannot cycle.
-func (g *gateway) ascendingOK() {
-	for i := 0; i < len(g.ownerMu); i++ {
-		g.ownerMu[i].Lock()
-	}
-	for i := 0; i < len(g.ownerMu); i++ {
-		g.ownerMu[i].Unlock()
-	}
-}
-
-// collectThenLockOK is the ApplyBatch idiom: indices are collected in
-// ascending order, then locked by ranging over the collected slice.
-func (g *gateway) collectThenLockOK(want map[int]bool) {
-	var order []int
-	for i := 0; i < len(g.ownerMu); i++ {
-		if want[i] {
-			order = append(order, i)
-		}
-	}
-	for _, i := range order {
-		g.ownerMu[i].Lock()
-	}
-	for _, i := range order {
-		g.ownerMu[i].Unlock()
-	}
-}
-
-// descending walks the family backwards: two racing calls deadlock
-// against an ascending holder.
-func (g *gateway) descending() {
-	for i := len(g.ownerMu) - 1; i >= 0; i-- {
-		g.ownerMu[i].Lock() // want "cannot prove ascending index order"
-	}
-	for i := 0; i < len(g.ownerMu); i++ {
-		g.ownerMu[i].Unlock()
-	}
-}
-
-// pairwise takes two family locks with no order relation between the
-// indices.
-func (g *gateway) pairwise(a, b int) {
-	g.ownerMu[a].Lock()
-	g.ownerMu[b].Lock() // want "multiple ownerMu"
-	g.ownerMu[b].Unlock()
-	g.ownerMu[a].Unlock()
-}
-
-// familyThenJournalOK follows the declared order: ownerMu before
-// journalMu.
-func (g *gateway) familyThenJournalOK(i int) {
-	g.ownerMu[i].Lock()
+// applyThenJournalOK is the ApplyBatch shape: the update sequencer
+// is held across the journal critical section.
+func (g *gateway) applyThenJournalOK() {
+	g.applyMu.Lock()
+	defer g.applyMu.Unlock()
 	g.journalMu.Lock()
 	g.journalMu.Unlock()
-	g.ownerMu[i].Unlock()
+}
+
+// journalThenApply takes the sequencer inside the journal lock.
+func (g *gateway) journalThenApply() {
+	g.journalMu.Lock()
+	g.applyMu.Lock() // want "lock order violation: applyMu acquired while holding journalMu"
+	g.applyMu.Unlock()
+	g.journalMu.Unlock()
 }
 
 // goroutineOK: a spawned goroutine does not run under the launcher's

@@ -13,13 +13,13 @@ import (
 // imports tivd), so `tivd -shards` re-exports a whole cluster behind
 // the exact wire protocol a single daemon speaks. Epoch stamps are
 // the gateway generation; subscription event versions are a
-// gateway-local counter (shard monitor versions interleave and are
-// preserved inside each ShardChangeSet, not here).
+// gateway-local counter (monitor versions are per replica, and the
+// stream moves between replicas).
 type Backend struct {
 	g *Gateway
-	// eventSeq numbers the fan-in events delivered through this
-	// backend, standing in for the per-shard monitor versions that do
-	// not totally order across shards.
+	// eventSeq numbers the events delivered through this backend,
+	// standing in for the per-replica monitor versions, which do not
+	// order events across a stream move.
 	eventSeq atomic.Uint64
 }
 
@@ -66,15 +66,15 @@ func (b *Backend) ApplyBatch(ctx context.Context, updates []tiv.Update) (tiv.Cha
 	}, nil
 }
 
-// Subscribe flattens the fan-in stream to plain change sets for the
-// SSE handler, renumbering versions with the backend event counter.
+// Subscribe hands the gateway's stream to the SSE handler, renumbering
+// versions with the backend event counter.
 func (b *Backend) Subscribe(fn func(tiv.ChangeSet)) (func(), error) {
-	return b.g.Subscribe(func(ev ShardChangeSet) {
+	return b.g.Subscribe(func(cs tivwire.ChangeSet) {
 		fn(tiv.ChangeSet{
 			Version:       b.eventSeq.Add(1),
-			Rescan:        ev.Changes.Rescan,
-			NewlyViolated: tivwire.ToEdges(ev.Changes.NewlyViolated),
-			Cleared:       tivwire.ToEdges(ev.Changes.Cleared),
+			Rescan:        cs.Rescan,
+			NewlyViolated: tivwire.ToEdges(cs.NewlyViolated),
+			Cleared:       tivwire.ToEdges(cs.Cleared),
 		})
 	})
 }

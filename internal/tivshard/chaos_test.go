@@ -17,7 +17,6 @@ import (
 	"tivaware/internal/tivclient"
 	"tivaware/internal/tivd"
 	"tivaware/internal/tivfault"
-	"tivaware/internal/tivshard"
 	"tivaware/internal/tivshard/testcluster"
 	"tivaware/internal/tivwire"
 )
@@ -152,88 +151,77 @@ func TestChaosDifferentialSweep(t *testing.T) {
 	}
 }
 
-// streamRecorder captures the gateway fan-in per shard, keeping
-// Rescan markers inline so tests can segment streams at resync
-// points.
+// streamRecorder captures the gateway's subscription stream, keeping
+// Rescan markers inline so tests can segment it at resync points.
 type streamRecorder struct {
-	mu      sync.Mutex
-	streams [][]tivshard.ShardChangeSet
+	mu     sync.Mutex
+	events []tivwire.ChangeSet
 }
 
-func newStreamRecorder(shards int) *streamRecorder {
-	return &streamRecorder{streams: make([][]tivshard.ShardChangeSet, shards)}
-}
-
-func (r *streamRecorder) record(ev tivshard.ShardChangeSet) {
+func (r *streamRecorder) record(cs tivwire.ChangeSet) {
 	r.mu.Lock()
-	r.streams[ev.Shard] = append(r.streams[ev.Shard], ev)
+	r.events = append(r.events, cs)
 	r.mu.Unlock()
 }
 
-// snapshot copies shard s's stream.
-func (r *streamRecorder) snapshot(s int) []tivshard.ShardChangeSet {
+// snapshot copies the stream recorded so far.
+func (r *streamRecorder) snapshot() []tivwire.ChangeSet {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return append([]tivshard.ShardChangeSet(nil), r.streams[s]...)
+	return append([]tivwire.ChangeSet(nil), r.events...)
 }
 
-// waitQuiet blocks until no stream has grown for the given window.
+// waitQuiet blocks until the stream has not grown for the given window.
 func (r *streamRecorder) waitQuiet(window, within time.Duration) error {
 	deadline := time.Now().Add(within)
-	last := r.total()
+	last := len(r.snapshot())
 	quietSince := time.Now()
 	for {
 		time.Sleep(window / 4)
-		cur := r.total()
+		cur := len(r.snapshot())
 		if cur != last {
 			last, quietSince = cur, time.Now()
 		} else if time.Since(quietSince) >= window {
 			return nil
 		}
 		if time.Now().After(deadline) {
-			return fmt.Errorf("streams never went quiet within %v", within)
+			return fmt.Errorf("stream never went quiet within %v", within)
 		}
 	}
 }
 
-func (r *streamRecorder) total() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	n := 0
-	for _, s := range r.streams {
-		n += len(s)
-	}
-	return n
-}
-
-// replaySegment replays one shard's delta events (markers must be
-// pre-stripped) from a baseline violated set and returns the result,
-// failing on any duplicated or lost delta. Events are ordered by
-// shard monitor version, which totally orders one shard's applies.
-func replaySegment(shard int, events []tivshard.ShardChangeSet, baseline map[edgeKey]bool) (map[edgeKey]bool, error) {
-	events = append([]tivshard.ShardChangeSet(nil), events...)
+// replaySegment replays one marker-free run of the stream (all of it
+// from one replica) from a baseline violated set and returns the
+// result, failing on any duplicated or lost delta. Events are replayed
+// in monitor-version order: the version stamps totally order a
+// replica's applies, while wire delivery of change sets from racing
+// updates may interleave slightly out of apply order (the service fans
+// out after releasing its apply lock — documented in
+// tivaware.Service.Subscribe).
+func replaySegment(events []tivwire.ChangeSet, baseline map[edgeKey]bool) (map[edgeKey]bool, error) {
+	events = append([]tivwire.ChangeSet(nil), events...)
 	sort.SliceStable(events, func(a, b int) bool {
-		return events[a].Changes.Version < events[b].Changes.Version
+		return events[a].Version < events[b].Version
 	})
 	set := make(map[edgeKey]bool, len(baseline))
 	for e := range baseline {
 		set[e] = true
 	}
 	for idx, ev := range events {
-		if idx > 0 && ev.Changes.Version == events[idx-1].Changes.Version {
-			return nil, fmt.Errorf("shard %d: two events share monitor version %d (duplicated change set)", shard, ev.Changes.Version)
+		if idx > 0 && ev.Version == events[idx-1].Version {
+			return nil, fmt.Errorf("two events share monitor version %d (duplicated change set)", ev.Version)
 		}
-		for _, e := range ev.Changes.NewlyViolated {
+		for _, e := range ev.NewlyViolated {
 			k := key(e.I, e.J)
 			if set[k] {
-				return nil, fmt.Errorf("shard %d event %d: duplicated NewlyViolated delta for edge (%d,%d)", shard, idx, e.I, e.J)
+				return nil, fmt.Errorf("event %d: duplicated NewlyViolated delta for edge (%d,%d)", idx, e.I, e.J)
 			}
 			set[k] = true
 		}
-		for _, e := range ev.Changes.Cleared {
+		for _, e := range ev.Cleared {
 			k := key(e.I, e.J)
 			if !set[k] {
-				return nil, fmt.Errorf("shard %d event %d: Cleared delta for edge (%d,%d) that was not violated (lost or duplicated delta)", shard, idx, e.I, e.J)
+				return nil, fmt.Errorf("event %d: Cleared delta for edge (%d,%d) that was not violated (lost or duplicated delta)", idx, e.I, e.J)
 			}
 			delete(set, k)
 		}
@@ -242,61 +230,63 @@ func replaySegment(shard int, events []tivshard.ShardChangeSet, baseline map[edg
 }
 
 // compareSets errors unless the replayed violated set equals the
-// shard's actual owned violated set.
-func compareSets(shard int, got, want map[edgeKey]bool) error {
+// replica's actual one.
+func compareSets(got, want map[edgeKey]bool) error {
 	if len(got) != len(want) {
-		return fmt.Errorf("shard %d: replayed violated set has %d edges, shard state has %d", shard, len(got), len(want))
+		return fmt.Errorf("replayed violated set has %d edges, replica state has %d", len(got), len(want))
 	}
 	for e := range want {
 		if !got[e] {
-			return fmt.Errorf("shard %d: replayed set is missing violated edge (%d,%d)", shard, e.i, e.j)
+			return fmt.Errorf("replayed set is missing violated edge (%d,%d)", e.i, e.j)
 		}
 	}
 	return nil
 }
 
-// splitMarkers partitions a recorded stream into delta events and the
-// indices (into the returned deltas slice) where Rescan markers cut
-// it: segAfterLastMarker is the delta suffix following the final
-// marker, prefix the deltas before the first marker.
-func splitMarkers(events []tivshard.ShardChangeSet) (prefix, suffix []tivshard.ShardChangeSet, markers int) {
-	var deltas []tivshard.ShardChangeSet
-	firstMarker, lastMarker := -1, -1
-	for _, ev := range events {
-		if ev.Changes.Rescan {
-			markers++
-			if firstMarker < 0 {
-				firstMarker = len(deltas)
-			}
-			lastMarker = len(deltas)
+// splitMarkers returns the deltas before the stream's first Rescan
+// marker and the marker count (the whole stream and 0 when it never
+// tore).
+func splitMarkers(events []tivwire.ChangeSet) (prefix []tivwire.ChangeSet, markers int) {
+	for k, ev := range events {
+		if !ev.Rescan {
 			continue
 		}
-		deltas = append(deltas, ev)
+		if markers == 0 {
+			prefix = events[:k]
+		}
+		markers++
 	}
-	if firstMarker < 0 {
-		return deltas, deltas, 0
+	if markers == 0 {
+		return events, 0
 	}
-	return deltas[:firstMarker], deltas[lastMarker:], markers
+	return prefix, markers
 }
 
 // TestKillRestartConvergence is the acceptance-bar stress test, run
 // under -race by the suite: a live K=3 cluster serving lockstep
 // updates (gateway and monolith twin get the identical sequence, and
 // every answered change set must match exactly) with concurrent
-// readers, while shard 1 is SIGKILL-equivalently killed mid-traffic,
+// readers, while one shard is SIGKILL-equivalently killed mid-traffic,
 // left dead under load, then restarted from its pristine seed. The
 // gateway must keep answering updates and queries exactly throughout
-// (owner failover), detect the restart by version regression, replay
-// the full journal, readmit the shard, and converge: the reborn
-// shard's state equals the monolith's, and the fan-in streams carry
-// no lost or duplicated violated-edge delta — with the killed shard's
-// stream segmented at its Rescan resync markers, exactly as a
-// consuming application must do.
+// (authority failover), detect the restart by version regression,
+// replay the full journal, readmit the shard, and converge: the reborn
+// shard's state equals the monolith's, and the subscription stream
+// carries no lost or duplicated violated-edge delta. The script runs
+// twice. Killing a replica the stream is not attached to must be
+// invisible to subscribers: no Rescan marker, one exact replay end to
+// end. Killing the pumped replica (shard 0, the lowest-numbered live
+// one) moves the stream: it is then segmented at its Rescan resync
+// markers, exactly as a consuming application must do.
 func TestKillRestartConvergence(t *testing.T) {
+	t.Run("NonPumpedReplica", func(t *testing.T) { killRestartConvergence(t, 1) })
+	t.Run("PumpedReplica", func(t *testing.T) { killRestartConvergence(t, 0) })
+}
+
+func killRestartConvergence(t *testing.T, victim int) {
 	const (
 		shards = 3
 		n      = 36 // assertAgreement probes fixed node ids up to 31
-		victim = 1
 	)
 	gwOpts := chaosGatewayOptions()
 	gwOpts.Retry.PerTryTimeout = time.Second
@@ -318,11 +308,8 @@ func TestKillRestartConvergence(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	baseline := make([]map[edgeKey]bool, shards)
-	for s := 0; s < shards; s++ {
-		baseline[s] = violatedOwnedSet(t, c.Shards[s].Service, s, shards)
-	}
-	rec := newStreamRecorder(shards)
+	baseline := violatedSet(t, c.Shards[0].Service)
+	rec := &streamRecorder{}
 	cancel, err := c.Gateway.Subscribe(rec.record)
 	if err != nil {
 		t.Fatal(err)
@@ -389,9 +376,9 @@ func TestKillRestartConvergence(t *testing.T) {
 	// Phase A: healthy traffic.
 	lockstep("healthy", 25)
 
-	// Kill shard 1 mid-traffic. Updates must keep flowing (owner
-	// failover picks the next live replica as authority) and change
-	// sets must stay exact.
+	// Kill the victim mid-traffic. Updates must keep flowing (authority
+	// failover picks the next live replica) and change sets must stay
+	// exact.
 	c.KillShard(victim)
 	lockstep("degraded", 40)
 	waitStatus(t, c.Gateway, "degraded", 10*time.Second)
@@ -436,12 +423,8 @@ func TestKillRestartConvergence(t *testing.T) {
 	if err := rec.waitQuiet(300*time.Millisecond, 15*time.Second); err != nil {
 		t.Fatal(err)
 	}
-	cut := make([]int, shards)
-	baseline2 := make([]map[edgeKey]bool, shards)
-	for s := 0; s < shards; s++ {
-		cut[s] = len(rec.snapshot(s))
-		baseline2[s] = violatedOwnedSet(t, c.Shards[s].Service, s, shards)
-	}
+	cut := len(rec.snapshot())
+	baseline2 := violatedSet(t, c.Shards[0].Service)
 	lockstep("recovered", 25)
 	assertAgreement(t, mono, c)
 	stopReads()
@@ -452,14 +435,153 @@ func TestKillRestartConvergence(t *testing.T) {
 	default:
 	}
 
-	// Fan-in accounting. The never-killed shards must deliver one
-	// unbroken, marker-free stream replaying exactly from baseline to
-	// final state; the killed shard's stream must carry at least one
-	// Rescan marker (the resync points), a clean pre-kill prefix, and
-	// a post-cut segment replaying exactly from the re-baseline.
+	// Stream accounting. With the stream on a replica that was never
+	// killed it must be unbroken and marker-free, replaying exactly
+	// from baseline to final state; with the pumped replica killed it
+	// must carry at least one Rescan marker (the resync points), a
+	// clean pre-kill prefix, and a post-cut segment replaying exactly
+	// from the re-baseline.
+	final := violatedSet(t, c.Shards[0].Service)
 	deadline := time.Now().Add(15 * time.Second)
 	for {
-		err = accountStreams(t, c, rec, baseline, baseline2, cut, shards, victim)
+		err = accountStream(rec.snapshot(), baseline, baseline2, final, cut, victim == 0)
+		if err == nil || time.Now().After(deadline) {
+			break
+		}
+		time.Sleep(25 * time.Millisecond)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSubscribeNeedsOneReplica: the subscription stream is one
+// replica's, so one reachable replica is all Subscribe needs — here
+// with the replica the first attach would pick dead before any
+// subscriber arrives. (Fails at the parent commit, which attached one
+// stream per shard and failed Subscribe unless all K handshakes
+// completed.)
+func TestSubscribeNeedsOneReplica(t *testing.T) {
+	const n = 36
+	c, err := testcluster.Start(testcluster.Config{
+		N: n, Shards: 3, Seed: 31, Live: true, Workers: 1,
+		GatewayOptions: chaosGatewayOptions(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	c.KillShard(0)
+	rec := &streamRecorder{}
+	cancel, err := c.Gateway.Subscribe(rec.record)
+	if err != nil {
+		t.Fatalf("Subscribe with one of three replicas dead: %v", err)
+	}
+	defer cancel()
+	ctx := context.Background()
+	rng := rand.New(rand.NewSource(53))
+	deadline := time.Now().Add(10 * time.Second)
+	for len(rec.snapshot()) == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("no event reached the subscriber within 10s")
+		}
+		up := swingUpdate(rng, n)
+		if _, err := c.Gateway.ApplyUpdate(ctx, up.I, up.J, up.RTT); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if ev := rec.snapshot()[0]; ev.Rescan || ev.Empty() {
+		t.Fatalf("first event %+v, want a plain delta: the first attach needs no marker", ev)
+	}
+}
+
+// TestPumpLeavesDownReplica covers the failure one stream makes
+// critical: the pumped replica wedges — its health checks and updates
+// hang — while its SSE connection stays open, so no tear would ever
+// move the stream. The breaker must: marking the replica down cancels
+// the pump's attach, subscribers get a marker and then another
+// replica's deltas while the wedged one is still down, and after the
+// fault clears the cluster is "ok" and the stream replays exactly from
+// the resync point.
+func TestPumpLeavesDownReplica(t *testing.T) {
+	const n = 36
+	inj := tivfault.New(tivfault.Spec{})
+	inj.Match = func(path string) bool { return path == "/healthz" || path == "/v1/update" }
+	c, err := testcluster.Start(testcluster.Config{
+		N: n, Shards: 3, Seed: 31, Live: true, Workers: 1,
+		ServerOptions:  tivd.Options{SubscribeBuffer: 16384},
+		GatewayOptions: chaosGatewayOptions(),
+		ShardMiddleware: func(s int, h http.Handler) http.Handler {
+			if s != 0 {
+				return h
+			}
+			return inj.Handler(h)
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	baseline := violatedSet(t, c.Shards[0].Service)
+	rec := &streamRecorder{}
+	cancel, err := c.Gateway.Subscribe(rec.record)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cancel()
+	ctx := context.Background()
+	rng := rand.New(rand.NewSource(53))
+	apply := func(steps int) {
+		t.Helper()
+		for step := 0; step < steps; step++ {
+			up := swingUpdate(rng, n)
+			if _, err := c.Gateway.ApplyUpdate(ctx, up.I, up.J, up.RTT); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	deltas := func() (n int) {
+		for _, ev := range rec.snapshot() {
+			if !ev.Rescan {
+				n++
+			}
+		}
+		return n
+	}
+
+	apply(15)
+	inj.SetSpec(tivfault.Spec{HangRate: 1})
+	waitStatus(t, c.Gateway, "degraded", 10*time.Second)
+	if down := c.Gateway.DownShards(); len(down) != 1 || down[0] != 0 {
+		t.Fatalf("DownShards = %v, want [0]", down)
+	}
+	// The markers land within a resubscribe delay of the trip; with no
+	// update in flight the quiet stream is a clean resync point.
+	if err := rec.waitQuiet(200*time.Millisecond, 10*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	cut := len(rec.snapshot())
+	baseline2 := violatedSet(t, c.Shards[1].Service)
+	before := deltas()
+	apply(25)
+	deadline := time.Now().Add(10 * time.Second)
+	for deltas() == before {
+		if time.Now().After(deadline) {
+			t.Fatal("no delta arrived from another replica while the pumped one was down")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if down := c.Gateway.DownShards(); len(down) != 1 || down[0] != 0 {
+		t.Fatalf("DownShards = %v, want [0] while the deltas arrived", down)
+	}
+
+	inj.SetSpec(tivfault.Spec{})
+	waitStatus(t, c.Gateway, "ok", 20*time.Second)
+	apply(15)
+	final := violatedSet(t, c.Shards[0].Service)
+	deadline = time.Now().Add(15 * time.Second)
+	for {
+		err = accountStream(rec.snapshot(), baseline, baseline2, final, cut, true)
 		if err == nil || time.Now().After(deadline) {
 			break
 		}
@@ -631,53 +753,45 @@ func TestJournalEvictionMarksShardStale(t *testing.T) {
 	assertBatchAgreement(t, mono, c.Gateway)
 }
 
-// accountStreams runs the full per-shard delta accounting once;
-// callers poll it until the in-flight fan-in quiesces.
-func accountStreams(t *testing.T, c *testcluster.Cluster, rec *streamRecorder, baseline, baseline2 []map[edgeKey]bool, cut []int, shards, victim int) error {
-	t.Helper()
-	for s := 0; s < shards; s++ {
-		events := rec.snapshot(s)
-		final := violatedOwnedSet(t, c.Shards[s].Service, s, shards)
-		prefix, _, markers := splitMarkers(events)
-		if s != victim {
-			if markers != 0 {
-				return fmt.Errorf("shard %d stream tore (%d Rescan markers) though it was never killed", s, markers)
-			}
-			set, err := replaySegment(s, events, baseline[s])
-			if err != nil {
-				return err
-			}
-			if err := compareSets(s, set, final); err != nil {
-				return err
-			}
-			continue
+// accountStream runs the full delta accounting once; callers poll it
+// until the in-flight stream quiesces.
+func accountStream(events []tivwire.ChangeSet, baseline, baseline2, final map[edgeKey]bool, cut int, pumpedKilled bool) error {
+	prefix, markers := splitMarkers(events)
+	if !pumpedKilled {
+		if markers != 0 {
+			return fmt.Errorf("stream tore (%d Rescan markers) though its replica was never killed", markers)
 		}
-		if markers == 0 {
-			return fmt.Errorf("killed shard %d delivered no Rescan marker; subscribers were never told to resync", s)
-		}
-		// Pre-kill prefix: internally consistent from the baseline (no
-		// duplicated or lost delta before the first tear).
-		if _, err := replaySegment(s, prefix, baseline[s]); err != nil {
-			return fmt.Errorf("pre-kill prefix: %w", err)
-		}
-		// Post-recovery segment: every event after the quiesced cut
-		// replays the re-baselined set exactly into the final state.
-		if len(events) < cut[s] {
-			return fmt.Errorf("shard %d stream shrank (%d events, cut %d)", s, len(events), cut[s])
-		}
-		tail := events[cut[s]:]
-		for _, ev := range tail {
-			if ev.Changes.Rescan {
-				return fmt.Errorf("shard %d delivered a Rescan marker after recovery quiesced", s)
-			}
-		}
-		set, err := replaySegment(s, tail, baseline2[s])
+		set, err := replaySegment(events, baseline)
 		if err != nil {
-			return fmt.Errorf("post-recovery segment: %w", err)
+			return err
 		}
-		if err := compareSets(s, set, final); err != nil {
-			return fmt.Errorf("post-recovery segment: %w", err)
+		return compareSets(set, final)
+	}
+	if markers == 0 {
+		return fmt.Errorf("killing the pumped replica delivered no Rescan marker; subscribers were never told to resync")
+	}
+	// Pre-kill prefix: internally consistent from the baseline (no
+	// duplicated or lost delta before the first tear).
+	if _, err := replaySegment(prefix, baseline); err != nil {
+		return fmt.Errorf("pre-kill prefix: %w", err)
+	}
+	// Post-recovery segment: every event after the quiesced cut
+	// replays the re-baselined set exactly into the final state.
+	if len(events) < cut {
+		return fmt.Errorf("stream shrank (%d events, cut %d)", len(events), cut)
+	}
+	tail := events[cut:]
+	for _, ev := range tail {
+		if ev.Rescan {
+			return fmt.Errorf("a Rescan marker arrived after recovery quiesced")
 		}
+	}
+	set, err := replaySegment(tail, baseline2)
+	if err != nil {
+		return fmt.Errorf("post-recovery segment: %w", err)
+	}
+	if err := compareSets(set, final); err != nil {
+		return fmt.Errorf("post-recovery segment: %w", err)
 	}
 	return nil
 }

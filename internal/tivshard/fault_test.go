@@ -255,7 +255,7 @@ func helloLessDaemon(t *testing.T) (url string, inj *tivfault.Injector, toggle, 
 // hello can vouch for: tivd omits the hello event whenever
 // Backend.Health fails at attach, so a re-attaching consumer cannot
 // compare versions and must assume the gap hid deltas. The one
-// re-attach loop — the gateway's per-shard pump — delivers the
+// re-attach loop — the gateway's pump — delivers the
 // conservative Rescan marker before the new stream's first delta.
 func TestHelloLessAttachForcesRescan(t *testing.T) {
 	// next returns the next event; until one arrives it keeps toggling,
@@ -288,7 +288,7 @@ func TestHelloLessAttachForcesRescan(t *testing.T) {
 		}
 		defer gw.Close()
 		events := make(chan tivwire.ChangeSet, 1024)
-		stop, err := gw.Subscribe(func(ev tivshard.ShardChangeSet) { events <- ev.Changes })
+		stop, err := gw.Subscribe(func(cs tivwire.ChangeSet) { events <- cs })
 		if err != nil {
 			t.Fatal(err)
 		}

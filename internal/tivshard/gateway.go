@@ -3,21 +3,17 @@
 // query surface by routing each batch to a live replica over
 // internal/tivclient.
 //
-// # Partitioning scheme
+// # Replication
 //
-// Node ids are partitioned round-robin: shard s owns the residue
-// class {v : v mod K == s}, and edge (i, j), i < j, is owned by
-// owner(i) — every edge has exactly one owner, so the owned-edge sets
-// partition the edge set. Every shard holds a full replica of the
-// delay matrix: per-edge TIV severity is a global property (any third
-// node can witness a violation of any edge), so a shard that held
-// only its own rows could not compute exact severities without
-// per-query cross-shard traffic — the communication bottleneck the
-// distributed triangle-detection literature (CONGEST triangle
-// finding, expander-decomposition detection) works around. This plane
-// therefore replicates the data and partitions the *authority* (each
-// delta stream is authoritative only for the edges its shard owns) and
-// the *load* (the replicas take turns answering whole batches).
+// The shards are a replica set: every shard holds the full delay
+// matrix and applies every update. Per-edge TIV severity is a global
+// property (any third node can witness a violation of any edge), so a
+// shard that held only some rows could not compute exact severities
+// without per-query cross-shard traffic — the communication bottleneck
+// the distributed triangle-detection literature (CONGEST triangle
+// finding, expander-decomposition detection) works around. What the
+// replicas share is the *load*: they take turns answering whole
+// batches.
 //
 // # Read semantics
 //
@@ -36,23 +32,22 @@
 //
 // # Updates and subscriptions
 //
-// ApplyUpdate/ApplyBatch replicate each batch to every shard so the
-// replicas stay in sync, serialized per owning shard (batches whose
-// edges are owned by disjoint shards proceed concurrently; batches
-// sharing an owner are totally ordered, so every replica applies
-// same-edge updates in the same order). The owning shard of the first
-// edge is applied first and its change set is the one returned.
-// Subscribe fans the K shard SSE streams into one stream of
-// ShardChangeSets, each filtered to the edges its shard owns: because
-// the owned-edge sets partition the edge set and every shard applies
-// every update, each violated-edge transition is delivered exactly
-// once, on its owner's stream.
+// ApplyUpdate/ApplyBatch replicate each batch to every replica under
+// one sequencer, so every replica applies every batch in journal order
+// and the returned change set — the lowest-numbered live replica's —
+// is the one a monolith applying the journal serially would return.
+// Subscribe delivers one replica's change-set stream, unfiltered: all
+// replicas compute the same transitions, so one stream carries each
+// violated-edge transition exactly once. The stream moves to another
+// replica when it tears or its replica is marked down, bracketing the
+// gap with Rescan markers.
 package tivshard
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -65,8 +60,8 @@ import (
 
 // Options configures a Gateway. The zero value is valid.
 type Options struct {
-	// ResubscribeDelay is the pause before re-attaching a dropped
-	// shard event stream; zero means 500ms.
+	// ResubscribeDelay is the pause before re-attaching the dropped
+	// subscription stream; zero means 500ms.
 	ResubscribeDelay time.Duration
 	// Retry bounds the per-query retry/failover loop; see RetryPolicy.
 	Retry RetryPolicy
@@ -160,9 +155,10 @@ type Gateway struct {
 	// turn rotates the batches' home over the live shards (see home).
 	turn atomic.Uint64
 
-	// ownerMu[s] serializes update batches touching edges owned by
-	// shard s, keeping the replicas' same-edge apply order identical.
-	ownerMu []sync.Mutex
+	// applyMu is the update sequencer: ApplyBatch holds it from journal
+	// admission to the end of replication, so every replica applies
+	// every batch in journal order.
+	applyMu sync.Mutex
 
 	// Resilience state (see resilience.go): per-shard breaker and
 	// replay cursors, the skipped-update journal, and the background
@@ -174,20 +170,22 @@ type Gateway struct {
 	proberCancel context.CancelFunc
 	proberWG     sync.WaitGroup
 
-	// Subscription fan-in state.
+	// Subscription state: the subscribers and the one pump feeding them.
 	subMu      sync.Mutex
 	subs       []gwSubscriber
 	nextSub    int
-	pumpCtx    context.Context
 	pumpCancel context.CancelFunc
 	pumpWG     sync.WaitGroup
 	// pumpAttach is the in-flight or completed pump startup; nil when
-	// pumps are down (never started, or torn down after a failed
-	// attach). Every Subscribe call waits on it, so concurrent
-	// subscribers all get the attach result instead of one racing
-	// ahead on an attach that then fails.
+	// the pump is down (never started, or its first attach failed).
+	// Every Subscribe call waits on it and gets its result.
 	pumpAttach *pumpAttach
-	closed     bool
+	// pumped is the replica the pump is attached (or attaching) to, -1
+	// when none; leave cancels that attach — the breaker calls it when
+	// it marks the replica down (see leavePumped).
+	pumped int
+	leave  context.CancelFunc
+	closed bool
 }
 
 // pumpAttach carries one pump-startup attempt: done closes when the
@@ -199,34 +197,13 @@ type pumpAttach struct {
 
 type gwSubscriber struct {
 	id int
-	fn func(ShardChangeSet)
-}
-
-// ShardChangeSet is one element of the gateway's fan-in stream: a
-// shard's violated-edge change set filtered down to the edges that
-// shard owns. Changes.Version is the shard's own monitor version
-// (version counters are per shard, not global).
-type ShardChangeSet struct {
-	// Shard is the index of the authoritative shard.
-	Shard int
-	// Changes carries the owned-edge deltas. A Rescan change set with
-	// no deltas marks a torn shard stream: one is delivered when the
-	// stream tears (events may be missing from here on) and another
-	// once it re-attached — unless the re-attach handshake proves the
-	// gap empty (hello version unchanged, see pump), in which case the
-	// second marker is skipped. A resync (TopEdges) triggered by a
-	// post-re-attach marker is gap-free, because the re-attach
-	// handshake precedes it.
-	Changes tivwire.ChangeSet
+	fn func(tivwire.ChangeSet)
 }
 
 var _ tivaware.Querier = (*Gateway)(nil)
 
 // New builds a gateway over the shard daemons at shardURLs, probing
 // each shard's health: the shards must all serve the same node count.
-// The shard order defines the partition (shard s owns node ids ≡ s
-// mod K), so every gateway over the same cluster must list the shards
-// in the same order.
 func New(ctx context.Context, shardURLs []string, opts Options) (*Gateway, error) {
 	if len(shardURLs) == 0 {
 		return nil, fmt.Errorf("tivshard: no shard URLs")
@@ -235,10 +212,10 @@ func New(ctx context.Context, shardURLs []string, opts Options) (*Gateway, error
 		return nil, fmt.Errorf("tivshard: %d frame addresses for %d shards", len(opts.FrameAddrs), len(shardURLs))
 	}
 	g := &Gateway{
-		k:       len(shardURLs),
-		opts:    opts,
-		ownerMu: make([]sync.Mutex, len(shardURLs)),
-		states:  make([]shardState, len(shardURLs)),
+		k:      len(shardURLs),
+		opts:   opts,
+		states: make([]shardState, len(shardURLs)),
+		pumped: -1,
 	}
 	for i, u := range shardURLs {
 		var copts tivclient.Options
@@ -278,7 +255,6 @@ func New(ctx context.Context, shardURLs []string, opts Options) (*Gateway, error
 	for s, h := range healths {
 		g.states[s].boot.Store(h.Boot)
 	}
-	g.pumpCtx, g.pumpCancel = context.WithCancel(context.Background())
 	g.startProber()
 	return g, nil
 }
@@ -296,15 +272,17 @@ func (g *Gateway) Live() bool { return g.live }
 // gateway (the epoch stamp of its responses).
 func (g *Gateway) Generation() uint64 { return g.gen.Load() }
 
-// Close stops the subscription fan-in pumps and the health prober.
-// It does not touch the shard daemons.
+// Close stops the subscription pump and the health prober. It does
+// not touch the shard daemons.
 func (g *Gateway) Close() {
 	g.subMu.Lock()
 	g.closed = true
 	g.subs = nil
 	cancel := g.pumpCancel
 	g.subMu.Unlock()
-	cancel()
+	if cancel != nil {
+		cancel()
+	}
 	g.pumpWG.Wait()
 	if g.proberCancel != nil {
 		g.proberCancel()
@@ -313,12 +291,6 @@ func (g *Gateway) Close() {
 	for _, c := range g.clients {
 		c.Close()
 	}
-}
-
-// edgeOwner returns the shard owning edge (i, j): the owner (id mod K)
-// of the lower endpoint.
-func (g *Gateway) edgeOwner(i, j int) int {
-	return min(i, j) % g.k
 }
 
 // scatter runs fn once per shard concurrently and waits for all of
@@ -484,13 +456,15 @@ func (g *Gateway) ApplyUpdate(ctx context.Context, i, j int, rtt float64) (tivwi
 	return g.ApplyBatch(ctx, []tivwire.Update{{I: i, J: j, RTT: rtt}})
 }
 
-// ApplyBatch replicates one update batch to every live shard, owner
-// first, holding the owner locks of every touched edge so replicas
-// apply same-edge updates in one global order. The returned change
-// set is the one the authority — the first live shard starting at the
-// owning shard of the first edge — computed; every replica computes
-// the identical change set for the same batch at the same point in
-// the apply order, so owner failover does not change the answer.
+// ApplyBatch replicates one update batch to every live replica under
+// the one update sequencer (applyMu), so every replica — directly or
+// by replay — applies every batch in journal order. The returned
+// change set is the one the authority — the lowest-numbered live
+// replica — computed: the one a monolith applying the journal
+// serially would return, under any number of concurrent writers.
+// Every replica computes the identical change set for the same batch
+// at the same point in that order, so authority failover does not
+// change the answer.
 //
 // Failure handling (the failover contract; see DESIGN.md):
 //
@@ -527,26 +501,8 @@ func (g *Gateway) ApplyBatch(ctx context.Context, updates []tivwire.Update) (tiv
 			return tivwire.ChangeSet{}, errBadRequestf("update (%d,%d) invalid delay %g", u.I, u.J, u.RTT)
 		}
 	}
-	primary := g.edgeOwner(updates[0].I, updates[0].J)
-	owners := make([]bool, g.k)
-	for _, u := range updates {
-		owners[g.edgeOwner(u.I, u.J)] = true
-	}
-	locked := make([]int, 0, g.k)
-	for s := 0; s < g.k; s++ {
-		if owners[s] {
-			locked = append(locked, s)
-		}
-	}
-	// Ascending lock order prevents deadlock between racing batches.
-	for _, s := range locked {
-		g.ownerMu[s].Lock()
-	}
-	defer func() {
-		for i := len(locked) - 1; i >= 0; i-- {
-			g.ownerMu[locked[i]].Unlock()
-		}
-	}()
+	g.applyMu.Lock()
+	defer g.applyMu.Unlock()
 
 	// Journal the batch and snapshot the down set in one critical
 	// section: every shard is either in the snapshot as down (it skips
@@ -563,13 +519,12 @@ func (g *Gateway) ApplyBatch(ctx context.Context, updates []tivwire.Update) (tiv
 	}
 	g.journalMu.Unlock()
 
-	// Authority pass: first live shard starting at the owner,
-	// sequentially.
+	// Authority pass: the lowest-numbered live shard, walking on
+	// sequentially when it fails.
 	authority := -1
 	var cs tivwire.ChangeSet
 	var lastErr error
-	for d := 0; d < g.k; d++ {
-		s := (primary + d) % g.k
+	for s := 0; s < g.k; s++ {
 		if skip[s] {
 			continue
 		}
@@ -632,23 +587,28 @@ func (g *Gateway) applyTo(ctx context.Context, s int, updates []tivwire.Update) 
 	return cs, nil
 }
 
-// Subscribe registers fn for the merged fan-in stream: every shard's
-// violated-edge change sets, filtered to the edges that shard owns.
-// Per shard, no delta is lost or duplicated, and each change set
-// carries its shard monitor version, which totally orders that
-// shard's applies — change sets of updates that *raced* on one shard
-// may be delivered slightly out of apply order (the service fans out
-// after releasing its apply lock), so exact consumers order by
-// version, as the stress-test accounting does. Across shards the
-// interleaving is unspecified. The first subscriber attaches the
-// K shard streams, and every Subscribe call — including ones racing
-// that first attach — returns success only once all stream
-// handshakes completed, so fn observes every owned-edge delta applied
-// after Subscribe returns. A torn shard stream (overflow or
-// disconnect) surfaces as Rescan-marked empty change sets for that
-// shard — one at tear time, one after the stream re-attached (see
-// ShardChangeSet); re-attaches retry every Options.ResubscribeDelay.
-func (g *Gateway) Subscribe(fn func(ShardChangeSet)) (cancel func(), err error) {
+// Subscribe registers fn for the gateway's change-set stream: one
+// replica's violated-edge change sets, unfiltered — every replica
+// applies every batch in journal order, so one replica's stream is the
+// cluster's. Between markers no delta is lost or duplicated, and each
+// change set carries its replica's monitor version, which totally
+// orders that replica's applies (exact consumers order by it: the
+// service fans out after releasing its apply lock, so racing applies
+// may arrive slightly out of order). The first subscriber starts the
+// pump, and every Subscribe call — including ones racing that first
+// attach — returns success only once a replica's stream handshake
+// completed, so fn observes every delta applied after Subscribe
+// returns; one reachable replica is enough.
+//
+// When the stream tears (overflow, disconnect) or its replica is
+// marked down, the pump re-attaches and fn sees Rescan-marked empty
+// change sets: one at tear time (events may be missing from here on)
+// and one after the new handshake — unless the same replica's hello
+// version proves the gap empty (see stream). A resync (TopEdges) on
+// the second marker is gap-free, because the handshake precedes it.
+// Versions are per replica: they may jump either way when the stream
+// moves, always behind a marker.
+func (g *Gateway) Subscribe(fn func(tivwire.ChangeSet)) (cancel func(), err error) {
 	if fn == nil {
 		return nil, fmt.Errorf("tivshard: nil subscriber")
 	}
@@ -664,30 +624,39 @@ func (g *Gateway) Subscribe(fn func(ShardChangeSet)) (cancel func(), err error) 
 	g.nextSub++
 	g.subs = append(g.subs, gwSubscriber{id: id, fn: fn})
 	att := g.pumpAttach
-	starter := att == nil
-	if starter {
+	var pumpCtx context.Context
+	if att == nil {
 		att = &pumpAttach{done: make(chan struct{})}
 		g.pumpAttach = att
+		pumpCtx, g.pumpCancel = context.WithCancel(context.Background())
+		g.pumpWG.Add(1) // under subMu, so Close's Wait cannot miss it
 	}
 	g.subMu.Unlock()
 
-	if starter {
-		att.err = g.startPumps()
-		if att.err != nil {
-			// Reset so a later Subscribe retries the attach (the
-			// failed attempt cancelled pumpCtx and joined every pump).
+	if pumpCtx != nil {
+		attached, failed := make(chan struct{}), make(chan error, 1)
+		// SubscribeOpts' event loop blocks reading the HTTP response
+		// body; cancelling its context (Close, leavePumped) closes the
+		// body through the transport, which ends the scan with an error
+		// and returns — cancellation the static proof cannot see.
+		//lint:tiv goleak the SSE scan loop exits when pumpCancel closes the stream through the HTTP transport
+		go g.pump(pumpCtx, attached, failed)
+		select {
+		case <-attached:
+		case att.err = <-failed:
+			// The pump gave up and is returning: join it, then reset so
+			// a later Subscribe retries the attach.
+			g.pumpWG.Wait()
 			g.subMu.Lock()
+			g.pumpCancel()
 			g.pumpAttach = nil
-			if !g.closed {
-				g.pumpCtx, g.pumpCancel = context.WithCancel(context.Background())
-			}
 			g.subMu.Unlock()
 		}
 		close(att.done)
 	} else {
 		// Wait for the in-flight (or completed) attach, so every
 		// subscriber — not just the first — returns success only once
-		// all shard handshakes completed.
+		// the handshake completed.
 		<-att.done
 	}
 	if att.err != nil {
@@ -699,137 +668,73 @@ func (g *Gateway) Subscribe(fn func(ShardChangeSet)) (cancel func(), err error) 
 
 func (g *Gateway) removeSub(id int) {
 	g.subMu.Lock()
-	for k, sub := range g.subs {
-		if sub.id == id {
-			g.subs = append(g.subs[:k], g.subs[k+1:]...)
-			break
-		}
-	}
+	g.subs = slices.DeleteFunc(g.subs, func(sub gwSubscriber) bool { return sub.id == id })
 	g.subMu.Unlock()
 }
 
-// startPumps attaches one SSE pump per shard and waits for every
-// handshake. A failed attach tears the whole fan-in down (and joins
-// every pump, so the caller may safely replace the pump context).
-func (g *Gateway) startPumps() error {
-	g.subMu.Lock()
-	ctx, cancel := g.pumpCtx, g.pumpCancel
-	g.subMu.Unlock()
-	attach := make(chan error, g.k)
-	for s := range g.clients {
-		g.pumpWG.Add(1)
-		// SubscribeOpts' event loop blocks reading the HTTP response
-		// body; cancelling ctx (stopPumps, failed attach) closes the
-		// body through the transport, which ends the scan with an error
-		// and returns — cancellation the static proof cannot see.
-		//lint:tiv goleak the SSE scan loop exits when pumpCancel closes the stream through the HTTP transport
-		go g.pump(ctx, s, attach)
-	}
-	var errs []error
-	for i := 0; i < g.k; i++ {
-		if err := <-attach; err != nil {
-			errs = append(errs, err)
-		}
-	}
-	if len(errs) > 0 {
-		cancel()
-		g.pumpWG.Wait()
-		return errors.Join(errs...)
-	}
-	return nil
+// streamPos is where the subscription stream stands across attaches:
+// the replica of the last completed handshake (-1 before the first) and
+// the last version it reported, by hello or by change set.
+type streamPos struct {
+	shard   int
+	ver     uint64
+	haveVer bool
 }
 
-// pump drives one shard's subscription stream for the life of the
-// gateway, re-attaching when the daemon drops it. Subscribers see a
-// Rescan marker at tear time (the stream is unreliable from here) —
-// and, after re-attach, a second marker only when the gap could hide
-// deltas: the re-attach handshake's hello version is compared with
-// the last change-set version this pump delivered, and equality
-// proves the shard applied nothing while the pump was detached (its
-// monitor version advances on every apply), so the gap is provably
-// empty and the marker — and the resync it would trigger — is
-// skipped. Any inequality, a restarted shard (version reset), or a
-// stream that attached without a hello (the shard's health read
-// failed at that moment — a gateway-backed shard with none of its own
-// shards answering, an injected backend fault) emits the marker: only
-// once the new handshake has landed, so a resync it triggers is
-// gap-free — every delta applied after the resync is observed on the
-// new stream.
-func (g *Gateway) pump(ctx context.Context, shard int, attach chan<- error) {
+// pump drives the subscription stream for the life of the gateway. Each
+// round walks the live replicas, lowest-numbered first, until one
+// completes a stream handshake, and runs that stream until it tears or
+// the breaker marks its replica down; then it delivers the tear-time
+// Rescan marker, pauses Options.ResubscribeDelay, and starts the next
+// round. The first handshake closes attached; if the first round
+// attaches nowhere the pump says why on failed (buffered) and returns.
+func (g *Gateway) pump(ctx context.Context, attached chan struct{}, failed chan<- error) {
 	defer g.pumpWG.Done()
-	var reportOnce sync.Once
-	report := func(err error) { reportOnce.Do(func() { attach <- err }) }
-	first := true
-	// lastVer/haveVer track the shard's stream position across
-	// attaches. Only the pump goroutine touches them: the client
-	// invokes OnHello and the change-set callback synchronously from
-	// its read loop, which runs in this goroutine.
-	var lastVer uint64
-	var haveVer bool
+	// Only the pump goroutine touches pos: the client invokes OnHello and
+	// the change-set callback synchronously from its read loop, which
+	// runs in this goroutine.
+	pos := streamPos{shard: -1}
 	for {
-		ready := make(chan struct{})
-		isFirst := first
-		if isFirst {
-			// Report the attach as soon as the handshake lands (the
-			// client closes ready) — or a cancellation, so startPumps
-			// never blocks when Close races the first Subscribe.
-			go func() {
+		var errs []error
+		// Pass 0 walks the live replicas; if there was none to try, pass
+		// 1 asks the down ones too — a behind replica's stream, bracketed
+		// by markers, beats none (callHome's desperation pass).
+		tried, ran := false, false
+		for pass := 0; pass < 2 && !tried; pass++ {
+			for s := 0; s < g.k && !ran; s++ {
+				if pass == 0 && g.isDown(s) {
+					continue
+				}
+				tried = true
+				ready := attached
+				if pos.shard >= 0 {
+					ready = make(chan struct{})
+				}
+				err := g.stream(ctx, s, pass == 0, &pos, ready)
+				if ctx.Err() != nil {
+					failed <- ctx.Err() // buffered: nobody may be waiting any more
+					return
+				}
 				select {
-				case <-ready:
-					report(nil)
-				case <-ctx.Done():
-					report(ctx.Err())
+				case <-ready: // the client closes ready on a completed handshake
+					ran = true
+					if pos.shard != s {
+						pos = streamPos{shard: s} // attached without reporting a version
+					}
+				default:
+					errs = append(errs, fmt.Errorf("tivshard: shard %d (%s): %w", s, g.clients[s].BaseURL(), err))
 				}
-			}()
-		}
-		// markerDecided: this attach has settled whether a re-attach
-		// marker is needed (via hello, or conservatively before the
-		// first forwarded change set when the daemon sent none).
-		markerDecided := isFirst
-		err := g.clients[shard].SubscribeOpts(ctx, tivclient.SubscribeOptions{
-			Ready: ready,
-			OnHello: func(h tivwire.Hello) {
-				if !markerDecided && !(haveVer && h.Version == lastVer) {
-					g.deliver(shard, tivwire.ChangeSet{Rescan: true})
-				}
-				markerDecided = true
-				lastVer, haveVer = h.Version, true
-			},
-		}, func(cs tivwire.ChangeSet) {
-			if !markerDecided {
-				// No hello preceded the data (the shard could not read
-				// its counters at attach): assume the worst about the gap.
-				g.deliver(shard, tivwire.ChangeSet{Rescan: true})
-				markerDecided = true
 			}
-			lastVer, haveVer = cs.Version, true
-			g.deliver(shard, cs)
-		})
-		if ctx.Err() != nil {
-			report(ctx.Err())
+		}
+		if pos.shard < 0 {
+			failed <- errors.Join(errs...)
 			return
 		}
-		attached := false
-		select {
-		case <-ready: // the client closes ready on a completed handshake
-			attached = true
-		default:
-		}
-		if isFirst && !attached {
-			// The stream failed before its handshake: report the
-			// attach error and let startPumps tear everything down.
-			report(fmt.Errorf("tivshard: shard %d (%s): %w", shard, g.clients[shard].BaseURL(), err))
-			return
-		}
-		first = false
-		if attached {
+		if ran {
 			// Tear-time marker: subscribers learn promptly that the
-			// shard stream is unreliable (the conditional re-attach
-			// marker above is the one whose resync is guaranteed
-			// gap-free). An attach that never completed its handshake
-			// delivered nothing and needs no tear marker — the
-			// previous tear already emitted one.
-			g.deliver(shard, tivwire.ChangeSet{Rescan: true})
+			// stream is unreliable; the marker after the next handshake is
+			// the one whose resync is guaranteed gap-free.
+			g.deliver(tivwire.ChangeSet{Rescan: true})
 		}
 		select {
 		case <-ctx.Done():
@@ -839,32 +744,76 @@ func (g *Gateway) pump(ctx context.Context, shard int, attach chan<- error) {
 	}
 }
 
-// deliver filters one shard change set to the shard's owned edges and
-// fans it out. The subscriber lock is never held across callbacks.
-func (g *Gateway) deliver(shard int, cs tivwire.ChangeSet) {
-	filtered := tivwire.ChangeSet{Version: cs.Version, Rescan: cs.Rescan}
-	for _, e := range cs.NewlyViolated {
-		if g.edgeOwner(e.I, e.J) == shard {
-			filtered.NewlyViolated = append(filtered.NewlyViolated, e)
-		}
-	}
-	for _, e := range cs.Cleared {
-		if g.edgeOwner(e.I, e.J) == shard {
-			filtered.Cleared = append(filtered.Cleared, e)
-		}
-	}
-	if filtered.Empty() && !filtered.Rescan {
-		return
-	}
+// errPumpedDown is why an attach was abandoned before its handshake:
+// the breaker marked the replica down between the pick and the attach.
+var errPumpedDown = errors.New("marked down")
+
+// stream runs one subscription stream against shard s to its end; the
+// client closes ready once the handshake completed. The attach runs
+// under its own context, registered as g.leave so the breaker can end
+// it (with one stream, a wedged-but-connected replica would otherwise
+// stall every subscriber). After the handshake it delivers a Rescan
+// marker unless this is the first attach or the gap provably hid
+// nothing: the same replica's hello version equal to the last version
+// this pump saw from it proves the replica applied nothing in between
+// (its monitor version advances on every apply). A different replica,
+// any inequality, a restarted shard, or a stream that attached without
+// a hello (the shard's health read failed at that moment) gets the
+// marker — only once the new handshake has landed, so a resync it
+// triggers is gap-free.
+func (g *Gateway) stream(ctx context.Context, s int, wantLive bool, pos *streamPos, ready chan struct{}) error {
+	ctx, leave := context.WithCancel(ctx)
+	defer leave()
 	g.subMu.Lock()
-	fns := make([]func(ShardChangeSet), len(g.subs))
-	for k := range g.subs {
-		fns[k] = g.subs[k].fn
-	}
+	g.pumped, g.leave = s, leave
 	g.subMu.Unlock()
-	ev := ShardChangeSet{Shard: shard, Changes: filtered}
-	for _, fn := range fns {
-		fn(ev)
+	defer func() {
+		g.subMu.Lock()
+		g.pumped, g.leave = -1, nil
+		g.subMu.Unlock()
+	}()
+	// Registered first, checked second: a trip either finds the
+	// registration (leavePumped cancels it) or is seen here.
+	if wantLive && g.isDown(s) {
+		return errPumpedDown
+	}
+	// markerDecided: this attach has settled whether a re-attach marker
+	// is needed (via hello, or conservatively before the first forwarded
+	// change set when the daemon sent none).
+	markerDecided := pos.shard < 0
+	err := g.clients[s].SubscribeOpts(ctx, tivclient.SubscribeOptions{
+		Ready: ready,
+		OnHello: func(h tivwire.Hello) {
+			if !markerDecided && !(pos.shard == s && pos.haveVer && h.Version == pos.ver) {
+				g.deliver(tivwire.ChangeSet{Rescan: true})
+			}
+			markerDecided = true
+			*pos = streamPos{shard: s, ver: h.Version, haveVer: true}
+		},
+	}, func(cs tivwire.ChangeSet) {
+		if !markerDecided {
+			// No hello preceded the data (the shard could not read its
+			// counters at attach): assume the worst about the gap.
+			g.deliver(tivwire.ChangeSet{Rescan: true})
+			markerDecided = true
+		}
+		*pos = streamPos{shard: s, ver: cs.Version, haveVer: true}
+		g.deliver(cs)
+	})
+	if err == nil {
+		err = errPumpedDown // leave cancelled the attach
+	}
+	return err
+}
+
+// deliver fans one change set out to the subscribers. The subscriber
+// lock is never held across callbacks.
+func (g *Gateway) deliver(cs tivwire.ChangeSet) {
+	g.subMu.Lock()
+	subs := slices.Clone(g.subs)
+	g.subMu.Unlock()
+	for _, sub := range subs {
+		sub.fn(cs)
 	}
 }
 

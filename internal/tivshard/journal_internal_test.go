@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"net/http/httptest"
+	"runtime"
 	"testing"
 
 	"tivaware/internal/synth"
@@ -59,5 +60,49 @@ func TestInvalidDelayNotJournaled(t *testing.T) {
 		if len(g.journal) != 1 || g.Generation() != 1 {
 			t.Errorf("rtt %g: journal %d entries, generation %d; want 1 and 1", bad, len(g.journal), g.Generation())
 		}
+	}
+}
+
+// TestJournalAppendEvictsInPlace: once the journal is full, an append
+// costs O(1), not a copy of the whole journal, and the bookkeeping the
+// replay path rests on is unchanged — journalBase + len(journal) counts
+// every admitted batch and the kept window is exactly the last
+// JournalLimit batches. (Fails at the parent commit, where every append
+// past the limit re-copied the journal: ≈ 96 KiB per append at 4096.)
+func TestJournalAppendEvictsInPlace(t *testing.T) {
+	batch := func(k int) []tivwire.Update { return []tivwire.Update{{I: 0, J: 1, RTT: float64(k)}} }
+
+	g := &Gateway{opts: Options{JournalLimit: 64}}
+	const admitted = 1000
+	for k := 0; k < admitted; k++ {
+		if idx := g.appendJournalLocked(batch(k)); idx != int64(k) {
+			t.Fatalf("batch %d admitted at journal index %d", k, idx)
+		}
+	}
+	if got := g.journalBase + int64(len(g.journal)); got != admitted || len(g.journal) != 64 {
+		t.Fatalf("journal ends at %d holding %d batches, want %d and 64", got, len(g.journal), admitted)
+	}
+	for k, e := range g.journal {
+		if want := float64(g.journalBase) + float64(k); e.updates[0].RTT != want {
+			t.Fatalf("kept entry %d is batch %g, want %g", k, e.updates[0].RTT, want)
+		}
+	}
+	if c := cap(g.journal); c > 4*64 {
+		t.Fatalf("backing array holds %d entries for a limit of 64", c)
+	}
+
+	const limit, appends = 4096, 4 * 4096
+	g = &Gateway{opts: Options{JournalLimit: limit}}
+	for k := 0; k < limit; k++ {
+		g.appendJournalLocked(nil)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for k := 0; k < appends; k++ {
+		g.appendJournalLocked(nil)
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / appends; per >= 1024 {
+		t.Fatalf("an append to a full journal allocates %d bytes, want < 1 KiB", per)
 	}
 }

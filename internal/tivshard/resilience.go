@@ -3,6 +3,7 @@ package tivshard
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -12,11 +13,11 @@ import (
 	"tivaware/internal/tivwire"
 )
 
-// This file is the gateway's resilience layer. The plane replicates
-// the full delay matrix on every shard and partitions only the
-// delta-stream *authority* (owned edges) — which makes exact failover
-// possible: any live replica can answer any query bit-for-bit. The
-// layer makes it real:
+// This file is the gateway's resilience layer. Every shard is a full
+// replica applying every update in journal order — which makes exact
+// failover possible: any live replica can answer any query, and stand
+// in as update authority or subscription source, bit-for-bit. The layer
+// makes it real:
 //
 //   - Reads run through a try chain (the batch's home first, then the
 //     other live replicas) with bounded, jitter-backed retries and
@@ -27,9 +28,8 @@ import (
 //     be behind) and no direct updates (they skip, see below).
 //   - Updates that a down shard skips are journaled. A background
 //     prober watches /healthz; when a down shard answers again, the
-//     prober replays the journal from the shard's cursor — owner-path
-//     updates first, in the exact global apply order — and only then
-//     readmits the shard. Replays are idempotent (re-applying an
+//     prober replays the journal from the shard's cursor, in the exact
+//     global apply order, and only then readmits the shard. Replays are idempotent (re-applying an
 //     (i,j,rtt) the shard already has yields an empty change set), so
 //     an ambiguous mid-broadcast failure cannot double-apply.
 //   - The prober also detects restarts: a shard answering /healthz
@@ -186,31 +186,39 @@ func (g *Gateway) recordFailure(s int) {
 // journaled from here on is one the shard skipped. Failed direct
 // applies lower the cursor afterwards via ensureReplayFrom (their
 // entry predates the trip).
-func (g *Gateway) markDown(s int) {
-	g.journalMu.Lock()
-	if !g.states[s].down.Load() {
-		g.states[s].replayFrom = g.journalBase + int64(len(g.journal))
-		g.states[s].stale = false
-		g.states[s].down.Store(true)
-	}
-	g.journalMu.Unlock()
-}
+func (g *Gateway) markDown(s int) { g.ensureReplayFrom(s, math.MaxInt64) }
 
-// ensureReplayFrom lowers shard s's replay cursor to idx (an absolute
-// journal index the shard may have missed). Called by apply paths
-// whose direct apply to s failed: the batch is journaled at idx, and
-// whether or not the shard actually applied it, replaying from idx is
-// safe (idempotent) and sufficient.
+// ensureReplayFrom marks shard s down with its replay cursor no later
+// than idx (an absolute journal index the shard may have missed, capped
+// at the journal's end). Called by apply paths whose direct apply to s
+// failed: the batch is journaled at idx, and whether or not the shard
+// actually applied it, replaying from idx is safe (idempotent) and
+// sufficient. A shard going down takes the subscription stream off it.
 func (g *Gateway) ensureReplayFrom(s int, idx int64) {
 	g.journalMu.Lock()
-	if !g.states[s].down.Load() {
-		g.states[s].replayFrom = idx
-		g.states[s].stale = false
-		g.states[s].down.Store(true)
-	} else if idx < g.states[s].replayFrom {
-		g.states[s].replayFrom = idx
+	idx = min(idx, g.journalBase+int64(len(g.journal)))
+	st := &g.states[s]
+	tripped := !st.down.Load()
+	if tripped {
+		st.replayFrom, st.stale = idx, false
+		st.down.Store(true)
+	} else if idx < st.replayFrom {
+		st.replayFrom = idx
 	}
 	g.journalMu.Unlock()
+	if tripped {
+		g.leavePumped(s)
+	}
+}
+
+// leavePumped ends the pump's attach to shard s, if that is where the
+// subscription stream is: the pump then re-attaches to a live replica.
+func (g *Gateway) leavePumped(s int) {
+	g.subMu.Lock()
+	if g.pumped == s {
+		g.leave()
+	}
+	g.subMu.Unlock()
 }
 
 // isDown reports whether the breaker currently excludes shard s.
@@ -483,16 +491,19 @@ func (g *Gateway) recover(ctx context.Context, s int) {
 	}
 }
 
-// appendJournal records one batch and returns its absolute index,
-// evicting the oldest entries beyond the journal bound (any down
-// shard whose cursor falls off the evicted end becomes stale —
-// detected by recover). Callers hold journalMu.
+// appendJournalLocked records one batch and returns its absolute
+// index, evicting the oldest entries beyond the journal bound (any down
+// shard whose cursor falls off the evicted end becomes stale — detected
+// by recover). Eviction zeroes the dropped entries, so their updates
+// are collectable, and re-slices forward: append's own growth then
+// copies only the live window, amortised, and the backing array stays
+// within about twice the bound. Callers hold journalMu.
 func (g *Gateway) appendJournalLocked(updates []tivwire.Update) int64 {
 	idx := g.journalBase + int64(len(g.journal))
 	g.journal = append(g.journal, journalEntry{updates: updates})
-	if limit := g.opts.journalLimit(); limit > 0 && len(g.journal) > limit {
-		evict := len(g.journal) - limit
-		g.journal = append([]journalEntry(nil), g.journal[evict:]...)
+	if evict := len(g.journal) - g.opts.journalLimit(); evict > 0 {
+		clear(g.journal[:evict])
+		g.journal = g.journal[evict:]
 		g.journalBase += int64(evict)
 	}
 	return idx

@@ -13,6 +13,7 @@ import (
 	"tivaware/internal/tivd"
 	"tivaware/internal/tivshard"
 	"tivaware/internal/tivshard/testcluster"
+	"tivaware/internal/tivwire"
 )
 
 type edgeKey struct{ i, j int }
@@ -24,10 +25,8 @@ func key(i, j int) edgeKey {
 	return edgeKey{i, j}
 }
 
-// violatedOwnedSet reads one shard's current violated-edge set,
-// restricted to the edges that shard owns under the round-robin
-// partition (edge (i,j), i<j, owned by shard i%K).
-func violatedOwnedSet(t *testing.T, svc *tivaware.Service, shard, shards int) map[edgeKey]bool {
+// violatedSet reads one replica's current violated-edge set.
+func violatedSet(t *testing.T, svc *tivaware.Service) map[edgeKey]bool {
 	t.Helper()
 	an, err := svc.Analysis()
 	if err != nil {
@@ -36,9 +35,6 @@ func violatedOwnedSet(t *testing.T, svc *tivaware.Service, shard, shards int) ma
 	n := svc.N()
 	set := make(map[edgeKey]bool)
 	for i := 0; i < n; i++ {
-		if i%shards != shard {
-			continue
-		}
 		for j := i + 1; j < n; j++ {
 			if an.Counts.At(i, j) > 0 {
 				set[edgeKey{i, j}] = true
@@ -48,16 +44,30 @@ func violatedOwnedSet(t *testing.T, svc *tivaware.Service, shard, shards int) ma
 	return set
 }
 
+// swingUpdate draws one update with an extreme delay swing, so
+// violation flips actually happen.
+func swingUpdate(rng *rand.Rand, n int) tivwire.Update {
+	i := rng.Intn(n)
+	j := rng.Intn(n)
+	if i == j {
+		j = (j + 1) % n
+	}
+	rtt := 1 + rng.Float64()*4
+	if rng.Intn(2) == 0 {
+		rtt = 500 + rng.Float64()*2000
+	}
+	return tivwire.Update{I: i, J: j, RTT: rtt}
+}
+
 // TestConcurrentUpdatesFanInAccounting is the -race stress test of
-// the update plane: goroutines hammer ApplyUpdate through the
-// gateway — landing on edges owned by different shards concurrently —
-// while a fan-in subscriber checks each shard stream's violated-edge
-// deltas for exactness. Per shard stream, starting from the baseline
-// violated set, every NewlyViolated edge must be absent from the
-// running set (a present one would mean a duplicated or out-of-order
-// delta) and every Cleared edge present (an absent one, a lost
-// delta); after the cluster quiesces each replayed set must equal the
-// shard's actual owned violated set.
+// the update plane: goroutines hammer ApplyUpdate through the gateway
+// concurrently while a subscriber checks the stream's violated-edge
+// deltas for exactness. Starting from the baseline violated set, every
+// NewlyViolated edge must be absent from the running set (a present
+// one would mean a duplicated or out-of-order delta) and every Cleared
+// edge present (an absent one, a lost delta); after the cluster
+// quiesces the replayed set must equal every replica's actual violated
+// set.
 func TestConcurrentUpdatesFanInAccounting(t *testing.T) {
 	const (
 		shards  = 3
@@ -80,23 +90,20 @@ func TestConcurrentUpdatesFanInAccounting(t *testing.T) {
 	}
 	defer c.Close()
 
-	// Baseline violated sets, per shard, before any update flows.
-	baseline := make([]map[edgeKey]bool, shards)
-	for s := 0; s < shards; s++ {
-		baseline[s] = violatedOwnedSet(t, c.Shards[s].Service, s, shards)
-	}
+	// The baseline violated set, before any update flows.
+	baseline := violatedSet(t, c.Shards[0].Service)
 
 	var mu sync.Mutex
-	streams := make([][]tivshard.ShardChangeSet, shards)
+	var stream []tivwire.ChangeSet
 	torn := false
-	cancel, err := c.Gateway.Subscribe(func(ev tivshard.ShardChangeSet) {
+	cancel, err := c.Gateway.Subscribe(func(cs tivwire.ChangeSet) {
 		mu.Lock()
 		defer mu.Unlock()
-		if ev.Changes.Rescan {
+		if cs.Rescan {
 			torn = true
 			return
 		}
-		streams[ev.Shard] = append(streams[ev.Shard], ev)
+		stream = append(stream, cs)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -112,17 +119,8 @@ func TestConcurrentUpdatesFanInAccounting(t *testing.T) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(100 + w)))
 			for u := 0; u < updates; u++ {
-				i := rng.Intn(n)
-				j := rng.Intn(n)
-				if i == j {
-					j = (j + 1) % n
-				}
-				// Extreme swings so violation flips actually happen.
-				rtt := 1 + rng.Float64()*4
-				if rng.Intn(2) == 0 {
-					rtt = 500 + rng.Float64()*2000
-				}
-				if _, err := c.Gateway.ApplyUpdate(ctx, i, j, rtt); err != nil {
+				up := swingUpdate(rng, n)
+				if _, err := c.Gateway.ApplyUpdate(ctx, up.I, up.J, up.RTT); err != nil {
 					errs <- err
 					return
 				}
@@ -149,17 +147,27 @@ func TestConcurrentUpdatesFanInAccounting(t *testing.T) {
 	}
 
 	// Every ApplyUpdate returned only after all replicas applied it,
-	// so the shard states are final; the fan-in may still be in
-	// flight. Poll until each shard's replayed stream converges on
-	// its actual violated set.
-	finals := make([]map[edgeKey]bool, shards)
-	for s := 0; s < shards; s++ {
-		finals[s] = violatedOwnedSet(t, c.Shards[s].Service, s, shards)
+	// so the replica states are final — and identical; the stream may
+	// still be in flight. Poll until its replay converges on that state.
+	final := violatedSet(t, c.Shards[0].Service)
+	for s := 1; s < shards; s++ {
+		if err := compareSets(violatedSet(t, c.Shards[s].Service), final); err != nil {
+			t.Fatalf("replica %d against replica 0: %v", s, err)
+		}
 	}
 	deadline := time.Now().Add(15 * time.Second)
 	var lastErr error
 	for {
-		lastErr = replayAndCompare(streams, baseline, finals, &mu, &torn)
+		mu.Lock()
+		events, tore := append([]tivwire.ChangeSet(nil), stream...), torn
+		mu.Unlock()
+		if tore {
+			t.Fatal("the stream tore (overflow/disconnect); raise SubscribeBuffer")
+		}
+		var set map[edgeKey]bool
+		if set, lastErr = replaySegment(events, baseline); lastErr == nil {
+			lastErr = compareSets(set, final)
+		}
 		if lastErr == nil || time.Now().After(deadline) {
 			break
 		}
@@ -170,67 +178,121 @@ func TestConcurrentUpdatesFanInAccounting(t *testing.T) {
 	}
 
 	mu.Lock()
-	total := 0
-	for _, evs := range streams {
-		total += len(evs)
-	}
+	total := len(stream)
 	mu.Unlock()
 	if total == 0 {
 		t.Fatal("no violated-edge deltas arrived; the stress produced no flips")
 	}
 }
 
-// replayAndCompare replays each shard's delta stream from its
-// baseline and compares with the shard's final state, failing on any
-// duplicated or lost delta. Events are replayed in monitor-version
-// order: the version stamps totally order a shard's applies, while
-// wire delivery of changesets from *racing* updates may interleave
-// slightly out of apply order (the service fans out after releasing
-// its apply lock — documented in tivaware.Service.Subscribe).
-func replayAndCompare(streams [][]tivshard.ShardChangeSet, baseline, finals []map[edgeKey]bool, mu *sync.Mutex, torn *bool) error {
-	mu.Lock()
-	defer mu.Unlock()
-	if *torn {
-		return fmt.Errorf("a shard stream tore (overflow/disconnect); raise SubscribeBuffer")
+// TestConcurrentChangeSetsMatchJournalOrder pins what the one update
+// sequencer buys: under concurrent writers, the change sets ApplyBatch
+// returns are exactly the ones a monolith applying the journal serially
+// returns. With no fault injected the authority is always replica 0,
+// whose monitor version counts applies — so sorting the returned change
+// sets by Version recovers the journal order, and replaying the updates
+// in that order on the monolith twin must reproduce every change set,
+// delta for delta. As a cheaper invariant the returned deltas must
+// telescope: per edge, #NewlyViolated − #Cleared over all returned sets
+// equals the edge's final minus initial violated state. (Fails at the
+// parent commit: per-owner locks let batches reach the replicas in
+// different orders, so the returned sets described states no replica
+// ever occupied.)
+func TestConcurrentChangeSetsMatchJournalOrder(t *testing.T) {
+	const (
+		n       = 28
+		writers = 8
+		updates = 60
+	)
+	type applied struct {
+		up tivwire.Update
+		cs tivwire.ChangeSet
 	}
-	for s := range streams {
-		events := append([]tivshard.ShardChangeSet(nil), streams[s]...)
-		sort.SliceStable(events, func(a, b int) bool {
-			return events[a].Changes.Version < events[b].Changes.Version
+	for _, seed := range []int64{1, 2, 3, 4} {
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			c, err := testcluster.Start(testcluster.Config{
+				N: n, Shards: 3, Seed: seed, Live: true, Workers: 1, Frames: true,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			mono, err := c.NewMonolith()
+			if err != nil {
+				t.Fatal(err)
+			}
+			initial := violatedSet(t, mono)
+
+			ctx := context.Background()
+			var mu sync.Mutex
+			var log []applied
+			var wg sync.WaitGroup
+			errs := make(chan error, writers)
+			for w := 0; w < writers; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					rng := rand.New(rand.NewSource(seed*1000 + int64(w)))
+					for u := 0; u < updates; u++ {
+						up := swingUpdate(rng, n)
+						cs, err := c.Gateway.ApplyUpdate(ctx, up.I, up.J, up.RTT)
+						if err != nil {
+							errs <- err
+							return
+						}
+						mu.Lock()
+						log = append(log, applied{up, cs})
+						mu.Unlock()
+					}
+				}(w)
+			}
+			wg.Wait()
+			close(errs)
+			for err := range errs {
+				t.Fatal(err)
+			}
+
+			sort.Slice(log, func(a, b int) bool { return log[a].cs.Version < log[b].cs.Version })
+			net := make(map[edgeKey]int)
+			for k, a := range log {
+				want, err := mono.ApplyUpdate(a.up.I, a.up.J, a.up.RTT)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if a.cs.Version != want.Version || a.cs.Rescan != want.Rescan ||
+					fmt.Sprint(a.cs.NewlyViolated) != fmt.Sprint(tivwire.FromEdges(want.NewlyViolated)) ||
+					fmt.Sprint(a.cs.Cleared) != fmt.Sprint(tivwire.FromEdges(want.Cleared)) {
+					t.Fatalf("journal position %d, update %+v: gateway returned %+v, serial monolith %+v", k, a.up, a.cs, want)
+				}
+				for _, e := range a.cs.NewlyViolated {
+					net[key(e.I, e.J)]++
+				}
+				for _, e := range a.cs.Cleared {
+					net[key(e.I, e.J)]--
+				}
+			}
+			final := violatedSet(t, c.Shards[0].Service)
+			if err := compareSets(violatedSet(t, mono), final); err != nil {
+				t.Fatalf("serial monolith against replica 0: %v", err)
+			}
+			offending := 0
+			for i := 0; i < n; i++ {
+				for j := i + 1; j < n; j++ {
+					e, want := edgeKey{i, j}, 0
+					if final[e] {
+						want++
+					}
+					if initial[e] {
+						want--
+					}
+					if net[e] != want {
+						offending++
+					}
+				}
+			}
+			if offending > 0 {
+				t.Fatalf("%d edges whose returned deltas do not sum to final − initial violated state", offending)
+			}
 		})
-		for evIdx := 1; evIdx < len(events); evIdx++ {
-			if events[evIdx].Changes.Version == events[evIdx-1].Changes.Version {
-				return fmt.Errorf("shard %d: two events share monitor version %d (duplicated change set)", s, events[evIdx].Changes.Version)
-			}
-		}
-		set := make(map[edgeKey]bool, len(baseline[s]))
-		for e := range baseline[s] {
-			set[e] = true
-		}
-		for evIdx, ev := range events {
-			for _, e := range ev.Changes.NewlyViolated {
-				k := key(e.I, e.J)
-				if set[k] {
-					return fmt.Errorf("shard %d event %d: duplicated NewlyViolated delta for edge (%d,%d)", s, evIdx, e.I, e.J)
-				}
-				set[k] = true
-			}
-			for _, e := range ev.Changes.Cleared {
-				k := key(e.I, e.J)
-				if !set[k] {
-					return fmt.Errorf("shard %d event %d: Cleared delta for edge (%d,%d) that was not violated (lost or duplicated delta)", s, evIdx, e.I, e.J)
-				}
-				delete(set, k)
-			}
-		}
-		if len(set) != len(finals[s]) {
-			return fmt.Errorf("shard %d: replayed violated set has %d edges, shard state has %d", s, len(set), len(finals[s]))
-		}
-		for e := range finals[s] {
-			if !set[e] {
-				return fmt.Errorf("shard %d: replayed set is missing violated edge (%d,%d)", s, e.i, e.j)
-			}
-		}
 	}
-	return nil
 }

@@ -361,7 +361,7 @@ func (c *Cluster) NewMonolith() (*tivaware.Service, error) {
 	return tivaware.NewFromMatrix(c.Matrix.Clone(), tivaware.Options{Live: c.cfg.Live, Workers: c.cfg.Workers})
 }
 
-// Close tears the cluster down: the gateway's fan-in pumps first,
+// Close tears the cluster down: the gateway's pump first,
 // then every server's SSE streams, then the listeners.
 func (c *Cluster) Close() {
 	if c.Gateway != nil {
@@ -387,8 +387,11 @@ func (c *Cluster) Close() {
 	}
 }
 
+// shutdown drains hs for a second, then closes it hard: what lingers is
+// a connection a client transport dialed and never used, which
+// http.Server.Shutdown would wait out for 5s.
 func shutdown(hs *http.Server) {
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
 	defer cancel()
 	if err := hs.Shutdown(ctx); err != nil {
 		_ = hs.Close()
