@@ -274,7 +274,7 @@ func BenchmarkDetourPath(b *testing.B) {
 func BenchmarkMonitorApplyUpdate(b *testing.B) {
 	for _, n := range []int{100, 400} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			svc, sp := benchService(b, n, tivaware.Options{Live: true, JournalSize: -1})
+			svc, sp := benchService(b, n, tivaware.Options{Live: true})
 			edges := sp.Matrix.Edges()
 			b.ReportAllocs()
 			b.ResetTimer()

@@ -47,15 +47,14 @@ type Matrix struct {
 	data  []float64
 	mask  []uint64 // n*words bits; see MaskRow
 
-	// version counts mutations; hooks observe them. See Version and
-	// OnChange. Neither is copied by Clone/Submatrix/Reorder: a copy is
-	// a fresh matrix with its own history (Snapshot, by contrast,
-	// carries the source's version so consumers can key caches on it).
-	// The counter is atomic so concurrent readers can poll Version
-	// while one writer mutates; the data itself is not synchronized —
-	// concurrent Set and At still require external coordination.
+	// version counts mutations; see Version. It is not copied by
+	// Clone/Submatrix/Reorder: a copy is a fresh matrix with its own
+	// history (Snapshot, by contrast, carries the source's version so
+	// consumers can key caches on it). The counter is atomic so
+	// concurrent readers can poll Version while one writer mutates; the
+	// data itself is not synchronized — concurrent Set and At still
+	// require external coordination.
 	version atomic.Uint64
-	hooks   []func(i, j int, old, new float64)
 }
 
 func maskWords(n int) int { return (n + 63) / 64 }
@@ -148,7 +147,6 @@ func (m *Matrix) Set(i, j int, d float64) {
 }
 
 func (m *Matrix) set(i, j int, d float64) {
-	old := m.data[i*m.n+j]
 	m.data[i*m.n+j] = d
 	m.data[j*m.n+i] = d
 	if d == Missing {
@@ -159,10 +157,6 @@ func (m *Matrix) set(i, j int, d float64) {
 		m.mask[j*m.words+i>>6] |= 1 << uint(i&63)
 	}
 	m.version.Add(1)
-	for _, fn := range m.hooks {
-		//lint:tiv allocfree invoking a func value does not allocate; subscriber cost belongs to the subscriber
-		fn(i, j, old, d)
-	}
 }
 
 // Version returns a counter incremented on every mutation (each Set,
@@ -173,18 +167,9 @@ func (m *Matrix) set(i, j int, d float64) {
 // themselves are not.
 func (m *Matrix) Version() uint64 { return m.version.Load() }
 
-// OnChange registers fn to run after every mutation with the edge and
-// its old and new delays (either may be Missing). Hooks run
-// synchronously on the mutating goroutine and must not mutate the
-// matrix. Hooks cannot be unregistered; register on a matrix you own.
-func (m *Matrix) OnChange(fn func(i, j int, old, new float64)) {
-	m.hooks = append(m.hooks, fn)
-}
-
 // rebuildMask recomputes the measured-bitsets from data, for
 // constructors that fill data directly instead of going through set.
-// It counts as one mutation for Version (hooks do not fire: there is
-// no per-edge old/new to report for a bulk fill).
+// It counts as one mutation for Version.
 func (m *Matrix) rebuildMask() {
 	m.version.Add(1)
 	m.words = maskWords(m.n)
@@ -224,9 +209,9 @@ func (m *Matrix) Clone() *Matrix {
 // Snapshot returns an immutable point-in-time copy for concurrent
 // readers: a deep copy that, unlike Clone, carries the source's
 // current Version, so consumers (the tivaware epoch machinery) can key
-// caches on the version the snapshot was taken at. The copy has no
-// hooks and must be treated as read-only — it is two memcpys, cheap
-// relative to any O(N³) analysis of its contents. It must be taken
+// caches on the version the snapshot was taken at. The copy must be
+// treated as read-only — it is two memcpys, cheap relative to any
+// O(N³) analysis of its contents. It must be taken
 // while no concurrent mutator is running; once taken it is safe to
 // read from any number of goroutines.
 func (m *Matrix) Snapshot() *Matrix {

@@ -29,76 +29,6 @@ func TestVersionNotCopied(t *testing.T) {
 	}
 }
 
-func TestOnChangeObservesSets(t *testing.T) {
-	m := New(5)
-	type ev struct {
-		i, j     int
-		old, new float64
-	}
-	var got []ev
-	m.OnChange(func(i, j int, old, new float64) {
-		got = append(got, ev{i, j, old, new})
-	})
-	m.Set(1, 2, 10)
-	m.Set(1, 2, 12)
-	m.Set(1, 2, Missing)
-	want := []ev{
-		{1, 2, Missing, 10},
-		{1, 2, 10, 12},
-		{1, 2, 12, Missing},
-	}
-	if len(got) != len(want) {
-		t.Fatalf("hook fired %d times, want %d", len(got), len(want))
-	}
-	for k := range want {
-		if got[k] != want[k] {
-			t.Errorf("event %d: %+v, want %+v", k, got[k], want[k])
-		}
-	}
-	// A clone must not inherit the hook.
-	c := m.Clone()
-	c.Set(0, 1, 3)
-	if len(got) != len(want) {
-		t.Error("hook fired for a mutation of a clone")
-	}
-}
-
-func TestOnChangeMultipleHooks(t *testing.T) {
-	m := New(3)
-	a, b := 0, 0
-	m.OnChange(func(int, int, float64, float64) { a++ })
-	m.OnChange(func(int, int, float64, float64) { b++ })
-	m.Set(0, 2, 4)
-	if a != 1 || b != 1 {
-		t.Errorf("hooks fired (%d, %d) times, want (1, 1)", a, b)
-	}
-}
-
-// TestOnChangeAppendsNotReplaces is the regression test for the
-// last-writer-wins hazard: registering a second subscriber must never
-// silence the first, every subscriber sees every mutation exactly
-// once, and hooks run in registration order — the contract that lets a
-// tivaware.Service and any other observer watch one matrix together.
-func TestOnChangeAppendsNotReplaces(t *testing.T) {
-	m := New(4)
-	var order []string
-	for _, name := range []string{"first", "second", "third"} {
-		name := name
-		m.OnChange(func(int, int, float64, float64) { order = append(order, name) })
-	}
-	m.Set(0, 1, 9)
-	m.Set(2, 3, 4)
-	want := []string{"first", "second", "third", "first", "second", "third"}
-	if len(order) != len(want) {
-		t.Fatalf("hooks fired %d times, want %d: %v", len(order), len(want), order)
-	}
-	for k := range want {
-		if order[k] != want[k] {
-			t.Fatalf("firing order %v, want %v", order, want)
-		}
-	}
-}
-
 func TestSnapshotCarriesVersionAndIsolates(t *testing.T) {
 	m := New(4)
 	m.Set(0, 1, 5)
@@ -119,13 +49,5 @@ func TestSnapshotCarriesVersionAndIsolates(t *testing.T) {
 	}
 	if snap.Version() == m.Version() {
 		t.Error("snapshot version moved with the source")
-	}
-	// And snapshot hooks were not inherited.
-	hooked := false
-	m.OnChange(func(i, j int, old, new float64) { hooked = true })
-	snap2 := m.Snapshot()
-	_ = snap2
-	if hooked {
-		t.Error("Snapshot fired mutation hooks")
 	}
 }

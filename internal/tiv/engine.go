@@ -11,8 +11,8 @@ import (
 )
 
 // Engine is the shared high-performance severity engine behind the
-// package's O(N³) analyses. It reuses scratch buffers across calls
-// (zero steady-state allocations with the *Into variants) and runs the
+// package's O(N³) analyses. It reuses its scratch buffers across calls
+// (a steady-state call allocates exactly its result) and runs the
 // triple-scan kernel described below over an atomic-counter chunked
 // work queue.
 //
@@ -106,15 +106,8 @@ func (a Analysis) ViolatingTriangleFraction() float64 {
 // AllSeverities computes the severity of every edge, exact or sampled
 // per the engine's Options, into a freshly allocated result.
 func (e *Engine) AllSeverities(m *delayspace.Matrix) *EdgeSeverities {
-	return e.AllSeveritiesInto(&EdgeSeverities{}, m)
-}
-
-// AllSeveritiesInto is AllSeverities reusing dst's storage, for
-// steady-state callers that want zero allocations. It returns dst.
-func (e *Engine) AllSeveritiesInto(dst *EdgeSeverities, m *delayspace.Matrix) *EdgeSeverities {
 	n := m.N()
-	dst.n = n
-	dst.data = ensureFloats(dst.data, n*n)
+	dst := &EdgeSeverities{n: n, data: make([]float64, n*n)}
 	if n < 3 {
 		return dst
 	}
@@ -124,24 +117,6 @@ func (e *Engine) AllSeveritiesInto(dst *EdgeSeverities, m *delayspace.Matrix) *E
 	}
 	e.scanAll(m, dst.data, nil, nil)
 	finishSeverities(dst.data, n)
-	return dst
-}
-
-// AllViolationCounts computes the violation count of every edge.
-func (e *Engine) AllViolationCounts(m *delayspace.Matrix) *EdgeCounts {
-	return e.AllViolationCountsInto(&EdgeCounts{}, m)
-}
-
-// AllViolationCountsInto is AllViolationCounts reusing dst's storage.
-func (e *Engine) AllViolationCountsInto(dst *EdgeCounts, m *delayspace.Matrix) *EdgeCounts {
-	n := m.N()
-	dst.n = n
-	dst.data = ensureInts(dst.data, n*n)
-	if n < 3 {
-		return dst
-	}
-	e.scanAll(m, nil, dst.data, nil)
-	mirrorCounts(dst.data, n)
 	return dst
 }
 
@@ -165,33 +140,6 @@ func (e *Engine) Analyze(m *delayspace.Matrix) Analysis {
 		ViolatingTriangles: bad,
 		Triangles:          totalTriples(n),
 	}
-}
-
-// AnalyzeInto is Analyze reusing dst's result storage, for
-// steady-state callers (e.g. the tivaware service layer) that
-// re-analyze on data changes without reallocating O(N²) results. It
-// returns the refreshed analysis; dst's Severities/Counts pointers are
-// reused when present and correctly sized.
-func (e *Engine) AnalyzeInto(dst Analysis, m *delayspace.Matrix) Analysis {
-	n := m.N()
-	if dst.Severities == nil {
-		dst.Severities = &EdgeSeverities{}
-	}
-	if dst.Counts == nil {
-		dst.Counts = &EdgeCounts{}
-	}
-	dst.Severities.n = n
-	dst.Severities.data = ensureFloats(dst.Severities.data, n*n)
-	dst.Counts.n = n
-	dst.Counts.data = ensureInts(dst.Counts.data, n*n)
-	dst.ViolatingTriangles = 0
-	dst.Triangles = totalTriples(n)
-	if n >= 3 {
-		dst.ViolatingTriangles = e.scanAll(m, dst.Severities.data, dst.Counts.data, nil)
-		finishSeverities(dst.Severities.data, n)
-		mirrorCounts(dst.Counts.data, n)
-	}
-	return dst
 }
 
 // ViolatingTriangleFraction returns the fraction of node triples that

@@ -30,7 +30,9 @@ import (
 // through the delayspace version seam) forces a rescan before the next
 // update is applied.
 //
-// A Monitor is not safe for concurrent use.
+// A Monitor has one consumer: the tivaware.Service that constructs it,
+// serializes every call under its build mutex, and takes the state out
+// through SnapshotAnalysis. It is not safe for concurrent use.
 type Monitor struct {
 	m    *delayspace.Matrix
 	eng  *Engine
@@ -44,10 +46,6 @@ type Monitor struct {
 	version    uint64 // bumped once per applied update or rescan
 	matVersion uint64 // matrix version the state is synced to
 
-	sevCache *EdgeSeverities
-	cntCache *EdgeCounts
-	cacheOK  bool
-
 	// Flip tracking for ChangeSets: edges touched by the current apply,
 	// with their pre-apply violated status, recorded once per edge via
 	// an epoch stamp.
@@ -55,15 +53,6 @@ type Monitor struct {
 	touched []uint32
 	flipIdx []int
 	flipWas []bool
-
-	// hooks are OnChange subscribers registered after construction, in
-	// addition to (and notified after) MonitorOptions.OnChange.
-	hooks []func(ChangeSet)
-
-	// Update journal: a ring of the most recent mutations.
-	journal []JournalEntry
-	jStart  int
-	jLen    int
 
 	oldCnt []int32 // scratch for rescan flip diffing
 }
@@ -75,22 +64,8 @@ type Update struct {
 	RTT  float64
 }
 
-// JournalEntry records one applied mutation.
-type JournalEntry struct {
-	// Version is the monitor version at which the mutation became
-	// visible.
-	Version uint64
-	I, J    int
-	// Old and New are the edge's delay before and after (either may be
-	// delayspace.Missing).
-	Old, New float64
-	// Rescan marks mutations absorbed by a full batch rescan (dirty
-	// fallback) rather than an incremental delta.
-	Rescan bool
-}
-
 // ChangeSet describes how the violated-edge set moved under one
-// ApplyUpdate, ApplyBatch, or Rescan: the edges that started violating
+// ApplyUpdate or ApplyBatch: the edges that started violating
 // the triangle inequality and the edges that stopped. The Delay field
 // of each edge carries its current severity. Callers reacting to TIVs
 // at runtime — rerouting, neighbor re-selection, alerting — key off
@@ -123,9 +98,6 @@ type MonitorOptions struct {
 	// where k·O(N) delta work overtakes the O(N³/6) scan. Negative
 	// disables the fallback.
 	DirtyFraction float64
-	// JournalSize is how many recent updates the journal retains. Zero
-	// means 256; negative disables the journal.
-	JournalSize int
 	// OnChange, when non-nil, runs synchronously after every mutation
 	// whose ChangeSet is non-empty (and after every rescan). It must
 	// not mutate the monitor or its matrix.
@@ -137,16 +109,6 @@ func (o MonitorOptions) dirtyFraction() float64 {
 		return 1.0 / 3
 	}
 	return o.DirtyFraction
-}
-
-func (o MonitorOptions) journalSize() int {
-	if o.JournalSize == 0 {
-		return 256
-	}
-	if o.JournalSize < 0 {
-		return 0
-	}
-	return o.JournalSize
 }
 
 // NewMonitor wraps m with an incrementally maintained TIV analysis,
@@ -164,9 +126,6 @@ func NewMonitor(m *delayspace.Matrix, opts MonitorOptions) *Monitor {
 		rawSev:  make([]float64, n*n),
 		cnt:     make([]int32, n*n),
 		touched: make([]uint32, n*n),
-	}
-	if size := opts.journalSize(); size > 0 {
-		mon.journal = make([]JournalEntry, size)
 	}
 	mon.rescan()
 	return mon
@@ -224,7 +183,7 @@ func (mon *Monitor) ApplyUpdate(i, j int, rtt float64) (ChangeSet, error) {
 	if cs, stale := mon.resyncIfStale(); stale {
 		mon.notify(cs)
 	}
-	mon.beginApply()
+	mon.startApply()
 	mon.applyOne(i, j, rtt)
 	cs := mon.finishApply(false)
 	mon.notify(cs)
@@ -257,25 +216,13 @@ func (mon *Monitor) ApplyBatch(updates []Update) (ChangeSet, error) {
 			return cs, nil
 		}
 	}
-	mon.beginApply()
+	mon.startApply()
 	for _, u := range updates {
 		mon.applyOne(u.I, u.J, u.RTT)
 	}
 	cs := mon.finishApply(false)
 	mon.notify(cs)
 	return cs, nil
-}
-
-// Rescan discards the incremental state and rebuilds it with one batch
-// scan, returning the (normally empty) net movement of the
-// violated-edge set. Useful after mutating the matrix out-of-band.
-func (mon *Monitor) Rescan() ChangeSet {
-	copy(mon.oldCntScratch(), mon.cnt)
-	mon.rescan()
-	mon.version++
-	cs := mon.diffChangeSet(true)
-	mon.notify(cs)
-	return cs
 }
 
 // resyncIfStale rebuilds the state when the matrix was mutated behind
@@ -295,9 +242,7 @@ func (mon *Monitor) resyncIfStale() (ChangeSet, bool) {
 func (mon *Monitor) applyByRescan(updates []Update) ChangeSet {
 	copy(mon.oldCntScratch(), mon.cnt)
 	for _, u := range updates {
-		old := mon.m.At(u.I, u.J)
 		mon.m.Set(u.I, u.J, u.RTT)
-		mon.journalAdd(JournalEntry{Version: mon.version + 1, I: u.I, J: u.J, Old: old, New: u.RTT, Rescan: true})
 	}
 	mon.rescan()
 	mon.version++
@@ -316,7 +261,6 @@ func (mon *Monitor) rescan() {
 		mon.bad = mon.eng.scanAll(mon.m, mon.rawSev, mon.cnt, nil)
 	}
 	mon.matVersion = mon.m.Version()
-	mon.cacheOK = false
 }
 
 func (mon *Monitor) oldCntScratch() []int32 {
@@ -356,26 +300,12 @@ func (mon *Monitor) notify(cs ChangeSet) {
 	if mon.opts.OnChange != nil {
 		mon.opts.OnChange(cs)
 	}
-	for _, fn := range mon.hooks {
-		fn(cs)
-	}
 }
 
-// OnChange registers an additional change subscriber alongside any
-// MonitorOptions.OnChange hook: every registered function runs
-// synchronously after each mutation whose ChangeSet is non-empty (and
-// after every rescan). Subscribers must not mutate the monitor or its
-// matrix. Hooks cannot be unregistered; callers multiplexing dynamic
-// subscriber sets (e.g. tivaware.Service.Subscribe) register one hook
-// that fans out.
-func (mon *Monitor) OnChange(fn func(ChangeSet)) {
-	mon.hooks = append(mon.hooks, fn)
-}
-
-// beginApply opens a flip-tracking window: edges touched by the coming
+// startApply opens a flip-tracking window: edges touched by the coming
 // deltas record their pre-apply violated status once, via epoch
 // stamps, so finishApply can report net flips without scanning N².
-func (mon *Monitor) beginApply() {
+func (mon *Monitor) startApply() {
 	mon.epoch++
 	if mon.epoch == 0 { // wrapped: invalidate all stale stamps
 		clear(mon.touched)
@@ -393,8 +323,8 @@ func (mon *Monitor) touch(e int) {
 	}
 }
 
-// finishApply closes the window: bumps caches, assembles the ChangeSet
-// from the touched edges whose violated status net-flipped.
+// finishApply closes the window: assembles the ChangeSet from the
+// touched edges whose violated status net-flipped.
 func (mon *Monitor) finishApply(rescan bool) ChangeSet {
 	cs := ChangeSet{Version: mon.version, Rescan: rescan}
 	n := mon.n
@@ -410,7 +340,6 @@ func (mon *Monitor) finishApply(rescan bool) ChangeSet {
 			cs.Cleared = append(cs.Cleared, edge)
 		}
 	}
-	mon.cacheOK = false
 	return cs
 }
 
@@ -429,7 +358,6 @@ func (mon *Monitor) applyOne(i, j int, rtt float64) {
 	}
 	old := mon.m.At(a, b)
 	mon.version++
-	mon.journalAdd(JournalEntry{Version: mon.version, I: i, J: j, Old: old, New: rtt})
 	if old == rtt {
 		return
 	}
@@ -559,75 +487,34 @@ func tripleEval(dpq, dpr, dqr float64) (side int, ratio float64) {
 	return 2, 0
 }
 
-func (mon *Monitor) journalAdd(e JournalEntry) {
-	if len(mon.journal) == 0 {
-		return
-	}
-	size := len(mon.journal)
-	if mon.jLen < size {
-		mon.journal[(mon.jStart+mon.jLen)%size] = e
-		mon.jLen++
-		return
-	}
-	mon.journal[mon.jStart] = e
-	mon.jStart = (mon.jStart + 1) % size
-}
-
-// Journal returns the retained update history, oldest first.
-func (mon *Monitor) Journal() []JournalEntry {
-	out := make([]JournalEntry, mon.jLen)
-	size := len(mon.journal)
-	for k := 0; k < mon.jLen; k++ {
-		out[k] = mon.journal[(mon.jStart+k)%size]
-	}
-	return out
-}
-
-// refreshCaches materializes the normalized, mirrored views.
-func (mon *Monitor) refreshCaches() {
+// SnapshotAnalysis returns the current analysis in the shape
+// Engine.Analyze produces — severities normalized by |S| = N and
+// mirrored, counts mirrored — in fresh storage the caller owns: it
+// shares nothing with the monitor, so it stays valid, and safe to read
+// from other goroutines, across later updates. This is the one
+// hand-off from the monitor to a service epoch, and the only O(N²)
+// pass it costs. Each output row is written left to right, its lower
+// half read back from the rows already written: a column-strided store
+// into cold memory is the slow way to mirror.
+func (mon *Monitor) SnapshotAnalysis() Analysis {
 	n := mon.n
-	if mon.sevCache == nil {
-		mon.sevCache = &EdgeSeverities{n: n, data: make([]float64, n*n)}
-		mon.cntCache = &EdgeCounts{n: n, data: make([]int32, n*n)}
-	}
+	sev := make([]float64, n*n)
+	cnt := make([]int32, n*n)
 	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			v := mon.rawSev[i*n+j] / float64(n)
-			mon.sevCache.data[i*n+j] = v
-			mon.sevCache.data[j*n+i] = v
-			c := mon.cnt[i*n+j]
-			mon.cntCache.data[i*n+j] = c
-			mon.cntCache.data[j*n+i] = c
+		sevRow, cntRow := sev[i*n:(i+1)*n], cnt[i*n:(i+1)*n]
+		for j := 0; j < i; j++ {
+			sevRow[j] = sev[j*n+i]
+			cntRow[j] = cnt[j*n+i]
 		}
+		raw := mon.rawSev[i*n : (i+1)*n]
+		for j := i + 1; j < n; j++ {
+			sevRow[j] = raw[j] / float64(n)
+		}
+		copy(cntRow[i+1:], mon.cnt[i*n+i+1:(i+1)*n])
 	}
-	mon.cacheOK = true
-}
-
-// Severities returns the current per-edge severities (normalized and
-// mirrored like Engine results). The returned value is a cached view,
-// valid until the next mutation or rescan.
-func (mon *Monitor) Severities() *EdgeSeverities {
-	if !mon.cacheOK {
-		mon.refreshCaches()
-	}
-	return mon.sevCache
-}
-
-// Counts returns the current per-edge violation counts. The returned
-// value is a cached view, valid until the next mutation or rescan.
-func (mon *Monitor) Counts() *EdgeCounts {
-	if !mon.cacheOK {
-		mon.refreshCaches()
-	}
-	return mon.cntCache
-}
-
-// Analysis bundles the current state in the same shape Engine.Analyze
-// returns, sharing the monitor's cached views.
-func (mon *Monitor) Analysis() Analysis {
 	return Analysis{
-		Severities:         mon.Severities(),
-		Counts:             mon.Counts(),
+		Severities:         &EdgeSeverities{n: n, data: sev},
+		Counts:             &EdgeCounts{n: n, data: cnt},
 		ViolatingTriangles: mon.bad,
 		Triangles:          mon.Triangles(),
 	}

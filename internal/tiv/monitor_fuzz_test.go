@@ -29,7 +29,7 @@ func FuzzMonitorVsRescan(f *testing.F) {
 				m.Set(i, j, float64(1+(i*31+j*17)%97))
 			}
 		}
-		mon := NewMonitor(m, MonitorOptions{DirtyFraction: 0.002, JournalSize: 16})
+		mon := NewMonitor(m, MonitorOptions{DirtyFraction: 0.002})
 		var batch []Update
 		for len(data) >= 3 {
 			i, j, v := int(data[0])%n, int(data[1])%n, data[2]
@@ -75,10 +75,11 @@ func FuzzMonitorVsRescan(f *testing.F) {
 		}
 
 		an := NewEngine(Options{}).Analyze(m)
-		if mon.ViolatingTriangles() != an.ViolatingTriangles {
-			t.Fatalf("violating triangles: monitor %d, rescan %d", mon.ViolatingTriangles(), an.ViolatingTriangles)
+		snap := mon.SnapshotAnalysis()
+		if snap.ViolatingTriangles != an.ViolatingTriangles {
+			t.Fatalf("violating triangles: monitor %d, rescan %d", snap.ViolatingTriangles, an.ViolatingTriangles)
 		}
-		sev, cnt := mon.Severities(), mon.Counts()
+		sev, cnt := snap.Severities, snap.Counts
 		for i := 0; i < n; i++ {
 			for j := i + 1; j < n; j++ {
 				if cnt.At(i, j) != an.Counts.At(i, j) {

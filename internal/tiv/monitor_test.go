@@ -28,19 +28,21 @@ func monitorMatrix(n int, missing float64, seed int64) *delayspace.Matrix {
 	return m
 }
 
-// assertMatchesRescan pins the monitor's full state against a fresh
-// batch analysis of its (mutated) matrix: counts and triangle totals
-// exactly, severities to 1e-9.
+// assertMatchesRescan pins the monitor's full state — what it hands an
+// epoch, SnapshotAnalysis — against a fresh batch analysis of its
+// (mutated) matrix: counts and triangle totals exactly, severities to
+// 1e-9.
 func assertMatchesRescan(t *testing.T, mon *Monitor) {
 	t.Helper()
 	an := NewEngine(Options{}).Analyze(mon.m)
-	if mon.ViolatingTriangles() != an.ViolatingTriangles {
-		t.Fatalf("violating triangles: monitor %d, rescan %d", mon.ViolatingTriangles(), an.ViolatingTriangles)
+	snap := mon.SnapshotAnalysis()
+	if mon.ViolatingTriangles() != an.ViolatingTriangles || snap.ViolatingTriangles != an.ViolatingTriangles {
+		t.Fatalf("violating triangles: monitor %d, snapshot %d, rescan %d", mon.ViolatingTriangles(), snap.ViolatingTriangles, an.ViolatingTriangles)
 	}
-	if mon.Triangles() != an.Triangles {
-		t.Fatalf("triangles: monitor %d, rescan %d", mon.Triangles(), an.Triangles)
+	if mon.Triangles() != an.Triangles || snap.Triangles != an.Triangles {
+		t.Fatalf("triangles: monitor %d, snapshot %d, rescan %d", mon.Triangles(), snap.Triangles, an.Triangles)
 	}
-	sev, cnt := mon.Severities(), mon.Counts()
+	sev, cnt := snap.Severities, snap.Counts
 	n := mon.N()
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
@@ -250,45 +252,11 @@ func TestMonitorChangeSets(t *testing.T) {
 	}
 }
 
-// TestMonitorOnChangeSubscribers pins the multi-subscriber contract:
-// OnChange registrations append alongside MonitorOptions.OnChange
-// (options hook first, then registration order), so a second observer
-// never silences the first.
-func TestMonitorOnChangeSubscribers(t *testing.T) {
-	m := delayspace.New(3)
-	m.Set(0, 1, 5)
-	m.Set(1, 2, 5)
-	m.Set(2, 0, 100)
-	var order []string
-	mon := NewMonitor(m, MonitorOptions{OnChange: func(ChangeSet) { order = append(order, "opts") }})
-	mon.OnChange(func(ChangeSet) { order = append(order, "subA") })
-	mon.OnChange(func(ChangeSet) { order = append(order, "subB") })
-	if _, err := mon.ApplyUpdate(2, 0, 9); err != nil { // clears the violation
-		t.Fatal(err)
-	}
-	want := []string{"opts", "subA", "subB"}
-	if len(order) != len(want) {
-		t.Fatalf("subscribers fired %d times, want %d: %v", len(order), len(want), order)
-	}
-	for k := range want {
-		if order[k] != want[k] {
-			t.Fatalf("firing order %v, want %v", order, want)
-		}
-	}
-	// No-flip updates stay silent for every subscriber.
-	if _, err := mon.ApplyUpdate(2, 0, 8); err != nil {
-		t.Fatal(err)
-	}
-	if len(order) != len(want) {
-		t.Errorf("no-flip update notified subscribers: %v", order)
-	}
-}
-
 // TestMonitorBatchFallback forces the dirty-fraction rescan path and
-// checks it produces the same state and journals the fallback.
+// checks it produces the same state.
 func TestMonitorBatchFallback(t *testing.T) {
 	m := monitorMatrix(30, 0.1, 17)
-	mon := NewMonitor(m, MonitorOptions{DirtyFraction: 0.01, JournalSize: 64})
+	mon := NewMonitor(m, MonitorOptions{DirtyFraction: 0.01})
 	rng := rand.New(rand.NewSource(4))
 	ups := make([]Update, 20) // 20 >= 0.01 * 435 edges → rescan path
 	for x := range ups {
@@ -301,15 +269,6 @@ func TestMonitorBatchFallback(t *testing.T) {
 	}
 	if !cs.Rescan {
 		t.Error("large batch did not take the rescan fallback")
-	}
-	jr := mon.Journal()
-	if len(jr) != 20 {
-		t.Fatalf("journal has %d entries, want 20", len(jr))
-	}
-	for _, e := range jr {
-		if !e.Rescan {
-			t.Fatalf("journal entry not marked Rescan: %+v", e)
-		}
 	}
 	assertMatchesRescan(t, mon)
 
@@ -343,44 +302,11 @@ func TestMonitorOutOfBandMutation(t *testing.T) {
 	if rescans != 1 {
 		t.Errorf("out-of-band mutation triggered %d rescans, want 1", rescans)
 	}
-	// Explicit Rescan is always available and leaves the state exact.
-	mon.Rescan()
-	assertMatchesRescan(t, mon)
-}
-
-func TestMonitorJournalRing(t *testing.T) {
-	m := monitorMatrix(10, 0, 31)
-	mon := NewMonitor(m, MonitorOptions{JournalSize: 4})
-	for k := 0; k < 7; k++ {
-		if _, err := mon.ApplyUpdate(0, 1+k%5, float64(10+k)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	jr := mon.Journal()
-	if len(jr) != 4 {
-		t.Fatalf("journal retained %d entries, want 4", len(jr))
-	}
-	for k := 1; k < len(jr); k++ {
-		if jr[k].Version <= jr[k-1].Version {
-			t.Fatalf("journal not in version order: %+v", jr)
-		}
-	}
-	if jr[3].New != 16 {
-		t.Errorf("latest journal entry New = %g, want 16", jr[3].New)
-	}
-	// Disabled journal stays empty.
-	mon2 := NewMonitor(monitorMatrix(6, 0, 1), MonitorOptions{JournalSize: -1})
-	if _, err := mon2.ApplyUpdate(0, 1, 5); err != nil {
-		t.Fatal(err)
-	}
-	if len(mon2.Journal()) != 0 {
-		t.Error("disabled journal retained entries")
-	}
 }
 
 // TestMonitorStreamingSteadyState drives a long randomized stream and
 // confirms the exported aggregates stay self-consistent (fraction in
-// range, Analysis shares state).
+// range, the snapshot carries the monitor's totals).
 func TestMonitorStreamingSteadyState(t *testing.T) {
 	m := monitorMatrix(33, 0.2, 77)
 	mon := NewMonitor(m, MonitorOptions{})
@@ -394,9 +320,39 @@ func TestMonitorStreamingSteadyState(t *testing.T) {
 			t.Fatalf("fraction %g out of range after %d updates", f, k+1)
 		}
 	}
-	an := mon.Analysis()
+	an := mon.SnapshotAnalysis()
 	if an.ViolatingTriangles != mon.ViolatingTriangles() || an.Triangles != mon.Triangles() {
-		t.Error("Analysis does not reflect monitor state")
+		t.Error("SnapshotAnalysis does not reflect monitor state")
 	}
 	assertMatchesRescan(t, mon)
+}
+
+// TestMonitorSnapshotAnalysisSurvivesMutation: a snapshot owns its
+// storage, so a later update cannot move it.
+func TestMonitorSnapshotAnalysisSurvivesMutation(t *testing.T) {
+	m := delayspace.New(3)
+	m.Set(0, 1, 100) // violated: 10+20 < 100
+	m.Set(0, 2, 10)
+	m.Set(1, 2, 20)
+	mon := NewMonitor(m, MonitorOptions{Workers: 1})
+	snap := mon.SnapshotAnalysis()
+	if snap.ViolatingTriangles != 1 {
+		t.Fatalf("snapshot triangles = %d, want 1", snap.ViolatingTriangles)
+	}
+	sev01 := snap.Severities.At(0, 1)
+	if sev01 <= 0 || snap.Counts.At(0, 1) != 1 {
+		t.Fatalf("snapshot edge (0,1): severity %g count %d, want violated",
+			sev01, snap.Counts.At(0, 1))
+	}
+	// Clear the violation; the snapshot must not move.
+	if _, err := mon.ApplyUpdate(0, 1, 25); err != nil {
+		t.Fatal(err)
+	}
+	if mon.ViolatingTriangles() != 0 {
+		t.Fatal("monitor did not clear the violation")
+	}
+	if snap.ViolatingTriangles != 1 || snap.Severities.At(0, 1) != sev01 || snap.Counts.At(0, 1) != 1 {
+		t.Errorf("snapshot mutated with the monitor: %d triangles, severity %g, count %d",
+			snap.ViolatingTriangles, snap.Severities.At(0, 1), snap.Counts.At(0, 1))
+	}
 }

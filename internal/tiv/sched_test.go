@@ -18,10 +18,13 @@ func TestQueueSchedulingCoversAllChunks(t *testing.T) {
 		if got := eng.ViolatingTriangleFraction(m, 0); math.Abs(got-want) > 1e-12 {
 			t.Fatalf("workers=%d: fraction %g, reference %g (chunk lost by the work queue?)", workers, got, want)
 		}
-		cnt := eng.AllViolationCounts(m)
+		// Counts without severities take the queue too (raw, upper
+		// triangle: every spot-checked pair has i < j).
+		cnt := make([]int32, 400*400)
+		eng.scanAll(m, nil, cnt, nil)
 		for i := 0; i < 20; i++ { // spot-check rows across chunk boundaries
 			j := (i*17 + 31) % 400
-			if got, w := cnt.At(i, j), referenceViolationCount(m, i, j); got != w {
+			if got, w := int(cnt[i*400+j]), referenceViolationCount(m, i, j); got != w {
 				t.Fatalf("workers=%d: count(%d,%d) = %d, reference %d", workers, i, j, got, w)
 			}
 		}

@@ -88,7 +88,7 @@ func TriangulationRatios(m *delayspace.Matrix, i, j int) []float64 {
 // ViolationCount returns the number of third nodes witnessing a
 // violation of edge (i, j). The paper reports e.g. "the average number
 // of TIVs caused by edges within the same cluster is 80" on DS2.
-// Engine.AllViolationCounts computes every edge's count in one pass.
+// Engine.Analyze computes every edge's count in one pass.
 func ViolationCount(m *delayspace.Matrix, i, j int) int {
 	d := m.At(i, j)
 	if i == j || d == delayspace.Missing {
@@ -296,8 +296,7 @@ func (o Options) workers() int {
 // each of the O(N³/6) node triples once; sampled mode
 // (Options.SampleThirdNodes) is O(N²·B). Row chunks are distributed
 // over Options.Workers goroutines. Callers computing severities
-// repeatedly should hold an Engine and use AllSeveritiesInto to reuse
-// its scratch.
+// repeatedly should hold an Engine, which reuses its scratch.
 func AllSeverities(m *delayspace.Matrix, opts Options) *EdgeSeverities {
 	return NewEngine(opts).AllSeverities(m)
 }

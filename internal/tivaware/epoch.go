@@ -35,8 +35,8 @@ type epoch struct {
 	qVersion uint64
 	aVersion uint64
 	// q is the frozen delay view queries rank and detour over: a
-	// matrix snapshot for matrix- and monitor-backed sources, the
-	// (per-version immutable) source itself otherwise.
+	// matrix snapshot for matrix-backed sources, the (per-version
+	// immutable) source itself otherwise.
 	q DelaySource
 	// Analysis results over the epoch's delays. counts is nil and
 	// full is false in sampled-severity mode, and full is false for
@@ -135,9 +135,10 @@ func (s *Service) nextSeqLocked() uint64 {
 }
 
 // buildMonitorEpochLocked snapshots the live monitor's current state:
-// matrix, severities, counts, and triangle total are deep-copied so
-// the epoch stays valid while the monitor keeps moving. Live epochs
-// are always full.
+// SnapshotAnalysis writes the epoch's severity and count arrays (the
+// only place a live epoch's arrays are written) and the matrix is
+// copied, so the epoch stays valid while the monitor keeps moving.
+// Live epochs are always full.
 func (s *Service) buildMonitorEpochLocked() *epoch {
 	a := s.mon.SnapshotAnalysis()
 	snap := s.mon.Matrix().Snapshot()
@@ -166,14 +167,14 @@ func (s *Service) buildEngineEpochLocked(wantFull bool) *epoch {
 	av := s.asrc.Version()
 	var q DelaySource = s.src
 	var am *delayspace.Matrix
-	if mb, ok := s.asrc.(matrixBacked); ok {
-		am = mb.backingMatrix().Snapshot()
+	if ms, ok := s.asrc.(matrixSource); ok {
+		am = ms.m.Snapshot()
 	}
-	if mb, ok := s.src.(matrixBacked); ok {
+	if ms, ok := s.src.(matrixSource); ok {
 		if s.asrc == s.src && am != nil {
 			q = matrixSource{am} // one shared snapshot: ranking == analysis delays
 		} else {
-			q = matrixSource{mb.backingMatrix().Snapshot()}
+			q = matrixSource{ms.m.Snapshot()}
 		}
 	}
 	if am == nil {

@@ -28,9 +28,6 @@ type Options struct {
 	// violated-edge deltas. Requires a matrix-backed source
 	// (MatrixSource or NewFromMatrix) and exact severities.
 	Live bool
-	// JournalSize is passed to the monitor in Live mode (0 = monitor
-	// default, negative disables).
-	JournalSize int
 	// AnalysisSource, when non-nil, supplies the delays the severity
 	// analysis runs over while queries keep ranking on the primary
 	// source's delays. The paper's selection mechanisms work exactly
@@ -46,9 +43,9 @@ type Options struct {
 // candidate ranking, violated-edge flags, one-hop detour discovery,
 // and violated-edge change subscriptions over one DelaySource.
 //
-// The severity provider is chosen automatically: services built from
-// a live monitor (NewFromMonitor, or Options.Live) keep the analysis
-// incrementally current; all others run the batch engine lazily,
+// The severity provider follows Options.Live: a live service owns an
+// incremental monitor over its matrix and keeps the analysis current
+// in O(N) per update; all others run the batch engine lazily,
 // re-analyzing only when the source's Version moves.
 //
 // # Concurrency
@@ -59,20 +56,19 @@ type Options struct {
 // goroutines, while updates build the next epoch copy-on-write under
 // an internal mutex — there is no lock on the query hot path, so
 // query throughput scales with GOMAXPROCS. The remaining obligations
-// sit with the sources (see the DelaySource contract): mutate
-// matrix- or monitor-backed state through the service (ApplyUpdate /
-// ApplyBatch) or, if mutating it directly (out-of-band Matrix.Set,
-// ApplyUpdate on an adopted monitor, advancing a predictor before
-// Invalidate), do not run those mutations concurrently with service
-// calls — the version seam then picks the change up on the next
-// query.
+// sit with the sources (see the DelaySource contract): mutate a live
+// service's matrix through the service (ApplyUpdate / ApplyBatch) or,
+// if mutating a source directly (out-of-band Matrix.Set, advancing a
+// predictor before Invalidate), do not run those mutations
+// concurrently with service calls — the version seam then picks the
+// change up on the next query.
 type Service struct {
 	src  DelaySource // ranking/detour delays
 	asrc DelaySource // severity-analysis delays (== src unless Options.AnalysisSource)
 	opts Options
 
 	// Exactly one severity provider is active.
-	mon *tiv.Monitor // incremental provider (Live / NewFromMonitor)
+	mon *tiv.Monitor // incremental provider (Options.Live); owned, under mu
 	eng *tiv.Engine  // batch provider
 
 	// cur is the published epoch; nil until the first query. mu
@@ -100,10 +96,8 @@ type Service struct {
 	nextSub int
 	nSubs   atomic.Int32
 
-	// Monitor change sets recorded by the OnChange hook during a
-	// service-initiated apply (inApply set), delivered after mu is
-	// released; both under mu.
-	inApply bool
+	// Monitor change sets recorded by onMonitorChange during an apply,
+	// delivered after mu is released; under mu.
 	pending []tiv.ChangeSet
 }
 
@@ -150,19 +144,8 @@ func New(src DelaySource, opts Options) (*Service, error) {
 		if !ok {
 			return nil, fmt.Errorf("tivaware: Live mode requires a matrix-backed source, have %T", src)
 		}
-		s.mon = tiv.NewMonitor(ms.m, tiv.MonitorOptions{Workers: opts.Workers, JournalSize: opts.JournalSize})
-		s.mon.OnChange(s.onMonitorChange)
+		s.mon = tiv.NewMonitor(ms.m, tiv.MonitorOptions{Workers: opts.Workers, OnChange: s.onMonitorChange})
 		return s, nil
-	}
-	switch t := s.asrc.(type) {
-	case monitorSource:
-		if s.asrc == s.src {
-			// The monitor already maintains the analysis; adopt it as
-			// the provider rather than re-scanning its matrix.
-			s.mon = t.mon
-			t.mon.OnChange(s.onMonitorChange)
-			return s, nil
-		}
 	}
 	s.eng = tiv.NewEngine(tiv.Options{
 		Workers:          opts.Workers,
@@ -177,28 +160,8 @@ func NewFromMatrix(m *delayspace.Matrix, opts Options) (*Service, error) {
 	return New(MatrixSource(m), opts)
 }
 
-// NewFromMonitor adopts an existing live monitor as the severity
-// provider: the service stays current as updates are applied to the
-// monitor, and Subscribe delivers its violated-edge deltas. Direct
-// monitor mutations must not run concurrently with service calls
-// (route them through Service.ApplyUpdate for that); their change
-// sets are delivered on the mutating goroutine.
-func NewFromMonitor(mon *tiv.Monitor, opts Options) (*Service, error) {
-	if mon == nil {
-		return nil, fmt.Errorf("tivaware: nil monitor")
-	}
-	if opts.SampleThirdNodes > 0 {
-		return nil, fmt.Errorf("tivaware: monitor-backed services use exact severities (SampleThirdNodes = 0)")
-	}
-	opts.Live = false // the provider decision is already made
-	return New(MonitorSource(mon), opts)
-}
-
 // N returns the node count.
 func (s *Service) N() int { return s.src.N() }
-
-// Source returns the service's delay source.
-func (s *Service) Source() DelaySource { return s.src }
 
 // Live reports whether the severity provider is an incremental
 // monitor.
@@ -211,29 +174,20 @@ func (s *Service) Delay(i, j int) (float64, bool) {
 	return e.q.Delay(i, j)
 }
 
-// onMonitorChange is the single hook the service registers on its
-// monitor. For service-initiated updates (ApplyUpdate/ApplyBatch hold
-// mu and set inApply) change sets are queued and delivered after the
-// mutex is released; a mutation applied directly to an adopted
-// monitor delivers on the mutating goroutine immediately — the epoch
-// itself refreshes lazily, keyed on the matrix version.
+// onMonitorChange is the monitor's change hook. The monitor only runs
+// inside ApplyUpdate/ApplyBatch, which hold mu: change sets are queued
+// here and delivered after the mutex is released.
 func (s *Service) onMonitorChange(cs tiv.ChangeSet) {
-	if s.nSubs.Load() == 0 {
-		return
-	}
-	if s.inApply {
+	if s.nSubs.Load() != 0 {
 		s.pending = append(s.pending, cs)
-		return
 	}
-	s.fanout(cs)
 }
 
-// finishApply closes one service-initiated monitor mutation: takes
-// the change sets the hook queued, releases the mutex, and delivers
-// them in order. Kept free of closures and allocations — the monitor
-// delta itself is ~µs, so per-update overhead matters.
+// finishApply closes one monitor mutation: takes the change sets the
+// hook queued and releases the mutex, for the caller to deliver in
+// order. Kept free of closures and allocations — the monitor delta
+// itself is ~µs, so per-update overhead matters.
 func (s *Service) finishApply() []tiv.ChangeSet {
-	s.inApply = false
 	pend := s.pending
 	s.pending = nil
 	s.mu.Unlock()
@@ -247,10 +201,9 @@ func (s *Service) finishApply() []tiv.ChangeSet {
 // batch-provider services.
 func (s *Service) ApplyUpdate(i, j int, rtt float64) (tiv.ChangeSet, error) {
 	if s.mon == nil {
-		return tiv.ChangeSet{}, fmt.Errorf("tivaware: ApplyUpdate requires a live service (Options.Live or NewFromMonitor)")
+		return tiv.ChangeSet{}, fmt.Errorf("tivaware: ApplyUpdate requires a live service (Options.Live)")
 	}
 	s.mu.Lock()
-	s.inApply = true
 	cs, err := s.mon.ApplyUpdate(i, j, rtt)
 	for _, p := range s.finishApply() {
 		s.fanout(p)
@@ -264,10 +217,9 @@ func (s *Service) ApplyUpdate(i, j int, rtt float64) (tiv.ChangeSet, error) {
 // ApplyBatch streams a batch of edge measurements into a live service.
 func (s *Service) ApplyBatch(updates []tiv.Update) (tiv.ChangeSet, error) {
 	if s.mon == nil {
-		return tiv.ChangeSet{}, fmt.Errorf("tivaware: ApplyBatch requires a live service (Options.Live or NewFromMonitor)")
+		return tiv.ChangeSet{}, fmt.Errorf("tivaware: ApplyBatch requires a live service (Options.Live)")
 	}
 	s.mu.Lock()
-	s.inApply = true
 	cs, err := s.mon.ApplyBatch(updates)
 	for _, p := range s.finishApply() {
 		s.fanout(p)
@@ -294,7 +246,7 @@ func (s *Service) ApplyBatch(updates []tiv.Update) (tiv.ChangeSet, error) {
 // flight may still invoke the cancelled subscriber once.
 func (s *Service) Subscribe(fn func(tiv.ChangeSet)) (cancel func(), err error) {
 	if s.mon == nil {
-		return nil, fmt.Errorf("tivaware: Subscribe requires a live service (Options.Live or NewFromMonitor)")
+		return nil, fmt.Errorf("tivaware: Subscribe requires a live service (Options.Live)")
 	}
 	if fn == nil {
 		return nil, fmt.Errorf("tivaware: nil subscriber")
@@ -381,8 +333,8 @@ func (s *Service) ViolatingTriangleFraction(maxTriples int) float64 {
 			return fc.val
 		}
 		var m *delayspace.Matrix
-		if mb, ok := s.asrc.(matrixBacked); ok {
-			m = mb.backingMatrix()
+		if ms, ok := s.asrc.(matrixSource); ok {
+			m = ms.m
 		} else {
 			m = s.materializeScratchLocked()
 		}

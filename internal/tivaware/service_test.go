@@ -167,35 +167,6 @@ func TestSubscribeFanOutAndCancel(t *testing.T) {
 	}
 }
 
-// TestServiceAndMatrixHooksCoexist is the multi-subscriber regression
-// test of the satellite checklist: a live service (whose monitor
-// mutates the matrix through ApplyUpdate) and independent
-// delayspace.Matrix.OnChange hooks observe the same matrix without
-// clobbering each other.
-func TestServiceAndMatrixHooksCoexist(t *testing.T) {
-	m := triangleMatrix()
-	var rawA, rawB int
-	m.OnChange(func(i, j int, old, new float64) { rawA++ })
-	svc, err := NewFromMatrix(m, Options{Live: true, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.OnChange(func(i, j int, old, new float64) { rawB++ }) // registered after the service
-	var deltas int
-	if _, err := svc.Subscribe(func(tiv.ChangeSet) { deltas++ }); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := svc.ApplyUpdate(0, 1, 100); err != nil {
-		t.Fatal(err)
-	}
-	if rawA != 1 || rawB != 1 {
-		t.Errorf("matrix hooks fired (%d, %d) times, want (1, 1)", rawA, rawB)
-	}
-	if deltas != 1 {
-		t.Errorf("service subscriber fired %d times, want 1", deltas)
-	}
-}
-
 func TestBatchServiceRejectsLiveOnlyCalls(t *testing.T) {
 	m := genSpace(t, 40, 3)
 	svc, err := NewFromMatrix(m, Options{})
@@ -210,38 +181,6 @@ func TestBatchServiceRejectsLiveOnlyCalls(t *testing.T) {
 	}
 	if _, err := svc.Subscribe(func(tiv.ChangeSet) {}); err == nil {
 		t.Error("Subscribe on batch service should error")
-	}
-}
-
-func TestNewFromMonitorAdoptsProvider(t *testing.T) {
-	m := triangleMatrix()
-	mon := tiv.NewMonitor(m, tiv.MonitorOptions{Workers: 1})
-	svc, err := NewFromMonitor(mon, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !svc.Live() {
-		t.Fatal("monitor-backed service is not live")
-	}
-	var notified int
-	if _, err := svc.Subscribe(func(tiv.ChangeSet) { notified++ }); err != nil {
-		t.Fatal(err)
-	}
-	// Updates applied directly to the adopted monitor are visible to the
-	// service and its subscribers.
-	if _, err := mon.ApplyUpdate(0, 1, 100); err != nil {
-		t.Fatal(err)
-	}
-	if notified == 0 {
-		t.Error("service subscriber missed an update applied to the adopted monitor")
-	}
-	live, err := svc.Analysis()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if live.ViolatingTriangles != mon.ViolatingTriangles() || live.ViolatingTriangles != 1 {
-		t.Errorf("service analysis diverged from the adopted monitor (%d vs %d)",
-			live.ViolatingTriangles, mon.ViolatingTriangles())
 	}
 }
 
@@ -280,9 +219,6 @@ func TestOptionValidation(t *testing.T) {
 	}
 	if _, err := New(FromPredictor(matrixPredictor{m}, m.N()), Options{Live: true}); err == nil {
 		t.Error("live over a predictor source should error")
-	}
-	if _, err := NewFromMonitor(nil, Options{}); err == nil {
-		t.Error("nil monitor should error")
 	}
 	other := genSpace(t, 20, 4)
 	if _, err := NewFromMatrix(m, Options{AnalysisSource: MatrixSource(other)}); err == nil {

@@ -10,12 +10,12 @@
 // strictly faster than the direct edge A→B. Consumers — the examples,
 // the CLIs, overlay trees, the experiment suite — talk to a Service
 // rather than wiring into tiv.Engine or tiv.Monitor directly; the
-// severity provider (batch engine vs incremental monitor) is chosen
-// automatically from how the service is constructed.
+// service owns its severity provider — the batch engine, or with
+// Options.Live an incremental monitor nothing else holds.
 //
-// Delay data enters through the DelaySource seam: a delayspace.Matrix,
-// a coordinate predictor (vivaldi, ides, lat — via FromPredictor), or
-// a live tiv.Monitor all satisfy it.
+// Delay data enters through the DelaySource seam: a delayspace.Matrix
+// (MatrixSource) or a coordinate predictor (vivaldi, ides, lat — via
+// FromPredictor).
 package tivaware
 
 import (
@@ -23,12 +23,11 @@ import (
 	"sync/atomic"
 
 	"tivaware/internal/delayspace"
-	"tivaware/internal/tiv"
 )
 
 // DelaySource supplies pairwise delay estimates to a Service. It is
 // the seam between delay data (measured matrices, coordinate
-// embeddings, live monitors) and the TIV-aware queries built on top.
+// embeddings) and the TIV-aware queries built on top.
 //
 // Implementations must be cheap to query: Delay is called O(N) times
 // per selection and O(N) times per detour query.
@@ -36,9 +35,9 @@ import (
 // Concurrency contract: a Service is safe for concurrent use, and it
 // relies on its sources for that. Version must be safe to call at any
 // time (the lock-free query path polls it), N must be constant, and
-// the delays must be immutable between Version changes — matrix- and
-// monitor-backed sources get this from the atomic matrix version plus
-// epoch snapshotting; predictor sources must not advance the
+// the delays must be immutable between Version changes — matrix-backed
+// sources get this from the atomic matrix version plus epoch
+// snapshotting; predictor sources must not advance the
 // underlying embedding between Invalidate calls while the service is
 // in use.
 type DelaySource interface {
@@ -53,7 +52,9 @@ type DelaySource interface {
 	Version() uint64
 }
 
-// matrixSource adapts a *delayspace.Matrix.
+// matrixSource adapts a *delayspace.Matrix. The service recognises it
+// by type: its delays live in a matrix an epoch can snapshot and a
+// monitor can own.
 type matrixSource struct{ m *delayspace.Matrix }
 
 // MatrixSource exposes a measured delay matrix as a DelaySource.
@@ -63,7 +64,12 @@ func MatrixSource(m *delayspace.Matrix) DelaySource { return matrixSource{m} }
 
 func (s matrixSource) N() int { return s.m.N() }
 
+// Delay range-checks its arguments — Matrix.At, a kernel accessor,
+// does not, and an out-of-range pair would alias another entry.
 func (s matrixSource) Delay(i, j int) (float64, bool) {
+	if n := s.m.N(); uint(i) >= uint(n) || uint(j) >= uint(n) {
+		return 0, false
+	}
 	if i == j {
 		return 0, true
 	}
@@ -75,14 +81,6 @@ func (s matrixSource) Delay(i, j int) (float64, bool) {
 }
 
 func (s matrixSource) Version() uint64 { return s.m.Version() }
-
-// matrixBacked is satisfied by sources whose delays live in a
-// delayspace.Matrix the service can snapshot for an epoch.
-type matrixBacked interface {
-	backingMatrix() *delayspace.Matrix
-}
-
-func (s matrixSource) backingMatrix() *delayspace.Matrix { return s.m }
 
 // Predictor estimates the delay between two nodes. vivaldi.System,
 // ides.System, lat.Predictor and the dynamic-neighbor snapshots all
@@ -133,25 +131,6 @@ func (s *PredictorSource) Version() uint64 { return s.version.Load() }
 // Invalidate marks the predictor's state as changed, forcing services
 // built on this source to re-analyze on their next query.
 func (s *PredictorSource) Invalidate() { s.version.Add(1) }
-
-// monitorSource adapts a live tiv.Monitor: delays come from the
-// monitor's matrix, and the version follows the matrix so analyses
-// stay keyed to the data actually measured.
-type monitorSource struct{ mon *tiv.Monitor }
-
-// MonitorSource exposes the matrix behind a live monitor as a
-// DelaySource.
-func MonitorSource(mon *tiv.Monitor) DelaySource { return monitorSource{mon} }
-
-func (s monitorSource) N() int { return s.mon.N() }
-
-func (s monitorSource) Delay(i, j int) (float64, bool) {
-	return matrixSource{s.mon.Matrix()}.Delay(i, j)
-}
-
-func (s monitorSource) Version() uint64 { return s.mon.Matrix().Version() }
-
-func (s monitorSource) backingMatrix() *delayspace.Matrix { return s.mon.Matrix() }
 
 // materialize fills dst (an N×N matrix) from src, used when a service
 // must run the batch analysis over a source that has no backing

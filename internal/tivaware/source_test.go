@@ -1,13 +1,13 @@
 package tivaware
 
 import (
+	"context"
 	"math"
 	"testing"
 
 	"tivaware/internal/delayspace"
 	"tivaware/internal/ides"
 	"tivaware/internal/lat"
-	"tivaware/internal/tiv"
 	"tivaware/internal/vivaldi"
 )
 
@@ -87,25 +87,44 @@ func TestPredictorSource(t *testing.T) {
 	}
 }
 
-func TestMonitorSourceTracksMatrix(t *testing.T) {
-	m := triangleMatrix()
-	mon := tiv.NewMonitor(m, tiv.MonitorOptions{Workers: 1})
-	src := MonitorSource(mon)
-	if src.N() != 3 {
-		t.Errorf("N = %d", src.N())
-	}
-	if d, ok := src.Delay(0, 1); !ok || d != 15 {
-		t.Errorf("Delay(0,1) = %g, %v", d, ok)
-	}
-	v := src.Version()
-	if _, err := mon.ApplyUpdate(0, 1, 99); err != nil {
-		t.Fatal(err)
-	}
-	if src.Version() == v {
-		t.Error("applied update did not move the source version")
-	}
-	if d, ok := src.Delay(0, 1); !ok || d != 99 {
-		t.Errorf("post-update Delay(0,1) = %g, %v", d, ok)
+// TestMatrixSourceDelayRangeChecks: Matrix.At does no range check, so
+// unchecked an out-of-range pair aliases another entry ((0,4) on 4
+// nodes reads d(1,0)) or panics; every matrix-backed Delay answers
+// (0, false).
+func TestMatrixSourceDelayRangeChecks(t *testing.T) {
+	m := delayspace.New(4)
+	m.Set(0, 1, 12)
+	m.Set(2, 3, 7)
+	for _, live := range []bool{false, true} {
+		svc, err := NewFromMatrix(m, Options{Live: live, Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		view, err := svc.View(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, delay := range map[string]func(i, j int) (float64, bool){
+			"Service":      svc.Delay,
+			"View":         view.Delay,
+			"MatrixSource": MatrixSource(m).Delay,
+		} {
+			for _, p := range [][2]int{{0, 4}, {0, -1}, {3, 4}, {-1, -1}, {4, 4}} {
+				if d, ok := delay(p[0], p[1]); ok || d != 0 {
+					t.Errorf("live=%v %s.Delay(%d,%d) = (%g, %v), want (0, false)", live, name, p[0], p[1], d, ok)
+				}
+			}
+			// In-range answers are unchanged.
+			if d, ok := delay(1, 0); !ok || d != 12 {
+				t.Errorf("live=%v %s.Delay(1,0) = (%g, %v), want (12, true)", live, name, d, ok)
+			}
+			if d, ok := delay(3, 3); !ok || d != 0 {
+				t.Errorf("live=%v %s.Delay(3,3) = (%g, %v), want (0, true)", live, name, d, ok)
+			}
+			if d, ok := delay(0, 2); ok || d != 0 {
+				t.Errorf("live=%v %s.Delay(0,2) = (%g, %v), want (0, false): unmeasured", live, name, d, ok)
+			}
+		}
 	}
 }
 
