@@ -35,10 +35,10 @@ internal/tivshard, and internal/tivclient are reported: layers below
 the wire boundary (tivaware, tiv) return plain errors by design and
 the serving plane owns their classification.
 
-Fix by constructing the typed taxonomy instead (tivwire.Error,
-tivd serviceError/reqError, tivshard gwError, tivclient Error) or
-wrapping the cause with a typed constructor; accept pre-existing debt
-via tivlint.baseline.json, or suppress a deliberate site with
+Fix by constructing the typed taxonomy instead (tivwire.CodedError
+through tivd's badRequestf / internalErrorf or tivshard's err*
+constructors, tivclient.Error) or wrapping the cause with a typed
+constructor; suppress a deliberate site with
 //lint:tiv wireerr <why>.`,
 	Run: runWireErr,
 }

@@ -58,10 +58,11 @@ type Monitor struct {
 }
 
 // Update is one streamed edge mutation; RTT equal to delayspace.Missing
-// removes the measurement.
+// (-1) removes the measurement. The tags are the wire's (tivwire.Update).
 type Update struct {
-	I, J int
-	RTT  float64
+	I   int     `json:"i"`
+	J   int     `json:"j"`
+	RTT float64 `json:"rtt"`
 }
 
 // ChangeSet describes how the violated-edge set moved under one

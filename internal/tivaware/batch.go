@@ -35,24 +35,26 @@ const (
 
 // Query is one typed query: Kind selects the operation, the remaining
 // fields parameterize it (unused fields are ignored). The same union
-// drives the single-shot HTTP endpoints and the batch path.
+// drives the single-shot HTTP endpoints and the batch path, in process
+// and on the wire. An unknown kind is a per-query error.
 type Query struct {
-	Kind QueryKind
+	Kind QueryKind `json:"kind"`
 
 	// Target is the node ranked for (rank, closest).
-	Target int
+	Target int `json:"target,omitempty"`
 	// K bounds the result (rank: 0 = unbounded; top: edge count).
-	K int
-	// Candidates restricts rank/closest to these nodes; nil means
-	// every node except the target. An empty non-nil slice means an
-	// empty candidate set.
-	Candidates []int
+	K int `json:"k,omitempty"`
+	// Candidates restricts rank/closest to these nodes; nil (absent or
+	// null on the wire) means every node except the target. An empty
+	// non-nil slice ([]) means an empty candidate set.
+	Candidates []int `json:"candidates"`
 	// SeverityPenalty and ExcludeViolated tune rank/closest scoring
 	// exactly as in QueryOptions.
-	SeverityPenalty float64
-	ExcludeViolated bool
+	SeverityPenalty float64 `json:"penalty,omitempty"`
+	ExcludeViolated bool    `json:"exclude,omitempty"`
 	// I, J name the pair for detour and delay queries.
-	I, J int
+	I int `json:"i,omitempty"`
+	J int `json:"j,omitempty"`
 }
 
 // SelectionQuery spells a typed selection call (Rank, KClosest,
@@ -195,7 +197,7 @@ func (v *View) resolveQuery(ctx context.Context, q Query) Result {
 		}
 		res.Detour = d
 	case KindTop:
-		res.Edges = v.e.sev.TopEdges(q.K)
+		res.Edges = v.e.Severities.TopEdges(q.K)
 	case KindDelay:
 		if err := v.e.checkNode("node", q.I); err != nil {
 			res.Err = err

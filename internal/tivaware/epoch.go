@@ -10,8 +10,8 @@ import (
 
 // The concurrency core: a Service publishes its state as immutable
 // *epochs* behind an atomic pointer. An epoch bundles everything one
-// query needs — a frozen delay view, the severities (and, for exact
-// epochs, violation counts and the violating-triangle total) computed
+// query needs — a frozen delay view, the severities (and, on an exact
+// service, violation counts and the violating-triangle total) computed
 // over exactly those delays — so any number of goroutines read it
 // lock-free and every read within one epoch is mutually consistent:
 // there is no moment where a query ranks on new delays against old
@@ -38,23 +38,11 @@ type epoch struct {
 	// matrix snapshot for matrix-backed sources, the (per-version
 	// immutable) source itself otherwise.
 	q DelaySource
-	// Analysis results over the epoch's delays. counts is nil and
-	// full is false in sampled-severity mode, and full is false for
-	// severities-only epochs (a later query needing counts upgrades
-	// the epoch at the same version).
-	sev       *tiv.EdgeSeverities
-	counts    *tiv.EdgeCounts
-	violating int64
-	triangles int64
-	full      bool
-}
-
-// fraction returns the epoch's exact violating-triangle fraction.
-func (e *epoch) fraction() float64 {
-	if e.triangles == 0 {
-		return 0
-	}
-	return float64(e.violating) / float64(e.triangles)
+	// The analysis over the epoch's delays: one per version, whatever
+	// the first caller asked for. Counts is nil (and the triangle totals
+	// zero) exactly in sampled-severity mode, which has no exact
+	// analysis to offer.
+	tiv.Analysis
 }
 
 // delayRow returns the delays from node i to every node, indexed by
@@ -98,14 +86,11 @@ func (s *Service) fresh(e *epoch) bool {
 }
 
 // currentEpoch returns a fresh epoch, building one under the service
-// mutex only when the published epoch is stale (or lacks exact counts
-// a caller needs: needFull upgrades a severities-only epoch; sampled
-// services never have counts, so needFull is ignored there). ctx is
-// only consulted before a build — the O(N³) analysis itself is not
-// interruptible — and may be nil for Service methods without one.
-func (s *Service) currentEpoch(ctx context.Context, needFull bool) (*epoch, error) {
-	wantFull := needFull && s.opts.SampleThirdNodes == 0
-	if e := s.cur.Load(); e != nil && s.fresh(e) && (e.full || !wantFull) {
+// mutex only when the published epoch is stale. ctx is only consulted
+// before a build — the O(N³) analysis itself is not interruptible —
+// and may be nil for Service methods without one.
+func (s *Service) currentEpoch(ctx context.Context) (*epoch, error) {
+	if e := s.cur.Load(); e != nil && s.fresh(e) {
 		return e, nil
 	}
 	if ctx != nil {
@@ -115,14 +100,14 @@ func (s *Service) currentEpoch(ctx context.Context, needFull bool) (*epoch, erro
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if e := s.cur.Load(); e != nil && s.fresh(e) && (e.full || !wantFull) {
+	if e := s.cur.Load(); e != nil && s.fresh(e) {
 		return e, nil
 	}
 	var e *epoch
 	if s.mon != nil {
 		e = s.buildMonitorEpochLocked()
 	} else {
-		e = s.buildEngineEpochLocked(wantFull)
+		e = s.buildEngineEpochLocked()
 	}
 	s.cur.Store(e)
 	return e, nil
@@ -138,22 +123,11 @@ func (s *Service) nextSeqLocked() uint64 {
 // SnapshotAnalysis writes the epoch's severity and count arrays (the
 // only place a live epoch's arrays are written) and the matrix is
 // copied, so the epoch stays valid while the monitor keeps moving.
-// Live epochs are always full.
 func (s *Service) buildMonitorEpochLocked() *epoch {
 	a := s.mon.SnapshotAnalysis()
 	snap := s.mon.Matrix().Snapshot()
 	v := snap.Version()
-	return &epoch{
-		seq:       s.nextSeqLocked(),
-		qVersion:  v,
-		aVersion:  v,
-		q:         matrixSource{snap},
-		sev:       a.Severities,
-		counts:    a.Counts,
-		violating: a.ViolatingTriangles,
-		triangles: a.Triangles,
-		full:      true,
-	}
+	return &epoch{seq: s.nextSeqLocked(), qVersion: v, aVersion: v, q: matrixSource{snap}, Analysis: a}
 }
 
 // buildEngineEpochLocked runs the batch engine over a frozen copy of
@@ -161,8 +135,10 @@ func (s *Service) buildMonitorEpochLocked() *epoch {
 // memcpy) and the analysis runs over the snapshot, so the published
 // severities can never disagree with the published delays; sources
 // without a backing matrix are materialized into reusable scratch
-// (the epoch ranks on the per-version-immutable source directly).
-func (s *Service) buildEngineEpochLocked(wantFull bool) *epoch {
+// (the epoch ranks on the per-version-immutable source directly). An
+// exact service always runs the full analysis: a severities-only scan
+// costs the same to within noise, and every View needs the counts.
+func (s *Service) buildEngineEpochLocked() *epoch {
 	qv := s.src.Version()
 	av := s.asrc.Version()
 	var q DelaySource = s.src
@@ -181,20 +157,10 @@ func (s *Service) buildEngineEpochLocked(wantFull bool) *epoch {
 		am = s.materializeScratchLocked()
 	}
 	e := &epoch{seq: s.nextSeqLocked(), qVersion: qv, aVersion: av, q: q}
-	switch {
-	case s.opts.SampleThirdNodes > 0:
-		e.sev = s.eng.AllSeverities(am)
-	case wantFull:
-		a := s.eng.Analyze(am)
-		e.sev = a.Severities
-		e.counts = a.Counts
-		e.violating = a.ViolatingTriangles
-		e.triangles = a.Triangles
-		e.full = true
-	default:
-		// Severities-only epoch: the cheapest refresh (no count
-		// accumulators, no mirror pass). Upgraded on demand.
-		e.sev = s.eng.AllSeverities(am)
+	if s.opts.SampleThirdNodes > 0 {
+		e.Severities = s.eng.AllSeverities(am)
+	} else {
+		e.Analysis = s.eng.Analyze(am)
 	}
 	return e
 }
@@ -223,23 +189,18 @@ func (s *Service) materializeScratchLocked() *delayspace.Matrix {
 // View answers every call from the same one. Views are cheap (no
 // copying; they share the epoch the service already published) and
 // safe for concurrent use.
-type View struct {
-	e *epoch
-	// sampled mirrors the owning service's severity mode, for
-	// error messages on exact-only calls.
-	sampled bool
-}
+type View struct{ e *epoch }
 
 // View returns a view pinned to the service's current epoch,
 // refreshing it first if the sources moved. Callers that need
 // several mutually consistent reads (delays plus severities, a rank
 // plus a detour) take one View and issue them all against it.
 func (s *Service) View(ctx context.Context) (*View, error) {
-	e, err := s.currentEpoch(ctx, true)
+	e, err := s.currentEpoch(ctx)
 	if err != nil {
 		return nil, err
 	}
-	return &View{e: e, sampled: s.opts.SampleThirdNodes > 0}, nil
+	return &View{e: e}, nil
 }
 
 // Seq returns the epoch sequence number: service-local, monotone
@@ -257,30 +218,25 @@ func (v *View) Delay(i, j int) (float64, bool) { return v.e.q.Delay(i, j) }
 
 // Severities returns the view's per-edge TIV severities. The result
 // is immutable.
-func (v *View) Severities() *tiv.EdgeSeverities { return v.e.sev }
+func (v *View) Severities() *tiv.EdgeSeverities { return v.e.Severities }
 
 // Analysis returns the view's exact analysis in the shape
 // tiv.Engine.Analyze produces. It errors in sampled mode.
 func (v *View) Analysis() (tiv.Analysis, error) {
-	if !v.e.full {
+	if v.e.Counts == nil {
 		return tiv.Analysis{}, fmt.Errorf("tivaware: exact analysis unavailable on a sampled-severity view")
 	}
-	return tiv.Analysis{
-		Severities:         v.e.sev,
-		Counts:             v.e.counts,
-		ViolatingTriangles: v.e.violating,
-		Triangles:          v.e.triangles,
-	}, nil
+	return v.e.Analysis, nil
 }
 
 // ViolatingTriangleFraction returns the view's exact violating
 // triangle fraction; 0 in sampled mode (use the Service method for
 // bounded estimates).
-func (v *View) ViolatingTriangleFraction() float64 { return v.e.fraction() }
+func (v *View) ViolatingTriangleFraction() float64 { return v.e.ViolatingTriangleFraction() }
 
 // TopEdges returns the k edges with the highest severity in this
 // view, most severe first.
-func (v *View) TopEdges(k int) []delayspace.Edge { return v.e.sev.TopEdges(k) }
+func (v *View) TopEdges(k int) []delayspace.Edge { return v.e.Severities.TopEdges(k) }
 
 // Rank scores candidates against this view; see Service.Rank.
 func (v *View) Rank(ctx context.Context, target int, candidates []int, opts QueryOptions) ([]Selection, error) {

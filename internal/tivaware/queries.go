@@ -58,23 +58,24 @@ type QueryOptions struct {
 	ExcludeViolated bool
 }
 
-// Selection is one ranked candidate.
+// Selection is one ranked candidate, in process and on the wire (as are
+// Query, Detour and tiv.Update: tivwire's JSON goldens pin the tags).
 type Selection struct {
 	// Node is the candidate's id.
-	Node int
+	Node int `json:"node"`
 	// Delay is the source's delay estimate to the target.
-	Delay float64
+	Delay float64 `json:"delay"`
 	// Severity is the TIV severity of the target-candidate edge.
-	Severity float64
+	Severity float64 `json:"severity"`
 	// Violated reports that the edge is currently involved in at least
 	// one triangle inequality violation. In sampled-severity mode it
 	// derives from Severity > 0; otherwise from exact violation counts.
-	Violated bool
+	Violated bool `json:"violated"`
 	// Violations is the exact violation count of the edge, or -1 in
 	// sampled-severity mode.
-	Violations int
+	Violations int `json:"violations"`
 	// Score is the ranking key: Delay × (1 + SeverityPenalty×Severity).
-	Score float64
+	Score float64 `json:"score"`
 }
 
 // ctxPollMask bounds how often the O(N)/O(N²) scan loops poll
@@ -91,7 +92,7 @@ func (s *Service) Rank(ctx context.Context, target int, candidates []int, opts Q
 	if err := checkCtx(ctx); err != nil {
 		return nil, err
 	}
-	e, err := s.currentEpoch(ctx, true)
+	e, err := s.currentEpoch(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -146,10 +147,10 @@ func selectEpoch(ctx context.Context, e *epoch, target int, candidates []int, op
 		k = count
 	}
 
-	delays, sevs := e.delayRow(target), e.sev.Row(target)
+	delays, sevs := e.delayRow(target), e.Severities.Row(target)
 	var counts []int32
-	if e.full {
-		counts = e.counts.Row(target)
+	if e.Counts != nil {
+		counts = e.Counts.Row(target)
 	}
 	kept = make([]Selection, 0, k)
 	for idx := 0; idx < count; idx++ {
@@ -167,7 +168,7 @@ func selectEpoch(ctx context.Context, e *epoch, target int, candidates []int, op
 			continue
 		}
 		sel := Selection{Node: c, Delay: d, Severity: sevs[c], Violations: -1}
-		if e.full {
+		if counts != nil {
 			sel.Violations = int(counts[c])
 			sel.Violated = sel.Violations > 0
 		} else {
@@ -214,7 +215,7 @@ func (s *Service) KClosest(ctx context.Context, target, k int, opts QueryOptions
 	if err := checkCtx(ctx); err != nil {
 		return nil, err
 	}
-	e, err := s.currentEpoch(ctx, true)
+	e, err := s.currentEpoch(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -235,7 +236,7 @@ func (s *Service) ClosestNode(ctx context.Context, target int, opts QueryOptions
 	if err := checkCtx(ctx); err != nil {
 		return Selection{}, err
 	}
-	e, err := s.currentEpoch(ctx, true)
+	e, err := s.currentEpoch(ctx)
 	if err != nil {
 		return Selection{}, err
 	}
@@ -255,22 +256,23 @@ func closestNodeEpoch(ctx context.Context, e *epoch, target int, opts QueryOptio
 
 // Detour is the result of a DetourPath query for the pair (I, J).
 type Detour struct {
-	I, J int
+	I int `json:"i"`
+	J int `json:"j"`
 	// Direct is the source's direct delay estimate, or
 	// delayspace.Missing when the pair has none.
-	Direct float64
+	Direct float64 `json:"direct"`
 	// Via is the relay of the best one-hop detour i→via→j, or -1 when
 	// no relay improves on the direct edge (for a missing direct edge,
 	// the best relay — if any exists — is always reported: it is the
 	// only route).
-	Via int
+	Via int `json:"via"`
 	// ViaDelay is Delay(i,Via) + Delay(Via,j); 0 when Via < 0.
-	ViaDelay float64
+	ViaDelay float64 `json:"via_delay"`
 	// Gain is Direct − ViaDelay when both paths exist — the latency
 	// saved by detouring, strictly positive exactly when the relay
 	// witnesses a TIV of the direct edge — and 0 otherwise. Never
 	// negative.
-	Gain float64
+	Gain float64 `json:"gain"`
 }
 
 // Beneficial reports whether the detour is strictly faster than the
@@ -289,7 +291,7 @@ func (s *Service) DetourPath(ctx context.Context, i, j int) (Detour, error) {
 	if err := checkCtx(ctx); err != nil {
 		return Detour{}, err
 	}
-	e, err := s.currentEpoch(ctx, false)
+	e, err := s.currentEpoch(ctx)
 	if err != nil {
 		return Detour{}, err
 	}

@@ -60,9 +60,9 @@ func rankReference(ctx context.Context, e *epoch, target int, candidates []int, 
 		if !ok {
 			continue
 		}
-		sel := Selection{Node: c, Delay: d, Severity: e.sev.At(target, c), Violations: -1}
-		if e.full {
-			sel.Violations = e.counts.At(target, c)
+		sel := Selection{Node: c, Delay: d, Severity: e.Severities.At(target, c), Violations: -1}
+		if e.Counts != nil {
+			sel.Violations = e.Counts.At(target, c)
 			sel.Violated = sel.Violations > 0
 		} else {
 			sel.Violated = sel.Severity > 0
@@ -177,12 +177,12 @@ func selectionEpochs(t testing.TB, n int, holeFrac float64, seed int64) [2]*epoc
 		if err != nil {
 			t.Fatal(err)
 		}
-		if out[x], err = svc.currentEpoch(context.Background(), true); err != nil {
+		if out[x], err = svc.currentEpoch(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if !out[0].full || out[1].full {
-		t.Fatalf("epoch modes: exact full=%v, sampled full=%v", out[0].full, out[1].full)
+	if out[0].Counts == nil || out[1].Counts != nil {
+		t.Fatalf("epoch modes: exact counts=%v, sampled counts=%v", out[0].Counts != nil, out[1].Counts != nil)
 	}
 	return out
 }
@@ -197,7 +197,7 @@ func checkSelectionQueries(t testing.TB, e *epoch, target, k int, candidates []i
 		q := Query{Kind: kind, Target: target, K: k, Candidates: candidates, SeverityPenalty: penalty, ExcludeViolated: exclude}
 		if err := sameResult(v.resolveQuery(ctx, q), resultReference(ctx, e, q)); err != nil {
 			t.Fatalf("%s n=%d full=%v target=%d k=%d cands=%v penalty=%g exclude=%v: %v",
-				kind, e.q.N(), e.full, target, k, candidates, penalty, exclude, err)
+				kind, e.q.N(), e.Counts != nil, target, k, candidates, penalty, exclude, err)
 		}
 	}
 	if k > 0 {
@@ -356,7 +356,7 @@ func TestDetourAsymmetricPredictor(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	e, err := svc.currentEpoch(ctx, true)
+	e, err := svc.currentEpoch(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}

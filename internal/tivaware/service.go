@@ -170,7 +170,7 @@ func (s *Service) Live() bool { return s.mon != nil }
 // Delay returns the delay estimate for (i, j) as of the current
 // epoch.
 func (s *Service) Delay(i, j int) (float64, bool) {
-	e, _ := s.currentEpoch(nil, false)
+	e, _ := s.currentEpoch(nil)
 	return e.q.Delay(i, j)
 }
 
@@ -290,8 +290,8 @@ func (s *Service) fanout(cs tiv.ChangeSet) {
 // an immutable epoch snapshot: it remains valid — and unchanged —
 // after later updates.
 func (s *Service) Severities() *tiv.EdgeSeverities {
-	e, _ := s.currentEpoch(nil, false)
-	return e.sev
+	e, _ := s.currentEpoch(nil)
+	return e.Severities
 }
 
 // Analysis returns the current exact analysis in the shape
@@ -301,13 +301,8 @@ func (s *Service) Analysis() (tiv.Analysis, error) {
 	if s.mon == nil && s.opts.SampleThirdNodes > 0 {
 		return tiv.Analysis{}, fmt.Errorf("tivaware: exact analysis unavailable with SampleThirdNodes = %d", s.opts.SampleThirdNodes)
 	}
-	e, _ := s.currentEpoch(nil, true)
-	return tiv.Analysis{
-		Severities:         e.sev,
-		Counts:             e.counts,
-		ViolatingTriangles: e.violating,
-		Triangles:          e.triangles,
-	}, nil
+	e, _ := s.currentEpoch(nil)
+	return e.Analysis, nil
 }
 
 // ViolatingTriangleFraction returns the fraction of node triples
@@ -318,9 +313,9 @@ func (s *Service) Analysis() (tiv.Analysis, error) {
 // counted exactly; maxTriples <= 0 forces the exact count.
 func (s *Service) ViolatingTriangleFraction(maxTriples int) float64 {
 	if s.mon == nil && (s.opts.SampleThirdNodes > 0 || maxTriples > 0) {
-		// A current full epoch already carries the exact count.
-		if e := s.cur.Load(); e != nil && e.full && s.fresh(e) {
-			return e.fraction()
+		// A current exact epoch already carries the count.
+		if e := s.cur.Load(); e != nil && e.Counts != nil && s.fresh(e) {
+			return e.ViolatingTriangleFraction()
 		}
 		av := s.asrc.Version()
 		if fc := s.frac.Load(); fc != nil && fc.aVersion == av && fc.maxTriples == maxTriples {
@@ -342,18 +337,15 @@ func (s *Service) ViolatingTriangleFraction(maxTriples int) float64 {
 		s.frac.Store(&fracCache{aVersion: av, maxTriples: maxTriples, val: val})
 		return val
 	}
-	e, _ := s.currentEpoch(nil, true)
-	if !e.full {
-		return 0
-	}
-	return e.fraction()
+	e, _ := s.currentEpoch(nil)
+	return e.ViolatingTriangleFraction()
 }
 
 // TopEdges returns the k edges with the highest current severity,
 // most severe first.
 func (s *Service) TopEdges(k int) []delayspace.Edge {
-	e, _ := s.currentEpoch(nil, false)
-	return e.sev.TopEdges(k)
+	e, _ := s.currentEpoch(nil)
+	return e.Severities.TopEdges(k)
 }
 
 // checkNode validates a node index against an epoch.

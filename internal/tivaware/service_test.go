@@ -1,6 +1,7 @@
 package tivaware
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -58,6 +59,47 @@ func TestServiceSeveritiesMatchEngine(t *testing.T) {
 	}
 	if f := svc.ViolatingTriangleFraction(0); f != an.ViolatingTriangleFraction() {
 		t.Errorf("fraction %g != analysis fraction %g", f, an.ViolatingTriangleFraction())
+	}
+}
+
+// TestStaticServiceBuildsOneEpochPerVersion: a static exact service
+// analyses a source version once, whichever call arrives first — a
+// detour (which needs no counts) followed by calls that do leaves the
+// epoch it built, not a second O(N³) scan at the same version — and the
+// severities that one analysis publishes are, bit for bit, the
+// severities-only scan's.
+func TestStaticServiceBuildsOneEpochPerVersion(t *testing.T) {
+	ctx := context.Background()
+	m := holeyMatrix(67, 11, 0.15)
+	for workers := 1; workers <= 3; workers++ {
+		svc, err := NewFromMatrix(m, Options{Workers: workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := svc.DetourPath(ctx, 0, 1); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := svc.Rank(ctx, 2, nil, QueryOptions{SeverityPenalty: 1}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := svc.Analysis(); err != nil {
+			t.Fatal(err)
+		}
+		v, err := svc.View(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v.Seq() != 1 {
+			t.Errorf("workers=%d: detour, rank, analysis at one version built %d epochs, want 1", workers, v.Seq())
+		}
+		got, want := svc.Severities(), tiv.AllSeverities(m, tiv.Options{Workers: workers})
+		for i := 0; i < m.N(); i++ {
+			for j := 0; j < m.N(); j++ {
+				if math.Float64bits(got.At(i, j)) != math.Float64bits(want.At(i, j)) {
+					t.Fatalf("workers=%d: severity (%d,%d) = %v, want %v bit for bit", workers, i, j, got.At(i, j), want.At(i, j))
+				}
+			}
+		}
 	}
 }
 

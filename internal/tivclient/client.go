@@ -312,7 +312,9 @@ func getParams(q tivaware.Query) url.Values {
 		params.Set("i", strconv.Itoa(q.I))
 		params.Set("j", strconv.Itoa(q.J))
 	case tivaware.KindTop:
-		params.Set("k", strconv.Itoa(q.K))
+		if q.K > 0 {
+			params.Set("k", strconv.Itoa(q.K))
+		}
 	}
 	return params
 }
@@ -324,15 +326,6 @@ func getParams(q tivaware.Query) url.Values {
 // rank.
 func emptyCandidates(q tivaware.Query) bool {
 	return q.Candidates != nil && len(q.Candidates) == 0
-}
-
-// toSelections converts a wire ranking to the in-process type.
-func toSelections(sels []tivwire.Selection) []tivaware.Selection {
-	out := make([]tivaware.Selection, len(sels))
-	for k, sel := range sels {
-		out[k] = sel.ToSelection()
-	}
-	return out
 }
 
 // Rank scores the candidates for the target, best first; it mirrors
@@ -352,7 +345,7 @@ func (c *Client) Rank(ctx context.Context, target int, candidates []int, opts ti
 		return nil, &Error{Code: tivwire.CodeBadRequest,
 			Message: fmt.Sprintf("ranking for node %d truncated at %d selections by the daemon's cap; raise tivd -maxk or use KClosest", target, len(r.Rank.Selections))}
 	}
-	return toSelections(r.Rank.Selections), nil
+	return r.Rank.Selections, nil
 }
 
 // KClosest returns the k best-ranked candidates for the target.
@@ -368,7 +361,7 @@ func (c *Client) KClosest(ctx context.Context, target, k int, opts tivaware.Quer
 	if err != nil {
 		return nil, err
 	}
-	return toSelections(r.Rank.Selections), nil
+	return r.Rank.Selections, nil
 }
 
 // ClosestNode returns the best-ranked candidate for the target.
@@ -385,7 +378,7 @@ func (c *Client) ClosestNode(ctx context.Context, target int, opts tivaware.Quer
 	if len(r.Rank.Selections) == 0 {
 		return tivaware.Selection{}, &Error{Code: CodeBadPayload, Message: "empty closest response"}
 	}
-	return r.Rank.Selections[0].ToSelection(), nil
+	return r.Rank.Selections[0], nil
 }
 
 // DetourPath finds the best one-hop detour for the pair (i, j).
@@ -394,7 +387,7 @@ func (c *Client) DetourPath(ctx context.Context, i, j int) (tivaware.Detour, err
 	if err != nil {
 		return tivaware.Detour{}, err
 	}
-	return r.Detour.Detour.ToDetour(), nil
+	return r.Detour.Detour, nil
 }
 
 // TopEdges returns the k edges with the highest current severity,
@@ -439,25 +432,16 @@ func (c *Client) QueryBatch(ctx context.Context, queries []tivaware.Query) ([]ti
 		return nil, nil
 	}
 	op := "POST /v1/batch"
-	var resp tivwire.BatchResponse
 	if c.frames != nil {
 		op = "FRAME batch"
-		req := tivwire.BatchRequest{Queries: tivwire.FromQueries(queries)}
-		if err := c.frameCall(ctx, op, &req, &resp); err != nil {
-			return nil, err
-		}
-	} else if err := c.post(ctx, "/v1/batch", tivwire.BatchRequest{Queries: tivwire.FromQueries(queries)}, &resp); err != nil {
+	}
+	results, err := c.batch(ctx, op, queries)
+	if err != nil {
 		return nil, err
 	}
-	if len(resp.Results) != len(queries) {
-		return nil, &Error{Op: op, Code: CodeBadPayload, Status: http.StatusOK,
-			Message: fmt.Sprintf("daemon answered %d results for %d queries", len(resp.Results), len(queries))}
-	}
 	out := make([]tivaware.Result, len(queries))
-	for i, r := range resp.Results {
-		res, err := r.ToResult(func(we tivwire.Error) error {
-			return &Error{Op: op, Code: we.Code, Message: we.Error, RetryAfter: retryAfter(we.RetryAfter)}
-		})
+	for i, r := range results {
+		res, err := r.ToResult(func(we tivwire.Error) error { return envelopeError(op, we) })
 		if err != nil {
 			return nil, &Error{Op: op, Code: CodeBadPayload, Status: http.StatusOK,
 				Message: err.Error(), cause: err}
@@ -465,6 +449,28 @@ func (c *Client) QueryBatch(ctx context.Context, queries []tivaware.Query) ([]ti
 		out[i] = res
 	}
 	return out, nil
+}
+
+// batch is the one batch exchange — under QueryBatch on either
+// transport and under every framed single query (frameQuery): one
+// request, and a response that answers every query or is a bad payload.
+func (c *Client) batch(ctx context.Context, op string, queries []tivaware.Query) ([]tivwire.Result, error) {
+	req := tivwire.BatchRequest{Queries: queries}
+	var resp tivwire.BatchResponse
+	var err error
+	if c.frames != nil {
+		err = c.frameCall(ctx, op, &req, &resp)
+	} else {
+		err = c.post(ctx, "/v1/batch", req, &resp)
+	}
+	if err != nil {
+		return nil, err
+	}
+	if len(resp.Results) != len(queries) {
+		return nil, &Error{Op: op, Code: CodeBadPayload, Status: http.StatusOK,
+			Message: fmt.Sprintf("daemon answered %d results for %d queries", len(resp.Results), len(queries))}
+	}
+	return resp.Results, nil
 }
 
 // ApplyUpdate streams one edge measurement into a live daemon and

@@ -121,6 +121,12 @@ func IsRetryable(err error) bool {
 	return errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF)
 }
 
+// envelopeError is the typed error a server's error envelope becomes,
+// however it arrived (a framed error reply, a per-query batch result).
+func envelopeError(op string, we tivwire.Error) *Error {
+	return &Error{Op: op, Code: we.Code, Message: we.Error, RetryAfter: retryAfter(we.RetryAfter)}
+}
+
 // retryAfter converts the wire hint (seconds) to a duration.
 func retryAfter(seconds float64) time.Duration {
 	if seconds <= 0 {

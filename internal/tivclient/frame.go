@@ -47,19 +47,13 @@ func (c *Client) frameCall(ctx context.Context, op string, req, resp any) error 
 // batch of one.
 func (c *Client) frameQuery(ctx context.Context, q tivaware.Query) (*tivwire.Result, error) {
 	op := "FRAME " + string(q.Kind)
-	var resp tivwire.BatchResponse
-	req := tivwire.BatchRequest{Queries: tivwire.FromQueries([]tivaware.Query{q})}
-	if err := c.frameCall(ctx, op, &req, &resp); err != nil {
+	results, err := c.batch(ctx, op, []tivaware.Query{q})
+	if err != nil {
 		return nil, err
 	}
-	if len(resp.Results) != 1 {
-		return nil, &Error{Op: op, Code: CodeBadPayload,
-			Message: fmt.Sprintf("daemon answered %d results for 1 query", len(resp.Results))}
-	}
-	r := &resp.Results[0]
+	r := &results[0]
 	if r.Err != nil {
-		return nil, &Error{Op: op, Code: r.Err.Code, Message: r.Err.Error,
-			RetryAfter: retryAfter(r.Err.RetryAfter)}
+		return nil, envelopeError(op, *r.Err)
 	}
 	var ok bool
 	switch q.Kind {

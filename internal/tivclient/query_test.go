@@ -112,6 +112,13 @@ func TestTypedWrappersMatchQueryBatch(t *testing.T) {
 				edges, err := c.TopEdges(ctx, 6)
 				return tivaware.Result{Edges: edges}, err
 			}},
+		// K: 0 asks for the daemon's default count; the GET must leave k
+		// out (an explicit k=0 is a 400), as the framed spelling does.
+		{"top default k", tivaware.Query{Kind: tivaware.KindTop},
+			func(c *Client) (tivaware.Result, error) {
+				edges, err := c.TopEdges(ctx, 0)
+				return tivaware.Result{Edges: edges}, err
+			}},
 		{"delay", tivaware.Query{Kind: tivaware.KindDelay, I: 1, J: 2},
 			func(c *Client) (tivaware.Result, error) {
 				d, ok, err := c.Delay(ctx, 1, 2)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"net/http"
+	"slices"
 
 	"tivaware/internal/tivaware"
 	"tivaware/internal/tivwire"
@@ -116,9 +117,11 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 
 // resolveBatch answers one decoded batch request — the transport-free
 // core shared by POST /v1/batch and the framed listener. A returned
-// error is a whole-call failure already typed for errorEnvelope
-// (reqError or a backend error); per-query failures land in the
-// aligned Results vector.
+// error is a whole-call failure already typed for errorEnvelope (a
+// tivwire.CodedError or a backend error); per-query failures land in
+// the aligned Results vector. The request is the transport's message (a
+// wrapping frame handler may read it again), so resolveQueries
+// normalizes a copy of the slice.
 func (s *Server) resolveBatch(ctx context.Context, req *tivwire.BatchRequest) (*tivwire.BatchResponse, error) {
 	if len(req.Queries) == 0 {
 		return nil, badRequestf("empty batch")
@@ -126,7 +129,7 @@ func (s *Server) resolveBatch(ctx context.Context, req *tivwire.BatchRequest) (*
 	if max := s.opts.maxBatch(); len(req.Queries) > max {
 		return nil, badRequestf("batch of %d queries exceeds limit %d", len(req.Queries), max)
 	}
-	results, epoch, err := s.resolveQueries(ctx, tivwire.ToQueries(req.Queries))
+	results, epoch, err := s.resolveQueries(ctx, slices.Clone(req.Queries))
 	if err != nil {
 		return nil, err
 	}

@@ -6,6 +6,7 @@ import (
 	"net"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"testing"
 
 	"tivaware/internal/synth"
@@ -309,5 +310,27 @@ func TestFramedUpdatesAgree(t *testing.T) {
 	}
 	if !reflect.DeepEqual(gotA, wantA) {
 		t.Fatalf("post-apply analysis diverged:\n got %#v\nwant %#v", gotA, wantA)
+	}
+}
+
+// TestServeFrameLeavesRequestAsDecoded: the message belongs to the
+// transport. The handler normalizes queries (a closest becomes k=1, a
+// rank or top with no k takes the daemon's default) on a copy, so a
+// handler wrapped around it — bench/'s tracer re-encodes the request
+// the daemon saw and compares it with the one it sent — reads the
+// request as it arrived.
+func TestServeFrameLeavesRequestAsDecoded(t *testing.T) {
+	srv, err := tivd.New(diffService(t, false), tivd.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	req := &tivwire.BatchRequest{Queries: frameCorpus(42)}
+	want := slices.Clone(req.Queries)
+	if _, ok := srv.FrameHandler().ServeFrame(context.Background(), req).(*tivwire.BatchResponse); !ok {
+		t.Fatal("the corpus batch was refused whole")
+	}
+	if !reflect.DeepEqual(req.Queries, want) {
+		t.Errorf("ServeFrame rewrote its request:\n got: %+v\nwant: %+v", req.Queries, want)
 	}
 }

@@ -215,37 +215,26 @@ func envelope(code string, err error) tivwire.Error {
 	return e
 }
 
-// reqError is a daemon-born error that already knows its taxonomy
-// code: request-decode failures (bad_request) and broken backend
-// contracts (internal). errorEnvelope routes it by WireCode and the
-// envelope message is exactly the underlying error text, so retyping
-// a bare fmt.Errorf into a reqError never changes what the client
-// reads — it only proves the code was chosen rather than defaulted.
-type reqError struct {
-	code string
-	err  error
-}
-
-func (e *reqError) Error() string    { return e.err.Error() }
-func (e *reqError) Unwrap() error    { return e.err }
-func (e *reqError) WireCode() string { return e.code }
+// The daemon-born errors that already know their taxonomy code;
+// errorEnvelope routes them by WireCode, and the envelope message is
+// exactly the formatted text.
 
 // badRequestf builds the client-fault taxonomy error for a malformed
 // or out-of-range request parameter.
 func badRequestf(format string, args ...any) error {
-	return &reqError{code: tivwire.CodeBadRequest, err: fmt.Errorf(format, args...)}
+	return &tivwire.CodedError{Code: tivwire.CodeBadRequest, Msg: fmt.Sprintf(format, args...)}
 }
 
 // internalErrorf builds the daemon-fault taxonomy error for a broken
 // backend contract.
 func internalErrorf(format string, args ...any) error {
-	return &reqError{code: tivwire.CodeInternal, err: fmt.Errorf(format, args...)}
+	return &tivwire.CodedError{Code: tivwire.CodeInternal, Msg: fmt.Sprintf(format, args...)}
 }
 
 // errNotLive is the typed refusal a read-only daemon answers updates
 // with.
 func errNotLive() error {
-	return &reqError{code: tivwire.CodeNotLive, err: errors.New("updates require a live service (tivd -live)")}
+	return &tivwire.CodedError{Code: tivwire.CodeNotLive, Msg: "updates require a live service (tivd -live)"}
 }
 
 // defaultRetryAfter is the retry hint (seconds) attached to every
@@ -501,7 +490,7 @@ func (s *Server) applyWire(ctx context.Context, req *tivwire.UpdateRequest) (tiv
 	if len(req.Updates) == 0 {
 		return tivwire.ChangeSet{}, badRequestf("empty update batch")
 	}
-	cs, err := s.b.ApplyBatch(ctx, req.ToUpdates())
+	cs, err := s.b.ApplyBatch(ctx, req.Updates)
 	if err != nil {
 		return tivwire.ChangeSet{}, err
 	}

@@ -219,7 +219,7 @@ func TestRetiredBinaryNegotiation(t *testing.T) {
 		return resp, raw
 	}
 
-	batch, err := tivwire.AppendBinary(nil, &tivwire.BatchRequest{Queries: tivwire.FromQueries(trafficQueries(svc.N()))})
+	batch, err := tivwire.AppendBinary(nil, &tivwire.BatchRequest{Queries: trafficQueries(svc.N())})
 	if err != nil {
 		t.Fatal(err)
 	}

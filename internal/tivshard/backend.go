@@ -50,11 +50,7 @@ func (b *Backend) Health(ctx context.Context) (uint64, uint64, error) {
 // ApplyBatch replicates the batch across the cluster; see
 // Gateway.ApplyBatch.
 func (b *Backend) ApplyBatch(ctx context.Context, updates []tiv.Update) (tiv.ChangeSet, error) {
-	wire := make([]tivwire.Update, len(updates))
-	for k, u := range updates {
-		wire[k] = tivwire.Update{I: u.I, J: u.J, RTT: u.RTT}
-	}
-	cs, err := b.g.ApplyBatch(ctx, wire)
+	cs, err := b.g.ApplyBatch(ctx, updates)
 	if err != nil {
 		return tiv.ChangeSet{}, err
 	}

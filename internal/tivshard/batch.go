@@ -7,6 +7,7 @@ import (
 
 	"tivaware/internal/tivaware"
 	"tivaware/internal/tivclient"
+	"tivaware/internal/tivwire"
 )
 
 // The gateway's one read path. Every shard is a full replica, so no
@@ -20,21 +21,14 @@ import (
 // numbers. The per-kind Gateway methods are batches of one through
 // this path.
 
-// shardRefusal is a shard's terminal refusal handed on as the shard's
-// service worded it: the wire code and the message a monolith gives,
+// refusal returns err as a shard's terminal refusal when a shard
+// answered it with a coded terminal error (every replica would say the
+// same), else nil: the wire code and the message a monolith gives,
 // without the shard-ward call's "tivclient: FRAME batch:" in front.
-type shardRefusal struct{ e *tivclient.Error }
-
-func (r shardRefusal) Error() string    { return r.e.Message }
-func (r shardRefusal) WireCode() string { return r.e.Code }
-func (r shardRefusal) Unwrap() error    { return r.e }
-
-// refusal returns err as a shardRefusal when a shard answered it with
-// a coded terminal error (every replica would say the same), else nil.
 func refusal(err error) error {
 	var ce *tivclient.Error
 	if errors.As(err, &ce) && ce.Code != "" && !ce.Retryable() {
-		return shardRefusal{ce}
+		return &tivwire.CodedError{Code: ce.Code, Msg: ce.Message, Cause: ce}
 	}
 	return nil
 }

@@ -482,6 +482,10 @@ func (g *Gateway) ApplyUpdate(ctx context.Context, i, j int, rtt float64) (tivwi
 //   - The call fails only on a terminal validation error or when no
 //     live shard could act as authority (typed retryable
 //     unavailable).
+//
+// A valid batch is journaled as the slice it arrived in, not a copy:
+// the caller must not write to updates afterwards (a replay would send
+// the rewritten batch). tivd hands on each request's own decoded slice.
 func (g *Gateway) ApplyBatch(ctx context.Context, updates []tivwire.Update) (tivwire.ChangeSet, error) {
 	if len(updates) == 0 {
 		return tivwire.ChangeSet{}, errBadRequestf("empty update batch")

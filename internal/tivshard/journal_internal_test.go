@@ -53,8 +53,8 @@ func TestInvalidDelayNotJournaled(t *testing.T) {
 	}
 	for _, bad := range []float64{math.Inf(1), math.Inf(-1), math.NaN(), -1.5} {
 		_, err := g.ApplyBatch(ctx, []tivwire.Update{{I: 0, J: 1, RTT: 50}, {I: 2, J: 3, RTT: bad}})
-		var ge *gwError
-		if !errors.As(err, &ge) || ge.code != tivwire.CodeBadRequest {
+		var ge *tivwire.CodedError
+		if !errors.As(err, &ge) || ge.Code != tivwire.CodeBadRequest {
 			t.Errorf("rtt %g: err = %v, want the gateway's own bad_request", bad, err)
 		}
 		if len(g.journal) != 1 || g.Generation() != 1 {

@@ -68,39 +68,31 @@ type journalEntry struct {
 	updates []tivwire.Update
 }
 
-// gwError is a gateway failure that knows its wire-taxonomy code, so
-// tivd serves it as a structured envelope (serviceError dispatches on
-// WireCode) and retry layers above classify it without string
+// The gateway's own failures know their wire-taxonomy code, so tivd
+// serves them as structured envelopes (serviceError dispatches on
+// WireCode) and retry layers above classify them without string
 // matching.
-type gwError struct {
-	code string
-	msg  string
-	err  error
-}
-
-func (e *gwError) Error() string {
-	if e.err != nil {
-		return fmt.Sprintf("tivshard: %s: %v", e.msg, e.err)
+func gatewayError(code, msg string, err error) *tivwire.CodedError {
+	msg = "tivshard: " + msg
+	if err != nil {
+		msg = fmt.Sprintf("%s: %v", msg, err)
 	}
-	return "tivshard: " + e.msg
+	return &tivwire.CodedError{Code: code, Msg: msg, Cause: err}
 }
 
-func (e *gwError) Unwrap() error    { return e.err }
-func (e *gwError) WireCode() string { return e.code }
-
-func errUnavailable(msg string, err error) *gwError {
-	return &gwError{code: tivwire.CodeUnavailable, msg: msg, err: err}
+func errUnavailable(msg string, err error) *tivwire.CodedError {
+	return gatewayError(tivwire.CodeUnavailable, msg, err)
 }
 
-func errDiverged(msg string, err error) *gwError {
-	return &gwError{code: tivwire.CodeDiverged, msg: msg, err: err}
+func errDiverged(msg string, err error) *tivwire.CodedError {
+	return gatewayError(tivwire.CodeDiverged, msg, err)
 }
 
 // errBadRequestf builds the terminal client-fault error for input that
 // fails gateway-side validation — never retried and never failed over,
 // because every replica would reject it identically.
-func errBadRequestf(format string, args ...any) *gwError {
-	return &gwError{code: tivwire.CodeBadRequest, msg: fmt.Sprintf(format, args...)}
+func errBadRequestf(format string, args ...any) *tivwire.CodedError {
+	return gatewayError(tivwire.CodeBadRequest, fmt.Sprintf(format, args...), nil)
 }
 
 // RetryPolicy bounds the gateway's per-query retry loop.

@@ -5,14 +5,17 @@ import (
 	"fmt"
 	"math"
 	"sync"
+
+	"tivaware/internal/tivaware"
 )
 
 // The binary framing: a compact length-prefixed encoding of the same
 // wire messages the JSON codec carries. It is the payload of the
 // framed transport (internal/tivframe); HTTP carries JSON only. The
-// two codecs are interchangeable by construction — one struct
-// definition, two encodings — and the differential suite asserts
-// equality at the decoded-struct level for every message.
+// two codecs are interchangeable by construction — each message is one
+// struct, the same one in process and on the wire, with two encodings
+// of it — and the differential suite asserts equality at the
+// decoded-struct level for every message.
 //
 // Frame layout:
 //
@@ -673,23 +676,23 @@ func decUpdateReq(r *binReader, v *UpdateRequest) {
 }
 
 func encQuery(w *binWriter, q *Query) {
-	w.str(q.Kind)
+	w.str(string(q.Kind))
 	w.i(q.Target)
 	w.i(q.K)
 	encSlice(w, q.Candidates, false, encInt)
-	w.f64(q.Penalty)
-	w.bool(q.Exclude)
+	w.f64(q.SeverityPenalty)
+	w.bool(q.ExcludeViolated)
 	w.i(q.I)
 	w.i(q.J)
 }
 
 func decQuery(r *binReader, q *Query) {
-	q.Kind = r.strInto(q.Kind)
+	q.Kind = tivaware.QueryKind(r.strInto(string(q.Kind)))
 	q.Target = r.i()
 	q.K = r.i()
 	q.Candidates = decSlice(r, q.Candidates, minInt, decInt)
-	q.Penalty = r.f64()
-	q.Exclude = r.bool()
+	q.SeverityPenalty = r.f64()
+	q.ExcludeViolated = r.bool()
 	q.I = r.i()
 	q.J = r.i()
 }

@@ -64,7 +64,7 @@ func wireMessages() []any {
 		&Hello{N: 32, Version: 6, Epoch: 6},
 		&UpdateRequest{Updates: []Update{{I: 0, J: 1, RTT: 12.5}, {I: 2, J: 3, RTT: 99}}},
 		&BatchRequest{Queries: []Query{
-			{Kind: "rank", Target: 4, K: 8, Candidates: []int{1, 2, 3}, Penalty: 2, Exclude: true},
+			{Kind: "rank", Target: 4, K: 8, Candidates: []int{1, 2, 3}, SeverityPenalty: 2, ExcludeViolated: true},
 			{Kind: "rank", Target: 1, Candidates: []int{}}, // empty candidate set ≠ all nodes
 			{Kind: "detour", I: 3, J: 9},
 			{Kind: "analysis"},

@@ -83,15 +83,10 @@ func FuzzUpdateRequestDecode(f *testing.F) {
 		if err := json.Unmarshal([]byte(payload), &req); err != nil {
 			return
 		}
-		ups := req.ToUpdates()
-		if len(ups) != len(req.Updates) {
-			t.Fatalf("ToUpdates changed length: %d != %d", len(ups), len(req.Updates))
-		}
-		for k, u := range ups {
-			w := req.Updates[k]
-			if u.I != w.I || u.J != w.J || !(u.RTT == w.RTT || (u.RTT != u.RTT && w.RTT != w.RTT)) {
-				t.Fatalf("ToUpdates changed update %d: %+v != %+v", k, u, w)
-			}
+		// The decoded updates are the monitor's own type (no conversion
+		// left to check); what decoded must encode again.
+		if _, err := json.Marshal(req); err != nil {
+			t.Fatalf("re-encoding decoded update request: %v", err)
 		}
 	})
 }

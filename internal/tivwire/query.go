@@ -13,67 +13,10 @@ import (
 // plane is distributed; a gateway reuses the same framing shard-ward,
 // so a batch costs one shard request.
 
-// Query mirrors tivaware.Query: one typed query from the union. Kind
-// is a tivaware.QueryKind string; unused fields are ignored. The
-// Candidates distinction matters on the wire: absent/null means
-// "every node except the target", [] means an empty candidate set.
-type Query struct {
-	Kind       string  `json:"kind"`
-	Target     int     `json:"target,omitempty"`
-	K          int     `json:"k,omitempty"`
-	Candidates []int   `json:"candidates"`
-	Penalty    float64 `json:"penalty,omitempty"`
-	Exclude    bool    `json:"exclude,omitempty"`
-	I          int     `json:"i,omitempty"`
-	J          int     `json:"j,omitempty"`
-}
-
-// FromQuery converts the in-process type.
-func FromQuery(q tivaware.Query) Query {
-	return Query{
-		Kind:       string(q.Kind),
-		Target:     q.Target,
-		K:          q.K,
-		Candidates: q.Candidates,
-		Penalty:    q.SeverityPenalty,
-		Exclude:    q.ExcludeViolated,
-		I:          q.I,
-		J:          q.J,
-	}
-}
-
-// ToQuery converts back to the in-process type. Unknown kinds pass
-// through; they resolve to a per-query error, not a batch failure.
-func (q Query) ToQuery() tivaware.Query {
-	return tivaware.Query{
-		Kind:            tivaware.QueryKind(q.Kind),
-		Target:          q.Target,
-		K:               q.K,
-		Candidates:      q.Candidates,
-		SeverityPenalty: q.Penalty,
-		ExcludeViolated: q.Exclude,
-		I:               q.I,
-		J:               q.J,
-	}
-}
-
-// FromQueries converts a batch of in-process queries.
-func FromQueries(queries []tivaware.Query) []Query {
-	out := make([]Query, len(queries))
-	for i, q := range queries {
-		out[i] = FromQuery(q)
-	}
-	return out
-}
-
-// ToQueries converts a wire batch back to in-process queries.
-func ToQueries(queries []Query) []tivaware.Query {
-	out := make([]tivaware.Query, len(queries))
-	for i, q := range queries {
-		out[i] = q.ToQuery()
-	}
-	return out
-}
+// FromQueries is the identity, kept only because bench/workload.go and
+// bench/trace.go spell requests through it; the next [benchmark] PR
+// drops those two call sites and this.
+func FromQueries(queries []tivaware.Query) []Query { return queries }
 
 // BatchRequest is the POST /v1/batch body.
 type BatchRequest struct {
@@ -124,10 +67,10 @@ func FromResult(q tivaware.Query, res tivaware.Result, epoch uint64, errTo func(
 			Target:     q.Target,
 			Epoch:      epoch,
 			Truncated:  res.Truncated,
-			Selections: fromSelections(res.Selections),
+			Selections: res.Selections,
 		}
 	case tivaware.KindDetour:
-		out.Detour = &DetourResponse{Epoch: epoch, Detour: FromDetour(res.Detour)}
+		out.Detour = &DetourResponse{Epoch: epoch, Detour: res.Detour}
 	case tivaware.KindTop:
 		out.Top = &TopResponse{Epoch: epoch, Edges: FromEdges(res.Edges)}
 	case tivaware.KindDelay:
@@ -153,10 +96,10 @@ func (r Result) ToResult(errFrom func(Error) error) (tivaware.Result, error) {
 	case r.Err != nil:
 		res.Err = errFrom(*r.Err)
 	case r.Rank != nil:
-		res.Selections = toSelections(r.Rank.Selections)
+		res.Selections = r.Rank.Selections
 		res.Truncated = r.Rank.Truncated
 	case r.Detour != nil:
-		res.Detour = r.Detour.Detour.ToDetour()
+		res.Detour = r.Detour.Detour
 	case r.Top != nil:
 		res.Edges = ToEdges(r.Top.Edges)
 	case r.Delay != nil:
@@ -172,28 +115,4 @@ func (r Result) ToResult(errFrom func(Error) error) (tivaware.Result, error) {
 		return res, fmt.Errorf("tivwire: batch result %q carries no payload", r.Kind)
 	}
 	return res, nil
-}
-
-// fromSelections converts a ranking, preserving nil-ness.
-func fromSelections(sels []tivaware.Selection) []Selection {
-	if sels == nil {
-		return nil
-	}
-	out := make([]Selection, len(sels))
-	for i, s := range sels {
-		out[i] = FromSelection(s)
-	}
-	return out
-}
-
-// toSelections converts a wire ranking, preserving nil-ness.
-func toSelections(sels []Selection) []tivaware.Selection {
-	if sels == nil {
-		return nil
-	}
-	out := make([]tivaware.Selection, len(sels))
-	for i, s := range sels {
-		out[i] = s.ToSelection()
-	}
-	return out
 }

@@ -1,9 +1,14 @@
-// Package tivwire defines the HTTP/JSON wire protocol between the
-// tivd daemon (internal/tivd) and its Go client
-// (internal/tivclient): request/response bodies, server-sent event
-// payloads, and the conversions to and from the in-process tivaware
-// types. Both sides import this package, so the protocol has exactly
-// one definition.
+// Package tivwire defines the wire protocol between the tivd daemon
+// (internal/tivd) and its Go client (internal/tivclient):
+// request/response bodies and server-sent event payloads, each one
+// struct with two encodings (JSON by tag, binary in binary.go). Both
+// sides import this package, so the protocol has exactly one
+// definition — and the records a query moves (Query, Selection,
+// Detour, Update) have one too: they are the tivaware / tiv types, so
+// an answer crosses a package boundary as the slice it was built or
+// decoded into. The one mirror left is Edge (and ChangeSet on it) over
+// delayspace.Edge: bench/check.go reads Result.Edges[k].Delay, and
+// bench/ changes only in [benchmark] PRs.
 //
 // The protocol is versioned by path prefix (/v1/...); all bodies are
 // JSON. Missing delays travel as -1 (delayspace.Missing), never as
@@ -43,27 +48,14 @@ type CacheStats struct {
 	Entries int    `json:"entries"` // currently resident entries
 }
 
-// Selection mirrors tivaware.Selection.
-type Selection struct {
-	Node       int     `json:"node"`
-	Delay      float64 `json:"delay"`
-	Severity   float64 `json:"severity"`
-	Violated   bool    `json:"violated"`
-	Violations int     `json:"violations"` // -1 in sampled-severity mode
-	Score      float64 `json:"score"`
-}
-
-// FromSelection converts the in-process type.
-func FromSelection(s tivaware.Selection) Selection {
-	return Selection{Node: s.Node, Delay: s.Delay, Severity: s.Severity,
-		Violated: s.Violated, Violations: s.Violations, Score: s.Score}
-}
-
-// ToSelection converts back to the in-process type.
-func (s Selection) ToSelection() tivaware.Selection {
-	return tivaware.Selection{Node: s.Node, Delay: s.Delay, Severity: s.Severity,
-		Violated: s.Violated, Violations: s.Violations, Score: s.Score}
-}
+// The records shared with the in-process API, documented and tagged
+// where they are declared.
+type (
+	Query     = tivaware.Query
+	Selection = tivaware.Selection
+	Detour    = tivaware.Detour
+	Update    = tiv.Update
+)
 
 // RankResponse is the GET /v1/rank (and /v1/closest) response.
 type RankResponse struct {
@@ -75,26 +67,6 @@ type RankResponse struct {
 	// complete.
 	Truncated  bool        `json:"truncated,omitempty"`
 	Selections []Selection `json:"selections"`
-}
-
-// Detour mirrors tivaware.Detour; Direct is -1 when unmeasured.
-type Detour struct {
-	I        int     `json:"i"`
-	J        int     `json:"j"`
-	Direct   float64 `json:"direct"`
-	Via      int     `json:"via"` // -1 when no relay improves on the direct edge
-	ViaDelay float64 `json:"via_delay"`
-	Gain     float64 `json:"gain"`
-}
-
-// FromDetour converts the in-process type.
-func FromDetour(d tivaware.Detour) Detour {
-	return Detour{I: d.I, J: d.J, Direct: d.Direct, Via: d.Via, ViaDelay: d.ViaDelay, Gain: d.Gain}
-}
-
-// ToDetour converts back to the in-process type.
-func (d Detour) ToDetour() tivaware.Detour {
-	return tivaware.Detour{I: d.I, J: d.J, Direct: d.Direct, Via: d.Via, ViaDelay: d.ViaDelay, Gain: d.Gain}
 }
 
 // DetourResponse is the GET /v1/detour response.
@@ -156,27 +128,10 @@ type AnalysisResponse struct {
 	ViolatingTriangleFraction float64 `json:"violating_triangle_fraction"`
 }
 
-// Update is one streamed edge measurement; RTT -1 (delayspace.Missing)
-// removes the measurement.
-type Update struct {
-	I   int     `json:"i"`
-	J   int     `json:"j"`
-	RTT float64 `json:"rtt"`
-}
-
 // UpdateRequest is the POST /v1/update body: one or more updates,
 // applied in order as one batch.
 type UpdateRequest struct {
 	Updates []Update `json:"updates"`
-}
-
-// ToUpdates converts to the in-process monitor updates.
-func (r UpdateRequest) ToUpdates() []tiv.Update {
-	out := make([]tiv.Update, len(r.Updates))
-	for k, u := range r.Updates {
-		out[k] = tiv.Update{I: u.I, J: u.J, RTT: u.RTT}
-	}
-	return out
 }
 
 // ChangeSet mirrors tiv.ChangeSet: how the violated-edge set moved
@@ -245,6 +200,20 @@ const (
 	// replica may not share it).
 	CodeInternal = "internal"
 )
+
+// CodedError is an error whose builder chose its taxonomy code — tivd's
+// request validation, the gateway's own failures, a shard's refusal
+// handed on — rather than leaving it to errorEnvelope's defaults. The
+// envelope a client reads is exactly {Msg, Code}.
+type CodedError struct {
+	Code  string // a Code* constant
+	Msg   string // the whole message, as the client reads it
+	Cause error  // the underlying error, if any, for errors.Is / As
+}
+
+func (e *CodedError) Error() string    { return e.Msg }
+func (e *CodedError) Unwrap() error    { return e.Cause }
+func (e *CodedError) WireCode() string { return e.Code }
 
 // RetryableCode reports whether a taxonomy code marks a failure worth
 // retrying. Unknown and empty codes return false — callers without a
