@@ -228,9 +228,9 @@ func runGateway(shards, shardFrames, listen, frameListen string, opts tivd.Optio
 // when frameListen is set), serves until the context (nil means "on
 // SIGINT/SIGTERM") is done, and shuts down cleanly: SSE streams and
 // the framed drain first so both servers can empty their in-flight
-// work, then onShutdown (a gateway's subscription pump), if any. mw, when
-// non-nil, wraps the served HTTP handler (-chaos fault injection; the
-// framed path carries no middleware).
+// work, then onShutdown (a gateway's prober and shard connections), if
+// any. mw, when non-nil, wraps the served HTTP handler (-chaos fault
+// injection; the framed path carries no middleware).
 func serveLoop(srv *tivd.Server, listen, frameListen, banner string, mw func(http.Handler) http.Handler, stdout io.Writer, ctx context.Context, onShutdown func()) error {
 	ln, err := net.Listen("tcp", listen)
 	if err != nil {

@@ -42,4 +42,4 @@ func TestTreeIsClean(t *testing.T) {
 // maxSuppressed is the number of //lint:tiv suppressed findings the
 // tree carries. Lowering it is free; raising it is a reviewed one-line
 // diff next to the directive that needs it.
-const maxSuppressed = 9
+const maxSuppressed = 8

@@ -14,10 +14,11 @@ import (
 // holding mutexes that appear EARLIER in its package's list. These
 // are the orders the deadlock-freedom arguments in DESIGN.md rest on:
 //
-//   - tivshard: ApplyBatch holds the update sequencer applyMu and
-//     journals under journalMu inside that critical section; the
-//     subscription registry subMu is leaf-level (never held across a
-//     callback or another acquisition).
+//   - tivshard: ApplyBatch holds the update sequencer applyMu,
+//     journals under journalMu inside that critical section, and
+//     delivers the change set inside it too, which takes the
+//     subscription registry subMu (applyMu < subMu); subMu is
+//     leaf-level (never held across a callback or another acquisition).
 //   - tivaware: the epoch-build mutex mu is released before fan-out
 //     takes the registry lock subMu, so mu < subMu — subMu is a leaf.
 //   - tivd: the query-cache mu and the SSE registry subMu are

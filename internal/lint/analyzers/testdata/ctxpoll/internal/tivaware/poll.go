@@ -87,7 +87,7 @@ func arrayOK(ctx context.Context, a [64]int) int {
 }
 
 // selectOK drains a channel under a ctx.Done select — the idiomatic
-// pump loop.
+// drain loop.
 func selectOK(ctx context.Context, ch <-chan int) int {
 	total := 0
 	for {

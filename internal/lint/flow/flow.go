@@ -62,7 +62,7 @@ type Func struct {
 	Key string
 	// Display is the human name used in diagnostics:
 	// "tivwire.AppendBinary", "tiv.(*Monitor).ApplyUpdate",
-	// "tivshard.(*Gateway).pump.func@gateway.go:881".
+	// "tivshard.(*Gateway).ApplyBatch.func@gateway.go:540".
 	Display string
 	// Unit is the analysis unit the function was parsed in.
 	Unit *load.Package

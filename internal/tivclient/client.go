@@ -512,36 +512,11 @@ func (c *Client) ApplyBatch(ctx context.Context, updates []tivwire.Update) (tivw
 //     overflow.
 //
 // Subscriptions are deltas-only — there is no server-side replay — so
-// any gap between two subscriptions must be bridged by a resync.
-// internal/tivshard's gateway automates exactly this loop per shard,
-// forwarding a Rescan marker to its subscribers when a stream tears.
+// any gap between two subscriptions must be bridged by a resync. fn is
+// invoked synchronously from the read loop, in stream order; the attach
+// phase is additionally bounded by handshakeTimeout, so a hung daemon
+// fails the call instead of wedging it.
 func (c *Client) Subscribe(ctx context.Context, ready chan<- struct{}, fn func(tivwire.ChangeSet)) error {
-	return c.SubscribeOpts(ctx, SubscribeOptions{Ready: ready}, fn)
-}
-
-// SubscribeOptions configures SubscribeOpts.
-type SubscribeOptions struct {
-	// Ready, if non-nil, is closed once the subscription handshake
-	// completes.
-	Ready chan<- struct{}
-	// OnHello, if non-nil, receives the stream's hello event (the
-	// state counters at attach time) before any change set is
-	// delivered. A daemon that could not read its counters at attach
-	// (its Backend.Health failed: a gateway with no shard answering, an
-	// injected fault) sends no hello, and OnHello is never invoked for
-	// that stream.
-	OnHello func(tivwire.Hello)
-}
-
-// SubscribeOpts is Subscribe with the full option set; see Subscribe
-// for the reconnect semantics. It runs one subscription stream:
-// opts.OnHello and fn are invoked synchronously from the read loop, in
-// stream order — Ready closes once the handshake completes, OnHello
-// (if the stream carries a hello) runs before any change set. The
-// attach phase (request plus first stream byte) is additionally
-// bounded by handshakeTimeout, so a hung daemon fails the call instead
-// of wedging it.
-func (c *Client) SubscribeOpts(ctx context.Context, opts SubscribeOptions, fn func(tivwire.ChangeSet)) error {
 	if fn == nil {
 		return &Error{Code: tivwire.CodeBadRequest, Message: "nil subscriber"}
 	}
@@ -600,8 +575,8 @@ func (c *Client) SubscribeOpts(ctx context.Context, opts SubscribeOptions, fn fu
 	// any readable byte means we are attached.
 	rr := &readyReader{r: resp.Body, onFirst: func() {
 		close(attached)
-		if opts.Ready != nil {
-			close(opts.Ready)
+		if ready != nil {
+			close(ready)
 		}
 	}}
 	sc := tivwire.NewSSEScanner(rr)
@@ -620,14 +595,6 @@ func (c *Client) SubscribeOpts(ctx context.Context, opts SubscribeOptions, fn fu
 			return &Error{Code: CodeTransport, Message: "subscription stream: " + err.Error(), cause: err}
 		}
 		switch ev.Name {
-		case "hello":
-			var h tivwire.Hello
-			if err := json.Unmarshal([]byte(ev.Data), &h); err != nil {
-				return &Error{Code: CodeBadPayload, Message: "decoding hello event: " + err.Error(), cause: err}
-			}
-			if opts.OnHello != nil {
-				opts.OnHello(h)
-			}
 		case "changeset":
 			var cs tivwire.ChangeSet
 			if err := json.Unmarshal([]byte(ev.Data), &cs); err != nil {
@@ -637,8 +604,9 @@ func (c *Client) SubscribeOpts(ctx context.Context, opts SubscribeOptions, fn fu
 		case "overflow":
 			return fmt.Errorf("tivclient: %w", ErrSubscribeOverflow)
 		}
-		// Other event names (and id: lines — the monitor version
-		// already travels in the payload) are informational.
+		// Other event names (hello: the daemon's counters at attach)
+		// and id: lines — the monitor version already travels in the
+		// payload — are informational.
 	}
 	if ctx.Err() != nil {
 		return nil

@@ -2,6 +2,7 @@ package tivd_test
 
 import (
 	"context"
+	"errors"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -367,5 +368,57 @@ func TestCloseRacesSubscribe(t *testing.T) {
 		}
 		cancel()
 		ts.Close()
+	}
+}
+
+// sickBackend is a backend whose counters cannot be read.
+type sickBackend struct{ tivd.Backend }
+
+func (sickBackend) Health(context.Context) (uint64, uint64, error) {
+	return 0, 0, errors.New("counters unreadable")
+}
+
+// TestSubscribeOmitsHelloWhenHealthFails: the hello event vouches for
+// the counters at attach, so a stream whose Backend.Health failed then
+// carries none — its first event is the first delta — rather than a
+// hello with made-up counters.
+func TestSubscribeOmitsHelloWhenHealthFails(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		sick  bool
+		first string
+	}{{"healthy", false, "hello"}, {"sick", true, "changeset"}} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := tivMatrix()
+			m.Set(0, 1, 25) // violation-free, so violating (0,1) is a delta
+			svc, err := tivaware.NewFromMatrix(m, tivaware.Options{Live: true, Workers: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			b := tivd.ServiceBackend(svc)
+			if tc.sick {
+				b = sickBackend{b}
+			}
+			srv, err := tivd.NewBackend(b, tivd.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ts := httptest.NewServer(srv.Handler())
+			defer ts.Close()
+			defer srv.Close()
+			// The headers arrive once the subscription is registered.
+			resp, err := http.Get(ts.URL + "/v1/subscribe")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			if _, err := svc.ApplyUpdate(0, 1, 100); err != nil {
+				t.Fatal(err)
+			}
+			ev, err := tivwire.NewSSEScanner(resp.Body).Next()
+			if err != nil || ev.Name != tc.first {
+				t.Fatalf("first event %q (err %v), want %q", ev.Name, err, tc.first)
+			}
+		})
 	}
 }

@@ -2,6 +2,7 @@ package tivfault
 
 import (
 	"fmt"
+	"io"
 	"net/http"
 
 	"tivaware/internal/tivwire"
@@ -24,6 +25,9 @@ func (i *Injector) Handler(h http.Handler) http.Handler {
 			writeInjected(w)
 			return
 		case faultHang:
+			// net/http watches the connection only once the request body
+			// is read: drain it, or a POST's hang outlives its client.
+			_, _ = io.Copy(io.Discard, r.Body)
 			<-r.Context().Done()
 			return
 		case faultTear:

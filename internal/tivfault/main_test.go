@@ -1,0 +1,9 @@
+package tivfault
+
+import (
+	"testing"
+
+	"tivaware/internal/leakcheck"
+)
+
+func TestMain(m *testing.M) { leakcheck.Main(m) }

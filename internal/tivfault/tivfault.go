@@ -1,13 +1,9 @@
 // Package tivfault injects faults into the TIV query plane — the
-// chaos layer behind the resilience tests and `tivd -chaos`. One
-// Injector wraps either of the plane's two seams:
-//
-//   - Handler: an http.Handler middleware (server side) — added
-//     latency, injected 503 envelopes, pre-header hangs, torn
-//     responses (the connection dies mid-body, truncating JSON and
-//     tearing SSE streams), and crash-on-Nth-request.
-//   - Backend: a tivd.Backend wrapper — faults below the HTTP
-//     surface, for in-process tests.
+// chaos layer behind the resilience tests and `tivd -chaos`. An
+// Injector wraps a server's http.Handler (Injector.Handler): added
+// latency, injected 503 envelopes, pre-header hangs, torn responses
+// (the connection dies mid-body, truncating JSON and tearing SSE
+// streams), and crash-on-Nth-request.
 //
 // Faults are sampled from a seeded PRNG, so a failing chaos run
 // replays deterministically given the same seed and request arrival
@@ -36,7 +32,7 @@ type Spec struct {
 	// Jitter spreads the added latency uniformly over ±Jitter.
 	Jitter time.Duration
 	// ErrRate is the probability of an injected failure: a 503
-	// envelope (Handler) or an ErrInjected error (Backend).
+	// envelope.
 	ErrRate float64
 	// HangRate is the probability the request blocks until its
 	// context is cancelled or the connection dies — never answering.
@@ -163,8 +159,7 @@ const (
 // CrashAfter counts globally.
 type Injector struct {
 	// Match, when non-nil, restricts injection to matching request
-	// paths (Handler seam only; the Backend seam ignores it). Health
-	// probes are a common exemption:
+	// paths. Health probes are a common exemption:
 	//
 	//	inj.Match = func(path string) bool { return path != "/healthz" }
 	Match func(path string) bool
@@ -198,13 +193,6 @@ func (i *Injector) SetSpec(spec Spec) {
 	i.spec = spec
 	i.rng = rand.New(rand.NewSource(seed))
 	i.mu.Unlock()
-}
-
-// Spec returns the active spec.
-func (i *Injector) Spec() Spec {
-	i.mu.Lock()
-	defer i.mu.Unlock()
-	return i.spec
 }
 
 // Requests returns how many requests this injector has seen.

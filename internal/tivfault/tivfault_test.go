@@ -94,21 +94,33 @@ func TestHandlerTearTruncatesBody(t *testing.T) {
 	}
 }
 
+// The POST is the case that needs the injector's care: net/http watches
+// a connection for the client's departure only once the request body
+// has been read, so a hang that left the body alone would hold its
+// goroutine — and srv.Close — for good.
 func TestHandlerHangRespectsContext(t *testing.T) {
-	inj := New(Spec{HangRate: 1})
-	srv := httptest.NewServer(inj.Handler(okHandler()))
-	defer srv.Close()
+	for _, method := range []string{http.MethodGet, http.MethodPost} {
+		t.Run(method, func(t *testing.T) {
+			inj := New(Spec{HangRate: 1})
+			srv := httptest.NewServer(inj.Handler(okHandler()))
+			defer srv.Close()
 
-	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
-	defer cancel()
-	req, _ := http.NewRequestWithContext(ctx, http.MethodGet, srv.URL+"/v1/rank", nil)
-	start := time.Now()
-	_, err := http.DefaultClient.Do(req) //nolint:bodyclose — the request must fail
-	if err == nil {
-		t.Fatal("hung request succeeded")
-	}
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Fatalf("hang outlived its context: %v", elapsed)
+			ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+			defer cancel()
+			var body io.Reader
+			if method == http.MethodPost {
+				body = strings.NewReader(`{"updates":[{"i":0,"j":1,"rtt":5}]}`)
+			}
+			req, _ := http.NewRequestWithContext(ctx, method, srv.URL+"/v1/update", body)
+			start := time.Now()
+			_, err := http.DefaultClient.Do(req) //nolint:bodyclose — the request must fail
+			if err == nil {
+				t.Fatal("hung request succeeded")
+			}
+			if elapsed := time.Since(start); elapsed > 5*time.Second {
+				t.Fatalf("hang outlived its context: %v", elapsed)
+			}
+		})
 	}
 }
 

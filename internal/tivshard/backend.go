@@ -14,12 +14,12 @@ import (
 // the exact wire protocol a single daemon speaks. Epoch stamps are
 // the gateway generation; subscription event versions are a
 // gateway-local counter (monitor versions are per replica, and the
-// stream moves between replicas).
+// answering replica changes on failover).
 type Backend struct {
 	g *Gateway
 	// eventSeq numbers the events delivered through this backend,
 	// standing in for the per-replica monitor versions, which do not
-	// order events across a stream move.
+	// order events across an authority change.
 	eventSeq atomic.Uint64
 }
 
@@ -63,7 +63,8 @@ func (b *Backend) ApplyBatch(ctx context.Context, updates []tiv.Update) (tiv.Cha
 }
 
 // Subscribe hands the gateway's stream to the SSE handler, renumbering
-// versions with the backend event counter.
+// versions with the backend event counter. fn runs under the gateway's
+// sequencer (see Gateway.Subscribe): it must not block.
 func (b *Backend) Subscribe(fn func(tiv.ChangeSet)) (func(), error) {
 	return b.g.Subscribe(func(cs tivwire.ChangeSet) {
 		fn(tiv.ChangeSet{

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math/rand"
 	"net/http"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -15,7 +14,6 @@ import (
 	"tivaware/internal/synth"
 	"tivaware/internal/tivaware"
 	"tivaware/internal/tivclient"
-	"tivaware/internal/tivd"
 	"tivaware/internal/tivfault"
 	"tivaware/internal/tivshard/testcluster"
 	"tivaware/internal/tivwire"
@@ -151,8 +149,8 @@ func TestChaosDifferentialSweep(t *testing.T) {
 	}
 }
 
-// streamRecorder captures the gateway's subscription stream, keeping
-// Rescan markers inline so tests can segment it at resync points.
+// streamRecorder captures the gateway's subscription stream in
+// delivery order, Rescan markers inline.
 type streamRecorder struct {
 	mu     sync.Mutex
 	events []tivwire.ChangeSet
@@ -171,45 +169,18 @@ func (r *streamRecorder) snapshot() []tivwire.ChangeSet {
 	return append([]tivwire.ChangeSet(nil), r.events...)
 }
 
-// waitQuiet blocks until the stream has not grown for the given window.
-func (r *streamRecorder) waitQuiet(window, within time.Duration) error {
-	deadline := time.Now().Add(within)
-	last := len(r.snapshot())
-	quietSince := time.Now()
-	for {
-		time.Sleep(window / 4)
-		cur := len(r.snapshot())
-		if cur != last {
-			last, quietSince = cur, time.Now()
-		} else if time.Since(quietSince) >= window {
-			return nil
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("stream never went quiet within %v", within)
-		}
-	}
-}
-
-// replaySegment replays one marker-free run of the stream (all of it
-// from one replica) from a baseline violated set and returns the
-// result, failing on any duplicated or lost delta. Events are replayed
-// in monitor-version order: the version stamps totally order a
-// replica's applies, while wire delivery of change sets from racing
-// updates may interleave slightly out of apply order (the service fans
-// out after releasing its apply lock — documented in
-// tivaware.Service.Subscribe).
-func replaySegment(events []tivwire.ChangeSet, baseline map[edgeKey]bool) (map[edgeKey]bool, error) {
-	events = append([]tivwire.ChangeSet(nil), events...)
-	sort.SliceStable(events, func(a, b int) bool {
-		return events[a].Version < events[b].Version
-	})
+// replayStream replays a stream, in the order it was delivered (the
+// gateway delivers in journal order), from a baseline violated set and
+// returns the result, failing on a Rescan marker or on any duplicated,
+// lost or misordered delta.
+func replayStream(events []tivwire.ChangeSet, baseline map[edgeKey]bool) (map[edgeKey]bool, error) {
 	set := make(map[edgeKey]bool, len(baseline))
 	for e := range baseline {
 		set[e] = true
 	}
 	for idx, ev := range events {
-		if idx > 0 && ev.Version == events[idx-1].Version {
-			return nil, fmt.Errorf("two events share monitor version %d (duplicated change set)", ev.Version)
+		if ev.Rescan {
+			return nil, fmt.Errorf("event %d is a Rescan marker though every batch was answered", idx)
 		}
 		for _, e := range ev.NewlyViolated {
 			k := key(e.I, e.J)
@@ -243,25 +214,6 @@ func compareSets(got, want map[edgeKey]bool) error {
 	return nil
 }
 
-// splitMarkers returns the deltas before the stream's first Rescan
-// marker and the marker count (the whole stream and 0 when it never
-// tore).
-func splitMarkers(events []tivwire.ChangeSet) (prefix []tivwire.ChangeSet, markers int) {
-	for k, ev := range events {
-		if !ev.Rescan {
-			continue
-		}
-		if markers == 0 {
-			prefix = events[:k]
-		}
-		markers++
-	}
-	if markers == 0 {
-		return events, 0
-	}
-	return prefix, markers
-}
-
 // TestKillRestartConvergence is the acceptance-bar stress test, run
 // under -race by the suite: a live K=3 cluster serving lockstep
 // updates (gateway and monolith twin get the identical sequence, and
@@ -273,11 +225,10 @@ func splitMarkers(events []tivwire.ChangeSet) (prefix []tivwire.ChangeSet, marke
 // replay the full journal, readmit the shard, and converge: the reborn
 // shard's state equals the monolith's, and the subscription stream
 // carries no lost or duplicated violated-edge delta. The script runs
-// twice. Killing a replica the stream is not attached to must be
-// invisible to subscribers: no Rescan marker, one exact replay end to
-// end. Killing the pumped replica (shard 0, the lowest-numbered live
-// one) moves the stream: it is then segmented at its Rescan resync
-// markers, exactly as a consuming application must do.
+// twice, killing a follower (NonPumpedReplica: shard 1) and the
+// authority (PumpedReplica: shard 0, the lowest-numbered live one).
+// Either way the kill must be invisible to subscribers: no Rescan
+// marker, one exact replay end to end.
 func TestKillRestartConvergence(t *testing.T) {
 	t.Run("NonPumpedReplica", func(t *testing.T) { killRestartConvergence(t, 1) })
 	t.Run("PumpedReplica", func(t *testing.T) { killRestartConvergence(t, 0) })
@@ -296,7 +247,6 @@ func killRestartConvergence(t *testing.T, victim int) {
 		Seed:           31,
 		Live:           true,
 		Workers:        1,
-		ServerOptions:  tivd.Options{SubscribeBuffer: 16384},
 		GatewayOptions: gwOpts,
 	})
 	if err != nil {
@@ -418,13 +368,7 @@ func killRestartConvergence(t *testing.T, victim int) {
 		}
 	}
 
-	// Phase C: post-recovery traffic, with the stream accounting
-	// re-baselined after the resync markers have landed.
-	if err := rec.waitQuiet(300*time.Millisecond, 15*time.Second); err != nil {
-		t.Fatal(err)
-	}
-	cut := len(rec.snapshot())
-	baseline2 := violatedSet(t, c.Shards[0].Service)
+	// Phase C: post-recovery traffic.
 	lockstep("recovered", 25)
 	assertAgreement(t, mono, c)
 	stopReads()
@@ -435,157 +379,12 @@ func killRestartConvergence(t *testing.T, victim int) {
 	default:
 	}
 
-	// Stream accounting. With the stream on a replica that was never
-	// killed it must be unbroken and marker-free, replaying exactly
-	// from baseline to final state; with the pumped replica killed it
-	// must carry at least one Rescan marker (the resync points), a
-	// clean pre-kill prefix, and a post-cut segment replaying exactly
-	// from the re-baseline.
-	final := violatedSet(t, c.Shards[0].Service)
-	deadline := time.Now().Add(15 * time.Second)
-	for {
-		err = accountStream(rec.snapshot(), baseline, baseline2, final, cut, victim == 0)
-		if err == nil || time.Now().After(deadline) {
-			break
-		}
-		time.Sleep(25 * time.Millisecond)
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestSubscribeNeedsOneReplica: the subscription stream is one
-// replica's, so one reachable replica is all Subscribe needs — here
-// with the replica the first attach would pick dead before any
-// subscriber arrives. (Fails at the parent commit, which attached one
-// stream per shard and failed Subscribe unless all K handshakes
-// completed.)
-func TestSubscribeNeedsOneReplica(t *testing.T) {
-	const n = 36
-	c, err := testcluster.Start(testcluster.Config{
-		N: n, Shards: 3, Seed: 31, Live: true, Workers: 1,
-		GatewayOptions: chaosGatewayOptions(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	c.KillShard(0)
-	rec := &streamRecorder{}
-	cancel, err := c.Gateway.Subscribe(rec.record)
-	if err != nil {
-		t.Fatalf("Subscribe with one of three replicas dead: %v", err)
-	}
-	defer cancel()
-	ctx := context.Background()
-	rng := rand.New(rand.NewSource(53))
-	deadline := time.Now().Add(10 * time.Second)
-	for len(rec.snapshot()) == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("no event reached the subscriber within 10s")
-		}
-		up := swingUpdate(rng, n)
-		if _, err := c.Gateway.ApplyUpdate(ctx, up.I, up.J, up.RTT); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if ev := rec.snapshot()[0]; ev.Rescan || ev.Empty() {
-		t.Fatalf("first event %+v, want a plain delta: the first attach needs no marker", ev)
-	}
-}
-
-// TestPumpLeavesDownReplica covers the failure one stream makes
-// critical: the pumped replica wedges — its health checks and updates
-// hang — while its SSE connection stays open, so no tear would ever
-// move the stream. The breaker must: marking the replica down cancels
-// the pump's attach, subscribers get a marker and then another
-// replica's deltas while the wedged one is still down, and after the
-// fault clears the cluster is "ok" and the stream replays exactly from
-// the resync point.
-func TestPumpLeavesDownReplica(t *testing.T) {
-	const n = 36
-	inj := tivfault.New(tivfault.Spec{})
-	inj.Match = func(path string) bool { return path == "/healthz" || path == "/v1/update" }
-	c, err := testcluster.Start(testcluster.Config{
-		N: n, Shards: 3, Seed: 31, Live: true, Workers: 1,
-		ServerOptions:  tivd.Options{SubscribeBuffer: 16384},
-		GatewayOptions: chaosGatewayOptions(),
-		ShardMiddleware: func(s int, h http.Handler) http.Handler {
-			if s != 0 {
-				return h
-			}
-			return inj.Handler(h)
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	baseline := violatedSet(t, c.Shards[0].Service)
-	rec := &streamRecorder{}
-	cancel, err := c.Gateway.Subscribe(rec.record)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cancel()
-	ctx := context.Background()
-	rng := rand.New(rand.NewSource(53))
-	apply := func(steps int) {
-		t.Helper()
-		for step := 0; step < steps; step++ {
-			up := swingUpdate(rng, n)
-			if _, err := c.Gateway.ApplyUpdate(ctx, up.I, up.J, up.RTT); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	deltas := func() (n int) {
-		for _, ev := range rec.snapshot() {
-			if !ev.Rescan {
-				n++
-			}
-		}
-		return n
-	}
-
-	apply(15)
-	inj.SetSpec(tivfault.Spec{HangRate: 1})
-	waitStatus(t, c.Gateway, "degraded", 10*time.Second)
-	if down := c.Gateway.DownShards(); len(down) != 1 || down[0] != 0 {
-		t.Fatalf("DownShards = %v, want [0]", down)
-	}
-	// The markers land within a resubscribe delay of the trip; with no
-	// update in flight the quiet stream is a clean resync point.
-	if err := rec.waitQuiet(200*time.Millisecond, 10*time.Second); err != nil {
-		t.Fatal(err)
-	}
-	cut := len(rec.snapshot())
-	baseline2 := violatedSet(t, c.Shards[1].Service)
-	before := deltas()
-	apply(25)
-	deadline := time.Now().Add(10 * time.Second)
-	for deltas() == before {
-		if time.Now().After(deadline) {
-			t.Fatal("no delta arrived from another replica while the pumped one was down")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	if down := c.Gateway.DownShards(); len(down) != 1 || down[0] != 0 {
-		t.Fatalf("DownShards = %v, want [0] while the deltas arrived", down)
-	}
-
-	inj.SetSpec(tivfault.Spec{})
-	waitStatus(t, c.Gateway, "ok", 20*time.Second)
-	apply(15)
-	final := violatedSet(t, c.Shards[0].Service)
-	deadline = time.Now().Add(15 * time.Second)
-	for {
-		err = accountStream(rec.snapshot(), baseline, baseline2, final, cut, true)
-		if err == nil || time.Now().After(deadline) {
-			break
-		}
-		time.Sleep(25 * time.Millisecond)
+	// Stream accounting: delivery is synchronous with the applies, so
+	// the stream is complete, and it must replay exactly from baseline
+	// to final state.
+	set, err := replayStream(rec.snapshot(), baseline)
+	if err == nil {
+		err = compareSets(set, violatedSet(t, c.Shards[0].Service))
 	}
 	if err != nil {
 		t.Fatal(err)
@@ -751,47 +550,4 @@ func TestJournalEvictionMarksShardStale(t *testing.T) {
 	}
 	assertAgreement(t, mono, c)
 	assertBatchAgreement(t, mono, c.Gateway)
-}
-
-// accountStream runs the full delta accounting once; callers poll it
-// until the in-flight stream quiesces.
-func accountStream(events []tivwire.ChangeSet, baseline, baseline2, final map[edgeKey]bool, cut int, pumpedKilled bool) error {
-	prefix, markers := splitMarkers(events)
-	if !pumpedKilled {
-		if markers != 0 {
-			return fmt.Errorf("stream tore (%d Rescan markers) though its replica was never killed", markers)
-		}
-		set, err := replaySegment(events, baseline)
-		if err != nil {
-			return err
-		}
-		return compareSets(set, final)
-	}
-	if markers == 0 {
-		return fmt.Errorf("killing the pumped replica delivered no Rescan marker; subscribers were never told to resync")
-	}
-	// Pre-kill prefix: internally consistent from the baseline (no
-	// duplicated or lost delta before the first tear).
-	if _, err := replaySegment(prefix, baseline); err != nil {
-		return fmt.Errorf("pre-kill prefix: %w", err)
-	}
-	// Post-recovery segment: every event after the quiesced cut
-	// replays the re-baselined set exactly into the final state.
-	if len(events) < cut {
-		return fmt.Errorf("stream shrank (%d events, cut %d)", len(events), cut)
-	}
-	tail := events[cut:]
-	for _, ev := range tail {
-		if ev.Rescan {
-			return fmt.Errorf("a Rescan marker arrived after recovery quiesced")
-		}
-	}
-	set, err := replaySegment(tail, baseline2)
-	if err != nil {
-		return fmt.Errorf("post-recovery segment: %w", err)
-	}
-	if err := compareSets(set, final); err != nil {
-		return fmt.Errorf("post-recovery segment: %w", err)
-	}
-	return nil
 }

@@ -4,15 +4,12 @@ import (
 	"context"
 	"errors"
 	"net/http"
-	"net/http/httptest"
 	"sync/atomic"
 	"testing"
 	"time"
 
-	"tivaware/internal/delayspace"
 	"tivaware/internal/synth"
 	"tivaware/internal/tivaware"
-	"tivaware/internal/tivd"
 	"tivaware/internal/tivfault"
 	"tivaware/internal/tivshard"
 	"tivaware/internal/tivshard/testcluster"
@@ -39,7 +36,6 @@ func chaosGatewayOptions() tivshard.Options {
 		BreakerThreshold: 3,
 		ProbeInterval:    20 * time.Millisecond,
 		ProbeTimeout:     250 * time.Millisecond,
-		ResubscribeDelay: 20 * time.Millisecond,
 	}
 }
 
@@ -204,111 +200,4 @@ func TestGatewayTypedErrorWhenAllShardsFault(t *testing.T) {
 	if _, err := c.Gateway.Rank(ctx, 0, nil, tivaware.QueryOptions{}); err != nil {
 		t.Fatalf("Rank after recovery: %v", err)
 	}
-}
-
-// helloLessDaemon serves a live 4-node service through the tivfault
-// Backend seam, so a test can make Backend.Health — and with it the
-// subscription stream's hello event — fail at will. Subscribe passes
-// through the seam unfaulted, so deltas still flow. toggle flips edge
-// (0,1) in and out of violation directly on the service (every call
-// produces a non-empty change set); tear drops every open connection,
-// the SSE stream included.
-func helloLessDaemon(t *testing.T) (url string, inj *tivfault.Injector, toggle, tear func()) {
-	t.Helper()
-	m := delayspace.New(4)
-	m.Set(0, 1, 25) // violation-free: 10+20 > 25
-	m.Set(0, 2, 10)
-	m.Set(1, 2, 20)
-	m.Set(0, 3, 40)
-	m.Set(1, 3, 40)
-	m.Set(2, 3, 45)
-	svc, err := tivaware.NewFromMatrix(m, tivaware.Options{Live: true, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	inj = tivfault.New(tivfault.Spec{})
-	srv, err := tivd.NewBackend(inj.Backend(tivd.ServiceBackend(svc)), tivd.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(srv.Handler())
-	t.Cleanup(func() {
-		srv.Close()
-		ts.Close()
-	})
-	violated := false
-	toggle = func() {
-		t.Helper()
-		violated = !violated
-		rtt := 25.0
-		if violated {
-			rtt = 100
-		}
-		if cs, err := svc.ApplyUpdate(0, 1, rtt); err != nil || cs.Empty() {
-			t.Fatalf("toggle to %g: change set %+v, err %v", rtt, cs, err)
-		}
-	}
-	return ts.URL, inj, toggle, ts.CloseClientConnections
-}
-
-// TestHelloLessAttachForcesRescan drives the one subscription case no
-// hello can vouch for: tivd omits the hello event whenever
-// Backend.Health fails at attach, so a re-attaching consumer cannot
-// compare versions and must assume the gap hid deltas. The one
-// re-attach loop — the gateway's pump — delivers the
-// conservative Rescan marker before the new stream's first delta.
-func TestHelloLessAttachForcesRescan(t *testing.T) {
-	// next returns the next event; until one arrives it keeps toggling,
-	// because a re-attach is only observable through the deltas it
-	// carries (toggles that land in the gap are the lost deltas the
-	// marker stands for).
-	next := func(t *testing.T, events <-chan tivwire.ChangeSet, toggle func()) tivwire.ChangeSet {
-		t.Helper()
-		deadline := time.After(10 * time.Second)
-		for {
-			select {
-			case cs := <-events:
-				return cs
-			case <-deadline:
-				t.Fatal("no event within 10s")
-			case <-time.After(5 * time.Millisecond):
-				if toggle != nil {
-					toggle()
-				}
-			}
-		}
-	}
-	t.Run("Gateway", func(t *testing.T) {
-		url, inj, toggle, tear := helloLessDaemon(t)
-		opts := chaosGatewayOptions()
-		opts.ProbeInterval = -1 // the pump is the subject; a failing probe would only mark the shard down
-		gw, err := tivshard.New(context.Background(), []string{url}, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer gw.Close()
-		events := make(chan tivwire.ChangeSet, 1024)
-		stop, err := gw.Subscribe(func(cs tivwire.ChangeSet) { events <- cs })
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer stop()
-
-		// A clean first stream, then a tear with Health failing.
-		toggle()
-		if cs := next(t, events, nil); cs.Rescan || cs.Empty() {
-			t.Fatalf("first attach (with hello): got %+v, want a plain delta", cs)
-		}
-		inj.SetSpec(tivfault.Spec{ErrRate: 1}) // Health fails from here on
-		tear()
-		if cs := next(t, events, nil); !cs.Rescan {
-			t.Fatalf("tear: got %+v, want the tear-time Rescan marker", cs)
-		}
-		if cs := next(t, events, toggle); !cs.Rescan {
-			t.Fatalf("hello-less re-attach: first event %+v, want the Rescan marker before any delta", cs)
-		}
-		if cs := next(t, events, toggle); cs.Rescan || cs.Empty() {
-			t.Fatalf("hello-less re-attach: event after the marker %+v, want the delta it preceded", cs)
-		}
-	})
 }

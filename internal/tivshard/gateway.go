@@ -36,11 +36,9 @@
 // one sequencer, so every replica applies every batch in journal order
 // and the returned change set — the lowest-numbered live replica's —
 // is the one a monolith applying the journal serially would return.
-// Subscribe delivers one replica's change-set stream, unfiltered: all
-// replicas compute the same transitions, so one stream carries each
-// violated-edge transition exactly once. The stream moves to another
-// replica when it tears or its replica is marked down, bracketing the
-// gap with Rescan markers.
+// Subscribers get exactly those change sets, in journal order, from the
+// sequencer itself: no replica is read back, so none has to be
+// reachable and none going down shows on the stream (see Subscribe).
 package tivshard
 
 import (
@@ -60,9 +58,6 @@ import (
 
 // Options configures a Gateway. The zero value is valid.
 type Options struct {
-	// ResubscribeDelay is the pause before re-attaching the dropped
-	// subscription stream; zero means 500ms.
-	ResubscribeDelay time.Duration
 	// Retry bounds the per-query retry/failover loop; see RetryPolicy.
 	Retry RetryPolicy
 	// BreakerThreshold is the number of consecutive failures that trip
@@ -86,17 +81,9 @@ type Options struct {
 	// (tivd -frame-listen) for queries, updates, and health probes —
 	// persistent multiplexed raw connections instead of per-request
 	// HTTP. Aligned by index with the shard URL list; an empty entry
-	// keeps that shard on HTTP. SSE subscriptions always stay on the
-	// HTTP URLs. Must be empty or match the shard count. Each shard gets
-	// tivclient's default framed pool size.
+	// keeps that shard on HTTP. Must be empty or match the shard count.
+	// Each shard gets tivclient's default framed pool size.
 	FrameAddrs []string
-}
-
-func (o Options) resubscribeDelay() time.Duration {
-	if o.ResubscribeDelay > 0 {
-		return o.ResubscribeDelay
-	}
-	return 500 * time.Millisecond
 }
 
 func (o Options) breakerThreshold() int {
@@ -156,9 +143,13 @@ type Gateway struct {
 	turn atomic.Uint64
 
 	// applyMu is the update sequencer: ApplyBatch holds it from journal
-	// admission to the end of replication, so every replica applies
-	// every batch in journal order.
+	// admission to the delivery of the change set, so every replica
+	// applies, and every subscriber sees, every batch in journal order.
 	applyMu sync.Mutex
+	// rescanOwed: a batch committed with no replica answering; the next
+	// readmission owes the subscribers the closing Rescan marker.
+	// Guarded by applyMu.
+	rescanOwed bool
 
 	// Resilience state (see resilience.go): per-shard breaker and
 	// replay cursors, the skipped-update journal, and the background
@@ -170,34 +161,10 @@ type Gateway struct {
 	proberCancel context.CancelFunc
 	proberWG     sync.WaitGroup
 
-	// Subscription state: the subscribers and the one pump feeding them.
-	subMu      sync.Mutex
-	subs       []gwSubscriber
-	nextSub    int
-	pumpCancel context.CancelFunc
-	pumpWG     sync.WaitGroup
-	// pumpAttach is the in-flight or completed pump startup; nil when
-	// the pump is down (never started, or its first attach failed).
-	// Every Subscribe call waits on it and gets its result.
-	pumpAttach *pumpAttach
-	// pumped is the replica the pump is attached (or attaching) to, -1
-	// when none; leave cancels that attach — the breaker calls it when
-	// it marks the replica down (see leavePumped).
-	pumped int
-	leave  context.CancelFunc
-	closed bool
-}
-
-// pumpAttach carries one pump-startup attempt: done closes when the
-// attach resolved, err is its result.
-type pumpAttach struct {
-	done chan struct{}
-	err  error
-}
-
-type gwSubscriber struct {
-	id int
-	fn func(tivwire.ChangeSet)
+	// The subscriber registry (see Subscribe); a subscriber is known by
+	// the address of its callback.
+	subMu sync.Mutex
+	subs  []*func(tivwire.ChangeSet)
 }
 
 var _ tivaware.Querier = (*Gateway)(nil)
@@ -215,7 +182,6 @@ func New(ctx context.Context, shardURLs []string, opts Options) (*Gateway, error
 		k:      len(shardURLs),
 		opts:   opts,
 		states: make([]shardState, len(shardURLs)),
-		pumped: -1,
 	}
 	for i, u := range shardURLs {
 		var copts tivclient.Options
@@ -272,18 +238,9 @@ func (g *Gateway) Live() bool { return g.live }
 // gateway (the epoch stamp of its responses).
 func (g *Gateway) Generation() uint64 { return g.gen.Load() }
 
-// Close stops the subscription pump and the health prober. It does
-// not touch the shard daemons.
+// Close stops the health prober and releases the shard connections. It
+// does not touch the shard daemons.
 func (g *Gateway) Close() {
-	g.subMu.Lock()
-	g.closed = true
-	g.subs = nil
-	cancel := g.pumpCancel
-	g.subMu.Unlock()
-	if cancel != nil {
-		cancel()
-	}
-	g.pumpWG.Wait()
 	if g.proberCancel != nil {
 		g.proberCancel()
 	}
@@ -464,10 +421,14 @@ func (g *Gateway) ApplyUpdate(ctx context.Context, i, j int, rtt float64) (tivwi
 // serially would return, under any number of concurrent writers.
 // Every replica computes the identical change set for the same batch
 // at the same point in that order, so authority failover does not
-// change the answer.
+// change the answer. The same change set, unless empty, goes to the
+// subscribers before the sequencer is released (see Subscribe).
 //
 // Failure handling (the failover contract; see DESIGN.md):
 //
+//   - Journal admission is the commit point: from there the round runs
+//     to its end, on every replica, whatever becomes of the caller's
+//     context (each attempt is bounded by Retry.PerTryTimeout).
 //   - Down shards skip the batch. It is journaled first, and the
 //     prober replays it to them in order before readmitting them.
 //   - A live shard whose apply fails ambiguously (transport error,
@@ -481,11 +442,7 @@ func (g *Gateway) ApplyUpdate(ctx context.Context, i, j int, rtt float64) (tivwi
 //     provably has not applied — is the retry.
 //   - The call fails only on a terminal validation error or when no
 //     live shard could act as authority (typed retryable
-//     unavailable).
-//
-// A valid batch is journaled as the slice it arrived in, not a copy:
-// the caller must not write to updates afterwards (a replay would send
-// the rewritten batch). tivd hands on each request's own decoded slice.
+//     unavailable; the batch is committed all the same).
 func (g *Gateway) ApplyBatch(ctx context.Context, updates []tivwire.Update) (tivwire.ChangeSet, error) {
 	if len(updates) == 0 {
 		return tivwire.ChangeSet{}, errBadRequestf("empty update batch")
@@ -515,6 +472,7 @@ func (g *Gateway) ApplyBatch(ctx context.Context, updates []tivwire.Update) (tiv
 	// fails, ensureReplayFrom pulls its cursor back to idx). Recovery
 	// readmissions serialize on the same lock, so a batch can never
 	// fall between "skipped" and "not replayed".
+	updates = slices.Clone(updates) // the journal's own copy: replay sends what was admitted
 	g.journalMu.Lock()
 	idx := g.appendJournalLocked(updates)
 	skip := make([]bool, g.k)
@@ -522,6 +480,11 @@ func (g *Gateway) ApplyBatch(ctx context.Context, updates []tivwire.Update) (tiv
 		skip[s] = g.states[s].down.Load()
 	}
 	g.journalMu.Unlock()
+	ctx = context.WithoutCancel(ctx) // committed: see the contract above
+
+	apply := func(ctx context.Context, c *tivclient.Client) (tivwire.ChangeSet, error) {
+		return c.ApplyBatch(ctx, updates)
+	}
 
 	// Authority pass: the lowest-numbered live shard, walking on
 	// sequentially when it fails.
@@ -532,15 +495,12 @@ func (g *Gateway) ApplyBatch(ctx context.Context, updates []tivwire.Update) (tiv
 		if skip[s] {
 			continue
 		}
-		c, err := g.applyTo(ctx, s, updates)
+		c, err := tryOnce(g, ctx, s, apply)
 		if err == nil {
 			authority, cs = s, c
 			break
 		}
 		lastErr = fmt.Errorf("tivshard: shard %d (%s): %w", s, g.clients[s].BaseURL(), err)
-		if ctx.Err() != nil {
-			return tivwire.ChangeSet{}, errUnavailable("update aborted", ctx.Err())
-		}
 		if !tivclient.IsRetryable(err) {
 			// Terminal: the shard rejected the batch outright (so it
 			// did not apply it), and every replica would say the same.
@@ -549,6 +509,10 @@ func (g *Gateway) ApplyBatch(ctx context.Context, updates []tivwire.Update) (tiv
 		g.ensureReplayFrom(s, idx)
 	}
 	if authority < 0 {
+		if !g.rescanOwed {
+			g.rescanOwed = true
+			g.deliver(tivwire.ChangeSet{Rescan: true})
+		}
 		return tivwire.ChangeSet{}, errUnavailable("no live shard could apply the batch", lastErr)
 	}
 
@@ -564,54 +528,36 @@ func (g *Gateway) ApplyBatch(ctx context.Context, updates []tivwire.Update) (tiv
 		wg.Add(1)
 		go func(s int) {
 			defer wg.Done()
-			if _, err := g.applyTo(ctx, s, updates); err != nil {
+			if _, err := tryOnce(g, ctx, s, apply); err != nil {
 				g.ensureReplayFrom(s, idx)
 			}
 		}(s)
 	}
 	wg.Wait()
 	g.gen.Add(1)
+	if !cs.Empty() || cs.Rescan { // what the shard's own monitor notifies
+		g.deliver(cs)
+	}
 	return cs, nil
 }
 
-// applyTo applies one batch to one shard under the per-try timeout,
-// resetting the shard's breaker on success.
-func (g *Gateway) applyTo(ctx context.Context, s int, updates []tivwire.Update) (tivwire.ChangeSet, error) {
-	actx := ctx
-	if to := g.opts.Retry.perTryTimeout(); to > 0 {
-		var cancel context.CancelFunc
-		actx, cancel = context.WithTimeout(ctx, to)
-		defer cancel()
-	}
-	cs, err := g.clients[s].ApplyBatch(actx, updates)
-	if err != nil {
-		return tivwire.ChangeSet{}, err
-	}
-	g.states[s].fails.Store(0)
-	return cs, nil
-}
-
-// Subscribe registers fn for the gateway's change-set stream: one
-// replica's violated-edge change sets, unfiltered — every replica
-// applies every batch in journal order, so one replica's stream is the
-// cluster's. Between markers no delta is lost or duplicated, and each
-// change set carries its replica's monitor version, which totally
-// orders that replica's applies (exact consumers order by it: the
-// service fans out after releasing its apply lock, so racing applies
-// may arrive slightly out of order). The first subscriber starts the
-// pump, and every Subscribe call — including ones racing that first
-// attach — returns success only once a replica's stream handshake
-// completed, so fn observes every delta applied after Subscribe
-// returns; one reachable replica is enough.
+// Subscribe registers fn for the gateway's change-set stream: the change
+// sets ApplyBatch returns to its callers, in journal order, each exactly
+// once — every non-empty one whose round completes after Subscribe
+// returns. It is a registry: no replica is contacted, so it succeeds
+// with every shard down, and a replica going down (the authority
+// included) is invisible on the stream. Versions are the answering
+// replica's monitor versions; they can jump when the authority changes.
 //
-// When the stream tears (overflow, disconnect) or its replica is
-// marked down, the pump re-attaches and fn sees Rescan-marked empty
-// change sets: one at tear time (events may be missing from here on)
-// and one after the new handshake — unless the same replica's hello
-// version proves the gap empty (see stream). A resync (TopEdges) on
-// the second marker is gap-free, because the handshake precedes it.
-// Versions are per replica: they may jump either way when the stream
-// moves, always behind a marker.
+// fn runs on the updating goroutine, under the sequencer: it must not
+// block and must not apply updates (tivd's SSE handler hands the event
+// to a buffered channel).
+//
+// The one delta the gateway cannot know is that of a batch that
+// committed with no replica answering it. fn then sees two Rescan-marked
+// empty change sets: one at that commit (the stream has a hole from
+// here) and one when the prober next readmits a replica, delivered
+// under the sequencer — a resync (TopEdges) on it is gap-free.
 func (g *Gateway) Subscribe(fn func(tivwire.ChangeSet)) (cancel func(), err error) {
 	if fn == nil {
 		return nil, fmt.Errorf("tivshard: nil subscriber")
@@ -620,204 +566,26 @@ func (g *Gateway) Subscribe(fn func(tivwire.ChangeSet)) (cancel func(), err erro
 		return nil, fmt.Errorf("tivshard: Subscribe requires every shard to run live (tivd -live)")
 	}
 	g.subMu.Lock()
-	if g.closed {
-		g.subMu.Unlock()
-		return nil, fmt.Errorf("tivshard: gateway closed")
-	}
-	id := g.nextSub
-	g.nextSub++
-	g.subs = append(g.subs, gwSubscriber{id: id, fn: fn})
-	att := g.pumpAttach
-	var pumpCtx context.Context
-	if att == nil {
-		att = &pumpAttach{done: make(chan struct{})}
-		g.pumpAttach = att
-		pumpCtx, g.pumpCancel = context.WithCancel(context.Background())
-		g.pumpWG.Add(1) // under subMu, so Close's Wait cannot miss it
-	}
+	g.subs = append(g.subs, &fn)
 	g.subMu.Unlock()
-
-	if pumpCtx != nil {
-		attached, failed := make(chan struct{}), make(chan error, 1)
-		// SubscribeOpts' event loop blocks reading the HTTP response
-		// body; cancelling its context (Close, leavePumped) closes the
-		// body through the transport, which ends the scan with an error
-		// and returns — cancellation the static proof cannot see.
-		//lint:tiv goleak the SSE scan loop exits when pumpCancel closes the stream through the HTTP transport
-		go g.pump(pumpCtx, attached, failed)
-		select {
-		case <-attached:
-		case att.err = <-failed:
-			// The pump gave up and is returning: join it, then reset so
-			// a later Subscribe retries the attach.
-			g.pumpWG.Wait()
-			g.subMu.Lock()
-			g.pumpCancel()
-			g.pumpAttach = nil
-			g.subMu.Unlock()
-		}
-		close(att.done)
-	} else {
-		// Wait for the in-flight (or completed) attach, so every
-		// subscriber — not just the first — returns success only once
-		// the handshake completed.
-		<-att.done
-	}
-	if att.err != nil {
-		g.removeSub(id)
-		return nil, att.err
-	}
-	return func() { g.removeSub(id) }, nil
+	return func() { g.removeSub(&fn) }, nil
 }
 
-func (g *Gateway) removeSub(id int) {
+func (g *Gateway) removeSub(sub *func(tivwire.ChangeSet)) {
 	g.subMu.Lock()
-	g.subs = slices.DeleteFunc(g.subs, func(sub gwSubscriber) bool { return sub.id == id })
+	g.subs = slices.DeleteFunc(g.subs, func(p *func(tivwire.ChangeSet)) bool { return p == sub })
 	g.subMu.Unlock()
 }
 
-// streamPos is where the subscription stream stands across attaches:
-// the replica of the last completed handshake (-1 before the first) and
-// the last version it reported, by hello or by change set.
-type streamPos struct {
-	shard   int
-	ver     uint64
-	haveVer bool
-}
-
-// pump drives the subscription stream for the life of the gateway. Each
-// round walks the live replicas, lowest-numbered first, until one
-// completes a stream handshake, and runs that stream until it tears or
-// the breaker marks its replica down; then it delivers the tear-time
-// Rescan marker, pauses Options.ResubscribeDelay, and starts the next
-// round. The first handshake closes attached; if the first round
-// attaches nowhere the pump says why on failed (buffered) and returns.
-func (g *Gateway) pump(ctx context.Context, attached chan struct{}, failed chan<- error) {
-	defer g.pumpWG.Done()
-	// Only the pump goroutine touches pos: the client invokes OnHello and
-	// the change-set callback synchronously from its read loop, which
-	// runs in this goroutine.
-	pos := streamPos{shard: -1}
-	for {
-		var errs []error
-		// Pass 0 walks the live replicas; if there was none to try, pass
-		// 1 asks the down ones too — a behind replica's stream, bracketed
-		// by markers, beats none (callHome's desperation pass).
-		tried, ran := false, false
-		for pass := 0; pass < 2 && !tried; pass++ {
-			for s := 0; s < g.k && !ran; s++ {
-				if pass == 0 && g.isDown(s) {
-					continue
-				}
-				tried = true
-				ready := attached
-				if pos.shard >= 0 {
-					ready = make(chan struct{})
-				}
-				err := g.stream(ctx, s, pass == 0, &pos, ready)
-				if ctx.Err() != nil {
-					failed <- ctx.Err() // buffered: nobody may be waiting any more
-					return
-				}
-				select {
-				case <-ready: // the client closes ready on a completed handshake
-					ran = true
-					if pos.shard != s {
-						pos = streamPos{shard: s} // attached without reporting a version
-					}
-				default:
-					errs = append(errs, fmt.Errorf("tivshard: shard %d (%s): %w", s, g.clients[s].BaseURL(), err))
-				}
-			}
-		}
-		if pos.shard < 0 {
-			failed <- errors.Join(errs...)
-			return
-		}
-		if ran {
-			// Tear-time marker: subscribers learn promptly that the
-			// stream is unreliable; the marker after the next handshake is
-			// the one whose resync is guaranteed gap-free.
-			g.deliver(tivwire.ChangeSet{Rescan: true})
-		}
-		select {
-		case <-ctx.Done():
-			return
-		case <-time.After(g.opts.resubscribeDelay()):
-		}
-	}
-}
-
-// errPumpedDown is why an attach was abandoned before its handshake:
-// the breaker marked the replica down between the pick and the attach.
-var errPumpedDown = errors.New("marked down")
-
-// stream runs one subscription stream against shard s to its end; the
-// client closes ready once the handshake completed. The attach runs
-// under its own context, registered as g.leave so the breaker can end
-// it (with one stream, a wedged-but-connected replica would otherwise
-// stall every subscriber). After the handshake it delivers a Rescan
-// marker unless this is the first attach or the gap provably hid
-// nothing: the same replica's hello version equal to the last version
-// this pump saw from it proves the replica applied nothing in between
-// (its monitor version advances on every apply). A different replica,
-// any inequality, a restarted shard, or a stream that attached without
-// a hello (the shard's health read failed at that moment) gets the
-// marker — only once the new handshake has landed, so a resync it
-// triggers is gap-free.
-func (g *Gateway) stream(ctx context.Context, s int, wantLive bool, pos *streamPos, ready chan struct{}) error {
-	ctx, leave := context.WithCancel(ctx)
-	defer leave()
-	g.subMu.Lock()
-	g.pumped, g.leave = s, leave
-	g.subMu.Unlock()
-	defer func() {
-		g.subMu.Lock()
-		g.pumped, g.leave = -1, nil
-		g.subMu.Unlock()
-	}()
-	// Registered first, checked second: a trip either finds the
-	// registration (leavePumped cancels it) or is seen here.
-	if wantLive && g.isDown(s) {
-		return errPumpedDown
-	}
-	// markerDecided: this attach has settled whether a re-attach marker
-	// is needed (via hello, or conservatively before the first forwarded
-	// change set when the daemon sent none).
-	markerDecided := pos.shard < 0
-	err := g.clients[s].SubscribeOpts(ctx, tivclient.SubscribeOptions{
-		Ready: ready,
-		OnHello: func(h tivwire.Hello) {
-			if !markerDecided && !(pos.shard == s && pos.haveVer && h.Version == pos.ver) {
-				g.deliver(tivwire.ChangeSet{Rescan: true})
-			}
-			markerDecided = true
-			*pos = streamPos{shard: s, ver: h.Version, haveVer: true}
-		},
-	}, func(cs tivwire.ChangeSet) {
-		if !markerDecided {
-			// No hello preceded the data (the shard could not read its
-			// counters at attach): assume the worst about the gap.
-			g.deliver(tivwire.ChangeSet{Rescan: true})
-			markerDecided = true
-		}
-		*pos = streamPos{shard: s, ver: cs.Version, haveVer: true}
-		g.deliver(cs)
-	})
-	if err == nil {
-		err = errPumpedDown // leave cancelled the attach
-	}
-	return err
-}
-
-// deliver fans one change set out to the subscribers. The subscriber
-// lock is never held across callbacks.
+// deliver fans one change set out to the subscribers. Callers hold
+// applyMu, which orders the deliveries; the subscriber lock is never
+// held across callbacks.
 func (g *Gateway) deliver(cs tivwire.ChangeSet) {
 	g.subMu.Lock()
 	subs := slices.Clone(g.subs)
 	g.subMu.Unlock()
-	for _, sub := range subs {
-		sub.fn(cs)
+	for _, fn := range subs {
+		(*fn)(cs)
 	}
 }
 

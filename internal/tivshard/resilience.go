@@ -16,8 +16,7 @@ import (
 // This file is the gateway's resilience layer. Every shard is a full
 // replica applying every update in journal order — which makes exact
 // failover possible: any live replica can answer any query, and stand
-// in as update authority or subscription source, bit-for-bit. The layer
-// makes it real:
+// in as update authority, bit-for-bit. The layer makes it real:
 //
 //   - Reads run through a try chain (the batch's home first, then the
 //     other live replicas) with bounded, jitter-backed retries and
@@ -185,32 +184,18 @@ func (g *Gateway) markDown(s int) { g.ensureReplayFrom(s, math.MaxInt64) }
 // at the journal's end). Called by apply paths whose direct apply to s
 // failed: the batch is journaled at idx, and whether or not the shard
 // actually applied it, replaying from idx is safe (idempotent) and
-// sufficient. A shard going down takes the subscription stream off it.
+// sufficient.
 func (g *Gateway) ensureReplayFrom(s int, idx int64) {
 	g.journalMu.Lock()
+	defer g.journalMu.Unlock()
 	idx = min(idx, g.journalBase+int64(len(g.journal)))
 	st := &g.states[s]
-	tripped := !st.down.Load()
-	if tripped {
+	if !st.down.Load() {
 		st.replayFrom, st.stale = idx, false
 		st.down.Store(true)
 	} else if idx < st.replayFrom {
 		st.replayFrom = idx
 	}
-	g.journalMu.Unlock()
-	if tripped {
-		g.leavePumped(s)
-	}
-}
-
-// leavePumped ends the pump's attach to shard s, if that is where the
-// subscription stream is: the pump then re-attaches to a live replica.
-func (g *Gateway) leavePumped(s int) {
-	g.subMu.Lock()
-	if g.pumped == s {
-		g.leave()
-	}
-	g.subMu.Unlock()
 }
 
 // isDown reports whether the breaker currently excludes shard s.
@@ -449,6 +434,7 @@ func (g *Gateway) recover(ctx context.Context, s int) {
 			g.states[s].stale = false
 			g.states[s].fails.Store(0)
 			g.journalMu.Unlock()
+			g.settleRescan()
 			return
 		}
 		entry := g.journal[cursor-g.journalBase]
@@ -480,6 +466,19 @@ func (g *Gateway) recover(ctx context.Context, s int) {
 			g.states[s].replayFrom = cursor + 1
 		}
 		g.journalMu.Unlock()
+	}
+}
+
+// settleRescan closes the hole a batch nobody answered left in the
+// subscription stream (see Subscribe): a replica that holds the whole
+// journal is live again. Under the sequencer, so the marker falls
+// between two rounds and every later delta follows it.
+func (g *Gateway) settleRescan() {
+	g.applyMu.Lock()
+	defer g.applyMu.Unlock()
+	if g.rescanOwed {
+		g.rescanOwed = false
+		g.deliver(tivwire.ChangeSet{Rescan: true})
 	}
 }
 

@@ -7,11 +7,8 @@ import (
 	"sort"
 	"sync"
 	"testing"
-	"time"
 
 	"tivaware/internal/tivaware"
-	"tivaware/internal/tivd"
-	"tivaware/internal/tivshard"
 	"tivaware/internal/tivshard/testcluster"
 	"tivaware/internal/tivwire"
 )
@@ -79,11 +76,6 @@ func TestConcurrentUpdatesFanInAccounting(t *testing.T) {
 		N:      n,
 		Shards: shards,
 		Live:   true,
-		// The accounting requires a lossless stream: buffer far beyond
-		// the worst-case event count so no subscriber is overflow-
-		// disconnected mid-test.
-		ServerOptions:  tivd.Options{SubscribeBuffer: 16384},
-		GatewayOptions: tivshard.Options{ResubscribeDelay: 50 * time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -93,18 +85,8 @@ func TestConcurrentUpdatesFanInAccounting(t *testing.T) {
 	// The baseline violated set, before any update flows.
 	baseline := violatedSet(t, c.Shards[0].Service)
 
-	var mu sync.Mutex
-	var stream []tivwire.ChangeSet
-	torn := false
-	cancel, err := c.Gateway.Subscribe(func(cs tivwire.ChangeSet) {
-		mu.Lock()
-		defer mu.Unlock()
-		if cs.Rescan {
-			torn = true
-			return
-		}
-		stream = append(stream, cs)
-	})
+	rec := &streamRecorder{}
+	cancel, err := c.Gateway.Subscribe(rec.record)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,41 +128,24 @@ func TestConcurrentUpdatesFanInAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Every ApplyUpdate returned only after all replicas applied it,
-	// so the replica states are final — and identical; the stream may
-	// still be in flight. Poll until its replay converges on that state.
+	// Every ApplyUpdate returned only after all replicas applied it and
+	// its change set was delivered, so the replica states are final —
+	// and identical — and the stream is complete.
 	final := violatedSet(t, c.Shards[0].Service)
 	for s := 1; s < shards; s++ {
 		if err := compareSets(violatedSet(t, c.Shards[s].Service), final); err != nil {
 			t.Fatalf("replica %d against replica 0: %v", s, err)
 		}
 	}
-	deadline := time.Now().Add(15 * time.Second)
-	var lastErr error
-	for {
-		mu.Lock()
-		events, tore := append([]tivwire.ChangeSet(nil), stream...), torn
-		mu.Unlock()
-		if tore {
-			t.Fatal("the stream tore (overflow/disconnect); raise SubscribeBuffer")
-		}
-		var set map[edgeKey]bool
-		if set, lastErr = replaySegment(events, baseline); lastErr == nil {
-			lastErr = compareSets(set, final)
-		}
-		if lastErr == nil || time.Now().After(deadline) {
-			break
-		}
-		time.Sleep(20 * time.Millisecond)
+	stream := rec.snapshot()
+	set, err := replayStream(stream, baseline)
+	if err == nil {
+		err = compareSets(set, final)
 	}
-	if lastErr != nil {
-		t.Fatal(lastErr)
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	mu.Lock()
-	total := len(stream)
-	mu.Unlock()
-	if total == 0 {
+	if len(stream) == 0 {
 		t.Fatal("no violated-edge deltas arrived; the stress produced no flips")
 	}
 }
@@ -194,22 +159,27 @@ func TestConcurrentUpdatesFanInAccounting(t *testing.T) {
 // in that order on the monolith twin must reproduce every change set,
 // delta for delta. As a cheaper invariant the returned deltas must
 // telescope: per edge, #NewlyViolated − #Cleared over all returned sets
-// equals the edge's final minus initial violated state. (Fails at the
-// parent commit: per-owner locks let batches reach the replicas in
-// different orders, so the returned sets described states no replica
-// ever occupied.)
+// equals the edge's final minus initial violated state. A subscriber
+// rides along: the stream it is delivered must be exactly the non-empty
+// returned change sets, in journal order, and replay from the baseline
+// violated set onto every replica's final one — with one writer as with
+// eight.
 func TestConcurrentChangeSetsMatchJournalOrder(t *testing.T) {
 	const (
 		n       = 28
-		writers = 8
 		updates = 60
 	)
 	type applied struct {
 		up tivwire.Update
 		cs tivwire.ChangeSet
 	}
-	for _, seed := range []int64{1, 2, 3, 4} {
-		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		writers int
+		seed    int64
+	}{{"seed1", 8, 1}, {"seed2", 8, 2}, {"seed3", 8, 3}, {"seed4", 8, 4}, {"writers=1", 1, 5}} {
+		t.Run(tc.name, func(t *testing.T) {
+			writers, seed := tc.writers, tc.seed
 			c, err := testcluster.Start(testcluster.Config{
 				N: n, Shards: 3, Seed: seed, Live: true, Workers: 1, Frames: true,
 			})
@@ -222,6 +192,12 @@ func TestConcurrentChangeSetsMatchJournalOrder(t *testing.T) {
 				t.Fatal(err)
 			}
 			initial := violatedSet(t, mono)
+			rec := &streamRecorder{}
+			cancel, err := c.Gateway.Subscribe(rec.record)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cancel()
 
 			ctx := context.Background()
 			var mu sync.Mutex
@@ -253,8 +229,15 @@ func TestConcurrentChangeSetsMatchJournalOrder(t *testing.T) {
 			}
 
 			sort.Slice(log, func(a, b int) bool { return log[a].cs.Version < log[b].cs.Version })
+			stream := rec.snapshot()
 			net := make(map[edgeKey]int)
 			for k, a := range log {
+				if !a.cs.Empty() {
+					if len(stream) == 0 || fmt.Sprint(stream[0]) != fmt.Sprint(a.cs) {
+						t.Fatalf("journal position %d: writer was returned %+v, subscriber's next event is %+v", k, a.cs, stream[:min(1, len(stream))])
+					}
+					stream = stream[1:]
+				}
 				want, err := mono.ApplyUpdate(a.up.I, a.up.J, a.up.RTT)
 				if err != nil {
 					t.Fatal(err)
@@ -292,6 +275,18 @@ func TestConcurrentChangeSetsMatchJournalOrder(t *testing.T) {
 			}
 			if offending > 0 {
 				t.Fatalf("%d edges whose returned deltas do not sum to final − initial violated state", offending)
+			}
+			if len(stream) != 0 {
+				t.Fatalf("subscriber was delivered %d events no writer was returned: %+v", len(stream), stream)
+			}
+			set, err := replayStream(rec.snapshot(), initial)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for s, sh := range c.Shards {
+				if err := compareSets(set, violatedSet(t, sh.Service)); err != nil {
+					t.Fatalf("delivered stream against replica %d: %v", s, err)
+				}
 			}
 		})
 	}

@@ -47,8 +47,6 @@ type Config struct {
 	// makes the accumulation order — and hence every float — bit-equal
 	// across replicas and against the monolithic twin.
 	Workers int
-	// ServerOptions configures every shard's HTTP server.
-	ServerOptions tivd.Options
 	// GatewayOptions configures the gateway.
 	GatewayOptions tivshard.Options
 	// ServeGateway additionally serves the gateway itself over HTTP
@@ -236,7 +234,7 @@ func Start(cfg Config) (*Cluster, error) {
 	}
 	c.Gateway = gw
 	if cfg.ServeGateway {
-		gwS, err := tivd.NewBackend(gw.Backend(), cfg.ServerOptions)
+		gwS, err := tivd.NewBackend(gw.Backend(), tivd.Options{})
 		if err != nil {
 			c.Close()
 			return nil, err
@@ -279,7 +277,7 @@ func (c *Cluster) newShardServer() (*tivaware.Service, *tivd.Server, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	srv, err := tivd.New(svc, c.cfg.ServerOptions)
+	srv, err := tivd.New(svc, tivd.Options{})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -361,8 +359,8 @@ func (c *Cluster) NewMonolith() (*tivaware.Service, error) {
 	return tivaware.NewFromMatrix(c.Matrix.Clone(), tivaware.Options{Live: c.cfg.Live, Workers: c.cfg.Workers})
 }
 
-// Close tears the cluster down: the gateway's pump first,
-// then every server's SSE streams, then the listeners.
+// Close tears the cluster down: the gateway first, then every server's
+// SSE streams, then the listeners.
 func (c *Cluster) Close() {
 	if c.Gateway != nil {
 		c.Gateway.Close()
