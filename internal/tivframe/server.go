@@ -27,12 +27,14 @@ type Handler interface {
 const (
 	// writeTimeout bounds one response (or, on a client, request) write.
 	writeTimeout = 30 * time.Second
-	// writeQueue bounds the per-connection response queue (responses
-	// finish out of order; a full queue applies backpressure to the
-	// handlers, not unbounded memory).
-	writeQueue = 128
-	// maxInflight bounds concurrently executing handlers per connection.
+	// maxInflight bounds a connection's handler workers, and so its
+	// concurrently executing handlers and its unwritten responses.
 	maxInflight = 64
+	// maxPooledBuf caps the capacity bufPool keeps: a read buffer grows
+	// to the largest frame its connection ever saw, and one 16 MiB batch
+	// must not pin 16 MiB for the life of the process. 20x a 16-query
+	// batch response.
+	maxPooledBuf = 64 << 10
 )
 
 // Options tune a frame server. The zero value serves with the
@@ -80,8 +82,8 @@ func getBuf() []byte {
 }
 
 func putBuf(b []byte) {
-	if cap(b) == 0 || cap(b) > MaxFrameBytes {
-		return // never pool pathological capacities
+	if cap(b) == 0 || cap(b) > maxPooledBuf {
+		return // an outsized buffer goes to the collector, not the pool
 	}
 	b = b[:0]
 	bufPool.Put(&b)
@@ -100,7 +102,7 @@ type Server struct {
 	lns    map[net.Listener]struct{}
 	conns  map[*serverConn]struct{}
 	closed bool
-	wg     sync.WaitGroup // one per conn read loop + one per conn write loop
+	wg     sync.WaitGroup // one per conn read loop + one per handler worker
 }
 
 // NewServer builds a frame server over h.
@@ -146,29 +148,20 @@ func (s *Server) Serve(ln net.Listener) error {
 			nc.Close() // raced Close
 			return ErrServerClosed
 		}
-		s.wg.Add(2)
 		// The read loop blocks in conn reads between frames; every
 		// block carries the idle deadline and any read error (including
 		// the deadline Close kicks it with) exits the loop, so the
 		// goroutine's lifetime is the connection's.
 		//lint:tiv goleak per-conn read loop: every blocking read carries the idle deadline and any error path returns
 		go c.readLoop()
-		go c.writeLoop()
 	}
 }
 
-// newConn registers a connection; nil after Close.
+// newConn registers a connection and counts its read loop; nil after
+// Close.
 func (s *Server) newConn(nc net.Conn) *serverConn {
 	ctx, cancel := context.WithCancel(s.ctx)
-	c := &serverConn{
-		srv:     s,
-		c:       nc,
-		ctx:     ctx,
-		cancel:  cancel,
-		writeCh: make(chan []byte, writeQueue),
-		done:    make(chan struct{}),
-		sem:     make(chan struct{}, maxInflight),
-	}
+	c := &serverConn{srv: s, c: nc, ctx: ctx, cancel: cancel, reqCh: make(chan request)}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -176,6 +169,7 @@ func (s *Server) newConn(nc net.Conn) *serverConn {
 		return nil
 	}
 	s.conns[c] = struct{}{}
+	s.wg.Add(1)
 	return c
 }
 
@@ -257,23 +251,31 @@ func (s *Server) Abort() {
 	s.wg.Wait()
 }
 
+// request is one decoded request on its way to a handler worker.
+type request struct {
+	id  uint64
+	msg any
+}
+
 // serverConn is one accepted connection: a read loop decoding request
-// envelopes, per-request handler goroutines bounded by sem, and a
-// write loop flushing the bounded response queue.
+// envelopes and up to maxInflight persistent handler workers, each of
+// which resolves a request and writes its own response under wmu. A
+// worker parks on reqCh between requests, so a request costs a channel
+// hand-off to a goroutine whose stack is already grown rather than a
+// spawn, and a response costs no further hop.
 type serverConn struct {
 	srv    *Server
 	c      net.Conn
-	ctx    context.Context
+	ctx    context.Context // cancelled by kill
 	cancel context.CancelFunc
 
-	writeCh chan []byte
-	done    chan struct{} // closed on hard abort
-	sem     chan struct{} // in-flight handler bound
+	reqCh   chan request // unbuffered: a send succeeds only into a parked worker
+	workers int          // spawned so far; owned by the read loop
+	wmu     sync.Mutex   // one response on the wire at a time
 
 	draining  atomic.Bool
 	inflightN atomic.Int64
 	inflight  sync.WaitGroup
-	killOnce  sync.Once
 	closeOnce sync.Once
 }
 
@@ -285,15 +287,11 @@ func (c *serverConn) beginDrain() {
 	_ = c.c.SetReadDeadline(time.Now())
 }
 
-// kill hard-closes the connection: pending handler sends unblock,
-// both loops exit, in-flight handlers see a cancelled context.
+// kill closes the connection exactly once: handler contexts cancel,
+// blocked reads and writes fail, parked workers exit. A hard abort
+// calls it at once; a graceful drain calls it when nothing is left in
+// flight.
 func (c *serverConn) kill() {
-	c.killOnce.Do(func() { close(c.done) })
-	c.finish()
-}
-
-// finish releases the connection's resources exactly once.
-func (c *serverConn) finish() {
 	c.closeOnce.Do(func() {
 		c.cancel()
 		c.c.Close()
@@ -301,17 +299,16 @@ func (c *serverConn) finish() {
 	})
 }
 
-// readLoop decodes request envelopes and dispatches handlers until
+// readLoop decodes request envelopes and hands them to workers until
 // the peer hangs up, the connection idles out, drain begins, or the
 // stream tears.
 func (c *serverConn) readLoop() {
 	defer c.srv.wg.Done()
 	defer func() {
-		// Let in-flight handlers finish and enqueue their responses,
-		// then hand the write loop its termination: a closed queue means
-		// "flush what remains, then close the conn".
+		// Let in-flight handlers finish and write their responses; the
+		// close then releases the parked workers.
 		c.inflight.Wait()
-		close(c.writeCh)
+		c.kill()
 	}()
 	br := bufio.NewReaderSize(c.c, 32<<10)
 	buf := getBuf()
@@ -360,73 +357,71 @@ func (c *serverConn) readLoop() {
 			})
 			continue
 		}
-		select {
-		case c.sem <- struct{}{}:
-		case <-c.done:
-			return
-		}
 		c.inflight.Add(1)
 		c.inflightN.Add(1)
-		go c.handle(id, msg)
-	}
-}
-
-// handle resolves one request and enqueues its response.
-func (c *serverConn) handle(id uint64, msg any) {
-	defer func() {
-		<-c.sem
-		c.inflightN.Add(-1)
-		c.inflight.Done()
-	}()
-	resp := c.srv.h.ServeFrame(c.ctx, msg)
-	if resp == nil {
-		c.kill()
-		return
-	}
-	c.respond(id, resp)
-}
-
-// respond encodes (id, msg) into a pooled buffer and enqueues it; a
-// full queue blocks (backpressure) until the write loop drains or the
-// connection dies.
-func (c *serverConn) respond(id uint64, msg any) {
-	b, err := AppendEnvelope(getBuf(), id, msg)
-	if err != nil {
-		// Unregistered response type: a server-side bug; the connection
-		// cannot answer this id, so it must die rather than strand the
-		// caller forever.
-		putBuf(b)
-		c.kill()
-		return
-	}
-	select {
-	case c.writeCh <- b:
-	case <-c.done:
-		putBuf(b)
-	}
-}
-
-// writeLoop flushes queued responses in completion order. A closed
-// queue (graceful drain) flushes the remainder and closes the conn; a
-// write failure aborts the conn.
-func (c *serverConn) writeLoop() {
-	defer c.srv.wg.Done()
-	for {
+		req := request{id, msg}
 		select {
-		case b, ok := <-c.writeCh:
-			if !ok {
-				c.finish()
-				return
-			}
-			_ = c.c.SetWriteDeadline(time.Now().Add(writeTimeout))
-			_, err := c.c.Write(b)
-			putBuf(b)
-			if err != nil {
-				c.kill()
-				return
-			}
-		case <-c.done:
+		case c.reqCh <- req: // a parked worker took it
+			continue
+		default:
+		}
+		if c.workers < maxInflight {
+			c.workers++
+			c.srv.wg.Add(1)
+			go c.worker(req)
+			continue
+		}
+		// Every worker is handling or writing: admit nothing more until
+		// one parks (backpressure) or the connection dies.
+		select {
+		case c.reqCh <- req:
+		case <-c.ctx.Done():
+			c.requestDone()
 			return
 		}
+	}
+}
+
+// worker resolves requests for the life of the connection, parking on
+// reqCh in between.
+func (c *serverConn) worker(req request) {
+	defer c.srv.wg.Done()
+	for {
+		if resp := c.srv.h.ServeFrame(c.ctx, req.msg); resp != nil {
+			c.respond(req.id, resp)
+		} else {
+			c.kill()
+		}
+		c.requestDone()
+		select {
+		case req = <-c.reqCh:
+		case <-c.ctx.Done():
+			return
+		}
+	}
+}
+
+func (c *serverConn) requestDone() {
+	c.inflightN.Add(-1)
+	c.inflight.Done()
+}
+
+// respond encodes (id, msg) into a pooled buffer and writes it. A peer
+// that reads slowly blocks the write, and with it this worker: that is
+// the connection's backpressure.
+func (c *serverConn) respond(id uint64, msg any) {
+	b, err := AppendEnvelope(getBuf(), id, msg)
+	if err == nil {
+		c.wmu.Lock()
+		_ = c.c.SetWriteDeadline(time.Now().Add(writeTimeout))
+		_, err = c.c.Write(b)
+		c.wmu.Unlock()
+	}
+	putBuf(b)
+	if err != nil {
+		// A failed write, or an unregistered response type (a server-side
+		// bug): the connection cannot answer this id, so it must die
+		// rather than strand the caller forever.
+		c.kill()
 	}
 }

@@ -384,8 +384,20 @@ func (r *binReader) strInto(prev string) string {
 	if string(b) == prev { // the comparison itself does not allocate
 		return prev
 	}
-	//lint:tiv allocfree allocates only when the string actually changed; steady-state frames return prev
+	for _, k := range queryKinds {
+		if string(b) == k {
+			return k
+		}
+	}
+	//lint:tiv allocfree allocates only when the string actually changed and is no query kind; steady-state frames return prev
 	return string(b)
+}
+
+// queryKinds are interned on decode: a message decoded into a fresh
+// value has no prev to reuse, and every query and result names one.
+var queryKinds = [...]string{
+	string(tivaware.KindRank), string(tivaware.KindClosest), string(tivaware.KindDetour),
+	string(tivaware.KindTop), string(tivaware.KindDelay), string(tivaware.KindAnalysis),
 }
 
 // count reads a slice length, rejecting counts that cannot fit in the

@@ -7,6 +7,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"tivaware/internal/tivaware"
 )
 
 // resultPayloads is the five single-shot response payloads in their
@@ -304,6 +306,75 @@ func TestBinarySteadyStateZeroAlloc(t *testing.T) {
 	round() // warm buffer and slice capacities
 	if allocs := testing.AllocsPerRun(100, round); allocs != 0 {
 		t.Errorf("steady-state round trip allocates %.1f objects/op, want 0", allocs)
+	}
+}
+
+// TestBinaryDecodeInternsQueryKinds pins what a fresh decode pays for
+// its kinds: a server decodes every request, and a client every batch
+// of results, into a new value, so there is no previous string to
+// reuse — a known kind must still cost no allocation, and an unknown
+// one must still arrive intact.
+func TestBinaryDecodeInternsQueryKinds(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops puts under the race detector; alloc counts are meaningless")
+	}
+	// frames encodes a 16-query batch and its response with kind(i) in
+	// every kind field.
+	frames := func(kind func(i int) string) (req, resp []byte) {
+		q, r := make([]Query, 16), make([]Result, 16)
+		for i := range q {
+			q[i] = Query{Kind: tivaware.QueryKind(kind(i)), I: i, J: i + 1}
+			r[i] = Result{Kind: kind(i), Delay: &DelayResponse{I: i, J: i + 1, Delay: 8, OK: true}}
+		}
+		req, err := AppendBinary(nil, &BatchRequest{Queries: q})
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err = AppendBinary(nil, &BatchResponse{Epoch: 1, Results: r})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return req, resp
+	}
+	decode := func(frame []byte) any {
+		msg, err := UnmarshalBinary(frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return msg
+	}
+	allocs := func(frame []byte) float64 {
+		return testing.AllocsPerRun(100, func() { decode(frame) })
+	}
+	known := func(i int) string { return queryKinds[i%len(queryKinds)] }
+	unknown := func(i int) string { return "frobnicate" }
+	noReq, noResp := frames(func(int) string { return "" })
+	req, resp := frames(known)
+	if got, want := allocs(req), allocs(noReq); got != want {
+		t.Errorf("fresh BatchRequest decode: %.0f allocs with known kinds, %.0f with none", got, want)
+	}
+	if got, want := allocs(resp), allocs(noResp); got != want {
+		t.Errorf("fresh BatchResponse decode: %.0f allocs with known kinds, %.0f with none", got, want)
+	}
+	for i, q := range decode(req).(*BatchRequest).Queries {
+		if string(q.Kind) != known(i) {
+			t.Fatalf("query %d decoded kind %q, want %q", i, q.Kind, known(i))
+		}
+	}
+	for i, r := range decode(resp).(*BatchResponse).Results {
+		if r.Kind != known(i) {
+			t.Fatalf("result %d decoded kind %q, want %q", i, r.Kind, known(i))
+		}
+	}
+	req, resp = frames(unknown)
+	if got, want := allocs(req), allocs(noReq)+16; got != want {
+		t.Errorf("fresh BatchRequest decode: %.0f allocs with unknown kinds, want %.0f (one string each)", got, want)
+	}
+	if k := decode(req).(*BatchRequest).Queries[15].Kind; k != "frobnicate" {
+		t.Fatalf("unknown query kind decoded as %q", k)
+	}
+	if k := decode(resp).(*BatchResponse).Results[15].Kind; k != "frobnicate" {
+		t.Fatalf("unknown result kind decoded as %q", k)
 	}
 }
 
