@@ -1,5 +1,5 @@
-# Helpers shared by the tivd process smokes (tivd-smoke,
-# multishard-smoke, chaos-smoke). Source from a job step:
+# Helpers shared by the tivd process smokes (multishard-smoke,
+# chaos-smoke). Source from a job step:
 #
 #   . .github/scripts/smoke.sh
 

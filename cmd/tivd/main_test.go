@@ -2,9 +2,11 @@ package main
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
+	"net/http"
 	"reflect"
 	"regexp"
 	"strings"
@@ -12,10 +14,13 @@ import (
 	"testing"
 	"time"
 
+	"tivaware/internal/leakcheck"
 	"tivaware/internal/tivaware"
 	"tivaware/internal/tivclient"
 	"tivaware/internal/tivwire"
 )
+
+func TestMain(m *testing.M) { leakcheck.Main(m) }
 
 // notifyWriter captures output and signals once the serving line
 // (carrying the bound address) has been written.
@@ -87,42 +92,15 @@ func TestDaemonEndToEnd(t *testing.T) {
 	}
 
 	// SSE round-trip: subscribe, force a violation through the wire,
-	// expect its change set.
-	subCtx, subCancel := context.WithCancel(ctx)
-	defer subCancel()
-	ready := make(chan struct{})
-	events := make(chan tivwire.ChangeSet, 16)
-	subDone := make(chan error, 1)
-	go func() {
-		subDone <- client.Subscribe(subCtx, ready, func(cs tivwire.ChangeSet) { events <- cs })
-	}()
-	select {
-	case <-ready:
-	case <-time.After(10 * time.Second):
-		t.Fatal("subscription handshake timed out")
-	}
-	// A huge RTT on (0,1) is guaranteed to create violations: any
-	// third node measured to both endpoints witnesses one.
+	// expect its change set. A huge RTT on (0,1) is guaranteed to
+	// create violations: any third node measured to both endpoints
+	// witnesses one.
+	sub := subscribe(t, ctx, client.BaseURL())
 	if _, err := client.ApplyUpdate(ctx, 0, 1, 1e6); err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case ev := <-events:
-		found := false
-		for _, e := range ev.NewlyViolated {
-			if e.I == 0 && e.J == 1 {
-				found = true
-			}
-		}
-		if !found {
-			t.Errorf("subscription event %+v does not flag edge (0,1)", ev)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("subscription event did not arrive")
-	}
-	subCancel()
-	if err := <-subDone; err != nil {
-		t.Errorf("Subscribe after cancel: %v", err)
+	if ev := nextChangeSet(t, sub); !newlyViolated(ev, 0, 1) {
+		t.Errorf("subscription event %+v does not flag edge (0,1)", ev)
 	}
 
 	// Clean shutdown.
@@ -131,6 +109,58 @@ func TestDaemonEndToEnd(t *testing.T) {
 	if !strings.Contains(w.buf.String(), "shutting down") {
 		t.Error("daemon did not log its shutdown")
 	}
+}
+
+// subscribe opens the daemon's SSE stream at base, bounded by ten
+// seconds and closed with the test, and returns its scanner once the
+// subscription is registered (the daemon sends the headers only then).
+func subscribe(t *testing.T, ctx context.Context, base string) *tivwire.SSEScanner {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(ctx, 10*time.Second)
+	t.Cleanup(cancel)
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/v1/subscribe", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { resp.Body.Close() })
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("subscribe at %s: HTTP %d", base, resp.StatusCode)
+	}
+	return tivwire.NewSSEScanner(resp.Body)
+}
+
+// nextChangeSet reads the stream up to its next changeset event and
+// decodes it.
+func nextChangeSet(t *testing.T, sc *tivwire.SSEScanner) tivwire.ChangeSet {
+	t.Helper()
+	for {
+		ev, err := sc.Next()
+		if err != nil {
+			t.Fatalf("stream ended before a changeset event: %v", err)
+		}
+		if ev.Name != "changeset" {
+			continue
+		}
+		var cs tivwire.ChangeSet
+		if err := json.Unmarshal([]byte(ev.Data), &cs); err != nil {
+			t.Fatalf("changeset payload %q: %v", ev.Data, err)
+		}
+		return cs
+	}
+}
+
+// newlyViolated reports whether cs flags edge (i,j) newly violated.
+func newlyViolated(cs tivwire.ChangeSet, i, j int) bool {
+	for _, e := range cs.NewlyViolated {
+		if e.I == i && e.J == j {
+			return true
+		}
+	}
+	return false
 }
 
 // startDaemon boots one daemon via run() and returns its bound
@@ -386,39 +416,13 @@ func TestGatewayDaemonEndToEnd(t *testing.T) {
 	}
 
 	// Subscribe through the gateway, update through the gateway: the
-	// delta must come back on the fanned-in stream.
-	subCtx, subCancel := context.WithCancel(ctx)
-	defer subCancel()
-	ready := make(chan struct{})
-	events := make(chan tivwire.ChangeSet, 64)
-	subDone := make(chan error, 1)
-	go func() {
-		subDone <- client.Subscribe(subCtx, ready, func(cs tivwire.ChangeSet) { events <- cs })
-	}()
-	select {
-	case <-ready:
-	case <-time.After(10 * time.Second):
-		t.Fatal("gateway subscription handshake timed out")
-	}
+	// delta must come back on the gateway's own stream.
+	sub := subscribe(t, ctx, client.BaseURL())
 	if _, err := client.ApplyUpdate(ctx, 0, 1, 1e6); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.After(10 * time.Second)
-	for found := false; !found; {
-		select {
-		case ev := <-events:
-			for _, e := range ev.NewlyViolated {
-				if e.I == 0 && e.J == 1 {
-					found = true
-				}
-			}
-		case <-deadline:
-			t.Fatal("violated-edge delta did not arrive through the gateway stream")
-		}
-	}
-	subCancel()
-	if err := <-subDone; err != nil {
-		t.Errorf("Subscribe after cancel: %v", err)
+	if ev := nextChangeSet(t, sub); !newlyViolated(ev, 0, 1) {
+		t.Errorf("gateway stream event %+v does not flag edge (0,1)", ev)
 	}
 
 	// The update must have reached every shard replica.

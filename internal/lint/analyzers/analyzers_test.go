@@ -31,17 +31,13 @@ func TestWireErr(t *testing.T) {
 	linttest.Run(t, "testdata/wireerr", analyzers.WireErr)
 }
 
-func TestGoLeak(t *testing.T) {
-	linttest.Run(t, "testdata/goleak", analyzers.GoLeak)
-}
-
-// TestRegistry pins the suite: seven analyzers, unique names (the
+// TestRegistry pins the suite: six analyzers, unique names (the
 // names are the //lint:tiv suppression vocabulary and the DESIGN.md
 // invariant table rows).
 func TestRegistry(t *testing.T) {
 	all := analyzers.All()
-	if len(all) != 7 {
-		t.Fatalf("expected 7 analyzers, got %d", len(all))
+	if len(all) != 6 {
+		t.Fatalf("expected 6 analyzers, got %d", len(all))
 	}
 	seen := map[string]bool{}
 	for _, a := range all {

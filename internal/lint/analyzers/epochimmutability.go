@@ -1,4 +1,4 @@
-// Package analyzers holds the tivlint analyzer suite: seven checkers,
+// Package analyzers holds the tivlint analyzer suite: six checkers,
 // each encoding one invariant this codebase's concurrency and wire
 // design rests on. See DESIGN.md "machine-checked invariants" for the
 // invariant table and the sanctioned suppression mechanism.

@@ -13,6 +13,5 @@ func All() []*analysis.Analyzer {
 		LayerBoundary,
 		AllocFree,
 		WireErr,
-		GoLeak,
 	}
 }

@@ -120,9 +120,6 @@ type Call struct {
 	// External is the resolved non-module target (stdlib), nil
 	// otherwise.
 	External *types.Func
-	// Interface marks edges produced by class-hierarchy resolution of
-	// an interface method call; one Call is emitted per candidate.
-	Interface bool
 	// Dynamic marks calls through function values the graph could not
 	// bind (stored callbacks, multiply-assigned variables, func
 	// fields). Analyzers must treat these conservatively.
@@ -442,11 +439,11 @@ func (f *Func) resolveCall(g *Graph, bound map[*types.Var]*ast.FuncLit, call *as
 			if types.IsInterface(sel.Recv()) {
 				cands := g.methodIndex[m.Name()+"|"+sigKey(m.Type().(*types.Signature))]
 				if len(cands) == 0 {
-					add(Call{Dynamic: true, Interface: true})
+					add(Call{Dynamic: true})
 					return
 				}
 				for _, cand := range cands {
-					add(Call{Callee: cand, Interface: true})
+					add(Call{Callee: cand})
 				}
 				return
 			}

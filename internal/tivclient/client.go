@@ -1,8 +1,11 @@
 // Package tivclient is the Go client for the tivd daemon: the same
 // TIV-aware query shapes the in-process tivaware.Service answers —
 // severity-penalized ranking, closest-node selection, one-hop detour
-// discovery, worst-edge listing, and violated-edge change
-// subscriptions — resolved over HTTP/JSON against a remote daemon.
+// discovery, worst-edge listing — and live updates, resolved over
+// HTTP/JSON or the framed transport against a remote daemon. The
+// daemon's violated-edge SSE stream (/v1/subscribe) has no Go reader
+// here: it is the curl-able surface (curl -N …/v1/subscribe), and
+// in-process consumers subscribe on tivaware.Service directly.
 //
 // Client satisfies tivaware.Querier, so consumers written against the
 // interface (examples/serverselection, overlay builders) switch
@@ -19,7 +22,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -36,35 +38,9 @@ import (
 	"tivaware/internal/tivwire"
 )
 
-// Typed subscription-stream terminations. A Subscribe call that does
-// not end by context cancellation always returns a non-nil error —
-// the stream never stalls silently — and these two sentinels (matched
-// with errors.Is) distinguish the daemon-initiated endings a caller
-// reacts to differently.
-var (
-	// ErrSubscribeOverflow: the daemon disconnected this subscriber
-	// because it fell further behind than the event buffer
-	// (tivd.Options.SubscribeBuffer). Deltas were dropped, so the
-	// caller's violated-edge picture is torn; resync it (TopEdges)
-	// before resubscribing, and note that change sets applied between
-	// the disconnect and the new subscription's handshake are lost.
-	ErrSubscribeOverflow = errors.New("subscription fell behind the daemon's event buffer")
-	// ErrSubscribeClosed: the daemon ended the stream (shutdown,
-	// restart, or Server.Close). Resubscribe once the daemon is back;
-	// resync first unless the caller can rule out interim updates.
-	ErrSubscribeClosed = errors.New("subscription stream closed by daemon")
-)
-
-const (
-	// requestTimeout backstops every non-streaming call that arrives
-	// without a context deadline (a caller-supplied deadline always
-	// wins).
-	requestTimeout = 30 * time.Second
-	// handshakeTimeout bounds a Subscribe call's attach phase: the
-	// request plus the first stream byte. Once attached, the stream is
-	// bounded only by its context.
-	handshakeTimeout = 10 * time.Second
-)
+// requestTimeout backstops every call that arrives without a context
+// deadline (a caller-supplied deadline always wins).
+const requestTimeout = 30 * time.Second
 
 // Options configures a Client. The zero value is valid.
 type Options struct {
@@ -73,8 +49,7 @@ type Options struct {
 	// instead of HTTP/JSON: a pool of multiplexed raw connections
 	// carrying compact binary frames, with no per-request HTTP overhead.
 	// Accepts "host:port", "tcp://host:port", or "unix:///path.sock".
-	// SSE subscriptions always stay on the HTTP base URL. Call
-	// Client.Close to release the pool.
+	// Call Client.Close to release the pool.
 	FrameAddr string
 	// FrameConns is the framed connection pool size; zero means 2.
 	// Each connection multiplexes concurrent in-flight calls, so a
@@ -85,10 +60,8 @@ type Options struct {
 // httpClient is the transport every client shares.
 // Connection-establishment phases are individually bounded (5s dial,
 // 5s TLS, 15s response headers) so a black-holed daemon surfaces as an
-// error instead of a wedged goroutine; there is deliberately no
-// whole-request timeout (SSE streams are long-lived) — per-call
-// deadlines come from the request context, backstopped by
-// requestTimeout.
+// error instead of a wedged goroutine; per-call deadlines come from
+// the request context, backstopped by requestTimeout.
 var httpClient = &http.Client{Transport: &http.Transport{
 	Proxy:                 http.ProxyFromEnvironment,
 	DialContext:           (&net.Dialer{Timeout: 5 * time.Second, KeepAlive: 30 * time.Second}).DialContext,
@@ -488,145 +461,4 @@ func (c *Client) ApplyBatch(ctx context.Context, updates []tivwire.Update) (tivw
 	}
 	err := c.post(ctx, "/v1/update", tivwire.UpdateRequest{Updates: updates}, &resp)
 	return resp, err
-}
-
-// Subscribe opens the daemon's SSE stream and invokes fn for every
-// violated-edge change set until ctx is cancelled or the stream ends.
-// ready, if non-nil, is closed once the subscription handshake
-// completes, i.e. fn will observe every change set applied after that
-// point.
-//
-// Reconnect semantics: Subscribe returns nil only after a context
-// cancellation. Every other ending is an error — a dropped stream
-// surfaces instead of stalling — and the caller decides how to come
-// back:
-//
-//   - errors.Is(err, ErrSubscribeOverflow): the daemon dropped this
-//     subscriber for falling behind. Deltas are missing; resync the
-//     violated-edge picture (TopEdges), then resubscribe.
-//   - errors.Is(err, ErrSubscribeClosed): the daemon ended the stream
-//     (shutdown or Server.Close). Resubscribe when it returns, resync
-//     first unless interim updates can be ruled out.
-//   - anything else: a transport or protocol failure (including a
-//     malformed changeset payload); recover the same way as an
-//     overflow.
-//
-// Subscriptions are deltas-only — there is no server-side replay — so
-// any gap between two subscriptions must be bridged by a resync. fn is
-// invoked synchronously from the read loop, in stream order; the attach
-// phase is additionally bounded by handshakeTimeout, so a hung daemon
-// fails the call instead of wedging it.
-func (c *Client) Subscribe(ctx context.Context, ready chan<- struct{}, fn func(tivwire.ChangeSet)) error {
-	if fn == nil {
-		return &Error{Code: tivwire.CodeBadRequest, Message: "nil subscriber"}
-	}
-	// The handshake watchdog cancels the stream context if the first
-	// byte does not arrive in time; timedOut tells that cancellation
-	// apart from the caller's.
-	sctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	attached := make(chan struct{})
-	timedOut := make(chan struct{})
-	t := time.AfterFunc(handshakeTimeout, func() { close(timedOut); cancel() })
-	defer t.Stop()
-	go func() {
-		select {
-		case <-attached:
-			t.Stop()
-		case <-sctx.Done():
-		}
-	}()
-
-	handshakeErr := func(err error) error {
-		select {
-		case <-timedOut:
-			return &Error{Op: "subscribe", Code: CodeTransport,
-				Message: fmt.Sprintf("handshake timed out after %v", handshakeTimeout), cause: err}
-		default:
-		}
-		if ctx.Err() != nil {
-			return nil
-		}
-		return &Error{Op: "subscribe", Code: CodeTransport, Message: err.Error(), cause: err}
-	}
-
-	req, err := http.NewRequestWithContext(sctx, http.MethodGet, c.base+"/v1/subscribe", nil)
-	if err != nil {
-		return &Error{Code: CodeTransport, Message: err.Error(), cause: err}
-	}
-	req.Header.Set("Accept", "text/event-stream")
-	resp, err := httpClient.Do(req)
-	if err != nil {
-		return handshakeErr(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-		e := &Error{Op: "subscribe", Status: resp.StatusCode,
-			Message: fmt.Sprintf("HTTP %d", resp.StatusCode)}
-		var we tivwire.Error
-		if json.Unmarshal(body, &we) == nil && we.Error != "" {
-			e.Message, e.Code, e.RetryAfter = we.Error, we.Code, retryAfter(we.RetryAfter)
-		}
-		return e
-	}
-
-	// The handshake comment is the first frame the daemon flushes;
-	// any readable byte means we are attached.
-	rr := &readyReader{r: resp.Body, onFirst: func() {
-		close(attached)
-		if ready != nil {
-			close(ready)
-		}
-	}}
-	sc := tivwire.NewSSEScanner(rr)
-	for {
-		ev, err := sc.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			if !rr.sawByte {
-				return handshakeErr(err)
-			}
-			if ctx.Err() != nil {
-				return nil
-			}
-			return &Error{Code: CodeTransport, Message: "subscription stream: " + err.Error(), cause: err}
-		}
-		switch ev.Name {
-		case "changeset":
-			var cs tivwire.ChangeSet
-			if err := json.Unmarshal([]byte(ev.Data), &cs); err != nil {
-				return &Error{Code: CodeBadPayload, Message: "decoding changeset event: " + err.Error(), cause: err}
-			}
-			fn(cs)
-		case "overflow":
-			return fmt.Errorf("tivclient: %w", ErrSubscribeOverflow)
-		}
-		// Other event names (hello: the daemon's counters at attach)
-		// and id: lines — the monitor version already travels in the
-		// payload — are informational.
-	}
-	if ctx.Err() != nil {
-		return nil
-	}
-	return fmt.Errorf("tivclient: %w", ErrSubscribeClosed)
-}
-
-// readyReader calls onFirst on the first byte read from the stream —
-// the subscription handshake signal.
-type readyReader struct {
-	r       io.Reader
-	onFirst func()
-	sawByte bool
-}
-
-func (r *readyReader) Read(p []byte) (int, error) {
-	n, err := r.r.Read(p)
-	if n > 0 && !r.sawByte {
-		r.sawByte = true
-		r.onFirst()
-	}
-	return n, err
 }

@@ -63,11 +63,6 @@ type Options struct {
 	// MaxRankK caps the k accepted by /v1/rank and /v1/top so one
 	// request cannot demand an O(N²)-sized response; zero means 4096.
 	MaxRankK int
-	// SubscribeBuffer is the per-connection event buffer. A subscriber
-	// that falls further behind than this has its connection closed
-	// (dropping events silently would hand the client a torn picture
-	// of the violated-edge set). Zero means 256.
-	SubscribeBuffer int
 	// MaxBatch caps the query count of one POST /v1/batch request;
 	// zero means 256.
 	MaxBatch int
@@ -82,13 +77,6 @@ func (o Options) maxRankK() int {
 		return o.MaxRankK
 	}
 	return 4096
-}
-
-func (o Options) subscribeBuffer() int {
-	if o.SubscribeBuffer > 0 {
-		return o.SubscribeBuffer
-	}
-	return 256
 }
 
 func (o Options) maxBatch() int {
@@ -497,6 +485,12 @@ func (s *Server) applyWire(ctx context.Context, req *tivwire.UpdateRequest) (tiv
 	return tivwire.FromChangeSet(cs), nil
 }
 
+// subscribeBuffer is each SSE stream's event buffer. A subscriber that
+// falls further behind than this has its connection closed (dropping
+// events silently would hand the client a torn picture of the
+// violated-edge set).
+const subscribeBuffer = 256
+
 // handleSubscribe streams violated-edge change sets as server-sent
 // events: one "changeset" event per non-empty ChangeSet, id = monitor
 // version. The subscription rides the service's Subscribe fan-out;
@@ -539,7 +533,7 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 		s.subMu.Unlock()
 	}()
 
-	events := make(chan tiv.ChangeSet, s.opts.subscribeBuffer())
+	events := make(chan tiv.ChangeSet, subscribeBuffer)
 	var overflow atomic.Bool
 	cancel, err := s.b.Subscribe(func(cs tiv.ChangeSet) {
 		select {

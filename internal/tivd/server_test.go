@@ -2,11 +2,12 @@ package tivd_test
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
-	"sync"
 	"testing"
 	"time"
 
@@ -44,6 +45,38 @@ func startDaemon(t *testing.T, svc *tivaware.Service, opts tivd.Options) (*tivcl
 		ts.Close()
 	})
 	return tivclient.New(ts.URL, tivclient.Options{}), srv
+}
+
+// subscribe opens GET /v1/subscribe on base. The daemon sends the
+// response headers only once the subscription is registered, so a 200
+// return means every later update reaches this stream. The caller
+// closes the body.
+func subscribe(ctx context.Context, base string) (*http.Response, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/v1/subscribe", nil)
+	if err != nil {
+		return nil, err
+	}
+	return http.DefaultClient.Do(req)
+}
+
+// nextChangeSet reads the stream up to its next changeset event and
+// decodes it.
+func nextChangeSet(t *testing.T, sc *tivwire.SSEScanner) tivwire.ChangeSet {
+	t.Helper()
+	for {
+		ev, err := sc.Next()
+		if err != nil {
+			t.Fatalf("stream ended before a changeset event: %v", err)
+		}
+		if ev.Name != "changeset" {
+			continue
+		}
+		var cs tivwire.ChangeSet
+		if err := json.Unmarshal([]byte(ev.Data), &cs); err != nil {
+			t.Fatalf("changeset payload %q: %v", ev.Data, err)
+		}
+		return cs
+	}
 }
 
 func TestDaemonQueryRoundTrip(t *testing.T) {
@@ -151,8 +184,15 @@ func TestDaemonQueryRoundTrip(t *testing.T) {
 	if _, err := client.ApplyUpdate(ctx, 0, 1, 50); err == nil {
 		t.Error("ApplyUpdate on a batch daemon should error")
 	}
-	if err := client.Subscribe(ctx, nil, func(tivwire.ChangeSet) {}); err == nil {
-		t.Error("Subscribe on a batch daemon should error")
+	resp, err := subscribe(ctx, client.BaseURL())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var we tivwire.Error
+	err = json.NewDecoder(resp.Body).Decode(&we)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusConflict || err != nil || we.Code != tivwire.CodeNotLive {
+		t.Errorf("subscribe on a batch daemon = %d %+v (%v), want 409 not_live", resp.StatusCode, we, err)
 	}
 }
 
@@ -163,8 +203,8 @@ func TestDaemonUpdateAndSubscribeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	client, _ := startDaemon(t, svc, tivd.Options{})
-	ctx, cancel := context.WithCancel(context.Background())
+	client, srv := startDaemon(t, svc, tivd.Options{})
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 
 	h, err := client.Healthz(ctx)
@@ -175,21 +215,22 @@ func TestDaemonUpdateAndSubscribeRoundTrip(t *testing.T) {
 		t.Fatal("live daemon reports live=false")
 	}
 
-	// Subscribe first, handshake-synchronized, then push an update
-	// through the wire and expect its change set on the stream.
-	ready := make(chan struct{})
-	events := make(chan tivwire.ChangeSet, 16)
-	var wg sync.WaitGroup
-	wg.Add(1)
-	var subErr error
-	go func() {
-		defer wg.Done()
-		subErr = client.Subscribe(ctx, ready, func(cs tivwire.ChangeSet) { events <- cs })
-	}()
-	select {
-	case <-ready:
-	case <-time.After(5 * time.Second):
-		t.Fatal("subscription handshake timed out")
+	// Subscribe first — the stream opens with the hello event carrying
+	// the counters at attach — then push an update through the wire and
+	// expect its change set on the stream.
+	resp, err := subscribe(ctx, client.BaseURL())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if ct := resp.Header.Get("Content-Type"); resp.StatusCode != http.StatusOK || ct != "text/event-stream" {
+		t.Fatalf("subscribe = %d %q, want 200 text/event-stream", resp.StatusCode, ct)
+	}
+	sc := tivwire.NewSSEScanner(resp.Body)
+	hello, err := sc.Next()
+	var hv tivwire.Hello
+	if err != nil || hello.Name != "hello" || json.Unmarshal([]byte(hello.Data), &hv) != nil || hv.N != 4 || hv.Version < h.Version {
+		t.Fatalf("first event %+v (err %v), want hello for 4 nodes at version >= %d", hello, err, h.Version)
 	}
 
 	cs, err := client.ApplyUpdate(ctx, 0, 1, 100) // violate edge (0,1)
@@ -200,16 +241,12 @@ func TestDaemonUpdateAndSubscribeRoundTrip(t *testing.T) {
 		t.Fatalf("update response = %+v, want edge (0,1) newly violated", cs)
 	}
 
-	select {
-	case ev := <-events:
-		if len(ev.NewlyViolated) != 1 || ev.NewlyViolated[0].I != 0 || ev.NewlyViolated[0].J != 1 {
-			t.Errorf("subscription event = %+v, want edge (0,1) newly violated", ev)
-		}
-		if ev.Version != cs.Version {
-			t.Errorf("event version %d != update response version %d", ev.Version, cs.Version)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("subscription event did not arrive")
+	ev := nextChangeSet(t, sc)
+	if len(ev.NewlyViolated) != 1 || ev.NewlyViolated[0].I != 0 || ev.NewlyViolated[0].J != 1 {
+		t.Errorf("subscription event = %+v, want edge (0,1) newly violated", ev)
+	}
+	if ev.Version != cs.Version {
+		t.Errorf("event version %d != update response version %d", ev.Version, cs.Version)
 	}
 
 	// The daemon's epoch advanced and its analysis reflects the update.
@@ -228,20 +265,14 @@ func TestDaemonUpdateAndSubscribeRoundTrip(t *testing.T) {
 	if _, err := client.ApplyBatch(ctx, []tivwire.Update{{I: 0, J: 1, RTT: 25}}); err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case ev := <-events:
-		if len(ev.Cleared) != 1 {
-			t.Errorf("clear event = %+v, want edge (0,1) cleared", ev)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("clear event did not arrive")
+	if ev := nextChangeSet(t, sc); len(ev.Cleared) != 1 {
+		t.Errorf("clear event = %+v, want edge (0,1) cleared", ev)
 	}
 
-	// Cancelling the context shuts the stream down cleanly.
-	cancel()
-	wg.Wait()
-	if subErr != nil {
-		t.Errorf("Subscribe after cancel: %v", subErr)
+	// Server.Close ends the stream: the body reaches a clean EOF.
+	srv.Close()
+	if ev, err := sc.Next(); err != io.EOF {
+		t.Errorf("after Server.Close the stream read %+v, %v; want io.EOF", ev, err)
 	}
 }
 
@@ -351,14 +382,16 @@ func TestCloseRacesSubscribe(t *testing.T) {
 			t.Fatal(err)
 		}
 		ts := httptest.NewServer(srv.Handler())
-		client := tivclient.New(ts.URL, tivclient.Options{})
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		done := make(chan struct{})
 		go func() {
 			defer close(done)
 			// Outcome is irrelevant (rejected or cancelled); only
-			// termination matters.
-			_ = client.Subscribe(ctx, nil, func(tivwire.ChangeSet) {})
+			// termination matters: the body must reach its end.
+			if resp, err := subscribe(ctx, ts.URL); err == nil {
+				_, _ = io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+			}
 		}()
 		srv.Close() // race against the subscription registering
 		select {
@@ -420,5 +453,102 @@ func TestSubscribeOmitsHelloWhenHealthFails(t *testing.T) {
 				t.Fatalf("first event %q (err %v), want %q", ev.Name, err, tc.first)
 			}
 		})
+	}
+}
+
+// pipeWriter is an http.ResponseWriter whose body is the write end of
+// a pipe: every Write blocks until the reader takes the bytes, so a
+// reader that stops reading stalls the handler the way a full socket
+// does, at a point the test controls. writing is signalled as each
+// Write begins.
+type pipeWriter struct {
+	h       http.Header
+	w       *io.PipeWriter
+	writing chan struct{}
+}
+
+func (p *pipeWriter) Header() http.Header { return p.h }
+func (p *pipeWriter) WriteHeader(int)     {}
+func (p *pipeWriter) Flush()              {}
+
+func (p *pipeWriter) Write(b []byte) (int, error) {
+	select {
+	case p.writing <- struct{}{}:
+	default:
+	}
+	return p.w.Write(b)
+}
+
+// TestSubscribeOverflowDisconnects pins the server's policy for a
+// subscriber that falls behind: once more change sets are pending than
+// the stream's buffer holds, the stream delivers what it has, then an
+// overflow event, then ends — it never blocks the updating goroutine
+// and never skips deltas silently.
+func TestSubscribeOverflowDisconnects(t *testing.T) {
+	m := tivMatrix()
+	m.Set(0, 1, 25) // violation-free: every flip of (0,1) is a delta
+	svc, err := tivaware.NewFromMatrix(m, tivaware.Options{Live: true, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := tivd.New(svc, tivd.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	pr, pw := io.Pipe()
+	w := &pipeWriter{h: http.Header{}, w: pw, writing: make(chan struct{}, 1)}
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		srv.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/v1/subscribe", nil))
+		pw.Close()
+	}()
+	defer func() { pr.Close(); <-served }()
+
+	sc := tivwire.NewSSEScanner(pr)
+	if ev, err := sc.Next(); err != nil || ev.Name != "hello" {
+		t.Fatalf("first event %+v (err %v), want hello", ev, err)
+	}
+	<-w.writing // the handshake's writes, all read by now
+	// The subscriber stops reading: the handler stalls writing the
+	// first change set, and every flip after it is a non-empty change
+	// set delivered synchronously — 1024 in all, four times the
+	// stream's buffer, so the stream must overflow.
+	const flips = 1024
+	for k := 0; k < flips; k++ {
+		if k == 1 {
+			select {
+			case <-w.writing:
+			case <-time.After(10 * time.Second):
+				t.Fatal("the handler never started writing the first change set")
+			}
+		}
+		if _, err := svc.ApplyUpdate(0, 1, []float64{100, 25}[k%2]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	changesets := 0
+	var last uint64
+	for {
+		ev, err := sc.Next()
+		if err != nil {
+			t.Fatalf("stream ended (%v) after %d changesets without an overflow event", err, changesets)
+		}
+		if ev.Name == "overflow" {
+			break
+		}
+		var cs tivwire.ChangeSet
+		if ev.Name != "changeset" || json.Unmarshal([]byte(ev.Data), &cs) != nil || cs.Version <= last || cs.Empty() {
+			t.Fatalf("event %d: %+v, want a non-empty changeset past version %d", changesets, ev, last)
+		}
+		last = cs.Version
+		changesets++
+	}
+	if changesets == 0 || changesets >= flips {
+		t.Errorf("%d changesets before the overflow, want some but fewer than the %d flips", changesets, flips)
+	}
+	if ev, err := sc.Next(); err != io.EOF {
+		t.Errorf("after the overflow event the stream read %+v, %v; want io.EOF", ev, err)
 	}
 }

@@ -122,7 +122,6 @@ func Dial(ctx context.Context, addr string, opts ClientOptions) (*Conn, error) {
 	// The read loop blocks in conn reads between responses; any read
 	// error (including the close kicked by Close/fail) exits it, so
 	// its lifetime is the connection's.
-	//lint:tiv goleak client read loop: exits on any read error and Close/fail close the conn under it
 	go c.readLoop()
 	return c, nil
 }

@@ -152,7 +152,6 @@ func (s *Server) Serve(ln net.Listener) error {
 		// block carries the idle deadline and any read error (including
 		// the deadline Close kicks it with) exits the loop, so the
 		// goroutine's lifetime is the connection's.
-		//lint:tiv goleak per-conn read loop: every blocking read carries the idle deadline and any error path returns
 		go c.readLoop()
 	}
 }

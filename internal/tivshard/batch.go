@@ -117,7 +117,8 @@ func (b *Backend) QueryBatch(ctx context.Context, queries []tivaware.Query) ([]t
 }
 
 // CacheVersion returns (generation, 0). The generation advances on
-// every update batch routed through this gateway, so equal
+// every update batch committed through this gateway (answered or only
+// journaled for replay) and on every shard readmission, so equal
 // generations imply identical answers under the sharded plane's
 // deployment contract: all writes flow through the gateway (out-of-
 // band writes directly to a shard daemon are invisible here — see the

@@ -134,9 +134,11 @@ type Gateway struct {
 	live    bool
 	opts    Options
 
-	// gen counts update batches routed through this gateway; it is
-	// the epoch stamp of gateway responses (cross-shard queries have
-	// no shared service epoch to report).
+	// gen is the epoch stamp of gateway responses (cross-shard queries
+	// have no shared service epoch to report) and tivd's cache key for
+	// the gateway (Backend.CacheVersion). It advances on every committed
+	// update batch — answered or only journaled — and on every shard
+	// readmission, so no answer cached before either is served after.
 	gen atomic.Uint64
 
 	// turn rotates the batches' home over the live shards (see home).
@@ -234,8 +236,8 @@ func (g *Gateway) N() int { return g.n }
 // Live reports whether every shard accepts updates and subscriptions.
 func (g *Gateway) Live() bool { return g.live }
 
-// Generation returns the number of update batches routed through this
-// gateway (the epoch stamp of its responses).
+// Generation returns the gateway's epoch stamp: it advances on every
+// committed update batch and every shard readmission.
 func (g *Gateway) Generation() uint64 { return g.gen.Load() }
 
 // Close stops the health prober and releases the shard connections. It
@@ -509,6 +511,9 @@ func (g *Gateway) ApplyBatch(ctx context.Context, updates []tivwire.Update) (tiv
 		g.ensureReplayFrom(s, idx)
 	}
 	if authority < 0 {
+		// Committed all the same: replay will land the batch, so answers
+		// cached before it must not outlive it.
+		g.gen.Add(1)
 		if !g.rescanOwed {
 			g.rescanOwed = true
 			g.deliver(tivwire.ChangeSet{Rescan: true})

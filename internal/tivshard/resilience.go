@@ -367,8 +367,7 @@ func (g *Gateway) probeAll(ctx context.Context) {
 		// The recover replay inside probe advances a monotone cursor
 		// toward the bounded journal's end and every blocking call it
 		// makes carries probeTimeout, so each probe tick's goroutines
-		// finish — a progress argument the static proof cannot see.
-		//lint:tiv goleak probe/recover bound every call with probeTimeout and the replay cursor only advances
+		// finish.
 		go func(s int) {
 			defer wg.Done()
 			g.probe(ctx, s)
@@ -429,10 +428,13 @@ func (g *Gateway) recover(ctx context.Context, s int) {
 			return
 		}
 		if cursor >= g.journalBase+int64(len(g.journal)) {
-			// Caught up: readmit.
+			// Caught up: readmit. A read served meanwhile (the
+			// desperation pass asks down replicas) may have come from this
+			// replica while it was behind, so the generation moves on.
 			g.states[s].down.Store(false)
 			g.states[s].stale = false
 			g.states[s].fails.Store(0)
+			g.gen.Add(1)
 			g.journalMu.Unlock()
 			g.settleRescan()
 			return

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"tivaware/internal/tivclient"
 	"tivaware/internal/tivshard"
 	"tivaware/internal/tivshard/testcluster"
 	"tivaware/internal/tivwire"
@@ -300,5 +301,48 @@ func TestJournalOwnsItsBatches(t *testing.T) {
 		if d, ok := sh.Service.Delay(0, 1); !ok || d != 123456 {
 			t.Errorf("replica %d holds delay(0,1) = %g (%v), want the admitted 123456", s, d, ok)
 		}
+	}
+}
+
+// TestServedGatewayCacheSeesReplayedCommit: a batch committed while no
+// replica could answer it lands when replay readmits the replicas, and
+// a served gateway's query cache must not keep answering from before
+// it. (Fails at the parent commit: the unanswered commit left the
+// gateway generation — tivd's cache key — where it was, so the served
+// gateway kept answering the detour it cached before the kill. Delay
+// queries bypass the cache; a detour carries the direct delay.)
+func TestServedGatewayCacheSeesReplayedCommit(t *testing.T) {
+	c, err := testcluster.Start(testcluster.Config{
+		N: 12, Shards: 3, Seed: 5, Live: true, Workers: 1, ServeGateway: true,
+		GatewayOptions: chaosGatewayOptions(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ctx := context.Background()
+	served := tivclient.New(c.GatewayURL, tivclient.Options{})
+	before, err := served.DetourPath(ctx, 0, 1)
+	if err != nil || before.Direct == 123456 {
+		t.Fatalf("DetourPath(0,1) = %+v, %v before the update", before, err)
+	}
+
+	for s := range c.Shards {
+		c.KillShard(s)
+	}
+	_, err = served.ApplyUpdate(ctx, 0, 1, 123456)
+	var ce *tivclient.Error
+	if !errors.As(err, &ce) || ce.Code != tivwire.CodeUnavailable {
+		t.Fatalf("update with every shard dead: %v, want a typed unavailable", err)
+	}
+	for s := range c.Shards {
+		if err := c.RestartShard(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitStatus(t, c.Gateway, "ok", 10*time.Second)
+
+	if d, err := served.DetourPath(ctx, 0, 1); err != nil || d.Direct != 123456 {
+		t.Fatalf("served gateway DetourPath(0,1) after replay = %+v, %v; want direct delay 123456 (was %g)", d, err, before.Direct)
 	}
 }

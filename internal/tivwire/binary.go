@@ -230,9 +230,9 @@ func encodeMsg(w *binWriter, msg any) (byte, error) {
 	case *BatchResponse:
 		encBatchResp(w, m)
 		return mtBatchResponse, nil
+	default: // a programming error, never reached by the wire structs
+		return 0, fmt.Errorf("tivwire: no binary encoding for %T", msg)
 	}
-	//lint:tiv allocfree unknown-type tail is a programming error, never reached by the wire structs
-	return 0, fmt.Errorf("tivwire: no binary encoding for %T", msg)
 }
 
 // decodePayload decodes a validated payload into the typed message,

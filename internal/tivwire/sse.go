@@ -17,13 +17,12 @@ type SSEEvent struct {
 	Data string
 }
 
-// SSEScanner incrementally parses a text/event-stream. Both the
-// tivclient subscription loop and the fuzz tests run on this one
-// parser, so a frame that panics the client would be caught here
-// first. Frames are bounded at maxSSEFrame bytes per line; a
-// truncated final event (stream ends before the blank-line
-// terminator) is discarded, per the SSE convention that an event is
-// only complete at its terminator.
+// SSEScanner incrementally parses a text/event-stream: the reader the
+// tivd stream tests use and FuzzSSEScanner hardens, for any Go
+// consumer of /v1/subscribe. Frames are bounded at maxSSEFrame bytes
+// per line; a truncated final event (stream ends before the
+// blank-line terminator) is discarded, per the SSE convention that an
+// event is only complete at its terminator.
 type SSEScanner struct {
 	sc *bufio.Scanner
 }
