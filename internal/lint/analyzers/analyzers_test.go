@@ -27,17 +27,13 @@ func TestAllocFree(t *testing.T) {
 	linttest.Run(t, "testdata/allocfree", analyzers.AllocFree)
 }
 
-func TestWireErr(t *testing.T) {
-	linttest.Run(t, "testdata/wireerr", analyzers.WireErr)
-}
-
-// TestRegistry pins the suite: six analyzers, unique names (the
+// TestRegistry pins the suite: five analyzers, unique names (the
 // names are the //lint:tiv suppression vocabulary and the DESIGN.md
 // invariant table rows).
 func TestRegistry(t *testing.T) {
 	all := analyzers.All()
-	if len(all) != 6 {
-		t.Fatalf("expected 6 analyzers, got %d", len(all))
+	if len(all) != 5 {
+		t.Fatalf("expected 5 analyzers, got %d", len(all))
 	}
 	seen := map[string]bool{}
 	for _, a := range all {

@@ -1,6 +1,6 @@
-// Package analyzers holds the tivlint analyzer suite: six checkers,
-// each encoding one invariant this codebase's concurrency and wire
-// design rests on. See DESIGN.md "machine-checked invariants" for the
+// Package analyzers holds the tivlint analyzer suite: five checkers,
+// each encoding one invariant this codebase's concurrency and
+// performance design rests on. See DESIGN.md "machine-checked invariants" for the
 // invariant table and the sanctioned suppression mechanism.
 package analyzers
 

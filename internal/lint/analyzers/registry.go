@@ -12,6 +12,5 @@ func All() []*analysis.Analyzer {
 		CtxPoll,
 		LayerBoundary,
 		AllocFree,
-		WireErr,
 	}
 }

@@ -1,5 +1,5 @@
-// Annotation parsing for the //tiv: vocabulary the interprocedural
-// analyzers consume. Annotations live in a function's doc comment:
+// Annotation parsing for the //tiv: vocabulary the allocfree
+// analyzer consumes. Annotations live in a function's doc comment:
 //
 //	//tiv:hotpath <optional note>
 //	    marks a zero-allocation root: the function and everything it

@@ -2,7 +2,7 @@
 // over every loaded analysis unit, with per-function nodes for both
 // declared functions and function literals, bottom-up SCC ordering for
 // summary propagation, and the //tiv:hotpath / //tiv:coldpath
-// annotation vocabulary the interprocedural analyzers key off.
+// annotation vocabulary the allocfree analyzer keys off.
 //
 // The loader (internal/lint/load) type-checks each unit against
 // memoized, types-only import universes, so the same source function
@@ -552,9 +552,6 @@ func (g *Graph) UnitFuncs(path string) []*Func { return g.byUnit[path] }
 
 // FuncOf maps an *ast.FuncDecl or *ast.FuncLit back to its node.
 func (g *Graph) FuncOf(n ast.Node) *Func { return g.byNode[n] }
-
-// ByKey looks a node up by its stable key.
-func (g *Graph) ByKey(k string) *Func { return g.Funcs[k] }
 
 // Memo computes build() once per graph under key and caches the
 // result, so an analyzer's module-wide summary work runs once even

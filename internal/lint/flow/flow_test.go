@@ -39,7 +39,7 @@ func TestDiamondCallgraph(t *testing.T) {
 	const pkg = "fixture/diamond"
 	byName := func(name string) *flow.Func {
 		t.Helper()
-		f := g.ByKey(pkg + "||" + name)
+		f := g.Funcs[pkg+"||"+name]
 		if f == nil {
 			t.Fatalf("no node for %s", name)
 		}

@@ -65,8 +65,9 @@ func (e *Error) Error() string {
 
 func (e *Error) Unwrap() error { return e.cause }
 
-// WireCode exposes the taxonomy code under the interface the wireerr
-// lint (and code-dispatching callers) recognize.
+// WireCode exposes the taxonomy code under the interface tivd's
+// errorEnvelope (and other code-dispatching callers) recognize: a
+// gateway hands a shard's coded failure on with its code.
 func (e *Error) WireCode() string { return e.Code }
 
 // Retryable reports whether the failure is worth retrying — against

@@ -2,9 +2,11 @@ package tivd
 
 import (
 	"context"
+	"errors"
 
 	"tivaware/internal/tiv"
 	"tivaware/internal/tivaware"
+	"tivaware/internal/tivwire"
 )
 
 // Backend is the query-and-update surface the HTTP server serves. Two
@@ -16,7 +18,10 @@ import (
 //
 // Every read — a single-shot GET, a /v1/batch vector, a framed batch —
 // reaches the backend as typed queries through QueryBatch; there is no
-// per-kind method to keep in step with it.
+// per-kind method to keep in step with it. An error a backend returns,
+// whole-call or per-query, carries its wire code (a WireCode method,
+// as tivwire.CodedError has); the server answers one without as 503
+// internal.
 //
 // The signatures reference only tivaware/tiv types, so an
 // implementation never needs to import this package.
@@ -45,7 +50,10 @@ type Backend interface {
 }
 
 // serviceBackend adapts a tivaware.Service: a batch pins one View so
-// the results and their epoch stamp are mutually consistent.
+// the results and their epoch stamp are mutually consistent. It is
+// where tivaware's plain errors enter the serving plane, so every error
+// it returns — whole-call or per-query — leaves with its wire code
+// (see coded).
 type serviceBackend struct {
 	svc *tivaware.Service
 }
@@ -53,32 +61,57 @@ type serviceBackend struct {
 // ServiceBackend exposes an in-process service as a Backend.
 func ServiceBackend(svc *tivaware.Service) Backend { return serviceBackend{svc} }
 
+// coded gives a tivaware error its wire code, message unchanged. A
+// context expiry is left as it is: the service could not answer in
+// time, which errorEnvelope serves as unavailable.
+func coded(err error, code string) error {
+	if err == nil || errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+		return err
+	}
+	return &tivwire.CodedError{Code: code, Msg: err.Error(), Cause: err}
+}
+
 func (b serviceBackend) N() int     { return b.svc.N() }
 func (b serviceBackend) Live() bool { return b.svc.Live() }
 
 func (b serviceBackend) Health(ctx context.Context) (uint64, uint64, error) {
 	v, err := b.svc.View(ctx)
 	if err != nil {
-		return 0, 0, err
+		return 0, 0, coded(err, tivwire.CodeBadRequest)
 	}
 	return v.Seq(), v.Version(), nil
 }
 
+// QueryBatch codes a failed query as the request's fault, except a
+// failed analysis: the service cannot produce exact counts (a sampled
+// deployment), the same conflict a gateway's disagreeing replicas are.
 func (b serviceBackend) QueryBatch(ctx context.Context, queries []tivaware.Query) ([]tivaware.Result, uint64, error) {
 	v, err := b.svc.View(ctx)
 	if err != nil {
-		return nil, 0, err
+		return nil, 0, coded(err, tivwire.CodeBadRequest)
 	}
 	res, err := v.QueryBatch(ctx, queries)
-	return res, v.Seq(), err
+	for i := range res {
+		if res[i].Err == nil {
+			continue
+		}
+		code := tivwire.CodeBadRequest
+		if res[i].Kind == tivaware.KindAnalysis {
+			code = tivwire.CodeDiverged
+		}
+		res[i].Err = coded(res[i].Err, code)
+	}
+	return res, v.Seq(), coded(err, tivwire.CodeBadRequest)
 }
 
 func (b serviceBackend) CacheVersion() (uint64, uint64) { return b.svc.Versions() }
 
 func (b serviceBackend) ApplyBatch(_ context.Context, updates []tiv.Update) (tiv.ChangeSet, error) {
-	return b.svc.ApplyBatch(updates)
+	cs, err := b.svc.ApplyBatch(updates)
+	return cs, coded(err, tivwire.CodeBadRequest)
 }
 
 func (b serviceBackend) Subscribe(fn func(tiv.ChangeSet)) (func(), error) {
-	return b.svc.Subscribe(fn)
+	cancel, err := b.svc.Subscribe(fn)
+	return cancel, coded(err, tivwire.CodeBadRequest)
 }

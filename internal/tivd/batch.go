@@ -117,8 +117,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 
 // resolveBatch answers one decoded batch request — the transport-free
 // core shared by POST /v1/batch and the framed listener. A returned
-// error is a whole-call failure already typed for errorEnvelope (a
-// tivwire.CodedError or a backend error); per-query failures land in
+// error is a whole-call failure errorEnvelope serves as it is (coded,
+// or a context expiry); per-query failures land in
 // the aligned Results vector. The request is the transport's message (a
 // wrapping frame handler may read it again), so resolveQueries
 // normalizes a copy of the slice.
@@ -161,7 +161,7 @@ func (s *Server) resolveQueries(ctx context.Context, queries []tivaware.Query) (
 		// Normalize first (the cache key must see effective parameters);
 		// a bad query fails alone, never the batch.
 		if err := s.normalizeQuery(&queries[i]); err != nil {
-			e := envelope(tivwire.CodeBadRequest, err)
+			e := errorEnvelope(err)
 			results[i] = tivwire.Result{Kind: string(queries[i].Kind), Err: &e}
 			continue
 		}
@@ -202,11 +202,7 @@ func (s *Server) resolveQueries(ctx context.Context, queries []tivaware.Query) (
 		store = qv2 == qv && av2 == av
 	}
 	for k, m := range misses {
-		q := miss[k]
-		wr := tivwire.FromResult(q, res[k], epoch, func(err error) tivwire.Error {
-			_, env := resultEnvelope(q.Kind, err)
-			return env
-		})
+		wr := tivwire.FromResult(miss[k], res[k], epoch, errorEnvelope)
 		results[m.idx] = wr
 		if store && wr.Err == nil && m.key != "" {
 			stored := wr

@@ -58,6 +58,6 @@ func (h frameHandler) ServeFrame(ctx context.Context, msg any) any {
 // would have written (status travels as the taxonomy code; frames
 // have no status line).
 func frameError(err error) *tivwire.Error {
-	_, e := errorEnvelope(err)
+	e := errorEnvelope(err)
 	return &e
 }

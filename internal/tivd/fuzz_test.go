@@ -21,7 +21,8 @@ import (
 // The server must answer every one of them — any status but 500 is
 // fine, a panic or hang is not — and whatever it answers 200 must be a
 // JSON body (the non-finite penalty seeds answered 200 with an empty
-// body before input validity was enforced). The live service is shared across iterations,
+// body before input validity was enforced), and no envelope it writes
+// may be coded internal or carry no code. The live service is shared across iterations,
 // so fuzzed updates that happen to validate also mutate real state
 // while later iterations query it.
 func FuzzRequests(f *testing.F) {
@@ -68,10 +69,11 @@ func FuzzRequests(f *testing.F) {
 		f.Add("POST", path, string(tb))
 	}
 	f.Fuzz(func(t *testing.T, method, target, body string) {
-		// Reject targets net/http itself could never deliver (and the
-		// subscribe endpoint, whose stream outlives the recorder).
+		// Reject targets net/http itself could never deliver — a space
+		// would split the request line — (and the subscribe endpoint,
+		// whose stream outlives the recorder).
 		u, err := url.ParseRequestURI(target)
-		if err != nil || !strings.HasPrefix(target, "/") || u.Path == "/v1/subscribe" {
+		if err != nil || !strings.HasPrefix(target, "/") || strings.ContainsAny(target, " \t") || u.Path == "/v1/subscribe" {
 			return
 		}
 		switch method {
@@ -90,6 +92,33 @@ func FuzzRequests(f *testing.F) {
 		}
 		if rec.Code == http.StatusOK && method != http.MethodHead && !json.Valid(rec.Body.Bytes()) {
 			t.Fatalf("%s %s: 200 with a body that is not JSON: %q", method, target, rec.Body)
+		}
+		// Every envelope — an error answer, or a failed query in a batch
+		// answer — carries the code its builder chose: internal, or none,
+		// means an error reached the wire uncoded.
+		var envs []tivwire.Error
+		switch {
+		case rec.Code != http.StatusOK && rec.Header().Get("Content-Type") == "application/json":
+			var e tivwire.Error
+			if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil {
+				t.Fatalf("%s %s: %d with a body that is no envelope: %q", method, target, rec.Code, rec.Body)
+			}
+			envs = append(envs, e)
+		case rec.Code == http.StatusOK && u.Path == "/v1/batch":
+			var resp tivwire.BatchResponse
+			if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+				t.Fatalf("%s %s: 200 with a body that is no batch answer: %q", method, target, rec.Body)
+			}
+			for _, r := range resp.Results {
+				if r.Err != nil {
+					envs = append(envs, *r.Err)
+				}
+			}
+		}
+		for _, e := range envs {
+			if e.Code == "" || e.Code == tivwire.CodeInternal {
+				t.Fatalf("%s %s: %d carries the envelope %+v: an error reached the wire uncoded", method, target, rec.Code, e)
+			}
 		}
 	})
 }

@@ -231,37 +231,23 @@ func errNotLive() error {
 // promptly.
 const defaultRetryAfter = 0.5
 
-// errorEnvelope maps a backend error onto an HTTP status and taxonomy
-// envelope. Errors that carry their own code (via WireCode — gateway
-// backends classify shard failures) win; context expiry means the
-// backend could not answer in time (unavailable, retryable);
-// everything else the query path produces is a validation failure —
-// the client's fault. Gateway backends wrap shard errors, so the
-// context check must unwrap.
-func errorEnvelope(err error) (int, tivwire.Error) {
+// errorEnvelope maps an error onto its taxonomy envelope. The code is
+// chosen where the error is built — tivd's validation, the gateway's
+// own failures, a shard's refusal handed on, serviceBackend for
+// tivaware's errors — so a non-empty WireCode wins. A context expiry
+// means the backend could not answer in time (unavailable). Anything
+// else is an error nobody coded: internal, so it is loud and a client
+// may retry it elsewhere rather than give up on a request that may be
+// fine. Gateway backends wrap shard errors, so both checks unwrap.
+func errorEnvelope(err error) tivwire.Error {
 	var wc interface{ WireCode() string }
-	if errors.As(err, &wc) {
-		code := wc.WireCode()
-		return statusForCode(code), envelope(code, err)
+	if errors.As(err, &wc) && wc.WireCode() != "" {
+		return envelope(wc.WireCode(), err)
 	}
 	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-		return http.StatusServiceUnavailable, envelope(tivwire.CodeUnavailable, err)
+		return envelope(tivwire.CodeUnavailable, err)
 	}
-	return http.StatusBadRequest, envelope(tivwire.CodeBadRequest, err)
-}
-
-// resultEnvelope is errorEnvelope specialized per query kind: an
-// analysis failure without its own code means the backend's replicas
-// disagree (or the deployment cannot produce exact counts) — the
-// wire's diverged conflict, not a bad request.
-func resultEnvelope(kind tivaware.QueryKind, err error) (int, tivwire.Error) {
-	if kind == tivaware.KindAnalysis {
-		var wc interface{ WireCode() string }
-		if !errors.As(err, &wc) && !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
-			return http.StatusConflict, envelope(tivwire.CodeDiverged, err)
-		}
-	}
-	return errorEnvelope(err)
+	return envelope(tivwire.CodeInternal, err)
 }
 
 // statusForCode maps a taxonomy code to its HTTP status.
@@ -279,8 +265,8 @@ func statusForCode(code string) int {
 
 // serviceError writes a backend error through the taxonomy mapping.
 func serviceError(w http.ResponseWriter, err error) {
-	status, e := errorEnvelope(err)
-	writeMsg(w, status, e)
+	e := errorEnvelope(err)
+	writeMsg(w, statusForCode(e.Code), e)
 }
 
 func requireMethod(w http.ResponseWriter, r *http.Request, method string) bool {

@@ -1,9 +1,11 @@
 package tivd_test
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"net/http"
@@ -409,6 +411,108 @@ type sickBackend struct{ tivd.Backend }
 
 func (sickBackend) Health(context.Context) (uint64, uint64, error) {
 	return 0, 0, errors.New("counters unreadable")
+}
+
+// uncodedBackend fails every query with an error nobody gave a code.
+type uncodedBackend struct{ tivd.Backend }
+
+func (uncodedBackend) QueryBatch(_ context.Context, queries []tivaware.Query) ([]tivaware.Result, uint64, error) {
+	res := make([]tivaware.Result, len(queries))
+	for i, q := range queries {
+		res[i] = tivaware.Result{Kind: q.Kind, Err: errors.New("uncoded")}
+	}
+	return res, 1, nil
+}
+
+// TestWireCodes pins each failure's status and wire code on every
+// surface the request reaches: its own HTTP endpoint, /v1/batch (a
+// query's per-result envelope) and frames. An error nobody coded is a
+// retryable 503 internal, never a terminal bad_request. (The two
+// uncoded cases fail at the parent commit, which answered 400
+// bad_request.)
+func TestWireCodes(t *testing.T) {
+	service := func(opts tivaware.Options) tivd.Backend {
+		svc, err := tivaware.NewFromMatrix(tivMatrix(), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tivd.ServiceBackend(svc)
+	}
+	live := service(tivaware.Options{Live: true, Workers: 1})
+	batch := func(q tivaware.Query) *tivwire.BatchRequest {
+		return &tivwire.BatchRequest{Queries: []tivaware.Query{q}}
+	}
+	for _, tc := range []struct {
+		name   string
+		b      tivd.Backend
+		path   string // the request's own HTTP endpoint
+		msg    any    // the same request as a frame (and a /v1/batch body)
+		status int
+		code   string
+	}{
+		{"uncoded query error", uncodedBackend{live}, "/v1/delay?i=0&j=1",
+			batch(tivaware.Query{Kind: tivaware.KindDelay, I: 0, J: 1}), http.StatusServiceUnavailable, tivwire.CodeInternal},
+		{"uncoded health error", sickBackend{live}, "/healthz",
+			&tivwire.Hello{}, http.StatusServiceUnavailable, tivwire.CodeInternal},
+		{"analysis on a sampled daemon", service(tivaware.Options{SampleThirdNodes: 2, Workers: 1}), "/v1/analysis",
+			batch(tivaware.Query{Kind: tivaware.KindAnalysis}), http.StatusConflict, tivwire.CodeDiverged},
+		{"tivaware validation", live, "/v1/rank?target=99",
+			batch(tivaware.Query{Kind: tivaware.KindRank, Target: 99}), http.StatusBadRequest, tivwire.CodeBadRequest},
+		{"update on the diagonal", live, "/v1/update",
+			&tivwire.UpdateRequest{Updates: []tivwire.Update{{I: 1, J: 1, RTT: 5}}}, http.StatusBadRequest, tivwire.CodeBadRequest},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv, err := tivd.NewBackend(tc.b, tivd.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv.Close()
+			serve := func(method, path string, body any) *httptest.ResponseRecorder {
+				var rd io.Reader
+				if body != nil {
+					b, err := json.Marshal(body)
+					if err != nil {
+						t.Fatal(err)
+					}
+					rd = bytes.NewReader(b)
+				}
+				rec := httptest.NewRecorder()
+				srv.Handler().ServeHTTP(rec, httptest.NewRequest(method, path, rd))
+				return rec
+			}
+			method, body := http.MethodGet, any(nil)
+			if _, ok := tc.msg.(*tivwire.UpdateRequest); ok {
+				method, body = http.MethodPost, tc.msg
+			}
+			rec := serve(method, tc.path, body)
+			var e tivwire.Error
+			if rec.Code != tc.status || json.Unmarshal(rec.Body.Bytes(), &e) != nil || e.Code != tc.code {
+				t.Errorf("%s = %d %s, want %d %s", tc.path, rec.Code, rec.Body, tc.status, tc.code)
+			}
+			// resultCode reads a one-query batch answer's per-query code.
+			resultCode := func(resp *tivwire.BatchResponse) string {
+				if len(resp.Results) != 1 || resp.Results[0].Err == nil {
+					return fmt.Sprintf("%+v", resp.Results)
+				}
+				return resp.Results[0].Err.Code
+			}
+			answer := srv.FrameHandler().ServeFrame(context.Background(), tc.msg)
+			if _, ok := tc.msg.(*tivwire.BatchRequest); ok {
+				rec := serve(http.MethodPost, "/v1/batch", tc.msg)
+				var resp tivwire.BatchResponse
+				if err := json.Unmarshal(rec.Body.Bytes(), &resp); rec.Code != http.StatusOK || err != nil || resultCode(&resp) != tc.code {
+					t.Errorf("/v1/batch = %d %s, want 200 with a result coded %s", rec.Code, rec.Body, tc.code)
+				}
+				if resp, ok := answer.(*tivwire.BatchResponse); !ok || resultCode(resp) != tc.code {
+					t.Errorf("framed batch = %+v, want a result coded %s", answer, tc.code)
+				}
+				return
+			}
+			if fe, ok := answer.(*tivwire.Error); !ok || fe.Code != tc.code {
+				t.Errorf("frame = %+v, want an envelope coded %s", answer, tc.code)
+			}
+		})
+	}
 }
 
 // TestSubscribeOmitsHelloWhenHealthFails: the hello event vouches for

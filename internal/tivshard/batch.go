@@ -3,7 +3,6 @@ package tivshard
 import (
 	"context"
 	"errors"
-	"fmt"
 
 	"tivaware/internal/tivaware"
 	"tivaware/internal/tivclient"
@@ -11,9 +10,9 @@ import (
 )
 
 // The gateway's one read path. Every shard is a full replica, so no
-// query is split across shards: the rank, closest, detour, top and
-// delay queries of a batch are handed on, kinds and parameters
-// untouched, in one shard-ward batch to the batch's home — one live
+// query is split across shards: every query of a batch but analysis
+// is handed on, kinds and parameters untouched, in one shard-ward
+// batch to the batch's home — one live
 // replica per batch, rotating (Gateway.home) — so they share one round
 // trip and one pinned shard epoch. Analysis sweeps every shard
 // (Gateway.Analysis). A shard hop costs more than any scan splitting
@@ -47,14 +46,12 @@ func (g *Gateway) QueryBatch(ctx context.Context, queries []tivaware.Query) ([]t
 	for i, q := range queries {
 		out[i].Kind = q.Kind
 		switch q.Kind {
-		case tivaware.KindRank, tivaware.KindClosest, tivaware.KindDetour, tivaware.KindTop, tivaware.KindDelay:
-			// Out-of-range parameters still travel: the shard produces
-			// the validation error a monolith would.
-			sent = append(sent, i)
 		case tivaware.KindAnalysis:
 			analysisIdx = append(analysisIdx, i)
 		default:
-			out[i].Err = fmt.Errorf("%w: %q", tivaware.ErrUnsupportedQuery, q.Kind)
+			// Out-of-range parameters and unknown kinds still travel: the
+			// shard refuses them with the code and words a monolith would.
+			sent = append(sent, i)
 		}
 	}
 

@@ -4,8 +4,11 @@ import (
 	"context"
 	"errors"
 	"math"
+	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"slices"
+	"sync/atomic"
 	"testing"
 
 	"tivaware/internal/synth"
@@ -60,6 +63,68 @@ func TestInvalidDelayNotJournaled(t *testing.T) {
 		if len(g.journal) != 1 || g.Generation() != 1 {
 			t.Errorf("rtt %g: journal %d entries, generation %d; want 1 and 1", bad, len(g.journal), g.Generation())
 		}
+	}
+}
+
+// TestProbeKeepsForeignDaemonDown: a shard that comes back as a daemon
+// New would have refused — read-only under a live gateway, or over
+// another node count — stays down. Nothing is replayed to it, so the
+// journaled update is not skipped as a "refusal", and every read comes
+// from the live replica. (Fails at the parent commit: one probe
+// readmitted both, and the read-only one answered Delay(0,1) from its
+// seed.)
+func TestProbeKeepsForeignDaemonDown(t *testing.T) {
+	daemon := func(t *testing.T, n int, live bool) http.Handler {
+		sp, err := synth.Generate(synth.DS2Like(n, 3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		svc, err := tivaware.NewFromMatrix(sp.Matrix, tivaware.Options{Live: live, Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv, err := tivd.New(svc, tivd.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(srv.Close)
+		return srv.Handler()
+	}
+	for _, tc := range []struct {
+		name string
+		n    int
+		live bool
+	}{{"not live", 8, false}, {"12 nodes", 12, true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			var shard1 atomic.Value // http.Handler: the process behind shard 1's URL
+			shard1.Store(daemon(t, 8, true))
+			ts0 := httptest.NewServer(daemon(t, 8, true))
+			t.Cleanup(ts0.Close)
+			ts1 := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				shard1.Load().(http.Handler).ServeHTTP(w, r)
+			}))
+			t.Cleanup(ts1.Close)
+			ctx := context.Background()
+			g, err := New(ctx, []string{ts0.URL, ts1.URL}, Options{ProbeInterval: -1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer g.Close()
+			if _, err := g.ApplyUpdate(ctx, 0, 1, 500); err != nil {
+				t.Fatal(err)
+			}
+
+			shard1.Store(daemon(t, tc.n, tc.live))
+			g.probe(ctx, 1)
+			if down, status := g.DownShards(), g.Status(); !slices.Equal(down, []int{1}) || status != "degraded" {
+				t.Fatalf("after the probe: down %v, status %q; want [1] and degraded", down, status)
+			}
+			for k := 0; k < 4; k++ {
+				if d, ok, err := g.Delay(ctx, 0, 1); err != nil || !ok || d != 500 {
+					t.Fatalf("read %d: Delay(0,1) = (%g,%v,%v), want the journaled 500", k, d, ok, err)
+				}
+			}
+		})
 	}
 }
 

@@ -383,7 +383,11 @@ func (g *Gateway) probeAll(ctx context.Context) {
 // ever saw it down: it is tripped with a full-history replay cursor.
 // A down shard that answers is replayed and readmitted; only this
 // path readmits, because a down shard's replica may be missing updates
-// and must not serve reads until caught up.
+// and must not serve reads until caught up. An answer New would have
+// refused — another node count, or read-only under a live gateway —
+// comes from no replica: the shard stays down and nothing is replayed
+// to it (recover would read its refusals as every replica's and skip
+// the batches).
 func (g *Gateway) probe(ctx context.Context, s int) {
 	pctx, cancel := context.WithTimeout(ctx, g.opts.probeTimeout())
 	defer cancel()
@@ -394,8 +398,12 @@ func (g *Gateway) probe(ctx context.Context, s int) {
 		}
 		return
 	}
-	if g.states[s].boot.Swap(h.Boot) != h.Boot {
+	foreign := h.N != g.n || g.live && !h.Live
+	if g.states[s].boot.Swap(h.Boot) != h.Boot || foreign {
 		g.ensureReplayFrom(s, 0)
+	}
+	if foreign {
+		return
 	}
 	if g.isDown(s) {
 		g.recover(ctx, s)

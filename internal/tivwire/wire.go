@@ -202,9 +202,9 @@ const (
 )
 
 // CodedError is an error whose builder chose its taxonomy code — tivd's
-// request validation, the gateway's own failures, a shard's refusal
-// handed on — rather than leaving it to errorEnvelope's defaults. The
-// envelope a client reads is exactly {Msg, Code}.
+// request validation and service adapter, the gateway's own failures, a
+// shard's refusal handed on; tivd serves an error without one as
+// internal. The envelope a client reads is exactly {Msg, Code}.
 type CodedError struct {
 	Code  string // a Code* constant
 	Msg   string // the whole message, as the client reads it
