@@ -16,11 +16,9 @@ import (
 )
 
 // Analyzer describes one invariant checker: a name (used in
-// diagnostics and //lint:tiv suppression directives), documentation,
-// and the per-package Run function.
+// diagnostics), documentation, and the per-package Run function.
 type Analyzer struct {
-	// Name identifies the analyzer. It must be a valid Go identifier,
-	// because suppression directives reference it.
+	// Name identifies the analyzer in diagnostics.
 	Name string
 	// Doc states the invariant the analyzer enforces, why it holds,
 	// and what to do when it fires. The first line is the summary.
@@ -51,12 +49,6 @@ type Pass struct {
 	// TestFile reports whether f is a _test.go file. Analyzers whose
 	// invariant only binds production code consult it.
 	TestFile func(f *ast.File) bool
-	// Flow carries the module-wide interprocedural layer
-	// (*flow.Graph) when the runner built one. It is typed any so this
-	// package stays dependency-free; analyzers retrieve it through
-	// flow.Of(pass) and must tolerate nil (a pass run without the
-	// layer).
-	Flow any
 	// Report delivers one finding.
 	Report func(d Diagnostic)
 }

@@ -23,17 +23,12 @@ func TestLayerBoundary(t *testing.T) {
 	linttest.Run(t, "testdata/layerboundary", analyzers.LayerBoundary)
 }
 
-func TestAllocFree(t *testing.T) {
-	linttest.Run(t, "testdata/allocfree", analyzers.AllocFree)
-}
-
-// TestRegistry pins the suite: five analyzers, unique names (the
-// names are the //lint:tiv suppression vocabulary and the DESIGN.md
-// invariant table rows).
+// TestRegistry pins the suite: four analyzers, unique names (the
+// names are the DESIGN.md invariant table rows).
 func TestRegistry(t *testing.T) {
 	all := analyzers.All()
-	if len(all) != 5 {
-		t.Fatalf("expected 5 analyzers, got %d", len(all))
+	if len(all) != 4 {
+		t.Fatalf("expected 4 analyzers, got %d", len(all))
 	}
 	seen := map[string]bool{}
 	for _, a := range all {

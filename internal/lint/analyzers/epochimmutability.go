@@ -1,7 +1,7 @@
-// Package analyzers holds the tivlint analyzer suite: five checkers,
-// each encoding one invariant this codebase's concurrency and
-// performance design rests on. See DESIGN.md "machine-checked invariants" for the
-// invariant table and the sanctioned suppression mechanism.
+// Package analyzers holds the tivlint analyzer suite: four checkers,
+// each encoding one invariant this codebase's concurrency design
+// rests on. See DESIGN.md "Machine-checked invariants" for the
+// invariant table.
 package analyzers
 
 import (

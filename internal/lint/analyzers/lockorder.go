@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"tivaware/internal/lint/analysis"
-	"tivaware/internal/lint/flow"
 )
 
 // lockOrders declares the established lock hierarchy per package
@@ -84,7 +83,7 @@ func runLockOrder(pass *analysis.Pass) error {
 					if name, kind := lockCall(pass, call, rank); kind == lockAcquire {
 						fi.acquires[name] = true
 					} else if kind == lockNone {
-						if callee := flow.StaticCallee(pass.Info, call); callee != nil && callee.Pkg() == pass.Pkg {
+						if callee := staticCallee(pass, call); callee != nil {
 							fi.calls[callee] = true
 						}
 					}
@@ -166,6 +165,36 @@ func lockCall(pass *analysis.Pass, call *ast.CallExpr, rank map[string]int) (str
 		return "", lockNone
 	}
 	return name, kind
+}
+
+// staticCallee resolves a call to the function or method it statically
+// targets when that target is declared in the package under analysis
+// (generic instantiations resolve to their origin). It returns nil for
+// other packages, builtins, conversions, interface dispatch and
+// function values: call summaries are same-package only.
+func staticCallee(pass *analysis.Pass, call *ast.CallExpr) *types.Func {
+	fun := ast.Unparen(call.Fun)
+	switch x := fun.(type) {
+	case *ast.IndexExpr:
+		fun = ast.Unparen(x.X)
+	case *ast.IndexListExpr:
+		fun = ast.Unparen(x.X)
+	}
+	var id *ast.Ident
+	switch x := fun.(type) {
+	case *ast.Ident:
+		id = x
+	case *ast.SelectorExpr:
+		if s := pass.Info.Selections[x]; s != nil && types.IsInterface(s.Recv()) {
+			return nil
+		}
+		id = x.Sel
+	}
+	fn, _ := pass.Info.Uses[id].(*types.Func)
+	if fn == nil || fn.Pkg() != pass.Pkg {
+		return nil
+	}
+	return fn.Origin()
 }
 
 // mutexName names the mutex a Lock/Unlock receiver path refers to:
@@ -311,8 +340,8 @@ func (w *lockWalker) handleCall(call *ast.CallExpr, held *[]string) {
 			}
 		}
 	default:
-		callee := flow.StaticCallee(w.pass.Info, call)
-		if callee == nil || callee.Pkg() != w.pass.Pkg || len(*held) == 0 {
+		callee := staticCallee(w.pass, call)
+		if callee == nil || len(*held) == 0 {
 			return
 		}
 		for lockName := range w.summary(callee) {

@@ -11,6 +11,5 @@ func All() []*analysis.Analyzer {
 		LockOrder,
 		CtxPoll,
 		LayerBoundary,
-		AllocFree,
 	}
 }

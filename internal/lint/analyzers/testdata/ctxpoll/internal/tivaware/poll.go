@@ -108,14 +108,3 @@ func noCtx(xs []int) int {
 	}
 	return total
 }
-
-// suppressedLoop exercises the //lint:tiv directive: the finding is
-// recorded but does not fail the run.
-func suppressedLoop(ctx context.Context, xs []int) int {
-	total := 0
-	//lint:tiv ctxpoll fixture exercising the suppression directive
-	for _, x := range xs { // suppressed "never polls cancellation"
-		total += x
-	}
-	return total
-}

@@ -7,10 +7,9 @@
 // A fixture is a directory containing its own go.mod (module
 // "fixture") whose package layout mirrors the paths the analyzers
 // scope themselves to (internal/tivaware, internal/tivwire, ...).
-// Every active finding must be matched by a `// want "re"` comment on
-// its line, and every finding suppressed by a //lint:tiv directive
-// must be matched by a `// suppressed "re"` comment — both directions
-// are strict, so fixtures pin false positives as hard as misses.
+// Every finding must be matched by a `// want "re"` comment on its
+// line, and every such comment by a finding — both directions are
+// strict, so fixtures pin false positives as hard as misses.
 package linttest
 
 import (
@@ -27,16 +26,15 @@ import (
 )
 
 var (
-	markerRe = regexp.MustCompile(`//\s*(want|suppressed)\s+(.+)$`)
+	markerRe = regexp.MustCompile(`//\s*want\s+(.+)$`)
 	quotedRe = regexp.MustCompile(`"([^"]*)"`)
 )
 
 type expectation struct {
-	file       string // slash-separated, relative to the fixture root
-	line       int
-	re         *regexp.Regexp
-	suppressed bool
-	matched    bool
+	file    string // slash-separated, relative to the fixture root
+	line    int
+	re      *regexp.Regexp
+	matched bool
 }
 
 // Run applies the analyzers to the fixture module at dir and fails t
@@ -60,27 +58,19 @@ func Run(t *testing.T, dir string, analyzers ...*analysis.Analyzer) {
 	}
 	for _, f := range res.Findings {
 		if !consume(exps, f) {
-			kind := "finding"
-			if f.Suppressed {
-				kind = "suppressed finding"
-			}
-			t.Errorf("unexpected %s: %s", kind, f)
+			t.Errorf("unexpected finding: %s", f)
 		}
 	}
 	for _, e := range exps {
 		if !e.matched {
-			kind := "want"
-			if e.suppressed {
-				kind = "suppressed"
-			}
-			t.Errorf("%s:%d: no finding matched `// %s %q`", e.file, e.line, kind, e.re)
+			t.Errorf("%s:%d: no finding matched `// want %q`", e.file, e.line, e.re)
 		}
 	}
 }
 
 func consume(exps []*expectation, f lint.Finding) bool {
 	for _, e := range exps {
-		if e.matched || e.file != f.File || e.line != f.Line || e.suppressed != f.Suppressed {
+		if e.matched || e.file != f.File || e.line != f.Line {
 			continue
 		}
 		if e.re.MatchString(f.Message) {
@@ -111,21 +101,16 @@ func collectExpectations(root string) ([]*expectation, error) {
 			if m == nil {
 				continue
 			}
-			quoted := quotedRe.FindAllStringSubmatch(m[2], -1)
+			quoted := quotedRe.FindAllStringSubmatch(m[1], -1)
 			if len(quoted) == 0 {
-				return fmt.Errorf("%s:%d: `// %s` marker without a quoted regex", rel, i+1, m[1])
+				return fmt.Errorf("%s:%d: `// want` marker without a quoted regex", rel, i+1)
 			}
 			for _, q := range quoted {
 				re, err := regexp.Compile(q[1])
 				if err != nil {
 					return fmt.Errorf("%s:%d: bad expectation regex %q: %v", rel, i+1, q[1], err)
 				}
-				exps = append(exps, &expectation{
-					file:       rel,
-					line:       i + 1,
-					re:         re,
-					suppressed: m[1] == "suppressed",
-				})
+				exps = append(exps, &expectation{file: rel, line: i + 1, re: re})
 			}
 		}
 		return nil

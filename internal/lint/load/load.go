@@ -112,9 +112,6 @@ func modulePath(gomod string) string {
 	return ""
 }
 
-// Fset returns the loader's shared file set.
-func (l *Loader) Fset() *token.FileSet { return l.fset }
-
 // Load type-checks the packages matching the go-style patterns
 // ("./...", "./internal/tivaware", "./internal/..."), returning one
 // unit per package (plus one per external test package).
@@ -132,71 +129,6 @@ func (l *Loader) Load(patterns ...string) ([]*Package, error) {
 		pkgs = append(pkgs, units...)
 	}
 	return pkgs, nil
-}
-
-// LoadImports closes a set of loaded units over their module-internal
-// imports: every module package transitively imported by units but not
-// among them is loaded as a compiled-files-only unit (no test files)
-// and returned. A partial-pattern lint run uses this so the
-// interprocedural layer still sees the bodies of callee packages; the
-// extra units carry full ASTs and type info but are not themselves
-// analyzed.
-func (l *Loader) LoadImports(units []*Package) ([]*Package, error) {
-	have := map[string]bool{}
-	for _, u := range units {
-		have[u.Path] = true
-	}
-	seen := map[string]bool{}
-	var extra []*Package
-	var visit func(p *types.Package) error
-	visit = func(p *types.Package) error {
-		path := p.Path()
-		if seen[path] {
-			return nil
-		}
-		seen[path] = true
-		if path != l.Module && !strings.HasPrefix(path, l.Module+"/") {
-			return nil
-		}
-		if !have[path] {
-			rel := strings.TrimPrefix(strings.TrimPrefix(path, l.Module), "/")
-			dir := filepath.Join(l.Root, filepath.FromSlash(rel))
-			bp, err := l.ctxt.ImportDir(dir, 0)
-			if err != nil {
-				return fmt.Errorf("lint: expand %s: %w", path, err)
-			}
-			u, err := l.checkUnit(path, dir, bp.GoFiles, nil)
-			if err != nil {
-				return fmt.Errorf("lint: expand %s: %w", path, err)
-			}
-			if u == nil {
-				return nil
-			}
-			have[path] = true
-			extra = append(extra, u)
-			for _, imp := range u.Types.Imports() {
-				if err := visit(imp); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-		for _, imp := range p.Imports() {
-			if err := visit(imp); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	for _, u := range units {
-		for _, imp := range u.Types.Imports() {
-			if err := visit(imp); err != nil {
-				return nil, err
-			}
-		}
-	}
-	sort.Slice(extra, func(i, j int) bool { return extra[i].Path < extra[j].Path })
-	return extra, nil
 }
 
 // matchDirs expands patterns into package directories under Root.

@@ -327,8 +327,6 @@ type scanCtx struct {
 }
 
 // scanRows scans every triple whose lowest index falls in [lo, hi).
-//
-//tiv:hotpath O(N³/6) kernel: every rescan worker runs here
 func scanRows(m *delayspace.Matrix, ctx *scanCtx, lo, hi int) int64 {
 	words := ctx.words
 	rowFull := ctx.rowFull
@@ -386,8 +384,6 @@ const violTile = 256
 // severity definition. Violations of edge (a, b) itself accumulate
 // into scalars and land in the arrays once per pair, avoiding a
 // scattered store per violation.
-//
-//tiv:hotpath inner pair kernel of the triangle scan
 func scanPair(m *delayspace.Matrix, ctx *scanCtx, rowA []float64, maskA []uint64, a, b int, full bool) int64 {
 	n := ctx.n
 	words := ctx.words

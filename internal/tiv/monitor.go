@@ -175,8 +175,6 @@ func (mon *Monitor) checkUpdate(i, j int, rtt float64) error {
 // ApplyUpdate sets edge (i, j) to rtt (delayspace.Missing removes the
 // measurement) and incrementally re-establishes the full analysis in
 // O(N), returning how the violated-edge set moved.
-//
-//tiv:hotpath per-measurement O(N) incremental update
 func (mon *Monitor) ApplyUpdate(i, j int, rtt float64) (ChangeSet, error) {
 	if err := mon.checkUpdate(i, j, rtt); err != nil {
 		return ChangeSet{}, err
@@ -252,8 +250,6 @@ func (mon *Monitor) applyByRescan(updates []Update) ChangeSet {
 
 // rescan rebuilds rawSev/cnt/bad from the matrix with the batch engine
 // (raw, upper-triangle — the same layout the deltas maintain).
-//
-//tiv:coldpath O(N^3) batch rebuild, amortized over the resync interval
 func (mon *Monitor) rescan() {
 	clear(mon.rawSev)
 	clear(mon.cnt)
@@ -293,7 +289,6 @@ func (mon *Monitor) diffChangeSet(rescan bool) ChangeSet {
 	return cs
 }
 
-//tiv:coldpath runs user callbacks; only entered when the change set is non-empty
 func (mon *Monitor) notify(cs ChangeSet) {
 	if cs.Empty() && !cs.Rescan {
 		return

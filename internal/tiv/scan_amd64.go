@@ -29,8 +29,6 @@ var useAVX2 = cpuHasAVX2()
 // contiguous witness candidates for an edge of delay dab: four lanes
 // at a time under AVX2, with a branch-free scalar loop finishing the
 // tail (and standing in entirely on CPUs without AVX2).
-//
-//tiv:hotpath innermost tile kernel of the triangle scan
 func denseViolMask(ra, rb []float64, dab float64) uint64 {
 	n := len(ra)
 	var vm uint64

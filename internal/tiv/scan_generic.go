@@ -11,8 +11,6 @@ import "math"
 // integers — one sign-bit OR per candidate, no data-dependent
 // branches. amd64 builds replace this with an AVX2 kernel when the CPU
 // supports it (scan_amd64.go).
-//
-//tiv:hotpath innermost tile kernel of the triangle scan
 func denseViolMask(ra, rb []float64, dab float64) uint64 {
 	qab := int64(math.Float64bits(dab))
 	var vm uint64

@@ -52,8 +52,6 @@ var ErrFrameTooLarge = errors.New("tivframe: frame exceeds size limit")
 // the extended slice: the request id then the message's TB frame.
 // msg must be a registered tivwire message (same contract as
 // tivwire.AppendBinary).
-//
-//tiv:hotpath
 func AppendEnvelope(dst []byte, id uint64, msg any) ([]byte, error) {
 	dst = binary.LittleEndian.AppendUint64(dst, id)
 	return tivwire.AppendBinary(dst, msg)
@@ -63,8 +61,6 @@ func AppendEnvelope(dst []byte, id uint64, msg any) ([]byte, error) {
 // id and TB frame (aliasing buf). It validates only the envelope
 // geometry — the id prefix and the TB header's declared length
 // against the bytes present — leaving payload decoding to tivwire.
-//
-//tiv:hotpath
 func SplitEnvelope(buf []byte) (id uint64, frame []byte, err error) {
 	if len(buf) < envIDLen+tbHeaderLen {
 		return 0, nil, fmt.Errorf("tivframe: envelope of %d bytes, want >= %d", len(buf), envIDLen+tbHeaderLen)

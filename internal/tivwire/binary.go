@@ -88,12 +88,9 @@ var (
 // AppendBinary appends msg's binary frame to dst and returns the
 // extended slice, allocating nothing when dst has capacity. msg is a
 // pointer to one of the framed wire structs.
-//
-//tiv:hotpath steady-state encode: every response frame and pooled client body
 func AppendBinary(dst []byte, msg any) ([]byte, error) {
 	start := len(dst)
 	w := writerPool.Get().(*binWriter)
-	//lint:tiv allocfree appends into the caller-owned dst, whose capacity the pooled-buffer contract amortizes
 	w.b = append(dst, binMagic0, binMagic1, binVersion, 0, 0, 0, 0, 0)
 	mt, err := encodeMsg(w, msg)
 	out := w.b
@@ -150,8 +147,6 @@ func newMsg(mt byte) any {
 // the matching wire struct), reusing msg's existing slice capacity —
 // the steady-state zero-allocation decode path. The frame's message
 // type must match msg's type.
-//
-//tiv:hotpath steady-state decode into reused wire structs
 func UnmarshalBinaryInto(data []byte, msg any) error {
 	mt, payload, err := splitFrame(data)
 	if err != nil {
@@ -240,7 +235,6 @@ func encodeMsg(w *binWriter, msg any) (byte, error) {
 func decodePayload(payload []byte, msg any) error {
 	r := readerPool.Get().(*binReader)
 	r.b, r.off, r.err = payload, 0, nil
-	//lint:tiv allocfree open-coded defer closure stays on the stack; pinned by BenchmarkUnmarshalBinaryInto AllocsPerRun
 	defer func() {
 		r.b, r.err = nil, nil
 		readerPool.Put(r)
@@ -300,7 +294,6 @@ type binReader struct {
 	err error
 }
 
-//tiv:coldpath latches the first decode error; runs at most once per malformed frame
 func (r *binReader) fail(format string, args ...any) {
 	if r.err == nil {
 		r.err = fmt.Errorf("tivwire: binary decode: "+format, args...)
@@ -389,7 +382,6 @@ func (r *binReader) strInto(prev string) string {
 			return k
 		}
 	}
-	//lint:tiv allocfree allocates only when the string actually changed and is no query kind; steady-state frames return prev
 	return string(b)
 }
 
@@ -418,8 +410,6 @@ func (r *binReader) count(minElem int) int {
 // resize returns s with length n, reusing capacity when possible. The
 // present-but-empty case must not collapse to nil (nil is a distinct
 // wire state, JSON null).
-//
-//tiv:coldpath grows reused capacity to the working size once; steady state re-slices
 func resize[T any](s []T, n int) []T {
 	if cap(s) >= n {
 		s = s[:n]
@@ -445,7 +435,6 @@ func encSlice[T any](w *binWriter, s []T, omitEmpty bool, enc func(*binWriter, *
 	}
 	w.u64(uint64(len(s)))
 	for i := range s {
-		//lint:tiv allocfree enc is always one of the field codecs above, each scanned hot via its reference edge
 		enc(w, &s[i])
 	}
 }
@@ -462,7 +451,6 @@ func decSlice[T any](r *binReader, prev []T, minElem int, dec func(*binReader, *
 	}
 	s := resize(prev, n)
 	for i := range s {
-		//lint:tiv allocfree dec is always one of the field codecs above, each scanned hot via its reference edge
 		dec(r, &s[i])
 		if r.err != nil {
 			return s

@@ -3,6 +3,7 @@ package tivwire
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"reflect"
 	"strings"
@@ -269,43 +270,49 @@ func TestBinaryRejectsMangledFrames(t *testing.T) {
 	}
 }
 
-// TestBinarySteadyStateZeroAlloc pins the pooled traffic-plane
-// property: encoding into a reused buffer and decoding into a reused
-// struct allocates nothing once capacities are warm (a decoded string
-// allocates only when it differs from the one already there).
-func TestBinarySteadyStateZeroAlloc(t *testing.T) {
+// TestSteadyStateAllocs pins the pooled traffic-plane property on
+// every framed message: encoding into a reused buffer and decoding
+// into a reused struct allocate nothing once capacities are warm (a
+// decoded string allocates only when it differs from the one already
+// there). Being a measurement, it sees every kind of allocation —
+// boxing, escaping closures, growth — on every path the corpus
+// reaches.
+func TestSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops puts under the race detector; alloc counts are meaningless")
 	}
-	rank := &BatchResponse{Epoch: 9, Results: []Result{{Kind: "rank", Rank: &RankResponse{Target: 3, Epoch: 9, Selections: []Selection{
-		{Node: 1, Delay: 2, Severity: 3, Violated: true, Violations: 4, Score: 5},
-		{Node: 6, Delay: 7, Severity: 8, Violations: 9, Score: 10},
-	}}}}}
-	cs := &ChangeSet{Version: 4, NewlyViolated: []Edge{{I: 1, J: 2, Severity: 3}}, Cleared: []Edge{{I: 9, J: 8, Severity: 7}}}
-
-	var buf []byte
-	var intoRank BatchResponse
-	var intoCS ChangeSet
-	round := func() {
-		var err error
-		buf, err = AppendBinary(buf[:0], rank)
-		if err != nil {
-			t.Fatal(err)
+	msgs := append(wireMessages(),
+		&BatchResponse{Epoch: 9, Results: []Result{{Kind: "rank", Rank: &RankResponse{Target: 3, Epoch: 9, Selections: []Selection{
+			{Node: 1, Delay: 2, Severity: 3, Violated: true, Violations: 4, Score: 5},
+			{Node: 6, Delay: 7, Severity: 8, Violations: 9, Score: 10},
+		}}}}},
+		&ChangeSet{Version: 4, NewlyViolated: []Edge{{I: 1, J: 2, Severity: 3}}, Cleared: []Edge{{I: 9, J: 8, Severity: 7}}},
+	)
+	for i, msg := range msgs {
+		var buf []byte
+		into := reflect.New(reflect.TypeOf(msg).Elem()).Interface()
+		name := fmt.Sprintf("%d-%s", i, reflect.TypeOf(msg).Elem().Name())
+		for _, c := range []struct {
+			name string
+			run  func()
+		}{
+			{"AppendBinary", func() {
+				var err error
+				if buf, err = AppendBinary(buf[:0], msg); err != nil {
+					t.Fatal(err)
+				}
+			}},
+			{"UnmarshalBinaryInto", func() {
+				if err := UnmarshalBinaryInto(buf, into); err != nil {
+					t.Fatal(err)
+				}
+			}},
+		} {
+			c.run() // warm buffer and slice capacities
+			if got := testing.AllocsPerRun(100, c.run); got != 0 {
+				t.Errorf("%s %s: %.1f allocs/op, want 0", name, c.name, got)
+			}
 		}
-		if err := UnmarshalBinaryInto(buf, &intoRank); err != nil {
-			t.Fatal(err)
-		}
-		buf, err = AppendBinary(buf[:0], cs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := UnmarshalBinaryInto(buf, &intoCS); err != nil {
-			t.Fatal(err)
-		}
-	}
-	round() // warm buffer and slice capacities
-	if allocs := testing.AllocsPerRun(100, round); allocs != 0 {
-		t.Errorf("steady-state round trip allocates %.1f objects/op, want 0", allocs)
 	}
 }
 
