@@ -21,6 +21,7 @@ import (
 //   - Relabeling the nodes permutes the answer. Integer aggregates
 //     permute exactly; severity sums accumulate in a different order, so
 //     they agree to the differential suites' 1e-9.
+//   - Removing a measured edge never adds a violating triangle.
 
 var metaSizes = []int{5, 33, 64, 130}
 
@@ -255,6 +256,57 @@ func TestMetamorphicRelabeling(t *testing.T) {
 		assertPermuted(t, "monitor",
 			streamedMonitor(t, pm, pups).SnapshotAnalysis(),
 			streamedMonitor(t, m, ups).SnapshotAnalysis(), perm)
+	}
+}
+
+// TestMetamorphicRemovalNeverAddsViolations: a violating triangle
+// needs all three sides measured, so setting a measured edge to Missing
+// can only retire violating triangles — the quantity a triangle edge
+// transversal removes edges to bring to zero — and never create one.
+// Measured edges are removed in random order, each kept out or put
+// back at random: at every removal the exact violating-triangle total
+// of a fresh Engine.Analyze must not rise, a Monitor fed the removal as
+// an update must report the same total, and putting the edge back must
+// restore the total it had.
+func TestMetamorphicRemovalNeverAddsViolations(t *testing.T) {
+	rng := rand.New(rand.NewSource(404))
+	eng := NewEngine(Options{Workers: 1})
+	for _, n := range metaSizes {
+		m := randomMatrix(t, rng, n, 0.2, 0)
+		mon := NewMonitor(m.Clone(), MonitorOptions{Workers: 1})
+		edges := m.Edges()
+		rng.Shuffle(len(edges), func(a, b int) { edges[a], edges[b] = edges[b], edges[a] })
+		before := eng.Analyze(mon.Matrix()).ViolatingTriangles
+		if got := mon.ViolatingTriangles(); got != before {
+			t.Fatalf("n=%d: monitor starts at %d violating triangles, engine %d", n, got, before)
+		}
+		retired := false
+		for _, e := range edges[:min(len(edges), 80)] {
+			if _, err := mon.ApplyUpdate(e.I, e.J, delayspace.Missing); err != nil {
+				t.Fatal(err)
+			}
+			after := eng.Analyze(mon.Matrix()).ViolatingTriangles
+			if after > before {
+				t.Fatalf("n=%d: removing edge (%d,%d) raised the violating triangles %d -> %d", n, e.I, e.J, before, after)
+			}
+			if got := mon.ViolatingTriangles(); got != after {
+				t.Fatalf("n=%d: after removing (%d,%d) the monitor counts %d violating triangles, the engine %d", n, e.I, e.J, got, after)
+			}
+			retired = retired || after < before
+			if rng.Intn(2) == 0 {
+				before = after
+				continue
+			}
+			if _, err := mon.ApplyUpdate(e.I, e.J, e.Delay); err != nil {
+				t.Fatal(err)
+			}
+			if got := mon.ViolatingTriangles(); got != before {
+				t.Fatalf("n=%d: putting (%d,%d) back left %d violating triangles, want %d", n, e.I, e.J, got, before)
+			}
+		}
+		if !retired && n > 5 {
+			t.Fatalf("n=%d: no removal retired a violating triangle; the relation was never exercised", n)
+		}
 	}
 }
 

@@ -298,15 +298,6 @@ func TestRankWithAnalysisSource(t *testing.T) {
 	}
 }
 
-func TestRankContextCancellation(t *testing.T) {
-	svc := newService(t, tivMatrix())
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := svc.Rank(ctx, 0, nil, QueryOptions{}); err == nil {
-		t.Error("cancelled context should error")
-	}
-}
-
 // TestPreCancelledContext is the satellite regression test: every
 // context-taking query must return promptly — before doing any scan
 // work — when handed an already-cancelled context.

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"time"
 
 	"tivaware/internal/delayspace"
 	"tivaware/internal/synth"
@@ -291,6 +292,7 @@ func (p matrixPredictor) Predict(i, j int) float64 {
 // still reach the cancelled subscriber once (the documented
 // guarantee).
 func TestUnsubscribeDuringFanout(t *testing.T) {
+	defer hangWatchdog(t, 10*time.Second)()
 	m := triangleMatrix()
 	svc, err := NewFromMatrix(m, Options{Live: true, Workers: 1})
 	if err != nil {
@@ -341,6 +343,7 @@ func TestUnsubscribeDuringFanout(t *testing.T) {
 // guarantee: a query issued from inside a callback observes the
 // post-update epoch.
 func TestSubscriberQueriesSeePostUpdateState(t *testing.T) {
+	defer hangWatchdog(t, 10*time.Second)()
 	m := triangleMatrix()
 	svc, err := NewFromMatrix(m, Options{Live: true, Workers: 1})
 	if err != nil {
@@ -369,6 +372,7 @@ func TestSubscriberQueriesSeePostUpdateState(t *testing.T) {
 // during a fan-out miss the in-flight delivery but receive later
 // ones.
 func TestSubscribeFromCallback(t *testing.T) {
+	defer hangWatchdog(t, 10*time.Second)()
 	m := triangleMatrix()
 	svc, err := NewFromMatrix(m, Options{Live: true, Workers: 1})
 	if err != nil {
