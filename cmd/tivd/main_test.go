@@ -466,8 +466,9 @@ func TestFlagValidation(t *testing.T) {
 
 // TestChaosFlag boots the daemon with -chaos err=1 (every request
 // answers an injected 503 envelope) and verifies the injected error
-// reaches a client as a typed retryable "unavailable" — the wiring CI's
-// chaos-smoke job depends on. A malformed spec must fail startup.
+// reaches a client as a typed retryable "unavailable": the wiring that
+// process-level rehearsal with -chaos depends on. A malformed spec must
+// fail startup.
 func TestChaosFlag(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()

@@ -13,19 +13,12 @@ import (
 	"tivaware/internal/tivwire"
 )
 
-// ClientOptions tune a framed client connection or pool. The zero
-// value dials with the documented default.
-type ClientOptions struct {
-	// DialTimeout bounds one dial; zero means 5s.
-	DialTimeout time.Duration
-}
+// dialTimeout bounds one dial.
+const dialTimeout = 5 * time.Second
 
-func (o ClientOptions) dialTimeout() time.Duration {
-	if o.DialTimeout > 0 {
-		return o.DialTimeout
-	}
-	return 5 * time.Second
-}
+// ClientOptions configures a framed client connection or pool. It has
+// no fields: the one limit, dialTimeout, is a constant.
+type ClientOptions struct{}
 
 // ErrConnClosed reports a call against (or interrupted by) a closed
 // connection; the caller should redial. Pool does so automatically on
@@ -102,12 +95,12 @@ type Conn struct {
 
 // Dial opens a framed connection to addr ("host:port", "tcp://…", or
 // "unix://…").
-func Dial(ctx context.Context, addr string, opts ClientOptions) (*Conn, error) {
+func Dial(ctx context.Context, addr string, _ ClientOptions) (*Conn, error) {
 	network, address, err := SplitAddr(addr)
 	if err != nil {
 		return nil, err
 	}
-	d := net.Dialer{Timeout: opts.dialTimeout()}
+	d := net.Dialer{Timeout: dialTimeout}
 	nc, err := d.DialContext(ctx, network, address)
 	if err != nil {
 		return nil, fmt.Errorf("tivframe: dial %s: %w", addr, err)
@@ -293,7 +286,6 @@ func decodeInto(frame []byte, resp any) error {
 // never retries silently).
 type Pool struct {
 	addr string
-	opts ClientOptions
 
 	mu     sync.Mutex
 	conns  []*Conn
@@ -303,11 +295,11 @@ type Pool struct {
 
 // NewPool builds a pool of size connections to addr; connections dial
 // lazily on first use. size <= 0 means 2.
-func NewPool(addr string, size int, opts ClientOptions) *Pool {
+func NewPool(addr string, size int, _ ClientOptions) *Pool {
 	if size <= 0 {
 		size = 2
 	}
-	return &Pool{addr: addr, opts: opts, conns: make([]*Conn, size)}
+	return &Pool{addr: addr, conns: make([]*Conn, size)}
 }
 
 // Addr returns the pool's dial address.
@@ -337,7 +329,7 @@ func (p *Pool) conn(ctx context.Context) (*Conn, error) {
 	if c != nil && !c.Dead() {
 		return c, nil
 	}
-	nc, err := Dial(ctx, p.addr, p.opts)
+	nc, err := Dial(ctx, p.addr, ClientOptions{})
 	if err != nil {
 		return nil, err
 	}

@@ -261,7 +261,7 @@ func TestCloseDrainsInFlightPipeline(t *testing.T) {
 		<-release
 		h := msg.(*tivwire.Hello)
 		return &tivwire.Health{Status: "ok", N: h.N, Version: h.Version}
-	}), Options{DrainTimeout: 10 * time.Second})
+	}), Options{})
 	c, err := Dial(context.Background(), addr, ClientOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -303,7 +303,7 @@ func TestCloseDrainsInFlightPipeline(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("Close did not return after the pipeline drained")
 	}
-	if _, err := Dial(context.Background(), addr, ClientOptions{DialTimeout: 200 * time.Millisecond}); err == nil {
+	if _, err := Dial(context.Background(), addr, ClientOptions{}); err == nil {
 		t.Fatal("dial succeeded after Close")
 	}
 }
@@ -320,7 +320,7 @@ func TestPoolRedialsAfterAbort(t *testing.T) {
 	srv := NewServer(echoHandler(), Options{})
 	go srv.Serve(ln)
 
-	p := NewPool(addr, 1, ClientOptions{DialTimeout: time.Second})
+	p := NewPool(addr, 1, ClientOptions{})
 	defer p.Close()
 	ctx := context.Background()
 	var h tivwire.Health
@@ -383,7 +383,15 @@ func TestNilHandlerAbortsConn(t *testing.T) {
 }
 
 func TestIdleTimeoutClosesQuietConn(t *testing.T) {
-	addr, _ := serve(t, echoHandler(), Options{IdleTimeout: 50 * time.Millisecond})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(echoHandler(), Options{})
+	srv.idle = 50 * time.Millisecond
+	go srv.Serve(ln)
+	t.Cleanup(srv.Abort)
+	addr := ln.Addr().String()
 	c, err := Dial(context.Background(), addr, ClientOptions{})
 	if err != nil {
 		t.Fatal(err)

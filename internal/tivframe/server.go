@@ -35,33 +35,17 @@ const (
 	// must not pin 16 MiB for the life of the process. 20x a 16-query
 	// batch response.
 	maxPooledBuf = 64 << 10
+	// idleTimeout closes a connection with no in-flight requests that
+	// has been silent this long.
+	idleTimeout = 5 * time.Minute
+	// drainTimeout bounds Close's graceful drain: in-flight requests get
+	// this long to finish and flush before the stragglers are hard-closed.
+	drainTimeout = 5 * time.Second
 )
 
-// Options tune a frame server. The zero value serves with the
-// documented defaults.
-type Options struct {
-	// IdleTimeout closes a connection with no in-flight requests that
-	// has been silent this long; zero means 5m, negative disables.
-	IdleTimeout time.Duration
-	// DrainTimeout bounds Close's graceful drain: in-flight requests
-	// get this long to finish and flush before the server hard-closes
-	// the stragglers; zero means 5s.
-	DrainTimeout time.Duration
-}
-
-func (o Options) idleTimeout() time.Duration {
-	if o.IdleTimeout != 0 {
-		return o.IdleTimeout
-	}
-	return 5 * time.Minute
-}
-
-func (o Options) drainTimeout() time.Duration {
-	if o.DrainTimeout > 0 {
-		return o.DrainTimeout
-	}
-	return 5 * time.Second
-}
+// Options configures a frame server. It has no fields: every limit is a
+// constant above.
+type Options struct{}
 
 // ErrServerClosed is returned by Serve after Close.
 var ErrServerClosed = errors.New("tivframe: server closed")
@@ -94,7 +78,7 @@ func putBuf(b []byte) {
 // connection multiplexes concurrent requests by envelope id.
 type Server struct {
 	h      Handler
-	opts   Options
+	idle   time.Duration // idleTimeout; tests shorten it
 	ctx    context.Context
 	cancel context.CancelFunc
 
@@ -106,11 +90,11 @@ type Server struct {
 }
 
 // NewServer builds a frame server over h.
-func NewServer(h Handler, opts Options) *Server {
+func NewServer(h Handler, _ Options) *Server {
 	ctx, cancel := context.WithCancel(context.Background())
 	return &Server{
 		h:      h,
-		opts:   opts,
+		idle:   idleTimeout,
 		ctx:    ctx,
 		cancel: cancel,
 		lns:    make(map[net.Listener]struct{}),
@@ -193,7 +177,7 @@ func (s *Server) snapshot() (lns []net.Listener, conns []*serverConn) {
 // Close drains gracefully: listeners stop accepting, connections stop
 // reading new requests at the next frame boundary, in-flight handlers
 // finish and their responses flush, then every connection closes.
-// Connections still busy after DrainTimeout are hard-aborted (their
+// Connections still busy after drainTimeout are hard-aborted (their
 // handler contexts cancel). Idempotent.
 func (s *Server) Close() error {
 	s.mu.Lock()
@@ -216,7 +200,7 @@ func (s *Server) Close() error {
 		s.wg.Wait()
 		close(drained)
 	}()
-	t := time.NewTimer(s.opts.drainTimeout())
+	t := time.NewTimer(drainTimeout)
 	defer t.Stop()
 	select {
 	case <-drained:
@@ -316,9 +300,7 @@ func (c *serverConn) readLoop() {
 		if c.draining.Load() {
 			return
 		}
-		if idle := c.srv.opts.idleTimeout(); idle > 0 {
-			_ = c.c.SetReadDeadline(time.Now().Add(idle))
-		}
+		_ = c.c.SetReadDeadline(time.Now().Add(c.srv.idle))
 		// Idleness is detected with a non-consuming Peek: a timeout here
 		// leaves the stream position intact, so the loop can rearm for a
 		// pipelined client that is merely awaiting slow responses. A

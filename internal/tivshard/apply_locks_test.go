@@ -17,7 +17,6 @@ import (
 	"testing"
 	"time"
 
-	"tivaware/internal/tivshard"
 	"tivaware/internal/tivshard/testcluster"
 	"tivaware/internal/tivwire"
 )
@@ -54,7 +53,8 @@ func hangWatchdog(t *testing.T, d time.Duration) (stop func()) {
 //     again whenever a direct apply fails;
 //   - a kill/restart loop keeps the prober's recover replaying and
 //     readmitting, which takes journalMu and, once released, applyMu
-//     (settleRescan);
+//     (settleRescan); a goroutine ticks the gateway's clock back to back,
+//     so the prober runs as fast as it can, concurrently with all of it;
 //   - a relay of subscribers cancels itself and subscribes its successor
 //     from inside its callback, which runs under applyMu (deliver);
 //   - Status readers take journalMu.
@@ -70,18 +70,7 @@ func TestSequencerLockOrderUnderChurn(t *testing.T) {
 		perWriter = 300
 		cycles    = 6
 	)
-	c, err := testcluster.Start(testcluster.Config{
-		N: n, Shards: 3, Live: true, Workers: 1, Frames: true,
-		GatewayOptions: tivshard.Options{
-			Retry:         tivshard.RetryPolicy{MaxAttempts: 2, BaseBackoff: time.Millisecond, MaxBackoff: 2 * time.Millisecond, PerTryTimeout: time.Second},
-			ProbeInterval: 2 * time.Millisecond,
-			ProbeTimeout:  time.Second,
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	c, clk := clockedCluster(t, testcluster.Config{N: n, Shards: 3, Live: true, Workers: 1, Frames: true}, 0)
 	gw := c.Gateway
 
 	plain, relay := &streamRecorder{}, &streamRecorder{}
@@ -113,6 +102,13 @@ func TestSequencerLockOrderUnderChurn(t *testing.T) {
 	// each restart replays the whole journal, and recover readmits only
 	// once it has caught up.
 	done := make(chan struct{})
+	poke := make(chan struct{}) // a Status reader's turn: after each write and each tick
+	nudge := func() {
+		select {
+		case poke <- struct{}{}:
+		default:
+		}
+	}
 	var wg sync.WaitGroup
 	stop := sync.OnceFunc(func() {
 		close(done)
@@ -139,6 +135,7 @@ func TestSequencerLockOrderUnderChurn(t *testing.T) {
 					t.Errorf("writer %d: %v", w, err)
 					return
 				}
+				nudge()
 			}
 		}(w)
 	}
@@ -150,32 +147,44 @@ func TestSequencerLockOrderUnderChurn(t *testing.T) {
 				select {
 				case <-done:
 					return
-				default:
+				case <-poke:
+					gw.Status()
+					gw.DownShards()
 				}
-				gw.Status()
-				gw.DownShards()
-				time.Sleep(50 * time.Microsecond)
 			}
 		}()
 	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			clk.Tick()
+			nudge()
+		}
+	}()
 
+	// The kill/restart loop waits on the ticking goroutine; a cycle that
+	// never completes is the watchdog's to report.
 	for cycle := 0; cycle < cycles; cycle++ {
 		s := cycle % c.Gateway.K()
 		c.KillShard(s)
-		deadline := time.Now().Add(10 * time.Second)
 		for !slices.Contains(gw.DownShards(), s) {
-			if time.Now().After(deadline) {
-				t.Fatalf("cycle %d: killed shard %d never went down", cycle, s)
-			}
-			time.Sleep(time.Millisecond)
+			runtime.Gosched()
 		}
 		if err := c.RestartShard(s); err != nil {
 			t.Fatal(err)
 		}
-		waitStatus(t, gw, "ok", 10*time.Second)
+		for gw.Status() != "ok" {
+			runtime.Gosched()
+		}
 	}
 	stop()
-	waitStatus(t, gw, "ok", 10*time.Second)
+	tickUntilStatus(t, clk, gw, "ok")
 
 	want, got := plain.snapshot(), relay.snapshot()
 	if len(want) == 0 {

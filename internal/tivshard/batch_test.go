@@ -10,7 +10,6 @@ import (
 	"reflect"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"tivaware/internal/synth"
 	"tivaware/internal/tivaware"
@@ -182,20 +181,7 @@ func TestGatewayBatchSurvivesKilledShard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := testcluster.Start(testcluster.Config{
-		Matrix:  sp.Matrix,
-		Shards:  3,
-		Workers: 1,
-		GatewayOptions: tivshard.Options{
-			Retry:         tivshard.RetryPolicy{MaxAttempts: 2, BaseBackoff: time.Millisecond, MaxBackoff: 5 * time.Millisecond},
-			ProbeInterval: 20 * time.Millisecond,
-			ProbeTimeout:  time.Second,
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(c.Close)
+	c, clk := clockedCluster(t, testcluster.Config{Matrix: sp.Matrix, Shards: 3, Workers: 1}, 0)
 	mono, err := c.NewMonolith()
 	if err != nil {
 		t.Fatal(err)
@@ -207,7 +193,8 @@ func TestGatewayBatchSurvivesKilledShard(t *testing.T) {
 
 	c.KillShard(0)
 	c.KillShard(2)
-	res, err := c.Gateway.QueryBatch(ctx, batchQueries(c.Matrix.N())[:6])
+	var res []tivaware.Result
+	clk.Run(func() { res, err = c.Gateway.QueryBatch(ctx, batchQueries(c.Matrix.N())[:6]) })
 	if err != nil {
 		t.Fatalf("batch call against a dead cluster should degrade per query, got call error %v", err)
 	}
@@ -229,19 +216,19 @@ func TestGatewayBatchSurvivesKilledShard(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	waitStatus(t, c.Gateway, "ok", 10*time.Second)
+	tickUntilStatus(t, clk, c.Gateway, "ok")
 	assertBatchAgreement(t, mono, c.Gateway)
 }
 
 // countingCluster boots a 3-shard cluster over n nodes whose shards
 // count the batches (POST /v1/batch) they are sent; health probes
-// and updates travel on other paths and are not counted.
-func countingCluster(t *testing.T, n int, opts tivshard.Options) (*testcluster.Cluster, *tivaware.Service, func() [3]int64) {
+// and updates travel on other paths and are not counted. The gateway
+// runs on a fake clock: it probes only when the test ticks it.
+func countingCluster(t *testing.T, n int) (*testcluster.Cluster, *tivshard.FakeClock, *tivaware.Service, func() [3]int64) {
 	t.Helper()
 	var counts [3]atomic.Int64
-	c, err := testcluster.Start(testcluster.Config{
+	c, clk := clockedCluster(t, testcluster.Config{
 		N: n, Shards: 3, Seed: 7, Workers: 1,
-		GatewayOptions: opts,
 		ShardMiddleware: func(s int, h http.Handler) http.Handler {
 			return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 				if r.URL.Path == "/v1/batch" {
@@ -250,16 +237,12 @@ func countingCluster(t *testing.T, n int, opts tivshard.Options) (*testcluster.C
 				h.ServeHTTP(w, r)
 			})
 		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(c.Close)
+	}, 0)
 	mono, err := c.NewMonolith()
 	if err != nil {
 		t.Fatal(err)
 	}
-	return c, mono, func() [3]int64 {
+	return c, clk, mono, func() [3]int64 {
 		return [3]int64{counts[0].Load(), counts[1].Load(), counts[2].Load()}
 	}
 }
@@ -305,7 +288,7 @@ func sendExact(t *testing.T, c *testcluster.Cluster, mono *tivaware.Service, cou
 // request on a home that takes turns.
 func TestShardRequestsPerBatch(t *testing.T) {
 	const n = 120
-	c, mono, counts := countingCluster(t, n, tivshard.Options{ProbeInterval: -1})
+	c, _, mono, counts := countingCluster(t, n)
 	var homes [3]int64
 	for b := 0; b < 6; b++ {
 		batch := hotMixBatch(n, b)
@@ -352,7 +335,7 @@ func TestPerQueryShardErrors(t *testing.T) {
 		}
 	}))
 	defer shard.Close()
-	g, err := tivshard.New(context.Background(), []string{shard.URL}, tivshard.Options{ProbeInterval: -1})
+	g, err := tivshard.NewOnClock(tivshard.NewFakeClock(), 0)(context.Background(), []string{shard.URL}, tivshard.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -397,9 +380,9 @@ func TestPerQueryShardErrors(t *testing.T) {
 // thirds), and every answer stays exact.
 func TestHomeSharesLoadAmongSurvivors(t *testing.T) {
 	const n = 48
-	c, mono, counts := countingCluster(t, n, chaosGatewayOptions())
+	c, clk, mono, counts := countingCluster(t, n)
 	c.KillShard(1)
-	waitStatus(t, c.Gateway, "degraded", 10*time.Second)
+	tickUntilStatus(t, clk, c.Gateway, "degraded")
 	var total [3]int64
 	for b := 0; b < 10; b++ {
 		sent := sendExact(t, c, mono, counts, hotMixBatch(n, b))

@@ -2,19 +2,13 @@ package tivshard_test
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math/rand"
-	"net/http"
 	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
 
-	"tivaware/internal/synth"
 	"tivaware/internal/tivaware"
 	"tivaware/internal/tivclient"
-	"tivaware/internal/tivfault"
 	"tivaware/internal/tivshard/testcluster"
 	"tivaware/internal/tivwire"
 )
@@ -26,128 +20,9 @@ import (
 // bit for bit; a batch admitted to the journal is applied to every
 // replica exactly once (at-least-once delivery made exact by
 // idempotent replay); and after the faults clear, the cluster
-// converges back to "ok" with no lost or duplicated updates.
-
-// TestChaosDifferentialSweep drives identical update sequences into a
-// live faulted cluster and its monolith twin, sweeping every injected
-// fault class over all three shards. An update that fails at the
-// gateway has still been journaled (admission is the commit point —
-// the replay path guarantees it lands), so the monolith applies it
-// too; on success the change sets must match exactly. After each
-// class the faults clear, recovery is awaited, and the full query
-// surface is compared.
-func TestChaosDifferentialSweep(t *testing.T) {
-	inj := tivfault.New(tivfault.Spec{})
-	// assertAgreement probes fixed node ids up to 31, so ≥32 nodes.
-	cfg := synth.DS2Like(36, 21)
-	cfg.MissingFrac = 0.08
-	sp, err := synth.Generate(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := testcluster.Start(testcluster.Config{
-		Matrix:         sp.Matrix,
-		Shards:         3,
-		Live:           true,
-		Workers:        1,
-		GatewayOptions: chaosGatewayOptions(),
-		ShardMiddleware: func(s int, h http.Handler) http.Handler {
-			return inj.Handler(h)
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(c.Close)
-	mono, err := c.NewMonolith()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	classes := []struct {
-		name string
-		spec tivfault.Spec
-	}{
-		{"latency", tivfault.Spec{Latency: 2 * time.Millisecond, Jitter: 2 * time.Millisecond, Seed: 2}},
-		{"errors", tivfault.Spec{ErrRate: 0.3, Seed: 3}},
-		{"tears", tivfault.Spec{TearRate: 0.3, Seed: 4}},
-		{"hangs", tivfault.Spec{HangRate: 0.15, Seed: 5}},
-		{"mixed", tivfault.Spec{Latency: time.Millisecond, Jitter: time.Millisecond,
-			ErrRate: 0.15, HangRate: 0.05, TearRate: 0.15, Seed: 6}},
-	}
-	ctx := context.Background()
-	rng := rand.New(rand.NewSource(77))
-	n := c.Matrix.N()
-	applied, refused := 0, 0
-	for _, fc := range classes {
-		t.Run(fc.name, func(t *testing.T) {
-			inj.SetSpec(fc.spec)
-			for step := 0; step < 25; step++ {
-				i := rng.Intn(n)
-				j := rng.Intn(n)
-				if i == j {
-					j = (j + 1) % n
-				}
-				rtt := 5 + rng.Float64()*400
-				if step%9 == 8 {
-					rtt = -1
-				}
-				gotCS, gerr := c.Gateway.ApplyUpdate(ctx, i, j, rtt)
-				// Valid updates fail only via the retryable unavailable
-				// path, after journal admission: the replay path owes
-				// them to every shard, so the monolith gets them too.
-				wantCS, merr := mono.ApplyUpdate(i, j, rtt)
-				if merr != nil {
-					t.Fatalf("step %d: monolith rejected (%d,%d,%g): %v", step, i, j, rtt, merr)
-				}
-				if gerr != nil {
-					var wc interface{ WireCode() string }
-					if !errors.As(gerr, &wc) || !tivwire.RetryableCode(wc.WireCode()) {
-						t.Fatalf("step %d: gateway failed terminally on a valid update: %v", step, gerr)
-					}
-					refused++
-					continue
-				}
-				applied++
-				// Deltas and Rescan must be bit-exact. Versions are NOT
-				// compared here: a shard's monitor version counts applies
-				// (including the no-op re-apply that resolves an ambiguous
-				// fault during journal replay), so under fault injection it
-				// may legitimately run ahead of the monolith's while every
-				// answer stays identical. The kill/restart test — where no
-				// ambiguity arises — pins versions exactly.
-				if gotCS.Rescan != wantCS.Rescan ||
-					fmt.Sprint(gotCS.NewlyViolated) != fmt.Sprint(tivwire.FromEdges(wantCS.NewlyViolated)) ||
-					fmt.Sprint(gotCS.Cleared) != fmt.Sprint(tivwire.FromEdges(wantCS.Cleared)) {
-					t.Fatalf("step %d: gateway change set %+v, monolith %+v", step, gotCS, wantCS)
-				}
-				// Reads between updates: exact whenever any caught-up
-				// replica is live (only the all-breakers-open desperation
-				// pass may serve a behind replica, so skip then).
-				if step%5 == 4 && len(c.Gateway.DownShards()) < c.Gateway.K() {
-					target := rng.Intn(n)
-					want, err := mono.ClosestNode(ctx, target, tivaware.QueryOptions{SeverityPenalty: 2})
-					if err != nil {
-						t.Fatal(err)
-					}
-					got, err := c.Gateway.ClosestNode(ctx, target, tivaware.QueryOptions{SeverityPenalty: 2})
-					if err == nil && got != want {
-						t.Fatalf("step %d: ClosestNode(%d) = %+v under faults, monolith %+v", step, target, got, want)
-					}
-				}
-			}
-			// Clear the faults; every refused update must be delivered by
-			// journal replay before the prober reports "ok".
-			inj.SetSpec(tivfault.Spec{})
-			waitStatus(t, c.Gateway, "ok", 20*time.Second)
-			assertAgreement(t, mono, c)
-		})
-	}
-	t.Logf("chaos sweep: %d updates applied directly, %d refused (journal-replayed)", applied, refused)
-	if applied == 0 {
-		t.Fatal("every update was refused; the sweep proved nothing")
-	}
-}
+// converges back to "ok" with no lost or duplicated updates. The fault
+// sweeps are histories (history_test.go); what stays here runs readers
+// or writers concurrently with the kill.
 
 // streamRecorder captures the gateway's subscription stream in
 // delivery order, Rescan markers inline.
@@ -171,15 +46,15 @@ func (r *streamRecorder) snapshot() []tivwire.ChangeSet {
 
 // replayStream replays a stream, in the order it was delivered (the
 // gateway delivers in journal order), from a baseline violated set and
-// returns the result, failing on a Rescan marker or on any duplicated,
-// lost or misordered delta.
+// returns the result, failing on a gateway Rescan marker or on any
+// duplicated, lost or misordered delta.
 func replayStream(events []tivwire.ChangeSet, baseline map[edgeKey]bool) (map[edgeKey]bool, error) {
 	set := make(map[edgeKey]bool, len(baseline))
 	for e := range baseline {
 		set[e] = true
 	}
 	for idx, ev := range events {
-		if ev.Rescan {
+		if isMarker(ev) {
 			return nil, fmt.Errorf("event %d is a Rescan marker though every batch was answered", idx)
 		}
 		for _, e := range ev.NewlyViolated {
@@ -221,7 +96,7 @@ func compareSets(got, want map[edgeKey]bool) error {
 // readers, while one shard is SIGKILL-equivalently killed mid-traffic,
 // left dead under load, then restarted from its pristine seed. The
 // gateway must keep answering updates and queries exactly throughout
-// (authority failover), detect the restart by version regression,
+// (authority failover), detect the restart by its boot identity,
 // replay the full journal, readmit the shard, and converge: the reborn
 // shard's state equals the monolith's, and the subscription stream
 // carries no lost or duplicated violated-edge delta. The script runs
@@ -239,20 +114,13 @@ func killRestartConvergence(t *testing.T, victim int) {
 		shards = 3
 		n      = 36 // assertAgreement probes fixed node ids up to 31
 	)
-	gwOpts := chaosGatewayOptions()
-	gwOpts.Retry.PerTryTimeout = time.Second
-	c, err := testcluster.Start(testcluster.Config{
-		N:              n,
-		Shards:         shards,
-		Seed:           31,
-		Live:           true,
-		Workers:        1,
-		GatewayOptions: gwOpts,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	c, clk := clockedCluster(t, testcluster.Config{
+		N:       n,
+		Shards:  shards,
+		Seed:    31,
+		Live:    true,
+		Workers: 1,
+	}, 0)
 	mono, err := c.NewMonolith()
 	if err != nil {
 		t.Fatal(err)
@@ -331,7 +199,7 @@ func killRestartConvergence(t *testing.T, victim int) {
 	// exact.
 	c.KillShard(victim)
 	lockstep("degraded", 40)
-	waitStatus(t, c.Gateway, "degraded", 10*time.Second)
+	tickUntilStatus(t, clk, c.Gateway, "degraded")
 	if down := c.Gateway.DownShards(); len(down) != 1 || down[0] != victim {
 		t.Fatalf("DownShards = %v, want [%d]", down, victim)
 	}
@@ -340,11 +208,11 @@ func killRestartConvergence(t *testing.T, victim int) {
 	assertAgreement(t, mono, c)
 
 	// Restart from the pristine seed: the prober must detect the
-	// version regression, replay the whole journal, and readmit.
+	// new boot identity, replay the whole journal, and readmit.
 	if err := c.RestartShard(victim); err != nil {
 		t.Fatal(err)
 	}
-	waitStatus(t, c.Gateway, "ok", 30*time.Second)
+	tickUntilStatus(t, clk, c.Gateway, "ok")
 
 	// Convergence: the reborn shard holds exactly the monolith's state.
 	wantAn, err := mono.Analysis()
@@ -394,46 +262,25 @@ func killRestartConvergence(t *testing.T, victim int) {
 // TestRestartBetweenProbesReplaysFullJournal is the deterministic
 // form of the window TestKillRestartConvergence only hits by timing:
 // a shard applies updates, dies and restarts from its seed with no
-// health probe completing in between. While the gate is shut every
-// /healthz request is lost in transit (and the breaker is off, so a
-// lost probe changes nothing): from construction until the restart the
-// gateway learns nothing about the shard except its own successful
-// applies. The restart must still be recognised — the reborn process
-// reports a new boot identity — and the whole journal replayed: the
-// updates the shard had applied before dying included, not only the
-// ones it was down for.
+// health probe completing in between — the gateway's clock does not
+// move until after the restart, so from construction until then the
+// gateway learns nothing about the shard except its own applies. The
+// restart must still be recognised — the reborn process reports a new
+// boot identity — and the whole journal replayed: the updates the shard
+// had applied before dying included, not only the ones it was down for.
 func TestRestartBetweenProbesReplaysFullJournal(t *testing.T) {
 	const (
 		shards = 3
 		n      = 36 // assertAgreement probes fixed node ids up to 31
 		victim = 2
 	)
-	var probesLost atomic.Bool
-	gwOpts := chaosGatewayOptions()
-	gwOpts.BreakerThreshold = -1
-	c, err := testcluster.Start(testcluster.Config{
-		N:              n,
-		Shards:         shards,
-		Seed:           17,
-		Live:           true,
-		Workers:        1,
-		GatewayOptions: gwOpts,
-		ShardMiddleware: func(_ int, h http.Handler) http.Handler {
-			return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-				if r.URL.Path == "/healthz" && probesLost.Load() {
-					panic(http.ErrAbortHandler)
-				}
-				h.ServeHTTP(w, r)
-			})
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	// A probe that slips in before this line sees the seed state, the
-	// same thing construction saw.
-	probesLost.Store(true)
+	c, clk := clockedCluster(t, testcluster.Config{
+		N:       n,
+		Shards:  shards,
+		Seed:    17,
+		Live:    true,
+		Workers: 1,
+	}, 0)
 	mono, err := c.NewMonolith()
 	if err != nil {
 		t.Fatal(err)
@@ -464,8 +311,7 @@ func TestRestartBetweenProbesReplaysFullJournal(t *testing.T) {
 	if err := c.RestartShard(victim); err != nil {
 		t.Fatal(err)
 	}
-	probesLost.Store(false)
-	waitStatus(t, c.Gateway, "ok", 10*time.Second)
+	tickUntilStatus(t, clk, c.Gateway, "ok")
 
 	reborn := c.Shards[victim].Service
 	for i := 0; i < n; i++ {
@@ -481,8 +327,8 @@ func TestRestartBetweenProbesReplaysFullJournal(t *testing.T) {
 	assertAgreement(t, mono, c)
 }
 
-// TestJournalEvictionMarksShardStale covers the safety path no test set
-// JournalLimit to reach (new coverage): a shard that needs a journal
+// TestJournalEvictionMarksShardStale covers the safety path only a
+// lowered journal bound reaches in a test: a shard that needs a journal
 // entry the bounded journal already evicted cannot be caught up by
 // replay, so it must be flagged stale — on Status and on the served
 // /healthz — and never readmitted, while reads stay exact from the
@@ -492,16 +338,9 @@ func TestJournalEvictionMarksShardStale(t *testing.T) {
 		n      = 36
 		victim = 1
 	)
-	gwOpts := chaosGatewayOptions()
-	gwOpts.JournalLimit = 4
-	c, err := testcluster.Start(testcluster.Config{
-		N: n, Shards: 3, Seed: 31, Live: true, Workers: 1,
-		ServeGateway: true, GatewayOptions: gwOpts,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	c, clk := clockedCluster(t, testcluster.Config{
+		N: n, Shards: 3, Seed: 31, Live: true, Workers: 1, ServeGateway: true,
+	}, 4)
 	mono, err := c.NewMonolith()
 	if err != nil {
 		t.Fatal(err)
@@ -521,17 +360,19 @@ func TestJournalEvictionMarksShardStale(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	waitStatus(t, c.Gateway, "degraded", 10*time.Second)
+	tickUntilStatus(t, clk, c.Gateway, "degraded")
 
 	// The shard comes back from its seed: it needs all six batches, the
 	// journal kept the last four.
 	if err := c.RestartShard(victim); err != nil {
 		t.Fatal(err)
 	}
-	waitStatus(t, c.Gateway, "stale", 10*time.Second)
+	tickUntilStatus(t, clk, c.Gateway, "stale")
 	// Many probe ticks later it is still out: stale is not a state the
 	// prober talks itself out of.
-	time.Sleep(10 * gwOpts.ProbeInterval)
+	for tick := 0; tick < 10; tick++ {
+		clk.Tick()
+	}
 	if down := c.Gateway.DownShards(); len(down) != 1 || down[0] != victim {
 		t.Fatalf("DownShards = %v, want [%d]: a stale shard was readmitted", down, victim)
 	}

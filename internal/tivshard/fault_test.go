@@ -23,101 +23,31 @@ import (
 // breaker excludes the shard, and return to "ok" once the prober
 // readmits it.
 
-// chaosGatewayOptions tightens every resilience knob so fault tests
-// converge in milliseconds instead of the production-scale defaults.
-func chaosGatewayOptions() tivshard.Options {
-	return tivshard.Options{
-		Retry: tivshard.RetryPolicy{
-			MaxAttempts:   4,
-			BaseBackoff:   2 * time.Millisecond,
-			MaxBackoff:    20 * time.Millisecond,
-			PerTryTimeout: 400 * time.Millisecond,
-		},
-		BreakerThreshold: 3,
-		ProbeInterval:    20 * time.Millisecond,
-		ProbeTimeout:     250 * time.Millisecond,
-	}
-}
-
-// faultyCluster boots a 3-shard cluster whose shard handlers are
-// wrapped by one (initially clean) injector: shard 0 only, or every
-// shard when faultAll is set. Returns the differential monolith twin.
-func faultyCluster(t *testing.T, faultAll, live bool) (*testcluster.Cluster, *tivaware.Service, *tivfault.Injector) {
+// clockedCluster boots cfg's cluster with its gateway on a fake clock
+// that moves only when the test moves it, the journal bounded at
+// journalCap batches (zero keeps the default).
+func clockedCluster(t *testing.T, cfg testcluster.Config, journalCap int) (*testcluster.Cluster, *tivshard.FakeClock) {
 	t.Helper()
-	inj := tivfault.New(tivfault.Spec{})
-	cfg := synth.DS2Like(40, 9)
-	cfg.MissingFrac = 0.08
-	sp, err := synth.Generate(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := testcluster.Start(testcluster.Config{
-		Matrix:         sp.Matrix,
-		Shards:         3,
-		Live:           live,
-		Workers:        1,
-		GatewayOptions: chaosGatewayOptions(),
-		ShardMiddleware: func(s int, h http.Handler) http.Handler {
-			if !faultAll && s != 0 {
-				return h
-			}
-			return inj.Handler(h)
-		},
-	})
+	clk := tivshard.NewFakeClock()
+	cfg.NewGateway = tivshard.NewOnClock(clk, journalCap)
+	c, err := testcluster.Start(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(c.Close)
-	mono, err := c.NewMonolith()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return c, mono, inj
+	return c, clk
 }
 
-// waitStatus polls the gateway until Status() == want.
-func waitStatus(t *testing.T, gw *tivshard.Gateway, want string, within time.Duration) {
+// tickUntilStatus runs prober ticks until the gateway reports want: a
+// killed shard is down after three, a recovered one back after one.
+func tickUntilStatus(t *testing.T, clk *tivshard.FakeClock, gw *tivshard.Gateway, want string) {
 	t.Helper()
-	deadline := time.Now().Add(within)
-	for gw.Status() != want {
-		if time.Now().After(deadline) {
-			t.Fatalf("gateway status = %q, want %q after %v (down shards: %v)",
-				gw.Status(), want, within, gw.DownShards())
+	for tick := 0; gw.Status() != want; tick++ {
+		if tick == 20 {
+			t.Fatalf("gateway status = %q, want %q after %d probe ticks (down shards: %v)",
+				gw.Status(), want, tick, gw.DownShards())
 		}
-		time.Sleep(5 * time.Millisecond)
-	}
-}
-
-// TestGatewayExactUnderSingleShardFaults sweeps the three HTTP-layer
-// fault classes over shard 0 — always-500, always-torn-JSON,
-// always-hang-mid-request — and requires the full query surface to
-// stay bit-for-bit equal to the monolith through each one, the
-// breaker to trip ("degraded"), and a clean recovery ("ok", exact
-// again) after the faults clear.
-func TestGatewayExactUnderSingleShardFaults(t *testing.T) {
-	c, mono, inj := faultyCluster(t, false, false)
-	classes := []struct {
-		name string
-		spec tivfault.Spec
-	}{
-		{"http500", tivfault.Spec{ErrRate: 1}},
-		{"torn-json", tivfault.Spec{TearRate: 1}},
-		{"midbody-hang", tivfault.Spec{HangRate: 1}},
-	}
-	for _, fc := range classes {
-		t.Run(fc.name, func(t *testing.T) {
-			inj.SetSpec(fc.spec)
-			assertAgreement(t, mono, c)
-			waitStatus(t, c.Gateway, "degraded", 10*time.Second)
-			if down := c.Gateway.DownShards(); len(down) != 1 || down[0] != 0 {
-				t.Fatalf("DownShards = %v, want [0]", down)
-			}
-			assertAgreement(t, mono, c) // exact while degraded, too
-
-			inj.SetSpec(tivfault.Spec{})
-			waitStatus(t, c.Gateway, "ok", 10*time.Second)
-			assertAgreement(t, mono, c)
-		})
+		clk.Tick()
 	}
 }
 
@@ -132,11 +62,10 @@ func TestGatewayExactUnderBare500(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := testcluster.Start(testcluster.Config{
-		Matrix:         sp.Matrix,
-		Shards:         3,
-		Workers:        1,
-		GatewayOptions: chaosGatewayOptions(),
+	c, clk := clockedCluster(t, testcluster.Config{
+		Matrix:  sp.Matrix,
+		Shards:  3,
+		Workers: 1,
 		ShardMiddleware: func(s int, h http.Handler) http.Handler {
 			if s != 0 {
 				return h
@@ -149,20 +78,16 @@ func TestGatewayExactUnderBare500(t *testing.T) {
 				h.ServeHTTP(w, r)
 			})
 		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(c.Close)
+	}, 0)
 	mono, err := c.NewMonolith()
 	if err != nil {
 		t.Fatal(err)
 	}
 	failing.Store(true)
 	assertAgreement(t, mono, c)
-	waitStatus(t, c.Gateway, "degraded", 10*time.Second)
+	tickUntilStatus(t, clk, c.Gateway, "degraded")
 	failing.Store(false)
-	waitStatus(t, c.Gateway, "ok", 10*time.Second)
+	tickUntilStatus(t, clk, c.Gateway, "ok")
 	assertAgreement(t, mono, c)
 }
 
@@ -171,18 +96,22 @@ func TestGatewayExactUnderBare500(t *testing.T) {
 // exhausts its bounded retries and surfaces a typed, retryable
 // "unavailable" — not a hang, not a panic, not a bare string.
 func TestGatewayTypedErrorWhenAllShardsFault(t *testing.T) {
-	c, _, inj := faultyCluster(t, true, false)
+	inj := tivfault.New(tivfault.Spec{})
+	c, clk := clockedCluster(t, testcluster.Config{
+		N: 40, Shards: 3, Seed: 9, Workers: 1,
+		ShardMiddleware: func(_ int, h http.Handler) http.Handler { return inj.Handler(h) },
+	}, 0)
 	inj.SetSpec(tivfault.Spec{ErrRate: 1})
 
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
-	defer cancel()
-	start := time.Now()
-	_, err := c.Gateway.Rank(ctx, 0, nil, tivaware.QueryOptions{})
+	ctx := context.Background()
+	start := clk.Now()
+	var err error
+	clk.Run(func() { _, err = c.Gateway.Rank(ctx, 0, nil, tivaware.QueryOptions{}) })
 	if err == nil {
 		t.Fatal("Rank with every shard failing succeeded")
 	}
-	if elapsed := time.Since(start); elapsed > 15*time.Second {
-		t.Fatalf("Rank took %v to fail; retries are not bounded", elapsed)
+	if waited := clk.Now() - start; waited > time.Second {
+		t.Fatalf("Rank waited %v on the gateway clock to fail; retries are not bounded", waited)
 	}
 	var wc interface{ WireCode() string }
 	if !errors.As(err, &wc) {
@@ -196,7 +125,7 @@ func TestGatewayTypedErrorWhenAllShardsFault(t *testing.T) {
 	}
 
 	inj.SetSpec(tivfault.Spec{})
-	waitStatus(t, c.Gateway, "ok", 10*time.Second)
+	tickUntilStatus(t, clk, c.Gateway, "ok")
 	if _, err := c.Gateway.Rank(ctx, 0, nil, tivaware.QueryOptions{}); err != nil {
 		t.Fatalf("Rank after recovery: %v", err)
 	}

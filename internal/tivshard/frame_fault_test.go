@@ -2,10 +2,10 @@ package tivshard_test
 
 import (
 	"testing"
-	"time"
 
 	"tivaware/internal/synth"
 	"tivaware/internal/tivaware"
+	"tivaware/internal/tivshard"
 	"tivaware/internal/tivshard/testcluster"
 )
 
@@ -15,7 +15,7 @@ import (
 
 // framedCluster boots a 3-shard cluster whose gateway dials the shards
 // over the framed transport.
-func framedCluster(t *testing.T, seed int64) (*testcluster.Cluster, *tivaware.Service) {
+func framedCluster(t *testing.T, seed int64) (*testcluster.Cluster, *tivshard.FakeClock, *tivaware.Service) {
 	t.Helper()
 	cfg := synth.DS2Like(36, seed)
 	cfg.MissingFrac = 0.08
@@ -23,28 +23,18 @@ func framedCluster(t *testing.T, seed int64) (*testcluster.Cluster, *tivaware.Se
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := testcluster.Start(testcluster.Config{
-		Matrix:         sp.Matrix,
-		Shards:         3,
-		Workers:        1,
-		Frames:         true,
-		GatewayOptions: chaosGatewayOptions(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(c.Close)
+	c, clk := clockedCluster(t, testcluster.Config{Matrix: sp.Matrix, Shards: 3, Workers: 1, Frames: true}, 0)
 	mono, err := c.NewMonolith()
 	if err != nil {
 		t.Fatal(err)
 	}
-	return c, mono
+	return c, clk, mono
 }
 
 // TestFramedGatewayExact re-proves the PR 5 exactness bar with every
 // shard call riding persistent frames instead of HTTP.
 func TestFramedGatewayExact(t *testing.T) {
-	c, mono := framedCluster(t, 19)
+	c, _, mono := framedCluster(t, 19)
 	assertAgreement(t, mono, c)
 	assertBatchAgreement(t, mono, c.Gateway)
 }
@@ -54,7 +44,7 @@ func TestFramedGatewayExact(t *testing.T) {
 // the gateway's retry taxonomy fails the batch over to live replicas
 // (exactly), and after a restart the redialed frames serve it again.
 func TestFramedGatewayKilledShardRedial(t *testing.T) {
-	c, mono := framedCluster(t, 23)
+	c, clk, mono := framedCluster(t, 23)
 	assertAgreement(t, mono, c)
 
 	c.KillShard(0)
@@ -62,12 +52,12 @@ func TestFramedGatewayKilledShardRedial(t *testing.T) {
 	// and the breaker learns the shard is gone.
 	assertAgreement(t, mono, c)
 	assertBatchAgreement(t, mono, c.Gateway)
-	waitStatus(t, c.Gateway, "degraded", 10*time.Second)
+	tickUntilStatus(t, clk, c.Gateway, "degraded")
 
 	if err := c.RestartShard(0); err != nil {
 		t.Fatal(err)
 	}
-	waitStatus(t, c.Gateway, "ok", 10*time.Second)
+	tickUntilStatus(t, clk, c.Gateway, "ok")
 	assertAgreement(t, mono, c)
 	assertBatchAgreement(t, mono, c.Gateway)
 }

@@ -48,7 +48,6 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"tivaware/internal/delayspace"
 	"tivaware/internal/tivaware"
@@ -56,27 +55,9 @@ import (
 	"tivaware/internal/tivwire"
 )
 
-// Options configures a Gateway. The zero value is valid.
+// Options configures a Gateway; the zero value is valid. The resilience
+// limits are constants (resilience.go).
 type Options struct {
-	// Retry bounds the per-query retry/failover loop; see RetryPolicy.
-	Retry RetryPolicy
-	// BreakerThreshold is the number of consecutive failures that trip
-	// a shard's circuit breaker (no reads, updates journal for
-	// replay); zero means 3, negative disables the breaker.
-	BreakerThreshold int
-	// ProbeInterval is the background health-probe cadence — the only
-	// path that readmits a down shard (after journal replay); zero
-	// means 250ms, negative disables probing (down shards then stay
-	// down, and restarts go undetected; tests drive recovery manually).
-	ProbeInterval time.Duration
-	// ProbeTimeout bounds each health probe and each replayed batch;
-	// zero means 2s.
-	ProbeTimeout time.Duration
-	// JournalLimit bounds the update journal (batches kept for
-	// replaying to down shards); older entries are evicted, and a down
-	// shard needing an evicted entry becomes stale (see Status). Zero
-	// means 8192.
-	JournalLimit int
 	// FrameAddrs, when non-empty, dials each shard's framed transport
 	// (tivd -frame-listen) for queries, updates, and health probes —
 	// persistent multiplexed raw connections instead of per-request
@@ -84,40 +65,6 @@ type Options struct {
 	// keeps that shard on HTTP. Must be empty or match the shard count.
 	// Each shard gets tivclient's default framed pool size.
 	FrameAddrs []string
-}
-
-func (o Options) breakerThreshold() int {
-	switch {
-	case o.BreakerThreshold > 0:
-		return o.BreakerThreshold
-	case o.BreakerThreshold < 0:
-		return 0
-	}
-	return 3
-}
-
-func (o Options) probeInterval() time.Duration {
-	switch {
-	case o.ProbeInterval > 0:
-		return o.ProbeInterval
-	case o.ProbeInterval < 0:
-		return 0
-	}
-	return 250 * time.Millisecond
-}
-
-func (o Options) probeTimeout() time.Duration {
-	if o.ProbeTimeout > 0 {
-		return o.ProbeTimeout
-	}
-	return 2 * time.Second
-}
-
-func (o Options) journalLimit() int {
-	if o.JournalLimit > 0 {
-		return o.JournalLimit
-	}
-	return 8192
 }
 
 // Gateway answers TIV queries from K replica shard daemons. It
@@ -132,7 +79,11 @@ type Gateway struct {
 	k       int
 	n       int
 	live    bool
-	opts    Options
+	// clock is the one source of time: backoff pauses, the probe
+	// cadence, the per-try and probe timeouts (wall time outside tests).
+	clock clock
+	// journalCap bounds the journal: journalLimit outside tests.
+	journalCap int
 
 	// gen is the epoch stamp of gateway responses (cross-shard queries
 	// have no shared service epoch to report) and tivd's cache key for
@@ -174,6 +125,10 @@ var _ tivaware.Querier = (*Gateway)(nil)
 // New builds a gateway over the shard daemons at shardURLs, probing
 // each shard's health: the shards must all serve the same node count.
 func New(ctx context.Context, shardURLs []string, opts Options) (*Gateway, error) {
+	return newGateway(ctx, shardURLs, opts, wallClock{}, journalLimit)
+}
+
+func newGateway(ctx context.Context, shardURLs []string, opts Options, clk clock, journalCap int) (*Gateway, error) {
 	if len(shardURLs) == 0 {
 		return nil, fmt.Errorf("tivshard: no shard URLs")
 	}
@@ -181,9 +136,10 @@ func New(ctx context.Context, shardURLs []string, opts Options) (*Gateway, error
 		return nil, fmt.Errorf("tivshard: %d frame addresses for %d shards", len(opts.FrameAddrs), len(shardURLs))
 	}
 	g := &Gateway{
-		k:      len(shardURLs),
-		opts:   opts,
-		states: make([]shardState, len(shardURLs)),
+		k:          len(shardURLs),
+		clock:      clk,
+		journalCap: journalCap,
+		states:     make([]shardState, len(shardURLs)),
 	}
 	for i, u := range shardURLs {
 		var copts tivclient.Options
@@ -243,9 +199,7 @@ func (g *Gateway) Generation() uint64 { return g.gen.Load() }
 // Close stops the health prober and releases the shard connections. It
 // does not touch the shard daemons.
 func (g *Gateway) Close() {
-	if g.proberCancel != nil {
-		g.proberCancel()
-	}
+	g.proberCancel()
 	g.proberWG.Wait()
 	for _, c := range g.clients {
 		c.Close()
@@ -270,6 +224,29 @@ func (g *Gateway) scatter(ctx context.Context, fn func(ctx context.Context, shar
 	}
 	wg.Wait()
 	return errors.Join(errs...)
+}
+
+// sweepLive runs call once on every live shard concurrently, each under
+// tryOnce (per-try timeout, breaker), and hands each answer or error to
+// got, one at a time. Down shards are skipped: their replicas may be
+// behind. Analysis and Healthz are the sweeps.
+func sweepLive[T any](g *Gateway, ctx context.Context, call func(ctx context.Context, c *tivclient.Client) (T, error), got func(s int, v T, err error)) {
+	var mu sync.Mutex
+	var wg sync.WaitGroup
+	for s := 0; s < g.k; s++ {
+		if g.isDown(s) {
+			continue
+		}
+		wg.Add(1)
+		go func(s int) {
+			defer wg.Done()
+			v, err := tryOnce(g, ctx, s, call)
+			mu.Lock()
+			defer mu.Unlock()
+			got(s, v, err)
+		}(s)
+	}
+	wg.Wait()
 }
 
 // queryOne answers one query as a batch of one, folding the per-query
@@ -354,31 +331,18 @@ func (g *Gateway) Analysis(ctx context.Context) (tivwire.AnalysisResponse, error
 	answered := make([]bool, g.k)
 	terminal := make([]error, g.k)
 	var lastErr error
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for s := 0; s < g.k; s++ {
-		if g.isDown(s) {
-			continue
+	sweepLive(g, ctx, func(ctx context.Context, c *tivclient.Client) (tivwire.AnalysisResponse, error) {
+		return c.Analysis(ctx)
+	}, func(s int, a tivwire.AnalysisResponse, err error) {
+		switch {
+		case err == nil:
+			parts[s], answered[s] = a, true
+		case !tivclient.IsRetryable(err):
+			terminal[s] = fmt.Errorf("tivshard: shard %d (%s): %w", s, g.clients[s].BaseURL(), err)
+		default:
+			lastErr = err
 		}
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			a, err := tryOnce(g, ctx, s, func(ctx context.Context, c *tivclient.Client) (tivwire.AnalysisResponse, error) {
-				return c.Analysis(ctx)
-			})
-			mu.Lock()
-			defer mu.Unlock()
-			switch {
-			case err == nil:
-				parts[s], answered[s] = a, true
-			case !tivclient.IsRetryable(err):
-				terminal[s] = fmt.Errorf("tivshard: shard %d (%s): %w", s, g.clients[s].BaseURL(), err)
-			default:
-				lastErr = err
-			}
-		}(s)
-	}
-	wg.Wait()
+	})
 	for _, err := range terminal {
 		if err != nil {
 			return tivwire.AnalysisResponse{}, err
@@ -430,7 +394,7 @@ func (g *Gateway) ApplyUpdate(ctx context.Context, i, j int, rtt float64) (tivwi
 //
 //   - Journal admission is the commit point: from there the round runs
 //     to its end, on every replica, whatever becomes of the caller's
-//     context (each attempt is bounded by Retry.PerTryTimeout).
+//     context (each attempt is bounded by perTryTimeout).
 //   - Down shards skip the batch. It is journaled first, and the
 //     prober replays it to them in order before readmitting them.
 //   - A live shard whose apply fails ambiguously (transport error,
@@ -602,34 +566,21 @@ func (g *Gateway) deliver(cs tivwire.ChangeSet) {
 // shard is beyond journal recovery). It errors only when no shard
 // answers at all.
 func (g *Gateway) Healthz(ctx context.Context) (tivwire.Health, error) {
-	var mu sync.Mutex
 	answered := 0
 	var lastErr error
 	out := tivwire.Health{Status: g.Status(), N: g.n, Live: g.live, Epoch: g.gen.Load()}
-	var wg sync.WaitGroup
-	for s := 0; s < g.k; s++ {
-		if g.isDown(s) {
-			continue
+	sweepLive(g, ctx, func(ctx context.Context, c *tivclient.Client) (tivwire.Health, error) {
+		return c.Healthz(ctx)
+	}, func(s int, h tivwire.Health, err error) {
+		if err != nil {
+			lastErr = fmt.Errorf("tivshard: shard %d (%s): %w", s, g.clients[s].BaseURL(), err)
+			return
 		}
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			h, err := tryOnce(g, ctx, s, func(ctx context.Context, c *tivclient.Client) (tivwire.Health, error) {
-				return c.Healthz(ctx)
-			})
-			mu.Lock()
-			defer mu.Unlock()
-			if err != nil {
-				lastErr = fmt.Errorf("tivshard: shard %d (%s): %w", s, g.clients[s].BaseURL(), err)
-				return
-			}
-			answered++
-			if h.Version > out.Version {
-				out.Version = h.Version
-			}
-		}(s)
-	}
-	wg.Wait()
+		answered++
+		if h.Version > out.Version {
+			out.Version = h.Version
+		}
+	})
 	if answered == 0 {
 		return tivwire.Health{}, errUnavailable("no shard answered the health sweep", lastErr)
 	}

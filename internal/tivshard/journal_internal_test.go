@@ -42,7 +42,7 @@ func TestInvalidDelayNotJournaled(t *testing.T) {
 		urls = append(urls, ts.URL)
 	}
 	ctx := context.Background()
-	g, err := New(ctx, urls, Options{ProbeInterval: -1})
+	g, err := newGateway(ctx, urls, Options{}, NewFakeClock(), journalLimit)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestProbeKeepsForeignDaemonDown(t *testing.T) {
 			}))
 			t.Cleanup(ts1.Close)
 			ctx := context.Background()
-			g, err := New(ctx, []string{ts0.URL, ts1.URL}, Options{ProbeInterval: -1})
+			g, err := newGateway(ctx, []string{ts0.URL, ts1.URL}, Options{}, NewFakeClock(), journalLimit)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -132,12 +132,12 @@ func TestProbeKeepsForeignDaemonDown(t *testing.T) {
 // costs O(1), not a copy of the whole journal, and the bookkeeping the
 // replay path rests on is unchanged — journalBase + len(journal) counts
 // every admitted batch and the kept window is exactly the last
-// JournalLimit batches. (Fails at the parent commit, where every append
+// journalCap batches. (Fails at the parent commit, where every append
 // past the limit re-copied the journal: ≈ 96 KiB per append at 4096.)
 func TestJournalAppendEvictsInPlace(t *testing.T) {
 	batch := func(k int) []tivwire.Update { return []tivwire.Update{{I: 0, J: 1, RTT: float64(k)}} }
 
-	g := &Gateway{opts: Options{JournalLimit: 64}}
+	g := &Gateway{journalCap: 64}
 	const admitted = 1000
 	for k := 0; k < admitted; k++ {
 		if idx := g.appendJournalLocked(batch(k)); idx != int64(k) {
@@ -157,7 +157,7 @@ func TestJournalAppendEvictsInPlace(t *testing.T) {
 	}
 
 	const limit, appends = 4096, 4 * 4096
-	g = &Gateway{opts: Options{JournalLimit: limit}}
+	g = &Gateway{journalCap: limit}
 	for k := 0; k < limit; k++ {
 		g.appendJournalLocked(nil)
 	}

@@ -94,66 +94,66 @@ func errBadRequestf(format string, args ...any) *tivwire.CodedError {
 	return gatewayError(tivwire.CodeBadRequest, fmt.Sprintf(format, args...), nil)
 }
 
-// RetryPolicy bounds the gateway's per-query retry loop.
-type RetryPolicy struct {
-	// MaxAttempts is the total number of tries per logical call
-	// across all replicas; zero means 3, negative means 1 (no retry).
-	MaxAttempts int
-	// BaseBackoff is the pause before the second attempt, doubling
-	// each further attempt (±25% jitter); zero means 25ms.
-	BaseBackoff time.Duration
-	// MaxBackoff caps the pause; zero means 1s.
-	MaxBackoff time.Duration
-	// PerTryTimeout bounds each attempt, so a mid-body hang costs one
-	// bounded try instead of wedging the batch; zero means 15s,
-	// negative disables.
-	PerTryTimeout time.Duration
+// The resilience limits. None is an option: no caller has ever tuned
+// one, and tests move the gateway's clock instead of shrinking them.
+const (
+	// maxAttempts is the number of tries per read, across all replicas.
+	maxAttempts = 3
+	// baseBackoff is the pause before the second try, doubling each
+	// further try up to maxBackoff (±25% jitter).
+	baseBackoff = 25 * time.Millisecond
+	maxBackoff  = time.Second
+	// perTryTimeout bounds each try, so a mid-body hang costs one
+	// bounded try instead of wedging the batch.
+	perTryTimeout = 15 * time.Second
+	// breakerThreshold is the number of consecutive failures that trip
+	// a shard's breaker: no reads, updates journal for replay.
+	breakerThreshold = 3
+	// probeInterval is the health prober's cadence: the only path that
+	// readmits a down shard, after journal replay.
+	probeInterval = 250 * time.Millisecond
+	// probeTimeout bounds each health probe and each replayed batch.
+	probeTimeout = 2 * time.Second
+	// journalLimit bounds the update journal (batches kept for replay
+	// to down shards); a down shard needing an evicted one is stale.
+	journalLimit = 8192
+)
+
+// clock is where the gateway reads time: a timer for the backoff pauses
+// and the probe cadence, a timeout context for the per-try and probe
+// bounds. New runs on wallClock; tests drive a clock of their own.
+type clock interface {
+	// sleep pauses for d; it returns ctx's error early if ctx ends.
+	sleep(ctx context.Context, d time.Duration) error
+	// withTimeout is context.WithTimeout on this clock.
+	withTimeout(ctx context.Context, d time.Duration) (context.Context, context.CancelFunc)
 }
 
-func (p RetryPolicy) maxAttempts() int {
-	switch {
-	case p.MaxAttempts > 0:
-		return p.MaxAttempts
-	case p.MaxAttempts < 0:
-		return 1
+type wallClock struct{}
+
+func (wallClock) sleep(ctx context.Context, d time.Duration) error {
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-ctx.Done():
+		return ctx.Err()
+	case <-t.C:
+		return nil
 	}
-	return 3
 }
 
-func (p RetryPolicy) baseBackoff() time.Duration {
-	if p.BaseBackoff > 0 {
-		return p.BaseBackoff
-	}
-	return 25 * time.Millisecond
-}
-
-func (p RetryPolicy) maxBackoff() time.Duration {
-	if p.MaxBackoff > 0 {
-		return p.MaxBackoff
-	}
-	return time.Second
-}
-
-func (p RetryPolicy) perTryTimeout() time.Duration {
-	switch {
-	case p.PerTryTimeout > 0:
-		return p.PerTryTimeout
-	case p.PerTryTimeout < 0:
-		return 0
-	}
-	return 15 * time.Second
+func (wallClock) withTimeout(ctx context.Context, d time.Duration) (context.Context, context.CancelFunc) {
+	return context.WithTimeout(ctx, d)
 }
 
 // backoffFor returns the jittered pause before attempt n (n ≥ 1 is
 // the first retry).
-func (p RetryPolicy) backoffFor(n int) time.Duration {
-	d := p.baseBackoff()
-	for i := 1; i < n && d < p.maxBackoff(); i++ {
+func backoffFor(n int) time.Duration {
+	d := baseBackoff
+	for i := 1; i < n && d < maxBackoff; i++ {
 		d *= 2
 	}
-	if d > p.maxBackoff() {
-		d = p.maxBackoff()
-	}
+	d = min(d, maxBackoff)
 	return d + time.Duration(rand.Int63n(int64(d)/2+1)) - d/4
 }
 
@@ -164,10 +164,7 @@ func (p RetryPolicy) backoffFor(n int) time.Duration {
 // failures reach here — terminal failures are the request's fault,
 // not the shard's.
 func (g *Gateway) recordFailure(s int) {
-	if g.opts.breakerThreshold() <= 0 {
-		return // breaker disabled
-	}
-	if g.states[s].fails.Add(1) >= int64(g.opts.breakerThreshold()) {
+	if g.states[s].fails.Add(1) >= breakerThreshold {
 		g.markDown(s)
 	}
 }
@@ -227,8 +224,7 @@ func (g *Gateway) home() int {
 // live, "degraded" while any shard is down (queries still answer
 // exactly from the remaining replicas), "stale" when a down shard can
 // no longer be caught up by journal replay (operator action needed:
-// restart it from a fresh replica and the prober will readmit it, or
-// widen Options.JournalLimit).
+// restart it from a fresh replica and the prober will readmit it).
 func (g *Gateway) Status() string {
 	g.journalMu.Lock()
 	defer g.journalMu.Unlock()
@@ -262,12 +258,8 @@ func (g *Gateway) DownShards() []int {
 
 // tryOnce runs one attempt against shard s under the per-try timeout.
 func tryOnce[T any](g *Gateway, ctx context.Context, s int, call func(ctx context.Context, c *tivclient.Client) (T, error)) (T, error) {
-	tctx := ctx
-	if to := g.opts.Retry.perTryTimeout(); to > 0 {
-		var cancel context.CancelFunc
-		tctx, cancel = context.WithTimeout(ctx, to)
-		defer cancel()
-	}
+	tctx, cancel := g.clock.withTimeout(ctx, perTryTimeout)
+	defer cancel()
 	v, err := call(tctx, g.clients[s])
 	if err == nil {
 		g.states[s].fails.Store(0)
@@ -291,14 +283,10 @@ func tryOnce[T any](g *Gateway, ctx context.Context, s int, call func(ctx contex
 func callHome[T any](g *Gateway, ctx context.Context, home int, call func(ctx context.Context, c *tivclient.Client) (T, error)) (T, error) {
 	var zero T
 	var lastErr error
-	for attempt := 0; attempt < g.opts.Retry.maxAttempts(); attempt++ {
+	for attempt := 0; attempt < maxAttempts; attempt++ {
 		if attempt > 0 {
-			t := time.NewTimer(g.opts.Retry.backoffFor(attempt))
-			select {
-			case <-ctx.Done():
-				t.Stop()
-				return zero, errUnavailable("query aborted", ctx.Err())
-			case <-t.C:
+			if err := g.clock.sleep(ctx, backoffFor(attempt)); err != nil {
+				return zero, errUnavailable("query aborted", err)
 			}
 		}
 		// Pass 0 walks the live replicas. If it tried nobody — every
@@ -330,31 +318,21 @@ func callHome[T any](g *Gateway, ctx context.Context, home int, call func(ctx co
 			}
 		}
 	}
-	return zero, errUnavailable(fmt.Sprintf("no shard could answer after %d attempts", g.opts.Retry.maxAttempts()), lastErr)
+	return zero, errUnavailable(fmt.Sprintf("no shard could answer after %d attempts", maxAttempts), lastErr)
 }
 
 // ---- prober --------------------------------------------------------
 
-// startProber launches the background health prober; no-op when
-// probing is disabled.
+// startProber launches the background health prober: one probe of every
+// shard each probeInterval until Close.
 func (g *Gateway) startProber() {
-	if g.opts.probeInterval() <= 0 {
-		return
-	}
 	ctx, cancel := context.WithCancel(context.Background())
 	g.proberCancel = cancel
 	g.proberWG.Add(1)
 	go func() {
 		defer g.proberWG.Done()
-		t := time.NewTicker(g.opts.probeInterval())
-		defer t.Stop()
-		for {
-			select {
-			case <-ctx.Done():
-				return
-			case <-t.C:
-				g.probeAll(ctx)
-			}
+		for g.clock.sleep(ctx, probeInterval) == nil {
+			g.probeAll(ctx)
 		}
 	}()
 }
@@ -389,9 +367,9 @@ func (g *Gateway) probeAll(ctx context.Context) {
 // to it (recover would read its refusals as every replica's and skip
 // the batches).
 func (g *Gateway) probe(ctx context.Context, s int) {
-	pctx, cancel := context.WithTimeout(ctx, g.opts.probeTimeout())
-	defer cancel()
+	pctx, cancel := g.clock.withTimeout(ctx, probeTimeout)
 	h, err := g.clients[s].Healthz(pctx)
+	cancel() // the bound is the health call's: recover bounds each replay
 	if err != nil {
 		if ctx.Err() == nil && tivclient.IsRetryable(err) {
 			g.recordFailure(s)
@@ -450,7 +428,7 @@ func (g *Gateway) recover(ctx context.Context, s int) {
 		entry := g.journal[cursor-g.journalBase]
 		g.journalMu.Unlock()
 
-		actx, cancel := context.WithTimeout(ctx, g.opts.probeTimeout())
+		actx, cancel := g.clock.withTimeout(ctx, probeTimeout)
 		_, err := g.clients[s].ApplyBatch(actx, entry.updates)
 		cancel()
 		if err != nil {
@@ -502,7 +480,7 @@ func (g *Gateway) settleRescan() {
 func (g *Gateway) appendJournalLocked(updates []tivwire.Update) int64 {
 	idx := g.journalBase + int64(len(g.journal))
 	g.journal = append(g.journal, journalEntry{updates: updates})
-	if evict := len(g.journal) - g.opts.journalLimit(); evict > 0 {
+	if evict := len(g.journal) - g.journalCap; evict > 0 {
 		clear(g.journal[:evict])
 		g.journal = g.journal[evict:]
 		g.journalBase += int64(evict)

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net/http"
+	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -13,7 +14,6 @@ import (
 	"time"
 
 	"tivaware/internal/tivclient"
-	"tivaware/internal/tivshard"
 	"tivaware/internal/tivshard/testcluster"
 	"tivaware/internal/tivwire"
 )
@@ -23,18 +23,6 @@ import (
 // subscribers (the stream is what the writers were returned, whatever
 // happens to the replicas) and to the replicas (a committed batch
 // reaches all of them, as it was admitted).
-
-// waitLive polls until the breaker has readmitted shard s.
-func waitLive(t *testing.T, gw *tivshard.Gateway, s int) {
-	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for slices.Contains(gw.DownShards(), s) {
-		if time.Now().After(deadline) {
-			t.Fatalf("shard %d not readmitted after 10s (status %q, down %v)", s, gw.Status(), gw.DownShards())
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-}
 
 // TestKillAnyReplicaInvisibleToSubscribers kills and restarts each
 // replica in turn, the authority included, under a writer that never
@@ -46,11 +34,11 @@ func waitLive(t *testing.T, gw *tivshard.Gateway, s int) {
 // request from it. (Fails at the parent commit, which read the stream
 // back from replica 0 over SSE: killing that replica tore it.)
 func TestKillAnyReplicaInvisibleToSubscribers(t *testing.T) {
+	defer hangWatchdog(t, 20*time.Second)()
 	const n = 36
 	var subscribeRequests atomic.Int64
-	c, err := testcluster.Start(testcluster.Config{
+	c, clk := clockedCluster(t, testcluster.Config{
 		N: n, Shards: 3, Seed: 31, Live: true, Workers: 1,
-		GatewayOptions: chaosGatewayOptions(),
 		ShardMiddleware: func(_ int, h http.Handler) http.Handler {
 			return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 				if r.URL.Path == "/v1/subscribe" {
@@ -59,11 +47,7 @@ func TestKillAnyReplicaInvisibleToSubscribers(t *testing.T) {
 				h.ServeHTTP(w, r)
 			})
 		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	}, 0)
 	baseline := violatedSet(t, c.Shards[0].Service)
 	rec := &streamRecorder{}
 	cancel, err := c.Gateway.Subscribe(rec.record)
@@ -76,10 +60,12 @@ func TestKillAnyReplicaInvisibleToSubscribers(t *testing.T) {
 	stop := make(chan struct{})
 	var returned []tivwire.ChangeSet // the writer's non-empty answers, in call order
 	var writeErr error
+	var writerDone atomic.Bool
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
+		defer writerDone.Store(true)
 		rng := rand.New(rand.NewSource(53))
 		for {
 			select {
@@ -101,23 +87,24 @@ func TestKillAnyReplicaInvisibleToSubscribers(t *testing.T) {
 	// grow waits until the stream has grown by at least ten events.
 	grow := func(phase string) {
 		t.Helper()
-		from, deadline := len(rec.snapshot()), time.Now().Add(10*time.Second)
+		from := len(rec.snapshot())
 		for len(rec.snapshot()) < from+10 {
-			if time.Now().After(deadline) {
-				t.Fatalf("%s: the stream stalled at %d events", phase, from)
+			if writerDone.Load() {
+				wg.Wait()
+				t.Fatalf("%s: the writer stopped (%v) with the stream at %d events", phase, writeErr, from)
 			}
-			time.Sleep(time.Millisecond)
+			runtime.Gosched()
 		}
 	}
 	for victim := range c.Shards {
 		grow(fmt.Sprintf("before killing shard %d", victim))
 		c.KillShard(victim)
-		waitStatus(t, c.Gateway, "degraded", 10*time.Second)
+		tickUntilStatus(t, clk, c.Gateway, "degraded")
 		grow(fmt.Sprintf("with shard %d dead", victim))
 		if err := c.RestartShard(victim); err != nil {
 			t.Fatal(err)
 		}
-		waitStatus(t, c.Gateway, "ok", 30*time.Second)
+		tickUntilStatus(t, clk, c.Gateway, "ok")
 	}
 	grow("after the last restart")
 	close(stop)
@@ -153,14 +140,7 @@ func TestKillAnyReplicaInvisibleToSubscribers(t *testing.T) {
 // that replay onto the final state.
 func TestUnansweredCommitBracketedByMarkers(t *testing.T) {
 	const n = 36
-	c, err := testcluster.Start(testcluster.Config{
-		N: n, Shards: 3, Seed: 31, Live: true, Workers: 1,
-		GatewayOptions: chaosGatewayOptions(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	c, clk := clockedCluster(t, testcluster.Config{N: n, Shards: 3, Seed: 31, Live: true, Workers: 1}, 0)
 	for s := range c.Shards {
 		c.KillShard(s)
 	}
@@ -188,10 +168,9 @@ func TestUnansweredCommitBracketedByMarkers(t *testing.T) {
 	if err := c.RestartShard(1); err != nil {
 		t.Fatal(err)
 	}
-	waitLive(t, c.Gateway, 1)
-	deadline := time.Now().Add(5 * time.Second)
-	for len(rec.snapshot()) < 2 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond) // the marker follows the readmission
+	clk.Tick() // readmits shard 1; the marker follows under the sequencer
+	if down := c.Gateway.DownShards(); slices.Contains(down, 1) {
+		t.Fatalf("shard 1 not readmitted by a probe tick (down %v)", down)
 	}
 	if ev := rec.snapshot(); len(ev) != 2 || !ev[1].Rescan || !ev[1].Empty() {
 		t.Fatalf("after the first readmission the stream is %+v, want a second Rescan marker and nothing else", ev)
@@ -203,7 +182,7 @@ func TestUnansweredCommitBracketedByMarkers(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	waitStatus(t, c.Gateway, "ok", 10*time.Second)
+	tickUntilStatus(t, clk, c.Gateway, "ok")
 	for step := 0; step < 25; step++ {
 		up := swingUpdate(rng, n)
 		if _, err := c.Gateway.ApplyUpdate(ctx, up.I, up.J, up.RTT); err != nil {
@@ -236,9 +215,8 @@ func TestUnansweredCommitBracketedByMarkers(t *testing.T) {
 // "ok", and Analysis reporting diverged replicas for good.)
 func TestCallerLeavingMidRoundDoesNotDivergeReplicas(t *testing.T) {
 	var leave atomic.Pointer[context.CancelFunc]
-	c, err := testcluster.Start(testcluster.Config{
+	c, clk := clockedCluster(t, testcluster.Config{
 		N: 36, Shards: 3, Seed: 31, Live: true, Workers: 1,
-		GatewayOptions: chaosGatewayOptions(),
 		ShardMiddleware: func(s int, h http.Handler) http.Handler {
 			if s != 0 {
 				return h
@@ -250,18 +228,14 @@ func TestCallerLeavingMidRoundDoesNotDivergeReplicas(t *testing.T) {
 				}
 			})
 		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	}, 0)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	leave.Store(&cancel)
 	if _, err := c.Gateway.ApplyUpdate(ctx, 0, 1, 123456); err != nil {
 		t.Errorf("a committed update failed because its caller left: %v", err)
 	}
-	waitStatus(t, c.Gateway, "ok", 10*time.Second)
+	tickUntilStatus(t, clk, c.Gateway, "ok")
 	for s, sh := range c.Shards {
 		if d, ok := sh.Service.Delay(0, 1); !ok || d != 123456 {
 			t.Errorf("replica %d holds delay(0,1) = %g (%v), want the committed 123456", s, d, ok)
@@ -279,14 +253,7 @@ func TestCallerLeavingMidRoundDoesNotDivergeReplicas(t *testing.T) {
 // value.)
 func TestJournalOwnsItsBatches(t *testing.T) {
 	const victim = 2
-	c, err := testcluster.Start(testcluster.Config{
-		N: 36, Shards: 3, Seed: 31, Live: true, Workers: 1,
-		GatewayOptions: chaosGatewayOptions(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	c, clk := clockedCluster(t, testcluster.Config{N: 36, Shards: 3, Seed: 31, Live: true, Workers: 1}, 0)
 	c.KillShard(victim)
 	batch := []tivwire.Update{{I: 0, J: 1, RTT: 123456}}
 	if _, err := c.Gateway.ApplyBatch(context.Background(), batch); err != nil {
@@ -296,7 +263,7 @@ func TestJournalOwnsItsBatches(t *testing.T) {
 	if err := c.RestartShard(victim); err != nil {
 		t.Fatal(err)
 	}
-	waitStatus(t, c.Gateway, "ok", 10*time.Second)
+	tickUntilStatus(t, clk, c.Gateway, "ok")
 	for s, sh := range c.Shards {
 		if d, ok := sh.Service.Delay(0, 1); !ok || d != 123456 {
 			t.Errorf("replica %d holds delay(0,1) = %g (%v), want the admitted 123456", s, d, ok)
@@ -312,14 +279,7 @@ func TestJournalOwnsItsBatches(t *testing.T) {
 // gateway kept answering the detour it cached before the kill. Delay
 // queries bypass the cache; a detour carries the direct delay.)
 func TestServedGatewayCacheSeesReplayedCommit(t *testing.T) {
-	c, err := testcluster.Start(testcluster.Config{
-		N: 12, Shards: 3, Seed: 5, Live: true, Workers: 1, ServeGateway: true,
-		GatewayOptions: chaosGatewayOptions(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
+	c, clk := clockedCluster(t, testcluster.Config{N: 12, Shards: 3, Seed: 5, Live: true, Workers: 1, ServeGateway: true}, 0)
 	ctx := context.Background()
 	served := tivclient.New(c.GatewayURL, tivclient.Options{})
 	before, err := served.DetourPath(ctx, 0, 1)
@@ -340,7 +300,7 @@ func TestServedGatewayCacheSeesReplayedCommit(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	waitStatus(t, c.Gateway, "ok", 10*time.Second)
+	tickUntilStatus(t, clk, c.Gateway, "ok")
 
 	if d, err := served.DetourPath(ctx, 0, 1); err != nil || d.Direct != 123456 {
 		t.Fatalf("served gateway DetourPath(0,1) after replay = %+v, %v; want direct delay 123456 (was %g)", d, err, before.Direct)

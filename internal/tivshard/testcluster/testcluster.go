@@ -47,8 +47,9 @@ type Config struct {
 	// makes the accumulation order — and hence every float — bit-equal
 	// across replicas and against the monolithic twin.
 	Workers int
-	// GatewayOptions configures the gateway.
-	GatewayOptions tivshard.Options
+	// NewGateway, when non-nil, builds the gateway in place of
+	// tivshard.New (tests hand in one that runs on a fake clock).
+	NewGateway func(ctx context.Context, shardURLs []string, opts tivshard.Options) (*tivshard.Gateway, error)
 	// ServeGateway additionally serves the gateway itself over HTTP
 	// (GatewayURL), re-exporting the cluster behind the single-daemon
 	// wire protocol.
@@ -57,6 +58,9 @@ type Config struct {
 	// (chaos suites install tivfault injectors here). It is re-applied
 	// on RestartShard, receiving the shard id both times.
 	ShardMiddleware func(shard int, h http.Handler) http.Handler
+	// FrameMiddleware is ShardMiddleware's twin for the framed
+	// transport (used with Frames).
+	FrameMiddleware func(shard int, h tivframe.Handler) tivframe.Handler
 	// Frames additionally serves every shard over the framed binary
 	// transport (Shard.FrameAddr) and makes the gateway dial the
 	// shards over frames instead of HTTP. With ServeGateway, the
@@ -192,7 +196,7 @@ func Start(cfg Config) (*Cluster, error) {
 	c := &Cluster{Matrix: m, cfg: cfg}
 	urls := make([]string, 0, cfg.shards())
 	for s := 0; s < cfg.shards(); s++ {
-		svc, srv, err := c.newShardServer()
+		svc, srv, err := c.newShardServer(c.Matrix, cfg.Live)
 		if err != nil {
 			c.Close()
 			return nil, err
@@ -207,7 +211,7 @@ func Start(cfg Config) (*Cluster, error) {
 		sh := &Shard{URL: url, Service: svc, id: s, srv: srv, hs: hs, proxy: proxy}
 		if cfg.Frames {
 			fproxy := &frameSwap{}
-			fproxy.store(srv.FrameHandler())
+			fproxy.store(c.frameHandler(s, srv))
 			addr, fsrv, err := serveFrames(fproxy)
 			if err != nil {
 				c.Shards = append(c.Shards, sh)
@@ -219,15 +223,18 @@ func Start(cfg Config) (*Cluster, error) {
 		c.Shards = append(c.Shards, sh)
 		urls = append(urls, url)
 	}
-	gwOpts := cfg.GatewayOptions
+	var gwOpts tivshard.Options
 	if cfg.Frames {
-		frameAddrs := make([]string, len(c.Shards))
+		gwOpts.FrameAddrs = make([]string, len(c.Shards))
 		for s, sh := range c.Shards {
-			frameAddrs[s] = sh.FrameAddr
+			gwOpts.FrameAddrs[s] = sh.FrameAddr
 		}
-		gwOpts.FrameAddrs = frameAddrs
 	}
-	gw, err := tivshard.New(context.Background(), urls, gwOpts)
+	newGateway := cfg.NewGateway
+	if newGateway == nil {
+		newGateway = tivshard.New
+	}
+	gw, err := newGateway(context.Background(), urls, gwOpts)
 	if err != nil {
 		c.Close()
 		return nil, err
@@ -270,10 +277,10 @@ func serveFrames(h tivframe.Handler) (addr string, fsrv *tivframe.Server, err er
 	return ln.Addr().String(), fsrv, nil
 }
 
-// newShardServer builds one shard's service (a fresh replica of the
-// source matrix) and its tivd server.
-func (c *Cluster) newShardServer() (*tivaware.Service, *tivd.Server, error) {
-	svc, err := tivaware.NewFromMatrix(c.Matrix.Clone(), tivaware.Options{Live: c.cfg.Live, Workers: c.cfg.Workers})
+// newShardServer builds one shard's service over a clone of m and its
+// tivd server.
+func (c *Cluster) newShardServer(m *delayspace.Matrix, live bool) (*tivaware.Service, *tivd.Server, error) {
+	svc, err := tivaware.NewFromMatrix(m.Clone(), tivaware.Options{Live: live, Workers: c.cfg.Workers})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -289,6 +296,15 @@ func (c *Cluster) shardHandler(shard int, srv *tivd.Server) http.Handler {
 	h := http.Handler(srv.Handler())
 	if c.cfg.ShardMiddleware != nil {
 		h = c.cfg.ShardMiddleware(shard, h)
+	}
+	return h
+}
+
+// frameHandler applies the configured frame middleware to a shard server.
+func (c *Cluster) frameHandler(shard int, srv *tivd.Server) tivframe.Handler {
+	h := srv.FrameHandler()
+	if c.cfg.FrameMiddleware != nil {
+		h = c.cfg.FrameMiddleware(shard, h)
 	}
 	return h
 }
@@ -319,9 +335,14 @@ func (c *Cluster) KillShard(s int) {
 // hence a new boot identity. The gateway's prober sees the identity
 // change and replays the full update journal before readmitting the
 // shard.
-func (c *Cluster) RestartShard(s int) error {
+func (c *Cluster) RestartShard(s int) error { return c.RestartShardAs(s, c.Matrix, c.cfg.Live) }
+
+// RestartShardAs is RestartShard with a daemon over a clone of m, live
+// or not: a process no replica of this cluster, when m's node count or
+// the liveness differ from the cluster's.
+func (c *Cluster) RestartShardAs(s int, m *delayspace.Matrix, live bool) error {
 	sh := c.Shards[s]
-	svc, srv, err := c.newShardServer()
+	svc, srv, err := c.newShardServer(m, live)
 	if err != nil {
 		return err
 	}
@@ -331,7 +352,7 @@ func (c *Cluster) RestartShard(s int) error {
 	sh.Service, sh.srv = svc, srv
 	sh.proxy.store(c.shardHandler(sh.id, srv))
 	if sh.fproxy != nil {
-		sh.fproxy.store(srv.FrameHandler())
+		sh.fproxy.store(c.frameHandler(sh.id, srv))
 	}
 	if old != srv {
 		old.Close()

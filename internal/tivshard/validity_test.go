@@ -29,7 +29,6 @@ func validityCluster(t *testing.T) (*testcluster.Cluster, *tivaware.Service) {
 	c, err := testcluster.Start(testcluster.Config{
 		N: 36, Shards: 3, Seed: 29, Live: true, Workers: 1,
 		Frames: true, ServeGateway: true,
-		GatewayOptions: chaosGatewayOptions(),
 	})
 	if err != nil {
 		t.Fatal(err)
