@@ -6,7 +6,10 @@ package tiv
 // comparison unless it displaces the root, and because the order is
 // total the survivors are exactly the first k of a full sort whatever
 // order the stream arrives in; sort kept when it ends. Both served
-// rankings select through it: edges here, selections in tivaware.
+// rankings select through it, edges here and selections in tivaware,
+// and each first rejects an element that does not beat the full
+// heap's root on its ranking key, so only entrants are built and
+// offered.
 func KeepTop[T any](kept []T, k int, x T, less func(a, b T) bool) []T {
 	i := len(kept)
 	if i < k {

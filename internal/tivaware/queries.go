@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"slices"
 
 	"tivaware/internal/delayspace"
 	"tivaware/internal/tiv"
@@ -167,38 +166,40 @@ func selectEpoch(ctx context.Context, e *epoch, target int, candidates []int, op
 		if c == target || d == delayspace.Missing {
 			continue
 		}
-		sel := Selection{Node: c, Delay: d, Severity: sevs[c], Violations: -1}
+		sev, violations := sevs[c], -1
+		violated := sev > 0
 		if counts != nil {
-			sel.Violations = int(counts[c])
-			sel.Violated = sel.Violations > 0
-		} else {
-			sel.Violated = sel.Severity > 0
+			violations = int(counts[c])
+			violated = violations > 0
 		}
-		if opts.ExcludeViolated && sel.Violated {
+		if opts.ExcludeViolated && violated {
 			continue
 		}
-		sel.Score = d * (1 + opts.SeverityPenalty*sel.Severity)
-		if !finite(sel.Score) {
+		score := d * (1 + opts.SeverityPenalty*sev)
+		if !finite(score) {
 			// A finite but absurd penalty: refuse it like a non-finite
 			// one rather than rank on scores that no longer order.
 			return nil, 0, fmt.Errorf("tivaware: severity penalty %g overflows the score of candidate %d", opts.SeverityPenalty, c)
 		}
 		qualified++
+		// Once k are kept, a candidate that does not beat the root (the
+		// worst kept) under selectionLess is rejected here, before a
+		// Selection is built for it.
+		if len(kept) == k {
+			if w := &kept[0]; score > w.Score || score == w.Score && c > w.Node {
+				continue
+			}
+		}
+		sel := Selection{Node: c, Delay: d, Severity: sev, Violated: violated, Violations: violations, Score: score}
 		kept = tiv.KeepTop(kept, k, sel, selectionLess)
 	}
-	slices.SortFunc(kept, func(a, b Selection) int {
-		switch {
-		case selectionLess(a, b):
-			return -1
-		case selectionLess(b, a):
-			return 1
-		}
-		return 0
-	})
+	sortKept(kept)
 	return kept, qualified, nil
 }
 
-func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
+// finite reports x is neither NaN nor ±Inf: two compares, both false
+// for NaN.
+func finite(x float64) bool { return x >= -math.MaxFloat64 && x <= math.MaxFloat64 }
 
 // selectionLess is the total order every ranking sorts with: lower
 // score first, ties broken by node id.
@@ -207,6 +208,24 @@ func selectionLess(a, b Selection) bool {
 		return a.Score < b.Score
 	}
 	return a.Node < b.Node
+}
+
+// sortKept orders KeepTop's heap best first in place: the second half
+// of a heapsort, whose root is already the worst kept. selectionLess
+// inlines here, where a sort over a comparator would call it.
+func sortKept(h []Selection) {
+	for end := len(h) - 1; end > 0; end-- {
+		h[0], h[end] = h[end], h[0]
+		for i, c := 0, 1; c < end; i, c = c, 2*c+1 {
+			if c+1 < end && selectionLess(h[c], h[c+1]) {
+				c++ // towards the worse child
+			}
+			if !selectionLess(h[i], h[c]) {
+				break
+			}
+			h[i], h[c] = h[c], h[i]
+		}
+	}
 }
 
 // KClosest returns the k best-ranked candidates for the target (all

@@ -236,6 +236,29 @@ func FuzzSelectionMatchesSort(f *testing.F) {
 	f.Add(uint8(17), uint8(0), int64(13), 17, 4, []byte{}, 1.0, false)              // target out of range
 	f.Add(uint8(17), uint8(0), int64(13), -1, -4, []byte{3, 4, 5, 6, 7}, 1.0, true) // negative target and K
 
+	// Where the root decides: seed 3 quantises delays, so at penalty 0
+	// target 0 of n=64 ranks ten candidates at delay 1 and eight at 2.
+	// K inside either run puts ties on the root; descending ids bring
+	// each tie that must displace it after the heap is full.
+	desc := make([]byte, 64) // ids 63, 62, …, 0
+	for i := range desc {
+		desc[i] = byte(64 - i)
+	}
+	f.Add(uint8(64), uint8(0), int64(3), 0, 14, desc, 0.0, false)     // K inside the delay-2 run
+	f.Add(uint8(64), uint8(0), int64(3), 0, 5, desc, 0.0, false)      // K inside the delay-1 run
+	f.Add(uint8(64), uint8(0), int64(3), 0, 14, []byte{}, 0.0, false) // the same runs in ascending order
+	// Node 0 keys the heap at severity 0, so the first overflowing
+	// score arrives after it is full and must be refused, not rejected.
+	f.Add(uint8(17), uint8(0), int64(0), 2, 1, []byte{}, math.MaxFloat64, false)
+	// cold-frame's shapes at the largest n the target reaches (n=400 is
+	// TestSelectionMatchesSortAtServedSize): the closest over every
+	// node with a penalty in [0, 4), and a rank cut to 8 over a
+	// shuffled 32-candidate subset.
+	f.Add(uint8(200), uint8(0), int64(10), 117, 1, []byte{}, 3.1, false)
+	f.Add(uint8(200), uint8(0), int64(10), 42, 1, []byte{}, 0.6, false)
+	f.Add(uint8(200), uint8(0), int64(10), 117, 8, []byte{20, 55, 38, 78, 180, 61, 129, 7, 186, 10, 26, 84, 132, 85, 15, 135,
+		178, 122, 95, 155, 1, 140, 33, 136, 3, 126, 52, 74, 174, 115, 21, 86}, 0.0, false)
+
 	epochs := map[[3]int64][2]*epoch{} // one fuzz worker is one goroutine
 	f.Fuzz(func(t *testing.T, nb, holes uint8, seed int64, target, k int, candBytes []byte, penalty float64, exclude bool) {
 		n := max(2, int(nb)%201)
@@ -281,6 +304,32 @@ func TestSelectionMatchesSortSweep(t *testing.T) {
 						checkSelectionQueries(t, e, target, k, candidates, float64(trial%3), trial%4 == 3)
 					}
 				}
+			}
+		}
+	}
+}
+
+// TestSelectionMatchesSortAtServedSize runs cold-frame's two selection
+// shapes at its n=400, which the fuzz target's one-byte n cannot
+// reach: a rank cut to 8 over a shuffled 32-candidate subset, and the
+// closest over every node with a penalty in [0, 4). Seed 5 quantises
+// the delays, so the rank's root is often a tie.
+func TestSelectionMatchesSortAtServedSize(t *testing.T) {
+	const n = 400
+	rng := rand.New(rand.NewSource(n))
+	for _, seed := range []int64{4, 5} {
+		for _, e := range selectionEpochs(t, n, 0.05, seed) {
+			for trial := 0; trial < 20; trial++ {
+				target := rng.Intn(n)
+				candidates := make([]int, 0, 32)
+				for _, c := range rng.Perm(n) {
+					if c != target && len(candidates) < cap(candidates) {
+						candidates = append(candidates, c)
+					}
+				}
+				checkSelectionQueries(t, e, target, 8, candidates, 4*rng.Float64(), false)
+				checkSelectionQueries(t, e, target, 8, candidates, 0, false)
+				checkSelectionQueries(t, e, target, 1, nil, 4*rng.Float64(), false)
 			}
 		}
 	}

@@ -167,14 +167,13 @@ func (s *Server) resolveQueries(ctx context.Context, queries []tivaware.Query) (
 		}
 		key := ""
 		if s.cache != nil && cacheableKind(queries[i].Kind) {
-			key = canonicalKey(queries[i], qv, av)
-			if val, e, ok := s.cache.get(key); ok {
+			val, e, missKey := s.cache.get(queries[i], qv, av)
+			if val != nil {
 				results[i] = *val
-				if e > epoch {
-					epoch = e
-				}
+				epoch = max(epoch, e)
 				continue
 			}
+			key = missKey
 		}
 		misses = append(misses, missed{i, key})
 	}

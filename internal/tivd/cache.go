@@ -1,8 +1,9 @@
 package tivd
 
 import (
-	"sort"
-	"strconv"
+	"encoding/binary"
+	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -24,9 +25,9 @@ import (
 // one entry serves both the JSON and binary codecs; re-encoding a hit
 // is a few microseconds against the O(N) scan a miss costs.
 
-// queryCache is a fixed-capacity LRU keyed by canonical query key
-// (version pair included). resolveQueries is its only request-path
-// caller.
+// queryCache is a fixed-capacity LRU keyed by appendKey's spelling of
+// a query (version pair included). resolveQueries is its only
+// request-path caller.
 type queryCache struct {
 	cap int
 
@@ -59,20 +60,23 @@ func (c *queryCache) stats() *tivwire.CacheStats {
 	return &tivwire.CacheStats{Hits: c.hits.Load(), Misses: c.misses.Load(), Entries: n}
 }
 
-// get returns the cached result for key, bumping its recency and
-// counting the lookup as a hit or a miss. The returned result is
-// shared and must not be mutated.
-func (c *queryCache) get(key string) (*tivwire.Result, uint64, bool) {
+// get probes the cache for q under the version pair: the resident
+// result and its epoch on a hit (bumping its recency), or the key to
+// put the answer under on a miss. The key is spelled into a stack
+// buffer and looked up without converting it, so a hit allocates
+// nothing. The returned result is shared and must not be mutated.
+func (c *queryCache) get(q tivaware.Query, qv, av uint64) (val *tivwire.Result, epoch uint64, missKey string) {
+	var buf [384]byte
+	key := appendKey(buf[:0], q, qv, av)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	e, ok := c.entries[key]
-	if !ok {
-		c.misses.Add(1)
-		return nil, 0, false
+	if e, ok := c.entries[string(key)]; ok {
+		c.bumpLocked(e)
+		c.hits.Add(1)
+		return e.val, e.epoch, ""
 	}
-	c.bumpLocked(e)
-	c.hits.Add(1)
-	return e.val, e.epoch, true
+	c.misses.Add(1)
+	return nil, 0, string(key)
 }
 
 // put inserts a computed result (evicting the least-recent entry at
@@ -141,49 +145,47 @@ func cacheableKind(kind tivaware.QueryKind) bool {
 	return false
 }
 
-// canonicalKey renders a query and the version pair it will be
-// answered under into the cache key. Canonicalization makes key
-// equality match answer equality: floats are rendered exactly ('b'),
-// unordered candidate lists are sorted (ranking is order-independent),
-// and nil candidates ("every node") stay distinct from an empty list.
-func canonicalKey(q tivaware.Query, qv, av uint64) string {
-	b := make([]byte, 0, 64)
-	b = strconv.AppendUint(b, qv, 16)
-	b = append(b, '.')
-	b = strconv.AppendUint(b, av, 16)
-	b = append(b, '|')
-	b = append(b, q.Kind...)
-	b = append(b, '|')
-	b = strconv.AppendInt(b, int64(q.Target), 10)
-	b = append(b, '|')
-	b = strconv.AppendInt(b, int64(q.K), 10)
-	b = append(b, '|')
-	b = strconv.AppendFloat(b, q.SeverityPenalty, 'b', -1, 64)
-	b = append(b, '|')
-	if q.ExcludeViolated {
-		b = append(b, '1')
-	} else {
-		b = append(b, '0')
-	}
-	b = append(b, '|')
-	b = strconv.AppendInt(b, int64(q.I), 10)
-	b = append(b, ',')
-	b = strconv.AppendInt(b, int64(q.J), 10)
-	b = append(b, '|')
-	if q.Candidates == nil {
-		b = append(b, '*')
-	} else {
-		cands := q.Candidates
-		if !sort.IntsAreSorted(cands) {
-			cands = append([]int(nil), cands...)
-			sort.Ints(cands)
+// appendKey spells a query and the version pair it will be answered
+// under as its cache key, in fixed-width binary: the versions, the
+// kind, then exactly the fields that kind's answer reads — target, k,
+// penalty, exclude and the candidate ids for rank and closest, i and j
+// for detour, k for top, nothing for analysis — so key equality is
+// answer equality both ways. Candidates are sorted (a ranking is
+// order-independent) and a nil list ("every node") stays distinct from
+// an empty one; a penalty of −0 keys as +0, which scores the same.
+func appendKey(b []byte, q tivaware.Query, qv, av uint64) []byte {
+	b = binary.LittleEndian.AppendUint64(b, qv)
+	b = binary.LittleEndian.AppendUint64(b, av)
+	b = append(append(b, byte(len(q.Kind))), q.Kind...)
+	word := func(v int) { b = binary.LittleEndian.AppendUint64(b, uint64(v)) }
+	switch q.Kind {
+	case tivaware.KindRank, tivaware.KindClosest:
+		word(q.Target)
+		word(q.K)
+		pen := q.SeverityPenalty
+		if pen == 0 {
+			pen = 0 // −0 scores as +0 does
 		}
-		for i, c := range cands {
-			if i > 0 {
-				b = append(b, ',')
-			}
-			b = strconv.AppendInt(b, int64(c), 10)
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(pen))
+		flags := byte(0)
+		if q.ExcludeViolated {
+			flags = 1
 		}
+		if q.Candidates != nil {
+			flags |= 2
+		}
+		b = append(b, flags)
+		var sorted [32]int
+		cands := append(sorted[:0], q.Candidates...)
+		slices.Sort(cands)
+		for _, c := range cands {
+			word(c)
+		}
+	case tivaware.KindDetour:
+		word(q.I)
+		word(q.J)
+	case tivaware.KindTop:
+		word(q.K)
 	}
-	return string(b)
+	return b
 }
