@@ -361,10 +361,10 @@ func BenchmarkMeridianQuery(b *testing.B) {
 }
 
 // BenchmarkGatewayClosestNode measures one severity-penalized
-// selection through the sharded query plane: a tivshard gateway over
-// a 3-shard loopback cluster (real tivd servers over TCP). The
-// gateway hands a query on whole, so each op pays one HTTP round trip
-// to the batch's home shard and no merge.
+// selection, a QueryBatch of one, through the sharded query plane: a
+// tivshard gateway over a 3-shard loopback cluster (real tivd servers
+// over TCP). The gateway hands a query on whole, so each op pays one
+// HTTP round trip to the batch's home shard and no merge.
 // The targets repeat every n ops and each shard daemon caches its
 // answers, so this is the price of the hop, not of the scan
 // (BenchmarkServiceClosestNode is the uncached scan).
@@ -376,17 +376,21 @@ func BenchmarkGatewayClosestNode(b *testing.B) {
 	defer c.Close()
 	ctx := context.Background()
 	n := c.Matrix.N()
-	opts := tivaware.QueryOptions{SeverityPenalty: 2}
-	for s := 0; s < c.Gateway.K(); s++ { // the home takes turns: warm every shard's epoch
-		if _, err := c.Gateway.ClosestNode(ctx, 0, opts); err != nil {
+	closest := func(target int) {
+		res, err := c.Gateway.QueryBatch(ctx, []tivaware.Query{{Kind: tivaware.KindClosest, Target: target, SeverityPenalty: 2}})
+		if err == nil {
+			err = res[0].Err
+		}
+		if err != nil {
 			b.Fatal(err)
 		}
+	}
+	for s := 0; s < c.Gateway.K(); s++ { // the home takes turns: warm every shard's epoch
+		closest(0)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.Gateway.ClosestNode(ctx, i%n, opts); err != nil {
-			b.Fatal(err)
-		}
+		closest(i % n)
 	}
 }

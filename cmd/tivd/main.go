@@ -22,12 +22,6 @@
 //	tivd -shards http://10.0.0.1:7070,http://10.0.0.2:7070,http://10.0.0.3:7070 \
 //	     -shard-frames 10.0.0.1:7071,10.0.0.2:7071,10.0.0.3:7071
 //
-// Rehearse failure handling against a daemon that misbehaves on
-// purpose (injected latency, 503s, torn responses, hangs, or a hard
-// crash on the Nth request — see internal/tivfault):
-//
-//	tivd -synth 200 -live -chaos err=0.05,latency=20ms,crash=5000
-//
 // Then:
 //
 //	curl 'http://127.0.0.1:7070/healthz'
@@ -56,7 +50,6 @@ import (
 	"tivaware/internal/synth"
 	"tivaware/internal/tivaware"
 	"tivaware/internal/tivd"
-	"tivaware/internal/tivfault"
 	"tivaware/internal/tivframe"
 	"tivaware/internal/tivshard"
 )
@@ -87,15 +80,10 @@ func run(args []string, stdout io.Writer, ctx context.Context) error {
 		maxBatch    = fs.Int("maxbatch", 0, "cap on queries per POST /v1/batch request (0 = default 256)")
 		cacheN      = fs.Int("cache", 0, "epoch-keyed query cache capacity in entries (0 = default 4096, negative disables)")
 		shards      = fs.String("shards", "", "comma-separated shard daemon URLs: serve a gateway over these replicas instead of a local matrix")
-		chaos       = fs.String("chaos", "", "inject faults into every served request, e.g. latency=50ms,jitter=10ms,err=0.05,hang=0.01,tear=0.05,crash=500,seed=7 (crash=N exits the process hard on the Nth request)")
 		frameListen = fs.String("frame-listen", "", "framed binary transport listen address — tcp \"host:port\" (use :0 for ephemeral) or \"unix:///path.sock\"; empty disables")
 		shardFrames = fs.String("shard-frames", "", "comma-separated framed addresses for the -shards daemons, aligned by index (an empty entry keeps that shard on HTTP)")
 	)
 	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	mw, err := chaosMiddleware(*chaos, stdout)
-	if err != nil {
 		return err
 	}
 	if *shards != "" {
@@ -103,7 +91,7 @@ func run(args []string, stdout io.Writer, ctx context.Context) error {
 			fs.Usage()
 			return fmt.Errorf("-shards is a pure gateway: it takes no -in/-synth/-format/-live/-sample/-workers (liveness and analysis parallelism follow the shards)")
 		}
-		return runGateway(*shards, *shardFrames, *listen, *frameListen, tivd.Options{MaxRankK: *maxK, MaxBatch: *maxBatch, CacheEntries: *cacheN}, mw, stdout, ctx)
+		return runGateway(*shards, *shardFrames, *listen, *frameListen, tivd.Options{MaxRankK: *maxK, MaxBatch: *maxBatch, CacheEntries: *cacheN}, stdout, ctx)
 	}
 	if *shardFrames != "" {
 		fs.Usage()
@@ -155,35 +143,14 @@ func run(args []string, stdout io.Writer, ctx context.Context) error {
 		return err
 	}
 	banner := fmt.Sprintf("tivd: serving %d nodes (live=%v)", svc.N(), svc.Live())
-	return serveLoop(srv, *listen, *frameListen, banner, mw, stdout, ctx, nil)
-}
-
-// chaosMiddleware builds the -chaos fault-injecting middleware (nil
-// when the flag is empty). The crash fault exits the process hard —
-// no drain, no cleanup — exactly like a SIGKILLed daemon, so chaos
-// harnesses can rehearse real crash-recovery against a stock binary.
-func chaosMiddleware(spec string, stdout io.Writer) (func(http.Handler) http.Handler, error) {
-	if spec == "" {
-		return nil, nil
-	}
-	parsed, err := tivfault.ParseSpec(spec)
-	if err != nil {
-		return nil, err
-	}
-	inj := tivfault.New(parsed)
-	inj.CrashFn = func() {
-		fmt.Fprintln(os.Stderr, "tivd: -chaos crash fault: exiting hard")
-		os.Exit(137)
-	}
-	fmt.Fprintf(stdout, "tivd: CHAOS MODE: injecting faults (%s)\n", spec)
-	return inj.Handler, nil
+	return serveLoop(srv, *listen, *frameListen, banner, stdout, ctx, nil)
 }
 
 // runGateway serves a tivshard gateway over the given shard daemons
 // behind the identical wire surface. shardFrames, when non-empty,
 // lists the shards' framed addresses (aligned by index) so the
 // gateway dials them over persistent frames instead of HTTP.
-func runGateway(shards, shardFrames, listen, frameListen string, opts tivd.Options, mw func(http.Handler) http.Handler, stdout io.Writer, ctx context.Context) error {
+func runGateway(shards, shardFrames, listen, frameListen string, opts tivd.Options, stdout io.Writer, ctx context.Context) error {
 	var urls []string
 	for _, u := range strings.Split(shards, ",") {
 		if u = strings.TrimSpace(u); u != "" {
@@ -221,7 +188,7 @@ func runGateway(shards, shardFrames, listen, frameListen string, opts tivd.Optio
 		return err
 	}
 	banner := fmt.Sprintf("tivd: gateway over %d shards serving %d nodes (live=%v)", gw.K(), gw.N(), gw.Live())
-	return serveLoop(srv, listen, frameListen, banner, mw, stdout, ctx, gw.Close)
+	return serveLoop(srv, listen, frameListen, banner, stdout, ctx, gw.Close)
 }
 
 // serveLoop binds the listeners (HTTP always; the framed transport
@@ -229,9 +196,8 @@ func runGateway(shards, shardFrames, listen, frameListen string, opts tivd.Optio
 // SIGINT/SIGTERM") is done, and shuts down cleanly: SSE streams and
 // the framed drain first so both servers can empty their in-flight
 // work, then onShutdown (a gateway's prober and shard connections), if
-// any. mw, when non-nil, wraps the served HTTP handler (-chaos fault
-// injection; the framed path carries no middleware).
-func serveLoop(srv *tivd.Server, listen, frameListen, banner string, mw func(http.Handler) http.Handler, stdout io.Writer, ctx context.Context, onShutdown func()) error {
+// any.
+func serveLoop(srv *tivd.Server, listen, frameListen, banner string, stdout io.Writer, ctx context.Context, onShutdown func()) error {
 	ln, err := net.Listen("tcp", listen)
 	if err != nil {
 		return err
@@ -261,11 +227,7 @@ func serveLoop(srv *tivd.Server, listen, frameListen, banner string, mw func(htt
 		ctx, stop = signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 		defer stop()
 	}
-	h := http.Handler(srv.Handler())
-	if mw != nil {
-		h = mw(h)
-	}
-	hs := &http.Server{Handler: h}
+	hs := &http.Server{Handler: srv.Handler()}
 	done := make(chan error, 1)
 	go func() { done <- hs.Serve(ln) }()
 

@@ -463,48 +463,3 @@ func TestFlagValidation(t *testing.T) {
 		t.Error("-shards without URLs should error")
 	}
 }
-
-// TestChaosFlag boots the daemon with -chaos err=1 (every request
-// answers an injected 503 envelope) and verifies the injected error
-// reaches a client as a typed retryable "unavailable": the wiring that
-// process-level rehearsal with -chaos depends on. A malformed spec must
-// fail startup.
-func TestChaosFlag(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	w := &notifyWriter{ready: make(chan struct{})}
-	done := make(chan error, 1)
-	go func() {
-		done <- run([]string{"-listen", "127.0.0.1:0", "-synth", "16", "-chaos", "err=1"}, w, ctx)
-	}()
-	select {
-	case <-w.ready:
-	case err := <-done:
-		t.Fatalf("daemon exited before serving: %v", err)
-	case <-time.After(15 * time.Second):
-		t.Fatal("daemon did not start serving")
-	}
-	client := tivclient.New("http://"+w.addr(), tivclient.Options{})
-	_, err := client.Healthz(ctx)
-	if err == nil {
-		t.Fatal("healthz through err=1 chaos succeeded")
-	}
-	var wire *tivclient.Error
-	if !errors.As(err, &wire) {
-		t.Fatalf("injected fault surfaced as %T (%v), want *tivclient.Error", err, err)
-	}
-	if wire.Code != tivwire.CodeUnavailable {
-		t.Fatalf("injected fault code = %q, want %q", wire.Code, tivwire.CodeUnavailable)
-	}
-	if !wire.Retryable() {
-		t.Fatal("injected fault is not retryable")
-	}
-	cancel()
-	if err := <-done; err != nil {
-		t.Fatalf("daemon shutdown: %v", err)
-	}
-
-	if err := run([]string{"-synth", "8", "-chaos", "bogus"}, &strings.Builder{}, context.Background()); err == nil {
-		t.Error("malformed -chaos spec should error")
-	}
-}

@@ -4,14 +4,14 @@
 // tivaware service's severity-penalized ranking — the same selection
 // primitive without an overlay.
 //
-// The final sections run that ranking through the tivaware.Querier
-// seam in three deployment shapes — in-process against the Service,
-// over the wire against a tivd daemon via tivclient (batched, binary
-// framing), and against a 3-shard loopback cluster via the tivshard
-// gateway — same code, same answers, verified exactly in the sharded
-// case. All clients resolve in one QueryBatch per run: one pinned
-// epoch in-process, one /v1/batch round trip over the wire, one
-// shard request through the gateway.
+// The final sections run that ranking through one QueryBatch call in
+// three deployment shapes — in-process against the Service, over the
+// wire against a tivd daemon via tivclient (batched, binary framing),
+// and against a 3-shard loopback cluster via the tivshard gateway —
+// same code, same answers, verified exactly in the sharded case. All
+// clients resolve in one QueryBatch per run: one pinned epoch
+// in-process, one /v1/batch round trip over the wire, one shard request
+// through the gateway.
 package main
 
 import (
@@ -122,7 +122,7 @@ func main() {
 
 	// Client↔daemon mode: serve the same Service from a tivd daemon on
 	// loopback and rerun the penalized selection through tivclient.
-	// servicePenalties takes a tivaware.Querier, so the only change is
+	// servicePenalties takes any batchQuerier, so the only change is
 	// which value it is handed — the networked answers must match the
 	// in-process ones exactly.
 	daemon, err := tivd.New(svc, tivd.Options{})
@@ -158,7 +158,7 @@ func main() {
 	// Sharded mode: the same selection through a 3-shard loopback
 	// cluster — three real tivd shard servers, each holding a replica
 	// of the measured matrix, fronted by a tivshard gateway.
-	// The gateway implements the same Querier seam, and its answers
+	// The gateway answers the same QueryBatch call, and its answers
 	// must match a monolithic matrix-backed service exactly (both run
 	// Workers=1, which makes the severity sums bit-reproducible).
 	cluster, err := testcluster.Start(testcluster.Config{Matrix: space.Matrix, Shards: 3, Workers: 1})
@@ -194,6 +194,12 @@ func main() {
 	}
 }
 
+// batchQuerier is the one call servicePenalties makes: the Service, a
+// tivd client and the tivshard gateway all answer it.
+type batchQuerier interface {
+	QueryBatch(ctx context.Context, queries []tivaware.Query) ([]tivaware.Result, error)
+}
+
 // servicePenalties evaluates severity-penalized closest-server
 // selection against the true delays: the percentage penalty of the
 // selected server vs the optimal one, per client. All clients are
@@ -204,7 +210,7 @@ func main() {
 // per-client failure (no eligible server) lands in its Result.Err and
 // just skips that client, exactly as the old one-call-per-client loop
 // did.
-func servicePenalties(ctx context.Context, q tivaware.Querier, m *delayspace.Matrix, servers, clients []int, penalty float64) ([]float64, error) {
+func servicePenalties(ctx context.Context, q batchQuerier, m *delayspace.Matrix, servers, clients []int, penalty float64) ([]float64, error) {
 	queries := make([]tivaware.Query, len(clients))
 	for i, c := range clients {
 		queries[i] = tivaware.Query{

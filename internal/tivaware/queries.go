@@ -10,12 +10,12 @@ import (
 )
 
 // Querier is the TIV-aware query surface: what a Service answers
-// in-process, a View answers against one pinned epoch, a
-// tivclient.Client answers over the wire from a tivd daemon, and a
-// tivshard.Gateway answers from a sharded cluster. Consumers written
-// against Querier (the examples, overlay builders) run unchanged
-// against any of them. The per-kind methods are typed spellings of one
-// Query each; QueryBatch is the general form.
+// in-process, a View answers against one pinned epoch, and a
+// tivclient.Client answers over the wire from a tivd daemon (or a
+// gateway over a sharded cluster). Consumers written against Querier
+// (the examples, overlay builders) run unchanged against any of them.
+// The per-kind methods are typed spellings of one Query each;
+// QueryBatch is the general form.
 type Querier interface {
 	// Rank scores candidates for the target, best first.
 	Rank(ctx context.Context, target int, candidates []int, opts QueryOptions) ([]Selection, error)

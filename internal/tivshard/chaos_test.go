@@ -9,6 +9,7 @@ import (
 
 	"tivaware/internal/tivaware"
 	"tivaware/internal/tivclient"
+	"tivaware/internal/tivshard"
 	"tivaware/internal/tivshard/testcluster"
 	"tivaware/internal/tivwire"
 )
@@ -145,14 +146,15 @@ func killRestartConvergence(t *testing.T, victim int) {
 	go func() {
 		defer readWG.Done()
 		for q := 0; readCtx.Err() == nil; q++ {
-			if _, err := c.Gateway.ClosestNode(readCtx, q%n, tivaware.QueryOptions{SeverityPenalty: 2}); err != nil && readCtx.Err() == nil {
+			closest := tivaware.Query{Kind: tivaware.KindClosest, Target: q % n, SeverityPenalty: 2}
+			if _, err := tivshard.BatchOfOne(readCtx, c.Gateway, closest); err != nil && readCtx.Err() == nil {
 				select {
 				case readErrs <- fmt.Errorf("ClosestNode during chaos: %w", err):
 				default:
 				}
 				return
 			}
-			if _, err := c.Gateway.TopEdges(readCtx, 5); err != nil && readCtx.Err() == nil {
+			if _, err := tivshard.BatchOfOne(readCtx, c.Gateway, tivaware.Query{Kind: tivaware.KindTop, K: 5}); err != nil && readCtx.Err() == nil {
 				select {
 				case readErrs <- fmt.Errorf("TopEdges during chaos: %w", err):
 				default:

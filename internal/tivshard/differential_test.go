@@ -8,6 +8,7 @@ import (
 
 	"tivaware/internal/synth"
 	"tivaware/internal/tivaware"
+	"tivaware/internal/tivshard"
 	"tivaware/internal/tivshard/testcluster"
 	"tivaware/internal/tivwire"
 )
@@ -60,6 +61,14 @@ func assertAgreement(t *testing.T, mono *tivaware.Service, c *testcluster.Cluste
 	ctx := context.Background()
 	gw := c.Gateway
 	n := c.Matrix.N()
+	read := func(q tivaware.Query) tivaware.Result {
+		t.Helper()
+		res, err := tivshard.BatchOfOne(ctx, gw, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
 
 	targets := []int{0, 3, n - 1}
 	optVariants := []tivaware.QueryOptions{
@@ -73,10 +82,7 @@ func assertAgreement(t *testing.T, mono *tivaware.Service, c *testcluster.Cluste
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := gw.Rank(ctx, target, nil, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
+			got := read(tivaware.SelectionQuery(tivaware.KindRank, target, 0, nil, opts)).Selections
 			if len(got) != len(want) {
 				t.Fatalf("Rank(%d, opts %d): gateway %d selections, monolith %d", target, oi, len(got), len(want))
 			}
@@ -94,15 +100,12 @@ func assertAgreement(t *testing.T, mono *tivaware.Service, c *testcluster.Cluste
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := gw.Rank(ctx, 0, cands, tivaware.QueryOptions{SeverityPenalty: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := read(tivaware.SelectionQuery(tivaware.KindRank, 0, 0, cands, tivaware.QueryOptions{SeverityPenalty: 2})).Selections
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("Rank with candidates: gateway %v, monolith %v", got, want)
 	}
-	gotEmpty, err := gw.Rank(ctx, 0, []int{}, tivaware.QueryOptions{})
-	if err != nil || len(gotEmpty) != 0 {
+	empty, err := tivshard.BatchOfOne(ctx, gw, tivaware.SelectionQuery(tivaware.KindRank, 0, 0, []int{}, tivaware.QueryOptions{}))
+	if gotEmpty := empty.Selections; err != nil || len(gotEmpty) != 0 {
 		t.Fatalf("Rank with empty candidates = (%v, %v), want empty", gotEmpty, err)
 	}
 
@@ -111,10 +114,7 @@ func assertAgreement(t *testing.T, mono *tivaware.Service, c *testcluster.Cluste
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := gw.KClosest(ctx, 2, k, tivaware.QueryOptions{SeverityPenalty: 1.5})
-		if err != nil {
-			t.Fatal(err)
-		}
+		got := read(tivaware.SelectionQuery(tivaware.KindRank, 2, k, nil, tivaware.QueryOptions{SeverityPenalty: 1.5})).Selections
 		if fmt.Sprint(got) != fmt.Sprint(want) {
 			t.Fatalf("KClosest(k=%d): gateway %v, monolith %v", k, got, want)
 		}
@@ -125,11 +125,8 @@ func assertAgreement(t *testing.T, mono *tivaware.Service, c *testcluster.Cluste
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := gw.ClosestNode(ctx, target, tivaware.QueryOptions{SeverityPenalty: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != want {
+		got := read(tivaware.SelectionQuery(tivaware.KindClosest, target, 0, nil, tivaware.QueryOptions{SeverityPenalty: 2})).Selections
+		if len(got) != 1 || got[0] != want {
 			t.Fatalf("ClosestNode(%d): gateway %+v, monolith %+v", target, got, want)
 		}
 	}
@@ -149,20 +146,14 @@ func assertAgreement(t *testing.T, mono *tivaware.Service, c *testcluster.Cluste
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := gw.DetourPath(ctx, p[0], p[1])
-		if err != nil {
-			t.Fatal(err)
-		}
+		got := read(tivaware.Query{Kind: tivaware.KindDetour, I: p[0], J: p[1]}).Detour
 		if got != want {
 			t.Fatalf("DetourPath(%d,%d): gateway %+v, monolith %+v", p[0], p[1], got, want)
 		}
 	}
 
 	wantTop := mono.TopEdges(25)
-	gotTop, err := gw.TopEdges(ctx, 25)
-	if err != nil {
-		t.Fatal(err)
-	}
+	gotTop := read(tivaware.Query{Kind: tivaware.KindTop, K: 25}).Edges
 	if len(gotTop) != len(wantTop) {
 		t.Fatalf("TopEdges: gateway %d edges, monolith %d", len(gotTop), len(wantTop))
 	}
@@ -190,10 +181,10 @@ func assertAgreement(t *testing.T, mono *tivaware.Service, c *testcluster.Cluste
 	}
 
 	// Error parity on a bad target.
-	if _, err := gw.Rank(ctx, n+5, nil, tivaware.QueryOptions{}); err == nil {
+	if _, err := tivshard.BatchOfOne(ctx, gw, tivaware.Query{Kind: tivaware.KindRank, Target: n + 5}); err == nil {
 		t.Error("gateway Rank with out-of-range target should error")
 	}
-	if _, err := gw.DetourPath(ctx, 4, 4); err == nil {
+	if _, err := tivshard.BatchOfOne(ctx, gw, tivaware.Query{Kind: tivaware.KindDetour, I: 4, J: 4}); err == nil {
 		t.Error("gateway DetourPath on the diagonal should error")
 	}
 }

@@ -4,7 +4,19 @@ import (
 	"context"
 	"sync"
 	"time"
+
+	"tivaware/internal/tivaware"
 )
+
+// BatchOfOne reads q through the gateway's one read path, a QueryBatch
+// of one, and hands back the query's own failure as the error.
+func BatchOfOne(ctx context.Context, g *Gateway, q tivaware.Query) (tivaware.Result, error) {
+	res, err := g.QueryBatch(ctx, []tivaware.Query{q})
+	if err != nil {
+		return tivaware.Result{}, err
+	}
+	return res[0], res[0].Err
+}
 
 // NewOnClock returns a constructor with New's signature whose gateways
 // read time from clk and keep at most journalCap batches in the journal

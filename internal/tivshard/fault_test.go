@@ -3,6 +3,7 @@ package tivshard_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net/http"
 	"sync/atomic"
 	"testing"
@@ -10,18 +11,17 @@ import (
 
 	"tivaware/internal/synth"
 	"tivaware/internal/tivaware"
-	"tivaware/internal/tivfault"
 	"tivaware/internal/tivshard"
 	"tivaware/internal/tivshard/testcluster"
 	"tivaware/internal/tivwire"
 )
 
 // The fault suite: a gateway whose shard misbehaves at the HTTP layer
-// — 500 envelopes, truncated JSON bodies, mid-body hangs — must keep
-// answering the full query surface exactly (failover to the replicas,
-// which hold the same full matrix), surface "degraded" while the
-// breaker excludes the shard, and return to "ok" once the prober
-// readmits it.
+// — bare 500s, 503 envelopes — must keep answering the full query
+// surface exactly (failover to the replicas, which hold the same full
+// matrix), surface "degraded" while the breaker excludes the shard,
+// and return to "ok" once the prober readmits it. Torn bodies and
+// mid-body hangs are faults of the fuzzed histories (history_test.go).
 
 // clockedCluster boots cfg's cluster with its gateway on a fake clock
 // that moves only when the test moves it, the journal bounded at
@@ -96,18 +96,37 @@ func TestGatewayExactUnderBare500(t *testing.T) {
 // exhausts its bounded retries and surfaces a typed, retryable
 // "unavailable" — not a hang, not a panic, not a bare string.
 func TestGatewayTypedErrorWhenAllShardsFault(t *testing.T) {
-	inj := tivfault.New(tivfault.Spec{})
+	var failing atomic.Bool
 	c, clk := clockedCluster(t, testcluster.Config{
 		N: 40, Shards: 3, Seed: 9, Workers: 1,
-		ShardMiddleware: func(_ int, h http.Handler) http.Handler { return inj.Handler(h) },
+		ShardMiddleware: func(_ int, h http.Handler) http.Handler {
+			return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if !failing.Load() {
+					h.ServeHTTP(w, r)
+					return
+				}
+				// What an overloaded daemon answers: a well-formed
+				// retryable envelope.
+				w.Header().Set("Content-Type", "application/json")
+				w.WriteHeader(http.StatusServiceUnavailable)
+				fmt.Fprintf(w, `{"error":"injected fault","code":%q,"retry_after":0.05}`, tivwire.CodeUnavailable)
+			})
+		},
 	}, 0)
-	inj.SetSpec(tivfault.Spec{ErrRate: 1})
+	failing.Store(true)
 
+	// A batch whose every replica fails marks its queries; the call
+	// itself succeeds.
 	ctx := context.Background()
+	rank := []tivaware.Query{{Kind: tivaware.KindRank, Target: 0}}
 	start := clk.Now()
+	var res []tivaware.Result
 	var err error
-	clk.Run(func() { _, err = c.Gateway.Rank(ctx, 0, nil, tivaware.QueryOptions{}) })
-	if err == nil {
+	clk.Run(func() { res, err = c.Gateway.QueryBatch(ctx, rank) })
+	if err != nil {
+		t.Fatalf("QueryBatch with every shard failing: %v, want the failure on the query", err)
+	}
+	if err = res[0].Err; err == nil {
 		t.Fatal("Rank with every shard failing succeeded")
 	}
 	if waited := clk.Now() - start; waited > time.Second {
@@ -124,9 +143,9 @@ func TestGatewayTypedErrorWhenAllShardsFault(t *testing.T) {
 		t.Fatal("all-shards-down error is not marked retryable")
 	}
 
-	inj.SetSpec(tivfault.Spec{})
+	failing.Store(false)
 	tickUntilStatus(t, clk, c.Gateway, "ok")
-	if _, err := c.Gateway.Rank(ctx, 0, nil, tivaware.QueryOptions{}); err != nil {
+	if _, err := tivshard.BatchOfOne(ctx, c.Gateway, rank[0]); err != nil {
 		t.Fatalf("Rank after recovery: %v", err)
 	}
 }

@@ -17,18 +17,16 @@
 //
 // # Read semantics
 //
-// Every read is a tivaware.Query answered by QueryBatch (batch.go);
-// Rank, KClosest, ClosestNode, DetourPath, TopEdges and Delay are
-// typed spellings of a batch of one. Because replicas are full, no
-// query is split across shards — the communication round, not the
-// local scan, is the unit of cost: a batch is handed on whole to its
-// home, one live replica chosen per batch in rotation, and the answer
-// is that shard service's own — exact by construction, one pinned
-// epoch per batch. Analysis queries every shard and requires the
-// integer triangle totals to agree exactly — a built-in
-// replica-divergence detector. The differential suites in this
-// package pin gateway ≡ monolithic tivaware.Service over the same
-// matrix.
+// Every read is a tivaware.Query answered by QueryBatch (batch.go).
+// Because replicas are full, no query is split across shards — the
+// communication round, not the local scan, is the unit of cost: a
+// batch is handed on whole to its home, one live replica chosen per
+// batch in rotation, and the answer is that shard service's own —
+// exact by construction, one pinned epoch per batch. Analysis queries
+// every shard and requires the integer triangle totals to agree
+// exactly — a built-in replica-divergence detector. The differential
+// suites in this package pin gateway ≡ monolithic tivaware.Service
+// over the same matrix.
 //
 // # Updates and subscriptions
 //
@@ -50,7 +48,6 @@ import (
 	"sync/atomic"
 
 	"tivaware/internal/delayspace"
-	"tivaware/internal/tivaware"
 	"tivaware/internal/tivclient"
 	"tivaware/internal/tivwire"
 )
@@ -67,11 +64,10 @@ type Options struct {
 	FrameAddrs []string
 }
 
-// Gateway answers TIV queries from K replica shard daemons. It
-// implements tivaware.Querier (consumers written against the seam run
-// unchanged against one service, one daemon, or a sharded cluster)
-// and, structurally, the tivd Backend — so cmd/tivd -shards serves a
-// gateway over the identical wire protocol shard daemons speak.
+// Gateway answers TIV queries from K replica shard daemons. Its reads
+// are QueryBatch and the Analysis sweep; through Backend it is a tivd
+// backend, so cmd/tivd -shards serves a gateway over the identical
+// wire protocol shard daemons speak.
 //
 // A Gateway is safe for concurrent use.
 type Gateway struct {
@@ -119,8 +115,6 @@ type Gateway struct {
 	subMu sync.Mutex
 	subs  []*func(tivwire.ChangeSet)
 }
-
-var _ tivaware.Querier = (*Gateway)(nil)
 
 // New builds a gateway over the shard daemons at shardURLs, probing
 // each shard's health: the shards must all serve the same node count.
@@ -247,75 +241,6 @@ func sweepLive[T any](g *Gateway, ctx context.Context, call func(ctx context.Con
 		}(s)
 	}
 	wg.Wait()
-}
-
-// queryOne answers one query as a batch of one, folding the per-query
-// failure into the call error.
-func (g *Gateway) queryOne(ctx context.Context, q tivaware.Query) (tivaware.Result, error) {
-	res, err := g.QueryBatch(ctx, []tivaware.Query{q})
-	if err != nil {
-		return tivaware.Result{}, err
-	}
-	return res[0], res[0].Err
-}
-
-// Rank scores the candidates for the target, best first; see
-// tivaware.Service.Rank. It errors when the shard truncated the
-// ranking at the daemon's cap: a cut ranking is not the full one (raise
-// tivd -maxk, or use KClosest for a bounded prefix).
-func (g *Gateway) Rank(ctx context.Context, target int, candidates []int, opts tivaware.QueryOptions) ([]tivaware.Selection, error) {
-	res, err := g.queryOne(ctx, tivaware.SelectionQuery(tivaware.KindRank, target, 0, candidates, opts))
-	if err != nil {
-		return nil, err
-	}
-	if res.Truncated {
-		return nil, errBadRequestf("ranking for node %d truncated at %d selections by a shard's cap; raise tivd -maxk or use KClosest", target, len(res.Selections))
-	}
-	return res.Selections, nil
-}
-
-// KClosest returns the k best-ranked candidates for the target.
-func (g *Gateway) KClosest(ctx context.Context, target, k int, opts tivaware.QueryOptions) ([]tivaware.Selection, error) {
-	if k <= 0 {
-		return nil, fmt.Errorf("tivshard: KClosest k = %d, want > 0", k)
-	}
-	res, err := g.queryOne(ctx, tivaware.SelectionQuery(tivaware.KindRank, target, k, nil, opts))
-	return res.Selections, err
-}
-
-// ClosestNode returns the best-ranked candidate for the target. It
-// errors when there is no eligible candidate.
-func (g *Gateway) ClosestNode(ctx context.Context, target int, opts tivaware.QueryOptions) (tivaware.Selection, error) {
-	res, err := g.queryOne(ctx, tivaware.SelectionQuery(tivaware.KindClosest, target, 0, nil, opts))
-	if err != nil {
-		return tivaware.Selection{}, err
-	}
-	if len(res.Selections) == 0 {
-		// A shard's answer is handed on verbatim; a reply without its
-		// selection must not panic the gateway.
-		return tivaware.Selection{}, errUnavailable(fmt.Sprintf("empty closest answer for node %d", target), nil)
-	}
-	return res.Selections[0], nil
-}
-
-// DetourPath finds the best one-hop detour for (i, j) over every
-// relay.
-func (g *Gateway) DetourPath(ctx context.Context, i, j int) (tivaware.Detour, error) {
-	res, err := g.queryOne(ctx, tivaware.Query{Kind: tivaware.KindDetour, I: i, J: j})
-	return res.Detour, err
-}
-
-// TopEdges returns the k globally worst edges by severity.
-func (g *Gateway) TopEdges(ctx context.Context, k int) ([]delayspace.Edge, error) {
-	res, err := g.queryOne(ctx, tivaware.Query{Kind: tivaware.KindTop, K: k})
-	return res.Edges, err
-}
-
-// Delay returns the delay estimate for (i, j), read from one live
-// replica.
-func (g *Gateway) Delay(ctx context.Context, i, j int) (float64, bool, error) {
-	res, err := g.queryOne(ctx, tivaware.Query{Kind: tivaware.KindDelay, I: i, J: j})
-	return res.Delay, res.DelayOK, err
 }
 
 // Analysis returns the aggregate triangle statistics. Every live
@@ -476,7 +401,8 @@ func (g *Gateway) ApplyBatch(ctx context.Context, updates []tivwire.Update) (tiv
 	}
 	if authority < 0 {
 		// Committed all the same: replay will land the batch, so answers
-		// cached before it must not outlive it.
+		// cached before it — even after a readmission during this round —
+		// must not outlive it (TestUnansweredCommitRetiresMidRoundReads).
 		g.gen.Add(1)
 		if !g.rescanOwed {
 			g.rescanOwed = true

@@ -120,7 +120,8 @@ func TestProbeKeepsForeignDaemonDown(t *testing.T) {
 				t.Fatalf("after the probe: down %v, status %q; want [1] and degraded", down, status)
 			}
 			for k := 0; k < 4; k++ {
-				if d, ok, err := g.Delay(ctx, 0, 1); err != nil || !ok || d != 500 {
+				res, err := BatchOfOne(ctx, g, tivaware.Query{Kind: tivaware.KindDelay, I: 0, J: 1})
+				if d, ok := res.Delay, res.DelayOK; err != nil || !ok || d != 500 {
 					t.Fatalf("read %d: Delay(0,1) = (%g,%v,%v), want the journaled 500", k, d, ok, err)
 				}
 			}

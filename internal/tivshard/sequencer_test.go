@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"tivaware/internal/tivaware"
 	"tivaware/internal/tivclient"
 	"tivaware/internal/tivshard/testcluster"
 	"tivaware/internal/tivwire"
@@ -304,5 +305,93 @@ func TestServedGatewayCacheSeesReplayedCommit(t *testing.T) {
 
 	if d, err := served.DetourPath(ctx, 0, 1); err != nil || d.Direct != 123456 {
 		t.Fatalf("served gateway DetourPath(0,1) after replay = %+v, %v; want direct delay 123456 (was %g)", d, err, before.Direct)
+	}
+}
+
+// TestUnansweredCommitRetiresMidRoundReads: the generation bump that
+// ends a round no replica answered is what retires a read cached during
+// that round. Here shard 0 is down and replays the batch from the
+// journal — the prober readmits it, moving the generation — while shard
+// 1's apply is still in flight; a served read that shard 1 answers then
+// is cached, from before the batch, under the new generation. Shard 1's
+// apply fails, so the round ends unanswered with shard 0, which holds
+// the batch, admitted: the same read must now carry the batch. (Fails
+// without the bump: the served gateway answers from its cache.)
+func TestUnansweredCommitRetiresMidRoundReads(t *testing.T) {
+	defer hangWatchdog(t, 20*time.Second)()
+	var hold atomic.Bool
+	var shard1Reads atomic.Int64
+	held, release := make(chan struct{}), make(chan struct{})
+	c, clk := clockedCluster(t, testcluster.Config{
+		N: 12, Shards: 2, Seed: 5, Live: true, Workers: 1, ServeGateway: true,
+		ShardMiddleware: func(s int, h http.Handler) http.Handler {
+			if s != 1 {
+				return h
+			}
+			return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				switch {
+				case r.URL.Path == "/v1/update" && hold.CompareAndSwap(true, false):
+					close(held)
+					<-release
+					w.Header().Set("Content-Type", "application/json")
+					w.WriteHeader(http.StatusServiceUnavailable)
+					fmt.Fprintf(w, `{"error":"overloaded","code":%q}`, tivwire.CodeUnavailable)
+					return
+				case r.URL.Path == "/v1/batch":
+					shard1Reads.Add(1)
+				}
+				h.ServeHTTP(w, r)
+			})
+		},
+	}, 0)
+	ctx := context.Background()
+	served := tivclient.New(c.GatewayURL, tivclient.Options{})
+
+	c.KillShard(0)
+	tickUntilStatus(t, clk, c.Gateway, "degraded")
+	if err := c.RestartShard(0); err != nil {
+		t.Fatal(err)
+	}
+	hold.Store(true)
+	gen := c.Gateway.Generation()
+	applied := make(chan error, 1)
+	go func() {
+		_, err := c.Gateway.ApplyUpdate(ctx, 0, 1, 123456)
+		applied <- err
+	}()
+	<-held
+	clk.Advance(time.Second) // one probe: shard 0 replays the batch and is readmitted
+	for c.Gateway.Generation() == gen {
+		runtime.Gosched()
+	}
+
+	// The live shards take turns: of two reads with distinct cache
+	// keys, shard 1 answers one.
+	var opts tivaware.QueryOptions
+	for {
+		sels, err := served.Rank(ctx, 0, []int{1}, opts)
+		if err != nil || len(sels) != 1 {
+			t.Fatalf("served Rank mid-round = %+v, %v", sels, err)
+		}
+		if shard1Reads.Load() > 0 {
+			if sels[0].Delay == 123456 {
+				t.Fatal("shard 1 answered with the batch its apply has not delivered")
+			}
+			break
+		}
+		opts.SeverityPenalty++
+	}
+
+	close(release)
+	var ce interface{ WireCode() string }
+	if err := <-applied; !errors.As(err, &ce) || ce.WireCode() != tivwire.CodeUnavailable {
+		t.Fatalf("update whose only live apply failed: %v, want a typed unavailable", err)
+	}
+	if down := c.Gateway.DownShards(); !slices.Equal(down, []int{1}) {
+		t.Fatalf("down shards after the round: %v, want [1]", down)
+	}
+	sels, err := served.Rank(ctx, 0, []int{1}, opts)
+	if err != nil || len(sels) != 1 || sels[0].Delay != 123456 {
+		t.Fatalf("served Rank after the round = %+v, %v; want delay 123456 from readmitted shard 0", sels, err)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"tivaware/internal/tivaware"
+	"tivaware/internal/tivshard"
 	"tivaware/internal/tivshard/testcluster"
 	"tivaware/internal/tivwire"
 )
@@ -116,8 +117,8 @@ func TestConcurrentUpdatesFanInAccounting(t *testing.T) {
 	go func() {
 		defer readWG.Done()
 		for q := 0; readCtx.Err() == nil; q++ {
-			_, _ = c.Gateway.ClosestNode(readCtx, q%n, tivaware.QueryOptions{SeverityPenalty: 2})
-			_, _ = c.Gateway.TopEdges(readCtx, 5)
+			_, _ = tivshard.BatchOfOne(readCtx, c.Gateway, tivaware.Query{Kind: tivaware.KindClosest, Target: q % n, SeverityPenalty: 2})
+			_, _ = tivshard.BatchOfOne(readCtx, c.Gateway, tivaware.Query{Kind: tivaware.KindTop, K: 5})
 		}
 	}()
 	wg.Wait()

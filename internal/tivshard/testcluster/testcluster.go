@@ -55,8 +55,8 @@ type Config struct {
 	// wire protocol.
 	ServeGateway bool
 	// ShardMiddleware, when non-nil, wraps each shard's HTTP handler
-	// (chaos suites install tivfault injectors here). It is re-applied
-	// on RestartShard, receiving the shard id both times.
+	// (fault tests install failing handlers here). It is re-applied on
+	// RestartShard, receiving the shard id both times.
 	ShardMiddleware func(shard int, h http.Handler) http.Handler
 	// FrameMiddleware is ShardMiddleware's twin for the framed
 	// transport (used with Frames).

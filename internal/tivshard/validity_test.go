@@ -13,6 +13,7 @@ import (
 	"tivaware/internal/tiv"
 	"tivaware/internal/tivaware"
 	"tivaware/internal/tivclient"
+	"tivaware/internal/tivshard"
 	"tivaware/internal/tivshard/testcluster"
 	"tivaware/internal/tivwire"
 )
@@ -163,7 +164,6 @@ func TestNonFinitePenaltyIsBadRequest(t *testing.T) {
 		"monolith":      mono,
 		"shard http":    httpShard,
 		"shard frame":   frameShard,
-		"gateway":       c.Gateway,
 		"gateway http":  tivclient.New(c.GatewayURL, tivclient.Options{}),
 		"gateway frame": frameGW,
 	}
@@ -188,11 +188,18 @@ func TestNonFinitePenaltyIsBadRequest(t *testing.T) {
 		return tivwire.CodeBadRequest, err.Error() // the monolith's bare validation error
 	}
 	// sameRefusal holds the gateway to the code and the words a monolith
-	// gives on the same surface: in-process, HTTP JSON, frame.
-	sameRefusal := func(what string, call func(q tivaware.Querier) error) {
+	// gives on the same surface: in-process (where the gateway reads q,
+	// call's query, as a batch of one), HTTP JSON, frame.
+	sameRefusal := func(what string, q tivaware.Query, call func(q tivaware.Querier) error) {
 		t.Helper()
 		for _, pair := range [][2]string{{"monolith", "gateway"}, {"shard http", "gateway http"}, {"shard frame", "gateway frame"}} {
-			merr, gerr := call(queriers[pair[0]]), call(queriers[pair[1]])
+			merr := call(queriers[pair[0]])
+			var gerr error
+			if pair[1] == "gateway" {
+				_, gerr = tivshard.BatchOfOne(ctx, c.Gateway, q)
+			} else {
+				gerr = call(queriers[pair[1]])
+			}
 			wantBadRequest(t, what+": "+pair[1], gerr)
 			if merr == nil || gerr == nil {
 				t.Errorf("%s: %s err %v, %s err %v, want both refused", what, pair[0], merr, pair[1], gerr)
@@ -208,11 +215,11 @@ func TestNonFinitePenaltyIsBadRequest(t *testing.T) {
 		t.Helper()
 		opts := tivaware.QueryOptions{SeverityPenalty: pen}
 		what := fmt.Sprintf("penalty %g", pen)
-		sameRefusal(what+" Rank", func(q tivaware.Querier) error {
+		sameRefusal(what+" Rank", tivaware.SelectionQuery(tivaware.KindRank, 0, 0, nil, opts), func(q tivaware.Querier) error {
 			_, err := q.Rank(ctx, 0, nil, opts)
 			return err
 		})
-		sameRefusal(what+" ClosestNode", func(q tivaware.Querier) error {
+		sameRefusal(what+" ClosestNode", tivaware.SelectionQuery(tivaware.KindClosest, 0, 0, nil, opts), func(q tivaware.Querier) error {
 			_, err := q.ClosestNode(ctx, 0, opts)
 			return err
 		})
@@ -228,15 +235,15 @@ func TestNonFinitePenaltyIsBadRequest(t *testing.T) {
 	refused(math.MaxFloat64)
 	// The other refusals a whole-routed query brings back from its shard.
 	n := c.Matrix.N()
-	sameRefusal("out-of-range target", func(q tivaware.Querier) error {
+	sameRefusal("out-of-range target", tivaware.Query{Kind: tivaware.KindClosest, Target: n + 5}, func(q tivaware.Querier) error {
 		_, err := q.ClosestNode(ctx, n+5, tivaware.QueryOptions{})
 		return err
 	})
-	sameRefusal("detour on the diagonal", func(q tivaware.Querier) error {
+	sameRefusal("detour on the diagonal", tivaware.Query{Kind: tivaware.KindDetour, I: 4, J: 4}, func(q tivaware.Querier) error {
 		_, err := q.DetourPath(ctx, 4, 4)
 		return err
 	})
-	sameRefusal("closest with no eligible candidate", func(q tivaware.Querier) error {
+	sameRefusal("closest with no eligible candidate", tivaware.Query{Kind: tivaware.KindClosest, Target: 3, Candidates: []int{3}}, func(q tivaware.Querier) error {
 		_, err := q.ClosestNode(ctx, 3, tivaware.QueryOptions{Candidates: []int{3}})
 		return err
 	})

@@ -22,8 +22,8 @@ import (
 //     composite literal: TIV analysis has one application-facing
 //     surface, tivaware.Service.
 //   - The serving plane's non-test files (tivd, tivshard, tivclient,
-//     tivfault, tivwire) name nothing from delayspace but Edge, Valid
-//     and Missing: without a *Matrix there is nothing to Set, and the
+//     tivwire) name nothing from delayspace but Edge, Valid and
+//     Missing: without a *Matrix there is nothing to Set, and the
 //     serving plane reads published epochs only.
 //
 // A file's name for each package is read from its own import spec, so
@@ -34,7 +34,7 @@ func TestLayerBoundary(t *testing.T) {
 	substrate := map[string]bool{"internal/tiv": true, "internal/tivaware": true}
 	serving := map[string]bool{
 		"internal/tivd": true, "internal/tivshard": true, "internal/tivclient": true,
-		"internal/tivfault": true, "internal/tivwire": true,
+		"internal/tivwire": true,
 	}
 	servedDelayspace := map[string]bool{"Edge": true, "Valid": true, "Missing": true}
 
