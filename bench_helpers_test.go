@@ -1,8 +1,8 @@
 package tivaware_test
 
 import (
-	"tivaware/internal/meridian"
-	"tivaware/internal/nsim"
+	"tivaware/internal/repro/meridian"
+	"tivaware/internal/repro/nsim"
 )
 
 // buildMeridian and queryOptions keep the Meridian micro-benchmark

@@ -1,7 +1,7 @@
 // Package tivaware's root benchmark harness: one benchmark per table
 // and figure in the paper's evaluation, each regenerating the
-// corresponding result via internal/experiments, plus micro-benchmarks
-// of the core primitives.
+// corresponding result via internal/repro/experiments, plus
+// micro-benchmarks of the core primitives.
 //
 // Run everything:
 //
@@ -19,12 +19,12 @@ import (
 	"io"
 	"testing"
 
-	"tivaware/internal/experiments"
-	"tivaware/internal/nsim"
+	"tivaware/internal/repro/experiments"
+	"tivaware/internal/repro/nsim"
+	"tivaware/internal/repro/vivaldi"
 	"tivaware/internal/synth"
 	"tivaware/internal/tivaware"
 	"tivaware/internal/tivshard/testcluster"
-	"tivaware/internal/vivaldi"
 )
 
 var benchN = flag.Int("tivbench.n", 300, "experiment scale (DS2-equivalent node count) for the figure benchmarks")

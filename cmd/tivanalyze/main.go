@@ -15,8 +15,8 @@ import (
 	"io"
 	"os"
 
-	"tivaware/internal/cluster"
 	"tivaware/internal/delayspace"
+	"tivaware/internal/repro/cluster"
 	"tivaware/internal/stats"
 	"tivaware/internal/tiv"
 	"tivaware/internal/tivaware"

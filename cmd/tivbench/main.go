@@ -19,7 +19,7 @@ import (
 	"path/filepath"
 	"time"
 
-	"tivaware/internal/experiments"
+	"tivaware/internal/repro/experiments"
 )
 
 func main() {

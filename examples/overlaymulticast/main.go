@@ -14,12 +14,12 @@ import (
 	"fmt"
 	"log"
 
-	"tivaware/internal/core"
-	"tivaware/internal/overlay"
+	"tivaware/internal/repro/core"
+	"tivaware/internal/repro/overlay"
+	"tivaware/internal/repro/vivaldi"
 	"tivaware/internal/stats"
 	"tivaware/internal/synth"
 	"tivaware/internal/tivaware"
-	"tivaware/internal/vivaldi"
 )
 
 func main() {

@@ -9,11 +9,11 @@ import (
 	"log"
 	"os"
 
-	"tivaware/internal/core"
+	"tivaware/internal/repro/core"
+	"tivaware/internal/repro/vivaldi"
 	"tivaware/internal/stats"
 	"tivaware/internal/synth"
 	"tivaware/internal/tivaware"
-	"tivaware/internal/vivaldi"
 )
 
 func main() {

@@ -22,17 +22,17 @@ import (
 	"net"
 	"net/http"
 
-	"tivaware/internal/core"
 	"tivaware/internal/delayspace"
-	"tivaware/internal/meridian"
-	"tivaware/internal/nsim"
+	"tivaware/internal/repro/core"
+	"tivaware/internal/repro/meridian"
+	"tivaware/internal/repro/nsim"
+	"tivaware/internal/repro/vivaldi"
 	"tivaware/internal/stats"
 	"tivaware/internal/synth"
 	"tivaware/internal/tivaware"
 	"tivaware/internal/tivclient"
 	"tivaware/internal/tivd"
 	"tivaware/internal/tivshard/testcluster"
-	"tivaware/internal/vivaldi"
 )
 
 func main() {

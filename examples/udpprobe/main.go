@@ -14,9 +14,9 @@ import (
 	"time"
 
 	"tivaware/internal/netprobe"
+	"tivaware/internal/repro/vivaldi"
 	"tivaware/internal/stats"
 	"tivaware/internal/tivaware"
-	"tivaware/internal/vivaldi"
 )
 
 func main() {

@@ -1,9 +1,10 @@
-package cluster
+package cluster_test
 
 import (
 	"testing"
 
 	"tivaware/internal/delayspace"
+	"tivaware/internal/repro/cluster"
 	"tivaware/internal/synth"
 )
 
@@ -12,7 +13,7 @@ func TestClusterRecoverPlanted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := Cluster(s.Base, Options{K: 3, Seed: 5})
+	c, err := cluster.Cluster(s.Base, cluster.Options{K: 3, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +47,7 @@ func TestClusterRecoverPlanted(t *testing.T) {
 }
 
 func TestClusterTooFewNodes(t *testing.T) {
-	if _, err := Cluster(delayspace.New(2), Options{K: 3}); err == nil {
+	if _, err := cluster.Cluster(delayspace.New(2), cluster.Options{K: 3}); err == nil {
 		t.Error("expected error")
 	}
 }
@@ -56,7 +57,7 @@ func TestClusterSizesOrdered(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := Cluster(s.Base, Options{Seed: 2})
+	c, err := cluster.Cluster(s.Base, cluster.Options{Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +80,7 @@ func TestClusterSizesOrdered(t *testing.T) {
 }
 
 func TestSameCluster(t *testing.T) {
-	c := &Clustering{Labels: []int{0, 0, 1, Noise, Noise}, K: 2, Medoids: []int{0, 2}}
+	c := &cluster.Clustering{Labels: []int{0, 0, 1, cluster.Noise, cluster.Noise}, K: 2, Medoids: []int{0, 2}}
 	if !c.SameCluster(0, 1) {
 		t.Error("0 and 1 share cluster 0")
 	}
@@ -91,26 +92,12 @@ func TestSameCluster(t *testing.T) {
 	}
 }
 
-func TestPermutationGroups(t *testing.T) {
-	c := &Clustering{Labels: []int{1, 0, Noise, 0, 1}, K: 2}
-	perm := c.Permutation()
-	if len(perm) != 5 {
-		t.Fatalf("perm length %d", len(perm))
-	}
-	want := []int{1, 3, 0, 4, 2} // cluster 0 first, then 1, noise last
-	for i := range want {
-		if perm[i] != want[i] {
-			t.Fatalf("perm = %v, want %v", perm, want)
-		}
-	}
-}
-
 func TestBlocks(t *testing.T) {
 	m := delayspace.New(4)
 	m.Set(0, 1, 10) // intra cluster 0
 	m.Set(2, 3, 20) // cluster1 - noise
 	m.Set(0, 2, 30) // cluster0 - cluster1
-	c := &Clustering{Labels: []int{0, 0, 1, Noise}, K: 2}
+	c := &cluster.Clustering{Labels: []int{0, 0, 1, cluster.Noise}, K: 2}
 	bs := c.Blocks(m, func(i, j int) float64 { return m.At(i, j) })
 	if bs.Mean[0][0] != 10 || bs.Count[0][0] != 1 {
 		t.Errorf("block (0,0): mean %g count %d", bs.Mean[0][0], bs.Count[0][0])
@@ -136,7 +123,7 @@ func TestCrossClusterEdgesLonger(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := Cluster(s.Base, Options{Seed: 3})
+	c, err := cluster.Cluster(s.Base, cluster.Options{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,11 +141,11 @@ func TestClusterDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := Cluster(s.Base, Options{Seed: 9})
+	a, err := cluster.Cluster(s.Base, cluster.Options{Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Cluster(s.Base, Options{Seed: 9})
+	b, err := cluster.Cluster(s.Base, cluster.Options{Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,12 +153,5 @@ func TestClusterDeterministic(t *testing.T) {
 		if a.Labels[i] != b.Labels[i] {
 			t.Fatal("same seed, different clustering")
 		}
-	}
-}
-
-func TestOptionsDefaults(t *testing.T) {
-	var o Options
-	if o.k() != 3 || o.maxIters() != 50 || o.noiseFactor() != 3 {
-		t.Errorf("defaults wrong: k=%d iters=%d noise=%g", o.k(), o.maxIters(), o.noiseFactor())
 	}
 }

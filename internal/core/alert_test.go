@@ -1,12 +1,13 @@
-package core
+package core_test
 
 import (
 	"math"
 	"testing"
 
+	"tivaware/internal/repro/core"
+	"tivaware/internal/repro/vivaldi"
 	"tivaware/internal/synth"
 	"tivaware/internal/tiv"
-	"tivaware/internal/vivaldi"
 )
 
 // convergedSpace builds a DS2-like space with a converged Vivaldi
@@ -28,7 +29,7 @@ func convergedSpace(t testing.TB, n int, seed int64) (*synth.Space, *vivaldi.Sys
 
 func TestPredictionRatios(t *testing.T) {
 	sp, sys, _ := convergedSpace(t, 40, 1)
-	ratios := PredictionRatios(sp.Matrix, sys)
+	ratios := core.PredictionRatios(sp.Matrix, sys)
 	if len(ratios) != 40*39/2 {
 		t.Fatalf("got %d ratios", len(ratios))
 	}
@@ -39,14 +40,6 @@ func TestPredictionRatios(t *testing.T) {
 	}
 }
 
-func TestAlerted(t *testing.T) {
-	ratios := []EdgeRatio{{0, 1, 0.3}, {0, 2, 0.9}, {1, 2, 0.6}}
-	got := Alerted(ratios, 0.6)
-	if len(got) != 2 {
-		t.Fatalf("Alerted = %v", got)
-	}
-}
-
 func TestEvaluateAlertExact(t *testing.T) {
 	// Hand-built: 3-node severities with edge (0,2) the worst, and
 	// ratios flagging exactly that edge.
@@ -54,19 +47,19 @@ func TestEvaluateAlertExact(t *testing.T) {
 	sev := tiv.AllSeverities(sp.Matrix, tiv.Options{})
 	worst := sev.WorstEdges(0.1)
 	// Flag exactly the worst edges: accuracy and recall must be 1.
-	var ratios []EdgeRatio
+	var ratios []core.EdgeRatio
 	flagged := map[[2]int]bool{}
 	for _, e := range worst {
-		ratios = append(ratios, EdgeRatio{I: e.I, J: e.J, Ratio: 0.1})
+		ratios = append(ratios, core.EdgeRatio{I: e.I, J: e.J, Ratio: 0.1})
 		flagged[[2]int{e.I, e.J}] = true
 	}
 	sp.Matrix.EachEdge(func(i, j int, d float64) bool {
 		if !flagged[[2]int{i, j}] {
-			ratios = append(ratios, EdgeRatio{I: i, J: j, Ratio: 1.0})
+			ratios = append(ratios, core.EdgeRatio{I: i, J: j, Ratio: 1.0})
 		}
 		return true
 	})
-	q, err := EvaluateAlert(sev, ratios, 0.5, 0.1)
+	q, err := core.EvaluateAlert(sev, ratios, 0.5, 0.1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,13 +73,13 @@ func TestEvaluateAlertExact(t *testing.T) {
 
 func TestEvaluateAlertErrors(t *testing.T) {
 	_, _, sev := convergedSpace(t, 20, 3)
-	if _, err := EvaluateAlert(sev, nil, 0.5, 0.1); err == nil {
+	if _, err := core.EvaluateAlert(sev, nil, 0.5, 0.1); err == nil {
 		t.Error("empty ratios should error")
 	}
-	if _, err := EvaluateAlert(sev, []EdgeRatio{{0, 1, 1}}, 0.5, 0); err == nil {
+	if _, err := core.EvaluateAlert(sev, []core.EdgeRatio{{I: 0, J: 1, Ratio: 1}}, 0.5, 0); err == nil {
 		t.Error("zero fraction should error")
 	}
-	if _, err := EvaluateAlert(sev, []EdgeRatio{{0, 1, 1}}, 0.5, 1.1); err == nil {
+	if _, err := core.EvaluateAlert(sev, []core.EdgeRatio{{I: 0, J: 1, Ratio: 1}}, 0.5, 1.1); err == nil {
 		t.Error("fraction > 1 should error")
 	}
 }
@@ -95,10 +88,10 @@ func TestAlertRecallMonotoneInThreshold(t *testing.T) {
 	// Fig 21's essential shape: relaxing the threshold can only flag
 	// more edges, so recall is non-decreasing.
 	sp, sys, sev := convergedSpace(t, 80, 4)
-	ratios := PredictionRatios(sp.Matrix, sys)
+	ratios := core.PredictionRatios(sp.Matrix, sys)
 	prev := -1.0
 	for _, th := range []float64{0.1, 0.3, 0.5, 0.7, 0.9} {
-		q, err := EvaluateAlert(sev, ratios, th, 0.1)
+		q, err := core.EvaluateAlert(sev, ratios, th, 0.1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -113,8 +106,8 @@ func TestAlertAccuracyHighAtTightThreshold(t *testing.T) {
 	// Fig 20's headline: a tight threshold flags few edges but almost
 	// all of them are truly severe.
 	sp, sys, sev := convergedSpace(t, 150, 5)
-	ratios := PredictionRatios(sp.Matrix, sys)
-	tight, err := EvaluateAlert(sev, ratios, 0.3, 0.2)
+	ratios := core.PredictionRatios(sp.Matrix, sys)
+	tight, err := core.EvaluateAlert(sev, ratios, 0.3, 0.2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +117,7 @@ func TestAlertAccuracyHighAtTightThreshold(t *testing.T) {
 	if tight.Accuracy < 0.6 {
 		t.Errorf("tight-threshold accuracy %.2f; expected high", tight.Accuracy)
 	}
-	loose, err := EvaluateAlert(sev, ratios, 0.9, 0.2)
+	loose, err := core.EvaluateAlert(sev, ratios, 0.9, 0.2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,8 +128,8 @@ func TestAlertAccuracyHighAtTightThreshold(t *testing.T) {
 
 func TestRatioSeverityBins(t *testing.T) {
 	sp, sys, sev := convergedSpace(t, 100, 6)
-	ratios := PredictionRatios(sp.Matrix, sys)
-	bins, err := RatioSeverityBins(sev, ratios, 0.1, 5)
+	ratios := core.PredictionRatios(sp.Matrix, sys)
+	bins, err := core.RatioSeverityBins(sev, ratios, 0.1, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,10 +168,10 @@ func TestRatioSeverityBins(t *testing.T) {
 
 func TestRatioSeverityBinsErrors(t *testing.T) {
 	_, _, sev := convergedSpace(t, 20, 7)
-	if _, err := RatioSeverityBins(sev, nil, 0, 5); err == nil {
+	if _, err := core.RatioSeverityBins(sev, nil, 0, 5); err == nil {
 		t.Error("zero width should error")
 	}
-	if _, err := RatioSeverityBins(sev, nil, 0.1, 0); err == nil {
+	if _, err := core.RatioSeverityBins(sev, nil, 0.1, 0); err == nil {
 		t.Error("zero max should error")
 	}
 }

@@ -1,12 +1,13 @@
-package core
+package core_test
 
 import (
 	"testing"
 
+	"tivaware/internal/repro/core"
+	"tivaware/internal/repro/vivaldi"
 	"tivaware/internal/stats"
 	"tivaware/internal/synth"
 	"tivaware/internal/tiv"
-	"tivaware/internal/vivaldi"
 )
 
 func TestRunDynamicNeighborValidation(t *testing.T) {
@@ -14,14 +15,14 @@ func TestRunDynamicNeighborValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := RunDynamicNeighbor(sp.Matrix, vivaldi.Config{}, DynamicNeighborConfig{Iterations: -1}); err == nil {
+	if _, _, err := core.RunDynamicNeighbor(sp.Matrix, vivaldi.Config{}, core.DynamicNeighborConfig{Iterations: -1}); err == nil {
 		t.Error("negative iterations should error")
 	}
-	if _, _, err := RunDynamicNeighbor(sp.Matrix, vivaldi.Config{}, DynamicNeighborConfig{PeriodSeconds: -5}); err == nil {
+	if _, _, err := core.RunDynamicNeighbor(sp.Matrix, vivaldi.Config{}, core.DynamicNeighborConfig{PeriodSeconds: -5}); err == nil {
 		t.Error("negative period should error")
 	}
-	if _, _, err := RunDynamicNeighbor(sp.Matrix, vivaldi.Config{},
-		DynamicNeighborConfig{Iterations: 2, SnapshotIters: []int{5}}); err == nil {
+	if _, _, err := core.RunDynamicNeighbor(sp.Matrix, vivaldi.Config{},
+		core.DynamicNeighborConfig{Iterations: 2, SnapshotIters: []int{5}}); err == nil {
 		t.Error("snapshot beyond iterations should error")
 	}
 }
@@ -31,9 +32,9 @@ func TestRunDynamicNeighborSnapshots(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snaps, sys, err := RunDynamicNeighbor(sp.Matrix,
+	snaps, sys, err := core.RunDynamicNeighbor(sp.Matrix,
 		vivaldi.Config{Seed: 3, Neighbors: 8},
-		DynamicNeighborConfig{Iterations: 2, PeriodSeconds: 40, SampleSize: 8, SnapshotIters: []int{0, 1, 2}})
+		core.DynamicNeighborConfig{Iterations: 2, PeriodSeconds: 40, SnapshotIters: []int{0, 1, 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,14 +75,14 @@ func TestDynamicNeighborReducesNeighborSeverity(t *testing.T) {
 		t.Fatal(err)
 	}
 	sev := tiv.AllSeverities(sp.Matrix, tiv.Options{})
-	snaps, _, err := RunDynamicNeighbor(sp.Matrix,
+	snaps, _, err := core.RunDynamicNeighbor(sp.Matrix,
 		vivaldi.Config{Seed: 5, Neighbors: 16},
-		DynamicNeighborConfig{Iterations: 5, PeriodSeconds: 60, SampleSize: 16, SnapshotIters: []int{0, 5}})
+		core.DynamicNeighborConfig{Iterations: 5, PeriodSeconds: 60, SnapshotIters: []int{0, 5}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sevOf := func(snap DynamicNeighborSnapshot) float64 {
-		vals := NeighborEdgeValues(snap.Neighbors, func(i, j int) float64 { return sev.At(i, j) })
+	sevOf := func(snap core.DynamicNeighborSnapshot) float64 {
+		vals := core.NeighborEdgeValues(snap.Neighbors, func(i, j int) float64 { return sev.At(i, j) })
 		return stats.Summarize(vals).Mean
 	}
 	before, after := sevOf(snaps[0]), sevOf(snaps[1])
@@ -91,7 +92,7 @@ func TestDynamicNeighborReducesNeighborSeverity(t *testing.T) {
 }
 
 func TestNeighborEdgeValues(t *testing.T) {
-	vals := NeighborEdgeValues([][]int{{1, 2}, {0}}, func(i, j int) float64 {
+	vals := core.NeighborEdgeValues([][]int{{1, 2}, {0}}, func(i, j int) float64 {
 		return float64(i*10 + j)
 	})
 	want := []float64{1, 2, 10}

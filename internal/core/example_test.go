@@ -3,10 +3,10 @@ package core_test
 import (
 	"fmt"
 
-	"tivaware/internal/core"
+	"tivaware/internal/repro/core"
+	"tivaware/internal/repro/vivaldi"
 	"tivaware/internal/synth"
 	"tivaware/internal/tiv"
-	"tivaware/internal/vivaldi"
 )
 
 // The TIV alert pipeline (§5.1): embed a TIV-rich space, compute

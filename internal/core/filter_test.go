@@ -1,13 +1,14 @@
-package core
+package core_test
 
 import (
 	"testing"
 
-	"tivaware/internal/meridian"
-	"tivaware/internal/nsim"
+	"tivaware/internal/repro/core"
+	"tivaware/internal/repro/meridian"
+	"tivaware/internal/repro/nsim"
+	"tivaware/internal/repro/vivaldi"
 	"tivaware/internal/synth"
 	"tivaware/internal/tiv"
-	"tivaware/internal/vivaldi"
 )
 
 func TestNewSeverityFilter(t *testing.T) {
@@ -16,7 +17,7 @@ func TestNewSeverityFilter(t *testing.T) {
 		t.Fatal(err)
 	}
 	sev := tiv.AllSeverities(sp.Matrix, tiv.Options{})
-	f, err := NewSeverityFilter(sev, 0.2)
+	f, err := core.NewSeverityFilter(sev, 0.2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,10 +51,10 @@ func TestNewSeverityFilter(t *testing.T) {
 	if count != f.Len() {
 		t.Errorf("counted %d excluded edges, want %d", count, f.Len())
 	}
-	if _, err := NewSeverityFilter(sev, 0); err == nil {
+	if _, err := core.NewSeverityFilter(sev, 0); err == nil {
 		t.Error("zero fraction should error")
 	}
-	if _, err := NewSeverityFilter(sev, 1.5); err == nil {
+	if _, err := core.NewSeverityFilter(sev, 1.5); err == nil {
 		t.Error("fraction > 1 should error")
 	}
 }
@@ -64,7 +65,7 @@ func TestFilterSelectsMostSevere(t *testing.T) {
 		t.Fatal(err)
 	}
 	sev := tiv.AllSeverities(sp.Matrix, tiv.Options{})
-	f, err := NewSeverityFilter(sev, 0.1)
+	f, err := core.NewSeverityFilter(sev, 0.1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,11 +94,11 @@ func TestFilteredNeighbors(t *testing.T) {
 		t.Fatal(err)
 	}
 	sev := tiv.AllSeverities(sp.Matrix, tiv.Options{})
-	f, err := NewSeverityFilter(sev, 0.2)
+	f, err := core.NewSeverityFilter(sev, 0.2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	nb, err := FilteredNeighbors(sp.Matrix, f, 8, 4)
+	nb, err := core.FilteredNeighbors(sp.Matrix, f, 8, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +118,7 @@ func TestFilteredNeighbors(t *testing.T) {
 			}
 		}
 	}
-	if _, err := FilteredNeighbors(sp.Matrix, f, 0, 1); err == nil {
+	if _, err := core.FilteredNeighbors(sp.Matrix, f, 0, 1); err == nil {
 		t.Error("k=0 should error")
 	}
 }
@@ -128,11 +129,11 @@ func TestFilteredNeighborsFeedVivaldi(t *testing.T) {
 		t.Fatal(err)
 	}
 	sev := tiv.AllSeverities(sp.Matrix, tiv.Options{})
-	f, err := NewSeverityFilter(sev, 0.2)
+	f, err := core.NewSeverityFilter(sev, 0.2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	nb, err := FilteredNeighbors(sp.Matrix, f, 8, 6)
+	nb, err := core.FilteredNeighbors(sp.Matrix, f, 8, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +155,7 @@ func TestExcludeEdgeFuncUnderpopulatesRings(t *testing.T) {
 		t.Fatal(err)
 	}
 	sev := tiv.AllSeverities(sp.Matrix, tiv.Options{})
-	f, err := NewSeverityFilter(sev, 0.2)
+	f, err := core.NewSeverityFilter(sev, 0.2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +191,7 @@ func TestExcludeEdgeFuncUnderpopulatesRings(t *testing.T) {
 	}
 }
 
-func TestVivaldiPredictAndSnapshotPredict(t *testing.T) {
+func TestSnapshotPredict(t *testing.T) {
 	sp, err := synth.Generate(synth.DS2Like(30, 11))
 	if err != nil {
 		t.Fatal(err)
@@ -200,17 +201,13 @@ func TestVivaldiPredictAndSnapshotPredict(t *testing.T) {
 		t.Fatal(err)
 	}
 	sys.Run(50)
-	live := VivaldiPredict(sys)
-	if d, ok := live(3, 3); !ok || d != 0 {
+	snap := core.SnapshotPredict(sys.Snapshot())
+	if d, ok := snap(3, 3); !ok || d != 0 {
 		t.Errorf("self predict = %g, %v", d, ok)
 	}
-	d1, ok := live(0, 1)
-	if !ok || d1 <= 0 {
-		t.Errorf("predict = %g, %v", d1, ok)
-	}
-	snap := SnapshotPredict(sys.Snapshot())
+	d1 := sys.Predict(0, 1)
 	d2, ok := snap(0, 1)
-	if !ok || d2 != d1 {
-		t.Errorf("snapshot predict %g != live %g", d2, d1)
+	if !ok || d1 <= 0 || d2 != d1 {
+		t.Errorf("snapshot predict %g, %v; live %g", d2, ok, d1)
 	}
 }

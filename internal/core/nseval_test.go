@@ -1,11 +1,12 @@
-package core
+package core_test
 
 import (
 	"testing"
 
 	"tivaware/internal/delayspace"
-	"tivaware/internal/meridian"
-	"tivaware/internal/nsim"
+	"tivaware/internal/repro/core"
+	"tivaware/internal/repro/meridian"
+	"tivaware/internal/repro/nsim"
 	"tivaware/internal/synth"
 )
 
@@ -31,8 +32,8 @@ func (p worstPredictor) Predict(i, j int) float64 {
 
 func TestPercentagePenaltiesPerfect(t *testing.T) {
 	m := synth.Euclidean(50, 300, 1)
-	cands, clients := SplitNodes(50, 10, 2)
-	pen, err := PercentagePenalties(m, perfectPredictor{m}, cands, clients)
+	cands, clients := core.SplitNodes(50, 10, 2)
+	pen, err := core.PercentagePenalties(m, perfectPredictor{m}, cands, clients)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,8 +49,8 @@ func TestPercentagePenaltiesPerfect(t *testing.T) {
 
 func TestPercentagePenaltiesWorst(t *testing.T) {
 	m := synth.Euclidean(50, 300, 3)
-	cands, clients := SplitNodes(50, 10, 4)
-	pen, err := PercentagePenalties(m, worstPredictor{m}, cands, clients)
+	cands, clients := core.SplitNodes(50, 10, 4)
+	pen, err := core.PercentagePenalties(m, worstPredictor{m}, cands, clients)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,10 +70,10 @@ func TestPercentagePenaltiesWorst(t *testing.T) {
 
 func TestPercentagePenaltiesErrors(t *testing.T) {
 	m := synth.Euclidean(10, 200, 5)
-	if _, err := PercentagePenalties(m, perfectPredictor{m}, nil, []int{1}); err == nil {
+	if _, err := core.PercentagePenalties(m, perfectPredictor{m}, nil, []int{1}); err == nil {
 		t.Error("no candidates should error")
 	}
-	if _, err := PercentagePenalties(m, perfectPredictor{m}, []int{0}, nil); err == nil {
+	if _, err := core.PercentagePenalties(m, perfectPredictor{m}, []int{0}, nil); err == nil {
 		t.Error("no clients should error")
 	}
 }
@@ -81,7 +82,7 @@ func TestPercentagePenaltiesSkipsClientInCandidates(t *testing.T) {
 	m := synth.Euclidean(10, 200, 6)
 	// Client 3 also appears among candidates; it must not select
 	// itself (delay 0 would be a degenerate optimum).
-	pen, err := PercentagePenalties(m, perfectPredictor{m}, []int{3, 4, 5}, []int{3})
+	pen, err := core.PercentagePenalties(m, perfectPredictor{m}, []int{3, 4, 5}, []int{3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +92,7 @@ func TestPercentagePenaltiesSkipsClientInCandidates(t *testing.T) {
 }
 
 func TestSplitNodes(t *testing.T) {
-	subset, rest := SplitNodes(20, 5, 7)
+	subset, rest := core.SplitNodes(20, 5, 7)
 	if len(subset) != 5 || len(rest) != 15 {
 		t.Fatalf("sizes %d/%d", len(subset), len(rest))
 	}
@@ -107,7 +108,7 @@ func TestSplitNodes(t *testing.T) {
 			t.Error("expected panic for bad size")
 		}
 	}()
-	SplitNodes(5, 5, 1)
+	core.SplitNodes(5, 5, 1)
 }
 
 func TestMeridianPenalties(t *testing.T) {
@@ -116,13 +117,13 @@ func TestMeridianPenalties(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mIDs, clients := SplitNodes(60, 30, 10)
+	mIDs, clients := core.SplitNodes(60, 30, 10)
 	sys, err := meridian.Build(prober, mIDs, meridian.Config{K: -1, Seed: 11}, meridian.BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	prober.ResetProbes()
-	run, err := MeridianPenalties(m, sys, clients, meridian.QueryOptions{NoTermination: true}, 12)
+	run, err := core.MeridianPenalties(m, sys, clients, meridian.QueryOptions{NoTermination: true}, 12)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +161,7 @@ func TestMeridianPenaltiesNoClients(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := MeridianPenalties(m, sys, nil, meridian.QueryOptions{}, 1); err == nil {
+	if _, err := core.MeridianPenalties(m, sys, nil, meridian.QueryOptions{}, 1); err == nil {
 		t.Error("expected error")
 	}
 }
@@ -178,7 +179,7 @@ func TestMeridianPenaltiesTargetIsMeridianNode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run, err := MeridianPenalties(m, sys, []int{3}, meridian.QueryOptions{NoTermination: true}, 4)
+	run, err := core.MeridianPenalties(m, sys, []int{3}, meridian.QueryOptions{NoTermination: true}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,20 +1,20 @@
-package experiments
+package experiments_test
 
 import (
 	"strings"
 	"testing"
 
-	"tivaware/internal/stats"
+	"tivaware/internal/repro/experiments"
 )
 
 // tinyConfig keeps the full suite fast enough for unit tests.
-func tinyConfig() Config {
-	return Config{N: 80, Runs: 1, VivaldiSeconds: 50, Seed: 7}
+func tinyConfig() experiments.Config {
+	return experiments.Config{N: 80, Runs: 1, VivaldiSeconds: 50, Seed: 7}
 }
 
 func TestAllSpecsRunAndRender(t *testing.T) {
 	cfg := tinyConfig()
-	for _, spec := range Specs {
+	for _, spec := range experiments.Specs {
 		spec := spec
 		t.Run(spec.ID, func(t *testing.T) {
 			res, err := spec.Run(cfg)
@@ -45,40 +45,21 @@ func TestAllSpecsRunAndRender(t *testing.T) {
 }
 
 func TestLookup(t *testing.T) {
-	s, err := Lookup("fig2")
+	s, err := experiments.Lookup("fig2")
 	if err != nil || s.ID != "fig2" {
 		t.Fatalf("Lookup(fig2) = %+v, %v", s, err)
 	}
-	if _, err := Lookup("nope"); err == nil {
+	if _, err := experiments.Lookup("nope"); err == nil {
 		t.Error("unknown id should error")
 	}
 }
 
-func TestConfigDefaults(t *testing.T) {
-	var c Config
-	if c.n() != 800 || c.runs() != 3 || c.vivaldiSeconds() != 100 {
-		t.Errorf("defaults: n=%d runs=%d secs=%d", c.n(), c.runs(), c.vivaldiSeconds())
-	}
-	if c.datasetSize("ds2") != 800 {
-		t.Errorf("ds2 size %d", c.datasetSize("ds2"))
-	}
-	if got := c.datasetSize("meridian"); got != 500 {
-		t.Errorf("meridian size %d, want 500 (2500/4000 of 800)", got)
-	}
-	if got := c.datasetSize("planetlab"); got < 60 || got > 229 {
-		t.Errorf("planetlab size %d outside [60,229]", got)
-	}
-	if got := c.datasetSize("unknown"); got != 800 {
-		t.Errorf("unknown preset size %d", got)
-	}
-}
-
 func TestFig2Shape(t *testing.T) {
-	res, err := Fig2(tinyConfig())
+	res, err := experiments.Fig2(tinyConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := res.(*CDFResult)
+	r := res.(*experiments.CDFResult)
 	if len(r.Names) != 4 || len(r.CDFs) != 4 {
 		t.Fatalf("want 4 curves, got %d", len(r.Names))
 	}
@@ -100,11 +81,11 @@ func TestFig2Shape(t *testing.T) {
 }
 
 func TestFig10TracesOscillation(t *testing.T) {
-	res, err := Fig10(tinyConfig())
+	res, err := experiments.Fig10(tinyConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := res.(*SeriesResult)
+	r := res.(*experiments.SeriesResult)
 	if len(r.Series) != 3 || len(r.Series[0]) != 100 {
 		t.Fatalf("trace shape %dx%d", len(r.Series), len(r.Series[0]))
 	}
@@ -125,11 +106,11 @@ func TestFig10TracesOscillation(t *testing.T) {
 }
 
 func TestFig14ShowsEuclideanBetterThanDS2(t *testing.T) {
-	res, err := Fig14(tinyConfig())
+	res, err := experiments.Fig14(tinyConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := res.(*CDFResult)
+	r := res.(*experiments.CDFResult)
 	if len(r.CDFs) != 2 {
 		t.Fatalf("want 2 curves")
 	}
@@ -145,16 +126,16 @@ func TestFig14ShowsEuclideanBetterThanDS2(t *testing.T) {
 
 func TestFig20Fig21TradeOff(t *testing.T) {
 	cfg := tinyConfig()
-	acc, err := Fig20(cfg)
+	acc, err := experiments.Fig20(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, err := Fig21(cfg)
+	rec, err := experiments.Fig21(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ra := acc.(*SeriesResult)
-	rr := rec.(*SeriesResult)
+	ra := acc.(*experiments.SeriesResult)
+	rr := rec.(*experiments.SeriesResult)
 	// Recall must be monotone non-decreasing in the threshold for
 	// every target fraction.
 	for k, series := range rr.Series {
@@ -165,7 +146,7 @@ func TestFig20Fig21TradeOff(t *testing.T) {
 		}
 	}
 	// All values within [0,1].
-	for _, r := range []*SeriesResult{ra, rr} {
+	for _, r := range []*experiments.SeriesResult{ra, rr} {
 		for _, series := range r.Series {
 			for _, v := range series {
 				if v < 0 || v > 1 {
@@ -176,40 +157,10 @@ func TestFig20Fig21TradeOff(t *testing.T) {
 	}
 }
 
-func TestFig22SeverityDecreases(t *testing.T) {
-	res, err := Fig22(tinyConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := res.(*CDFResult)
-	if len(r.CDFs) != len(dynamicIters) {
-		t.Fatalf("want %d curves", len(dynamicIters))
-	}
-	// Mean neighbor-edge severity at the last iteration must be below
-	// the original (Fig 22's leftward shift).
-	meanOf := func(c stats.CDF) float64 {
-		var s, n float64
-		for i, v := range c.Values {
-			w := c.Fractions[i]
-			if i > 0 {
-				w -= c.Fractions[i-1]
-			}
-			s += v * w
-			n += w
-		}
-		return s / n
-	}
-	first := meanOf(r.CDFs[0])
-	last := meanOf(r.CDFs[len(r.CDFs)-1])
-	if last >= first {
-		t.Errorf("neighbor severity did not decrease: %.5f -> %.5f", first, last)
-	}
-}
-
 func TestDeterministicResults(t *testing.T) {
 	cfg := tinyConfig()
 	run := func() string {
-		res, err := Fig4(cfg)
+		res, err := experiments.Fig4(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -225,22 +176,31 @@ func TestDeterministicResults(t *testing.T) {
 }
 
 // TestAllSpecsCSVParses guarantees every experiment's CSV output is
-// well-formed: consistent column counts and no stray unescaped
-// separators — the contract external plotting scripts rely on.
+// well-formed — consistent column counts and no stray unescaped
+// separators, the contract external plotting scripts rely on — and
+// deterministic: a second run of the same config writes the same
+// bytes, the property that makes a figure comparable across commits.
 func TestAllSpecsCSVParses(t *testing.T) {
 	cfg := tinyConfig()
-	for _, spec := range Specs {
+	for _, spec := range experiments.Specs {
 		spec := spec
 		t.Run(spec.ID, func(t *testing.T) {
-			res, err := spec.Run(cfg)
-			if err != nil {
-				t.Fatal(err)
+			csv := func() string {
+				res, err := spec.Run(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var sb strings.Builder
+				if err := res.WriteCSV(&sb); err != nil {
+					t.Fatal(err)
+				}
+				return sb.String()
 			}
-			var sb strings.Builder
-			if err := res.WriteCSV(&sb); err != nil {
-				t.Fatal(err)
+			out := csv()
+			if again := csv(); again != out {
+				t.Fatalf("second run wrote different CSV:\n%s\nvs\n%s", out, again)
 			}
-			lines := strings.Split(strings.TrimRight(sb.String(), "\n"), "\n")
+			lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
 			if len(lines) < 2 {
 				t.Fatalf("CSV has %d lines", len(lines))
 			}

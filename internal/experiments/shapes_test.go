@@ -1,9 +1,10 @@
-package experiments
+package experiments_test
 
 import (
 	"strings"
 	"testing"
 
+	"tivaware/internal/repro/experiments"
 	"tivaware/internal/stats"
 )
 
@@ -16,14 +17,14 @@ func TestPaperShapesMediumScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("medium-scale shape test")
 	}
-	cfg := Config{N: 300, Runs: 2, Seed: 11}
+	cfg := experiments.Config{N: 300, Runs: 2, Seed: 11}
 
 	t.Run("fig14_ds2_worse_than_euclidean", func(t *testing.T) {
-		res, err := Fig14(cfg)
+		res, err := experiments.Fig14(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		r := res.(*CDFResult)
+		r := res.(*experiments.CDFResult)
 		euclidZero := r.CDFs[0].At(0)
 		ds2Zero := r.CDFs[1].At(0)
 		if ds2Zero >= euclidZero {
@@ -32,11 +33,11 @@ func TestPaperShapesMediumScale(t *testing.T) {
 	})
 
 	t.Run("fig18_filter_degrades_meridian", func(t *testing.T) {
-		res, err := Fig18(cfg)
+		res, err := experiments.Fig18(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		r := res.(*CDFResult)
+		r := res.(*experiments.CDFResult)
 		// Names: [Meridian-original, Meridian-TIV-severity-filter].
 		orig := r.CDFs[0].Quantile(0.75)
 		filt := r.CDFs[1].Quantile(0.75)
@@ -46,11 +47,11 @@ func TestPaperShapesMediumScale(t *testing.T) {
 	})
 
 	t.Run("fig19_shrunk_edges_are_severe", func(t *testing.T) {
-		res, err := Fig19(cfg)
+		res, err := experiments.Fig19(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		r := res.(*BinsResult)
+		r := res.(*experiments.BinsResult)
 		bins := r.Sets[0]
 		if len(bins) < 3 {
 			t.Fatal("too few ratio bins")
@@ -76,11 +77,11 @@ func TestPaperShapesMediumScale(t *testing.T) {
 	})
 
 	t.Run("fig22_neighbor_severity_decreases", func(t *testing.T) {
-		res, err := Fig22(cfg)
+		res, err := experiments.Fig22(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		r := res.(*CDFResult)
+		r := res.(*experiments.CDFResult)
 		meanOf := func(c stats.CDF) float64 {
 			var s, prev float64
 			for i, v := range c.Values {
@@ -98,11 +99,11 @@ func TestPaperShapesMediumScale(t *testing.T) {
 	})
 
 	t.Run("fig23_dynamic_beats_original", func(t *testing.T) {
-		res, err := Fig23(cfg)
+		res, err := experiments.Fig23(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		r := res.(*CDFResult)
+		r := res.(*experiments.CDFResult)
 		orig := r.CDFs[0].Quantile(0.5)
 		best := orig
 		for _, c := range r.CDFs[1:] {
@@ -116,11 +117,11 @@ func TestPaperShapesMediumScale(t *testing.T) {
 	})
 
 	t.Run("fig24_alert_costs_probes_and_does_not_hurt", func(t *testing.T) {
-		res, err := Fig24(cfg)
+		res, err := experiments.Fig24(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		r := res.(*CDFResult)
+		r := res.(*experiments.CDFResult)
 		var notes string
 		for _, n := range r.Notes() {
 			notes += n + "\n"

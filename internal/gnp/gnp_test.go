@@ -1,32 +1,17 @@
-package gnp
+package gnp_test
 
 import (
 	"math"
 	"testing"
 
-	"tivaware/internal/delayspace"
+	"tivaware/internal/repro/gnp"
 	"tivaware/internal/stats"
 	"tivaware/internal/synth"
 )
 
-func TestBuildValidation(t *testing.T) {
-	m := synth.Euclidean(10, 100, 1)
-	if _, err := Build(m, Config{Landmarks: 20}); err == nil {
-		t.Error("more landmarks than nodes should error")
-	}
-	if _, err := Build(m, Config{Landmarks: 4, Dim: 5}); err == nil {
-		t.Error("landmarks below dim+1 should error")
-	}
-	holey := delayspace.New(8)
-	holey.Set(0, 1, 10)
-	if _, err := Build(holey, Config{Landmarks: 8, Dim: 2}); err == nil {
-		t.Error("unmeasured landmark pairs should error")
-	}
-}
-
 func TestGNPEmbedsEuclideanData(t *testing.T) {
 	m := synth.Euclidean(80, 300, 3)
-	sys, err := Build(m, Config{Landmarks: 15, Dim: 5, Seed: 5})
+	sys, err := gnp.Build(m, gnp.Config{Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +33,7 @@ func TestGNPOnTIVData(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys, err := Build(s.Matrix, Config{Landmarks: 15, Seed: 9})
+	sys, err := gnp.Build(s.Matrix, gnp.Config{Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,11 +69,11 @@ func TestGNPOnTIVData(t *testing.T) {
 
 func TestGNPDeterministic(t *testing.T) {
 	m := synth.Euclidean(30, 200, 11)
-	a, err := Build(m, Config{Landmarks: 10, Dim: 3, Seed: 42})
+	a, err := gnp.Build(m, gnp.Config{Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Build(m, Config{Landmarks: 10, Dim: 3, Seed: 42})
+	b, err := gnp.Build(m, gnp.Config{Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,28 +83,5 @@ func TestGNPDeterministic(t *testing.T) {
 				t.Fatal("same seed, different coordinates")
 			}
 		}
-	}
-}
-
-func TestLandmarksAccessor(t *testing.T) {
-	m := synth.Euclidean(20, 200, 13)
-	sys, err := Build(m, Config{Landmarks: 8, Dim: 3, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	lm := sys.Landmarks()
-	if len(lm) != 8 {
-		t.Fatalf("got %d landmarks", len(lm))
-	}
-	lm[0] = -1
-	if sys.Landmarks()[0] == -1 {
-		t.Error("Landmarks returned internal storage")
-	}
-}
-
-func TestDefaults(t *testing.T) {
-	var c Config
-	if c.landmarks() != 15 || c.dim() != 5 || c.iters() != 2000 {
-		t.Errorf("defaults: l=%d dim=%d iters=%d", c.landmarks(), c.dim(), c.iters())
 	}
 }

@@ -1,4 +1,4 @@
-package graph
+package graph_test
 
 import (
 	"math"
@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"tivaware/internal/delayspace"
+	"tivaware/internal/repro/graph"
 )
 
 // tivTriangle builds the paper's canonical 3-node TIV example:
@@ -21,7 +22,7 @@ func tivTriangle() *delayspace.Matrix {
 
 func TestShortestFromTIVTriangle(t *testing.T) {
 	m := tivTriangle()
-	dist := ShortestFrom(m, 0)
+	dist := graph.ShortestFrom(m, 0)
 	if dist[0] != 0 {
 		t.Errorf("dist to self = %g", dist[0])
 	}
@@ -36,7 +37,7 @@ func TestShortestFromTIVTriangle(t *testing.T) {
 func TestShortestFromDisconnected(t *testing.T) {
 	m := delayspace.New(3)
 	m.Set(0, 1, 7)
-	dist := ShortestFrom(m, 0)
+	dist := graph.ShortestFrom(m, 0)
 	if !math.IsInf(dist[2], 1) {
 		t.Errorf("unreachable node dist = %g, want +Inf", dist[2])
 	}
@@ -48,12 +49,12 @@ func TestShortestFromPanicsOutOfRange(t *testing.T) {
 			t.Error("expected panic")
 		}
 	}()
-	ShortestFrom(delayspace.New(2), 5)
+	graph.ShortestFrom(delayspace.New(2), 5)
 }
 
 func TestAllPairsSymmetric(t *testing.T) {
 	m := tivTriangle()
-	d := AllPairs(m)
+	d := graph.AllPairs(m)
 	for i := 0; i < 3; i++ {
 		for j := 0; j < 3; j++ {
 			if d[i][j] != d[j][i] {
@@ -64,29 +65,6 @@ func TestAllPairsSymmetric(t *testing.T) {
 	if d[0][2] != 10 {
 		t.Errorf("AllPairs[0][2] = %g", d[0][2])
 	}
-}
-
-func TestDetourMasksDirectEdge(t *testing.T) {
-	m := tivTriangle()
-	if got := Detour(m, 0, 2); got != 10 {
-		t.Errorf("Detour(0,2) = %g, want 10", got)
-	}
-	// When the direct edge is the ONLY path, detour is infinite.
-	m2 := delayspace.New(2)
-	m2.Set(0, 1, 5)
-	if got := Detour(m2, 0, 1); !math.IsInf(got, 1) {
-		t.Errorf("Detour with no alternative = %g, want +Inf", got)
-	}
-}
-
-func TestDetourPanicsOnMissing(t *testing.T) {
-	m := delayspace.New(3)
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
-		}
-	}()
-	Detour(m, 0, 1)
 }
 
 // Property: shortest path never exceeds the direct edge, and in a
@@ -107,7 +85,7 @@ func TestShortestPathProperties(t *testing.T) {
 			}
 		}
 		for src := 0; src < n; src++ {
-			dist := ShortestFrom(m, src)
+			dist := graph.ShortestFrom(m, src)
 			for j := 0; j < n; j++ {
 				if j == src {
 					continue
@@ -128,40 +106,6 @@ func TestShortestPathProperties(t *testing.T) {
 	}
 }
 
-// Property: in an arbitrary (possibly TIV) space, Detour >= shortest
-// path and shortest path <= direct edge.
-func TestDetourProperties(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 3 + rng.Intn(10)
-		m := delayspace.New(n)
-		for i := 0; i < n; i++ {
-			for j := i + 1; j < n; j++ {
-				m.Set(i, j, 1+rng.Float64()*500)
-			}
-		}
-		for trial := 0; trial < 5; trial++ {
-			i := rng.Intn(n)
-			j := rng.Intn(n)
-			if i == j {
-				continue
-			}
-			sp := ShortestFrom(m, i)[j]
-			det := Detour(m, i, j)
-			if det < sp-1e-9 {
-				return false
-			}
-			if sp > m.At(i, j)+1e-9 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
-		t.Error(err)
-	}
-}
-
 func BenchmarkShortestFrom(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	n := 300
@@ -173,6 +117,6 @@ func BenchmarkShortestFrom(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ShortestFrom(m, i%n)
+		graph.ShortestFrom(m, i%n)
 	}
 }

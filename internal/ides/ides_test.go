@@ -1,36 +1,34 @@
-package ides
+package ides_test
 
 import (
 	"math"
 	"testing"
 
 	"tivaware/internal/delayspace"
+	"tivaware/internal/repro/ides"
 	"tivaware/internal/stats"
 	"tivaware/internal/synth"
 )
 
 func TestBuildErrors(t *testing.T) {
 	m := synth.Euclidean(10, 100, 1)
-	if _, err := Build(m, Config{Landmarks: 20}); err == nil {
+	if _, err := ides.Build(m, ides.Config{Landmarks: 20}); err == nil {
 		t.Error("more landmarks than nodes should error")
 	}
-	if _, err := Build(m, Config{Landmarks: 5, Dim: 9}); err == nil {
+	if _, err := ides.Build(m, ides.Config{Landmarks: 5, Dim: 9}); err == nil {
 		t.Error("rank above landmark count should error")
-	}
-	if _, err := Build(m, Config{Method: Method(9), Landmarks: 5, Dim: 2}); err == nil {
-		t.Error("unknown method should error")
 	}
 	// Missing landmark measurement.
 	holey := delayspace.New(5)
 	holey.Set(0, 1, 10) // everything else missing
-	if _, err := Build(holey, Config{Landmarks: 5, Dim: 2}); err == nil {
+	if _, err := ides.Build(holey, ides.Config{Landmarks: 5, Dim: 2}); err == nil {
 		t.Error("unmeasured landmark pair should error")
 	}
 }
 
 func TestSVDPredictsEuclidean(t *testing.T) {
 	m := synth.Euclidean(80, 300, 2)
-	sys, err := Build(m, Config{Landmarks: 25, Dim: 8, Seed: 3})
+	sys, err := ides.Build(m, ides.Config{Landmarks: 25, Dim: 8, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,38 +45,12 @@ func TestSVDPredictsEuclidean(t *testing.T) {
 	}
 }
 
-func TestNMFPredicts(t *testing.T) {
-	m := synth.Euclidean(60, 300, 4)
-	sys, err := Build(m, Config{Landmarks: 20, Dim: 6, Method: NMF, Seed: 5, NMFIters: 800})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var relErrs []float64
-	m.EachEdge(func(i, j int, d float64) bool {
-		if d > 1 {
-			relErrs = append(relErrs, math.Abs(sys.Predict(i, j)-d)/d)
-		}
-		return true
-	})
-	med := stats.Summarize(relErrs).Median
-	if med > 0.5 {
-		t.Errorf("NMF median relative error %.3f", med)
-	}
-	// NMF predictions must be non-negative by construction.
-	m.EachEdge(func(i, j int, d float64) bool {
-		if sys.Predict(i, j) < 0 {
-			t.Fatal("negative NMF prediction")
-		}
-		return true
-	})
-}
-
 func TestPredictProperties(t *testing.T) {
 	s, err := synth.Generate(synth.DS2Like(60, 6))
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys, err := Build(s.Matrix, Config{Landmarks: 20, Dim: 8, Seed: 7})
+	sys, err := ides.Build(s.Matrix, ides.Config{Landmarks: 20, Dim: 8, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +72,7 @@ func TestPredictProperties(t *testing.T) {
 
 func TestLandmarks(t *testing.T) {
 	m := synth.Euclidean(30, 200, 8)
-	sys, err := Build(m, Config{Landmarks: 10, Dim: 4, Seed: 9})
+	sys, err := ides.Build(m, ides.Config{Landmarks: 10, Dim: 4, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,16 +94,6 @@ func TestLandmarks(t *testing.T) {
 	}
 }
 
-func TestDefaults(t *testing.T) {
-	var c Config
-	if c.landmarks() != 20 || c.dim() != 10 {
-		t.Errorf("defaults: landmarks=%d dim=%d", c.landmarks(), c.dim())
-	}
-	if SVD.String() != "svd" || NMF.String() != "nmf" || Method(7).String() == "" {
-		t.Error("Method.String broken")
-	}
-}
-
 func TestIDESCanExpressAsymmetricStructure(t *testing.T) {
 	// The selling point of IDES: a delay matrix with TIVs is still
 	// approximated without metric constraints. Just verify the build
@@ -140,7 +102,7 @@ func TestIDESCanExpressAsymmetricStructure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys, err := Build(s.Matrix, Config{Landmarks: 16, Dim: 8, Seed: 11})
+	sys, err := ides.Build(s.Matrix, ides.Config{Landmarks: 16, Dim: 8, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}

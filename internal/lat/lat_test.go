@@ -1,12 +1,13 @@
-package lat
+package lat_test
 
 import (
 	"math"
 	"testing"
 
+	"tivaware/internal/repro/lat"
+	"tivaware/internal/repro/vivaldi"
 	"tivaware/internal/stats"
 	"tivaware/internal/synth"
-	"tivaware/internal/vivaldi"
 )
 
 func converged(t *testing.T, n int, seed int64) *vivaldi.System {
@@ -25,7 +26,7 @@ func converged(t *testing.T, n int, seed int64) *vivaldi.System {
 
 func TestNewValidation(t *testing.T) {
 	sys := converged(t, 20, 1)
-	if _, err := New(sys, -1, 0); err == nil {
+	if _, err := lat.New(sys, -1, 0); err == nil {
 		t.Error("negative sample size should error")
 	}
 }
@@ -34,7 +35,7 @@ func TestAdjustmentIsHalfMeanError(t *testing.T) {
 	// With sampleSize covering every peer the adjustment must equal
 	// half the mean signed error exactly.
 	sys := converged(t, 15, 2)
-	p, err := New(sys, 14, 3)
+	p, err := lat.New(sys, 14, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +59,7 @@ func TestAdjustmentIsHalfMeanError(t *testing.T) {
 
 func TestPredictClampsAndSelf(t *testing.T) {
 	sys := converged(t, 30, 4)
-	p, err := New(sys, 10, 5)
+	p, err := lat.New(sys, 10, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +83,7 @@ func TestLATImprovesAggregateAccuracy(t *testing.T) {
 	// aggregate prediction error on TIV data (even though the paper
 	// shows neighbor selection barely improves).
 	sys := converged(t, 120, 6)
-	p, err := New(sys, 32, 7)
+	p, err := lat.New(sys, 32, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,11 +103,11 @@ func TestLATImprovesAggregateAccuracy(t *testing.T) {
 
 func TestDeterministic(t *testing.T) {
 	sys := converged(t, 25, 8)
-	a, err := New(sys, 8, 42)
+	a, err := lat.New(sys, 8, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := New(sys, 8, 42)
+	b, err := lat.New(sys, 8, 42)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,16 +1,18 @@
-package linalg
+package linalg_test
 
 import (
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"tivaware/internal/repro/linalg"
 )
 
 func almostEqual(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
 func TestDenseBasics(t *testing.T) {
-	m := NewDense(2, 3)
+	m := linalg.NewDense(2, 3)
 	m.Set(1, 2, 5)
 	if m.Rows() != 2 || m.Cols() != 3 || m.At(1, 2) != 5 {
 		t.Fatalf("basic accessors broken: %dx%d at=%g", m.Rows(), m.Cols(), m.At(1, 2))
@@ -28,12 +30,12 @@ func TestDenseBasics(t *testing.T) {
 }
 
 func TestDenseFromRowsAndT(t *testing.T) {
-	m := DenseFromRows([][]float64{{1, 2}, {3, 4}, {5, 6}})
+	m := linalg.DenseFromRows([][]float64{{1, 2}, {3, 4}, {5, 6}})
 	tr := m.T()
 	if tr.Rows() != 2 || tr.Cols() != 3 || tr.At(0, 2) != 5 || tr.At(1, 0) != 2 {
 		t.Errorf("transpose wrong: %+v", tr)
 	}
-	if e := DenseFromRows(nil); e.Rows() != 0 {
+	if e := linalg.DenseFromRows(nil); e.Rows() != 0 {
 		t.Error("empty FromRows should give 0x0")
 	}
 	defer func() {
@@ -41,13 +43,13 @@ func TestDenseFromRowsAndT(t *testing.T) {
 			t.Error("ragged rows should panic")
 		}
 	}()
-	DenseFromRows([][]float64{{1}, {1, 2}})
+	linalg.DenseFromRows([][]float64{{1}, {1, 2}})
 }
 
 func TestMul(t *testing.T) {
-	a := DenseFromRows([][]float64{{1, 2}, {3, 4}})
-	b := DenseFromRows([][]float64{{5, 6}, {7, 8}})
-	c := Mul(a, b)
+	a := linalg.DenseFromRows([][]float64{{1, 2}, {3, 4}})
+	b := linalg.DenseFromRows([][]float64{{5, 6}, {7, 8}})
+	c := linalg.Mul(a, b)
 	want := [][]float64{{19, 22}, {43, 50}}
 	for i := 0; i < 2; i++ {
 		for j := 0; j < 2; j++ {
@@ -61,32 +63,29 @@ func TestMul(t *testing.T) {
 			t.Error("dimension mismatch should panic")
 		}
 	}()
-	Mul(a, NewDense(3, 1))
+	linalg.Mul(a, linalg.NewDense(3, 1))
 }
 
-func TestMulVecDotNorm(t *testing.T) {
-	m := DenseFromRows([][]float64{{1, 2}, {3, 4}})
+func TestMulVecDot(t *testing.T) {
+	m := linalg.DenseFromRows([][]float64{{1, 2}, {3, 4}})
 	got := m.MulVec([]float64{1, 1})
 	if got[0] != 3 || got[1] != 7 {
 		t.Errorf("MulVec = %v", got)
 	}
-	if Dot([]float64{1, 2}, []float64{3, 4}) != 11 {
+	if linalg.Dot([]float64{1, 2}, []float64{3, 4}) != 11 {
 		t.Error("Dot wrong")
-	}
-	if Norm2([]float64{3, 4}) != 5 {
-		t.Error("Norm2 wrong")
 	}
 	defer func() {
 		if recover() == nil {
 			t.Error("length mismatch should panic")
 		}
 	}()
-	Dot([]float64{1}, []float64{1, 2})
+	linalg.Dot([]float64{1}, []float64{1, 2})
 }
 
 func TestSolveLinearKnown(t *testing.T) {
-	a := DenseFromRows([][]float64{{2, 1}, {1, 3}})
-	x, err := SolveLinear(a, []float64{5, 10})
+	a := linalg.DenseFromRows([][]float64{{2, 1}, {1, 3}})
+	x, err := linalg.SolveLinear(a, []float64{5, 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,14 +95,14 @@ func TestSolveLinearKnown(t *testing.T) {
 }
 
 func TestSolveLinearSingular(t *testing.T) {
-	a := DenseFromRows([][]float64{{1, 2}, {2, 4}})
-	if _, err := SolveLinear(a, []float64{1, 2}); err == nil {
+	a := linalg.DenseFromRows([][]float64{{1, 2}, {2, 4}})
+	if _, err := linalg.SolveLinear(a, []float64{1, 2}); err == nil {
 		t.Error("expected ErrSingular")
 	}
-	if _, err := SolveLinear(NewDense(2, 3), []float64{1, 2}); err == nil {
+	if _, err := linalg.SolveLinear(linalg.NewDense(2, 3), []float64{1, 2}); err == nil {
 		t.Error("non-square should error")
 	}
-	if _, err := SolveLinear(NewDense(2, 2), []float64{1}); err == nil {
+	if _, err := linalg.SolveLinear(linalg.NewDense(2, 2), []float64{1}); err == nil {
 		t.Error("bad rhs length should error")
 	}
 }
@@ -113,7 +112,7 @@ func TestSolveLinearProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 1 + rng.Intn(8)
-		a := NewDense(n, n)
+		a := linalg.NewDense(n, n)
 		for i := 0; i < n; i++ {
 			for j := 0; j < n; j++ {
 				a.Set(i, j, rng.NormFloat64())
@@ -125,7 +124,7 @@ func TestSolveLinearProperty(t *testing.T) {
 			want[i] = rng.NormFloat64()
 		}
 		b := a.MulVec(want)
-		got, err := SolveLinear(a, b)
+		got, err := linalg.SolveLinear(a, b)
 		if err != nil {
 			return false
 		}
@@ -143,18 +142,18 @@ func TestSolveLinearProperty(t *testing.T) {
 
 func TestSolveLeastSquaresExact(t *testing.T) {
 	// Overdetermined but consistent system recovers the generator.
-	a := DenseFromRows([][]float64{{1, 0}, {0, 1}, {1, 1}})
-	x, err := SolveLeastSquares(a, []float64{2, 3, 5})
+	a := linalg.DenseFromRows([][]float64{{1, 0}, {0, 1}, {1, 1}})
+	x, err := linalg.SolveLeastSquares(a, []float64{2, 3, 5})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !almostEqual(x[0], 2, 1e-6) || !almostEqual(x[1], 3, 1e-6) {
 		t.Errorf("x = %v", x)
 	}
-	if _, err := SolveLeastSquares(NewDense(1, 2), []float64{1}); err == nil {
+	if _, err := linalg.SolveLeastSquares(linalg.NewDense(1, 2), []float64{1}); err == nil {
 		t.Error("underdetermined should error")
 	}
-	if _, err := SolveLeastSquares(NewDense(2, 2), []float64{1}); err == nil {
+	if _, err := linalg.SolveLeastSquares(linalg.NewDense(2, 2), []float64{1}); err == nil {
 		t.Error("bad rhs should error")
 	}
 }
@@ -162,7 +161,7 @@ func TestSolveLeastSquaresExact(t *testing.T) {
 func TestSolveLeastSquaresResidualOptimality(t *testing.T) {
 	// The LS residual must be orthogonal to the column space.
 	rng := rand.New(rand.NewSource(3))
-	a := NewDense(10, 3)
+	a := linalg.NewDense(10, 3)
 	for i := 0; i < 10; i++ {
 		for j := 0; j < 3; j++ {
 			a.Set(i, j, rng.NormFloat64())
@@ -172,7 +171,7 @@ func TestSolveLeastSquaresResidualOptimality(t *testing.T) {
 	for i := range b {
 		b[i] = rng.NormFloat64()
 	}
-	x, err := SolveLeastSquares(a, b)
+	x, err := linalg.SolveLeastSquares(a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,53 +187,30 @@ func TestSolveLeastSquaresResidualOptimality(t *testing.T) {
 	}
 }
 
-func TestSolveNonNegativeLS(t *testing.T) {
-	a := DenseFromRows([][]float64{{1, 0}, {0, 1}, {1, 1}})
-	x, err := SolveNonNegativeLS(a, []float64{2, 3, 5}, 500)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEqual(x[0], 2, 1e-3) || !almostEqual(x[1], 3, 1e-3) {
-		t.Errorf("x = %v, want [2 3]", x)
-	}
-	// A system whose unconstrained optimum is negative must clamp.
-	a2 := DenseFromRows([][]float64{{1}, {1}})
-	x2, err := SolveNonNegativeLS(a2, []float64{-1, -2}, 500)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if x2[0] < 0 || x2[0] > 1e-9 {
-		t.Errorf("x = %v, want 0 (clamped)", x2)
-	}
-	if _, err := SolveNonNegativeLS(NewDense(2, 1), []float64{1}, 0); err == nil {
-		t.Error("bad rhs should error")
-	}
-}
-
 func TestSVDKnown(t *testing.T) {
 	// Diagonal matrix: singular values are |diagonal| sorted.
-	a := DenseFromRows([][]float64{{3, 0}, {0, 4}})
-	r := SVD(a)
+	a := linalg.DenseFromRows([][]float64{{3, 0}, {0, 4}})
+	r := linalg.SVD(a)
 	if !almostEqual(r.S[0], 4, 1e-9) || !almostEqual(r.S[1], 3, 1e-9) {
 		t.Errorf("S = %v, want [4 3]", r.S)
 	}
 	rec := r.Reconstruct()
-	if FrobeniusDiff(a, rec) > 1e-9 {
-		t.Errorf("reconstruction error %g", FrobeniusDiff(a, rec))
+	if linalg.FrobeniusDiff(a, rec) > 1e-9 {
+		t.Errorf("reconstruction error %g", linalg.FrobeniusDiff(a, rec))
 	}
 }
 
 func TestSVDOrthonormal(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	a := NewDense(8, 5)
+	a := linalg.NewDense(8, 5)
 	for i := 0; i < 8; i++ {
 		for j := 0; j < 5; j++ {
 			a.Set(i, j, rng.NormFloat64()*10)
 		}
 	}
-	r := SVD(a)
-	utu := Mul(r.U.T(), r.U)
-	vtv := Mul(r.V.T(), r.V)
+	r := linalg.SVD(a)
+	utu := linalg.Mul(r.U.T(), r.U)
+	vtv := linalg.Mul(r.V.T(), r.V)
 	for i := 0; i < 5; i++ {
 		for j := 0; j < 5; j++ {
 			want := 0.0
@@ -249,7 +225,7 @@ func TestSVDOrthonormal(t *testing.T) {
 			}
 		}
 	}
-	if FrobeniusDiff(a, r.Reconstruct()) > 1e-8 {
+	if linalg.FrobeniusDiff(a, r.Reconstruct()) > 1e-8 {
 		t.Error("SVD does not reconstruct")
 	}
 	for i := 1; i < len(r.S); i++ {
@@ -269,19 +245,19 @@ func TestSVDProperty(t *testing.T) {
 		if rows < cols {
 			rows, cols = cols, rows
 		}
-		a := NewDense(rows, cols)
+		a := linalg.NewDense(rows, cols)
 		for i := 0; i < rows; i++ {
 			for j := 0; j < cols; j++ {
 				a.Set(i, j, rng.NormFloat64()*5)
 			}
 		}
-		r := SVD(a)
+		r := linalg.SVD(a)
 		for _, s := range r.S {
 			if s < 0 {
 				return false
 			}
 		}
-		return FrobeniusDiff(a, r.Reconstruct()) < 1e-7*(1+float64(rows*cols))
+		return linalg.FrobeniusDiff(a, r.Reconstruct()) < 1e-7*(1+float64(rows*cols))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
@@ -289,8 +265,8 @@ func TestSVDProperty(t *testing.T) {
 }
 
 func TestSVDTruncate(t *testing.T) {
-	a := DenseFromRows([][]float64{{1, 0, 0}, {0, 2, 0}, {0, 0, 3}})
-	r := SVD(a).Truncate(2)
+	a := linalg.DenseFromRows([][]float64{{1, 0, 0}, {0, 2, 0}, {0, 0, 3}})
+	r := linalg.SVD(a).Truncate(2)
 	if len(r.S) != 2 || r.U.Cols() != 2 || r.V.Cols() != 2 {
 		t.Fatalf("truncate shape wrong: %d svs", len(r.S))
 	}
@@ -298,60 +274,9 @@ func TestSVDTruncate(t *testing.T) {
 		t.Errorf("S = %v", r.S)
 	}
 	// Truncating beyond rank is a no-op.
-	full := SVD(a)
+	full := linalg.SVD(a)
 	if got := full.Truncate(99); len(got.S) != 3 {
 		t.Error("over-truncate should clamp")
-	}
-}
-
-func TestNMFReconstructsLowRank(t *testing.T) {
-	// Build an exactly rank-2 non-negative matrix.
-	w := DenseFromRows([][]float64{{1, 2}, {3, 1}, {0, 2}, {2, 0}})
-	h := DenseFromRows([][]float64{{1, 0, 2, 1}, {0, 1, 1, 3}})
-	a := Mul(w, h)
-	r, err := NMF(a, NMFOptions{Rank: 2, MaxIters: 3000, Seed: 42})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := FrobeniusDiff(a, r.Reconstruct()); d > 0.05 {
-		t.Errorf("NMF reconstruction error %g", d)
-	}
-	// Factors must stay non-negative.
-	for i := 0; i < r.W.Rows(); i++ {
-		for j := 0; j < r.W.Cols(); j++ {
-			if r.W.At(i, j) < 0 {
-				t.Fatal("negative W entry")
-			}
-		}
-	}
-	for i := 0; i < r.H.Rows(); i++ {
-		for j := 0; j < r.H.Cols(); j++ {
-			if r.H.At(i, j) < 0 {
-				t.Fatal("negative H entry")
-			}
-		}
-	}
-}
-
-func TestNMFErrors(t *testing.T) {
-	if _, err := NMF(NewDense(2, 2), NMFOptions{Rank: 0}); err == nil {
-		t.Error("rank 0 should error")
-	}
-	bad := DenseFromRows([][]float64{{-1}})
-	if _, err := NMF(bad, NMFOptions{Rank: 1}); err == nil {
-		t.Error("negative input should error")
-	}
-}
-
-func TestNMFDeterministic(t *testing.T) {
-	a := DenseFromRows([][]float64{{1, 2}, {3, 4}})
-	r1, err1 := NMF(a, NMFOptions{Rank: 2, Seed: 7, MaxIters: 50})
-	r2, err2 := NMF(a, NMFOptions{Rank: 2, Seed: 7, MaxIters: 50})
-	if err1 != nil || err2 != nil {
-		t.Fatal(err1, err2)
-	}
-	if FrobeniusDiff(r1.W, r2.W) != 0 || FrobeniusDiff(r1.H, r2.H) != 0 {
-		t.Error("same seed should give identical factorization")
 	}
 }
 
@@ -361,5 +286,5 @@ func TestFrobeniusDiffMismatch(t *testing.T) {
 			t.Error("shape mismatch should panic")
 		}
 	}()
-	FrobeniusDiff(NewDense(1, 2), NewDense(2, 1))
+	linalg.FrobeniusDiff(linalg.NewDense(1, 2), linalg.NewDense(2, 1))
 }

@@ -1,17 +1,18 @@
-package meridian
+package meridian_test
 
 import (
 	"testing"
 
 	"tivaware/internal/delayspace"
+	"tivaware/internal/repro/meridian"
 	"tivaware/internal/synth"
 )
 
 func TestDiverseRingsRespectCap(t *testing.T) {
 	m := synth.Euclidean(60, 100, 7) // tight space, crowded rings
 	p := prober(t, m)
-	sys, err := Build(p, allIDs(60), Config{K: 4, Seed: 1},
-		BuildOptions{DiverseRings: true})
+	sys, err := meridian.Build(p, allIDs(60), meridian.Config{K: 4, Seed: 1},
+		meridian.BuildOptions{DiverseRings: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,8 +43,8 @@ func TestDiverseRingsPickSpreadMembers(t *testing.T) {
 	}
 	m.Set(4, 5, 55)
 	p := prober(t, m)
-	sys, err := Build(p, allIDs(6), Config{K: 3, Seed: 2},
-		BuildOptions{DiverseRings: true})
+	sys, err := meridian.Build(p, allIDs(6), meridian.Config{K: 3, Seed: 2},
+		meridian.BuildOptions{DiverseRings: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,13 +73,13 @@ func TestDiverseRingsPickSpreadMembers(t *testing.T) {
 func TestDiverseRingsCostProbes(t *testing.T) {
 	m := synth.Euclidean(40, 100, 9)
 	p1 := prober(t, m)
-	plain, err := Build(p1, allIDs(40), Config{K: 3, Seed: 3}, BuildOptions{})
+	plain, err := meridian.Build(p1, allIDs(40), meridian.Config{K: 3, Seed: 3}, meridian.BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	p2 := prober(t, m)
-	diverse, err := Build(p2, allIDs(40), Config{K: 3, Seed: 3},
-		BuildOptions{DiverseRings: true})
+	diverse, err := meridian.Build(p2, allIDs(40), meridian.Config{K: 3, Seed: 3},
+		meridian.BuildOptions{DiverseRings: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,12 +94,12 @@ func TestDiverseRingsNoopWhenUnderCap(t *testing.T) {
 	// plain build.
 	m := synth.Euclidean(20, 200, 11)
 	pa := prober(t, m)
-	a, err := Build(pa, allIDs(20), Config{K: -1, Seed: 4}, BuildOptions{})
+	a, err := meridian.Build(pa, allIDs(20), meridian.Config{K: -1, Seed: 4}, meridian.BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	pb := prober(t, m)
-	b, err := Build(pb, allIDs(20), Config{K: -1, Seed: 4}, BuildOptions{DiverseRings: true})
+	b, err := meridian.Build(pb, allIDs(20), meridian.Config{K: -1, Seed: 4}, meridian.BuildOptions{DiverseRings: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,12 +119,12 @@ func TestDiverseQueriesStillWork(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := prober(t, s.Matrix)
-	sys, err := Build(p, allIDs(40), Config{K: 8, Seed: 5},
-		BuildOptions{DiverseRings: true})
+	sys, err := meridian.Build(p, allIDs(40), meridian.Config{K: 8, Seed: 5},
+		meridian.BuildOptions{DiverseRings: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sys.ClosestTo(50, sys.RandomStart(), QueryOptions{})
+	res, err := sys.ClosestTo(50, sys.RandomStart(), meridian.QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

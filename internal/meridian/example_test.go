@@ -3,8 +3,8 @@ package meridian_test
 import (
 	"fmt"
 
-	"tivaware/internal/meridian"
-	"tivaware/internal/nsim"
+	"tivaware/internal/repro/meridian"
+	"tivaware/internal/repro/nsim"
 	"tivaware/internal/synth"
 )
 

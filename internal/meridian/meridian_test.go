@@ -1,11 +1,12 @@
-package meridian
+package meridian_test
 
 import (
 	"math"
 	"testing"
 
 	"tivaware/internal/delayspace"
-	"tivaware/internal/nsim"
+	"tivaware/internal/repro/meridian"
+	"tivaware/internal/repro/nsim"
 	"tivaware/internal/synth"
 )
 
@@ -29,21 +30,21 @@ func allIDs(n int) []int {
 func TestBuildValidation(t *testing.T) {
 	m := synth.Euclidean(10, 200, 1)
 	p := prober(t, m)
-	if _, err := Build(p, []int{0}, Config{}, BuildOptions{}); err == nil {
+	if _, err := meridian.Build(p, []int{0}, meridian.Config{}, meridian.BuildOptions{}); err == nil {
 		t.Error("single node should error")
 	}
-	if _, err := Build(p, []int{0, 0}, Config{}, BuildOptions{}); err == nil {
+	if _, err := meridian.Build(p, []int{0, 0}, meridian.Config{}, meridian.BuildOptions{}); err == nil {
 		t.Error("duplicate ids should error")
 	}
-	badOpts := BuildOptions{Predict: func(i, j int) (float64, bool) { return 0, false }}
-	if _, err := Build(p, []int{0, 1}, Config{}, badOpts); err == nil {
+	badOpts := meridian.BuildOptions{Predict: func(i, j int) (float64, bool) { return 0, false }}
+	if _, err := meridian.Build(p, []int{0, 1}, meridian.Config{}, badOpts); err == nil {
 		t.Error("alert thresholds required with Predict")
 	}
 }
 
 func TestRingIndexBoundaries(t *testing.T) {
 	m := synth.Euclidean(5, 100, 2)
-	sys, err := Build(prober(t, m), allIDs(5), Config{Alpha: 1, S: 2, Rings: 11}, BuildOptions{})
+	sys, err := meridian.Build(prober(t, m), allIDs(5), meridian.Config{}, meridian.BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +79,7 @@ func TestRingMembership(t *testing.T) {
 	m.Set(1, 2, 2)
 	m.Set(1, 3, 9)
 	m.Set(2, 3, 8)
-	sys, err := Build(prober(t, m), allIDs(4), Config{}, BuildOptions{})
+	sys, err := meridian.Build(prober(t, m), allIDs(4), meridian.Config{}, meridian.BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +115,7 @@ func TestRingMembership(t *testing.T) {
 
 func TestKLimitsRingSize(t *testing.T) {
 	m := synth.Euclidean(40, 50, 3) // tight space: most delays in few rings
-	sys, err := Build(prober(t, m), allIDs(40), Config{K: 2}, BuildOptions{})
+	sys, err := meridian.Build(prober(t, m), allIDs(40), meridian.Config{K: 2}, meridian.BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,27 +128,10 @@ func TestKLimitsRingSize(t *testing.T) {
 	}
 }
 
-func TestMembersPerNodeSampling(t *testing.T) {
-	m := synth.Euclidean(30, 200, 4)
-	sys, err := Build(prober(t, m), allIDs(30), Config{K: -1}, BuildOptions{MembersPerNode: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, id := range sys.IDs() {
-		total := 0
-		for _, occ := range sys.RingOccupancy(id) {
-			total += occ
-		}
-		if total != 5 {
-			t.Fatalf("node %d knows %d members, want 5", id, total)
-		}
-	}
-}
-
 func TestExcludeEdge(t *testing.T) {
 	m := synth.Euclidean(20, 200, 5)
 	banned := func(i, j int) bool { return true }
-	sys, err := Build(prober(t, m), allIDs(20), Config{}, BuildOptions{ExcludeEdge: banned})
+	sys, err := meridian.Build(prober(t, m), allIDs(20), meridian.Config{}, meridian.BuildOptions{ExcludeEdge: banned})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,13 +151,13 @@ func TestQueryFindsNearestOnEuclidean(t *testing.T) {
 	m := synth.Euclidean(80, 300, 6)
 	p := prober(t, m)
 	meridianIDs := allIDs(40) // first 40 nodes form the overlay
-	sys, err := Build(p, meridianIDs, Config{K: -1, Seed: 7}, BuildOptions{})
+	sys, err := meridian.Build(p, meridianIDs, meridian.Config{K: -1, Seed: 7}, meridian.BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	wins, total := 0, 0
 	for target := 40; target < 80; target++ {
-		res, err := sys.ClosestTo(target, sys.RandomStart(), QueryOptions{NoTermination: true})
+		res, err := sys.ClosestTo(target, sys.RandomStart(), meridian.QueryOptions{NoTermination: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -202,14 +186,14 @@ func TestQueryFindsNearestOnEuclidean(t *testing.T) {
 
 func TestQueryValidation(t *testing.T) {
 	m := synth.Euclidean(10, 200, 8)
-	sys, err := Build(prober(t, m), allIDs(5), Config{}, BuildOptions{})
+	sys, err := meridian.Build(prober(t, m), allIDs(5), meridian.Config{}, meridian.BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sys.ClosestTo(7, 99, QueryOptions{}); err == nil {
+	if _, err := sys.ClosestTo(7, 99, meridian.QueryOptions{}); err == nil {
 		t.Error("unknown start should error")
 	}
-	if _, err := sys.ClosestTo(7, 0, QueryOptions{Restart: true}); err == nil {
+	if _, err := sys.ClosestTo(7, 0, meridian.QueryOptions{Restart: true}); err == nil {
 		t.Error("Restart without Predict should error")
 	}
 	// Unmeasurable target.
@@ -217,22 +201,22 @@ func TestQueryValidation(t *testing.T) {
 	holey.Set(0, 1, 5)
 	holey.Set(0, 2, 7)
 	holey.Set(1, 2, 6)
-	sys2, err := Build(prober(t, holey), []int{0, 1, 2}, Config{}, BuildOptions{})
+	sys2, err := meridian.Build(prober(t, holey), []int{0, 1, 2}, meridian.Config{}, meridian.BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sys2.ClosestTo(3, 0, QueryOptions{}); err == nil {
+	if _, err := sys2.ClosestTo(3, 0, meridian.QueryOptions{}); err == nil {
 		t.Error("unmeasurable target should error")
 	}
 }
 
 func TestQueryTargetIsMeridianNode(t *testing.T) {
 	m := synth.Euclidean(20, 200, 9)
-	sys, err := Build(prober(t, m), allIDs(20), Config{K: -1}, BuildOptions{})
+	sys, err := meridian.Build(prober(t, m), allIDs(20), meridian.Config{K: -1}, meridian.BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sys.ClosestTo(5, 3, QueryOptions{NoTermination: true})
+	res, err := sys.ClosestTo(5, 3, meridian.QueryOptions{NoTermination: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,11 +243,11 @@ func TestTIVBreaksMeridianAndDoublePlacementHelps(t *testing.T) {
 	m.Set(1, 3, 4)  // B-T
 	m.Set(2, 3, 1)  // N-T
 	p := prober(t, m)
-	sys, err := Build(p, []int{0, 1, 2}, Config{K: -1, Beta: 0.5}, BuildOptions{})
+	sys, err := meridian.Build(p, []int{0, 1, 2}, meridian.Config{K: -1, Beta: 0.5}, meridian.BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sys.ClosestTo(3, 0, QueryOptions{})
+	res, err := sys.ClosestTo(3, 0, meridian.QueryOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,12 +265,12 @@ func TestTIVBreaksMeridianAndDoublePlacementHelps(t *testing.T) {
 		}
 		return m.At(i, j), true
 	}
-	aware, err := Build(p, []int{0, 1, 2}, Config{K: -1, Beta: 0.5},
-		BuildOptions{Predict: predict, AlertLow: 0.6, AlertHigh: 2})
+	aware, err := meridian.Build(p, []int{0, 1, 2}, meridian.Config{K: -1, Beta: 0.5},
+		meridian.BuildOptions{Predict: predict, AlertLow: 0.6, AlertHigh: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res2, err := aware.ClosestTo(3, 0, QueryOptions{Restart: true, Predict: predict, AlertLow: 0.6})
+	res2, err := aware.ClosestTo(3, 0, meridian.QueryOptions{Restart: true, Predict: predict, AlertLow: 0.6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,7 +293,7 @@ func TestMisplacementSamples(t *testing.T) {
 	m.Set(0, 3, 5)
 	m.Set(1, 3, 5)
 	m.Set(2, 3, 5)
-	samples := MisplacementSamples(m, 0.5, 0, 1)
+	samples := meridian.MisplacementSamples(m, 0.5, 0, 1)
 	if len(samples) == 0 {
 		t.Fatal("no samples")
 	}
@@ -325,7 +309,7 @@ func TestMisplacementSamples(t *testing.T) {
 	if !sawMisplaced {
 		t.Error("TIV triangle produced no misplacement")
 	}
-	if got := MisplacementSamples(delayspace.New(2), 0.5, 0, 1); got != nil {
+	if got := meridian.MisplacementSamples(delayspace.New(2), 0.5, 0, 1); got != nil {
 		t.Error("tiny matrix should give nil")
 	}
 }
@@ -335,7 +319,7 @@ func TestMisplacementSampledSubset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	samples := MisplacementSamples(s.Matrix, 0.5, 200, 11)
+	samples := meridian.MisplacementSamples(s.Matrix, 0.5, 200, 11)
 	if len(samples) != 200 {
 		t.Fatalf("got %d samples, want 200", len(samples))
 	}
@@ -350,7 +334,7 @@ func TestMisplacementBetaMonotone(t *testing.T) {
 	}
 	mean := func(beta float64) float64 {
 		var sum float64
-		samples := MisplacementSamples(s.Matrix, beta, 400, 13)
+		samples := meridian.MisplacementSamples(s.Matrix, beta, 400, 13)
 		for _, x := range samples {
 			sum += x.Fraction
 		}
@@ -359,16 +343,5 @@ func TestMisplacementBetaMonotone(t *testing.T) {
 	m01, m05, m09 := mean(0.1), mean(0.5), mean(0.9)
 	if !(m01 >= m05 && m05 >= m09) {
 		t.Errorf("misplacement not decreasing in beta: %.3f, %.3f, %.3f", m01, m05, m09)
-	}
-}
-
-func TestConfigDefaults(t *testing.T) {
-	var c Config
-	if c.alpha() != 1 || c.s() != 2 || c.rings() != 11 || c.k() != 16 || c.beta() != 0.5 {
-		t.Errorf("defaults: α=%g s=%g rings=%d k=%d β=%g", c.alpha(), c.s(), c.rings(), c.k(), c.beta())
-	}
-	unlimited := Config{K: -1}
-	if unlimited.k() < 1<<30 {
-		t.Error("K=-1 should mean unlimited")
 	}
 }

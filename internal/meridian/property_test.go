@@ -1,4 +1,4 @@
-package meridian
+package meridian_test
 
 import (
 	"math"
@@ -6,15 +6,16 @@ import (
 	"testing"
 	"testing/quick"
 
+	"tivaware/internal/repro/meridian"
 	"tivaware/internal/synth"
 )
 
 // Property: RingIndex is monotone non-decreasing in the delay, maps
-// every non-negative delay into [0, Rings), and respects the ring
+// every non-negative delay into [0, numRings), and respects the ring
 // boundary semantics: ring i >= 1 holds [α·sⁱ⁻¹, α·sⁱ).
 func TestRingIndexProperties(t *testing.T) {
 	m := synth.Euclidean(5, 100, 1)
-	sys, err := Build(prober(t, m), allIDs(5), Config{Alpha: 1, S: 2, Rings: 11}, BuildOptions{})
+	sys, err := meridian.Build(prober(t, m), allIDs(5), meridian.Config{}, meridian.BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,14 +61,14 @@ func TestQueryNeverWorseThanStart(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		sys, err := Build(p, allIDs(20), Config{Seed: seed}, BuildOptions{})
+		sys, err := meridian.Build(p, allIDs(20), meridian.Config{Seed: seed}, meridian.BuildOptions{})
 		if err != nil {
 			return false
 		}
 		for trial := 0; trial < 5; trial++ {
 			target := 20 + rng.Intn(20)
 			start := rng.Intn(20)
-			res, err := sys.ClosestTo(target, start, QueryOptions{})
+			res, err := sys.ClosestTo(target, start, meridian.QueryOptions{})
 			if err != nil {
 				return false
 			}

@@ -1,7 +1,7 @@
 // Package netprobe measures round-trip times over real UDP sockets.
 //
-// It is the deployment-grade counterpart of internal/nsim: an Agent
-// owns one UDP socket and both answers echo requests and issues
+// It is the deployment-grade counterpart of internal/repro/nsim: an
+// Agent owns one UDP socket and both answers echo requests and issues
 // probes, so a set of agents can measure the full pairwise delay
 // matrix that the analysis and neighbor-selection machinery consume.
 // The wire protocol is a 21-byte datagram:

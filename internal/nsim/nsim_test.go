@@ -1,4 +1,4 @@
-package nsim
+package nsim_test
 
 import (
 	"math"
@@ -6,13 +6,14 @@ import (
 	"testing"
 
 	"tivaware/internal/delayspace"
+	"tivaware/internal/repro/nsim"
 	"tivaware/internal/synth"
 )
 
 func TestMatrixProberBasics(t *testing.T) {
 	m := delayspace.New(3)
 	m.Set(0, 1, 42)
-	p, err := NewMatrixProber(m, 0, 1)
+	p, err := nsim.NewMatrixProber(m, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +42,7 @@ func TestMatrixProberBasics(t *testing.T) {
 }
 
 func TestNewMatrixProberRejectsNegativeJitter(t *testing.T) {
-	if _, err := NewMatrixProber(delayspace.New(2), -0.1, 0); err == nil {
+	if _, err := nsim.NewMatrixProber(delayspace.New(2), -0.1, 0); err == nil {
 		t.Error("expected error")
 	}
 }
@@ -49,7 +50,7 @@ func TestNewMatrixProberRejectsNegativeJitter(t *testing.T) {
 func TestJitterPerturbsButStaysPositive(t *testing.T) {
 	m := delayspace.New(2)
 	m.Set(0, 1, 100)
-	p, err := NewMatrixProber(m, 0.05, 7)
+	p, err := nsim.NewMatrixProber(m, 0.05, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +71,7 @@ func TestJitterPerturbsButStaysPositive(t *testing.T) {
 
 func TestMatrixProberConcurrent(t *testing.T) {
 	m := synth.Euclidean(20, 200, 3)
-	p, err := NewMatrixProber(m, 0.02, 5)
+	p, err := nsim.NewMatrixProber(m, 0.02, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,50 +88,5 @@ func TestMatrixProberConcurrent(t *testing.T) {
 	wg.Wait()
 	if p.Probes() == 0 {
 		t.Error("no probes recorded")
-	}
-}
-
-func TestCountingProber(t *testing.T) {
-	m := delayspace.New(3)
-	m.Set(0, 1, 10)
-	inner, err := NewMatrixProber(m, 0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := NewCountingProber(inner)
-	c.RTT(0, 1)
-	c.RTT(0, 2) // fails: not counted
-	if c.Probes() != 1 {
-		t.Errorf("Probes = %d, want 1", c.Probes())
-	}
-	if prev := c.ResetProbes(); prev != 1 || c.Probes() != 0 {
-		t.Errorf("reset: prev=%d now=%d", prev, c.Probes())
-	}
-	// Inner counter also advanced for the successful probe.
-	if inner.Probes() != 1 {
-		t.Errorf("inner Probes = %d", inner.Probes())
-	}
-}
-
-func TestFanOut(t *testing.T) {
-	m := delayspace.New(4)
-	m.Set(0, 1, 5)
-	m.Set(0, 2, 7)
-	p, err := NewMatrixProber(m, 0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	delays, ok := FanOut(p, 0, []int{1, 2, 3})
-	if !ok[0] || delays[0] != 5 {
-		t.Errorf("target 1: %g %v", delays[0], ok[0])
-	}
-	if !ok[1] || delays[1] != 7 {
-		t.Errorf("target 2: %g %v", delays[1], ok[1])
-	}
-	if ok[2] {
-		t.Error("unmeasured target should fail")
-	}
-	if p.Probes() != 2 {
-		t.Errorf("Probes = %d", p.Probes())
 	}
 }

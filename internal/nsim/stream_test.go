@@ -1,10 +1,11 @@
-package nsim
+package nsim_test
 
 import (
 	"math"
 	"testing"
 
 	"tivaware/internal/delayspace"
+	"tivaware/internal/repro/nsim"
 	"tivaware/internal/synth"
 )
 
@@ -19,13 +20,13 @@ func streamBase(t *testing.T, n int) *delayspace.Matrix {
 
 func TestUpdateStreamReplayable(t *testing.T) {
 	m := streamBase(t, 40)
-	cfg := StreamConfig{Seed: 9, Jitter: 0.05, Drift: 0.01, LevelShiftProb: 0.02, FailProb: 0.01, RepairProb: 0.3}
-	run := func() []EdgeUpdate {
-		s, err := NewUpdateStream(m, cfg)
+	cfg := nsim.StreamConfig{Seed: 9, Jitter: 0.05, Drift: 0.01, LevelShiftProb: 0.02, FailProb: 0.01, RepairProb: 0.3}
+	run := func() []nsim.EdgeUpdate {
+		s, err := nsim.NewUpdateStream(m, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		out := make([]EdgeUpdate, 500)
+		out := make([]nsim.EdgeUpdate, 500)
 		for k := range out {
 			out[k] = s.Next()
 		}
@@ -45,7 +46,7 @@ func TestUpdateStreamReplayable(t *testing.T) {
 
 func TestUpdateStreamZeroConfigEchoesBase(t *testing.T) {
 	m := streamBase(t, 20)
-	s, err := NewUpdateStream(m, StreamConfig{Seed: 1})
+	s, err := nsim.NewUpdateStream(m, nsim.StreamConfig{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +63,7 @@ func TestUpdateStreamZeroConfigEchoesBase(t *testing.T) {
 
 func TestUpdateStreamFailureAndRepair(t *testing.T) {
 	m := streamBase(t, 15)
-	s, err := NewUpdateStream(m, StreamConfig{Seed: 3, FailProb: 0.3, RepairProb: 0.5})
+	s, err := nsim.NewUpdateStream(m, nsim.StreamConfig{Seed: 3, FailProb: 0.3, RepairProb: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +86,7 @@ func TestUpdateStreamFailureAndRepair(t *testing.T) {
 
 func TestUpdateStreamDriftMovesLevels(t *testing.T) {
 	m := streamBase(t, 10)
-	s, err := NewUpdateStream(m, StreamConfig{Seed: 7, Drift: 0.05})
+	s, err := nsim.NewUpdateStream(m, nsim.StreamConfig{Seed: 7, Drift: 0.05})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +105,7 @@ func TestUpdateStreamDriftMovesLevels(t *testing.T) {
 
 func TestUpdateStreamLevelShiftsPersist(t *testing.T) {
 	m := streamBase(t, 8)
-	s, err := NewUpdateStream(m, StreamConfig{Seed: 5, LevelShiftProb: 0.5, LevelShiftMax: 4})
+	s, err := nsim.NewUpdateStream(m, nsim.StreamConfig{Seed: 5, LevelShiftProb: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,11 +131,11 @@ func TestUpdateStreamLevelShiftsPersist(t *testing.T) {
 
 func TestUpdateStreamNextBatch(t *testing.T) {
 	m := streamBase(t, 12)
-	s, err := NewUpdateStream(m, StreamConfig{Seed: 2, Jitter: 0.02})
+	s, err := nsim.NewUpdateStream(m, nsim.StreamConfig{Seed: 2, Jitter: 0.02})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf []EdgeUpdate
+	var buf []nsim.EdgeUpdate
 	buf = s.NextBatch(buf, 16)
 	if len(buf) != 16 || s.Step() != 16 {
 		t.Fatalf("NextBatch: len %d, step %d", len(buf), s.Step())
@@ -149,19 +150,18 @@ func TestUpdateStreamNextBatch(t *testing.T) {
 
 func TestUpdateStreamValidation(t *testing.T) {
 	m := streamBase(t, 10)
-	for _, cfg := range []StreamConfig{
+	for _, cfg := range []nsim.StreamConfig{
 		{Jitter: -1},
 		{Drift: -0.1},
 		{FailProb: 1.5},
 		{RepairProb: -0.2},
 		{LevelShiftProb: 2},
-		{LevelShiftMax: 0.5},
 	} {
-		if _, err := NewUpdateStream(m, cfg); err == nil {
+		if _, err := nsim.NewUpdateStream(m, cfg); err == nil {
 			t.Errorf("config %+v accepted", cfg)
 		}
 	}
-	if _, err := NewUpdateStream(delayspace.New(5), StreamConfig{}); err == nil {
+	if _, err := nsim.NewUpdateStream(delayspace.New(5), nsim.StreamConfig{}); err == nil {
 		t.Error("empty matrix accepted")
 	}
 }

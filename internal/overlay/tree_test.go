@@ -1,14 +1,15 @@
-package overlay
+package overlay_test
 
 import (
 	"testing"
 
-	"tivaware/internal/core"
 	"tivaware/internal/delayspace"
+	"tivaware/internal/repro/core"
+	"tivaware/internal/repro/overlay"
+	"tivaware/internal/repro/vivaldi"
 	"tivaware/internal/stats"
 	"tivaware/internal/synth"
 	"tivaware/internal/tivaware"
-	"tivaware/internal/vivaldi"
 )
 
 func lineMatrix(n int) *delayspace.Matrix {
@@ -23,32 +24,25 @@ func lineMatrix(n int) *delayspace.Matrix {
 
 func TestNewTreeValidation(t *testing.T) {
 	m := lineMatrix(4)
-	if _, err := NewTree(m, Options{Root: 9}); err == nil {
-		t.Error("bad root should error")
+	if _, err := overlay.NewTree(delayspace.New(0), overlay.Options{}); err == nil {
+		t.Error("empty matrix should error")
 	}
-	if _, err := NewTree(m, Options{Root: -1}); err == nil {
-		t.Error("negative root should error")
-	}
-	if _, err := NewTree(m, Options{Fanout: -1}); err == nil {
+	if _, err := overlay.NewTree(m, overlay.Options{Fanout: -1}); err == nil {
 		t.Error("negative fanout should error")
 	}
-	if _, err := NewTree(m, Options{Predict: tivaware.MatrixSource(lineMatrix(3))}); err == nil {
+	if _, err := overlay.NewTree(m, overlay.Options{Predict: tivaware.MatrixSource(lineMatrix(3))}); err == nil {
 		t.Error("predictor size mismatch should error")
 	}
-	// The zero value is valid: rooted at 0, unlimited fan-out, parents
-	// selected on true measured delays.
-	tr, err := NewTree(m, Options{})
-	if err != nil {
+	// The zero value is valid: unlimited fan-out, parents selected on
+	// true measured delays.
+	if _, err := overlay.NewTree(m, overlay.Options{}); err != nil {
 		t.Fatal(err)
-	}
-	if tr.Root() != 0 {
-		t.Errorf("default root = %d", tr.Root())
 	}
 }
 
 func TestJoinPicksClosest(t *testing.T) {
 	m := lineMatrix(5)
-	tr, err := NewTree(m, Options{})
+	tr, err := overlay.NewTree(m, overlay.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +69,7 @@ func TestJoinPicksClosest(t *testing.T) {
 
 func TestJoinErrors(t *testing.T) {
 	m := lineMatrix(3)
-	tr, _ := NewTree(m, Options{})
+	tr, _ := overlay.NewTree(m, overlay.Options{})
 	if _, err := tr.Join(0); err == nil {
 		t.Error("joining the root again should error")
 	}
@@ -85,7 +79,7 @@ func TestJoinErrors(t *testing.T) {
 	// No measured pair: isolated node.
 	holey := delayspace.New(3)
 	holey.Set(0, 1, 5)
-	tr2, _ := NewTree(holey, Options{})
+	tr2, _ := overlay.NewTree(holey, overlay.Options{})
 	if _, err := tr2.Join(2); err == nil {
 		t.Error("node without measured pairs should fail to join")
 	}
@@ -101,7 +95,7 @@ func TestFanoutCap(t *testing.T) {
 	m.Set(1, 2, 30)
 	m.Set(1, 3, 31)
 	m.Set(2, 3, 32)
-	tr, _ := NewTree(m, Options{Fanout: 1})
+	tr, _ := overlay.NewTree(m, overlay.Options{Fanout: 1})
 	for n := 1; n < 4; n++ {
 		if _, err := tr.Join(n); err != nil {
 			t.Fatal(err)
@@ -112,41 +106,9 @@ func TestFanoutCap(t *testing.T) {
 	}
 }
 
-func TestLeaveAndRejoin(t *testing.T) {
-	m := lineMatrix(4)
-	tr, _ := NewTree(m, Options{})
-	for n := 1; n < 4; n++ {
-		if _, err := tr.Join(n); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := tr.Leave(1); err == nil {
-		t.Error("interior node leave should error")
-	}
-	if err := tr.Leave(3); err != nil {
-		t.Fatal(err)
-	}
-	if tr.Member(3) {
-		t.Error("node 3 still a member")
-	}
-	if err := tr.Leave(3); err == nil {
-		t.Error("double leave should error")
-	}
-	if err := tr.Leave(0); err == nil {
-		t.Error("root leave should error")
-	}
-	// Rejoin picks the closest again.
-	if _, err := tr.Join(3); err != nil {
-		t.Fatal(err)
-	}
-	if p, err := tr.Rejoin(3); err != nil || p != 2 {
-		t.Errorf("Rejoin = %d, %v", p, err)
-	}
-}
-
 func TestPathAndLinkDelay(t *testing.T) {
 	m := lineMatrix(4)
-	tr, _ := NewTree(m, Options{})
+	tr, _ := overlay.NewTree(m, overlay.Options{})
 	for n := 1; n < 4; n++ {
 		if _, err := tr.Join(n); err != nil {
 			t.Fatal(err)
@@ -168,7 +130,7 @@ func TestPathAndLinkDelay(t *testing.T) {
 
 func TestEvaluate(t *testing.T) {
 	m := lineMatrix(4)
-	tr, _ := NewTree(m, Options{})
+	tr, _ := overlay.NewTree(m, overlay.Options{})
 	for n := 1; n < 4; n++ {
 		if _, err := tr.Join(n); err != nil {
 			t.Fatal(err)
@@ -206,8 +168,8 @@ func TestTIVAwareTreesBeatPlainVivaldi(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	build := func(p tivaware.Predictor) Quality {
-		tr, err := NewTree(space.Matrix, Options{Predict: tivaware.FromPredictor(p, space.Matrix.N())})
+	build := func(p tivaware.Predictor) overlay.Quality {
+		tr, err := overlay.NewTree(space.Matrix, overlay.Options{Predict: tivaware.FromPredictor(p, space.Matrix.N())})
 		if err != nil {
 			t.Fatal(err)
 		}

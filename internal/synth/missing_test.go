@@ -3,9 +3,9 @@ package synth
 import (
 	"testing"
 
-	"tivaware/internal/cluster"
+	"tivaware/internal/repro/cluster"
+	"tivaware/internal/repro/vivaldi"
 	"tivaware/internal/tiv"
-	"tivaware/internal/vivaldi"
 )
 
 func TestMissingFracValidation(t *testing.T) {

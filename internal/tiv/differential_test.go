@@ -94,6 +94,74 @@ func TestEngineMatchesReferenceExact(t *testing.T) {
 	}
 }
 
+// TestAsymmetricRowsMatchReference pins how asymmetric measurements
+// enter the analysis, which the naive triple loop the reference copies
+// (Snippet 3) leaves unsaid: FromRows symmetrizes each pair to
+// a/2 + b/2, or to the side that is present when the other is Missing,
+// and the engine over the result agrees with the reference —
+// severities within 1e-9, counts and the violating fraction exactly.
+func TestAsymmetricRowsMatchReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(77))
+	oneSided := 0
+	for _, n := range []int{3, 17, 64, 65} {
+		rows := make([][]float64, n)
+		for i := range rows {
+			rows[i] = make([]float64, n)
+			for j := range rows[i] {
+				switch r := rng.Float64(); {
+				case i == j:
+				case r < 0.15:
+					rows[i][j] = delayspace.Missing
+				case r < 0.2:
+					rows[i][j] = 0
+				default:
+					rows[i][j] = 1 + rng.Float64()*800
+				}
+			}
+		}
+		m, err := delayspace.FromRows(rows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < n; i++ {
+			for j := i + 1; j < n; j++ {
+				a, b := rows[i][j], rows[j][i]
+				want := a/2 + b/2
+				switch {
+				case a == delayspace.Missing:
+					want = b
+				case b == delayspace.Missing:
+					want = a
+				}
+				if (a == delayspace.Missing) != (b == delayspace.Missing) {
+					oneSided++
+				}
+				if got := m.At(i, j); math.Float64bits(got) != math.Float64bits(want) || m.At(j, i) != got {
+					t.Fatalf("n=%d: (%d,%d) = %g / %g from rows %g and %g, want %g", n, i, j, got, m.At(j, i), a, b, want)
+				}
+			}
+		}
+		an := NewEngine(Options{Workers: 1}).Analyze(m)
+		ref := referenceAllSeverities(m)
+		for i := 0; i < n; i++ {
+			for j := 0; j < n; j++ {
+				if diff := math.Abs(an.Severities.At(i, j) - ref.At(i, j)); diff > 1e-9 {
+					t.Fatalf("n=%d: severity(%d,%d) = %g, reference %g", n, i, j, an.Severities.At(i, j), ref.At(i, j))
+				}
+				if got, want := an.Counts.At(i, j), referenceViolationCount(m, i, j); got != want {
+					t.Fatalf("n=%d: count(%d,%d) = %d, reference %d", n, i, j, got, want)
+				}
+			}
+		}
+		if got, want := an.ViolatingTriangleFraction(), referenceViolatingTriangleFraction(m); math.Abs(got-want) > 1e-12 {
+			t.Fatalf("n=%d: violating fraction %g, reference %g", n, got, want)
+		}
+	}
+	if oneSided == 0 {
+		t.Fatal("no pair had exactly one side Missing; the rule was never exercised")
+	}
+}
+
 func TestSingleEdgeKernelsMatchReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, tc := range diffCases {

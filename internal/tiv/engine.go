@@ -52,14 +52,9 @@ type Engine struct {
 // NewEngine returns an engine computing with the given options.
 func NewEngine(opts Options) *Engine { return &Engine{opts: opts} }
 
-// rng returns the RNG behind the engine's sampled paths: the injected
-// Options.Rand when present (advancing across calls, so multi-call
-// experiments replay exactly from one source), else a fresh source
-// seeded by Options.Seed (so an isolated call reproduces its result).
+// rng returns the RNG behind the engine's sampled paths: a fresh
+// source seeded by Options.Seed, so every call reproduces its result.
 func (e *Engine) rng() *rand.Rand {
-	if e.opts.Rand != nil {
-		return e.opts.Rand
-	}
 	return rand.New(rand.NewSource(e.opts.Seed))
 }
 
@@ -146,8 +141,7 @@ func (e *Engine) Analyze(m *delayspace.Matrix) Analysis {
 // violate the triangle inequality. When the number of triples is
 // within maxTriples (or maxTriples <= 0) the count is exact, via the
 // blocked triple-scan kernel; otherwise that many triples are sampled
-// uniformly, drawn from the engine's RNG (Options.Rand, or a fresh
-// source seeded by Options.Seed per call).
+// uniformly, drawn from a fresh source seeded by Options.Seed per call.
 func (e *Engine) ViolatingTriangleFraction(m *delayspace.Matrix, maxTriples int) float64 {
 	n := m.N()
 	if n < 3 {

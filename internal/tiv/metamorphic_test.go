@@ -318,7 +318,8 @@ func TestSnapshotAnalysisIsAValue(t *testing.T) {
 	for _, n := range metaSizes {
 		m := randomMatrix(t, rng, n, 0.2, 0)
 		ups := metaStream(n, int64(n)+11)
-		mon := NewMonitor(m, MonitorOptions{Workers: 1, DirtyFraction: 0.02})
+		mon := NewMonitor(m, MonitorOptions{Workers: 1})
+		mon.dirtyFraction = 0.02
 		apply := func(ups []Update) {
 			for _, u := range ups {
 				if _, err := mon.ApplyUpdate(u.I, u.J, u.RTT); err != nil {

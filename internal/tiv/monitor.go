@@ -24,11 +24,11 @@ import (
 // floating-point severity sums agree up to accumulation-order noise
 // (the differential tests bound it at 1e-9).
 //
-// Batches past MonitorOptions.DirtyFraction of the edges fall back to
-// one batch rescan — at that point O(N³/6) beats k·O(N). The Monitor
-// owns all mutations of its matrix; an out-of-band mutation (detected
-// through the delayspace version seam) forces a rescan before the next
-// update is applied.
+// Batches touching a third of the edges or more fall back to one batch
+// rescan — at that point O(N³/6) beats k·O(N). The Monitor owns all
+// mutations of its matrix; an out-of-band mutation (detected through
+// the delayspace version seam) forces a rescan before the next update
+// is applied.
 //
 // A Monitor has one consumer: the tivaware.Service that constructs it,
 // serializes every call under its build mutex, and takes the state out
@@ -55,6 +55,13 @@ type Monitor struct {
 	flipWas []bool
 
 	oldCnt []int32 // scratch for rescan flip diffing
+
+	// dirtyFraction is the batch-size threshold, as a fraction of the
+	// N·(N−1)/2 edges, at which ApplyBatch rebuilds by one batch rescan
+	// instead of per-update deltas: 1/3, roughly where k·O(N) delta
+	// work overtakes the O(N³/6) scan. Tests lower it to reach the
+	// fallback with small batches.
+	dirtyFraction float64
 }
 
 // Update is one streamed edge mutation; RTT equal to delayspace.Missing
@@ -93,23 +100,10 @@ type MonitorOptions struct {
 	// (incremental updates are single-threaded O(N) passes); zero means
 	// GOMAXPROCS.
 	Workers int
-	// DirtyFraction is the batch-size threshold, as a fraction of the
-	// N·(N−1)/2 edges, above which ApplyBatch rebuilds by one batch
-	// rescan instead of per-update deltas. Zero means 1/3 — roughly
-	// where k·O(N) delta work overtakes the O(N³/6) scan. Negative
-	// disables the fallback.
-	DirtyFraction float64
 	// OnChange, when non-nil, runs synchronously after every mutation
 	// whose ChangeSet is non-empty (and after every rescan). It must
 	// not mutate the monitor or its matrix.
 	OnChange func(ChangeSet)
-}
-
-func (o MonitorOptions) dirtyFraction() float64 {
-	if o.DirtyFraction == 0 {
-		return 1.0 / 3
-	}
-	return o.DirtyFraction
 }
 
 // NewMonitor wraps m with an incrementally maintained TIV analysis,
@@ -127,6 +121,8 @@ func NewMonitor(m *delayspace.Matrix, opts MonitorOptions) *Monitor {
 		rawSev:  make([]float64, n*n),
 		cnt:     make([]int32, n*n),
 		touched: make([]uint32, n*n),
+
+		dirtyFraction: 1.0 / 3,
 	}
 	mon.rescan()
 	return mon
@@ -190,8 +186,8 @@ func (mon *Monitor) ApplyUpdate(i, j int, rtt float64) (ChangeSet, error) {
 }
 
 // ApplyBatch applies the updates in order. Small batches run as
-// per-update O(N) deltas; batches touching more than DirtyFraction of
-// the edges fall back to setting every value and running one batch
+// per-update O(N) deltas; batches touching a third of the edges or
+// more fall back to setting every value and running one batch
 // rescan. The returned ChangeSet is the net movement of the
 // violated-edge set over the whole batch, and the hook (if any) fires
 // once.
@@ -207,13 +203,10 @@ func (mon *Monitor) ApplyBatch(updates []Update) (ChangeSet, error) {
 	if cs, stale := mon.resyncIfStale(); stale {
 		mon.notify(cs)
 	}
-	if frac := mon.opts.dirtyFraction(); frac > 0 {
-		edges := mon.n * (mon.n - 1) / 2
-		if float64(len(updates)) >= frac*float64(edges) {
-			cs := mon.applyByRescan(updates)
-			mon.notify(cs)
-			return cs, nil
-		}
+	if edges := mon.n * (mon.n - 1) / 2; float64(len(updates)) >= mon.dirtyFraction*float64(edges) {
+		cs := mon.applyByRescan(updates)
+		mon.notify(cs)
+		return cs, nil
 	}
 	mon.startApply()
 	for _, u := range updates {

@@ -29,7 +29,8 @@ func FuzzMonitorVsRescan(f *testing.F) {
 				m.Set(i, j, float64(1+(i*31+j*17)%97))
 			}
 		}
-		mon := NewMonitor(m, MonitorOptions{DirtyFraction: 0.002})
+		mon := NewMonitor(m, MonitorOptions{})
+		mon.dirtyFraction = 0.002
 		var batch []Update
 		for len(data) >= 3 {
 			i, j, v := int(data[0])%n, int(data[1])%n, data[2]

@@ -256,7 +256,8 @@ func TestMonitorChangeSets(t *testing.T) {
 // checks it produces the same state.
 func TestMonitorBatchFallback(t *testing.T) {
 	m := monitorMatrix(30, 0.1, 17)
-	mon := NewMonitor(m, MonitorOptions{DirtyFraction: 0.01})
+	mon := NewMonitor(m, MonitorOptions{})
+	mon.dirtyFraction = 0.01
 	rng := rand.New(rand.NewSource(4))
 	ups := make([]Update, 20) // 20 >= 0.01 * 435 edges → rescan path
 	for x := range ups {
@@ -272,8 +273,9 @@ func TestMonitorBatchFallback(t *testing.T) {
 	}
 	assertMatchesRescan(t, mon)
 
-	// A DirtyFraction < 0 disables the fallback even for huge batches.
-	mon2 := NewMonitor(monitorMatrix(30, 0.1, 18), MonitorOptions{DirtyFraction: -1})
+	// An infinite threshold disables the fallback even for huge batches.
+	mon2 := NewMonitor(monitorMatrix(30, 0.1, 18), MonitorOptions{})
+	mon2.dirtyFraction = math.Inf(1)
 	cs, err = mon2.ApplyBatch(ups)
 	if err != nil {
 		t.Fatal(err)

@@ -25,7 +25,6 @@ package tiv
 import (
 	"fmt"
 	"math/bits"
-	"math/rand"
 	"runtime"
 	"sort"
 
@@ -273,16 +272,11 @@ type Options struct {
 	// severity: the sampled sum is rescaled to the N−2 possible
 	// witnesses, then divided by N.
 	SampleThirdNodes int
-	// Seed drives sampling when Rand is nil: every sampled call
-	// re-seeds from it, so repeating a call reproduces its result.
+	// Seed drives every sampled path (the severity estimator's
+	// third-node draw and the sampled violating-triangle estimator):
+	// every sampled call re-seeds from it, so repeating a call
+	// reproduces its result.
 	Seed int64
-	// Rand, when non-nil, is the RNG behind every sampled path (the
-	// severity estimator's third-node draw and the sampled
-	// violating-triangle estimator). It advances across calls, so a
-	// sequence of sampled analyses — e.g. a streaming experiment — is
-	// reproducible end-to-end from one seeded source. The engine is
-	// not safe for concurrent use and neither is the RNG.
-	Rand *rand.Rand
 }
 
 func (o Options) workers() int {

@@ -59,7 +59,7 @@ type Query struct {
 
 // SelectionQuery spells a typed selection call (Rank, KClosest,
 // ClosestNode) as the rank-shaped Query it is — the inverse of
-// Query.options, shared by the remote Queriers that forward such calls
+// Query.options, shared by the remote clients that forward such calls
 // as queries. An explicit candidate list wins over opts.Candidates, as
 // on Service.Rank.
 func SelectionQuery(kind QueryKind, target, k int, candidates []int, opts QueryOptions) Query {

@@ -68,67 +68,76 @@ func TestScansPollCancellation(t *testing.T) {
 	}
 	svcS, viewS := build(small)
 	svcL, viewL := build(large)
-	queriers := []struct {
+	// Every per-kind spelling on the Service, and the batch form on
+	// both the Service and a pinned View.
+	type scan struct {
 		name         string
-		small, large Querier
-	}{{"Service", svcS, svcL}, {"View", viewS, viewL}}
-
-	opts := QueryOptions{SeverityPenalty: 1}
-	batch := func(q Query) func(context.Context, Querier) error {
-		return func(ctx context.Context, s Querier) error {
-			res, err := s.QueryBatch(ctx, []Query{q})
-			if err == nil {
-				err = res[0].Err
+		small, large func(context.Context) error
+	}
+	service := func(name string, call func(context.Context, *Service) error) scan {
+		return scan{"Service." + name,
+			func(ctx context.Context) error { return call(ctx, svcS) },
+			func(ctx context.Context) error { return call(ctx, svcL) }}
+	}
+	batch := func(name string, q Query) []scan {
+		one := func(b interface {
+			QueryBatch(context.Context, []Query) ([]Result, error)
+		}) func(context.Context) error {
+			return func(ctx context.Context) error {
+				res, err := b.QueryBatch(ctx, []Query{q})
+				if err == nil {
+					err = res[0].Err
+				}
+				return err
 			}
-			return err
+		}
+		return []scan{
+			{"Service.QueryBatch/" + name, one(svcS), one(svcL)},
+			{"View.QueryBatch/" + name, one(viewS), one(viewL)},
 		}
 	}
-	calls := []struct {
-		name string
-		call func(context.Context, Querier) error
-	}{
-		{"Rank", func(ctx context.Context, s Querier) error {
+	opts := QueryOptions{SeverityPenalty: 1}
+	scans := []scan{
+		service("Rank", func(ctx context.Context, s *Service) error {
 			_, err := s.Rank(ctx, 0, nil, opts)
 			return err
-		}},
-		{"KClosest", func(ctx context.Context, s Querier) error {
+		}),
+		service("KClosest", func(ctx context.Context, s *Service) error {
 			_, err := s.KClosest(ctx, 0, 5, opts)
 			return err
-		}},
-		{"ClosestNode", func(ctx context.Context, s Querier) error {
+		}),
+		service("ClosestNode", func(ctx context.Context, s *Service) error {
 			_, err := s.ClosestNode(ctx, 0, opts)
 			return err
-		}},
-		{"DetourPath", func(ctx context.Context, s Querier) error {
+		}),
+		service("DetourPath", func(ctx context.Context, s *Service) error {
 			_, err := s.DetourPath(ctx, 0, 1)
 			return err
-		}},
-		{"QueryBatch/rank", batch(Query{Kind: KindRank, Target: 0, SeverityPenalty: 1})},
-		{"QueryBatch/closest", batch(Query{Kind: KindClosest, Target: 0, SeverityPenalty: 1})},
-		{"QueryBatch/detour", batch(Query{Kind: KindDetour, I: 0, J: 1})},
+		}),
 	}
-	for _, q := range queriers {
-		for _, c := range calls {
-			t.Run(q.name+"."+c.name, func(t *testing.T) {
-				observations := func(s Querier) int {
-					ctx := &countingCtx{Context: context.Background()}
-					if err := c.call(ctx, s); err != nil {
-						t.Fatal(err)
-					}
-					return ctx.seen
+	scans = append(scans, batch("rank", Query{Kind: KindRank, Target: 0, SeverityPenalty: 1})...)
+	scans = append(scans, batch("closest", Query{Kind: KindClosest, Target: 0, SeverityPenalty: 1})...)
+	scans = append(scans, batch("detour", Query{Kind: KindDetour, I: 0, J: 1})...)
+	for _, c := range scans {
+		t.Run(c.name, func(t *testing.T) {
+			observations := func(call func(context.Context) error) int {
+				ctx := &countingCtx{Context: context.Background()}
+				if err := call(ctx); err != nil {
+					t.Fatal(err)
 				}
-				obsS, obsL := observations(q.small), observations(q.large)
-				if want := (large - small) / 1024; obsL-obsS < want {
-					t.Fatalf("%d context observations at n=%d, %d at n=%d: want at least %d more, one per 1024 items scanned",
-						obsS, small, obsL, large, want)
+				return ctx.seen
+			}
+			obsS, obsL := observations(c.small), observations(c.large)
+			if want := (large - small) / 1024; obsL-obsS < want {
+				t.Fatalf("%d context observations at n=%d, %d at n=%d: want at least %d more, one per 1024 items scanned",
+					obsS, small, obsL, large, want)
+			}
+			for _, cancelAt := range []int{obsS + 1, 1} {
+				ctx := &countingCtx{Context: context.Background(), cancelAt: cancelAt}
+				if err := c.large(ctx); !errors.Is(err, context.Canceled) {
+					t.Errorf("cancelled at observation %d of %d: err = %v, want context.Canceled", cancelAt, obsL, err)
 				}
-				for _, cancelAt := range []int{obsS + 1, 1} {
-					ctx := &countingCtx{Context: context.Background(), cancelAt: cancelAt}
-					if err := c.call(ctx, q.large); !errors.Is(err, context.Canceled) {
-						t.Errorf("cancelled at observation %d of %d: err = %v, want context.Canceled", cancelAt, obsL, err)
-					}
-				}
-			})
-		}
+			}
+		})
 	}
 }

@@ -99,11 +99,15 @@ func TestServiceConcurrentQueriesDuringUpdates(t *testing.T) {
 				// Exercise the query surface against the same pinned
 				// epoch; invariants must hold regardless of updates.
 				target := rng.Intn(n)
-				ranked, err := v.Rank(ctx, target, nil, QueryOptions{SeverityPenalty: 2})
+				res, err := v.QueryBatch(ctx, []Query{{Kind: KindRank, Target: target, SeverityPenalty: 2}})
+				if err == nil {
+					err = res[0].Err
+				}
 				if err != nil {
 					errs <- err
 					return
 				}
+				ranked := res[0].Selections
 				for k := 1; k < len(ranked); k++ {
 					if ranked[k].Score < ranked[k-1].Score {
 						t.Errorf("querier %d: rank order violated at %d", q, k)
@@ -112,11 +116,15 @@ func TestServiceConcurrentQueriesDuringUpdates(t *testing.T) {
 				}
 				i, j := rng.Intn(n), rng.Intn(n)
 				if i != j {
-					d, err := v.DetourPath(ctx, i, j)
+					res, err := v.QueryBatch(ctx, []Query{{Kind: KindDetour, I: i, J: j}})
+					if err == nil {
+						err = res[0].Err
+					}
 					if err != nil {
 						errs <- err
 						return
 					}
+					d := res[0].Detour
 					if d.Gain < 0 {
 						t.Errorf("querier %d: negative detour gain %g", q, d.Gain)
 						return

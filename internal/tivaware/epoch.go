@@ -237,27 +237,3 @@ func (v *View) ViolatingTriangleFraction() float64 { return v.e.ViolatingTriangl
 // TopEdges returns the k edges with the highest severity in this
 // view, most severe first.
 func (v *View) TopEdges(k int) []delayspace.Edge { return v.e.Severities.TopEdges(k) }
-
-// Rank scores candidates against this view; see Service.Rank.
-func (v *View) Rank(ctx context.Context, target int, candidates []int, opts QueryOptions) ([]Selection, error) {
-	kept, _, err := selectEpoch(ctx, v.e, target, candidates, opts, 0)
-	return kept, err
-}
-
-// KClosest returns the k best-ranked candidates in this view; see
-// Service.KClosest.
-func (v *View) KClosest(ctx context.Context, target, k int, opts QueryOptions) ([]Selection, error) {
-	return kClosestEpoch(ctx, v.e, target, k, opts)
-}
-
-// ClosestNode returns the best-ranked candidate in this view; see
-// Service.ClosestNode.
-func (v *View) ClosestNode(ctx context.Context, target int, opts QueryOptions) (Selection, error) {
-	return closestNodeEpoch(ctx, v.e, target, opts)
-}
-
-// DetourPath finds the best one-hop detour in this view; see
-// Service.DetourPath.
-func (v *View) DetourPath(ctx context.Context, i, j int) (Detour, error) {
-	return detourEpoch(ctx, v.e, i, j)
-}

@@ -144,11 +144,12 @@ func queryAll(t *testing.T, s *Service, w *sightings, rng *rand.Rand) {
 	if err != nil {
 		return
 	}
-	_, err = v.Rank(ctx, j, nil, opts)
-	check(err)
-	_, err = v.DetourPath(ctx, j, i)
-	check(err)
-	_, err = v.QueryBatch(ctx, []Query{{Kind: KindClosest, Target: i}, {Kind: KindTop, K: 2}})
+	_, err = v.QueryBatch(ctx, []Query{
+		SelectionQuery(KindRank, j, 0, nil, opts),
+		{Kind: KindDetour, I: j, J: i},
+		{Kind: KindClosest, Target: i},
+		{Kind: KindTop, K: 2},
+	})
 	check(err)
 	v.TopEdges(2)
 	v.ViolatingTriangleFraction()

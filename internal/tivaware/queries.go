@@ -9,35 +9,6 @@ import (
 	"tivaware/internal/tiv"
 )
 
-// Querier is the TIV-aware query surface: what a Service answers
-// in-process, a View answers against one pinned epoch, and a
-// tivclient.Client answers over the wire from a tivd daemon (or a
-// gateway over a sharded cluster). Consumers written against Querier
-// (the examples, overlay builders) run unchanged against any of them.
-// The per-kind methods are typed spellings of one Query each;
-// QueryBatch is the general form.
-type Querier interface {
-	// Rank scores candidates for the target, best first.
-	Rank(ctx context.Context, target int, candidates []int, opts QueryOptions) ([]Selection, error)
-	// KClosest returns the k best-ranked candidates.
-	KClosest(ctx context.Context, target, k int, opts QueryOptions) ([]Selection, error)
-	// ClosestNode returns the best-ranked candidate.
-	ClosestNode(ctx context.Context, target int, opts QueryOptions) (Selection, error)
-	// DetourPath finds the best one-hop detour for the pair (i, j).
-	DetourPath(ctx context.Context, i, j int) (Detour, error)
-	// QueryBatch resolves a vector of heterogeneous queries against one
-	// mutually consistent state (a pinned epoch in-process, one
-	// /v1/batch round trip over the wire). Per-query failures land in
-	// Result.Err; the call-level error is reserved for whole-batch
-	// failures (cancellation, transport loss).
-	QueryBatch(ctx context.Context, queries []Query) ([]Result, error)
-}
-
-var (
-	_ Querier = (*Service)(nil)
-	_ Querier = (*View)(nil)
-)
-
 // QueryOptions tunes one selection query. The zero value ranks purely
 // by source delay, the TIV-oblivious baseline.
 type QueryOptions struct {

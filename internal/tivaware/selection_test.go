@@ -202,7 +202,7 @@ func checkSelectionQueries(t testing.TB, e *epoch, target, k int, candidates []i
 	}
 	if k > 0 {
 		q := Query{Kind: KindRank, Target: target, K: k, Candidates: candidates, SeverityPenalty: penalty, ExcludeViolated: exclude}
-		got, err := v.KClosest(ctx, target, k, q.options())
+		got, err := kClosestEpoch(ctx, e, target, k, q.options())
 		want := resultReference(ctx, e, q)
 		if err := sameResult(Result{Selections: got, Err: err, Truncated: want.Truncated}, want); err != nil {
 			t.Fatalf("KClosest n=%d target=%d k=%d: %v", e.q.N(), target, k, err)

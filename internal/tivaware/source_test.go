@@ -6,9 +6,9 @@ import (
 	"testing"
 
 	"tivaware/internal/delayspace"
-	"tivaware/internal/ides"
-	"tivaware/internal/lat"
-	"tivaware/internal/vivaldi"
+	"tivaware/internal/repro/ides"
+	"tivaware/internal/repro/lat"
+	"tivaware/internal/repro/vivaldi"
 )
 
 // Every coordinate system in the repository satisfies the Predictor

@@ -7,9 +7,11 @@
 // here: it is the curl-able surface (curl -N …/v1/subscribe), and
 // in-process consumers subscribe on tivaware.Service directly.
 //
-// Client satisfies tivaware.Querier, so consumers written against the
-// interface (examples/serverselection, overlay builders) switch
-// between in-process and networked TIV state by swapping one value:
+// Client's query methods have the signatures of the matching
+// tivaware.Service methods, so a consumer that names the methods it
+// calls in its own interface (examples/serverselection takes just
+// QueryBatch) switches between in-process and networked TIV state by
+// swapping one value:
 //
 //	q := tivclient.New("http://tivd-host:7070", tivclient.Options{})
 //	best, err := q.ClosestNode(ctx, target, tivaware.QueryOptions{SeverityPenalty: 2})
@@ -78,8 +80,6 @@ type Client struct {
 	base   string
 	frames *tivframe.Pool // nil unless Options.FrameAddr was set
 }
-
-var _ tivaware.Querier = (*Client)(nil)
 
 // New builds a client for the daemon at baseURL (e.g.
 // "http://127.0.0.1:7070", no trailing slash required).

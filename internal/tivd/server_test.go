@@ -99,11 +99,11 @@ func TestDaemonQueryRoundTrip(t *testing.T) {
 	}
 
 	// The networked answers must equal the in-process ones, shape for
-	// shape: Client and Service both satisfy tivaware.Querier.
+	// shape: Client and Service both satisfy querier.
 	opts := tivaware.QueryOptions{SeverityPenalty: 2}
 	for _, q := range []struct {
 		name   string
-		remote tivaware.Querier
+		remote querier
 	}{{"remote", client}, {"in-process", svc}} {
 		ranked, err := q.remote.Rank(ctx, 0, nil, opts)
 		if err != nil {
@@ -317,7 +317,15 @@ func TestDaemonValidationErrors(t *testing.T) {
 	_ = srv
 }
 
-// TestClientEmptyCandidatesParity pins Querier parity for an
+// querier is the per-kind read surface tivaware.Service and
+// tivclient.Client share, so one table drives both.
+type querier interface {
+	Rank(ctx context.Context, target int, candidates []int, opts tivaware.QueryOptions) ([]tivaware.Selection, error)
+	KClosest(ctx context.Context, target, k int, opts tivaware.QueryOptions) ([]tivaware.Selection, error)
+	ClosestNode(ctx context.Context, target int, opts tivaware.QueryOptions) (tivaware.Selection, error)
+}
+
+// TestClientEmptyCandidatesParity pins querier parity for an
 // explicitly empty candidate set: the wire cannot express it (an
 // absent parameter means all nodes), so the client must reproduce
 // the Service's semantics locally instead of silently ranking
@@ -333,7 +341,7 @@ func TestClientEmptyCandidatesParity(t *testing.T) {
 
 	for _, q := range []struct {
 		name string
-		q    tivaware.Querier
+		q    querier
 	}{{"in-process", svc}, {"remote", client}} {
 		ranked, err := q.q.Rank(ctx, 0, []int{}, tivaware.QueryOptions{})
 		if err != nil || len(ranked) != 0 {

@@ -146,6 +146,14 @@ func TestInvalidDelayRefusedAtEveryIngress(t *testing.T) {
 	assertAgreement(t, mono, c)
 }
 
+// querier is the per-kind read surface a monolith tivaware.Service
+// and a tivclient.Client share, so one table drives every ingress.
+type querier interface {
+	Rank(ctx context.Context, target int, candidates []int, opts tivaware.QueryOptions) ([]tivaware.Selection, error)
+	ClosestNode(ctx context.Context, target int, opts tivaware.QueryOptions) (tivaware.Selection, error)
+	DetourPath(ctx context.Context, i, j int) (tivaware.Detour, error)
+}
+
 // TestNonFinitePenaltyIsBadRequest: a NaN or infinite severity penalty
 // (or a finite one that overflows a score) is refused by the query layer, so GET, batch, frame, gateway and
 // in-process callers all read the same bad_request — and nothing is
@@ -160,7 +168,7 @@ func TestNonFinitePenaltyIsBadRequest(t *testing.T) {
 	frameGW := tivclient.New(c.GatewayURL, tivclient.Options{FrameAddr: c.GatewayFrameAddr})
 	defer frameShard.Close()
 	defer frameGW.Close()
-	queriers := map[string]tivaware.Querier{
+	queriers := map[string]querier{
 		"monolith":      mono,
 		"shard http":    httpShard,
 		"shard frame":   frameShard,
@@ -190,7 +198,7 @@ func TestNonFinitePenaltyIsBadRequest(t *testing.T) {
 	// sameRefusal holds the gateway to the code and the words a monolith
 	// gives on the same surface: in-process (where the gateway reads q,
 	// call's query, as a batch of one), HTTP JSON, frame.
-	sameRefusal := func(what string, q tivaware.Query, call func(q tivaware.Querier) error) {
+	sameRefusal := func(what string, q tivaware.Query, call func(q querier) error) {
 		t.Helper()
 		for _, pair := range [][2]string{{"monolith", "gateway"}, {"shard http", "gateway http"}, {"shard frame", "gateway frame"}} {
 			merr := call(queriers[pair[0]])
@@ -215,11 +223,11 @@ func TestNonFinitePenaltyIsBadRequest(t *testing.T) {
 		t.Helper()
 		opts := tivaware.QueryOptions{SeverityPenalty: pen}
 		what := fmt.Sprintf("penalty %g", pen)
-		sameRefusal(what+" Rank", tivaware.SelectionQuery(tivaware.KindRank, 0, 0, nil, opts), func(q tivaware.Querier) error {
+		sameRefusal(what+" Rank", tivaware.SelectionQuery(tivaware.KindRank, 0, 0, nil, opts), func(q querier) error {
 			_, err := q.Rank(ctx, 0, nil, opts)
 			return err
 		})
-		sameRefusal(what+" ClosestNode", tivaware.SelectionQuery(tivaware.KindClosest, 0, 0, nil, opts), func(q tivaware.Querier) error {
+		sameRefusal(what+" ClosestNode", tivaware.SelectionQuery(tivaware.KindClosest, 0, 0, nil, opts), func(q querier) error {
 			_, err := q.ClosestNode(ctx, 0, opts)
 			return err
 		})
@@ -235,15 +243,15 @@ func TestNonFinitePenaltyIsBadRequest(t *testing.T) {
 	refused(math.MaxFloat64)
 	// The other refusals a whole-routed query brings back from its shard.
 	n := c.Matrix.N()
-	sameRefusal("out-of-range target", tivaware.Query{Kind: tivaware.KindClosest, Target: n + 5}, func(q tivaware.Querier) error {
+	sameRefusal("out-of-range target", tivaware.Query{Kind: tivaware.KindClosest, Target: n + 5}, func(q querier) error {
 		_, err := q.ClosestNode(ctx, n+5, tivaware.QueryOptions{})
 		return err
 	})
-	sameRefusal("detour on the diagonal", tivaware.Query{Kind: tivaware.KindDetour, I: 4, J: 4}, func(q tivaware.Querier) error {
+	sameRefusal("detour on the diagonal", tivaware.Query{Kind: tivaware.KindDetour, I: 4, J: 4}, func(q querier) error {
 		_, err := q.DetourPath(ctx, 4, 4)
 		return err
 	})
-	sameRefusal("closest with no eligible candidate", tivaware.Query{Kind: tivaware.KindClosest, Target: 3, Candidates: []int{3}}, func(q tivaware.Querier) error {
+	sameRefusal("closest with no eligible candidate", tivaware.Query{Kind: tivaware.KindClosest, Target: 3, Candidates: []int{3}}, func(q querier) error {
 		_, err := q.ClosestNode(ctx, 3, tivaware.QueryOptions{Candidates: []int{3}})
 		return err
 	})

@@ -3,9 +3,9 @@ package vivaldi_test
 import (
 	"fmt"
 
+	"tivaware/internal/repro/vivaldi"
 	"tivaware/internal/stats"
 	"tivaware/internal/synth"
-	"tivaware/internal/vivaldi"
 )
 
 // Embed a metric (violation-free) delay space: Vivaldi converges to

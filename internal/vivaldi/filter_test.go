@@ -1,33 +1,13 @@
-package vivaldi
+package vivaldi_test
 
 import (
 	"testing"
 
-	"tivaware/internal/nsim"
+	"tivaware/internal/repro/nsim"
+	"tivaware/internal/repro/vivaldi"
 	"tivaware/internal/stats"
 	"tivaware/internal/synth"
 )
-
-func TestMedianFilterBasics(t *testing.T) {
-	f := newMedianFilter(3)
-	if got := f.add(0, 1, 10); got != 10 {
-		t.Errorf("first sample median = %g", got)
-	}
-	if got := f.add(0, 1, 20); got != 15 {
-		t.Errorf("two-sample median = %g", got)
-	}
-	if got := f.add(0, 1, 1000); got != 20 {
-		t.Errorf("outlier not suppressed: %g", got)
-	}
-	// Window slides: oldest (10) drops out.
-	if got := f.add(0, 1, 30); got != 30 {
-		t.Errorf("sliding median = %g, want 30 (of 20,1000,30)", got)
-	}
-	// Pairs are independent.
-	if got := f.add(2, 3, 7); got != 7 {
-		t.Errorf("independent pair median = %g", got)
-	}
-}
 
 func TestSamplerFeedsVivaldi(t *testing.T) {
 	m := synth.Euclidean(40, 300, 3)
@@ -35,7 +15,7 @@ func TestSamplerFeedsVivaldi(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys, err := NewSystem(m, Config{Seed: 1, Sampler: jittered})
+	sys, err := vivaldi.NewSystem(m, vivaldi.Config{Seed: 1, Sampler: jittered})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +39,7 @@ func TestFilterImprovesNoisyConvergence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sys, err := NewSystem(m, Config{Seed: 2, Sampler: jittered, FilterWindow: window})
+		sys, err := vivaldi.NewSystem(m, vivaldi.Config{Seed: 2, Sampler: jittered, FilterWindow: window})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -73,21 +53,10 @@ func TestFilterImprovesNoisyConvergence(t *testing.T) {
 	}
 }
 
-func TestFilterWindowOneIsOff(t *testing.T) {
-	m := synth.Euclidean(10, 100, 11)
-	sys, err := NewSystem(m, Config{Seed: 3, FilterWindow: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sys.filter != nil {
-		t.Error("window 1 should disable the filter")
-	}
-}
-
 func TestSamplerFailuresSkipped(t *testing.T) {
 	// A sampler refusing some pairs must not wedge the simulation.
 	m := synth.Euclidean(10, 100, 13)
-	sys, err := NewSystem(m, Config{Seed: 4, Sampler: flaky{inner: m}})
+	sys, err := vivaldi.NewSystem(m, vivaldi.Config{Seed: 4, Sampler: flaky{inner: m}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,4 +1,4 @@
-package vivaldi
+package vivaldi_test
 
 import (
 	"math"
@@ -6,14 +6,15 @@ import (
 	"testing/quick"
 
 	"tivaware/internal/delayspace"
+	"tivaware/internal/repro/vivaldi"
 	"tivaware/internal/stats"
 	"tivaware/internal/synth"
 )
 
-func euclideanSystem(t *testing.T, n int, seed int64) *System {
+func euclideanSystem(t *testing.T, n int, seed int64) *vivaldi.System {
 	t.Helper()
 	m := synth.Euclidean(n, 300, seed)
-	s, err := NewSystem(m, Config{Seed: seed, Neighbors: 16})
+	s, err := vivaldi.NewSystem(m, vivaldi.Config{Seed: seed, Neighbors: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -21,19 +22,19 @@ func euclideanSystem(t *testing.T, n int, seed int64) *System {
 }
 
 func TestDist(t *testing.T) {
-	a := Coord{Vec: []float64{0, 0}}
-	b := Coord{Vec: []float64{3, 4}}
-	if got := Dist(a, b); got != 5 {
+	a := vivaldi.Coord{Vec: []float64{0, 0}}
+	b := vivaldi.Coord{Vec: []float64{3, 4}}
+	if got := vivaldi.Dist(a, b); got != 5 {
 		t.Errorf("Dist = %g, want 5", got)
 	}
 	a.Height, b.Height = 1, 2
-	if got := Dist(a, b); got != 8 {
+	if got := vivaldi.Dist(a, b); got != 8 {
 		t.Errorf("Dist with heights = %g, want 8", got)
 	}
 }
 
 func TestCoordClone(t *testing.T) {
-	a := Coord{Vec: []float64{1, 2}, Height: 3}
+	a := vivaldi.Coord{Vec: []float64{1, 2}, Height: 3}
 	b := a.Clone()
 	b.Vec[0] = 9
 	if a.Vec[0] != 1 {
@@ -43,27 +44,17 @@ func TestCoordClone(t *testing.T) {
 
 func TestNewSystemErrors(t *testing.T) {
 	m := synth.Euclidean(5, 100, 1)
-	if _, err := NewSystem(delayspace.New(1), Config{}); err == nil {
+	if _, err := vivaldi.NewSystem(delayspace.New(1), vivaldi.Config{}); err == nil {
 		t.Error("1 node should error")
 	}
-	if _, err := NewSystem(m, Config{Dim: -2}); err == nil {
-		t.Error("negative dim should error")
-	}
-	if _, err := NewSystemWithNeighbors(m, Config{}, make([][]int, 3)); err == nil {
+	if _, err := vivaldi.NewSystemWithNeighbors(m, vivaldi.Config{}, make([][]int, 3)); err == nil {
 		t.Error("wrong neighbor-list count should error")
 	}
-	if _, err := NewSystemWithNeighbors(m, Config{}, [][]int{{1}, {0}, {9}, {0}, {0}}); err == nil {
+	if _, err := vivaldi.NewSystemWithNeighbors(m, vivaldi.Config{}, [][]int{{1}, {0}, {9}, {0}, {0}}); err == nil {
 		t.Error("out-of-range neighbor should error")
 	}
-	if _, err := NewSystemWithNeighbors(m, Config{}, [][]int{{0}, {0}, {0}, {0}, {0}}); err == nil {
+	if _, err := vivaldi.NewSystemWithNeighbors(m, vivaldi.Config{}, [][]int{{0}, {0}, {0}, {0}, {0}}); err == nil {
 		t.Error("self neighbor should error")
-	}
-}
-
-func TestDefaultConfig(t *testing.T) {
-	var c Config
-	if c.neighbors() != 32 || c.cc() != 0.25 || c.ce() != 0.25 {
-		t.Errorf("defaults: nb=%d cc=%g ce=%g", c.neighbors(), c.cc(), c.ce())
 	}
 }
 
@@ -104,7 +95,7 @@ func TestTIVTriangleOscillates(t *testing.T) {
 	m.Set(0, 1, 5)
 	m.Set(1, 2, 5)
 	m.Set(2, 0, 100)
-	s, err := NewSystem(m, Config{Seed: 1, Neighbors: 2})
+	s, err := vivaldi.NewSystem(m, vivaldi.Config{Seed: 1, Neighbors: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +131,7 @@ func TestPredictionRatio(t *testing.T) {
 	}
 	m := delayspace.New(3)
 	m.Set(0, 1, 5)
-	s2, err := NewSystem(m, Config{Neighbors: 1})
+	s2, err := vivaldi.NewSystem(m, vivaldi.Config{Neighbors: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,11 +185,11 @@ func TestSampleAdditionalNeighbors(t *testing.T) {
 
 func TestDeterminism(t *testing.T) {
 	m := synth.Euclidean(30, 200, 9)
-	a, err := NewSystem(m, Config{Seed: 42})
+	a, err := vivaldi.NewSystem(m, vivaldi.Config{Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := NewSystem(m, Config{Seed: 42})
+	b, err := vivaldi.NewSystem(m, vivaldi.Config{Seed: 42})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +210,7 @@ func TestDeterminism(t *testing.T) {
 
 func TestHeightModel(t *testing.T) {
 	m := synth.Euclidean(30, 200, 10)
-	s, err := NewSystem(m, Config{Seed: 1, UseHeight: true})
+	s, err := vivaldi.NewSystem(m, vivaldi.Config{Seed: 1, UseHeight: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,11 +226,11 @@ func TestConstantTimestepAblation(t *testing.T) {
 	// The adaptive timestep should converge at least as well as a
 	// large constant timestep on clean data.
 	m := synth.Euclidean(40, 300, 11)
-	adaptive, err := NewSystem(m, Config{Seed: 2})
+	adaptive, err := vivaldi.NewSystem(m, vivaldi.Config{Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	constant, err := NewSystem(m, Config{Seed: 2, ConstantTimestep: 0.5})
+	constant, err := vivaldi.NewSystem(m, vivaldi.Config{Seed: 2, ConstantTimestep: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,11 +267,11 @@ func TestOscillationTracker(t *testing.T) {
 	m.Set(0, 1, 5)
 	m.Set(1, 2, 5)
 	m.Set(2, 0, 100)
-	s, err := NewSystem(m, Config{Seed: 3, Neighbors: 2})
+	s, err := vivaldi.NewSystem(m, vivaldi.Config{Seed: 3, Neighbors: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := NewOscillationTracker(s, nil) // all edges
+	tr := vivaldi.NewOscillationTracker(s, nil) // all edges
 	if len(tr.Edges()) != 3 {
 		t.Fatalf("tracking %d edges, want 3", len(tr.Edges()))
 	}
@@ -308,7 +299,7 @@ func TestOscillationTracker(t *testing.T) {
 
 func TestOscillationTrackerPanicsUnobserved(t *testing.T) {
 	s := euclideanSystem(t, 5, 13)
-	tr := NewOscillationTracker(s, []EdgeID{{0, 1}})
+	tr := vivaldi.NewOscillationTracker(s, []vivaldi.EdgeID{{I: 0, J: 1}})
 	defer func() {
 		if recover() == nil {
 			t.Error("expected panic")
@@ -322,11 +313,11 @@ func TestTraceErrors(t *testing.T) {
 	m.Set(0, 1, 5)
 	m.Set(1, 2, 5)
 	m.Set(2, 0, 100)
-	s, err := NewSystem(m, Config{Seed: 4, Neighbors: 2})
+	s, err := vivaldi.NewSystem(m, vivaldi.Config{Seed: 4, Neighbors: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	traces, err := TraceErrors(s, []EdgeID{{0, 1}, {1, 2}, {2, 0}}, 50)
+	traces, err := vivaldi.TraceErrors(s, []vivaldi.EdgeID{{I: 0, J: 1}, {I: 1, J: 2}, {I: 2, J: 0}}, 50)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -348,16 +339,16 @@ func TestTraceErrors(t *testing.T) {
 
 func TestTraceErrorsValidation(t *testing.T) {
 	s := euclideanSystem(t, 5, 14)
-	if _, err := TraceErrors(s, nil, 0); err == nil {
+	if _, err := vivaldi.TraceErrors(s, nil, 0); err == nil {
 		t.Error("zero seconds should error")
 	}
 	m := delayspace.New(3)
 	m.Set(0, 1, 5)
-	s2, err := NewSystem(m, Config{Neighbors: 1})
+	s2, err := vivaldi.NewSystem(m, vivaldi.Config{Neighbors: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := TraceErrors(s2, []EdgeID{{0, 2}}, 5); err == nil {
+	if _, err := vivaldi.TraceErrors(s2, []vivaldi.EdgeID{{I: 0, J: 2}}, 5); err == nil {
 		t.Error("unmeasured edge should error")
 	}
 }
@@ -370,7 +361,7 @@ func TestSystemInvariantsProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		sys, err := NewSystem(s.Matrix, Config{Seed: seed, Neighbors: 8})
+		sys, err := vivaldi.NewSystem(s.Matrix, vivaldi.Config{Seed: seed, Neighbors: 8})
 		if err != nil {
 			return false
 		}
@@ -403,7 +394,7 @@ func TestShrunkEdgesHaveHighSeverity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys, err := NewSystem(sp.Matrix, Config{Seed: 5})
+	sys, err := vivaldi.NewSystem(sp.Matrix, vivaldi.Config{Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -430,7 +421,7 @@ func TestShrunkEdgesHaveHighSeverity(t *testing.T) {
 
 func BenchmarkTick(b *testing.B) {
 	m := synth.Euclidean(200, 300, 1)
-	s, err := NewSystem(m, Config{Seed: 1})
+	s, err := vivaldi.NewSystem(m, vivaldi.Config{Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -13,7 +13,7 @@ import (
 	"testing"
 )
 
-// TestLayerBoundary holds the module's two layer rules over every Go
+// TestLayerBoundary holds the module's three layer rules over every Go
 // file of the module — tests included, testdata and nested modules
 // skipped — with nothing but go/parser:
 //
@@ -25,12 +25,17 @@ import (
 //     tivwire) name nothing from delayspace but Edge, Valid and
 //     Missing: without a *Matrix there is nothing to Set, and the
 //     serving plane reads published epochs only.
+//   - The paper reproduction is fenced: no non-test file under
+//     internal/ outside internal/repro imports a package under
+//     internal/repro. Binaries, examples and tests may (tivaware's
+//     tests use Vivaldi, IDES and LAT as predictor sources).
 //
 // A file's name for each package is read from its own import spec, so
 // an alias is seen through; a dot-import of either package is refused,
 // because it would hide what the file names from it.
 func TestLayerBoundary(t *testing.T) {
 	const tivPath, delayspacePath = "tivaware/internal/tiv", "tivaware/internal/delayspace"
+	const repro = "internal/repro"
 	substrate := map[string]bool{"internal/tiv": true, "internal/tivaware": true}
 	serving := map[string]bool{
 		"internal/tivd": true, "internal/tivshard": true, "internal/tivclient": true,
@@ -63,6 +68,14 @@ func TestLayerBoundary(t *testing.T) {
 		}
 		files++
 		dir := filepath.ToSlash(filepath.Dir(p))
+		if strings.HasPrefix(dir, "internal/") && !inTree(dir, repro) && !strings.HasSuffix(p, "_test.go") {
+			for _, imp := range f.Imports {
+				if ip, err := strconv.Unquote(imp.Path.Value); err == nil && inTree(ip, "tivaware/"+repro) {
+					t.Errorf("%s: imports %s; the paper reproduction is fenced under %s",
+						fset.Position(imp.Pos()), ip, repro)
+				}
+			}
+		}
 		if name := importName(t, fset, f, tivPath); name != "" && !substrate[dir] {
 			ast.Inspect(f, func(n ast.Node) bool {
 				switch x := n.(type) {
@@ -98,6 +111,11 @@ func TestLayerBoundary(t *testing.T) {
 	if files < 100 {
 		t.Fatalf("walked only %d Go files; is the test running from the module root?", files)
 	}
+}
+
+// inTree reports whether path is root or lies under it.
+func inTree(path, root string) bool {
+	return path == root || strings.HasPrefix(path, root+"/")
 }
 
 // importName returns the name f refers to the package at importPath by,
