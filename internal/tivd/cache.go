@@ -2,7 +2,9 @@ package tivd
 
 import (
 	"encoding/binary"
+	"hash/maphash"
 	"math"
+	"math/bits"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -15,11 +17,12 @@ import (
 // the backend's version pair (Backend.CacheVersion): equal versions
 // guarantee identical answers, so every cache key embeds the pair and
 // the cache needs no invalidation — an update moves the version,
-// every old key simply stops being generated, and stale entries age
-// out of the LRU. Identical concurrent misses are NOT coalesced here:
-// each costs one bounded O(N) scan, and the expensive part of a cold
-// miss — the O(N³) epoch build — already coalesces under the
-// service's epoch mutex (DESIGN.md, "The query cache").
+// every old key simply stops being generated, and the entries
+// admitted after it push the stale ones out of the LRU. Identical
+// concurrent misses are NOT coalesced here: each costs one bounded
+// O(N) scan, and the expensive part of a cold miss — the O(N³) epoch
+// build — already coalesces under the service's epoch mutex
+// (DESIGN.md, "The query cache").
 //
 // Entries are stored as decoded wire results, not encoded bytes, so
 // one entry serves both the JSON and binary codecs; re-encoding a hit
@@ -35,6 +38,8 @@ type queryCache struct {
 	entries map[string]*cacheEntry
 	head    *cacheEntry // most recent
 	tail    *cacheEntry // least recent
+	seen    []uint64    // admission filter: two-slot buckets of version-free key hashes (see get)
+	seed    maphash.Seed
 
 	hits   atomic.Uint64
 	misses atomic.Uint64
@@ -49,7 +54,8 @@ type cacheEntry struct {
 }
 
 func newQueryCache(capacity int) *queryCache {
-	return &queryCache{cap: capacity, entries: make(map[string]*cacheEntry, capacity)}
+	return &queryCache{cap: capacity, entries: make(map[string]*cacheEntry, capacity),
+		seen: make([]uint64, 1<<bits.Len(uint(2*capacity-1))), seed: maphash.MakeSeed()}
 }
 
 // stats returns the cache counters for /healthz.
@@ -61,10 +67,15 @@ func (c *queryCache) stats() *tivwire.CacheStats {
 }
 
 // get probes the cache for q under the version pair: the resident
-// result and its epoch on a hit (bumping its recency), or the key to
-// put the answer under on a miss. The key is spelled into a stack
-// buffer and looked up without converting it, so a hit allocates
-// nothing. The returned result is shared and must not be mutated.
+// result and its epoch on a hit (bumping its recency), or on a miss
+// the key to put the answer under, "" if the miss is declined. The key
+// is spelled into a stack buffer and looked up without converting it,
+// so a hit and a declined miss allocate nothing. The returned result
+// is shared and must not be mutated. Every miss records its key's hash,
+// version pair excluded (a hot query re-warms on its first miss after
+// an update), in a two-slot bucket, so two hot queries sharing one
+// cannot keep erasing each other's mark; a full cache admits only a
+// hash its bucket already held, as a one-shot entry would evict a hot one.
 func (c *queryCache) get(q tivaware.Query, qv, av uint64) (val *tivwire.Result, epoch uint64, missKey string) {
 	var buf [384]byte
 	key := appendKey(buf[:0], q, qv, av)
@@ -76,6 +87,15 @@ func (c *queryCache) get(q tivaware.Query, qv, av uint64) (val *tivwire.Result, 
 		return e.val, e.epoch, ""
 	}
 	c.misses.Add(1)
+	h := maphash.Bytes(c.seed, key[16:])
+	bucket := c.seen[2*(h&uint64(len(c.seen)/2-1)):][:2]
+	again := bucket[0] == h || bucket[1] == h
+	if bucket[0] != h {
+		bucket[0], bucket[1] = h, bucket[0]
+	}
+	if !again && len(c.entries) >= c.cap {
+		return nil, 0, ""
+	}
 	return nil, 0, string(key)
 }
 

@@ -176,4 +176,18 @@ func TestSteadyStateAllocs(t *testing.T) {
 	if got16 != got1 {
 		t.Errorf("an all-hit batch of 16 allocates %.1f objects, a batch of 1 %.1f: the probe allocates", got16, got1)
 	}
+
+	// A declined miss allocates nothing: a full cache probed with a
+	// query it has never seen spells and hashes the key on the stack.
+	full, i := newQueryCache(1), 0
+	full.put("resident", &tivwire.Result{}, 0)
+	declined := testing.AllocsPerRun(50, func() {
+		i++
+		if _, _, key := full.get(tivaware.Query{Kind: tivaware.KindRank, Target: i, Candidates: []int{3, 1, 2}}, 1, 0); key != "" {
+			t.Fatalf("a full cache admitted the first sighting of rank target %d", i)
+		}
+	})
+	if declined != 0 {
+		t.Errorf("a declined miss allocates %.1f objects, want 0", declined)
+	}
 }
