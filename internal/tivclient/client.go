@@ -404,10 +404,20 @@ func (c *Client) QueryBatch(ctx context.Context, queries []tivaware.Query) ([]ti
 	if len(queries) == 0 {
 		return nil, nil
 	}
-	op := "POST /v1/batch"
 	if c.frames != nil {
-		op = "FRAME batch"
+		// The frame decodes once, straight into the results returned.
+		const op = "FRAME batch"
+		out := tivwire.Results{ErrFrom: func(we tivwire.Error) error { return envelopeError(op, we) }}
+		err := c.frameCall(ctx, op, &tivwire.BatchRequest{Queries: queries}, &out)
+		if err == nil {
+			err = answersAll(op, 0, len(out.Results), len(queries))
+		}
+		if err != nil {
+			return nil, err
+		}
+		return out.Results, nil
 	}
+	const op = "POST /v1/batch"
 	results, err := c.batch(ctx, op, queries)
 	if err != nil {
 		return nil, err
@@ -424,26 +434,37 @@ func (c *Client) QueryBatch(ctx context.Context, queries []tivaware.Query) ([]ti
 	return out, nil
 }
 
-// batch is the one batch exchange — under QueryBatch on either
-// transport and under every framed single query (frameQuery): one
+// batch is the batch exchange into the wire struct — under QueryBatch
+// over HTTP and under every framed single query (frameQuery): one
 // request, and a response that answers every query or is a bad payload.
 func (c *Client) batch(ctx context.Context, op string, queries []tivaware.Query) ([]tivwire.Result, error) {
 	req := tivwire.BatchRequest{Queries: queries}
 	var resp tivwire.BatchResponse
 	var err error
+	status := 0 // a frame has no HTTP status
 	if c.frames != nil {
 		err = c.frameCall(ctx, op, &req, &resp)
 	} else {
+		status = http.StatusOK
 		err = c.post(ctx, "/v1/batch", req, &resp)
+	}
+	if err == nil {
+		err = answersAll(op, status, len(resp.Results), len(queries))
 	}
 	if err != nil {
 		return nil, err
 	}
-	if len(resp.Results) != len(queries) {
-		return nil, &Error{Op: op, Code: CodeBadPayload, Status: http.StatusOK,
-			Message: fmt.Sprintf("daemon answered %d results for %d queries", len(resp.Results), len(queries))}
-	}
 	return resp.Results, nil
+}
+
+// answersAll is the bad payload a response with the wrong result count
+// is, or nil.
+func answersAll(op string, status, got, want int) error {
+	if got == want {
+		return nil
+	}
+	return &Error{Op: op, Code: CodeBadPayload, Status: status,
+		Message: fmt.Sprintf("daemon answered %d results for %d queries", got, want)}
 }
 
 // ApplyUpdate streams one edge measurement into a live daemon and

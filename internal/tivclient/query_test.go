@@ -32,7 +32,7 @@ type frameFunc func(ctx context.Context, msg any) any
 func (f frameFunc) ServeFrame(ctx context.Context, msg any) any { return f(ctx, msg) }
 
 // serveFrames serves h on a loopback listener for the test's lifetime.
-func serveFrames(t *testing.T, h tivframe.Handler) string {
+func serveFrames(t testing.TB, h tivframe.Handler) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -197,9 +197,14 @@ func TestQueryErrorTaxonomy(t *testing.T) {
 		return &tivwire.BatchResponse{Results: []tivwire.Result{*scripted.Load()}}
 	}))})
 	defer frames.Close()
-	// An HTTP daemon that answers every GET with the envelope.
+	// An HTTP daemon that answers every GET with the envelope, and every
+	// batch as the frame daemon does.
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
+		if r.URL.Path == "/v1/batch" {
+			_ = json.NewEncoder(w).Encode(tivwire.BatchResponse{Results: []tivwire.Result{*scripted.Load()}})
+			return
+		}
 		w.WriteHeader(http.StatusServiceUnavailable)
 		_ = json.NewEncoder(w).Encode(env)
 	}))
@@ -245,6 +250,38 @@ func TestQueryErrorTaxonomy(t *testing.T) {
 			var ce *Error
 			if err := call(frames); !errors.As(err, &ce) || ce.Code != CodeBadPayload {
 				t.Errorf("%s: %s result = %v, want %s", name, label, err, CodeBadPayload)
+			}
+		}
+	}
+
+	// QueryBatch over both transports: a per-query envelope lands typed
+	// in Result.Err, while a result with no payload, or fewer results
+	// than queries, fails the call as a bad payload. Its Status is the
+	// HTTP one: 200 over HTTP, 0 over frames, which have no status.
+	one := []tivaware.Query{{Kind: tivaware.KindDelay, I: 0, J: 1}}
+	for transport, c := range map[string]*Client{"frames": frames, "http": httpC} {
+		status := map[string]int{"frames": 0, "http": http.StatusOK}[transport]
+		scripted.Store(&tivwire.Result{Kind: "delay", Err: &env})
+		res, err := c.QueryBatch(ctx, one)
+		var ce *Error
+		if err != nil || len(res) != 1 || !errors.As(res[0].Err, &ce) {
+			t.Fatalf("QueryBatch over %s: %v / %+v, want the envelope in Result.Err", transport, err, res)
+		}
+		if ce.Code != env.Code || ce.Message != env.Error || ce.RetryAfter != 1500*time.Millisecond || !ce.Retryable() {
+			t.Errorf("QueryBatch over %s: envelope surfaced as %+v", transport, ce)
+		}
+		for label, tc := range map[string]struct {
+			r       tivwire.Result
+			queries []tivaware.Query
+		}{
+			"empty": {tivwire.Result{Kind: "delay"}, one},
+			"short": {tivwire.Result{Kind: "delay", Delay: &tivwire.DelayResponse{OK: true}}, append(one, one[0])},
+		} {
+			r := tc.r
+			scripted.Store(&r)
+			_, err := c.QueryBatch(ctx, tc.queries)
+			if !errors.As(err, &ce) || ce.Code != CodeBadPayload || ce.Status != status {
+				t.Errorf("QueryBatch over %s, %s result: %v (%+v), want %s with status %d", transport, label, err, ce, CodeBadPayload, status)
 			}
 		}
 	}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"net/http"
-	"slices"
 
 	"tivaware/internal/tivaware"
 	"tivaware/internal/tivwire"
@@ -119,9 +118,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 // core shared by POST /v1/batch and the framed listener. A returned
 // error is a whole-call failure errorEnvelope serves as it is (coded,
 // or a context expiry); per-query failures land in
-// the aligned Results vector. The request is the transport's message (a
-// wrapping frame handler may read it again), so resolveQueries
-// normalizes a copy of the slice.
+// the aligned Results vector. The request stays as it arrived: a
+// wrapping frame handler may read it again.
 func (s *Server) resolveBatch(ctx context.Context, req *tivwire.BatchRequest) (*tivwire.BatchResponse, error) {
 	if len(req.Queries) == 0 {
 		return nil, badRequestf("empty batch")
@@ -129,17 +127,18 @@ func (s *Server) resolveBatch(ctx context.Context, req *tivwire.BatchRequest) (*
 	if max := s.opts.maxBatch(); len(req.Queries) > max {
 		return nil, badRequestf("batch of %d queries exceeds limit %d", len(req.Queries), max)
 	}
-	results, epoch, err := s.resolveQueries(ctx, slices.Clone(req.Queries))
+	results, epoch, err := s.resolveQueries(ctx, req.Queries)
 	if err != nil {
 		return nil, err
 	}
 	return &tivwire.BatchResponse{Epoch: epoch, Results: results}, nil
 }
 
-// resolveQueries answers a vector of typed queries (which it
-// normalizes in place): cache hits from the resident entries, every
-// miss in ONE Backend.QueryBatch call against one pinned epoch. The
-// double version read brackets that call: keys embed the version pair
+// resolveQueries answers a vector of typed queries: cache hits from the
+// resident entries, every miss in ONE Backend.QueryBatch call against
+// one pinned epoch. Each query is normalized in a copy that goes into
+// the miss list, so the caller's slice is never written. The double
+// version read brackets that call: keys embed the version pair
 // observed before, and results are stored only if the pair still holds
 // after — so a stored entry can never describe a state its key
 // predates. Failed results are never stored (they may be transient).
@@ -150,24 +149,26 @@ func (s *Server) resolveQueries(ctx context.Context, queries []tivaware.Query) (
 		qv, av = s.b.CacheVersion()
 	}
 	// missed is one query the backend must answer: its index, and the
-	// key to store the answer under ("" bypasses the cache).
+	// key to store the answer under ("" bypasses the cache); miss holds
+	// the normalized queries in the same order.
 	type missed struct {
 		idx int
 		key string
 	}
 	var misses []missed
+	var miss []tivaware.Query
 	var epoch uint64
-	for i := range queries {
+	for i, q := range queries {
 		// Normalize first (the cache key must see effective parameters);
 		// a bad query fails alone, never the batch.
-		if err := s.normalizeQuery(&queries[i]); err != nil {
+		if err := s.normalizeQuery(&q); err != nil {
 			e := errorEnvelope(err)
-			results[i] = tivwire.Result{Kind: string(queries[i].Kind), Err: &e}
+			results[i] = tivwire.Result{Kind: string(q.Kind), Err: &e}
 			continue
 		}
 		key := ""
-		if s.cache != nil && cacheableKind(queries[i].Kind) {
-			val, e, missKey := s.cache.get(queries[i], qv, av)
+		if s.cache != nil && cacheableKind(q.Kind) {
+			val, e, missKey := s.cache.get(q, qv, av)
 			if val != nil {
 				results[i] = *val
 				epoch = max(epoch, e)
@@ -175,19 +176,15 @@ func (s *Server) resolveQueries(ctx context.Context, queries []tivaware.Query) (
 			}
 			key = missKey
 		}
-		misses = append(misses, missed{i, key})
+		if miss == nil {
+			misses, miss = make([]missed, 0, len(queries)-i), make([]tivaware.Query, 0, len(queries)-i)
+		}
+		misses, miss = append(misses, missed{i, key}), append(miss, q)
 	}
 	if len(misses) == 0 {
 		return results, epoch, nil
 	}
 
-	miss := queries
-	if len(misses) < len(queries) {
-		miss = make([]tivaware.Query, len(misses))
-		for k, m := range misses {
-			miss[k] = queries[m.idx]
-		}
-	}
 	res, epoch, err := s.b.QueryBatch(ctx, miss)
 	if err != nil {
 		return nil, 0, err

@@ -313,24 +313,31 @@ func TestFramedUpdatesAgree(t *testing.T) {
 	}
 }
 
-// TestServeFrameLeavesRequestAsDecoded: the message belongs to the
-// transport. The handler normalizes queries (a closest becomes k=1, a
-// rank or top with no k takes the daemon's default) on a copy, so a
-// handler wrapped around it — bench/'s tracer re-encodes the request
-// the daemon saw and compares it with the one it sent — reads the
-// request as it arrived.
-func TestServeFrameLeavesRequestAsDecoded(t *testing.T) {
+// TestServeFrameLeavesRequestUntouched: the message belongs to the
+// transport. The daemon normalizes each query (a closest becomes k=1,
+// a rank or top with no k takes the daemon's default) into its miss
+// list, never into the request, so a handler wrapped around it —
+// bench/'s tracer re-encodes the request the daemon saw and compares
+// it with the one it sent — reads the request as it arrived. A
+// refused query leaves it as it was too.
+func TestServeFrameLeavesRequestUntouched(t *testing.T) {
 	srv, err := tivd.New(diffService(t, false), tivd.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	req := &tivwire.BatchRequest{Queries: frameCorpus(42)}
+	queries := append(frameCorpus(42),
+		tivaware.Query{Kind: tivaware.KindClosest, Target: 3, K: 5},
+		tivaware.Query{Kind: tivaware.KindTop},
+		tivaware.Query{Kind: tivaware.KindRank, Target: 2, K: -1})
+	req := &tivwire.BatchRequest{Queries: queries}
 	want := slices.Clone(req.Queries)
-	if _, ok := srv.FrameHandler().ServeFrame(context.Background(), req).(*tivwire.BatchResponse); !ok {
-		t.Fatal("the corpus batch was refused whole")
-	}
-	if !reflect.DeepEqual(req.Queries, want) {
-		t.Errorf("ServeFrame rewrote its request:\n got: %+v\nwant: %+v", req.Queries, want)
+	for range 2 { // a miss, then a hit
+		if _, ok := srv.FrameHandler().ServeFrame(context.Background(), req).(*tivwire.BatchResponse); !ok {
+			t.Fatal("the corpus batch was refused whole")
+		}
+		if !reflect.DeepEqual(req.Queries, want) {
+			t.Fatalf("ServeFrame rewrote its request:\n got: %+v\nwant: %+v", req.Queries, want)
+		}
 	}
 }

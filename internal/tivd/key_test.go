@@ -176,6 +176,11 @@ func TestSteadyStateAllocs(t *testing.T) {
 	if got16 != got1 {
 		t.Errorf("an all-hit batch of 16 allocates %.1f objects, a batch of 1 %.1f: the probe allocates", got16, got1)
 	}
+	// ...and those are the results vector and the response: no copy of
+	// the queries, which are normalized only into a miss list.
+	if got16 != 2 {
+		t.Errorf("an all-hit batch of 16 allocates %.1f objects, want 2 (results, response)", got16)
+	}
 
 	// A declined miss allocates nothing: a full cache probed with a
 	// query it has never seen spells and hashes the key on the stack.

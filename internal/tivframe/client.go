@@ -179,11 +179,11 @@ func (c *Conn) take(id uint64) *call {
 	return ca
 }
 
-// Call sends req and decodes the matching response into resp
-// (in-place via UnmarshalBinaryInto, zero-alloc when resp's type
-// matches). A server-sent error envelope returns *ServerError; a
-// transport failure returns the underlying error and kills the
-// connection.
+// Call sends req and decodes the matching response into resp in place
+// (UnmarshalBinaryInto: a wire struct reuses its capacity, a
+// *tivwire.Results gets the caller's shape). A server-sent error
+// envelope returns *ServerError; a transport failure returns the
+// underlying error and kills the connection.
 func (c *Conn) Call(ctx context.Context, req, resp any) error {
 	ca := &call{resp: resp, done: make(chan error, 1)}
 	id, ok := c.register(ca)
@@ -261,22 +261,19 @@ func (c *Conn) readLoop() {
 	}
 }
 
-// decodeInto decodes one response frame into resp; a mismatched type
-// that decodes as an error envelope becomes *ServerError.
+// decodeInto decodes one response frame into resp; a frame that does
+// not decode into it but is an error envelope becomes *ServerError, and
+// anything else ErrDecode with the decoder's reason.
 func decodeInto(frame []byte, resp any) error {
-	if resp != nil {
-		if err := tivwire.UnmarshalBinaryInto(frame, resp); err == nil {
-			return nil
-		}
+	err := tivwire.UnmarshalBinaryInto(frame, resp)
+	if err == nil {
+		return nil
 	}
-	msg, err := tivwire.UnmarshalBinary(frame)
-	if err != nil {
-		return fmt.Errorf("%w: %v", ErrDecode, err)
+	var env tivwire.Error
+	if tivwire.UnmarshalBinaryInto(frame, &env) == nil {
+		return &ServerError{Env: env}
 	}
-	if e, ok := msg.(*tivwire.Error); ok {
-		return &ServerError{Env: *e}
-	}
-	return fmt.Errorf("%w: unexpected %T response", ErrDecode, msg)
+	return fmt.Errorf("%w: %v", ErrDecode, err)
 }
 
 // Pool is a fixed-size pool of framed connections to one address.

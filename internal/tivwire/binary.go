@@ -4,8 +4,10 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
+	"tivaware/internal/delayspace"
 	"tivaware/internal/tivaware"
 )
 
@@ -70,16 +72,17 @@ const (
 	minUpdate    = 10 // i ≥1 + j ≥1 + rtt 8
 	minInt       = 1
 	minQuery     = 15 // kind ≥1 + target ≥1 + k ≥1 + candidates ≥1 + penalty 8 + exclude 1 + i ≥1 + j ≥1
-	minResult    = 3  // kind ≥2 + ≥1 presence byte
+	minResult    = 7  // kind ≥1 + six presence bytes
 )
 
 // MarshalBinary encodes one wire message as a binary frame.
 func MarshalBinary(msg any) ([]byte, error) { return AppendBinary(nil, msg) }
 
-// writerPool and readerPool recycle the cursor structs: the indirect
-// calls through per-field enc/dec function values defeat escape
-// analysis, so a stack cursor would heap-allocate on every frame —
-// pooling keeps the steady-state codec at zero allocations.
+// writerPool and readerPool recycle the cursor structs. A cursor
+// escapes through the per-element enc/dec function values encSlice and
+// decSlice call, so a stack one would heap-allocate on every frame; and
+// a reader carries the scratch decResults collects a frame in, which
+// must outlive the frame to be worth keeping.
 var (
 	writerPool = sync.Pool{New: func() any { return new(binWriter) }}
 	readerPool = sync.Pool{New: func() any { return new(binReader) }}
@@ -195,7 +198,7 @@ func msgTypeOf(msg any) (byte, bool) {
 		return mtUpdateRequest, true
 	case *BatchRequest:
 		return mtBatchRequest, true
-	case *BatchResponse:
+	case *BatchResponse, *Results:
 		return mtBatchResponse, true
 	}
 	return 0, false
@@ -237,6 +240,7 @@ func decodePayload(payload []byte, msg any) error {
 	r.b, r.off, r.err = payload, 0, nil
 	defer func() {
 		r.b, r.err = nil, nil
+		r.scratch.trim()
 		readerPool.Put(r)
 	}()
 	switch m := msg.(type) {
@@ -254,6 +258,8 @@ func decodePayload(payload []byte, msg any) error {
 		decBatchReq(r, m)
 	case *BatchResponse:
 		decBatchResp(r, m)
+	case *Results:
+		decResults(r, m)
 	default:
 		return fmt.Errorf("tivwire: no binary decoding into %T", msg)
 	}
@@ -269,9 +275,22 @@ func decodePayload(payload []byte, msg any) error {
 // binWriter appends payload primitives.
 type binWriter struct{ b []byte }
 
-func (w *binWriter) u64(v uint64)  { w.b = binary.AppendUvarint(w.b, v) }
-func (w *binWriter) i(v int)       { w.b = binary.AppendVarint(w.b, int64(v)) }
-func (w *binWriter) i64(v int64)   { w.b = binary.AppendVarint(w.b, v) }
+// u64 writes a uvarint, one- and two-byte values (every count, kind
+// length and small id) inline; i and i64 zig-zag first, as
+// binary.AppendVarint does.
+func (w *binWriter) u64(v uint64) {
+	switch {
+	case v < 1<<7:
+		w.b = append(w.b, byte(v))
+	case v < 1<<14:
+		w.b = append(w.b, byte(v)|0x80, byte(v>>7))
+	default:
+		w.b = binary.AppendUvarint(w.b, v)
+	}
+}
+
+func (w *binWriter) i(v int)       { w.i64(int64(v)) }
+func (w *binWriter) i64(v int64)   { w.u64(uint64(v<<1) ^ uint64(v>>63)) }
 func (w *binWriter) f64(v float64) { w.b = binary.LittleEndian.AppendUint64(w.b, math.Float64bits(v)) }
 
 func (w *binWriter) bool(v bool) {
@@ -289,35 +308,37 @@ func (w *binWriter) str(s string) {
 
 // binReader consumes payload primitives, latching the first failure.
 type binReader struct {
-	b   []byte
-	off int
-	err error
+	b       []byte
+	off     int
+	err     error
+	scratch resultScratch
 }
 
+// fail latches the first failure and exhausts the payload, so every
+// later read takes its slow path and returns zero: the fast paths need
+// no check of err.
 func (r *binReader) fail(format string, args ...any) {
 	if r.err == nil {
 		r.err = fmt.Errorf("tivwire: binary decode: "+format, args...)
 	}
+	r.off = len(r.b)
 }
 
+// u64 reads a uvarint. One- and two-byte encodings (every count, kind
+// length, node id and epoch below 16384) are read in line; longer ones
+// and the payload's last byte go through binary.Uvarint.
 func (r *binReader) u64() uint64 {
-	if r.err != nil {
-		return 0
+	if b := r.b[r.off:]; len(b) > 1 {
+		if b[0] < 0x80 {
+			r.off++
+			return uint64(b[0])
+		}
+		if b[1] < 0x80 {
+			r.off += 2
+			return uint64(b[0]&0x7f) | uint64(b[1])<<7
+		}
 	}
 	v, n := binary.Uvarint(r.b[r.off:])
-	if n <= 0 {
-		r.fail("bad uvarint at offset %d", r.off)
-		return 0
-	}
-	r.off += n
-	return v
-}
-
-func (r *binReader) i64() int64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(r.b[r.off:])
 	if n <= 0 {
 		r.fail("bad varint at offset %d", r.off)
 		return 0
@@ -326,36 +347,34 @@ func (r *binReader) i64() int64 {
 	return v
 }
 
+// i64 reads a zig-zag varint, as binary.Varint does.
+func (r *binReader) i64() int64 {
+	ux := r.u64()
+	return int64(ux>>1) ^ -int64(ux&1)
+}
+
 func (r *binReader) i() int { return int(r.i64()) }
 
 func (r *binReader) f64() float64 {
-	if r.err != nil {
-		return 0
+	if b := r.b[r.off:]; len(b) >= 8 {
+		r.off += 8
+		return math.Float64frombits(binary.LittleEndian.Uint64(b))
 	}
-	if len(r.b)-r.off < 8 {
-		r.fail("truncated float at offset %d", r.off)
-		return 0
-	}
-	v := math.Float64frombits(binary.LittleEndian.Uint64(r.b[r.off:]))
-	r.off += 8
-	return v
+	r.fail("truncated float at offset %d", r.off)
+	return 0
 }
 
 func (r *binReader) bool() bool {
-	if r.err != nil {
-		return false
+	if r.off < len(r.b) && r.b[r.off] <= 1 {
+		r.off++
+		return r.b[r.off-1] == 1
 	}
 	if r.off >= len(r.b) {
 		r.fail("truncated bool at offset %d", r.off)
-		return false
+	} else {
+		r.fail("bad bool byte %d at offset %d", r.b[r.off], r.off)
 	}
-	c := r.b[r.off]
-	r.off++
-	if c > 1 {
-		r.fail("bad bool byte %d at offset %d", c, r.off-1)
-		return false
-	}
-	return c == 1
+	return false
 }
 
 func (r *binReader) str() string { return r.strInto("") }
@@ -793,4 +812,99 @@ func encBatchResp(w *binWriter, v *BatchResponse) {
 func decBatchResp(r *binReader, v *BatchResponse) {
 	v.Epoch = r.u64()
 	v.Results = decSlice(r, v.Results, minResult, decResult)
+}
+
+// resultScratch is what decResults walks each result into — one set of
+// wire payloads — and where it collects the selections and edges the
+// frame's results keep. A pooled reader keeps it between frames.
+type resultScratch struct {
+	err      Error
+	rank     RankResponse
+	detour   DetourResponse
+	top      TopResponse
+	delay    DelayResponse
+	analysis AnalysisResponse
+	sels     []Selection
+	edges    []delayspace.Edge
+}
+
+// trim drops scratch a huge frame grew, so a pooled reader stays small.
+func (s *resultScratch) trim() {
+	if cap(s.sels)+cap(s.rank.Selections)+cap(s.edges)+cap(s.top.Edges) > 4<<10 {
+		*s = resultScratch{}
+	}
+}
+
+// decResults reads a BatchResponse payload into the caller's shape.
+// decResult, the one reader of the result layout, walks each result
+// into the scratch, and the first payload present moves into the
+// tivaware.Result as ToResult moves it. Selections and edges are then
+// copied into one slab each, sized by what the frame held: a frame
+// costs the results vector and two slabs. A result with no payload
+// fails the frame once the rest of it read cleanly, with ToResult's
+// error.
+func decResults(r *binReader, v *Results) {
+	r.u64() // the batch epoch, which the caller's shape does not hold
+	s := &r.scratch
+	s.sels, s.edges = s.sels[:0], s.edges[:0]
+	if s.sels == nil || s.edges == nil { // a present-empty list must rebase non-nil
+		s.sels, s.edges = []Selection{}, []delayspace.Edge{}
+	}
+	v.Results = nil
+	if !r.bool() || r.err != nil {
+		return
+	}
+	n := r.count(minResult)
+	if r.err != nil {
+		return
+	}
+	out := make([]tivaware.Result, n)
+	var missing error
+	for i := range out {
+		w := Result{Err: &s.err, Rank: &s.rank, Detour: &s.detour, Top: &s.top, Delay: &s.delay, Analysis: &s.analysis}
+		if decResult(r, &w); r.err != nil {
+			return
+		}
+		res := &out[i]
+		res.Kind = tivaware.QueryKind(w.Kind)
+		switch {
+		case w.Err != nil:
+			res.Err = v.ErrFrom(*w.Err)
+		case w.Rank != nil:
+			res.Truncated = w.Rank.Truncated
+			if w.Rank.Selections != nil {
+				n := len(s.sels)
+				s.sels = append(s.sels, w.Rank.Selections...)
+				res.Selections = s.sels[n:] // a stand-in, rebased below
+			}
+		case w.Detour != nil:
+			res.Detour = w.Detour.Detour
+		case w.Top != nil:
+			n := len(s.edges)
+			for _, e := range w.Top.Edges {
+				s.edges = append(s.edges, delayspace.Edge{I: e.I, J: e.J, Delay: e.Severity})
+			}
+			res.Edges = s.edges[n:] // never nil, as ToEdges answers
+		case w.Delay != nil:
+			res.Delay, res.DelayOK = w.Delay.Delay, w.Delay.OK
+		case w.Analysis != nil:
+			res.Analysis = w.Analysis.summary()
+		case missing == nil:
+			missing = noPayload(w.Kind)
+		}
+	}
+	if r.err == nil && r.off == len(r.b) && missing != nil {
+		r.err = missing
+		return
+	}
+	sels, edges := slices.Clone(s.sels), slices.Clone(s.edges)
+	for i := range out {
+		if n := len(out[i].Selections); out[i].Selections != nil {
+			out[i].Selections, sels = sels[:n:n], sels[n:]
+		}
+		if n := len(out[i].Edges); out[i].Edges != nil {
+			out[i].Edges, edges = edges[:n:n], edges[n:]
+		}
+	}
+	v.Results = out
 }

@@ -46,6 +46,18 @@ type BatchResponse struct {
 	Results []Result `json:"results"`
 }
 
+// Results is the caller's shape of a BatchResponse frame: the
+// []tivaware.Result tivclient.QueryBatch returns. UnmarshalBinaryInto
+// decodes a BatchResponse frame into it in one pass, equal to decoding
+// the wire struct and applying ToResult to each result
+// (FuzzResultSinksAgree); it has no encoding.
+type Results struct {
+	Results []tivaware.Result
+	// ErrFrom maps a per-query error envelope to Result.Err, as
+	// ToResult's argument does.
+	ErrFrom func(Error) error
+}
+
 // FromResult converts one in-process batch result to its wire shape.
 // q is the query the result answers (rank targets and delay pairs
 // echo request fields); errTo maps a per-query error to its envelope
@@ -105,14 +117,19 @@ func (r Result) ToResult(errFrom func(Error) error) (tivaware.Result, error) {
 	case r.Delay != nil:
 		res.Delay, res.DelayOK = r.Delay.Delay, r.Delay.OK
 	case r.Analysis != nil:
-		res.Analysis = tivaware.AnalysisSummary{
-			N:                  r.Analysis.N,
-			ViolatingTriangles: r.Analysis.ViolatingTriangles,
-			Triangles:          r.Analysis.Triangles,
-			Version:            r.Analysis.Version,
-		}
+		res.Analysis = r.Analysis.summary()
 	default:
-		return res, fmt.Errorf("tivwire: batch result %q carries no payload", r.Kind)
+		return res, noPayload(r.Kind)
 	}
 	return res, nil
+}
+
+// noPayload is the error a result with neither payload nor envelope
+// decodes to, through ToResult or into Results.
+func noPayload(kind string) error {
+	return fmt.Errorf("tivwire: batch result %q carries no payload", kind)
+}
+
+func (a *AnalysisResponse) summary() tivaware.AnalysisSummary {
+	return tivaware.AnalysisSummary{N: a.N, ViolatingTriangles: a.ViolatingTriangles, Triangles: a.Triangles, Version: a.Version}
 }
