@@ -283,8 +283,8 @@ func TestFramedDaemonEndToEnd(t *testing.T) {
 	if _, err := frameC.ApplyUpdate(ctx, 0, 1, 1e6); err != nil {
 		t.Fatalf("framed update: %v", err)
 	}
-	if d, ok, err := httpC.Delay(ctx, 0, 1); err != nil || !ok || d != 1e6 {
-		t.Fatalf("HTTP delay(0,1) after the framed update = (%g,%v,%v), want 1e6", d, ok, err)
+	if res, err := httpC.QueryBatch(ctx, []tivaware.Query{{Kind: tivaware.KindDelay, I: 0, J: 1}}); err != nil || res[0].Err != nil || !res[0].DelayOK || res[0].Delay != 1e6 {
+		t.Fatalf("HTTP delay(0,1) after the framed update = %+v, %v, want 1e6", res, err)
 	}
 	want, err := httpC.QueryBatch(ctx, processCorpus(32))
 	if err != nil {
@@ -427,12 +427,12 @@ func TestGatewayDaemonEndToEnd(t *testing.T) {
 
 	// The update must have reached every shard replica.
 	for s, u := range shardURLs {
-		d, ok, err := tivclient.New(u, tivclient.Options{}).Delay(ctx, 0, 1)
+		res, err := tivclient.New(u, tivclient.Options{}).QueryBatch(ctx, []tivaware.Query{{Kind: tivaware.KindDelay, I: 0, J: 1}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !ok || d != 1e6 {
-			t.Errorf("shard %d delay(0,1) = (%g,%v), want the replicated 1e6", s, d, ok)
+		if res[0].Err != nil || !res[0].DelayOK || res[0].Delay != 1e6 {
+			t.Errorf("shard %d delay(0,1) = %+v, want the replicated 1e6", s, res[0])
 		}
 	}
 

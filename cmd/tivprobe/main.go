@@ -220,7 +220,7 @@ func (r remoteReporter) fraction() (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return an.ViolatingTriangleFraction, nil
+	return an.ViolatingTriangleFraction(), nil
 }
 func (r remoteReporter) topEdges(k int) ([]delayspace.Edge, error) {
 	return r.client.TopEdges(r.ctx, k)

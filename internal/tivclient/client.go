@@ -7,11 +7,12 @@
 // here: it is the curl-able surface (curl -N …/v1/subscribe), and
 // in-process consumers subscribe on tivaware.Service directly.
 //
-// Client's query methods have the signatures of the matching
-// tivaware.Service methods, so a consumer that names the methods it
-// calls in its own interface (examples/serverselection takes just
-// QueryBatch) switches between in-process and networked TIV state by
-// swapping one value:
+// Each per-kind method spells one tivaware.Query and unwraps its
+// tivaware.Result; QueryBatch answers a vector of them and has the
+// signature of tivaware.Service.QueryBatch, so a consumer that names
+// the methods it calls in its own interface (examples/serverselection
+// takes just QueryBatch) switches between in-process and networked TIV
+// state by swapping one value:
 //
 //	q := tivclient.New("http://tivd-host:7070", tivclient.Options{})
 //	best, err := q.ClosestNode(ctx, target, tivaware.QueryOptions{SeverityPenalty: 2})
@@ -99,15 +100,6 @@ func (c *Client) Close() error {
 		c.frames.Close()
 	}
 	return nil
-}
-
-// FrameAddr returns the framed-transport address the client dials, or
-// "" when it speaks HTTP only.
-func (c *Client) FrameAddr() string {
-	if c.frames == nil {
-		return ""
-	}
-	return c.frames.Addr()
 }
 
 // callCtx applies the requestTimeout backstop: calls arriving without
@@ -220,19 +212,28 @@ func (c *Client) Healthz(ctx context.Context) (tivwire.Health, error) {
 }
 
 // query answers one typed query: the single path under every per-kind
-// method below, which only build the Query and unwrap the one payload
-// its kind answers with. Over HTTP the query travels as its kind's
-// single-shot GET; over frames as a batch of one — which is how the
-// daemon answers a single-shot GET internally, so both transports hit
-// the same cache entries and produce the same answers. A per-query
-// error envelope comes back as a typed *Error, and a result without
-// the kind's payload as CodeBadPayload, so a returned result always
-// carries the payload the caller is about to read.
-func (c *Client) query(ctx context.Context, q tivaware.Query) (*tivwire.Result, error) {
+// method below, which only build the Query and unwrap its result. Over
+// frames it is a QueryBatch of one, decoded once as any batch is; over
+// HTTP the query travels as its kind's single-shot GET, read through
+// the same ToResult a batch result is. Both hit the daemon's same
+// cache entries. A per-query error envelope comes back as a typed
+// *Error, and a result of another kind than q's as CodeBadPayload, so
+// a returned result always carries the payload the caller reads.
+func (c *Client) query(ctx context.Context, q tivaware.Query) (tivaware.Result, error) {
 	if c.frames != nil {
-		return c.frameQuery(ctx, q)
+		res, err := c.QueryBatch(ctx, []tivaware.Query{q})
+		switch {
+		case err != nil:
+			return tivaware.Result{}, err
+		case res[0].Err != nil:
+			return tivaware.Result{}, res[0].Err
+		case res[0].Kind != q.Kind:
+			return tivaware.Result{}, &Error{Op: "FRAME batch", Code: CodeBadPayload,
+				Message: fmt.Sprintf("daemon answered a %s query with a %q result", q.Kind, res[0].Kind)}
+		}
+		return res[0], nil
 	}
-	r := &tivwire.Result{Kind: string(q.Kind)}
+	r := tivwire.Result{Kind: string(q.Kind)}
 	var out any
 	switch q.Kind {
 	case tivaware.KindRank, tivaware.KindClosest:
@@ -244,17 +245,14 @@ func (c *Client) query(ctx context.Context, q tivaware.Query) (*tivwire.Result, 
 	case tivaware.KindTop:
 		r.Top = new(tivwire.TopResponse)
 		out = r.Top
-	case tivaware.KindDelay:
-		r.Delay = new(tivwire.DelayResponse)
-		out = r.Delay
 	case tivaware.KindAnalysis:
 		r.Analysis = new(tivwire.AnalysisResponse)
 		out = r.Analysis
 	}
 	if err := c.get(ctx, "/v1/"+string(q.Kind), getParams(q), out); err != nil {
-		return nil, err
+		return tivaware.Result{}, err
 	}
-	return r, nil
+	return r.ToResult(nil) // r carries q's payload and no envelope
 }
 
 // getParams spells q in its endpoint's URL parameters. Optional
@@ -281,7 +279,7 @@ func getParams(q tivaware.Query) url.Values {
 			}
 			params.Set("candidates", strings.Join(fields, ","))
 		}
-	case tivaware.KindDetour, tivaware.KindDelay:
+	case tivaware.KindDetour:
 		params.Set("i", strconv.Itoa(q.I))
 		params.Set("j", strconv.Itoa(q.J))
 	case tivaware.KindTop:
@@ -301,26 +299,6 @@ func emptyCandidates(q tivaware.Query) bool {
 	return q.Candidates != nil && len(q.Candidates) == 0
 }
 
-// Rank scores the candidates for the target, best first; it mirrors
-// tivaware.Service.Rank over the wire. It errors when the daemon
-// truncated the ranking at its configured cap (4096 selections by
-// default; raise tivd -maxk, or use KClosest for a bounded prefix).
-func (c *Client) Rank(ctx context.Context, target int, candidates []int, opts tivaware.QueryOptions) ([]tivaware.Selection, error) {
-	q := tivaware.SelectionQuery(tivaware.KindRank, target, 0, candidates, opts)
-	if emptyCandidates(q) {
-		return nil, nil
-	}
-	r, err := c.query(ctx, q)
-	if err != nil {
-		return nil, err
-	}
-	if r.Rank.Truncated {
-		return nil, &Error{Code: tivwire.CodeBadRequest,
-			Message: fmt.Sprintf("ranking for node %d truncated at %d selections by the daemon's cap; raise tivd -maxk or use KClosest", target, len(r.Rank.Selections))}
-	}
-	return r.Rank.Selections, nil
-}
-
 // KClosest returns the k best-ranked candidates for the target.
 func (c *Client) KClosest(ctx context.Context, target, k int, opts tivaware.QueryOptions) ([]tivaware.Selection, error) {
 	if k <= 0 {
@@ -331,10 +309,7 @@ func (c *Client) KClosest(ctx context.Context, target, k int, opts tivaware.Quer
 		return nil, nil
 	}
 	r, err := c.query(ctx, q)
-	if err != nil {
-		return nil, err
-	}
-	return r.Rank.Selections, nil
+	return r.Selections, err
 }
 
 // ClosestNode returns the best-ranked candidate for the target.
@@ -348,49 +323,29 @@ func (c *Client) ClosestNode(ctx context.Context, target int, opts tivaware.Quer
 	if err != nil {
 		return tivaware.Selection{}, err
 	}
-	if len(r.Rank.Selections) == 0 {
+	if len(r.Selections) == 0 {
 		return tivaware.Selection{}, &Error{Code: CodeBadPayload, Message: "empty closest response"}
 	}
-	return r.Rank.Selections[0], nil
+	return r.Selections[0], nil
 }
 
 // DetourPath finds the best one-hop detour for the pair (i, j).
 func (c *Client) DetourPath(ctx context.Context, i, j int) (tivaware.Detour, error) {
 	r, err := c.query(ctx, tivaware.Query{Kind: tivaware.KindDetour, I: i, J: j})
-	if err != nil {
-		return tivaware.Detour{}, err
-	}
-	return r.Detour.Detour, nil
+	return r.Detour, err
 }
 
 // TopEdges returns the k edges with the highest current severity,
-// most severe first (severity in the Delay field, matching
-// tivaware.Service.TopEdges).
+// most severe first (severity in the Delay field, as Result.Edges).
 func (c *Client) TopEdges(ctx context.Context, k int) ([]delayspace.Edge, error) {
 	r, err := c.query(ctx, tivaware.Query{Kind: tivaware.KindTop, K: k})
-	if err != nil {
-		return nil, err
-	}
-	return tivwire.ToEdges(r.Top.Edges), nil
-}
-
-// Delay returns the daemon's delay estimate for (i, j) and whether
-// one exists.
-func (c *Client) Delay(ctx context.Context, i, j int) (float64, bool, error) {
-	r, err := c.query(ctx, tivaware.Query{Kind: tivaware.KindDelay, I: i, J: j})
-	if err != nil {
-		return 0, false, err
-	}
-	return r.Delay.Delay, r.Delay.OK, nil
+	return r.Edges, err
 }
 
 // Analysis returns the daemon's aggregate triangle statistics.
-func (c *Client) Analysis(ctx context.Context) (tivwire.AnalysisResponse, error) {
+func (c *Client) Analysis(ctx context.Context) (tivaware.AnalysisSummary, error) {
 	r, err := c.query(ctx, tivaware.Query{Kind: tivaware.KindAnalysis})
-	if err != nil {
-		return tivwire.AnalysisResponse{}, err
-	}
-	return *r.Analysis, nil
+	return r.Analysis, err
 }
 
 // QueryBatch answers a vector of heterogeneous typed queries in one
@@ -418,12 +373,16 @@ func (c *Client) QueryBatch(ctx context.Context, queries []tivaware.Query) ([]ti
 		return out.Results, nil
 	}
 	const op = "POST /v1/batch"
-	results, err := c.batch(ctx, op, queries)
+	var resp tivwire.BatchResponse
+	err := c.post(ctx, "/v1/batch", tivwire.BatchRequest{Queries: queries}, &resp)
+	if err == nil {
+		err = answersAll(op, http.StatusOK, len(resp.Results), len(queries))
+	}
 	if err != nil {
 		return nil, err
 	}
 	out := make([]tivaware.Result, len(queries))
-	for i, r := range results {
+	for i, r := range resp.Results {
 		res, err := r.ToResult(func(we tivwire.Error) error { return envelopeError(op, we) })
 		if err != nil {
 			return nil, &Error{Op: op, Code: CodeBadPayload, Status: http.StatusOK,
@@ -432,29 +391,6 @@ func (c *Client) QueryBatch(ctx context.Context, queries []tivaware.Query) ([]ti
 		out[i] = res
 	}
 	return out, nil
-}
-
-// batch is the batch exchange into the wire struct — under QueryBatch
-// over HTTP and under every framed single query (frameQuery): one
-// request, and a response that answers every query or is a bad payload.
-func (c *Client) batch(ctx context.Context, op string, queries []tivaware.Query) ([]tivwire.Result, error) {
-	req := tivwire.BatchRequest{Queries: queries}
-	var resp tivwire.BatchResponse
-	var err error
-	status := 0 // a frame has no HTTP status
-	if c.frames != nil {
-		err = c.frameCall(ctx, op, &req, &resp)
-	} else {
-		status = http.StatusOK
-		err = c.post(ctx, "/v1/batch", req, &resp)
-	}
-	if err == nil {
-		err = answersAll(op, status, len(resp.Results), len(queries))
-	}
-	if err != nil {
-		return nil, err
-	}
-	return resp.Results, nil
 }
 
 // answersAll is the bad payload a response with the wrong result count

@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
-	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -87,9 +86,9 @@ func TestTypedWrappersMatchQueryBatch(t *testing.T) {
 		// typed answers q through the exported method that spells it.
 		typed func(c *Client) (tivaware.Result, error)
 	}{
-		{"rank", tivaware.Query{Kind: tivaware.KindRank, Target: 2, Candidates: cands, SeverityPenalty: 2},
+		{"kclosest of candidates", tivaware.Query{Kind: tivaware.KindRank, Target: 2, K: 3, Candidates: cands, SeverityPenalty: 2},
 			func(c *Client) (tivaware.Result, error) {
-				sels, err := c.Rank(ctx, 2, cands, tivaware.QueryOptions{SeverityPenalty: 2})
+				sels, err := c.KClosest(ctx, 2, 3, tivaware.QueryOptions{SeverityPenalty: 2, Candidates: cands})
 				return tivaware.Result{Selections: sels}, err
 			}},
 		{"kclosest", tivaware.Query{Kind: tivaware.KindRank, Target: 5, K: 4, SeverityPenalty: 1.5, ExcludeViolated: true},
@@ -119,16 +118,10 @@ func TestTypedWrappersMatchQueryBatch(t *testing.T) {
 				edges, err := c.TopEdges(ctx, 0)
 				return tivaware.Result{Edges: edges}, err
 			}},
-		{"delay", tivaware.Query{Kind: tivaware.KindDelay, I: 1, J: 2},
-			func(c *Client) (tivaware.Result, error) {
-				d, ok, err := c.Delay(ctx, 1, 2)
-				return tivaware.Result{Delay: d, DelayOK: ok}, err
-			}},
 		{"analysis", tivaware.Query{Kind: tivaware.KindAnalysis},
 			func(c *Client) (tivaware.Result, error) {
 				a, err := c.Analysis(ctx)
-				return tivaware.Result{Analysis: tivaware.AnalysisSummary{
-					N: a.N, ViolatingTriangles: a.ViolatingTriangles, Triangles: a.Triangles, Version: a.Version}}, err
+				return tivaware.Result{Analysis: a}, err
 			}},
 	}
 	for _, tc := range cases {
@@ -139,13 +132,9 @@ func TestTypedWrappersMatchQueryBatch(t *testing.T) {
 			}
 			want := batched[0]
 
-			r, err := c.query(ctx, tc.q)
+			got, err := c.query(ctx, tc.q)
 			if err != nil {
 				t.Fatalf("%s over %s: query: %v", tc.name, name, err)
-			}
-			got, err := r.ToResult(func(tivwire.Error) error { return errors.New("unreachable: query unwraps envelopes") })
-			if err != nil {
-				t.Fatalf("%s over %s: %v", tc.name, name, err)
 			}
 			if !reflect.DeepEqual(got, want) {
 				t.Errorf("%s over %s: query diverges from QueryBatch:\n query: %+v\n batch: %+v", tc.name, name, got, want)
@@ -163,17 +152,17 @@ func TestTypedWrappersMatchQueryBatch(t *testing.T) {
 	}
 }
 
-// TestTruncatedUnboundedRankErrors: an unbounded Rank the daemon cut at
-// its cap is an error on every transport, never a silently short list;
-// the bounded spelling under the same cap still answers.
-func TestTruncatedUnboundedRankErrors(t *testing.T) {
+// TestTruncatedUnboundedRankIsFlagged: an unbounded rank the daemon
+// cut at its cap comes back flagged Result.Truncated and cut to the
+// cap on every transport, never as a silently short list; the bounded
+// spelling under the same cap still answers.
+func TestTruncatedUnboundedRankIsFlagged(t *testing.T) {
 	clients, _ := transports(t, tivd.Options{MaxRankK: 3})
 	ctx := context.Background()
 	for name, c := range clients {
-		_, err := c.Rank(ctx, 0, nil, tivaware.QueryOptions{})
-		var ce *Error
-		if !errors.As(err, &ce) || ce.Code != tivwire.CodeBadRequest || !strings.Contains(ce.Message, "truncated at 3") {
-			t.Errorf("%s: truncated Rank = %v, want a bad_request naming the cut", name, err)
+		res, err := c.QueryBatch(ctx, []tivaware.Query{{Kind: tivaware.KindRank, Target: 0}})
+		if err != nil || res[0].Err != nil || !res[0].Truncated || len(res[0].Selections) != 3 {
+			t.Errorf("%s: unbounded rank under a cap of 3 = %+v, %v; want 3 selections flagged truncated", name, res, err)
 		}
 		if top, err := c.KClosest(ctx, 0, 3, tivaware.QueryOptions{}); err != nil || len(top) != 3 {
 			t.Errorf("%s: KClosest under the cap = %v, %v", name, top, err)
@@ -212,7 +201,6 @@ func TestQueryErrorTaxonomy(t *testing.T) {
 	httpC := New(ts.URL, Options{})
 
 	methods := map[string]func(c *Client) error{
-		"Rank":     func(c *Client) error { _, err := c.Rank(ctx, 0, nil, tivaware.QueryOptions{}); return err },
 		"KClosest": func(c *Client) error { _, err := c.KClosest(ctx, 0, 2, tivaware.QueryOptions{}); return err },
 		"ClosestNode": func(c *Client) error {
 			_, err := c.ClosestNode(ctx, 0, tivaware.QueryOptions{})
@@ -220,7 +208,6 @@ func TestQueryErrorTaxonomy(t *testing.T) {
 		},
 		"DetourPath": func(c *Client) error { _, err := c.DetourPath(ctx, 0, 1); return err },
 		"TopEdges":   func(c *Client) error { _, err := c.TopEdges(ctx, 3); return err },
-		"Delay":      func(c *Client) error { _, _, err := c.Delay(ctx, 0, 1); return err },
 		"Analysis":   func(c *Client) error { _, err := c.Analysis(ctx); return err },
 	}
 	for name, call := range methods {
@@ -236,15 +223,14 @@ func TestQueryErrorTaxonomy(t *testing.T) {
 			}
 		}
 		// A result with neither payload nor envelope is a torn payload,
-		// and so is one carrying another kind's payload — never a nil
-		// dereference in the method that asked.
+		// and so is one carrying a payload not of its kind, or a whole
+		// result of another kind than the method asked — never a zero
+		// answer in the method that asked.
 		for label, r := range map[string]tivwire.Result{
-			"empty": {Kind: "scripted"},
-			"wrong": {Kind: "scripted", Delay: &tivwire.DelayResponse{}, Rank: &tivwire.RankResponse{}},
+			"empty":      {Kind: "scripted"},
+			"wrong":      {Kind: "scripted", Delay: &tivwire.DelayResponse{}, Rank: &tivwire.RankResponse{}},
+			"other kind": {Kind: "delay", Delay: &tivwire.DelayResponse{OK: true}},
 		} {
-			if label == "wrong" && (name == "Delay" || name == "Rank" || name == "KClosest") {
-				continue // the scripted payloads are these methods' own
-			}
 			r := r
 			scripted.Store(&r)
 			var ce *Error
@@ -255,9 +241,10 @@ func TestQueryErrorTaxonomy(t *testing.T) {
 	}
 
 	// QueryBatch over both transports: a per-query envelope lands typed
-	// in Result.Err, while a result with no payload, or fewer results
-	// than queries, fails the call as a bad payload. Its Status is the
-	// HTTP one: 200 over HTTP, 0 over frames, which have no status.
+	// in Result.Err, while a result with no payload, one whose payload is
+	// not of its kind, or fewer results than queries, fails the call as a
+	// bad payload. Its Status is the HTTP one: 200 over HTTP, 0 over
+	// frames, which have no status.
 	one := []tivaware.Query{{Kind: tivaware.KindDelay, I: 0, J: 1}}
 	for transport, c := range map[string]*Client{"frames": frames, "http": httpC} {
 		status := map[string]int{"frames": 0, "http": http.StatusOK}[transport]
@@ -275,6 +262,7 @@ func TestQueryErrorTaxonomy(t *testing.T) {
 			queries []tivaware.Query
 		}{
 			"empty": {tivwire.Result{Kind: "delay"}, one},
+			"wrong": {tivwire.Result{Kind: "delay", Rank: &tivwire.RankResponse{}}, one},
 			"short": {tivwire.Result{Kind: "delay", Delay: &tivwire.DelayResponse{OK: true}}, append(one, one[0])},
 		} {
 			r := tc.r

@@ -146,15 +146,13 @@ func TestFramedAgreesWithHTTPSingles(t *testing.T) {
 		}
 		switch q.Kind {
 		case tivaware.KindRank:
-			if q.K > 0 {
-				check(t, "KClosest", func(c *tivclient.Client) (any, error) {
-					return c.KClosest(ctx, q.Target, q.K, opts)
-				})
-			} else {
-				check(t, "Rank", func(c *tivclient.Client) (any, error) {
-					return c.Rank(ctx, q.Target, nil, opts)
-				})
+			k := q.K
+			if k == 0 {
+				k = n // the whole ranking
 			}
+			check(t, "KClosest", func(c *tivclient.Client) (any, error) {
+				return c.KClosest(ctx, q.Target, k, opts)
+			})
 		case tivaware.KindClosest:
 			check(t, "ClosestNode", func(c *tivclient.Client) (any, error) {
 				return c.ClosestNode(ctx, q.Target, opts)
@@ -168,13 +166,12 @@ func TestFramedAgreesWithHTTPSingles(t *testing.T) {
 				return c.TopEdges(ctx, q.K)
 			})
 		case tivaware.KindDelay:
-			check(t, "Delay", func(c *tivclient.Client) (any, error) {
-				type dr struct {
-					D  float64
-					OK bool
+			check(t, "delay batch of one", func(c *tivclient.Client) (any, error) {
+				res, err := c.QueryBatch(ctx, []tivaware.Query{q})
+				if err != nil {
+					return nil, err
 				}
-				d, ok, err := c.Delay(ctx, q.I, q.J)
-				return dr{d, ok}, err
+				return res[0], res[0].Err
 			})
 		case tivaware.KindAnalysis:
 			check(t, "Analysis", func(c *tivclient.Client) (any, error) {

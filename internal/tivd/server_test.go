@@ -105,19 +105,19 @@ func TestDaemonQueryRoundTrip(t *testing.T) {
 		name   string
 		remote querier
 	}{{"remote", client}, {"in-process", svc}} {
-		ranked, err := q.remote.Rank(ctx, 0, nil, opts)
+		ranked, err := q.remote.KClosest(ctx, 0, 3, opts)
 		if err != nil {
-			t.Fatalf("%s Rank: %v", q.name, err)
+			t.Fatalf("%s KClosest: %v", q.name, err)
 		}
 		if len(ranked) != 3 || ranked[0].Node != 2 {
-			t.Fatalf("%s Rank = %+v", q.name, ranked)
+			t.Fatalf("%s KClosest = %+v", q.name, ranked)
 		}
 	}
 	want, err := svc.Rank(ctx, 0, nil, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := client.Rank(ctx, 0, nil, opts)
+	got, err := client.KClosest(ctx, 0, len(want), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,14 +162,9 @@ func TestDaemonQueryRoundTrip(t *testing.T) {
 		t.Errorf("TopEdges = %+v, want the violated edge (0,1)", top)
 	}
 
-	delay, ok, err := client.Delay(ctx, 0, 2)
-	if err != nil || !ok || delay != 10 {
-		t.Errorf("Delay(0,2) = %g,%v,%v, want 10,true,nil", delay, ok, err)
-	}
-	if _, ok, err := client.Delay(ctx, 1, 1); err != nil || ok {
-		// The diagonal is measured by definition; use an unmeasured
-		// check on a holey pair instead below. Delay(1,1) is (0,true).
-		_ = ok
+	delays, err := client.QueryBatch(ctx, []tivaware.Query{{Kind: tivaware.KindDelay, I: 0, J: 2}})
+	if err != nil || delays[0].Err != nil || !delays[0].DelayOK || delays[0].Delay != 10 {
+		t.Errorf("delay (0,2) = %+v, %v, want 10, ok", delays, err)
 	}
 
 	an, err := client.Analysis(ctx)
@@ -259,8 +254,8 @@ func TestDaemonUpdateAndSubscribeRoundTrip(t *testing.T) {
 	if an.ViolatingTriangles != 2 {
 		t.Errorf("post-update analysis = %+v, want 2 violating triangles", an)
 	}
-	if an.Epoch <= h.Epoch {
-		t.Errorf("epoch did not advance across the update: %d then %d", h.Epoch, an.Epoch)
+	if h2, err := client.Healthz(ctx); err != nil || h2.Epoch <= h.Epoch {
+		t.Errorf("epoch did not advance across the update: %d then %+v (%v)", h.Epoch, h2, err)
 	}
 
 	// Clear the violation through a batch; the stream reports it.
@@ -286,10 +281,10 @@ func TestDaemonValidationErrors(t *testing.T) {
 	client, srv := startDaemon(t, svc, tivd.Options{MaxRankK: 8})
 	ctx := context.Background()
 
-	if _, err := client.Rank(ctx, 99, nil, tivaware.QueryOptions{}); err == nil {
+	if _, err := client.ClosestNode(ctx, 99, tivaware.QueryOptions{}); err == nil {
 		t.Error("out-of-range target should error")
 	}
-	if _, err := client.Rank(ctx, 0, []int{1, 1}, tivaware.QueryOptions{}); err == nil {
+	if _, err := client.KClosest(ctx, 0, 2, tivaware.QueryOptions{Candidates: []int{1, 1}}); err == nil {
 		t.Error("duplicate candidates should error")
 	}
 	if _, err := client.KClosest(ctx, 0, 99, tivaware.QueryOptions{}); err == nil {
@@ -301,8 +296,8 @@ func TestDaemonValidationErrors(t *testing.T) {
 	if _, err := client.DetourPath(ctx, 1, 1); err == nil {
 		t.Error("diagonal detour should error")
 	}
-	if _, _, err := client.Delay(ctx, 0, 99); err == nil {
-		t.Error("out-of-range delay pair should error")
+	if res, err := client.QueryBatch(ctx, []tivaware.Query{{Kind: tivaware.KindDelay, I: 0, J: 99}}); err != nil || res[0].Err == nil {
+		t.Errorf("out-of-range delay pair = %+v, %v, want a per-query error", res, err)
 	}
 
 	// Wrong methods are rejected with Allow headers.
@@ -320,7 +315,6 @@ func TestDaemonValidationErrors(t *testing.T) {
 // querier is the per-kind read surface tivaware.Service and
 // tivclient.Client share, so one table drives both.
 type querier interface {
-	Rank(ctx context.Context, target int, candidates []int, opts tivaware.QueryOptions) ([]tivaware.Selection, error)
 	KClosest(ctx context.Context, target, k int, opts tivaware.QueryOptions) ([]tivaware.Selection, error)
 	ClosestNode(ctx context.Context, target int, opts tivaware.QueryOptions) (tivaware.Selection, error)
 }
@@ -343,11 +337,7 @@ func TestClientEmptyCandidatesParity(t *testing.T) {
 		name string
 		q    querier
 	}{{"in-process", svc}, {"remote", client}} {
-		ranked, err := q.q.Rank(ctx, 0, []int{}, tivaware.QueryOptions{})
-		if err != nil || len(ranked) != 0 {
-			t.Errorf("%s Rank with empty candidates = %v, %v; want empty, nil", q.name, ranked, err)
-		}
-		ranked, err = q.q.KClosest(ctx, 0, 2, empty)
+		ranked, err := q.q.KClosest(ctx, 0, 2, empty)
 		if err != nil || len(ranked) != 0 {
 			t.Errorf("%s KClosest with empty candidates = %v, %v; want empty, nil", q.name, ranked, err)
 		}
@@ -358,8 +348,9 @@ func TestClientEmptyCandidatesParity(t *testing.T) {
 }
 
 // TestRankTruncationIsSignalled: a daemon cap below the candidate
-// count must surface as an explicit error from Client.Rank, never a
-// silently shortened ranking.
+// count must surface as an explicit truncated flag on the unbounded
+// rank, on GET /v1/rank without k and in a batch, never as a silently
+// shortened ranking.
 func TestRankTruncationIsSignalled(t *testing.T) {
 	svc, err := tivaware.NewFromMatrix(tivMatrix(), tivaware.Options{Workers: 1})
 	if err != nil {
@@ -367,8 +358,19 @@ func TestRankTruncationIsSignalled(t *testing.T) {
 	}
 	client, _ := startDaemon(t, svc, tivd.Options{MaxRankK: 2}) // 3 candidates rank for node 0
 	ctx := context.Background()
-	if _, err := client.Rank(ctx, 0, nil, tivaware.QueryOptions{}); err == nil {
-		t.Error("truncated Rank should error")
+	resp, err := http.Get(client.BaseURL() + "/v1/rank?target=0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got tivwire.RankResponse
+	err = json.NewDecoder(resp.Body).Decode(&got)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || err != nil || !got.Truncated || len(got.Selections) != 2 {
+		t.Errorf("GET /v1/rank?target=0 = %d %+v (%v), want 2 selections flagged truncated", resp.StatusCode, got, err)
+	}
+	res, err := client.QueryBatch(ctx, []tivaware.Query{{Kind: tivaware.KindRank, Target: 0}})
+	if err != nil || res[0].Err != nil || !res[0].Truncated || len(res[0].Selections) != 2 {
+		t.Errorf("batched unbounded rank = %+v, %v, want 2 selections flagged truncated", res, err)
 	}
 	// KClosest within the cap still works and is explicitly bounded.
 	top2, err := client.KClosest(ctx, 0, 2, tivaware.QueryOptions{})

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -136,12 +137,12 @@ func TestBatchMatchesSingles(t *testing.T) {
 							t.Errorf("pass %d query %d: batch top %v, single %v", pass, qi, res.Edges, single)
 						}
 					case tivaware.KindDelay:
-						d, ok, err := client.Delay(ctx, q.I, q.J)
-						if err != nil {
-							t.Fatalf("pass %d query %d: %v", pass, qi, err)
+						single, err := client.QueryBatch(ctx, []tivaware.Query{q})
+						if err != nil || single[0].Err != nil {
+							t.Fatalf("pass %d query %d: %v / %+v", pass, qi, err, single)
 						}
-						if res.Delay != d || res.DelayOK != ok {
-							t.Errorf("pass %d query %d: batch delay (%v,%v), single (%v,%v)", pass, qi, res.Delay, res.DelayOK, d, ok)
+						if res.Delay != single[0].Delay || res.DelayOK != single[0].DelayOK {
+							t.Errorf("pass %d query %d: batch delay (%v,%v), single (%v,%v)", pass, qi, res.Delay, res.DelayOK, single[0].Delay, single[0].DelayOK)
 						}
 					case tivaware.KindAnalysis:
 						single, err := client.Analysis(ctx)
@@ -281,29 +282,43 @@ func TestDelayGetMatchesBatch(t *testing.T) {
 	}
 	sawMissing, sawBad := false, false
 	for k, p := range pairs {
-		d, ok, gerr := client.Delay(ctx, p[0], p[1])
+		resp, err := http.Get(fmt.Sprintf("%s/v1/delay?i=%d&j=%d", client.BaseURL(), p[0], p[1]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got tivwire.DelayResponse
+		var env tivwire.Error
+		if resp.StatusCode == http.StatusOK {
+			err = readJSON(resp.Body, &got)
+		} else {
+			err = readJSON(resp.Body, &env)
+		}
+		resp.Body.Close()
+		if err != nil {
+			t.Fatalf("pair %v: GET status %d: %v", p, resp.StatusCode, err)
+		}
 		want := batched[k]
 		if want.Err != nil {
-			var ge, be *tivclient.Error
-			if !errors.As(gerr, &ge) || !errors.As(want.Err, &be) {
-				t.Fatalf("pair %v: GET err %v, batch err %v; want typed errors from both", p, gerr, want.Err)
+			var be *tivclient.Error
+			if !errors.As(want.Err, &be) {
+				t.Fatalf("pair %v: batch err %v is not a typed error", p, want.Err)
 			}
-			if ge.Code != tivwire.CodeBadRequest || ge.Code != be.Code || ge.Message != be.Message || ge.Status != http.StatusBadRequest {
-				t.Errorf("pair %v: GET error %+v, batch error %+v", p, ge, be)
+			if env.Code != tivwire.CodeBadRequest || env.Code != be.Code || env.Error != be.Message || resp.StatusCode != http.StatusBadRequest {
+				t.Errorf("pair %v: GET %d %+v, batch error %+v", p, resp.StatusCode, env, be)
 			}
 			sawBad = true
 			continue
 		}
-		if gerr != nil {
-			t.Fatalf("pair %v: GET failed (%v), batch answered", p, gerr)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("pair %v: GET failed (%d %+v), batch answered", p, resp.StatusCode, env)
 		}
-		if d != want.Delay || ok != want.DelayOK {
-			t.Errorf("pair %v: GET (%g,%v), batch (%g,%v)", p, d, ok, want.Delay, want.DelayOK)
+		if got.I != p[0] || got.J != p[1] || got.Delay != want.Delay || got.OK != want.DelayOK {
+			t.Errorf("pair %v: GET %+v, batch (%g,%v)", p, got, want.Delay, want.DelayOK)
 		}
-		if !ok {
+		if !got.OK {
 			sawMissing = true
-			if d != -1 {
-				t.Errorf("pair %v: missing delay travels as %g, want -1", p, d)
+			if got.Delay != -1 {
+				t.Errorf("pair %v: missing delay travels as %g, want -1", p, got.Delay)
 			}
 		}
 	}

@@ -299,9 +299,6 @@ func NewPool(addr string, size int, _ ClientOptions) *Pool {
 	return &Pool{addr: addr, conns: make([]*Conn, size)}
 }
 
-// Addr returns the pool's dial address.
-func (p *Pool) Addr() string { return p.addr }
-
 // Do performs one call on a pooled connection, dialing or redialing
 // the slot if necessary.
 func (p *Pool) Do(ctx context.Context, req, resp any) error {

@@ -89,18 +89,9 @@ func (g *Gateway) QueryBatch(ctx context.Context, queries []tivaware.Query) ([]t
 	// Analysis sweeps the whole cluster with agreement checking; one
 	// sweep answers every analysis query in the batch.
 	if len(analysisIdx) > 0 {
-		aresp, err := g.Analysis(ctx)
+		an, err := g.Analysis(ctx)
 		for _, i := range analysisIdx {
-			if err != nil {
-				out[i].Err = err
-				continue
-			}
-			out[i].Analysis = tivaware.AnalysisSummary{
-				N:                  aresp.N,
-				ViolatingTriangles: aresp.ViolatingTriangles,
-				Triangles:          aresp.Triangles,
-				Version:            aresp.Version,
-			}
+			out[i].Analysis, out[i].Err = an, err
 		}
 	}
 	return out, nil

@@ -175,9 +175,9 @@ func assertAgreement(t *testing.T, mono *tivaware.Service, c *testcluster.Cluste
 		t.Fatalf("Analysis: gateway %d/%d, monolith %d/%d",
 			gotAn.ViolatingTriangles, gotAn.Triangles, wantAn.ViolatingTriangles, wantAn.Triangles)
 	}
-	if gotAn.ViolatingTriangleFraction != wantAn.ViolatingTriangleFraction() {
+	if gotAn.ViolatingTriangleFraction() != wantAn.ViolatingTriangleFraction() {
 		t.Fatalf("Analysis fraction: gateway %g, monolith %g",
-			gotAn.ViolatingTriangleFraction, wantAn.ViolatingTriangleFraction())
+			gotAn.ViolatingTriangleFraction(), wantAn.ViolatingTriangleFraction())
 	}
 
 	// Error parity on a bad target.

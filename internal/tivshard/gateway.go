@@ -48,6 +48,7 @@ import (
 	"sync/atomic"
 
 	"tivaware/internal/delayspace"
+	"tivaware/internal/tivaware"
 	"tivaware/internal/tivclient"
 	"tivaware/internal/tivwire"
 )
@@ -251,14 +252,14 @@ func sweepLive[T any](g *Gateway, ctx context.Context, call func(ctx context.Con
 // by construction, pending journal replay); a shard that fails
 // mid-sweep is skipped the same way, counted against its breaker. At
 // least one shard must answer.
-func (g *Gateway) Analysis(ctx context.Context) (tivwire.AnalysisResponse, error) {
-	parts := make([]tivwire.AnalysisResponse, g.k)
+func (g *Gateway) Analysis(ctx context.Context) (tivaware.AnalysisSummary, error) {
+	parts := make([]tivaware.AnalysisSummary, g.k)
 	answered := make([]bool, g.k)
 	terminal := make([]error, g.k)
 	var lastErr error
-	sweepLive(g, ctx, func(ctx context.Context, c *tivclient.Client) (tivwire.AnalysisResponse, error) {
+	sweepLive(g, ctx, func(ctx context.Context, c *tivclient.Client) (tivaware.AnalysisSummary, error) {
 		return c.Analysis(ctx)
-	}, func(s int, a tivwire.AnalysisResponse, err error) {
+	}, func(s int, a tivaware.AnalysisSummary, err error) {
 		switch {
 		case err == nil:
 			parts[s], answered[s] = a, true
@@ -270,7 +271,7 @@ func (g *Gateway) Analysis(ctx context.Context) (tivwire.AnalysisResponse, error
 	})
 	for _, err := range terminal {
 		if err != nil {
-			return tivwire.AnalysisResponse{}, err
+			return tivaware.AnalysisSummary{}, err
 		}
 	}
 	first := -1
@@ -284,18 +285,16 @@ func (g *Gateway) Analysis(ctx context.Context) (tivwire.AnalysisResponse, error
 		}
 		if parts[s].ViolatingTriangles != parts[first].ViolatingTriangles ||
 			parts[s].Triangles != parts[first].Triangles || parts[s].N != parts[first].N {
-			return tivwire.AnalysisResponse{}, errDiverged(fmt.Sprintf(
+			return tivaware.AnalysisSummary{}, errDiverged(fmt.Sprintf(
 				"replicas diverged: shard %d reports %d/%d violating triangles over %d nodes, shard %d %d/%d over %d",
 				s, parts[s].ViolatingTriangles, parts[s].Triangles, parts[s].N,
 				first, parts[first].ViolatingTriangles, parts[first].Triangles, parts[first].N), nil)
 		}
 	}
 	if first < 0 {
-		return tivwire.AnalysisResponse{}, errUnavailable("no shard could answer the analysis sweep", lastErr)
+		return tivaware.AnalysisSummary{}, errUnavailable("no shard could answer the analysis sweep", lastErr)
 	}
-	out := parts[first]
-	out.Epoch = g.gen.Load()
-	return out, nil
+	return parts[first], nil
 }
 
 // ApplyUpdate streams one edge measurement into the cluster; see

@@ -367,11 +367,11 @@ func TestUnansweredCommitRetiresMidRoundReads(t *testing.T) {
 
 	// The live shards take turns: of two reads with distinct cache
 	// keys, shard 1 answers one.
-	var opts tivaware.QueryOptions
+	opts := tivaware.QueryOptions{Candidates: []int{1}}
 	for {
-		sels, err := served.Rank(ctx, 0, []int{1}, opts)
+		sels, err := served.KClosest(ctx, 0, 1, opts)
 		if err != nil || len(sels) != 1 {
-			t.Fatalf("served Rank mid-round = %+v, %v", sels, err)
+			t.Fatalf("served KClosest mid-round = %+v, %v", sels, err)
 		}
 		if shard1Reads.Load() > 0 {
 			if sels[0].Delay == 123456 {
@@ -390,8 +390,8 @@ func TestUnansweredCommitRetiresMidRoundReads(t *testing.T) {
 	if down := c.Gateway.DownShards(); !slices.Equal(down, []int{1}) {
 		t.Fatalf("down shards after the round: %v, want [1]", down)
 	}
-	sels, err := served.Rank(ctx, 0, []int{1}, opts)
+	sels, err := served.KClosest(ctx, 0, 1, opts)
 	if err != nil || len(sels) != 1 || sels[0].Delay != 123456 {
-		t.Fatalf("served Rank after the round = %+v, %v; want delay 123456 from readmitted shard 0", sels, err)
+		t.Fatalf("served KClosest after the round = %+v, %v; want delay 123456 from readmitted shard 0", sels, err)
 	}
 }

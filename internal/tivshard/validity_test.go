@@ -135,8 +135,8 @@ func TestInvalidDelayRefusedAtEveryIngress(t *testing.T) {
 	if _, err := clients["shard http"].TopEdges(ctx, 5); err != nil {
 		t.Errorf("TopEdges after the refused updates: %v", err)
 	}
-	if d, ok, err := clients["shard http"].Delay(ctx, 0, 1); err != nil || !ok || d != 42 {
-		t.Errorf("Delay(0,1) after the refused updates = (%g,%v,%v), want the last valid update (42)", d, ok, err)
+	if res, err := clients["shard http"].QueryBatch(ctx, []tivaware.Query{{Kind: tivaware.KindDelay, I: 0, J: 1}}); err != nil || res[0].Err != nil || !res[0].DelayOK || res[0].Delay != 42 {
+		t.Errorf("delay (0,1) after the refused updates = %+v, %v, want the last valid update (42)", res, err)
 	}
 	// Bring the twin to the cluster's state (the one valid update) and
 	// compare the full surface.
@@ -149,7 +149,7 @@ func TestInvalidDelayRefusedAtEveryIngress(t *testing.T) {
 // querier is the per-kind read surface a monolith tivaware.Service
 // and a tivclient.Client share, so one table drives every ingress.
 type querier interface {
-	Rank(ctx context.Context, target int, candidates []int, opts tivaware.QueryOptions) ([]tivaware.Selection, error)
+	KClosest(ctx context.Context, target, k int, opts tivaware.QueryOptions) ([]tivaware.Selection, error)
 	ClosestNode(ctx context.Context, target int, opts tivaware.QueryOptions) (tivaware.Selection, error)
 	DetourPath(ctx context.Context, i, j int) (tivaware.Detour, error)
 }
@@ -223,8 +223,8 @@ func TestNonFinitePenaltyIsBadRequest(t *testing.T) {
 		t.Helper()
 		opts := tivaware.QueryOptions{SeverityPenalty: pen}
 		what := fmt.Sprintf("penalty %g", pen)
-		sameRefusal(what+" Rank", tivaware.SelectionQuery(tivaware.KindRank, 0, 0, nil, opts), func(q querier) error {
-			_, err := q.Rank(ctx, 0, nil, opts)
+		sameRefusal(what+" KClosest", tivaware.SelectionQuery(tivaware.KindRank, 0, 3, nil, opts), func(q querier) error {
+			_, err := q.KClosest(ctx, 0, 3, opts)
 			return err
 		})
 		sameRefusal(what+" ClosestNode", tivaware.SelectionQuery(tivaware.KindClosest, 0, 0, nil, opts), func(q querier) error {

@@ -326,20 +326,21 @@ func (r *binReader) fail(format string, args ...any) {
 
 // u64 reads a uvarint. One- and two-byte encodings (every count, kind
 // length, node id and epoch below 16384) are read in line; longer ones
-// and the payload's last byte go through binary.Uvarint.
+// and the payload's last byte go through binary.Uvarint. A spelling
+// longer than the writer's (its last byte 00) is refused.
 func (r *binReader) u64() uint64 {
 	if b := r.b[r.off:]; len(b) > 1 {
 		if b[0] < 0x80 {
 			r.off++
 			return uint64(b[0])
 		}
-		if b[1] < 0x80 {
+		if b[1]-1 < 0x7f {
 			r.off += 2
 			return uint64(b[0]&0x7f) | uint64(b[1])<<7
 		}
 	}
 	v, n := binary.Uvarint(r.b[r.off:])
-	if n <= 0 {
+	if n <= 0 || n > 1 && r.b[r.off+n-1] == 0 {
 		r.fail("bad varint at offset %d", r.off)
 		return 0
 	}
@@ -459,12 +460,15 @@ func encSlice[T any](w *binWriter, s []T, omitEmpty bool, enc func(*binWriter, *
 }
 
 // decSlice reads a slice field into prev's storage; absent decodes as
-// nil.
-func decSlice[T any](r *binReader, prev []T, minElem int, dec func(*binReader, *T)) []T {
+// nil, and an omitEmpty field (encSlice's) present but empty is refused.
+func decSlice[T any](r *binReader, prev []T, minElem int, omitEmpty bool, dec func(*binReader, *T)) []T {
 	if !r.bool() || r.err != nil {
 		return nil
 	}
 	n := r.count(minElem)
+	if n == 0 && omitEmpty {
+		r.fail("empty list written present at offset %d", r.off)
+	}
 	if r.err != nil {
 		return nil
 	}
@@ -560,7 +564,9 @@ func decHealth(r *binReader, h *Health) {
 	}
 	h.Boot = 0
 	if r.err == nil && r.off < len(r.b) {
-		h.Boot = r.u64()
+		if h.Boot = r.u64(); h.Boot == 0 {
+			r.fail("zero boot written present at offset %d", r.off)
+		}
 	}
 }
 
@@ -575,7 +581,7 @@ func decRank(r *binReader, v *RankResponse) {
 	v.Target = r.i()
 	v.Epoch = r.u64()
 	v.Truncated = r.bool()
-	v.Selections = decSlice(r, v.Selections, minSelection, decSelection)
+	v.Selections = decSlice(r, v.Selections, minSelection, false, decSelection)
 }
 
 func encDetour(w *binWriter, d *Detour) {
@@ -613,7 +619,7 @@ func encTop(w *binWriter, v *TopResponse) {
 
 func decTop(r *binReader, v *TopResponse) {
 	v.Epoch = r.u64()
-	v.Edges = decSlice(r, v.Edges, minEdge, decEdge)
+	v.Edges = decSlice(r, v.Edges, minEdge, false, decEdge)
 }
 
 func encDelay(w *binWriter, v *DelayResponse) {
@@ -658,8 +664,8 @@ func encChangeSet(w *binWriter, v *ChangeSet) {
 func decChangeSet(r *binReader, v *ChangeSet) {
 	v.Version = r.u64()
 	v.Rescan = r.bool()
-	v.NewlyViolated = decSlice(r, v.NewlyViolated, minEdge, decEdge)
-	v.Cleared = decSlice(r, v.Cleared, minEdge, decEdge)
+	v.NewlyViolated = decSlice(r, v.NewlyViolated, minEdge, true, decEdge)
+	v.Cleared = decSlice(r, v.Cleared, minEdge, true, decEdge)
 }
 
 func encError(w *binWriter, v *Error) {
@@ -691,7 +697,7 @@ func encUpdateReq(w *binWriter, v *UpdateRequest) {
 }
 
 func decUpdateReq(r *binReader, v *UpdateRequest) {
-	v.Updates = decSlice(r, v.Updates, minUpdate, decUpdate)
+	v.Updates = decSlice(r, v.Updates, minUpdate, false, decUpdate)
 }
 
 func encQuery(w *binWriter, q *Query) {
@@ -709,7 +715,7 @@ func decQuery(r *binReader, q *Query) {
 	q.Kind = tivaware.QueryKind(r.strInto(string(q.Kind)))
 	q.Target = r.i()
 	q.K = r.i()
-	q.Candidates = decSlice(r, q.Candidates, minInt, decInt)
+	q.Candidates = decSlice(r, q.Candidates, minInt, false, decInt)
 	q.SeverityPenalty = r.f64()
 	q.ExcludeViolated = r.bool()
 	q.I = r.i()
@@ -721,7 +727,7 @@ func encBatchReq(w *binWriter, v *BatchRequest) {
 }
 
 func decBatchReq(r *binReader, v *BatchRequest) {
-	v.Queries = decSlice(r, v.Queries, minQuery, decQuery)
+	v.Queries = decSlice(r, v.Queries, minQuery, false, decQuery)
 }
 
 func encResult(w *binWriter, v *Result) {
@@ -811,7 +817,7 @@ func encBatchResp(w *binWriter, v *BatchResponse) {
 
 func decBatchResp(r *binReader, v *BatchResponse) {
 	v.Epoch = r.u64()
-	v.Results = decSlice(r, v.Results, minResult, decResult)
+	v.Results = decSlice(r, v.Results, minResult, false, decResult)
 }
 
 // resultScratch is what decResults walks each result into — one set of
@@ -837,12 +843,12 @@ func (s *resultScratch) trim() {
 
 // decResults reads a BatchResponse payload into the caller's shape.
 // decResult, the one reader of the result layout, walks each result
-// into the scratch, and the first payload present moves into the
-// tivaware.Result as ToResult moves it. Selections and edges are then
-// copied into one slab each, sized by what the frame held: a frame
-// costs the results vector and two slabs. A result with no payload
-// fails the frame once the rest of it read cleanly, with ToResult's
-// error.
+// into the scratch, and the payload of the result's kind moves into
+// the tivaware.Result as ToResult moves it. Selections and edges are
+// then copied into one slab each, sized by what the frame held: a
+// frame costs the results vector and two slabs. A result without its
+// kind's payload fails the frame once the rest of it read cleanly,
+// with ToResult's error.
 func decResults(r *binReader, v *Results) {
 	r.u64() // the batch epoch, which the caller's shape does not hold
 	s := &r.scratch
@@ -867,27 +873,27 @@ func decResults(r *binReader, v *Results) {
 		}
 		res := &out[i]
 		res.Kind = tivaware.QueryKind(w.Kind)
-		switch {
+		switch k := res.Kind; {
 		case w.Err != nil:
 			res.Err = v.ErrFrom(*w.Err)
-		case w.Rank != nil:
+		case w.Rank != nil && (k == tivaware.KindRank || k == tivaware.KindClosest):
 			res.Truncated = w.Rank.Truncated
 			if w.Rank.Selections != nil {
 				n := len(s.sels)
 				s.sels = append(s.sels, w.Rank.Selections...)
 				res.Selections = s.sels[n:] // a stand-in, rebased below
 			}
-		case w.Detour != nil:
+		case w.Detour != nil && k == tivaware.KindDetour:
 			res.Detour = w.Detour.Detour
-		case w.Top != nil:
+		case w.Top != nil && k == tivaware.KindTop:
 			n := len(s.edges)
 			for _, e := range w.Top.Edges {
 				s.edges = append(s.edges, delayspace.Edge{I: e.I, J: e.J, Delay: e.Severity})
 			}
 			res.Edges = s.edges[n:] // never nil, as ToEdges answers
-		case w.Delay != nil:
+		case w.Delay != nil && k == tivaware.KindDelay:
 			res.Delay, res.DelayOK = w.Delay.Delay, w.Delay.OK
-		case w.Analysis != nil:
+		case w.Analysis != nil && k == tivaware.KindAnalysis:
 			res.Analysis = w.Analysis.summary()
 		case missing == nil:
 			missing = noPayload(w.Kind)

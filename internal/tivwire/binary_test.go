@@ -2,6 +2,7 @@ package tivwire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -267,6 +268,42 @@ func TestBinaryRejectsMangledFrames(t *testing.T) {
 	}
 	if _, err := MarshalBinary(struct{}{}); err == nil {
 		t.Error("encoding a non-message type did not error")
+	}
+}
+
+// TestBinaryRefusesNonCanonicalSpellings: the decoder accepts only the
+// bytes the writer gives, so a frame it accepts re-encodes to itself
+// (FuzzFrameEnvelope). Each case is a canonical frame next to a
+// spelling of the same message the writer never produces.
+func TestBinaryRefusesNonCanonicalSpellings(t *testing.T) {
+	frame := func(mt byte, payload ...byte) []byte {
+		b := append([]byte{'T', 'B', binVersion, mt, 0, 0, 0, 0}, payload...)
+		binary.LittleEndian.PutUint32(b[4:], uint32(len(payload)))
+		return b
+	}
+	health, err := MarshalBinary(&Health{Status: "ok", N: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name            string
+		canonical, long []byte
+	}{
+		// Hello{Version: 0x41}: N 0, Version, Epoch 0.
+		{"two-byte varint ending in 00", frame(mtHello, 0, 0x41, 0), frame(mtHello, 0, 0xc1, 0, 0)},
+		// Hello{Version: 1 << 14}, through binary.Uvarint.
+		{"longer varint ending in 00", frame(mtHello, 0, 0x80, 0x80, 1, 0), frame(mtHello, 0, 0x80, 0x80, 0x81, 0, 0)},
+		{"zero Health.Boot written present", health, frame(mtHealth, append(health[binHeaderLen:len(health):len(health)], 0)...)},
+		// ChangeSet{Version: 1}: version, rescan, two absent lists.
+		{"empty ChangeSet list written present", frame(mtChangeSet, 1, 0, 0, 0), frame(mtChangeSet, 1, 0, 1, 0, 0)},
+	} {
+		if _, err := UnmarshalBinary(tc.canonical); err != nil {
+			t.Fatalf("%s: canonical frame %x refused: %v", tc.name, tc.canonical, err)
+		}
+		if msg, err := UnmarshalBinary(tc.long); err == nil {
+			re, _ := MarshalBinary(msg)
+			t.Errorf("%s: %x accepted as %+v, which re-encodes as %x", tc.name, tc.long, msg, re)
+		}
 	}
 }
 

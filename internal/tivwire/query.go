@@ -100,23 +100,23 @@ func FromResult(q tivaware.Query, res tivaware.Result, epoch uint64, errTo func(
 	return out
 }
 
-// ToResult converts a wire result back to the in-process shape.
-// errFrom maps an error envelope to the caller's typed error.
+// ToResult converts a wire result's envelope or its kind's payload back
+// to the in-process shape; errFrom maps an envelope to a typed error.
 func (r Result) ToResult(errFrom func(Error) error) (tivaware.Result, error) {
 	res := tivaware.Result{Kind: tivaware.QueryKind(r.Kind)}
-	switch {
+	switch k := res.Kind; {
 	case r.Err != nil:
 		res.Err = errFrom(*r.Err)
-	case r.Rank != nil:
+	case r.Rank != nil && (k == tivaware.KindRank || k == tivaware.KindClosest):
 		res.Selections = r.Rank.Selections
 		res.Truncated = r.Rank.Truncated
-	case r.Detour != nil:
+	case r.Detour != nil && k == tivaware.KindDetour:
 		res.Detour = r.Detour.Detour
-	case r.Top != nil:
+	case r.Top != nil && k == tivaware.KindTop:
 		res.Edges = ToEdges(r.Top.Edges)
-	case r.Delay != nil:
+	case r.Delay != nil && k == tivaware.KindDelay:
 		res.Delay, res.DelayOK = r.Delay.Delay, r.Delay.OK
-	case r.Analysis != nil:
+	case r.Analysis != nil && k == tivaware.KindAnalysis:
 		res.Analysis = r.Analysis.summary()
 	default:
 		return res, noPayload(r.Kind)
@@ -124,10 +124,10 @@ func (r Result) ToResult(errFrom func(Error) error) (tivaware.Result, error) {
 	return res, nil
 }
 
-// noPayload is the error a result with neither payload nor envelope
-// decodes to, through ToResult or into Results.
+// noPayload is the error a result with neither its kind's payload nor
+// an envelope decodes to, through ToResult or into Results.
 func noPayload(kind string) error {
-	return fmt.Errorf("tivwire: batch result %q carries no payload", kind)
+	return fmt.Errorf("tivwire: batch result %q carries no payload of its kind", kind)
 }
 
 func (a *AnalysisResponse) summary() tivaware.AnalysisSummary {

@@ -117,7 +117,8 @@ func FuzzResultSinksAgree(f *testing.F) {
 		{Results: []Result{{Kind: "frobnicate", Delay: &DelayResponse{Delay: 3, OK: true}}}},                                  // an unknown kind
 		{Results: []Result{{Kind: "rank"}, {Kind: "top", Top: &TopResponse{}}}},                                               // no payload, then null edges
 		{Results: []Result{{Kind: "rank", Err: &Error{Error: "x"}, Rank: &RankResponse{Selections: []Selection{{Node: 1}}}}}}, // envelope wins
-		{Results: []Result{{Kind: "top", Top: &TopResponse{Edges: []Edge{{I: 1}}}, Delay: &DelayResponse{OK: true}}}},         // the first payload wins
+		{Results: []Result{{Kind: "delay", Top: &TopResponse{Edges: []Edge{{I: 1}}}, Delay: &DelayResponse{OK: true}}}},       // the kind's payload wins
+		{Results: []Result{{Kind: "detour", Rank: &RankResponse{Selections: []Selection{{Node: 1}}}}}},                        // another kind's payload: refused
 		{},
 	} {
 		frame, err := MarshalBinary(resp)
@@ -164,6 +165,31 @@ func FuzzResultSinksAgree(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestReadersRefuseAnotherKindsPayload: both decode targets read only
+// the payload of a result's own kind, and refuse a result carrying
+// another kind's payload with the same error, for every kind.
+func TestReadersRefuseAnotherKindsPayload(t *testing.T) {
+	for _, r := range []Result{
+		{Kind: "rank", Detour: &DetourResponse{}},
+		{Kind: "closest", Top: &TopResponse{}},
+		{Kind: "detour", Rank: &RankResponse{Selections: []Selection{{Node: 1}}}},
+		{Kind: "top", Delay: &DelayResponse{OK: true}},
+		{Kind: "delay", Analysis: &AnalysisResponse{N: 3}},
+		{Kind: "analysis", Rank: &RankResponse{}},
+	} {
+		frame, err := MarshalBinary(&BatchResponse{Results: []Result{r}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := noPayload(r.Kind).Error()
+		_, wireErr := viaWireStruct(frame)
+		got := Results{ErrFrom: toEnvErr}
+		if err := UnmarshalBinaryInto(frame, &got); fmt.Sprint(err) != want || fmt.Sprint(wireErr) != want {
+			t.Errorf("%s result carrying another kind's payload: Results err %v, wire + ToResult err %v; want %q", r.Kind, err, wireErr, want)
+		}
+	}
 }
 
 // BenchmarkBatchResponseDecode prices the two decode targets of one
