@@ -23,6 +23,7 @@ import (
 	"tivaware/internal/repro/nsim"
 	"tivaware/internal/repro/vivaldi"
 	"tivaware/internal/synth"
+	"tivaware/internal/tiv"
 	"tivaware/internal/tivaware"
 	"tivaware/internal/tivshard/testcluster"
 )
@@ -140,14 +141,18 @@ func BenchmarkSeverityAllEdges(b *testing.B) {
 	}
 }
 
+// BenchmarkSeveritySampledB64 measures the kernel's sampled estimator
+// (64 random third nodes per edge), which only the reproduction's
+// ablate-sampling figure runs.
 func BenchmarkSeveritySampledB64(b *testing.B) {
-	svc, sp := benchService(b, 400, tivaware.Options{SampleThirdNodes: 64, Seed: 1})
-	e := sp.Matrix.Edges()[0]
+	sp, err := synth.Generate(synth.DS2Like(400, 1))
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sp.Matrix.Set(e.I, e.J, e.Delay)
-		svc.Severities()
+		tiv.AllSeverities(sp.Matrix, tiv.Options{SampleThirdNodes: 64, Seed: 1})
 	}
 }
 

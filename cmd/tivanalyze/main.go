@@ -36,8 +36,7 @@ func run(args []string, stdout io.Writer) error {
 		in       = fs.String("in", "", "input matrix file (required)")
 		format   = fs.String("format", "csv", "input format: csv or binary")
 		worst    = fs.Int("worst", 10, "how many worst edges to list")
-		sample   = fs.Int("sample", 0, "estimate severities from this many third nodes (0 = exact)")
-		seed     = fs.Int64("seed", 1, "seed for sampled estimation")
+		seed     = fs.Int64("seed", 1, "seed for -clusters")
 		binsize  = fs.Float64("binsize", 10, "delay bin width in ms for the severity-vs-delay table")
 		clusters = fs.Int("clusters", 0, "additionally cluster the nodes into this many major clusters and report per-block severity (0 = off)")
 	)
@@ -74,28 +73,20 @@ func run(args []string, stdout io.Writer) error {
 	// All analysis goes through the tivaware service layer: one
 	// (cached) pass backs the fraction, severities, counts, and the
 	// per-edge detour queries in the worst-edges table.
-	svc, err := tivaware.NewFromMatrix(m, tivaware.Options{SampleThirdNodes: *sample, Seed: *seed})
+	svc, err := tivaware.NewFromMatrix(m, tivaware.Options{})
 	if err != nil {
 		return err
 	}
-	var sev *tiv.EdgeSeverities
-	var counts *tiv.EdgeCounts
-	if *sample == 0 {
-		// Exact mode: one triple-scan pass yields the severities, the
-		// per-edge violation counts for the worst-edges table, and the
-		// exact violating-triangle fraction.
-		an, err := svc.Analysis()
-		if err != nil {
-			return err
-		}
-		sev, counts = an.Severities, an.Counts
-		fmt.Fprintf(stdout, "violating triangle fraction: %.3f (exact: %d of %d)\n",
-			an.ViolatingTriangleFraction(), an.ViolatingTriangles, an.Triangles)
-	} else {
-		frac := svc.ViolatingTriangleFraction(200000)
-		fmt.Fprintf(stdout, "violating triangle fraction: %.3f\n", frac)
-		sev = svc.Severities()
+	// One triple-scan pass yields the severities, the per-edge violation
+	// counts for the worst-edges table, and the exact violating-triangle
+	// fraction.
+	an, err := svc.Analysis()
+	if err != nil {
+		return err
 	}
+	sev, counts := an.Severities, an.Counts
+	fmt.Fprintf(stdout, "violating triangle fraction: %.3f (exact: %d of %d)\n",
+		an.ViolatingTriangleFraction(), an.ViolatingTriangles, an.Triangles)
 	vals := sev.Values()
 	fmt.Fprintf(stdout, "severity: %s\n\n", stats.Summarize(vals))
 
@@ -145,12 +136,6 @@ func run(args []string, stdout io.Writer) error {
 		fmt.Fprintln(stdout, "i\tj\tdelay_ms\tseverity\tviolations\tdetour_via\tdetour_ms\tgain_ms")
 		ctx := context.Background()
 		for _, e := range sev.TopEdges(*worst) {
-			count := 0
-			if counts != nil {
-				count = counts.At(e.I, e.J)
-			} else {
-				count = tiv.ViolationCount(m, e.I, e.J)
-			}
 			det, err := svc.DetourPath(ctx, e.I, e.J)
 			if err != nil {
 				return err
@@ -162,7 +147,7 @@ func run(args []string, stdout io.Writer) error {
 				gain = fmt.Sprintf("%.1f", det.Gain)
 			}
 			fmt.Fprintf(stdout, "%d\t%d\t%.1f\t%.4f\t%d\t%s\t%s\t%s\n",
-				e.I, e.J, m.At(e.I, e.J), e.Delay, count, via, detms, gain)
+				e.I, e.J, m.At(e.I, e.J), e.Delay, counts.At(e.I, e.J), via, detms, gain)
 		}
 	}
 	return nil

@@ -54,7 +54,7 @@ func TestAnalyzeCSV(t *testing.T) {
 func TestAnalyzeBinary(t *testing.T) {
 	path := writeMatrix(t, true)
 	var sb strings.Builder
-	if err := run([]string{"-in", path, "-format", "binary", "-worst", "3", "-sample", "20"}, &sb); err != nil {
+	if err := run([]string{"-in", path, "-format", "binary", "-worst", "3"}, &sb); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(sb.String(), "worst 3 edges") {

@@ -75,7 +75,6 @@ func run(args []string, stdout io.Writer, ctx context.Context) error {
 		seed        = fs.Int64("seed", 1, "seed for -synth")
 		live        = fs.Bool("live", false, "maintain the analysis incrementally and accept POST /v1/update + /v1/subscribe")
 		workers     = fs.Int("workers", 0, "analysis parallelism (0 = GOMAXPROCS)")
-		sample      = fs.Int("sample", 0, "estimate severities from this many third nodes (0 = exact; incompatible with -live)")
 		maxK        = fs.Int("maxk", 0, "cap on k for /v1/rank and /v1/top (0 = default 4096)")
 		maxBatch    = fs.Int("maxbatch", 0, "cap on queries per POST /v1/batch request (0 = default 256)")
 		cacheN      = fs.Int("cache", 0, "epoch-keyed query cache capacity in entries (0 = default 4096, negative disables)")
@@ -87,9 +86,9 @@ func run(args []string, stdout io.Writer, ctx context.Context) error {
 		return err
 	}
 	if *shards != "" {
-		if *in != "" || *synthN != 0 || *live || *sample != 0 || *workers != 0 || *format != "csv" {
+		if *in != "" || *synthN != 0 || *live || *workers != 0 || *format != "csv" {
 			fs.Usage()
-			return fmt.Errorf("-shards is a pure gateway: it takes no -in/-synth/-format/-live/-sample/-workers (liveness and analysis parallelism follow the shards)")
+			return fmt.Errorf("-shards is a pure gateway: it takes no -in/-synth/-format/-live/-workers (liveness and analysis parallelism follow the shards)")
 		}
 		return runGateway(*shards, *shardFrames, *listen, *frameListen, tivd.Options{MaxRankK: *maxK, MaxBatch: *maxBatch, CacheEntries: *cacheN}, stdout, ctx)
 	}
@@ -129,12 +128,7 @@ func run(args []string, stdout io.Writer, ctx context.Context) error {
 		}
 	}
 
-	svc, err := tivaware.NewFromMatrix(m, tivaware.Options{
-		Workers:          *workers,
-		SampleThirdNodes: *sample,
-		Seed:             *seed,
-		Live:             *live,
-	})
+	svc, err := tivaware.NewFromMatrix(m, tivaware.Options{Workers: *workers, Live: *live})
 	if err != nil {
 		return err
 	}

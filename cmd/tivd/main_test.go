@@ -453,9 +453,6 @@ func TestFlagValidation(t *testing.T) {
 	if err := run([]string{"-synth", "8", "-in", "x.csv"}, &strings.Builder{}, context.Background()); err == nil {
 		t.Error("both -in and -synth should error")
 	}
-	if err := run([]string{"-synth", "8", "-live", "-sample", "4", "-listen", "127.0.0.1:0"}, &strings.Builder{}, context.Background()); err == nil {
-		t.Error("live + sampled should error")
-	}
 	if err := run([]string{"-shards", "http://x", "-synth", "8"}, &strings.Builder{}, context.Background()); err == nil {
 		t.Error("-shards + -synth should error")
 	}

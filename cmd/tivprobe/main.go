@@ -205,7 +205,7 @@ type watchReporter interface {
 
 type localReporter struct{ svc *tivaware.Service }
 
-func (r localReporter) fraction() (float64, error) { return r.svc.ViolatingTriangleFraction(0), nil }
+func (r localReporter) fraction() (float64, error) { return r.svc.ViolatingTriangleFraction(), nil }
 func (r localReporter) topEdges(k int) ([]delayspace.Edge, error) {
 	return r.svc.TopEdges(k), nil
 }

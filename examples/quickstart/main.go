@@ -37,7 +37,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("delay space: %d nodes, %.0f%% of triangles violate the triangle inequality\n",
-		n, svc.ViolatingTriangleFraction(0)*100)
+		n, svc.ViolatingTriangleFraction()*100)
 
 	// 2. Ground truth: the TIV severity of every edge.
 	sev := svc.Severities()

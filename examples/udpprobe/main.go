@@ -51,11 +51,11 @@ func main() {
 	fmt.Printf("loopback RTTs (ms): %s\n", stats.Summarize(rtts))
 
 	// TIV analysis on live measurements, through the service layer.
-	svc, err := tivaware.NewFromMatrix(m, tivaware.Options{Seed: 1})
+	svc, err := tivaware.NewFromMatrix(m, tivaware.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	frac := svc.ViolatingTriangleFraction(0)
+	frac := svc.ViolatingTriangleFraction()
 	fmt.Printf("violating triangle fraction: %.3f (loopback jitter can create small TIVs)\n", frac)
 
 	// Embed the measured matrix.

@@ -21,9 +21,18 @@ import (
 // analyses must skip them rather than treat them as zero delay.
 const Missing = -1
 
-// IsDelay reports whether d is a measured delay: finite and ≥ 0 (so
-// not NaN, not ±Inf, not negative).
-func IsDelay(d float64) bool { return d >= 0 && d <= math.MaxFloat64 }
+// The delay domain, in milliseconds: 1 ns to about 11.6 days. Bounding
+// it bounds every violation ratio d_long / (d_a + d_b) of a zero-free
+// detour by MaxDelay / (2 MinDelay), so no severity sum overflows to
+// +Inf (and retiring one cannot leave Inf − Inf = NaN).
+const (
+	MinDelay = 1e-6
+	MaxDelay = 1e9
+)
+
+// IsDelay reports whether d is a measured delay: 0 or in [MinDelay,
+// MaxDelay] (so not NaN, not ±Inf, not negative).
+func IsDelay(d float64) bool { return d == 0 || d >= MinDelay && d <= MaxDelay }
 
 // Valid reports whether d may be stored in a delay space: a measured
 // delay or Missing. It is the one input-validity rule every ingress
@@ -118,7 +127,11 @@ func symmetrize(a, b float64) (float64, error) {
 	case b == Missing:
 		return a, nil
 	default:
-		return a/2 + b/2, nil // halve first: the sum of two finite delays can overflow
+		// 0 and a delay under 2·MinDelay average below the domain.
+		if d := a/2 + b/2; IsDelay(d) {
+			return d, nil
+		}
+		return 0, fmt.Errorf("delay pair (%g,%g) averages outside the delay domain", a, b)
 	}
 }
 

@@ -317,15 +317,16 @@ func TestSubmatrixIdentityProperty(t *testing.T) {
 	}
 }
 
-// TestValid pins the one input-validity rule: finite and ≥ 0, or
-// Missing.
+// TestValid pins the one input-validity rule: 0, a delay in [MinDelay,
+// MaxDelay], or Missing.
 func TestValid(t *testing.T) {
-	for _, d := range []float64{0, 1e-300, 42.5, math.MaxFloat64, Missing} {
+	for _, d := range []float64{0, MinDelay, 42.5, MaxDelay, Missing} {
 		if !Valid(d) {
 			t.Errorf("Valid(%g) = false", d)
 		}
 	}
-	for _, d := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1.5, -1e-300} {
+	for _, d := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1.5, -1e-300,
+		1e-300, math.Nextafter(MinDelay, 0), math.Nextafter(MaxDelay, math.Inf(1)), math.MaxFloat64} {
 		if Valid(d) || IsDelay(d) {
 			t.Errorf("Valid(%g) = %v, IsDelay = %v; want both false", d, Valid(d), IsDelay(d))
 		}
@@ -333,10 +334,14 @@ func TestValid(t *testing.T) {
 	if IsDelay(Missing) {
 		t.Error("Missing is storable but not a measured delay")
 	}
-	// Symmetrizing two finite delays must not overflow into +Inf.
-	m, err := FromRows([][]float64{{0, math.MaxFloat64}, {math.MaxFloat64, 0}})
-	if err != nil || m.At(0, 1) != math.MaxFloat64 {
-		t.Errorf("FromRows(MaxFloat64 pair) = %v, %v", m, err)
+	// Symmetrizing keeps the domain: the ends average to themselves,
+	// and a pair that averages below MinDelay is refused.
+	m, err := FromRows([][]float64{{0, MaxDelay}, {MaxDelay, 0}})
+	if err != nil || m.At(0, 1) != MaxDelay {
+		t.Errorf("FromRows(MaxDelay pair) = %v, %v", m, err)
+	}
+	if _, err := FromRows([][]float64{{0, 0}, {MinDelay, 0}}); err == nil {
+		t.Error("FromRows accepted a pair averaging below MinDelay")
 	}
 }
 

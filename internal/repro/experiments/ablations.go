@@ -183,7 +183,7 @@ func AblateGenerator(cfg Config) (Result, error) {
 		svc := cfg.service(sp.Matrix)
 		sev := svc.Severities()
 		vals := sev.Values()
-		frac := svc.ViolatingTriangleFraction(100000)
+		frac := svc.ViolatingTriangleFraction()
 		cdf := stats.NewCDF(vals)
 		r.Rows = append(r.Rows, []string{
 			presetTitles[preset],

@@ -99,18 +99,13 @@ func scaled(n, num, den int) int {
 }
 
 // service wraps a delay matrix in a tivaware.Service configured for
-// this run. Every experiment computes severities and violation
+// this run. Every experiment computes exact severities and violation
 // statistics through the service layer — the same application API the
 // examples and CLIs consume — rather than constructing engines
-// directly.
+// directly; only the sampled estimators (sampledSeverities, Tab1's
+// triple sample) call the tiv kernel.
 func (c Config) service(m *delayspace.Matrix) *tivaware.Service {
-	return c.serviceSeeded(m, c.Seed)
-}
-
-// serviceSeeded is service with an explicit sampling seed, for
-// experiments that decorrelate several sampled analyses in one run.
-func (c Config) serviceSeeded(m *delayspace.Matrix, seed int64) *tivaware.Service {
-	svc, err := tivaware.NewFromMatrix(m, tivaware.Options{Workers: c.Workers, Seed: seed})
+	svc, err := tivaware.NewFromMatrix(m, tivaware.Options{Workers: c.Workers})
 	if err != nil {
 		// The options are fixed and valid; a failure here is a bug.
 		panic(fmt.Sprintf("experiments: building service: %v", err))
@@ -124,15 +119,11 @@ func (c Config) severities(m *delayspace.Matrix) *tiv.EdgeSeverities {
 	return c.service(m).Severities()
 }
 
-// sampledSeverities estimates severities from b random third nodes.
+// sampledSeverities estimates severities from b random third nodes:
+// the tiv kernel's sampled estimator, which the serving plane does not
+// offer.
 func (c Config) sampledSeverities(m *delayspace.Matrix, b int) *tiv.EdgeSeverities {
-	svc, err := tivaware.NewFromMatrix(m, tivaware.Options{
-		Workers: c.Workers, SampleThirdNodes: b, Seed: c.Seed,
-	})
-	if err != nil {
-		panic(fmt.Sprintf("experiments: building sampled service: %v", err))
-	}
-	return svc.Severities()
+	return tiv.AllSeverities(m, tiv.Options{Workers: c.Workers, SampleThirdNodes: b, Seed: c.Seed})
 }
 
 // space generates the synthetic stand-in for one of the paper's data

@@ -227,7 +227,7 @@ func Tab1(cfg Config) (Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	frac := cfg.serviceSeeded(sp.Matrix, cfg.Seed+3).ViolatingTriangleFraction(200000)
+	frac := tiv.ViolatingTriangleFraction(sp.Matrix, 200000, cfg.Seed+3)
 	sys, err := cfg.convergedVivaldi(sp.Matrix, 11)
 	if err != nil {
 		return nil, err

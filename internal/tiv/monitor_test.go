@@ -358,3 +358,46 @@ func TestMonitorSnapshotAnalysisSurvivesMutation(t *testing.T) {
 			snap.ViolatingTriangles, snap.Severities.At(0, 1), snap.Counts.At(0, 1))
 	}
 }
+
+// TestMonitorSeverityStaysFinite replays, on a 4-node all-10 monitor,
+// the updates that once drove a live severity to NaN: (0,1)=1e300,
+// then (0,2) and (1,2) = 1e-300 made the ratio of edge (0,1) overflow
+// to +Inf, and rewriting (1,2) retired it as Inf − Inf. Outside the
+// delay domain those updates are refused; at its two ends the same
+// sequence is accepted. Either way every severity stays finite and
+// matches a rescan of the monitor's matrix.
+func TestMonitorSeverityStaysFinite(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		big, tiny float64
+	}{
+		{"outside the domain", 1e300, 1e-300},
+		{"at the domain's ends", delayspace.MaxDelay, delayspace.MinDelay},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := delayspace.New(4)
+			for i := 0; i < 4; i++ {
+				for j := i + 1; j < 4; j++ {
+					m.Set(i, j, 10)
+				}
+			}
+			mon := NewMonitor(m, MonitorOptions{})
+			for _, u := range []Update{{0, 1, tc.big}, {0, 2, tc.tiny}, {1, 2, tc.tiny}, {1, 2, 10}} {
+				_, err := mon.ApplyUpdate(u.I, u.J, u.RTT)
+				if valid := delayspace.Valid(u.RTT); (err == nil) != valid {
+					t.Fatalf("ApplyUpdate(%d,%d,%g): err = %v, delay valid = %v", u.I, u.J, u.RTT, err, valid)
+				}
+			}
+			an := NewEngine(Options{}).Analyze(mon.m)
+			sev := mon.SnapshotAnalysis().Severities
+			for i := 0; i < 4; i++ {
+				for j := 0; j < 4; j++ {
+					got, want := sev.At(i, j), an.Severities.At(i, j)
+					if math.IsNaN(got) || math.IsInf(got, 0) || math.Abs(got-want) > 1e-9*math.Max(1, math.Abs(want)) {
+						t.Fatalf("severity(%d,%d): monitor %g, rescan %g", i, j, got, want)
+					}
+				}
+			}
+		})
+	}
+}

@@ -84,32 +84,6 @@ func TriangulationRatios(m *delayspace.Matrix, i, j int) []float64 {
 	return out
 }
 
-// ViolationCount returns the number of third nodes witnessing a
-// violation of edge (i, j). The paper reports e.g. "the average number
-// of TIVs caused by edges within the same cluster is 80" on DS2.
-// Engine.Analyze computes every edge's count in one pass.
-func ViolationCount(m *delayspace.Matrix, i, j int) int {
-	d := m.At(i, j)
-	if i == j || d == delayspace.Missing {
-		return 0
-	}
-	rowI, rowJ := m.Row(i), m.Row(j)
-	maskI, maskJ := m.MaskRow(i), m.MaskRow(j)
-	count := 0
-	for w, mi := range maskI {
-		and := mi & maskJ[w]
-		base := w << 6
-		for and != 0 {
-			b := base + bits.TrailingZeros64(and)
-			and &= and - 1
-			if rowI[b]+rowJ[b] < d {
-				count++
-			}
-		}
-	}
-	return count
-}
-
 // witnessCount returns the number of third nodes with measurements to
 // both endpoints of edge (i, j) — the denominator of FractionTIV —
 // via popcounts over the AND-ed measured-bitsets.

@@ -63,19 +63,6 @@ func TestTriangulationRatios(t *testing.T) {
 	}
 }
 
-func TestViolationCount(t *testing.T) {
-	m := paperTriangle()
-	if got := ViolationCount(m, 0, 2); got != 1 {
-		t.Errorf("ViolationCount = %d, want 1", got)
-	}
-	if got := ViolationCount(m, 0, 1); got != 0 {
-		t.Errorf("ViolationCount = %d, want 0", got)
-	}
-	if ViolationCount(m, 2, 2) != 0 {
-		t.Error("self edge count must be 0")
-	}
-}
-
 func TestAllSeveritiesMatchesSingle(t *testing.T) {
 	s, err := synth.Generate(synth.DS2Like(40, 9))
 	if err != nil {

@@ -212,11 +212,7 @@ func (v *View) resolveQuery(ctx context.Context, q Query) Result {
 			res.Delay = delayspace.Missing // canonical "no estimate", as on the wire
 		}
 	case KindAnalysis:
-		a, err := v.Analysis()
-		if err != nil {
-			res.Err = err
-			break
-		}
+		a := v.Analysis()
 		res.Analysis = AnalysisSummary{
 			N:                  v.N(),
 			ViolatingTriangles: a.ViolatingTriangles,

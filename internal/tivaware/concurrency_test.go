@@ -49,10 +49,7 @@ func TestServiceConcurrentQueriesDuringUpdates(t *testing.T) {
 			}
 		}
 		want := eng.Analyze(frozen)
-		got, err := v.Analysis()
-		if err != nil {
-			return err
-		}
+		got := v.Analysis()
 		if got.ViolatingTriangles != want.ViolatingTriangles {
 			t.Errorf("view seq %d: %d violating triangles, own delays give %d (torn epoch)",
 				v.Seq(), got.ViolatingTriangles, want.ViolatingTriangles)
@@ -195,7 +192,7 @@ func TestConcurrentBatchServiceQueries(t *testing.T) {
 					t.Errorf("querier %d: %v", q, err)
 					return
 				}
-				svc.ViolatingTriangleFraction(0)
+				svc.ViolatingTriangleFraction()
 			}
 		}(q)
 	}

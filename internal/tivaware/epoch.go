@@ -2,7 +2,6 @@ package tivaware
 
 import (
 	"context"
-	"fmt"
 
 	"tivaware/internal/delayspace"
 	"tivaware/internal/tiv"
@@ -10,12 +9,11 @@ import (
 
 // The concurrency core: a Service publishes its state as immutable
 // *epochs* behind an atomic pointer. An epoch bundles everything one
-// query needs — a frozen delay view, the severities (and, on an exact
-// service, violation counts and the violating-triangle total) computed
-// over exactly those delays — so any number of goroutines read it
-// lock-free and every read within one epoch is mutually consistent:
-// there is no moment where a query ranks on new delays against old
-// severities.
+// query needs — a frozen delay view, the severities, violation counts
+// and violating-triangle total computed over exactly those delays — so
+// any number of goroutines read it lock-free and every read within one
+// epoch is mutually consistent: there is no moment where a query ranks
+// on new delays against old severities.
 //
 // Writers never mutate a published epoch. Updates (ApplyUpdate /
 // ApplyBatch on a live service, out-of-band source mutations detected
@@ -38,10 +36,8 @@ type epoch struct {
 	// matrix snapshot for matrix-backed sources, the (per-version
 	// immutable) source itself otherwise.
 	q DelaySource
-	// The analysis over the epoch's delays: one per version, whatever
-	// the first caller asked for. Counts is nil (and the triangle totals
-	// zero) exactly in sampled-severity mode, which has no exact
-	// analysis to offer.
+	// The exact analysis over the epoch's delays: one per version,
+	// whatever the first caller asked for.
 	tiv.Analysis
 }
 
@@ -136,8 +132,8 @@ func (s *Service) buildMonitorEpochLocked() *epoch {
 // severities can never disagree with the published delays; sources
 // without a backing matrix are materialized into reusable scratch
 // (the epoch ranks on the per-version-immutable source directly). An
-// exact service always runs the full analysis: a severities-only scan
-// costs the same to within noise, and every View needs the counts.
+// epoch always carries the full analysis: a severities-only scan costs
+// the same to within noise, and every View needs the counts.
 func (s *Service) buildEngineEpochLocked() *epoch {
 	qv := s.src.Version()
 	av := s.asrc.Version()
@@ -156,13 +152,7 @@ func (s *Service) buildEngineEpochLocked() *epoch {
 	if am == nil {
 		am = s.materializeScratchLocked()
 	}
-	e := &epoch{seq: s.nextSeqLocked(), qVersion: qv, aVersion: av, q: q}
-	if s.opts.SampleThirdNodes > 0 {
-		e.Severities = s.eng.AllSeverities(am)
-	} else {
-		e.Analysis = s.eng.Analyze(am)
-	}
-	return e
+	return &epoch{seq: s.nextSeqLocked(), qVersion: qv, aVersion: av, q: q, Analysis: s.eng.Analyze(am)}
 }
 
 // materializeScratchLocked fills (and caches, keyed on the analysis
@@ -221,17 +211,11 @@ func (v *View) Delay(i, j int) (float64, bool) { return v.e.q.Delay(i, j) }
 func (v *View) Severities() *tiv.EdgeSeverities { return v.e.Severities }
 
 // Analysis returns the view's exact analysis in the shape
-// tiv.Engine.Analyze produces. It errors in sampled mode.
-func (v *View) Analysis() (tiv.Analysis, error) {
-	if v.e.Counts == nil {
-		return tiv.Analysis{}, fmt.Errorf("tivaware: exact analysis unavailable on a sampled-severity view")
-	}
-	return v.e.Analysis, nil
-}
+// tiv.Engine.Analyze produces.
+func (v *View) Analysis() tiv.Analysis { return v.e.Analysis }
 
 // ViolatingTriangleFraction returns the view's exact violating
-// triangle fraction; 0 in sampled mode (use the Service method for
-// bounded estimates).
+// triangle fraction.
 func (v *View) ViolatingTriangleFraction() float64 { return v.e.ViolatingTriangleFraction() }
 
 // TopEdges returns the k edges with the highest severity in this

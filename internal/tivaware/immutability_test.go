@@ -14,30 +14,26 @@ import (
 	"tivaware/internal/tiv"
 )
 
-// sightings hashes every epoch and fracCache a Service publishes at
-// first sighting; verify re-hashes them all. Lock-free readers hold a
+// sightings hashes every epoch a Service publishes at first sighting;
+// verify re-hashes them all. Lock-free readers hold a
 // published snapshot for as long as they like, so one that changed in
 // between was written after it was stored.
 type sightings struct {
 	mu     sync.Mutex
 	epochs map[*epoch]uint64
-	fracs  map[*fracCache]uint64
 }
 
 func newSightings() *sightings {
-	return &sightings{epochs: map[*epoch]uint64{}, fracs: map[*fracCache]uint64{}}
+	return &sightings{epochs: map[*epoch]uint64{}}
 }
 
 // sight hashes whatever s currently publishes, if it is new.
 func (w *sightings) sight(s *Service) {
-	e, fc := s.cur.Load(), s.frac.Load()
+	e := s.cur.Load()
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if _, seen := w.epochs[e]; e != nil && !seen {
 		w.epochs[e] = hashEpoch(e)
-	}
-	if _, seen := w.fracs[fc]; fc != nil && !seen {
-		w.fracs[fc] = hashFrac(fc)
 	}
 }
 
@@ -48,11 +44,6 @@ func (w *sightings) verify(t *testing.T) {
 	for e, h := range w.epochs {
 		if hashEpoch(e) != h {
 			t.Errorf("epoch seq %d (versions %d/%d) was written after it was published", e.seq, e.qVersion, e.aVersion)
-		}
-	}
-	for fc, h := range w.fracs {
-		if hashFrac(fc) != h {
-			t.Errorf("fracCache %+v was written after it was published", *fc)
 		}
 	}
 }
@@ -79,25 +70,13 @@ func hashEpoch(e *epoch) uint64 {
 			for _, d := range e.delayRow(i) {
 				word(math.Float64bits(d))
 			}
-			if e.Severities != nil {
-				for _, v := range e.Severities.Row(i) {
-					word(math.Float64bits(v))
-				}
+			for _, v := range e.Severities.Row(i) {
+				word(math.Float64bits(v))
 			}
-			if e.Counts != nil {
-				for _, c := range e.Counts.Row(i) {
-					word(uint64(uint32(c)))
-				}
+			for _, c := range e.Counts.Row(i) {
+				word(uint64(uint32(c)))
 			}
 		}
-	})
-}
-
-func hashFrac(fc *fracCache) uint64 {
-	return hashWords(func(word func(uint64)) {
-		word(fc.aVersion)
-		word(uint64(fc.maxTriples))
-		word(math.Float64bits(fc.val))
 	})
 }
 
@@ -157,8 +136,7 @@ func queryAll(t *testing.T, s *Service, w *sightings, rng *rand.Rand) {
 
 // TestPublishedEpochsNeverWritten pins the copy-on-write contract the
 // lock-free read path rests on: nothing writes an epoch reached through
-// s.cur.Load() or a fracCache reached through s.frac.Load() once it is
-// published. Every goroutine of a mixed burst sights what the service
+// s.cur.Load() once it is published. Every goroutine of a mixed burst sights what the service
 // publishes after each call; at the end every sighted snapshot must
 // hash as it did then. Under -race a writer also shows up as a race
 // with the hashing.
@@ -167,8 +145,8 @@ func queryAll(t *testing.T, s *Service, w *sightings, rng *rand.Rand) {
 // subscribers that query from their callbacks, and readers of every
 // query kind, Views included. The batch burst mutates its sources out
 // of band — Matrix.Set and a predictor's Invalidate, each followed by a
-// bounded ViolatingTriangleFraction that fills the fracCache — between
-// rounds of concurrent readers, as the DelaySource contract requires.
+// ViolatingTriangleFraction that builds the next epoch — between rounds
+// of concurrent readers, as the DelaySource contract requires.
 func TestPublishedEpochsNeverWritten(t *testing.T) {
 	defer hangWatchdog(t, 20*time.Second)()
 	const n = 40
@@ -264,11 +242,11 @@ func TestPublishedEpochsNeverWritten(t *testing.T) {
 				j++
 			}
 			m.Set(i, j, 1+rng.Float64()*200)
-			svc.ViolatingTriangleFraction(500 + round)
+			svc.ViolatingTriangleFraction()
 			w.sight(svc)
 			pred.shift = float64(round%7) * 3
 			psrc.Invalidate()
-			svc.ViolatingTriangleFraction(700 + round)
+			svc.ViolatingTriangleFraction()
 			w.sight(svc)
 
 			var readers sync.WaitGroup
@@ -279,7 +257,7 @@ func TestPublishedEpochsNeverWritten(t *testing.T) {
 					rng := rand.New(rand.NewSource(int64(round*3 + r)))
 					for k := 0; k < 3; k++ {
 						queryAll(t, svc, w, rng)
-						svc.ViolatingTriangleFraction(900)
+						svc.ViolatingTriangleFraction()
 						w.sight(svc)
 					}
 				}(r)
@@ -287,10 +265,10 @@ func TestPublishedEpochsNeverWritten(t *testing.T) {
 			readers.Wait()
 		}
 		w.verify(t)
-		if len(w.epochs) < 40 || len(w.fracs) < 40 {
-			t.Fatalf("the burst published only %d epochs and %d fraction caches", len(w.epochs), len(w.fracs))
+		if len(w.epochs) < 80 {
+			t.Fatalf("the burst published only %d epochs", len(w.epochs))
 		}
-		t.Logf("%d epochs, %d fraction caches hashed", len(w.epochs), len(w.fracs))
+		t.Logf("%d epochs hashed", len(w.epochs))
 	})
 }
 

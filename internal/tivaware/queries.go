@@ -38,11 +38,9 @@ type Selection struct {
 	// Severity is the TIV severity of the target-candidate edge.
 	Severity float64 `json:"severity"`
 	// Violated reports that the edge is currently involved in at least
-	// one triangle inequality violation. In sampled-severity mode it
-	// derives from Severity > 0; otherwise from exact violation counts.
+	// one triangle inequality violation (Violations > 0).
 	Violated bool `json:"violated"`
-	// Violations is the exact violation count of the edge, or -1 in
-	// sampled-severity mode.
+	// Violations is the exact violation count of the edge.
 	Violations int `json:"violations"`
 	// Score is the ranking key: Delay × (1 + SeverityPenalty×Severity).
 	Score float64 `json:"score"`
@@ -117,11 +115,7 @@ func selectEpoch(ctx context.Context, e *epoch, target int, candidates []int, op
 		k = count
 	}
 
-	delays, sevs := e.delayRow(target), e.Severities.Row(target)
-	var counts []int32
-	if e.Counts != nil {
-		counts = e.Counts.Row(target)
-	}
+	delays, sevs, counts := e.delayRow(target), e.Severities.Row(target), e.Counts.Row(target)
 	kept = make([]Selection, 0, k)
 	for idx := 0; idx < count; idx++ {
 		if idx&ctxPollMask == 0 {
@@ -137,12 +131,8 @@ func selectEpoch(ctx context.Context, e *epoch, target int, candidates []int, op
 		if c == target || d == delayspace.Missing {
 			continue
 		}
-		sev, violations := sevs[c], -1
-		violated := sev > 0
-		if counts != nil {
-			violations = int(counts[c])
-			violated = violations > 0
-		}
+		sev, violations := sevs[c], int(counts[c])
+		violated := violations > 0
 		if opts.ExcludeViolated && violated {
 			continue
 		}

@@ -60,13 +60,8 @@ func rankReference(ctx context.Context, e *epoch, target int, candidates []int, 
 		if !ok {
 			continue
 		}
-		sel := Selection{Node: c, Delay: d, Severity: e.Severities.At(target, c), Violations: -1}
-		if e.Counts != nil {
-			sel.Violations = e.Counts.At(target, c)
-			sel.Violated = sel.Violations > 0
-		} else {
-			sel.Violated = sel.Severity > 0
-		}
+		sel := Selection{Node: c, Delay: d, Severity: e.Severities.At(target, c), Violations: e.Counts.At(target, c)}
+		sel.Violated = sel.Violations > 0
 		if opts.ExcludeViolated && sel.Violated {
 			continue
 		}
@@ -151,11 +146,10 @@ func sameResult(got, want Result) error {
 	return nil
 }
 
-// selectionEpochs builds one exact and one sampled-severity epoch over
-// the same random space: n nodes, a holeFrac share of pairs missing,
-// delays quantised on odd seeds so equal scores (broken by node id)
-// are common rather than accidental.
-func selectionEpochs(t testing.TB, n int, holeFrac float64, seed int64) [2]*epoch {
+// selectionEpoch builds an epoch over a random space: n nodes, a
+// holeFrac share of pairs missing, delays quantised on odd seeds so
+// equal scores (broken by node id) are common rather than accidental.
+func selectionEpoch(t testing.TB, n int, holeFrac float64, seed int64) *epoch {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	m := delayspace.New(n)
@@ -171,20 +165,15 @@ func selectionEpochs(t testing.TB, n int, holeFrac float64, seed int64) [2]*epoc
 			m.Set(i, j, d)
 		}
 	}
-	var out [2]*epoch
-	for x, opts := range []Options{{Workers: 1}, {Workers: 1, SampleThirdNodes: 8, Seed: seed}} {
-		svc, err := NewFromMatrix(m, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if out[x], err = svc.currentEpoch(context.Background()); err != nil {
-			t.Fatal(err)
-		}
+	svc, err := NewFromMatrix(m, Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if out[0].Counts == nil || out[1].Counts != nil {
-		t.Fatalf("epoch modes: exact counts=%v, sampled counts=%v", out[0].Counts != nil, out[1].Counts != nil)
+	e, err := svc.currentEpoch(context.Background())
+	if err != nil {
+		t.Fatal(err)
 	}
-	return out
+	return e
 }
 
 // checkSelectionQueries compares every spelling of one selection — a
@@ -196,8 +185,8 @@ func checkSelectionQueries(t testing.TB, e *epoch, target, k int, candidates []i
 	for _, kind := range []QueryKind{KindRank, KindClosest} {
 		q := Query{Kind: kind, Target: target, K: k, Candidates: candidates, SeverityPenalty: penalty, ExcludeViolated: exclude}
 		if err := sameResult(v.resolveQuery(ctx, q), resultReference(ctx, e, q)); err != nil {
-			t.Fatalf("%s n=%d full=%v target=%d k=%d cands=%v penalty=%g exclude=%v: %v",
-				kind, e.q.N(), e.Counts != nil, target, k, candidates, penalty, exclude, err)
+			t.Fatalf("%s n=%d target=%d k=%d cands=%v penalty=%g exclude=%v: %v",
+				kind, e.q.N(), target, k, candidates, penalty, exclude, err)
 		}
 	}
 	if k > 0 {
@@ -211,8 +200,7 @@ func checkSelectionQueries(t testing.TB, e *epoch, target, k int, candidates []i
 }
 
 // FuzzSelectionMatchesSort holds bounded selection ≡ sort-then-truncate
-// — selections, Truncated and error text — on an exact and a sampled
-// epoch. candBytes spells the candidate list: empty = nil (all nodes),
+// — selections, Truncated and error text. candBytes spells the candidate list: empty = nil (all nodes),
 // a lone 0 = an empty set, otherwise one id per byte folded onto
 // [-1, n], which reaches the target, duplicates and both out-of-range
 // ends.
@@ -259,17 +247,17 @@ func FuzzSelectionMatchesSort(f *testing.F) {
 	f.Add(uint8(200), uint8(0), int64(10), 117, 8, []byte{20, 55, 38, 78, 180, 61, 129, 7, 186, 10, 26, 84, 132, 85, 15, 135,
 		178, 122, 95, 155, 1, 140, 33, 136, 3, 126, 52, 74, 174, 115, 21, 86}, 0.0, false)
 
-	epochs := map[[3]int64][2]*epoch{} // one fuzz worker is one goroutine
+	epochs := map[[3]int64]*epoch{} // one fuzz worker is one goroutine
 	f.Fuzz(func(t *testing.T, nb, holes uint8, seed int64, target, k int, candBytes []byte, penalty float64, exclude bool) {
 		n := max(2, int(nb)%201)
 		key := [3]int64{int64(n), int64(holes % 101), seed}
-		es, ok := epochs[key]
+		e, ok := epochs[key]
 		if !ok {
 			if len(epochs) >= 8 {
 				clear(epochs)
 			}
-			es = selectionEpochs(t, n, float64(holes%101)/100, seed)
-			epochs[key] = es
+			e = selectionEpoch(t, n, float64(holes%101)/100, seed)
+			epochs[key] = e
 		}
 		var candidates []int
 		if len(candBytes) > 0 {
@@ -280,9 +268,7 @@ func FuzzSelectionMatchesSort(f *testing.F) {
 				}
 			}
 		}
-		for _, e := range es {
-			checkSelectionQueries(t, e, target, k, candidates, penalty, exclude)
-		}
+		checkSelectionQueries(t, e, target, k, candidates, penalty, exclude)
 	})
 }
 
@@ -293,16 +279,15 @@ func TestSelectionMatchesSortSweep(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for _, n := range []int{2, 5, 33} {
 		for seed := int64(0); seed < 4; seed++ {
-			for _, e := range selectionEpochs(t, n, 0.2*float64(seed%3), seed) {
-				for trial := 0; trial < 6; trial++ {
-					target := rng.Intn(n)
-					var candidates []int
-					if trial%2 == 1 {
-						candidates = rng.Perm(n)[:rng.Intn(n+1)]
-					}
-					for k := 0; k <= n+1; k++ {
-						checkSelectionQueries(t, e, target, k, candidates, float64(trial%3), trial%4 == 3)
-					}
+			e := selectionEpoch(t, n, 0.2*float64(seed%3), seed)
+			for trial := 0; trial < 6; trial++ {
+				target := rng.Intn(n)
+				var candidates []int
+				if trial%2 == 1 {
+					candidates = rng.Perm(n)[:rng.Intn(n+1)]
+				}
+				for k := 0; k <= n+1; k++ {
+					checkSelectionQueries(t, e, target, k, candidates, float64(trial%3), trial%4 == 3)
 				}
 			}
 		}
@@ -318,19 +303,18 @@ func TestSelectionMatchesSortAtServedSize(t *testing.T) {
 	const n = 400
 	rng := rand.New(rand.NewSource(n))
 	for _, seed := range []int64{4, 5} {
-		for _, e := range selectionEpochs(t, n, 0.05, seed) {
-			for trial := 0; trial < 20; trial++ {
-				target := rng.Intn(n)
-				candidates := make([]int, 0, 32)
-				for _, c := range rng.Perm(n) {
-					if c != target && len(candidates) < cap(candidates) {
-						candidates = append(candidates, c)
-					}
+		e := selectionEpoch(t, n, 0.05, seed)
+		for trial := 0; trial < 20; trial++ {
+			target := rng.Intn(n)
+			candidates := make([]int, 0, 32)
+			for _, c := range rng.Perm(n) {
+				if c != target && len(candidates) < cap(candidates) {
+					candidates = append(candidates, c)
 				}
-				checkSelectionQueries(t, e, target, 8, candidates, 4*rng.Float64(), false)
-				checkSelectionQueries(t, e, target, 8, candidates, 0, false)
-				checkSelectionQueries(t, e, target, 1, nil, 4*rng.Float64(), false)
 			}
+			checkSelectionQueries(t, e, target, 8, candidates, 4*rng.Float64(), false)
+			checkSelectionQueries(t, e, target, 8, candidates, 0, false)
+			checkSelectionQueries(t, e, target, 1, nil, 4*rng.Float64(), false)
 		}
 	}
 }

@@ -10,23 +10,17 @@ import (
 	"tivaware/internal/tiv"
 )
 
-// Options configures a Service. The zero value is valid: exact
-// severities, GOMAXPROCS workers, batch (engine) severity provider.
+// Options configures a Service. The zero value is valid: GOMAXPROCS
+// workers, batch (engine) severity provider. Severities are always
+// exact.
 type Options struct {
 	// Workers bounds analysis parallelism; zero means GOMAXPROCS.
 	Workers int
-	// SampleThirdNodes, when positive, estimates severities from that
-	// many random third nodes instead of all N (see tiv.Options). In
-	// sampled mode exact violation counts are unavailable: Analysis
-	// returns an error and Violated flags derive from severity > 0.
-	SampleThirdNodes int
-	// Seed drives sampled estimation.
-	Seed int64
 	// Live maintains an incremental tiv.Monitor instead of re-running
 	// the batch engine when the source changes: O(N) per edge update
 	// via ApplyUpdate/ApplyBatch, with Subscribe delivering
 	// violated-edge deltas. Requires a matrix-backed source
-	// (MatrixSource or NewFromMatrix) and exact severities.
+	// (MatrixSource or NewFromMatrix).
 	Live bool
 	// AnalysisSource, when non-nil, supplies the delays the severity
 	// analysis runs over while queries keep ranking on the primary
@@ -65,7 +59,6 @@ type Options struct {
 type Service struct {
 	src  DelaySource // ranking/detour delays
 	asrc DelaySource // severity-analysis delays (== src unless Options.AnalysisSource)
-	opts Options
 
 	// Exactly one severity provider is active.
 	mon *tiv.Monitor // incremental provider (Options.Live); owned, under mu
@@ -83,9 +76,6 @@ type Service struct {
 	scratch   *delayspace.Matrix
 	scratchV  uint64
 	scratchOK bool
-
-	// Sampled/bounded triangle-fraction cache, lock-free readable.
-	frac atomic.Pointer[fracCache]
 
 	// Subscriber registry, guarded by subMu — never held while a
 	// subscriber callback runs, so cancel (and Subscribe) are safe to
@@ -106,12 +96,6 @@ type subscriber struct {
 	fn func(tiv.ChangeSet)
 }
 
-type fracCache struct {
-	aVersion   uint64
-	maxTriples int
-	val        float64
-}
-
 // New builds a Service over src. With Options.Live the source must be
 // matrix-backed (MatrixSource); otherwise any source works and the
 // batch engine re-analyzes when src.Version moves (predictor-backed
@@ -120,13 +104,10 @@ func New(src DelaySource, opts Options) (*Service, error) {
 	if src == nil {
 		return nil, fmt.Errorf("tivaware: nil DelaySource")
 	}
-	if opts.SampleThirdNodes < 0 {
-		return nil, fmt.Errorf("tivaware: negative SampleThirdNodes %d", opts.SampleThirdNodes)
-	}
 	if opts.Workers < 0 {
 		return nil, fmt.Errorf("tivaware: negative Workers %d", opts.Workers)
 	}
-	s := &Service{src: src, asrc: src, opts: opts}
+	s := &Service{src: src, asrc: src}
 	if opts.AnalysisSource != nil {
 		if opts.Live {
 			return nil, fmt.Errorf("tivaware: AnalysisSource is incompatible with Live (a live service analyzes the matrix it monitors)")
@@ -137,9 +118,6 @@ func New(src DelaySource, opts Options) (*Service, error) {
 		s.asrc = opts.AnalysisSource
 	}
 	if opts.Live {
-		if opts.SampleThirdNodes > 0 {
-			return nil, fmt.Errorf("tivaware: Live mode requires exact severities (SampleThirdNodes = 0)")
-		}
 		ms, ok := src.(matrixSource)
 		if !ok {
 			return nil, fmt.Errorf("tivaware: Live mode requires a matrix-backed source, have %T", src)
@@ -147,11 +125,7 @@ func New(src DelaySource, opts Options) (*Service, error) {
 		s.mon = tiv.NewMonitor(ms.m, tiv.MonitorOptions{Workers: opts.Workers, OnChange: s.onMonitorChange})
 		return s, nil
 	}
-	s.eng = tiv.NewEngine(tiv.Options{
-		Workers:          opts.Workers,
-		SampleThirdNodes: opts.SampleThirdNodes,
-		Seed:             opts.Seed,
-	})
+	s.eng = tiv.NewEngine(tiv.Options{Workers: opts.Workers})
 	return s, nil
 }
 
@@ -285,58 +259,25 @@ func (s *Service) fanout(cs tiv.ChangeSet) {
 	}
 }
 
-// Severities returns the current per-edge TIV severities (exact or
-// sampled per Options), kept current with the source. The result is
-// an immutable epoch snapshot: it remains valid — and unchanged —
-// after later updates.
+// Severities returns the current per-edge exact TIV severities, kept
+// current with the source. The result is an immutable epoch snapshot:
+// it remains valid — and unchanged — after later updates.
 func (s *Service) Severities() *tiv.EdgeSeverities {
 	e, _ := s.currentEpoch(nil)
 	return e.Severities
 }
 
 // Analysis returns the current exact analysis in the shape
-// tiv.Engine.Analyze produces, as an immutable epoch snapshot. It
-// errors in sampled mode.
+// tiv.Engine.Analyze produces, as an immutable epoch snapshot. The
+// error is always nil.
 func (s *Service) Analysis() (tiv.Analysis, error) {
-	if s.mon == nil && s.opts.SampleThirdNodes > 0 {
-		return tiv.Analysis{}, fmt.Errorf("tivaware: exact analysis unavailable with SampleThirdNodes = %d", s.opts.SampleThirdNodes)
-	}
 	e, _ := s.currentEpoch(nil)
 	return e.Analysis, nil
 }
 
-// ViolatingTriangleFraction returns the fraction of node triples
-// violating the triangle inequality. Live services report the exact,
-// incrementally maintained count. Otherwise, maxTriples > 0 bounds
-// the work: when the matrix has more triples than that (or severities
-// are sampled), that many triples are sampled uniformly instead of
-// counted exactly; maxTriples <= 0 forces the exact count.
-func (s *Service) ViolatingTriangleFraction(maxTriples int) float64 {
-	if s.mon == nil && (s.opts.SampleThirdNodes > 0 || maxTriples > 0) {
-		// A current exact epoch already carries the count.
-		if e := s.cur.Load(); e != nil && e.Counts != nil && s.fresh(e) {
-			return e.ViolatingTriangleFraction()
-		}
-		av := s.asrc.Version()
-		if fc := s.frac.Load(); fc != nil && fc.aVersion == av && fc.maxTriples == maxTriples {
-			return fc.val
-		}
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		av = s.asrc.Version()
-		if fc := s.frac.Load(); fc != nil && fc.aVersion == av && fc.maxTriples == maxTriples {
-			return fc.val
-		}
-		var m *delayspace.Matrix
-		if ms, ok := s.asrc.(matrixSource); ok {
-			m = ms.m
-		} else {
-			m = s.materializeScratchLocked()
-		}
-		val := s.eng.ViolatingTriangleFraction(m, maxTriples)
-		s.frac.Store(&fracCache{aVersion: av, maxTriples: maxTriples, val: val})
-		return val
-	}
+// ViolatingTriangleFraction returns the current epoch's exact fraction
+// of node triples violating the triangle inequality.
+func (s *Service) ViolatingTriangleFraction() float64 {
 	e, _ := s.currentEpoch(nil)
 	return e.ViolatingTriangleFraction()
 }

@@ -58,7 +58,7 @@ func TestServiceSeveritiesMatchEngine(t *testing.T) {
 	if an.ViolatingTriangles <= 0 {
 		t.Error("TIV-rich space reports no violating triangles")
 	}
-	if f := svc.ViolatingTriangleFraction(0); f != an.ViolatingTriangleFraction() {
+	if f := svc.ViolatingTriangleFraction(); f != an.ViolatingTriangleFraction() {
 		t.Errorf("fraction %g != analysis fraction %g", f, an.ViolatingTriangleFraction())
 	}
 }
@@ -227,38 +227,13 @@ func TestBatchServiceRejectsLiveOnlyCalls(t *testing.T) {
 	}
 }
 
-func TestSampledModeSeveritiesOnly(t *testing.T) {
-	m := genSpace(t, 150, 7)
-	svc, err := NewFromMatrix(m, Options{SampleThirdNodes: 32, Seed: 1, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := svc.Analysis(); err == nil {
-		t.Error("sampled-mode Analysis should error")
-	}
-	sev := svc.Severities()
-	want := tiv.AllSeverities(m, tiv.Options{SampleThirdNodes: 32, Seed: 1, Workers: 1})
-	if sev.At(0, 1) != want.At(0, 1) {
-		t.Errorf("sampled severity mismatch: %g vs %g", sev.At(0, 1), want.At(0, 1))
-	}
-	if f := svc.ViolatingTriangleFraction(5000); f <= 0 {
-		t.Errorf("sampled fraction %g, want > 0 on a TIV-rich space", f)
-	}
-}
-
 func TestOptionValidation(t *testing.T) {
 	m := genSpace(t, 40, 3)
 	if _, err := New(nil, Options{}); err == nil {
 		t.Error("nil source should error")
 	}
-	if _, err := NewFromMatrix(m, Options{SampleThirdNodes: -1}); err == nil {
-		t.Error("negative sample should error")
-	}
 	if _, err := NewFromMatrix(m, Options{Workers: -1}); err == nil {
 		t.Error("negative workers should error")
-	}
-	if _, err := NewFromMatrix(m, Options{Live: true, SampleThirdNodes: 8}); err == nil {
-		t.Error("live + sampled should error")
 	}
 	if _, err := New(FromPredictor(matrixPredictor{m}, m.N()), Options{Live: true}); err == nil {
 		t.Error("live over a predictor source should error")

@@ -82,9 +82,7 @@ func (b serviceBackend) Health(ctx context.Context) (uint64, uint64, error) {
 	return v.Seq(), v.Version(), nil
 }
 
-// QueryBatch codes a failed query as the request's fault, except a
-// failed analysis: the service cannot produce exact counts (a sampled
-// deployment), the same conflict a gateway's disagreeing replicas are.
+// QueryBatch codes a failed query as the request's fault.
 func (b serviceBackend) QueryBatch(ctx context.Context, queries []tivaware.Query) ([]tivaware.Result, uint64, error) {
 	v, err := b.svc.View(ctx)
 	if err != nil {
@@ -92,14 +90,7 @@ func (b serviceBackend) QueryBatch(ctx context.Context, queries []tivaware.Query
 	}
 	res, err := v.QueryBatch(ctx, queries)
 	for i := range res {
-		if res[i].Err == nil {
-			continue
-		}
-		code := tivwire.CodeBadRequest
-		if res[i].Kind == tivaware.KindAnalysis {
-			code = tivwire.CodeDiverged
-		}
-		res[i].Err = coded(res[i].Err, code)
+		res[i].Err = coded(res[i].Err, tivwire.CodeBadRequest)
 	}
 	return res, v.Seq(), coded(err, tivwire.CodeBadRequest)
 }

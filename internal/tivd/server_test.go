@@ -423,13 +423,16 @@ func (sickBackend) Health(context.Context) (uint64, uint64, error) {
 	return 0, 0, errors.New("counters unreadable")
 }
 
-// uncodedBackend fails every query with an error nobody gave a code.
-type uncodedBackend struct{ tivd.Backend }
+// failingBackend fails every query with err.
+type failingBackend struct {
+	tivd.Backend
+	err error
+}
 
-func (uncodedBackend) QueryBatch(_ context.Context, queries []tivaware.Query) ([]tivaware.Result, uint64, error) {
+func (b failingBackend) QueryBatch(_ context.Context, queries []tivaware.Query) ([]tivaware.Result, uint64, error) {
 	res := make([]tivaware.Result, len(queries))
 	for i, q := range queries {
-		res[i] = tivaware.Result{Kind: q.Kind, Err: errors.New("uncoded")}
+		res[i] = tivaware.Result{Kind: q.Kind, Err: b.err}
 	}
 	return res, 1, nil
 }
@@ -441,14 +444,11 @@ func (uncodedBackend) QueryBatch(_ context.Context, queries []tivaware.Query) ([
 // uncoded cases fail at the parent commit, which answered 400
 // bad_request.)
 func TestWireCodes(t *testing.T) {
-	service := func(opts tivaware.Options) tivd.Backend {
-		svc, err := tivaware.NewFromMatrix(tivMatrix(), opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return tivd.ServiceBackend(svc)
+	svc, err := tivaware.NewFromMatrix(tivMatrix(), tivaware.Options{Live: true, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
 	}
-	live := service(tivaware.Options{Live: true, Workers: 1})
+	live := tivd.ServiceBackend(svc)
 	batch := func(q tivaware.Query) *tivwire.BatchRequest {
 		return &tivwire.BatchRequest{Queries: []tivaware.Query{q}}
 	}
@@ -460,11 +460,11 @@ func TestWireCodes(t *testing.T) {
 		status int
 		code   string
 	}{
-		{"uncoded query error", uncodedBackend{live}, "/v1/delay?i=0&j=1",
+		{"uncoded query error", failingBackend{live, errors.New("uncoded")}, "/v1/delay?i=0&j=1",
 			batch(tivaware.Query{Kind: tivaware.KindDelay, I: 0, J: 1}), http.StatusServiceUnavailable, tivwire.CodeInternal},
 		{"uncoded health error", sickBackend{live}, "/healthz",
 			&tivwire.Hello{}, http.StatusServiceUnavailable, tivwire.CodeInternal},
-		{"analysis on a sampled daemon", service(tivaware.Options{SampleThirdNodes: 2, Workers: 1}), "/v1/analysis",
+		{"analysis on diverged replicas", failingBackend{live, &tivwire.CodedError{Code: tivwire.CodeDiverged, Msg: "replicas disagree"}}, "/v1/analysis",
 			batch(tivaware.Query{Kind: tivaware.KindAnalysis}), http.StatusConflict, tivwire.CodeDiverged},
 		{"tivaware validation", live, "/v1/rank?target=99",
 			batch(tivaware.Query{Kind: tivaware.KindRank, Target: 99}), http.StatusBadRequest, tivwire.CodeBadRequest},

@@ -52,7 +52,7 @@ func wantBadRequest(t *testing.T, what string, err error) {
 }
 
 // TestInvalidDelayRefusedAtEveryIngress is the table {+Inf, −Inf, NaN,
-// −1.5} × {in-process ApplyBatch, HTTP JSON, frame, gateway in-process,
+// −1.5, and 1e300 and 1e-300 outside the delay domain} × {in-process ApplyBatch, HTTP JSON, frame, gateway in-process,
 // gateway over HTTP and frames}: each is a typed bad_request and no
 // matrix version or gateway generation moves; the in-package
 // TestInvalidDelayNotJournaled watches the journal itself. (Fails at the
@@ -89,7 +89,7 @@ func TestInvalidDelayRefusedAtEveryIngress(t *testing.T) {
 		t.Fatal("a valid update left the state snapshot unchanged")
 	}
 
-	for _, bad := range []float64{math.Inf(1), math.Inf(-1), math.NaN(), -1.5} {
+	for _, bad := range []float64{math.Inf(1), math.Inf(-1), math.NaN(), -1.5, 1e300, 1e-300} {
 		before := state()
 		wire := []tivwire.Update{{I: 0, J: 1, RTT: 50}, {I: 2, J: 3, RTT: bad}}
 		if _, err := mono.ApplyBatch([]tiv.Update{{I: 0, J: 1, RTT: 50}, {I: 2, J: 3, RTT: bad}}); err == nil {
@@ -98,7 +98,7 @@ func TestInvalidDelayRefusedAtEveryIngress(t *testing.T) {
 		_, err := c.Gateway.ApplyBatch(ctx, wire)
 		wantBadRequest(t, fmt.Sprintf("rtt %g: Gateway.ApplyBatch", bad), err)
 		for name, cl := range clients {
-			if strings.HasSuffix(name, "http") && bad != -1.5 {
+			if strings.HasSuffix(name, "http") && (math.IsInf(bad, 0) || math.IsNaN(bad)) {
 				continue // JSON cannot spell it; see the raw bodies below
 			}
 			_, err := cl.ApplyBatch(ctx, wire)
