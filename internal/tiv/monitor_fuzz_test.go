@@ -8,12 +8,10 @@ import (
 )
 
 // FuzzMonitorVsRescan decodes the fuzz input into a mutation sequence
-// (singles and batches, measurements, removals, zero delays and both
-// ends of the delay domain) over a word-boundary-sized matrix, drives a
-// Monitor with it, and requires the incremental state to match a fresh
-// batch Engine.Analyze — counts and the violating-triangle total
-// exactly, severities to 1e-9 (relative above 1: a severity near the
-// domain's ratio bound has an ulp far above 1e-9). The
+// (singles and batches, measurements, removals, and zero delays) over
+// a word-boundary-sized matrix, drives a Monitor with it, and requires
+// the incremental state to match a fresh batch Engine.Analyze — counts
+// and the violating-triangle total exactly, severities to 1e-9. The
 // seed corpus runs as part of the normal test suite;
 // `go test -fuzz=FuzzMonitorVsRescan` explores further.
 func FuzzMonitorVsRescan(f *testing.F) {
@@ -21,11 +19,6 @@ func FuzzMonitorVsRescan(f *testing.F) {
 	f.Add([]byte{0, 1, 100, 1, 2, 0, 2, 0, 255})
 	f.Add([]byte{7, 3, 0, 7, 3, 90, 3, 7, 90, 200, 200, 200})
 	f.Add([]byte{0, 65, 10, 64, 65, 20, 63, 64, 30, 1, 64, 0})
-	// The domain's ends: (0,1) at MaxDelay over a MinDelay detour
-	// through 2, then the detour and the edge rewritten in range.
-	f.Add([]byte{0, 1, 254, 0, 2, 253, 1, 2, 253, 1, 2, 40, 0, 1, 40})
-	// MinDelay edges beside zeros, and a MaxDelay batch (v%3 == 0).
-	f.Add([]byte{3, 4, 253, 4, 5, 255, 3, 5, 254, 6, 7, 3, 7, 8, 254, 6, 8, 253, 9, 9, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		const n = 66 // crosses the 64-bit mask word boundary
 		m := delayspace.New(n)
@@ -48,10 +41,6 @@ func FuzzMonitorVsRescan(f *testing.F) {
 				rtt = delayspace.Missing
 			case v == 255:
 				rtt = 0
-			case v == 254:
-				rtt = delayspace.MaxDelay
-			case v == 253:
-				rtt = delayspace.MinDelay
 			default:
 				rtt = float64(v) * 1.5
 			}
@@ -97,9 +86,8 @@ func FuzzMonitorVsRescan(f *testing.F) {
 				if cnt.At(i, j) != an.Counts.At(i, j) {
 					t.Fatalf("count(%d,%d): monitor %d, rescan %d", i, j, cnt.At(i, j), an.Counts.At(i, j))
 				}
-				want := an.Severities.At(i, j)
-				if d := math.Abs(sev.At(i, j) - want); !(d <= 1e-9*math.Max(1, math.Abs(want))) {
-					t.Fatalf("severity(%d,%d) drifted by %g from %g", i, j, d, want)
+				if d := math.Abs(sev.At(i, j) - an.Severities.At(i, j)); d > 1e-9 {
+					t.Fatalf("severity(%d,%d) drifted by %g", i, j, d)
 				}
 			}
 		}
