@@ -5,7 +5,10 @@
 // Usage:
 //
 //	tivanalyze -in ds2.csv
-//	tivanalyze -in meridian.tivm -format binary -worst 20
+//	tivanalyze -in meridian.tivm -worst 20
+//
+// The input is CSV or tivgen's TIVM binary; the file's first bytes
+// tell which.
 package main
 
 import (
@@ -33,8 +36,7 @@ func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("tivanalyze", flag.ContinueOnError)
 	fs.SetOutput(stdout)
 	var (
-		in       = fs.String("in", "", "input matrix file (required)")
-		format   = fs.String("format", "csv", "input format: csv or binary")
+		in       = fs.String("in", "", "input matrix file, CSV or TIVM binary (required)")
 		worst    = fs.Int("worst", 10, "how many worst edges to list")
 		seed     = fs.Int64("seed", 1, "seed for -clusters")
 		binsize  = fs.Float64("binsize", 10, "delay bin width in ms for the severity-vs-delay table")
@@ -52,16 +54,7 @@ func run(args []string, stdout io.Writer) error {
 		return err
 	}
 	defer f.Close()
-
-	var m *delayspace.Matrix
-	switch *format {
-	case "csv":
-		m, err = delayspace.ReadCSV(f)
-	case "binary":
-		m, err = delayspace.ReadBinary(f)
-	default:
-		return fmt.Errorf("unknown format %q", *format)
-	}
+	m, err := delayspace.ReadMatrix(f)
 	if err != nil {
 		return err
 	}

@@ -7,9 +7,14 @@
 // people and curl; -frame-listen adds the persistent framed transport
 // for machines. Remote consumers use internal/tivclient for either.
 //
-// Serve a measured matrix, read-only:
+// Serve a measured matrix, read-only (CSV or tivgen's TIVM binary;
+// the file's first bytes tell which):
 //
 //	tivd -in ds2.csv -listen 0.0.0.0:7070
+//
+// The daemon takes no tuning: its limits are constants in
+// internal/tivd, and analysis runs on GOMAXPROCS workers (set by the
+// GOMAXPROCS environment variable).
 //
 // Serve a live synthetic matrix accepting updates and subscriptions:
 //
@@ -69,15 +74,10 @@ func run(args []string, stdout io.Writer, ctx context.Context) error {
 	fs.SetOutput(stdout)
 	var (
 		listen      = fs.String("listen", "127.0.0.1:7070", "HTTP listen address (use :0 for an ephemeral port)")
-		in          = fs.String("in", "", "delay matrix file to serve")
-		format      = fs.String("format", "csv", "input format: csv or binary")
+		in          = fs.String("in", "", "delay matrix file to serve, CSV or TIVM binary (told apart by the binary magic)")
 		synthN      = fs.Int("synth", 0, "serve a DS2-like synthetic matrix of this many nodes instead of -in")
 		seed        = fs.Int64("seed", 1, "seed for -synth")
 		live        = fs.Bool("live", false, "maintain the analysis incrementally and accept POST /v1/update + /v1/subscribe")
-		workers     = fs.Int("workers", 0, "analysis parallelism (0 = GOMAXPROCS)")
-		maxK        = fs.Int("maxk", 0, "cap on k for /v1/rank and /v1/top (0 = default 4096)")
-		maxBatch    = fs.Int("maxbatch", 0, "cap on queries per POST /v1/batch request (0 = default 256)")
-		cacheN      = fs.Int("cache", 0, "epoch-keyed query cache capacity in entries (0 = default 4096, negative disables)")
 		shards      = fs.String("shards", "", "comma-separated shard daemon URLs: serve a gateway over these replicas instead of a local matrix")
 		frameListen = fs.String("frame-listen", "", "framed binary transport listen address — tcp \"host:port\" (use :0 for ephemeral) or \"unix:///path.sock\"; empty disables")
 		shardFrames = fs.String("shard-frames", "", "comma-separated framed addresses for the -shards daemons, aligned by index (an empty entry keeps that shard on HTTP)")
@@ -86,11 +86,11 @@ func run(args []string, stdout io.Writer, ctx context.Context) error {
 		return err
 	}
 	if *shards != "" {
-		if *in != "" || *synthN != 0 || *live || *workers != 0 || *format != "csv" {
+		if *in != "" || *synthN != 0 || *live {
 			fs.Usage()
-			return fmt.Errorf("-shards is a pure gateway: it takes no -in/-synth/-format/-live/-workers (liveness and analysis parallelism follow the shards)")
+			return fmt.Errorf("-shards is a pure gateway: it takes no -in/-synth/-live (liveness follows the shards)")
 		}
-		return runGateway(*shards, *shardFrames, *listen, *frameListen, tivd.Options{MaxRankK: *maxK, MaxBatch: *maxBatch, CacheEntries: *cacheN}, stdout, ctx)
+		return runGateway(*shards, *shardFrames, *listen, *frameListen, stdout, ctx)
 	}
 	if *shardFrames != "" {
 		fs.Usage()
@@ -115,24 +115,16 @@ func run(args []string, stdout io.Writer, ctx context.Context) error {
 			return err
 		}
 		defer f.Close()
-		switch *format {
-		case "csv":
-			m, err = delayspace.ReadCSV(f)
-		case "binary":
-			m, err = delayspace.ReadBinary(f)
-		default:
-			return fmt.Errorf("unknown format %q", *format)
-		}
-		if err != nil {
+		if m, err = delayspace.ReadMatrix(f); err != nil {
 			return err
 		}
 	}
 
-	svc, err := tivaware.NewFromMatrix(m, tivaware.Options{Workers: *workers, Live: *live})
+	svc, err := tivaware.NewFromMatrix(m, tivaware.Options{Live: *live})
 	if err != nil {
 		return err
 	}
-	srv, err := tivd.New(svc, tivd.Options{MaxRankK: *maxK, MaxBatch: *maxBatch, CacheEntries: *cacheN})
+	srv, err := tivd.New(svc, tivd.Options{})
 	if err != nil {
 		return err
 	}
@@ -144,7 +136,7 @@ func run(args []string, stdout io.Writer, ctx context.Context) error {
 // behind the identical wire surface. shardFrames, when non-empty,
 // lists the shards' framed addresses (aligned by index) so the
 // gateway dials them over persistent frames instead of HTTP.
-func runGateway(shards, shardFrames, listen, frameListen string, opts tivd.Options, stdout io.Writer, ctx context.Context) error {
+func runGateway(shards, shardFrames, listen, frameListen string, stdout io.Writer, ctx context.Context) error {
 	var urls []string
 	for _, u := range strings.Split(shards, ",") {
 		if u = strings.TrimSpace(u); u != "" {
@@ -176,7 +168,7 @@ func runGateway(shards, shardFrames, listen, frameListen string, opts tivd.Optio
 	if err != nil {
 		return err
 	}
-	srv, err := tivd.NewBackend(gw.Backend(), opts)
+	srv, err := tivd.NewBackend(gw.Backend(), tivd.Options{})
 	if err != nil {
 		gw.Close()
 		return err

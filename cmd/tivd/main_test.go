@@ -1,12 +1,16 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
+	"os"
+	"path/filepath"
 	"reflect"
 	"regexp"
 	"strings"
@@ -14,7 +18,9 @@ import (
 	"testing"
 	"time"
 
+	"tivaware/internal/delayspace"
 	"tivaware/internal/leakcheck"
+	"tivaware/internal/synth"
 	"tivaware/internal/tivaware"
 	"tivaware/internal/tivclient"
 	"tivaware/internal/tivwire"
@@ -79,8 +85,8 @@ func TestDaemonEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h.N != 32 || !h.Live {
-		t.Fatalf("healthz = %+v, want 32 live nodes", h)
+	if h.N != 32 || !h.Live || h.Cache == nil {
+		t.Fatalf("healthz = %+v, want 32 live nodes and the cache counters", h)
 	}
 
 	best, err := client.ClosestNode(ctx, 0, tivaware.QueryOptions{SeverityPenalty: 2})
@@ -313,12 +319,13 @@ func TestFramedGatewayDaemonEndToEnd(t *testing.T) {
 	gwCtx, stopGateway := context.WithCancel(context.Background())
 	defer stopGateway()
 
-	// One analysis worker per shard: severities are witness sums, so a
-	// fixed accumulation order makes every replica bit-equal.
+	// Severities are witness sums, so replicas are bit-equal only on a
+	// fixed accumulation order: a matrix under 128 nodes scans on one
+	// worker whatever GOMAXPROCS is.
 	var shardURLs, shardFrames []string
 	var shardDone []chan error
 	for s := 0; s < 3; s++ {
-		addr, w, done := startDaemon(t, shardCtx, []string{"-listen", "127.0.0.1:0", "-frame-listen", "127.0.0.1:0", "-synth", "24", "-workers", "1"})
+		addr, w, done := startDaemon(t, shardCtx, []string{"-listen", "127.0.0.1:0", "-frame-listen", "127.0.0.1:0", "-synth", "24"})
 		shardURLs = append(shardURLs, "http://"+addr)
 		shardFrames = append(shardFrames, w.frameAddr(t))
 		shardDone = append(shardDone, done)
@@ -403,8 +410,8 @@ func TestGatewayDaemonEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h.N != 24 || !h.Live {
-		t.Fatalf("gateway healthz = %+v, want 24 live nodes", h)
+	if h.N != 24 || !h.Live || h.Cache == nil {
+		t.Fatalf("gateway healthz = %+v, want 24 live nodes and the cache counters", h)
 	}
 
 	best, err := client.ClosestNode(ctx, 0, tivaware.QueryOptions{SeverityPenalty: 2})
@@ -458,5 +465,78 @@ func TestFlagValidation(t *testing.T) {
 	}
 	if err := run([]string{"-shards", " , "}, &strings.Builder{}, context.Background()); err == nil {
 		t.Error("-shards without URLs should error")
+	}
+	// The daemon takes no tuning: its limits are constants, analysis
+	// runs on GOMAXPROCS workers, and a file's format is read from it.
+	for _, flag := range []string{"-maxk", "-maxbatch", "-cache", "-workers", "-format"} {
+		var out strings.Builder
+		err := run([]string{"-synth", "8", flag, "1"}, &out, context.Background())
+		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+			t.Errorf("%s: err %v, want an undefined flag", flag, err)
+		}
+	}
+}
+
+// TestServeMatrixFile boots `tivd -in` on one matrix written as CSV and
+// as TIVM binary, with no format named: both daemons serve the same
+// node count, the same analysis and the same worst edges. (The source
+// version differs: the CSV loader counts its writes.)
+func TestServeMatrixFile(t *testing.T) {
+	sp, err := synth.Generate(synth.DS2Like(30, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	type served struct {
+		n        int
+		analysis tivaware.AnalysisSummary
+		top      []delayspace.Edge
+	}
+	var got []served
+	var dones []chan error
+	for _, f := range []struct {
+		name  string
+		write func(io.Writer, *delayspace.Matrix) error
+	}{{"m.csv", delayspace.WriteCSV}, {"m.tivm", delayspace.WriteBinary}} {
+		var buf bytes.Buffer
+		if err := f.write(&buf, sp.Matrix); err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(t.TempDir(), f.name)
+		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		addr, _, done := startDaemon(t, ctx, []string{"-listen", "127.0.0.1:0", "-in", path})
+		dones = append(dones, done)
+		client := tivclient.New("http://"+addr, tivclient.Options{})
+		h, err := client.Healthz(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		an, err := client.Analysis(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		top, err := client.TopEdges(ctx, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		an.Version = 0
+		got = append(got, served{h.N, an, top})
+	}
+	csv, bin := got[0], got[1]
+	if csv.n != 30 || bin.n != 30 {
+		t.Errorf("healthz n = %d (CSV), %d (TIVM); want 30", csv.n, bin.n)
+	}
+	if csv.analysis != bin.analysis {
+		t.Errorf("analysis: CSV %+v, TIVM %+v", csv.analysis, bin.analysis)
+	}
+	if !reflect.DeepEqual(csv.top, bin.top) || len(csv.top) != 5 {
+		t.Errorf("top 5 edges: CSV %+v, TIVM %+v", csv.top, bin.top)
+	}
+	cancel()
+	for _, done := range dones {
+		waitExit(t, "daemon", done)
 	}
 }

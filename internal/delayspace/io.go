@@ -85,6 +85,17 @@ func ReadCSV(r io.Reader) (*Matrix, error) {
 
 var binaryMagic = [4]byte{'T', 'I', 'V', 'M'}
 
+// ReadMatrix reads a matrix in either format, told apart by the binary
+// magic: input that starts with "TIVM" is read by ReadBinary, anything
+// else by ReadCSV.
+func ReadMatrix(r io.Reader) (*Matrix, error) {
+	br := bufio.NewReader(r)
+	if magic, _ := br.Peek(len(binaryMagic)); string(magic) == string(binaryMagic[:]) {
+		return ReadBinary(br)
+	}
+	return ReadCSV(br)
+}
+
 // WriteBinary writes m in the compact binary format.
 func WriteBinary(w io.Writer, m *Matrix) error {
 	bw := bufio.NewWriter(w)

@@ -2,6 +2,7 @@ package delayspace
 
 import (
 	"bytes"
+	"io"
 	"math/rand"
 	"strings"
 	"testing"
@@ -114,6 +115,46 @@ func TestReadBinaryErrors(t *testing.T) {
 	huge := append([]byte("TIVM"), 0xFF, 0xFF, 0xFF, 0x7F)
 	if _, err := ReadBinary(bytes.NewReader(huge)); err == nil {
 		t.Error("oversized dimension accepted")
+	}
+}
+
+// TestReadMatrix: ReadMatrix reads each format as that format's own
+// reader does, and refuses what that reader refuses.
+func TestReadMatrix(t *testing.T) {
+	m := randomMatrix(13, 9)
+	var csv, bin bytes.Buffer
+	if err := WriteCSV(&csv, m); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteBinary(&bin, m); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		in   []byte
+		read func(io.Reader) (*Matrix, error)
+		bad  bool
+	}{
+		{"csv", csv.Bytes(), ReadCSV, false},
+		{"binary", bin.Bytes(), ReadBinary, false},
+		{"truncated binary", bin.Bytes()[:bin.Len()-4], ReadBinary, true},
+		{"binary header only", bin.Bytes()[:6], ReadBinary, true},
+		{"non-numeric text", []byte("0,x\nx,0\n"), ReadCSV, true},
+	} {
+		want, wantErr := tc.read(bytes.NewReader(tc.in))
+		got, err := ReadMatrix(bytes.NewReader(tc.in))
+		if tc.bad {
+			if err == nil || wantErr == nil {
+				t.Errorf("%s: ReadMatrix error %v, its reader's %v; want both refused", tc.name, err, wantErr)
+			}
+			continue
+		}
+		if err != nil || wantErr != nil {
+			t.Fatalf("%s: ReadMatrix error %v, its reader's %v", tc.name, err, wantErr)
+		}
+		if !equalMatrices(got, want) || !equalMatrices(got, m) {
+			t.Errorf("%s: ReadMatrix read another matrix than its reader or the one written", tc.name)
+		}
 	}
 }
 

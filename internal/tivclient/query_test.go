@@ -45,7 +45,7 @@ func serveFrames(t testing.TB, h tivframe.Handler) string {
 
 // transports starts one in-process daemon over a synthetic matrix with
 // measurement holes and returns a client per transport.
-func transports(t *testing.T, opts tivd.Options) (map[string]*Client, int) {
+func transports(t *testing.T) (map[string]*Client, int) {
 	t.Helper()
 	cfg := synth.DS2Like(30, 4)
 	cfg.MissingFrac = 0.1
@@ -57,7 +57,7 @@ func transports(t *testing.T, opts tivd.Options) (map[string]*Client, int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := tivd.New(svc, opts)
+	srv, err := tivd.New(svc, tivd.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func transports(t *testing.T, opts tivd.Options) (map[string]*Client, int) {
 }
 
 func TestTypedWrappersMatchQueryBatch(t *testing.T) {
-	clients, n := transports(t, tivd.Options{})
+	clients, n := transports(t)
 	ctx := context.Background()
 	opts := tivaware.QueryOptions{SeverityPenalty: 1.5, ExcludeViolated: true}
 	cands := []int{1, 4, 9, 16, 25}
@@ -152,20 +152,20 @@ func TestTypedWrappersMatchQueryBatch(t *testing.T) {
 	}
 }
 
-// TestTruncatedUnboundedRankIsFlagged: an unbounded rank the daemon
-// cut at its cap comes back flagged Result.Truncated and cut to the
-// cap on every transport, never as a silently short list; the bounded
-// spelling under the same cap still answers.
-func TestTruncatedUnboundedRankIsFlagged(t *testing.T) {
-	clients, _ := transports(t, tivd.Options{MaxRankK: 3})
+// TestTruncatedRankIsFlagged: a rank cut at its k comes back flagged
+// Result.Truncated and cut to k on every transport, never as a
+// silently short list. The daemon's own cap, which cuts a rank without
+// k, is pinned in tivd.
+func TestTruncatedRankIsFlagged(t *testing.T) {
+	clients, _ := transports(t)
 	ctx := context.Background()
 	for name, c := range clients {
-		res, err := c.QueryBatch(ctx, []tivaware.Query{{Kind: tivaware.KindRank, Target: 0}})
+		res, err := c.QueryBatch(ctx, []tivaware.Query{{Kind: tivaware.KindRank, Target: 0, K: 3}})
 		if err != nil || res[0].Err != nil || !res[0].Truncated || len(res[0].Selections) != 3 {
-			t.Errorf("%s: unbounded rank under a cap of 3 = %+v, %v; want 3 selections flagged truncated", name, res, err)
+			t.Errorf("%s: rank with k=3 = %+v, %v; want 3 selections flagged truncated", name, res, err)
 		}
 		if top, err := c.KClosest(ctx, 0, 3, tivaware.QueryOptions{}); err != nil || len(top) != 3 {
-			t.Errorf("%s: KClosest under the cap = %v, %v", name, top, err)
+			t.Errorf("%s: KClosest(0, 3) = %v, %v", name, top, err)
 		}
 	}
 }

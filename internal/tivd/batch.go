@@ -33,25 +33,22 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
 // out-of-range parameters.
 func (s *Server) normalizeQuery(q *tivaware.Query) error {
 	switch q.Kind {
-	case tivaware.KindRank, tivaware.KindClosest:
-		max := s.opts.maxRankK()
-		if q.Kind == tivaware.KindClosest {
-			q.K = 1
-			return nil
-		}
+	case tivaware.KindClosest:
+		q.K = 1
+		return nil
+	case tivaware.KindRank:
 		if q.K == 0 {
-			q.K = max
-		}
-		if q.K < 0 || q.K > max {
-			return badRequestf("parameter k: %d outside [1,%d]", q.K, max)
+			q.K = s.maxK
 		}
 	case tivaware.KindTop:
 		if q.K == 0 {
 			q.K = 10
 		}
-		if q.K < 0 || q.K > s.opts.maxRankK() {
-			return badRequestf("parameter k: %d outside [1,%d]", q.K, s.opts.maxRankK())
-		}
+	default:
+		return nil
+	}
+	if q.K < 0 || q.K > s.maxK {
+		return badRequestf("parameter k: %d outside [1,%d]", q.K, s.maxK)
 	}
 	return nil
 }
@@ -124,8 +121,8 @@ func (s *Server) resolveBatch(ctx context.Context, req *tivwire.BatchRequest) (*
 	if len(req.Queries) == 0 {
 		return nil, badRequestf("empty batch")
 	}
-	if max := s.opts.maxBatch(); len(req.Queries) > max {
-		return nil, badRequestf("batch of %d queries exceeds limit %d", len(req.Queries), max)
+	if len(req.Queries) > batchCap {
+		return nil, badRequestf("batch of %d queries exceeds limit %d", len(req.Queries), batchCap)
 	}
 	results, epoch, err := s.resolveQueries(ctx, req.Queries)
 	if err != nil {
@@ -144,10 +141,7 @@ func (s *Server) resolveBatch(ctx context.Context, req *tivwire.BatchRequest) (*
 // predates. Failed results are never stored (they may be transient).
 func (s *Server) resolveQueries(ctx context.Context, queries []tivaware.Query) ([]tivwire.Result, uint64, error) {
 	results := make([]tivwire.Result, len(queries))
-	var qv, av uint64
-	if s.cache != nil {
-		qv, av = s.b.CacheVersion()
-	}
+	qv, av := s.b.CacheVersion()
 	// missed is one query the backend must answer: its index, and the
 	// key to store the answer under ("" bypasses the cache); miss holds
 	// the normalized queries in the same order.
@@ -167,7 +161,7 @@ func (s *Server) resolveQueries(ctx context.Context, queries []tivaware.Query) (
 			continue
 		}
 		key := ""
-		if s.cache != nil && cacheableKind(q.Kind) {
+		if cacheableKind(q.Kind) {
 			val, e, missKey := s.cache.get(q, qv, av)
 			if val != nil {
 				results[i] = *val
@@ -192,11 +186,8 @@ func (s *Server) resolveQueries(ctx context.Context, queries []tivaware.Query) (
 	if len(res) != len(miss) {
 		return nil, 0, internalErrorf("backend answered %d results for %d queries", len(res), len(miss))
 	}
-	store := false
-	if s.cache != nil {
-		qv2, av2 := s.b.CacheVersion()
-		store = qv2 == qv && av2 == av
-	}
+	qv2, av2 := s.b.CacheVersion()
+	store := qv2 == qv && av2 == av
 	for k, m := range misses {
 		wr := tivwire.FromResult(miss[k], res[k], epoch, errorEnvelope)
 		results[m.idx] = wr

@@ -219,10 +219,11 @@ func TestCacheAdmission(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		srv, err := New(svc, Options{CacheEntries: 8})
+		srv, err := New(svc, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
+		srv.cache = newQueryCache(8)
 		defer srv.Close()
 		ctx := context.Background()
 		resident := func() []string {
@@ -264,10 +265,11 @@ func TestCacheResistsScans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := New(svc, Options{CacheEntries: capacity})
+	srv, err := New(svc, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	srv.cache = newQueryCache(capacity)
 	defer srv.Close()
 	h, ctx := srv.FrameHandler(), context.Background()
 	serve := func(queries ...tivaware.Query) {

@@ -58,52 +58,32 @@ import (
 	"tivaware/internal/tivwire"
 )
 
-// Options configures a Server. The zero value is valid.
-type Options struct {
-	// MaxRankK caps the k accepted by /v1/rank and /v1/top so one
-	// request cannot demand an O(N²)-sized response; zero means 4096.
-	MaxRankK int
-	// MaxBatch caps the query count of one POST /v1/batch request;
-	// zero means 256.
-	MaxBatch int
-	// CacheEntries bounds the epoch-keyed query cache (entries, not
-	// bytes; see cache.go). Zero means 4096; negative disables the
-	// cache entirely.
-	CacheEntries int
-}
+// Options configures a Server. It has no fields: every limit is a
+// named constant, so callers pass the zero value.
+type Options struct{}
 
-func (o Options) maxRankK() int {
-	if o.MaxRankK > 0 {
-		return o.MaxRankK
-	}
-	return 4096
-}
-
-func (o Options) maxBatch() int {
-	if o.MaxBatch > 0 {
-		return o.MaxBatch
-	}
-	return 256
-}
-
-func (o Options) cacheEntries() int {
-	if o.CacheEntries > 0 {
-		return o.CacheEntries
-	}
-	if o.CacheEntries < 0 {
-		return 0
-	}
-	return 4096
-}
+// The daemon's limits. Nobody tunes them; a test that needs a smaller
+// one sets the Server field that holds it.
+const (
+	// rankCap caps the k of rank and top queries so one request cannot
+	// demand an O(N²)-sized response; a rank without k is cut to it
+	// and flagged Truncated.
+	rankCap = 4096
+	// batchCap caps the query count of one batch request.
+	batchCap = 256
+	// cacheCap bounds the epoch-keyed query cache in entries, not
+	// bytes (cache.go).
+	cacheCap = 4096
+)
 
 // Server serves one Backend — an in-process tivaware.Service or a
 // tivshard.Gateway — over HTTP. Construct with New or NewBackend,
 // mount via Handler.
 type Server struct {
 	b     Backend
-	opts  Options
+	maxK  int // rankCap; tests lower it
 	mux   *http.ServeMux
-	cache *queryCache // nil when disabled
+	cache *queryCache
 	// boot is this server's identity in /healthz: random and nonzero,
 	// so a restarted daemon is distinguishable from the one it replaced
 	// even when every counter it reports is the same.
@@ -126,15 +106,12 @@ func New(svc *tivaware.Service, opts Options) (*Server, error) {
 
 // NewBackend builds a server over any Backend (tivshard gateways use
 // this path); the wire surface is identical either way.
-func NewBackend(b Backend, opts Options) (*Server, error) {
+func NewBackend(b Backend, _ Options) (*Server, error) {
 	if b == nil {
 		return nil, fmt.Errorf("tivd: nil backend")
 	}
-	s := &Server{b: b, opts: opts, mux: http.NewServeMux(), subCancel: make(map[int]context.CancelFunc),
-		boot: rand.Uint64() | 1}
-	if n := opts.cacheEntries(); n > 0 {
-		s.cache = newQueryCache(n)
-	}
+	s := &Server{b: b, maxK: rankCap, mux: http.NewServeMux(), cache: newQueryCache(cacheCap),
+		subCancel: make(map[int]context.CancelFunc), boot: rand.Uint64() | 1}
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
 	s.mux.HandleFunc("/v1/batch", s.handleBatch)
 	for _, ep := range getEndpoints {
@@ -333,8 +310,8 @@ func (s *Server) parseQuery(ep getEndpoint, values url.Values) (tivaware.Query, 
 			q.J, err = intParam(name, raw, -1)
 		case "k":
 			q.K, err = intParam(name, raw, 0)
-			if max := s.opts.maxRankK(); err == nil && raw != "" && (q.K <= 0 || q.K > max) {
-				err = badRequestf("parameter k: %d outside [1,%d]", q.K, max)
+			if err == nil && raw != "" && (q.K <= 0 || q.K > s.maxK) {
+				err = badRequestf("parameter k: %d outside [1,%d]", q.K, s.maxK)
 			}
 		case "penalty":
 			q.SeverityPenalty, err = floatParam(name, raw)
@@ -418,18 +395,15 @@ func (s *Server) healthWire(ctx context.Context) (tivwire.Health, error) {
 	if st, ok := s.b.(interface{ Status() string }); ok {
 		status = st.Status()
 	}
-	h := tivwire.Health{
+	return tivwire.Health{
 		Status:  status,
 		N:       s.b.N(),
 		Live:    s.b.Live(),
 		Epoch:   epoch,
 		Version: version,
 		Boot:    s.boot,
-	}
-	if s.cache != nil {
-		h.Cache = s.cache.stats()
-	}
-	return h, nil
+		Cache:   s.cache.stats(),
+	}, nil
 }
 
 func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {

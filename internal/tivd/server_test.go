@@ -35,9 +35,9 @@ func tivMatrix() *delayspace.Matrix {
 
 // startDaemon serves svc over a test HTTP server and returns a
 // connected client.
-func startDaemon(t *testing.T, svc *tivaware.Service, opts tivd.Options) (*tivclient.Client, *tivd.Server) {
+func startDaemon(t *testing.T, svc *tivaware.Service) (*tivclient.Client, *tivd.Server) {
 	t.Helper()
-	srv, err := tivd.New(svc, opts)
+	srv, err := tivd.New(svc, tivd.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestDaemonQueryRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	client, _ := startDaemon(t, svc, tivd.Options{})
+	client, _ := startDaemon(t, svc)
 	ctx := context.Background()
 
 	h, err := client.Healthz(ctx)
@@ -200,7 +200,7 @@ func TestDaemonUpdateAndSubscribeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	client, srv := startDaemon(t, svc, tivd.Options{})
+	client, srv := startDaemon(t, svc)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 
@@ -278,7 +278,7 @@ func TestDaemonValidationErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	client, srv := startDaemon(t, svc, tivd.Options{MaxRankK: 8})
+	client, _ := startDaemon(t, svc)
 	ctx := context.Background()
 
 	if _, err := client.ClosestNode(ctx, 99, tivaware.QueryOptions{}); err == nil {
@@ -287,8 +287,15 @@ func TestDaemonValidationErrors(t *testing.T) {
 	if _, err := client.KClosest(ctx, 0, 2, tivaware.QueryOptions{Candidates: []int{1, 1}}); err == nil {
 		t.Error("duplicate candidates should error")
 	}
-	if _, err := client.KClosest(ctx, 0, 99, tivaware.QueryOptions{}); err == nil {
-		t.Error("k beyond MaxRankK should error")
+	if _, err := client.KClosest(ctx, 0, tivd.RankCap+1, tivaware.QueryOptions{}); err == nil {
+		t.Error("k beyond the daemon's cap should error")
+	}
+	if sel, err := client.KClosest(ctx, 0, tivd.RankCap, tivaware.QueryOptions{}); err != nil || len(sel) != 3 {
+		t.Errorf("k at the daemon's cap = %v, %v; want all 3 candidates", sel, err)
+	}
+	over := []tivaware.Query{{Kind: tivaware.KindRank, Target: 0, K: tivd.RankCap + 1}, {Kind: tivaware.KindTop, K: tivd.RankCap + 1}}
+	if res, err := client.QueryBatch(ctx, over); err != nil || res[0].Err == nil || res[1].Err == nil {
+		t.Errorf("batched rank and top with k beyond the cap = %+v, %v; want per-query errors", res, err)
 	}
 	if _, err := client.KClosest(ctx, 0, 0, tivaware.QueryOptions{}); err == nil {
 		t.Error("k = 0 should error")
@@ -309,7 +316,6 @@ func TestDaemonValidationErrors(t *testing.T) {
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Errorf("GET /v1/update = %d, want 405", resp.StatusCode)
 	}
-	_ = srv
 }
 
 // querier is the per-kind read surface tivaware.Service and
@@ -329,7 +335,7 @@ func TestClientEmptyCandidatesParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	client, _ := startDaemon(t, svc, tivd.Options{})
+	client, _ := startDaemon(t, svc)
 	ctx := context.Background()
 	empty := tivaware.QueryOptions{Candidates: []int{}}
 
@@ -356,7 +362,12 @@ func TestRankTruncationIsSignalled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	client, _ := startDaemon(t, svc, tivd.Options{MaxRankK: 2}) // 3 candidates rank for node 0
+	srv, err := tivd.New(svc, tivd.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.SetRankCap(2) // 3 candidates rank for node 0
+	client := tivclient.New(newTestServer(t, srv), tivclient.Options{})
 	ctx := context.Background()
 	resp, err := http.Get(client.BaseURL() + "/v1/rank?target=0")
 	if err != nil {

@@ -267,7 +267,7 @@ func TestDelayGetMatchesBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	client, _ := startDaemon(t, svc, tivd.Options{})
+	client, _ := startDaemon(t, svc)
 	ctx := context.Background()
 	n := svc.N()
 
@@ -428,24 +428,6 @@ func TestQueryCacheCoherence(t *testing.T) {
 			t.Errorf("updated edge (%d,%d) still listed: %+v", worst.I, worst.J, after)
 		}
 	}
-
-	// Disabled cache: no stats in healthz, queries still work.
-	srv2, err := tivd.New(svc, tivd.Options{CacheEntries: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	url2 := newTestServer(t, srv2)
-	client2 := tivclient.New(url2, tivclient.Options{})
-	h2, err := client2.Healthz(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h2.Cache != nil {
-		t.Errorf("cache disabled but healthz reports %+v", h2.Cache)
-	}
-	if _, err := client2.TopEdges(ctx, 3); err != nil {
-		t.Fatal(err)
-	}
 }
 
 // TestBatchLimitsAndEpochPin covers the request-size guard and the
@@ -453,7 +435,7 @@ func TestQueryCacheCoherence(t *testing.T) {
 // the response's pinned epoch.
 func TestBatchLimitsAndEpochPin(t *testing.T) {
 	svc := synthService(t)
-	srv, err := tivd.New(svc, tivd.Options{MaxBatch: 4})
+	srv, err := tivd.New(svc, tivd.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -461,7 +443,7 @@ func TestBatchLimitsAndEpochPin(t *testing.T) {
 	client := tivclient.New(url, tivclient.Options{})
 	ctx := context.Background()
 
-	over := make([]tivaware.Query, 5)
+	over := make([]tivaware.Query, tivd.BatchCap+1)
 	for i := range over {
 		over[i] = tivaware.Query{Kind: tivaware.KindClosest, Target: i}
 	}
@@ -469,6 +451,9 @@ func TestBatchLimitsAndEpochPin(t *testing.T) {
 	var ce *tivclient.Error
 	if !errors.As(err, &ce) || ce.Code != tivwire.CodeBadRequest {
 		t.Fatalf("oversized batch: got %v, want %s envelope", err, tivwire.CodeBadRequest)
+	}
+	if _, err := client.QueryBatch(ctx, over[:tivd.BatchCap]); err != nil {
+		t.Fatalf("batch at the cap: %v", err)
 	}
 
 	// Raw batch response: payload epochs all equal the pinned epoch.

@@ -16,9 +16,7 @@ import (
 // replica per batch, rotating (Gateway.home) — so they share one round
 // trip and one pinned shard epoch. Analysis sweeps every shard
 // (Gateway.Analysis). A shard hop costs more than any scan splitting
-// could save a batch here; DESIGN.md "Cross-shard cost model" has the
-// numbers. The per-kind Gateway methods are batches of one through
-// this path.
+// could save a batch here; DESIGN.md "Why one hop" has the numbers.
 
 // refusal returns err as a shard's terminal refusal when a shard
 // answered it with a coded terminal error (every replica would say the

@@ -30,8 +30,8 @@ type Health struct {
 	Live    bool   `json:"live"`    // updates and subscriptions accepted
 	Epoch   uint64 `json:"epoch"`   // service epoch sequence number
 	Version uint64 `json:"version"` // delay-source version the epoch reflects
-	// Cache reports the daemon's query-cache counters; absent when the
-	// cache is disabled. Load tools diff two readings for a hit rate.
+	// Cache reports the query-cache counters, which every tivd server
+	// has. Load tools diff two readings for a hit rate.
 	Cache *CacheStats `json:"cache,omitempty"`
 	// Boot identifies the serving process: a random nonzero value drawn
 	// once at start-up, so a prober that sees it change knows the daemon
