@@ -1,6 +1,12 @@
 package experiments_test
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"flag"
+	"fmt"
+	"os"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -175,13 +181,31 @@ func TestDeterministicResults(t *testing.T) {
 	}
 }
 
+var updateFigures = flag.Bool("update-figures", false, "rewrite "+figuresFile+" from this tree's CSVs")
+
+// figuresFile holds the SHA-256 of every spec's CSV at tinyConfig, one
+// "digest  id" line per spec. A change that means to move a figure
+// re-records it with -update-figures and says which figures moved.
+const figuresFile = "testdata/figures.sha256"
+
 // TestAllSpecsCSVParses guarantees every experiment's CSV output is
 // well-formed — consistent column counts and no stray unescaped
 // separators, the contract external plotting scripts rely on — and
 // deterministic: a second run of the same config writes the same
-// bytes, the property that makes a figure comparable across commits.
+// bytes, and those bytes hash to the digest recorded in figuresFile,
+// so a refactor that moves any figure by one bit fails here. At N=80
+// every scan runs on one worker, so the bytes do not depend on
+// GOMAXPROCS, and the AVX2 and purego kernels must agree on them. The
+// digests are compared on amd64 only: the Go spec lets the compiler
+// fuse x*y+z into one rounding on arm64, ppc64 and s390x, which may
+// move a last digit there without any change to the code.
 func TestAllSpecsCSVParses(t *testing.T) {
 	cfg := tinyConfig()
+	want := map[string]string{}
+	if !*updateFigures {
+		want = readFigureDigests(t)
+	}
+	got := map[string]string{}
 	for _, spec := range experiments.Specs {
 		spec := spec
 		t.Run(spec.ID, func(t *testing.T) {
@@ -200,6 +224,11 @@ func TestAllSpecsCSVParses(t *testing.T) {
 			if again := csv(); again != out {
 				t.Fatalf("second run wrote different CSV:\n%s\nvs\n%s", out, again)
 			}
+			sum := sha256.Sum256([]byte(out))
+			got[spec.ID] = hex.EncodeToString(sum[:])
+			if !*updateFigures && runtime.GOARCH == "amd64" && got[spec.ID] != want[spec.ID] {
+				t.Errorf("CSV digest %s, %s records %q: the figure moved", got[spec.ID], figuresFile, want[spec.ID])
+			}
 			lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
 			if len(lines) < 2 {
 				t.Fatalf("CSV has %d lines", len(lines))
@@ -216,4 +245,37 @@ func TestAllSpecsCSVParses(t *testing.T) {
 			}
 		})
 	}
+	if *updateFigures {
+		var sb strings.Builder
+		for _, spec := range experiments.Specs {
+			fmt.Fprintf(&sb, "%s  %s\n", got[spec.ID], spec.ID)
+		}
+		if err := os.WriteFile(figuresFile, []byte(sb.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	for id := range want {
+		if _, ok := got[id]; !ok {
+			t.Errorf("%s records %s, which is no spec", figuresFile, id)
+		}
+	}
+}
+
+// readFigureDigests parses figuresFile into spec id → hex digest.
+func readFigureDigests(t *testing.T) map[string]string {
+	t.Helper()
+	src, err := os.ReadFile(figuresFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]string{}
+	for _, line := range strings.Split(strings.TrimSpace(string(src)), "\n") {
+		digest, id, ok := strings.Cut(line, "  ")
+		if !ok {
+			t.Fatalf("%s: malformed line %q", figuresFile, line)
+		}
+		want[id] = digest
+	}
+	return want
 }
