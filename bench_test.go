@@ -23,7 +23,6 @@ import (
 	"tivaware/internal/repro/nsim"
 	"tivaware/internal/repro/vivaldi"
 	"tivaware/internal/synth"
-	"tivaware/internal/tiv"
 	"tivaware/internal/tivaware"
 	"tivaware/internal/tivshard/testcluster"
 )
@@ -141,8 +140,8 @@ func BenchmarkSeverityAllEdges(b *testing.B) {
 	}
 }
 
-// BenchmarkSeveritySampledB64 measures the kernel's sampled estimator
-// (64 random third nodes per edge), which only the reproduction's
+// BenchmarkSeveritySampledB64 measures the reproduction's sampled
+// severity estimator (64 random third nodes per edge), which only the
 // ablate-sampling figure runs.
 func BenchmarkSeveritySampledB64(b *testing.B) {
 	sp, err := synth.Generate(synth.DS2Like(400, 1))
@@ -152,7 +151,7 @@ func BenchmarkSeveritySampledB64(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tiv.AllSeverities(sp.Matrix, tiv.Options{SampleThirdNodes: 64, Seed: 1})
+		experiments.SampledSeverities(sp.Matrix, 64, 1)
 	}
 }
 

@@ -20,8 +20,8 @@ import (
 
 	"tivaware/internal/delayspace"
 	"tivaware/internal/repro/cluster"
+	"tivaware/internal/repro/experiments"
 	"tivaware/internal/stats"
-	"tivaware/internal/tiv"
 	"tivaware/internal/tivaware"
 )
 
@@ -89,7 +89,7 @@ func run(args []string, stdout io.Writer) error {
 		return err
 	}
 
-	delays, sevs := tiv.DelaySeverityPairs(m, sev)
+	delays, sevs := experiments.DelaySeverityPairs(m, sev)
 	fmt.Fprintln(stdout, "\nseverity vs delay:")
 	if err := stats.WriteBinTable(stdout, "delay_ms", "severity",
 		stats.BinSeries(delays, sevs, *binsize), stats.RenderOptions{Format: "%.4f"}); err != nil {

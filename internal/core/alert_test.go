@@ -45,7 +45,7 @@ func TestEvaluateAlertExact(t *testing.T) {
 	// ratios flagging exactly that edge.
 	sp, _, _ := convergedSpace(t, 30, 2)
 	sev := tiv.AllSeverities(sp.Matrix, tiv.Options{})
-	worst := sev.WorstEdges(0.1)
+	worst := core.WorstEdges(sev, 0.1)
 	// Flag exactly the worst edges: accuracy and recall must be 1.
 	var ratios []core.EdgeRatio
 	flagged := map[[2]int]bool{}

@@ -3,6 +3,7 @@ package core_test
 import (
 	"testing"
 
+	"tivaware/internal/delayspace"
 	"tivaware/internal/repro/core"
 	"tivaware/internal/repro/meridian"
 	"tivaware/internal/repro/nsim"
@@ -209,5 +210,45 @@ func TestSnapshotPredict(t *testing.T) {
 	d2, ok := snap(0, 1)
 	if !ok || d1 <= 0 || d2 != d1 {
 		t.Errorf("snapshot predict %g, %v; live %g", d2, ok, d1)
+	}
+}
+
+func TestWorstEdges(t *testing.T) {
+	// The paper's triangle (§3.2.1): only the 100 ms edge violates.
+	m := delayspace.New(3)
+	m.Set(0, 1, 5)
+	m.Set(1, 2, 5)
+	m.Set(2, 0, 100)
+	all := tiv.AllSeverities(m, tiv.Options{})
+	worst := core.WorstEdges(all, 0.34) // 1 of 3 edges
+	if len(worst) != 1 {
+		t.Fatalf("got %d edges", len(worst))
+	}
+	if worst[0].I != 0 || worst[0].J != 2 {
+		t.Errorf("worst edge = (%d,%d), want (0,2)", worst[0].I, worst[0].J)
+	}
+	// Tiny fraction still returns at least one edge.
+	if got := core.WorstEdges(all, 1e-9); len(got) != 1 {
+		t.Errorf("minimum-one rule broken: %d", len(got))
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("invalid fraction should panic")
+		}
+	}()
+	core.WorstEdges(all, 0)
+}
+
+func TestWorstEdgesOrdering(t *testing.T) {
+	s, err := synth.Generate(synth.DS2Like(30, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	all := tiv.AllSeverities(s.Matrix, tiv.Options{})
+	worst := core.WorstEdges(all, 1.0)
+	for k := 1; k < len(worst); k++ {
+		if worst[k].Delay > worst[k-1].Delay {
+			t.Fatal("WorstEdges not sorted descending")
+		}
 	}
 }

@@ -112,6 +112,7 @@ func FromRows(rows [][]float64) (*Matrix, error) {
 			m.set(i, j, v)
 		}
 	}
+	m.version.Store(1) // one bulk load is one mutation, as in rebuildMask
 	return m, nil
 }
 
@@ -173,7 +174,7 @@ func (m *Matrix) set(i, j int, d float64) {
 }
 
 // Version returns a counter incremented on every mutation (each Set,
-// and once per bulk rebuild by the binary loader). Incremental
+// and once per bulk load by FromRows or the binary loader). Incremental
 // consumers such as tiv.Monitor record the version they last synced to
 // and treat any other value as evidence of an out-of-band change.
 // Version is safe to call concurrently with a mutator; the delays

@@ -1,6 +1,9 @@
 package delayspace
 
-import "testing"
+import (
+	"bytes"
+	"testing"
+)
 
 func TestVersionCountsMutations(t *testing.T) {
 	m := New(4)
@@ -49,5 +52,37 @@ func TestSnapshotCarriesVersionAndIsolates(t *testing.T) {
 	}
 	if snap.Version() == m.Version() {
 		t.Error("snapshot version moved with the source")
+	}
+}
+
+// TestLoadersAgreeOnVersion reads one matrix as CSV and as TIVM: each
+// load is one mutation, so both report the same Version, whatever the
+// number of pairs.
+func TestLoadersAgreeOnVersion(t *testing.T) {
+	m := New(30)
+	for i := 0; i < 30; i++ {
+		for j := i + 1; j < 30; j++ {
+			if (i+j)%7 != 0 {
+				m.Set(i, j, float64(1+i+j))
+			}
+		}
+	}
+	var csv, bin bytes.Buffer
+	if err := WriteCSV(&csv, m); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteBinary(&bin, m); err != nil {
+		t.Fatal(err)
+	}
+	fromCSV, err := ReadCSV(&csv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fromBin, err := ReadBinary(&bin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fromCSV.Version() != 1 || fromBin.Version() != 1 {
+		t.Errorf("Version after one load: %d (CSV), %d (TIVM); want 1 each", fromCSV.Version(), fromBin.Version())
 	}
 }

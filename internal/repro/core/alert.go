@@ -74,7 +74,7 @@ func EvaluateAlert(sev *tiv.EdgeSeverities, ratios []EdgeRatio, threshold, worst
 	if worstFrac <= 0 || worstFrac > 1 {
 		return AlertQuality{}, fmt.Errorf("core: worst fraction %g outside (0,1]", worstFrac)
 	}
-	worst := sev.WorstEdges(worstFrac)
+	worst := WorstEdges(sev, worstFrac)
 	isWorst := make(map[[2]int]bool, len(worst))
 	for _, e := range worst {
 		isWorst[[2]int{e.I, e.J}] = true

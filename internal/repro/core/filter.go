@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 
 	"tivaware/internal/delayspace"
 	"tivaware/internal/repro/meridian"
@@ -27,7 +28,7 @@ func NewSeverityFilter(sev *tiv.EdgeSeverities, frac float64) (*SeverityFilter, 
 	if frac <= 0 || frac > 1 {
 		return nil, fmt.Errorf("core: filter fraction %g outside (0,1]", frac)
 	}
-	worst := sev.WorstEdges(frac)
+	worst := WorstEdges(sev, frac)
 	f := &SeverityFilter{excluded: make(map[[2]int]bool, len(worst))}
 	for _, e := range worst {
 		if e.Delay == 0 { // WorstEdges carries the severity in Delay
@@ -36,6 +37,26 @@ func NewSeverityFilter(sev *tiv.EdgeSeverities, frac float64) (*SeverityFilter, 
 		f.excluded[[2]int{e.I, e.J}] = true
 	}
 	return f, nil
+}
+
+// WorstEdges returns the frac·numEdges edges with the highest severity
+// (at least one), most severe first, the severity carried in Delay. The
+// whole upper triangle is sorted under tiv.EdgeLess, a total order, so
+// the list does not depend on how it was built. frac must lie in
+// (0, 1].
+func WorstEdges(sev *tiv.EdgeSeverities, frac float64) []delayspace.Edge {
+	if frac <= 0 || frac > 1 {
+		panic(fmt.Sprintf("core: WorstEdges fraction %g outside (0,1]", frac))
+	}
+	n := sev.N()
+	edges := make([]delayspace.Edge, 0, n*(n-1)/2)
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			edges = append(edges, delayspace.Edge{I: i, J: j, Delay: sev.At(i, j)})
+		}
+	}
+	sort.Slice(edges, func(a, b int) bool { return tiv.EdgeLess(edges[a], edges[b]) })
+	return edges[:min(len(edges), max(1, int(float64(len(edges))*frac)))]
 }
 
 // Excluded reports whether the edge (i, j) is filtered out.

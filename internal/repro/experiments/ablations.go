@@ -124,8 +124,7 @@ func AblateSeveritySampling(cfg Config) (Result, error) {
 		if b >= sp.Matrix.N() {
 			continue
 		}
-		sampled := cfg.sampledSeverities(sp.Matrix, b)
-		sv := sampled.Values()
+		sv := SampledSeverities(sp.Matrix, b, cfg.Seed)
 		var diff float64
 		for k := range exactVals {
 			d := exactVals[k] - sv[k]

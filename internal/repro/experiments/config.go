@@ -101,9 +101,9 @@ func scaled(n, num, den int) int {
 // service wraps a delay matrix in a tivaware.Service configured for
 // this run. Every experiment computes exact severities and violation
 // statistics through the service layer — the same application API the
-// examples and CLIs consume — rather than constructing engines
-// directly; only the sampled estimators (sampledSeverities, Tab1's
-// triple sample) call the tiv kernel.
+// examples and CLIs consume — and nothing here touches the tiv kernel
+// beyond its result types; the sampled estimators (sampling.go) are
+// the reproduction's own.
 func (c Config) service(m *delayspace.Matrix) *tivaware.Service {
 	svc, err := tivaware.NewFromMatrix(m, tivaware.Options{Workers: c.Workers})
 	if err != nil {
@@ -117,13 +117,6 @@ func (c Config) service(m *delayspace.Matrix) *tivaware.Service {
 // service layer.
 func (c Config) severities(m *delayspace.Matrix) *tiv.EdgeSeverities {
 	return c.service(m).Severities()
-}
-
-// sampledSeverities estimates severities from b random third nodes:
-// the tiv kernel's sampled estimator, which the serving plane does not
-// offer.
-func (c Config) sampledSeverities(m *delayspace.Matrix, b int) *tiv.EdgeSeverities {
-	return tiv.AllSeverities(m, tiv.Options{Workers: c.Workers, SampleThirdNodes: b, Seed: c.Seed})
 }
 
 // space generates the synthetic stand-in for one of the paper's data

@@ -11,7 +11,6 @@ import (
 	"tivaware/internal/repro/nsim"
 	"tivaware/internal/repro/vivaldi"
 	"tivaware/internal/stats"
-	"tivaware/internal/tiv"
 )
 
 // Tab2 reproduces the §2.1 metric critique: the two naive per-edge
@@ -25,7 +24,11 @@ func Tab2(cfg Config) (Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	d := tiv.CompareMetrics(sp.Matrix, 0.10, 3)
+	an, err := cfg.service(sp.Matrix).Analysis()
+	if err != nil {
+		return nil, err
+	}
+	d := compareMetrics(sp.Matrix, an, 0.10, 3)
 	r := &TableResult{meta: meta{id: "tab2", title: "Rejected per-edge TIV metrics disagree (§2.1 critique)"}}
 	r.Columns = []string{"statistic", "measured", "paper"}
 	r.Rows = [][]string{

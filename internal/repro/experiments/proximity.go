@@ -1,19 +1,21 @@
-package tiv
+package experiments
 
 import (
+	"math"
 	"math/rand"
 
 	"tivaware/internal/delayspace"
+	"tivaware/internal/tiv"
 )
 
-// PairDifferences runs the paper's proximity experiment (§2.2,
+// pairDifferences runs the paper's proximity experiment (§2.2,
 // Fig 9): sample numEdges random edges; for each edge AB find its
 // "nearest pair edge" AnBn (An, Bn the nearest neighbors of A and B)
 // and a random pair edge, then record |severity(AB) − severity(pair)|
 // for both pairings. If nearest-pair differences were much smaller
 // than random-pair differences, proximity would predict TIV severity —
 // the paper (and this reproduction) finds it does not.
-func PairDifferences(m *delayspace.Matrix, sev *EdgeSeverities, numEdges int, seed int64) (nearest, random []float64) {
+func pairDifferences(m *delayspace.Matrix, sev *tiv.EdgeSeverities, numEdges int, seed int64) (nearest, random []float64) {
 	n := m.N()
 	if n < 4 || numEdges <= 0 {
 		return nil, nil
@@ -43,7 +45,7 @@ func PairDifferences(m *delayspace.Matrix, sev *EdgeSeverities, numEdges int, se
 			continue
 		}
 		base := sev.At(a, b)
-		nearest = append(nearest, abs(base-sev.At(an, bn)))
+		nearest = append(nearest, math.Abs(base-sev.At(an, bn)))
 
 		// Random pair edge for the same base edge.
 		for {
@@ -51,24 +53,17 @@ func PairDifferences(m *delayspace.Matrix, sev *EdgeSeverities, numEdges int, se
 			if ra == rb || !m.Has(ra, rb) {
 				continue
 			}
-			random = append(random, abs(base-sev.At(ra, rb)))
+			random = append(random, math.Abs(base-sev.At(ra, rb)))
 			break
 		}
 	}
 	return nearest, random
 }
 
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
-}
-
 // DelaySeverityPairs returns parallel slices (delay, severity) for
 // every measured edge, the raw input to the paper's severity-vs-delay
-// figures (Figs 4–7, binned at 10 ms).
-func DelaySeverityPairs(m *delayspace.Matrix, sev *EdgeSeverities) (delays, sevs []float64) {
+// figures (Figs 4–7, binned at 10 ms) and to cmd/tivanalyze's table.
+func DelaySeverityPairs(m *delayspace.Matrix, sev *tiv.EdgeSeverities) (delays, sevs []float64) {
 	n := m.N()
 	delays = make([]float64, 0, n*(n-1)/2)
 	sevs = make([]float64, 0, n*(n-1)/2)

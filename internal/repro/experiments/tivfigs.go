@@ -7,7 +7,6 @@ import (
 	"tivaware/internal/repro/graph"
 	"tivaware/internal/stats"
 	"tivaware/internal/synth"
-	"tivaware/internal/tiv"
 )
 
 // presetTitles maps preset names to the labels the paper's legends
@@ -111,7 +110,7 @@ func severityVsDelay(cfg Config, id, preset string) (Result, error) {
 		return nil, err
 	}
 	sev := cfg.severities(sp.Matrix)
-	delays, sevs := tiv.DelaySeverityPairs(sp.Matrix, sev)
+	delays, sevs := DelaySeverityPairs(sp.Matrix, sev)
 	bins := stats.BinSeries(delays, sevs, 10) // 10 ms bins, as in the paper
 	r := &BinsResult{
 		meta:   meta{id: id, title: fmt.Sprintf("TIV severity vs delay, %s data (10 ms bins, 10/50/90th pct)", presetTitles[preset])},
@@ -206,7 +205,7 @@ func Fig9(cfg Config) (Result, error) {
 			return nil, err
 		}
 		sev := cfg.severities(sp.Matrix)
-		nearest, random := tiv.PairDifferences(sp.Matrix, sev, sampleEdges, cfg.Seed+7)
+		nearest, random := pairDifferences(sp.Matrix, sev, sampleEdges, cfg.Seed+7)
 		r.Names = append(r.Names,
 			presetTitles[preset]+"-nearest-pair",
 			presetTitles[preset]+"-random-pair")
@@ -227,7 +226,7 @@ func Tab1(cfg Config) (Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	frac := tiv.ViolatingTriangleFraction(sp.Matrix, 200000, cfg.Seed+3)
+	frac := cfg.violatingTriangleFraction(sp.Matrix, 200000, cfg.Seed+3)
 	sys, err := cfg.convergedVivaldi(sp.Matrix, 11)
 	if err != nil {
 		return nil, err

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"tivaware/internal/tiv"
+	"tivaware/internal/tivaware"
 )
 
 // TestDS2TriangleFraction pins the headline calibration: the paper
@@ -15,7 +16,11 @@ func TestDS2TriangleFraction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	frac := tiv.ViolatingTriangleFraction(s.Matrix, 200000, 7)
+	svc, err := tivaware.NewFromMatrix(s.Matrix, tivaware.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	frac := svc.ViolatingTriangleFraction() // exact over all C(300,3) triples
 	if frac < 0.06 || frac > 0.20 {
 		t.Errorf("violating triangle fraction %.3f outside [0.06, 0.20] (paper: ~0.12)", frac)
 	}

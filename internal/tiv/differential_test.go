@@ -87,9 +87,6 @@ func TestEngineMatchesReferenceExact(t *testing.T) {
 			if got := an.ViolatingTriangleFraction(); math.Abs(got-wantFrac) > 1e-12 {
 				t.Fatalf("case %+v workers=%d: violating fraction %g, reference %g", tc, workers, got, wantFrac)
 			}
-			if got := eng.ViolatingTriangleFraction(m, 0); math.Abs(got-wantFrac) > 1e-12 {
-				t.Fatalf("case %+v workers=%d: exact blocked fraction %g, reference %g", tc, workers, got, wantFrac)
-			}
 		}
 	}
 }
@@ -162,108 +159,37 @@ func TestAsymmetricRowsMatchReference(t *testing.T) {
 	}
 }
 
-func TestSingleEdgeKernelsMatchReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for _, tc := range diffCases {
-		m := randomMatrix(t, rng, tc.n, tc.missingFrac, tc.deadRows)
-		for i := 0; i < tc.n; i++ {
-			for j := 0; j < tc.n; j++ {
-				if got, want := Severity(m, i, j), referenceSeverity(m, i, j); got != want {
-					t.Fatalf("case %+v: Severity(%d,%d) = %g, reference %g", tc, i, j, got, want)
-				}
-				if got, want := FractionTIV(m, i, j), referenceFractionTIV(m, i, j); got != want {
-					t.Fatalf("case %+v: FractionTIV(%d,%d) = %g, reference %g", tc, i, j, got, want)
-				}
-				gr, wr := TriangulationRatios(m, i, j), referenceTriangulationRatios(m, i, j)
-				if len(gr) != len(wr) {
-					t.Fatalf("case %+v: ratios(%d,%d) len %d, reference %d", tc, i, j, len(gr), len(wr))
-				}
-				for k := range gr {
-					if gr[k] != wr[k] {
-						t.Fatalf("case %+v: ratios(%d,%d)[%d] = %g, reference %g", tc, i, j, k, gr[k], wr[k])
-					}
-				}
-			}
-		}
-	}
-}
-
-func TestSampledSeveritiesMatchReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for _, tc := range []diffCase{{40, 0, 0}, {80, 0.3, 1}, {130, 0.1, 0}} {
-		m := randomMatrix(t, rng, tc.n, tc.missingFrac, tc.deadRows)
-		opts := Options{Workers: 2, SampleThirdNodes: tc.n / 3, Seed: 5}
-		eng := NewEngine(opts)
-		got := eng.AllSeverities(m)
-		sample := NewEngine(opts).sampleThirdNodes(tc.n, opts.SampleThirdNodes)
-		for i := 0; i < tc.n; i++ {
-			for j := i + 1; j < tc.n; j++ {
-				want := 0.0
-				if m.Has(i, j) {
-					want = referenceSampledSeverity(m, i, j, sample)
-				}
-				if math.Abs(got.At(i, j)-want) > 1e-12 || got.At(i, j) != got.At(j, i) {
-					t.Fatalf("case %+v: sampled severity(%d,%d) = %g, reference %g", tc, i, j, got.At(i, j), want)
-				}
-			}
-		}
-	}
-}
-
-// TestSampledSeverityScale pins the |S| = N scale alignment of the
-// sampled estimator: on a matrix where every third node witnesses the
-// same triangulation ratio, the sampled severity must equal the exact
-// one exactly, for any sample size.
-func TestSampledSeverityScale(t *testing.T) {
-	const n = 24
-	m := delayspace.New(n)
-	// Nodes 0 and 1 are 100 apart; every other pair is 25 apart: each
-	// third node witnesses edge (0,1) with ratio 100/50 = 2, and no
-	// other edge violates.
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			if i == 0 && j == 1 {
-				m.Set(i, j, 100)
-			} else {
-				m.Set(i, j, 25)
-			}
-		}
-	}
-	exact := AllSeverities(m, Options{})
-	want := 2 * float64(n-2) / float64(n)
-	if diff := math.Abs(exact.At(0, 1) - want); diff > 1e-12 {
-		t.Fatalf("exact severity(0,1) = %g, want %g", exact.At(0, 1), want)
-	}
-	for _, b := range []int{2, 5, n - 1} {
-		sampled := AllSeverities(m, Options{SampleThirdNodes: b, Seed: 3})
-		if diff := math.Abs(sampled.At(0, 1) - want); diff > 1e-12 {
-			t.Fatalf("sampled (B=%d) severity(0,1) = %g, want %g (same |S|=N scale as exact)", b, sampled.At(0, 1), want)
-		}
-	}
-}
-
-// TestSelectTopEdges pins the quickselect-based partial selection
-// against a full sort, including duplicate severities that exercise
-// the deterministic (I, J) tie-break.
+// TestSelectTopEdges pins the rule every edge ranking relies on:
+// EdgeLess is a total order on distinct edges, so a full sort cut to k
+// is the same list element for element whatever order the edges
+// arrive in, and it is the list KeepTop streams out. Severities come
+// from five values, so most comparisons are (I, J) tie-breaks.
 func TestSelectTopEdges(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for trial := 0; trial < 50; trial++ {
-		numEdges := 1 + rng.Intn(200)
-		edges := make([]delayspace.Edge, numEdges)
-		for k := range edges {
-			edges[k] = delayspace.Edge{I: rng.Intn(20), J: rng.Intn(20), Delay: float64(rng.Intn(5))}
+		var edges []delayspace.Edge
+		for i := 0; i < 20; i++ {
+			for j := i + 1; j < 20; j++ {
+				if rng.Intn(3) == 0 {
+					edges = append(edges, delayspace.Edge{I: i, J: j, Delay: float64(rng.Intn(5))})
+				}
+			}
 		}
-		k := 1 + rng.Intn(numEdges)
+		k := 1 + rng.Intn(len(edges))
 		want := append([]delayspace.Edge(nil), edges...)
 		sortEdgesBySeverityDesc(want)
 		want = want[:k]
-		got := selectTopEdges(append([]delayspace.Edge(nil), edges...), k)
-		if len(got) != len(want) {
-			t.Fatalf("trial %d: got %d edges, want %d", trial, len(got), len(want))
+		rng.Shuffle(len(edges), func(a, b int) { edges[a], edges[b] = edges[b], edges[a] })
+		sorted := append([]delayspace.Edge(nil), edges...)
+		sortEdgesBySeverityDesc(sorted)
+		var kept []delayspace.Edge
+		for _, e := range edges {
+			kept = KeepTop(kept, k, e, EdgeLess)
 		}
-		for x := range got {
-			if got[x] != want[x] {
-				t.Fatalf("trial %d: position %d: got %+v, want %+v", trial, x, got[x], want[x])
+		sortEdgesBySeverityDesc(kept)
+		for x := range want {
+			if sorted[x] != want[x] || kept[x] != want[x] {
+				t.Fatalf("trial %d: position %d: sorted %+v, kept %+v, want %+v", trial, x, sorted[x], kept[x], want[x])
 			}
 		}
 	}

@@ -3,7 +3,6 @@ package tiv
 import (
 	"math"
 	"math/bits"
-	"math/rand"
 	"sync"
 	"sync/atomic"
 
@@ -13,8 +12,8 @@ import (
 // Engine is the shared high-performance severity engine behind the
 // package's O(N³) analyses. It reuses its scratch buffers across calls
 // (a steady-state call allocates exactly its result) and runs the
-// triple-scan kernel described below over an atomic-counter chunked
-// work queue.
+// triple-scan kernel described below over row chunks dealt to its
+// workers by stride.
 //
 // The kernel exploits two structural facts:
 //
@@ -28,8 +27,8 @@ import (
 //     a triple violates iff dac+dbc < dab or |dac−dbc| > dab. Scanning
 //     each unordered triple once — at its lowest-index pair — therefore
 //     yields every edge's severity, every edge's violation count, and
-//     the exact violating-triangle total in one N³/6 pass, where the
-//     naive per-edge scans pay N³/2 for the severities alone.
+//     the exact violating-triangle total in one N³/6 pass, where a
+//     naive per-edge scan pays N³/2 for the severities alone.
 //
 // An Engine is not safe for concurrent use; give each goroutine its
 // own (the constructor is cheap).
@@ -43,20 +42,12 @@ type Engine struct {
 	// destination directly.
 	accSev [][]float64
 	accCnt [][]int32
-	accRat [][]int32
 
-	idx     []int  // partial Fisher–Yates scratch for third-node sampling
 	rowFull []bool // per-row "fully measured" flags for the current scan
 }
 
 // NewEngine returns an engine computing with the given options.
 func NewEngine(opts Options) *Engine { return &Engine{opts: opts} }
-
-// rng returns the RNG behind the engine's sampled paths: a fresh
-// source seeded by Options.Seed, so every call reproduces its result.
-func (e *Engine) rng() *rand.Rand {
-	return rand.New(rand.NewSource(e.opts.Seed))
-}
 
 // EdgeCounts stores the violation count of every edge of a matrix,
 // indexed like the matrix itself.
@@ -98,19 +89,15 @@ func (a Analysis) ViolatingTriangleFraction() float64 {
 	return float64(a.ViolatingTriangles) / float64(a.Triangles)
 }
 
-// AllSeverities computes the severity of every edge, exact or sampled
-// per the engine's Options, into a freshly allocated result.
+// AllSeverities computes the exact severity of every edge into a
+// freshly allocated result.
 func (e *Engine) AllSeverities(m *delayspace.Matrix) *EdgeSeverities {
 	n := m.N()
 	dst := &EdgeSeverities{n: n, data: make([]float64, n*n)}
 	if n < 3 {
 		return dst
 	}
-	if b := e.opts.SampleThirdNodes; b > 0 && b < n {
-		e.sampledSeverities(dst, m, b)
-		return dst
-	}
-	e.scanAll(m, dst.data, nil, nil)
+	e.scanAll(m, dst.data, nil)
 	finishSeverities(dst.data, n)
 	return dst
 }
@@ -125,7 +112,7 @@ func (e *Engine) Analyze(m *delayspace.Matrix) Analysis {
 	cnt := &EdgeCounts{n: n, data: make([]int32, n*n)}
 	var bad int64
 	if n >= 3 {
-		bad = e.scanAll(m, sev.data, cnt.data, nil)
+		bad = e.scanAll(m, sev.data, cnt.data)
 		finishSeverities(sev.data, n)
 		mirrorCounts(cnt.data, n)
 	}
@@ -137,55 +124,16 @@ func (e *Engine) Analyze(m *delayspace.Matrix) Analysis {
 	}
 }
 
-// ViolatingTriangleFraction returns the fraction of node triples that
-// violate the triangle inequality. When the number of triples is
-// within maxTriples (or maxTriples <= 0) the count is exact, via the
-// blocked triple-scan kernel; otherwise that many triples are sampled
-// uniformly, drawn from a fresh source seeded by Options.Seed per call.
-func (e *Engine) ViolatingTriangleFraction(m *delayspace.Matrix, maxTriples int) float64 {
-	n := m.N()
-	if n < 3 {
-		return 0
-	}
-	total := totalTriples(n)
-	if maxTriples <= 0 || total <= int64(maxTriples) {
-		bad := e.scanAll(m, nil, nil, nil)
-		return float64(bad) / float64(total)
-	}
-	rng := e.rng()
-	bad := 0
-	for t := 0; t < maxTriples; t++ {
-		a := rng.Intn(n)
-		b := rng.Intn(n)
-		c := rng.Intn(n)
-		if a == b || b == c || a == c {
-			t--
-			continue
-		}
-		ab, bc, ca := m.At(a, b), m.At(b, c), m.At(c, a)
-		if ab == delayspace.Missing || bc == delayspace.Missing || ca == delayspace.Missing {
-			continue
-		}
-		if ab+bc < ca || bc+ca < ab || ca+ab < bc {
-			bad++
-		}
-	}
-	return float64(bad) / float64(maxTriples)
-}
-
 // accumBudgetBytes bounds the total per-extra-worker accumulator
 // scratch a single scan may allocate.
 const accumBudgetBytes = 256 << 20
 
-func bytesPerAccum(n int, needSev, needCnt, needRat bool) int {
+func bytesPerAccum(n int, needSev, needCnt bool) int {
 	per := 0
 	if needSev {
 		per += 8
 	}
 	if needCnt {
-		per += 4
-	}
-	if needRat {
 		per += 4
 	}
 	return n * n * per
@@ -195,12 +143,11 @@ func totalTriples(n int) int64 {
 	return int64(n) * int64(n-1) * int64(n-2) / 6
 }
 
-// scanAll runs the triple-scan kernel over the whole matrix with an
-// atomic-counter chunked work queue, adding raw ratio sums into sev,
-// violation counts into cnt, and positive-detour violation counts into
-// rat (any may be nil; only upper-triangle entries are written, raw —
-// callers normalize/mirror). Returns the violating-triangle total.
-func (e *Engine) scanAll(m *delayspace.Matrix, sev []float64, cnt, rat []int32) int64 {
+// scanAll runs the triple-scan kernel over the whole matrix, adding raw
+// ratio sums into sev and violation counts into cnt (cnt may be nil;
+// only upper-triangle entries are written, raw — callers
+// normalize/mirror). Returns the violating-triangle total.
+func (e *Engine) scanAll(m *delayspace.Matrix, sev []float64, cnt []int32) int64 {
 	n := m.N()
 	if n < 3 {
 		return 0
@@ -224,7 +171,7 @@ func (e *Engine) scanAll(m *delayspace.Matrix, sev []float64, cnt, rat []int32) 
 	// The per-extra-worker accumulators cost O(N²) each; cap the
 	// worker count so the scratch stays within a fixed budget instead
 	// of scaling with GOMAXPROCS on huge matrices.
-	if bytesPer := bytesPerAccum(n, sev != nil, cnt != nil, rat != nil); bytesPer > 0 {
+	if bytesPer := bytesPerAccum(n, sev != nil, cnt != nil); bytesPer > 0 {
 		if maxExtra := accumBudgetBytes / bytesPer; w > 1+maxExtra {
 			w = 1 + maxExtra
 		}
@@ -237,50 +184,39 @@ func (e *Engine) scanAll(m *delayspace.Matrix, sev []float64, cnt, rat []int32) 
 		rowFull[i] = maskPopcount(m.MaskRow(i)) == n-1
 	}
 	if w <= 1 {
-		ctx := &scanCtx{n: n, words: m.MaskWords(), sev: sev, cnt: cnt, rat: rat, rowFull: rowFull}
+		ctx := &scanCtx{n: n, words: m.MaskWords(), sev: sev, cnt: cnt, rowFull: rowFull}
 		return scanRows(m, ctx, 0, n)
 	}
 
-	e.growScratch(w-1, n, sev != nil, cnt != nil, rat != nil)
-	// Scheduling: integer accumulation is order-independent, so
-	// count/triangle-only scans pull chunks off an atomic work queue.
-	// Float severity sums are not associative, so those scans assign
-	// chunks statically by stride instead — every run with the same
-	// worker count then groups each edge's contributions identically,
-	// keeping results run-to-run deterministic (the stride also
-	// balances the shrinking per-row work).
-	var next, bad atomic.Int64
-	deterministic := sev != nil
-	run := func(worker int, sv []float64, ct, rt []int32) {
-		ctx := &scanCtx{n: n, words: m.MaskWords(), sev: sv, cnt: ct, rat: rt, rowFull: rowFull}
+	e.growScratch(w-1, n, sev != nil, cnt != nil)
+	// Scheduling: float severity sums are not associative, so chunks
+	// are dealt statically by stride — every run with the same worker
+	// count then groups each edge's contributions identically, keeping
+	// results run-to-run deterministic (the stride also balances the
+	// shrinking per-row work).
+	var bad atomic.Int64
+	run := func(worker int, sv []float64, ct []int32) {
+		ctx := &scanCtx{n: n, words: m.MaskWords(), sev: sv, cnt: ct, rowFull: rowFull}
 		var local int64
-		for blk := worker; blk < numChunks; {
+		for blk := worker; blk < numChunks; blk += w {
 			lo := blk * chunk
 			hi := lo + chunk
 			if hi > n {
 				hi = n
 			}
 			local += scanRows(m, ctx, lo, hi)
-			if deterministic {
-				blk += w
-			} else {
-				blk = int(next.Add(1)) - 1
-			}
 		}
 		bad.Add(local)
-	}
-	if !deterministic {
-		next.Store(int64(w)) // queue position after the seed chunks
 	}
 	var wg sync.WaitGroup
 	for k := 0; k < w-1; k++ {
 		wg.Add(1)
 		go func(k int) {
 			defer wg.Done()
-			run(k+1, pickFloats(e.accSev, k, sev), pickInts(e.accCnt, k, cnt), pickInts(e.accRat, k, rat))
+			run(k+1, pickFloats(e.accSev, k, sev), pickInts(e.accCnt, k, cnt))
 		}(k)
 	}
-	run(0, sev, cnt, rat) // worker 0 adds into the destination directly
+	run(0, sev, cnt) // worker 0 adds into the destination directly
 	wg.Wait()
 	for k := 0; k < w-1; k++ {
 		for i := 0; i < n-1; i++ {
@@ -297,12 +233,6 @@ func (e *Engine) scanAll(m *delayspace.Matrix, sev []float64, cnt, rat []int32) 
 					dst[x] += src[x]
 				}
 			}
-			if rat != nil {
-				dst, src := rat[lo:hi], e.accRat[k][lo:hi]
-				for x := range dst {
-					dst[x] += src[x]
-				}
-			}
 		}
 	}
 	return bad.Load()
@@ -315,7 +245,7 @@ func (e *Engine) scanAll(m *delayspace.Matrix, sev []float64, cnt, rat []int32) 
 type scanCtx struct {
 	n, words int
 	sev      []float64
-	cnt, rat []int32
+	cnt      []int32
 	rowFull  []bool
 	vc       [violTile]int32
 }
@@ -374,16 +304,14 @@ const violTile = 256
 // Keeping the scan free of data-dependent branches and down to a
 // handful of live registers is what lets it retire one triple every
 // few cycles. The violation count always increments; the ratio sum
-// and ratio count only when the detour is positive, matching the
-// severity definition. Violations of edge (a, b) itself accumulate
-// into scalars and land in the arrays once per pair, avoiding a
-// scattered store per violation.
+// only when the detour is positive, matching the severity definition.
+// Violations of edge (a, b) itself accumulate into scalars and land in
+// the arrays once per pair, avoiding a scattered store per violation.
 func scanPair(m *delayspace.Matrix, ctx *scanCtx, rowA []float64, maskA []uint64, a, b int, full bool) int64 {
 	n := ctx.n
 	words := ctx.words
 	sev := ctx.sev
 	cnt := ctx.cnt
-	rat := ctx.rat
 	vcp := &ctx.vc
 	rowB := m.Row(b)
 	dab := rowA[b]
@@ -391,7 +319,7 @@ func scanPair(m *delayspace.Matrix, ctx *scanCtx, rowA []float64, maskA []uint64
 	bBase := b * n
 	var bad int64
 	var sumAB float64
-	var cntAB, ratAB int32
+	var cntAB int32
 
 	if full {
 		// Fully measured rows: scan the candidate range directly in
@@ -421,7 +349,6 @@ func scanPair(m *delayspace.Matrix, ctx *scanCtx, rowA []float64, maskA []uint64
 					cntAB++
 					if s > 0 {
 						sumAB += dab / s
-						ratAB++
 					}
 				} else {
 					// Edge (a, c) or (b, c) is the longest. Select it
@@ -439,13 +366,8 @@ func scanPair(m *delayspace.Matrix, ctx *scanCtx, rowA []float64, maskA []uint64
 					if cnt != nil {
 						cnt[e]++
 					}
-					if alt > 0 {
-						if sev != nil {
-							sev[e] += mx / alt
-						}
-						if rat != nil {
-							rat[e]++
-						}
+					if alt > 0 && sev != nil {
+						sev[e] += mx / alt
 					}
 				}
 			}
@@ -500,7 +422,6 @@ func scanPair(m *delayspace.Matrix, ctx *scanCtx, rowA []float64, maskA []uint64
 					cntAB++
 					if s > 0 {
 						sumAB += dab / s
-						ratAB++
 					}
 				} else {
 					// Edge (a, c) or (b, c) is the longest. Select it
@@ -518,13 +439,8 @@ func scanPair(m *delayspace.Matrix, ctx *scanCtx, rowA []float64, maskA []uint64
 					if cnt != nil {
 						cnt[e]++
 					}
-					if alt > 0 {
-						if sev != nil {
-							sev[e] += mx / alt
-						}
-						if rat != nil {
-							rat[e]++
-						}
+					if alt > 0 && sev != nil {
+						sev[e] += mx / alt
 					}
 				}
 			}
@@ -537,117 +453,7 @@ func scanPair(m *delayspace.Matrix, ctx *scanCtx, rowA []float64, maskA []uint64
 	if sev != nil {
 		sev[eAB] += sumAB
 	}
-	if rat != nil {
-		rat[eAB] += ratAB
-	}
 	return bad
-}
-
-// sampledSeverities estimates every edge's severity from one shared
-// random subset of third nodes, scheduling row chunks over an atomic
-// counter. Each edge is written exactly once, so no per-worker
-// accumulators are needed.
-func (e *Engine) sampledSeverities(dst *EdgeSeverities, m *delayspace.Matrix, B int) {
-	n := m.N()
-	sample := e.sampleThirdNodes(n, B)
-	const chunk = 16
-	numChunks := (n + chunk - 1) / chunk
-	w := e.opts.workers()
-	if w > numChunks {
-		w = numChunks
-	}
-	var next atomic.Int64
-	run := func() {
-		for {
-			blk := int(next.Add(1)) - 1
-			if blk >= numChunks {
-				break
-			}
-			lo := blk * chunk
-			hi := lo + chunk
-			if hi > n {
-				hi = n
-			}
-			for a := lo; a < hi; a++ {
-				rowA := m.Row(a)
-				maskA := m.MaskRow(a)
-				for b := a + 1; b < n; b++ {
-					if rowA[b] == delayspace.Missing {
-						continue
-					}
-					dst.data[a*n+b] = sampledSeverity(m, rowA, maskA, a, b, sample)
-				}
-			}
-		}
-	}
-	if w <= 1 {
-		run()
-	} else {
-		var wg sync.WaitGroup
-		for k := 1; k < w; k++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				run()
-			}()
-		}
-		run()
-		wg.Wait()
-	}
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			dst.data[j*n+i] = dst.data[i*n+j]
-		}
-	}
-}
-
-// sampledSeverity estimates the severity of edge (a, b) from the given
-// sample of third nodes. The sampled sum over the used candidates is
-// rescaled to the N−2 possible witnesses and divided by |S| = N, so
-// sampled and exact severities are on the same scale.
-func sampledSeverity(m *delayspace.Matrix, rowA []float64, maskA []uint64, a, b int, sample []int) float64 {
-	rowB := m.Row(b)
-	maskB := m.MaskRow(b)
-	d := rowA[b]
-	var sum float64
-	used := 0
-	for _, x := range sample {
-		if x == a || x == b {
-			continue
-		}
-		used++
-		w := x >> 6
-		if maskA[w]&maskB[w]&(1<<uint(x&63)) == 0 {
-			continue
-		}
-		if alt := rowA[x] + rowB[x]; alt < d && alt > 0 {
-			sum += d / alt
-		}
-	}
-	if used == 0 {
-		return 0
-	}
-	n := m.N()
-	return sum / float64(used) * float64(n-2) / float64(n)
-}
-
-// sampleThirdNodes draws k distinct nodes uniformly via a partial
-// Fisher–Yates shuffle — O(N) setup plus O(k) swaps, where a full
-// rand.Perm pays O(N) swaps and random draws.
-func (e *Engine) sampleThirdNodes(n, k int) []int {
-	if cap(e.idx) < n {
-		e.idx = make([]int, n)
-	}
-	idx := e.idx[:n]
-	for i := range idx {
-		idx[i] = i
-	}
-	rng := e.rng()
-	for i := 0; i < k; i++ {
-		j := i + rng.Intn(n-i)
-		idx[i], idx[j] = idx[j], idx[i]
-	}
-	return idx[:k]
 }
 
 // finishSeverities converts raw upper-triangle ratio sums into
@@ -710,11 +516,10 @@ func pickInts(acc [][]int32, k int, dst []int32) []int32 {
 }
 
 // growScratch sizes (and zeroes) the per-extra-worker accumulators.
-func (e *Engine) growScratch(k, n int, needSev, needCnt, needRat bool) {
+func (e *Engine) growScratch(k, n int, needSev, needCnt bool) {
 	for len(e.accSev) < k {
 		e.accSev = append(e.accSev, nil)
 		e.accCnt = append(e.accCnt, nil)
-		e.accRat = append(e.accRat, nil)
 	}
 	for i := 0; i < k; i++ {
 		if needSev {
@@ -722,9 +527,6 @@ func (e *Engine) growScratch(k, n int, needSev, needCnt, needRat bool) {
 		}
 		if needCnt {
 			e.accCnt[i] = ensureInts(e.accCnt[i], n*n)
-		}
-		if needRat {
-			e.accRat[i] = ensureInts(e.accRat[i], n*n)
 		}
 	}
 }

@@ -248,7 +248,7 @@ func (mon *Monitor) rescan() {
 	clear(mon.cnt)
 	mon.bad = 0
 	if mon.n >= 3 {
-		mon.bad = mon.eng.scanAll(mon.m, mon.rawSev, mon.cnt, nil)
+		mon.bad = mon.eng.scanAll(mon.m, mon.rawSev, mon.cnt)
 	}
 	mon.matVersion = mon.m.Version()
 }

@@ -56,38 +56,6 @@ func referenceAllSeverities(m *delayspace.Matrix) *EdgeSeverities {
 	return out
 }
 
-// referenceSampledSeverity estimates the severity of edge (i, j) from
-// the given sample of third nodes, on the same |S| = N scale as the
-// exact severity (see sampledSeverity).
-func referenceSampledSeverity(m *delayspace.Matrix, i, j int, sample []int) float64 {
-	d := m.At(i, j)
-	if i == j || d == delayspace.Missing {
-		return 0
-	}
-	rowI := m.Row(i)
-	rowJ := m.Row(j)
-	var sum float64
-	used := 0
-	for _, b := range sample {
-		if b == i || b == j {
-			continue
-		}
-		used++
-		db1, db2 := rowI[b], rowJ[b]
-		if db1 == delayspace.Missing || db2 == delayspace.Missing {
-			continue
-		}
-		if alt := db1 + db2; alt < d && alt > 0 {
-			sum += d / alt
-		}
-	}
-	n := m.N()
-	if used == 0 || n == 0 {
-		return 0
-	}
-	return sum / float64(used) * float64(n-2) / float64(n)
-}
-
 // referenceViolationCount is the naive per-third-node violation count.
 func referenceViolationCount(m *delayspace.Matrix, i, j int) int {
 	d := m.At(i, j)

@@ -6,26 +6,26 @@ import (
 	"testing"
 )
 
-// TestQueueSchedulingCoversAllChunks pins the atomic-queue path (used
-// by integer-only scans) against the reference with worker counts that
-// exceed the seed chunks, at a size large enough to need the queue.
-func TestQueueSchedulingCoversAllChunks(t *testing.T) {
+// TestStridedSchedulingCoversAllChunks pins the strided chunk
+// assignment against the reference with worker counts that do not
+// divide the chunk count, at a size large enough to run several
+// workers: a chunk dealt to no worker, or to two, moves the total.
+func TestStridedSchedulingCoversAllChunks(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	m := randomMatrix(t, rng, 400, 0.05, 0)
 	want := referenceViolatingTriangleFraction(m)
 	for _, workers := range []int{2, 3, 5, 8} {
-		eng := NewEngine(Options{Workers: workers})
-		if got := eng.ViolatingTriangleFraction(m, 0); math.Abs(got-want) > 1e-12 {
-			t.Fatalf("workers=%d: fraction %g, reference %g (chunk lost by the work queue?)", workers, got, want)
+		an := NewEngine(Options{Workers: workers}).Analyze(m)
+		if got := an.ViolatingTriangleFraction(); math.Abs(got-want) > 1e-12 {
+			t.Fatalf("workers=%d: fraction %g, reference %g (chunk lost by the stride?)", workers, got, want)
 		}
-		// Counts without severities take the queue too (raw, upper
-		// triangle: every spot-checked pair has i < j).
-		cnt := make([]int32, 400*400)
-		eng.scanAll(m, nil, cnt, nil)
 		for i := 0; i < 20; i++ { // spot-check rows across chunk boundaries
 			j := (i*17 + 31) % 400
-			if got, w := int(cnt[i*400+j]), referenceViolationCount(m, i, j); got != w {
+			if got, w := an.Counts.At(i, j), referenceViolationCount(m, i, j); got != w {
 				t.Fatalf("workers=%d: count(%d,%d) = %d, reference %d", workers, i, j, got, w)
+			}
+			if got, w := an.Severities.At(i, j), referenceSeverity(m, i, j); math.Abs(got-w) > 1e-9 {
+				t.Fatalf("workers=%d: severity(%d,%d) = %g, reference %g", workers, i, j, got, w)
 			}
 		}
 	}

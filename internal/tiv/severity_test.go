@@ -24,42 +24,29 @@ func TestSeverityPaperTriangle(t *testing.T) {
 	m := paperTriangle()
 	// Edge (0,2) has one violation with ratio 100/10 = 10, divided by
 	// |S| = 3 nodes.
+	sev := AllSeverities(m, Options{})
 	want := 10.0 / 3.0
-	if got := Severity(m, 0, 2); math.Abs(got-want) > 1e-12 {
-		t.Errorf("Severity(0,2) = %g, want %g", got, want)
+	if got := sev.At(0, 2); math.Abs(got-want) > 1e-12 {
+		t.Errorf("severity(0,2) = %g, want %g", got, want)
 	}
 	// The short edges cause no violation.
-	if got := Severity(m, 0, 1); got != 0 {
-		t.Errorf("Severity(0,1) = %g, want 0", got)
+	if got := sev.At(0, 1); got != 0 {
+		t.Errorf("severity(0,1) = %g, want 0", got)
 	}
-	if got := Severity(m, 1, 2); got != 0 {
-		t.Errorf("Severity(1,2) = %g, want 0", got)
+	if got := sev.At(1, 2); got != 0 {
+		t.Errorf("severity(1,2) = %g, want 0", got)
 	}
 }
 
 func TestSeverityEdgeCases(t *testing.T) {
 	m := paperTriangle()
-	if Severity(m, 1, 1) != 0 {
+	if AllSeverities(m, Options{}).At(1, 1) != 0 {
 		t.Error("self edge severity must be 0")
 	}
 	m2 := delayspace.New(3)
 	m2.Set(0, 1, 5) // pair (0,2) unmeasured
-	if Severity(m2, 0, 2) != 0 {
+	if AllSeverities(m2, Options{}).At(0, 2) != 0 {
 		t.Error("missing edge severity must be 0")
-	}
-}
-
-func TestTriangulationRatios(t *testing.T) {
-	m := paperTriangle()
-	r := TriangulationRatios(m, 0, 2)
-	if len(r) != 1 || r[0] != 10 {
-		t.Errorf("ratios = %v, want [10]", r)
-	}
-	if r := TriangulationRatios(m, 0, 1); len(r) != 0 {
-		t.Errorf("non-violating edge has ratios %v", r)
-	}
-	if r := TriangulationRatios(m, 1, 1); r != nil {
-		t.Error("self edge should give nil")
 	}
 }
 
@@ -71,7 +58,7 @@ func TestAllSeveritiesMatchesSingle(t *testing.T) {
 	all := AllSeverities(s.Matrix, Options{Workers: 2})
 	for i := 0; i < 40; i++ {
 		for j := 0; j < 40; j++ {
-			want := Severity(s.Matrix, i, j)
+			want := referenceSeverity(s.Matrix, i, j)
 			if got := all.At(i, j); math.Abs(got-want) > 1e-12 {
 				t.Fatalf("AllSeverities(%d,%d) = %g, want %g", i, j, got, want)
 			}
@@ -110,147 +97,19 @@ func TestValuesLength(t *testing.T) {
 	}
 }
 
-func TestSampledSeverityApproximatesExact(t *testing.T) {
-	s, err := synth.Generate(synth.DS2Like(120, 5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	exact := AllSeverities(s.Matrix, Options{})
-	sampled := AllSeverities(s.Matrix, Options{SampleThirdNodes: 60, Seed: 99})
-	// Compare the population means: the sampled estimator is unbiased,
-	// so the aggregate should be close.
-	var meanE, meanS float64
-	ve, vs := exact.Values(), sampled.Values()
-	for i := range ve {
-		meanE += ve[i]
-		meanS += vs[i]
-	}
-	meanE /= float64(len(ve))
-	meanS /= float64(len(vs))
-	if meanE == 0 {
-		t.Fatal("degenerate test: zero exact severity")
-	}
-	if rel := math.Abs(meanE-meanS) / meanE; rel > 0.35 {
-		t.Errorf("sampled mean off by %.0f%% (exact %g, sampled %g)", rel*100, meanE, meanS)
-	}
-}
-
-func TestWorstEdges(t *testing.T) {
-	m := paperTriangle()
-	all := AllSeverities(m, Options{})
-	worst := all.WorstEdges(0.34) // 1 of 3 edges
-	if len(worst) != 1 {
-		t.Fatalf("got %d edges", len(worst))
-	}
-	if worst[0].I != 0 || worst[0].J != 2 {
-		t.Errorf("worst edge = (%d,%d), want (0,2)", worst[0].I, worst[0].J)
-	}
-	// Tiny fraction still returns at least one edge.
-	if got := all.WorstEdges(1e-9); len(got) != 1 {
-		t.Errorf("minimum-one rule broken: %d", len(got))
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("invalid fraction should panic")
-		}
-	}()
-	all.WorstEdges(0)
-}
-
-func TestWorstEdgesOrdering(t *testing.T) {
-	s, err := synth.Generate(synth.DS2Like(30, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	all := AllSeverities(s.Matrix, Options{})
-	worst := all.WorstEdges(1.0)
-	for k := 1; k < len(worst); k++ {
-		if worst[k].Delay > worst[k-1].Delay {
-			t.Fatal("WorstEdges not sorted descending")
-		}
-	}
-}
-
 func TestViolatingTriangleFraction(t *testing.T) {
-	m := paperTriangle()
+	fraction := func(m *delayspace.Matrix) float64 {
+		return NewEngine(Options{}).Analyze(m).ViolatingTriangleFraction()
+	}
 	// The single triangle violates.
-	if got := ViolatingTriangleFraction(m, 0, 0); got != 1 {
+	if got := fraction(paperTriangle()); got != 1 {
 		t.Errorf("fraction = %g, want 1", got)
 	}
-	if got := ViolatingTriangleFraction(synth.Euclidean(15, 200, 3), 0, 0); got != 0 {
+	if got := fraction(synth.Euclidean(15, 200, 3)); got != 0 {
 		t.Errorf("metric space fraction = %g, want 0", got)
 	}
-	if got := ViolatingTriangleFraction(delayspace.New(2), 0, 0); got != 0 {
+	if got := fraction(delayspace.New(2)); got != 0 {
 		t.Errorf("2 nodes: fraction = %g", got)
-	}
-}
-
-func TestViolatingTriangleFractionSampled(t *testing.T) {
-	s, err := synth.Generate(synth.DS2Like(80, 6))
-	if err != nil {
-		t.Fatal(err)
-	}
-	exact := ViolatingTriangleFraction(s.Matrix, 0, 0)
-	est := ViolatingTriangleFraction(s.Matrix, 20000, 7)
-	if exact == 0 {
-		t.Skip("degenerate: no violations at this seed")
-	}
-	if math.Abs(exact-est) > 0.05 {
-		t.Errorf("sampled fraction %g too far from exact %g", est, exact)
-	}
-	// Every sampled call re-seeds from Options.Seed, so an engine
-	// repeats itself call after call.
-	eng := NewEngine(Options{Seed: 7})
-	if a, b := eng.ViolatingTriangleFraction(s.Matrix, 20000), eng.ViolatingTriangleFraction(s.Matrix, 20000); a != est || b != est {
-		t.Errorf("Seed-only engine not reproducible per call: %g, %g, want %g", a, b, est)
-	}
-}
-
-func TestPairDifferences(t *testing.T) {
-	s, err := synth.Generate(synth.DS2Like(100, 8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	sev := AllSeverities(s.Matrix, Options{})
-	near, random := PairDifferences(s.Matrix, sev, 500, 11)
-	if len(near) == 0 || len(random) == 0 {
-		t.Fatal("no pair differences produced")
-	}
-	if len(near) != len(random) {
-		t.Errorf("asymmetric outputs: %d vs %d", len(near), len(random))
-	}
-	for _, v := range append(append([]float64{}, near...), random...) {
-		if v < 0 {
-			t.Fatal("negative severity difference")
-		}
-	}
-}
-
-func TestPairDifferencesDegenerate(t *testing.T) {
-	if n, r := PairDifferences(delayspace.New(3), nil, 10, 1); n != nil || r != nil {
-		t.Error("tiny matrix should produce nil")
-	}
-}
-
-func TestDelaySeverityPairs(t *testing.T) {
-	m := paperTriangle()
-	sev := AllSeverities(m, Options{})
-	d, s := DelaySeverityPairs(m, sev)
-	if len(d) != 3 || len(s) != 3 {
-		t.Fatalf("lengths %d,%d", len(d), len(s))
-	}
-	// Find the 100ms edge and check its severity.
-	found := false
-	for k := range d {
-		if d[k] == 100 {
-			found = true
-			if math.Abs(s[k]-10.0/3.0) > 1e-12 {
-				t.Errorf("severity for 100ms edge = %g", s[k])
-			}
-		}
-	}
-	if !found {
-		t.Error("100ms edge missing")
 	}
 }
 
@@ -273,13 +132,14 @@ func TestSeverityProperties(t *testing.T) {
 				scaled.Set(i, j, m.At(i, j)*c)
 			}
 		}
+		sev, sevScaled := AllSeverities(m, Options{}), AllSeverities(scaled, Options{})
 		for trial := 0; trial < 5; trial++ {
 			i, j := rng.Intn(n), rng.Intn(n)
-			s1 := Severity(m, i, j)
+			s1 := sev.At(i, j)
 			if s1 < 0 {
 				return false
 			}
-			s2 := Severity(scaled, i, j)
+			s2 := sevScaled.At(i, j)
 			if math.Abs(s1-s2) > 1e-9*(1+s1) {
 				return false
 			}
@@ -352,13 +212,32 @@ func BenchmarkSeverityExact(b *testing.B) {
 	}
 }
 
-func BenchmarkSeveritySampled(b *testing.B) {
-	s, err := synth.Generate(synth.DS2Like(200, 1))
+// TestMetricsConsistentWithSeverity pins the identity that joins
+// severity to the two per-edge metrics §2.1 rejects, computed here by
+// the naive reference scans: severity = fraction·witnesses·avgRatio/N,
+// so on a complete matrix severity = fraction·(N−2)·avgRatio/N. The
+// reproduction's Tab2 reads the average ratio back out of severity
+// this way.
+func TestMetricsConsistentWithSeverity(t *testing.T) {
+	s, err := synth.Generate(synth.DS2Like(60, 21))
 	if err != nil {
-		b.Fatal(err)
+		t.Fatal(err)
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		AllSeverities(s.Matrix, Options{SampleThirdNodes: 32, Seed: 7})
-	}
+	m := s.Matrix
+	n := float64(m.N())
+	sev := AllSeverities(m, Options{})
+	m.EachEdge(func(i, j int, d float64) bool {
+		avg := 0.0
+		if ratios := referenceTriangulationRatios(m, i, j); len(ratios) > 0 {
+			for _, r := range ratios {
+				avg += r
+			}
+			avg /= float64(len(ratios))
+		}
+		want := referenceFractionTIV(m, i, j) * (n - 2) * avg / n
+		if got := sev.At(i, j); math.Abs(got-want) > 1e-9 {
+			t.Fatalf("severity(%d,%d) = %g, want %g from components", i, j, got, want)
+		}
+		return true
+	})
 }

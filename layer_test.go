@@ -13,7 +13,7 @@ import (
 	"testing"
 )
 
-// TestLayerBoundary holds the module's three layer rules over every Go
+// TestLayerBoundary holds the module's four layer rules over every Go
 // file of the module — tests included, testdata and nested modules
 // skipped — with nothing but go/parser:
 //
@@ -29,6 +29,9 @@ import (
 //     internal/ outside internal/repro imports a package under
 //     internal/repro. Binaries, examples and tests may (tivaware's
 //     tests use Vivaldi, IDES and LAT as predictor sources).
+//   - The kernel draws nothing at random: no non-test file in
+//     internal/tiv imports math/rand. The sampled estimators are the
+//     reproduction's.
 //
 // A file's name for each package is read from its own import spec, so
 // an alias is seen through; a dot-import of either package is refused,
@@ -70,9 +73,14 @@ func TestLayerBoundary(t *testing.T) {
 		dir := filepath.ToSlash(filepath.Dir(p))
 		if strings.HasPrefix(dir, "internal/") && !inTree(dir, repro) && !strings.HasSuffix(p, "_test.go") {
 			for _, imp := range f.Imports {
-				if ip, err := strconv.Unquote(imp.Path.Value); err == nil && inTree(ip, "tivaware/"+repro) {
+				ip, err := strconv.Unquote(imp.Path.Value)
+				if err == nil && inTree(ip, "tivaware/"+repro) {
 					t.Errorf("%s: imports %s; the paper reproduction is fenced under %s",
 						fset.Position(imp.Pos()), ip, repro)
+				}
+				if err == nil && dir == "internal/tiv" && inTree(ip, "math/rand") {
+					t.Errorf("%s: imports math/rand; the kernel computes exactly, and sampling is the reproduction's",
+						fset.Position(imp.Pos()))
 				}
 			}
 		}
