@@ -197,8 +197,9 @@ const figuresFile = "testdata/figures.sha256"
 // every scan runs on one worker, so the bytes do not depend on
 // GOMAXPROCS, and the AVX2 and purego kernels must agree on them. The
 // digests are compared on amd64 only: the Go spec lets the compiler
-// fuse x*y+z into one rounding on arm64, ppc64 and s390x, which may
-// move a last digit there without any change to the code.
+// fuse x*y+z into one rounding, and the arm64 build does so in
+// synth.Generate, Vivaldi's update and the SVD (FMADDD in its
+// disassembly), which moves last digits there.
 func TestAllSpecsCSVParses(t *testing.T) {
 	cfg := tinyConfig()
 	want := map[string]string{}
