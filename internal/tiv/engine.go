@@ -128,11 +128,8 @@ func (e *Engine) Analyze(m *delayspace.Matrix) Analysis {
 // scratch a single scan may allocate.
 const accumBudgetBytes = 256 << 20
 
-func bytesPerAccum(n int, needSev, needCnt bool) int {
-	per := 0
-	if needSev {
-		per += 8
-	}
+func bytesPerAccum(n int, needCnt bool) int {
+	per := 8
 	if needCnt {
 		per += 4
 	}
@@ -144,9 +141,9 @@ func totalTriples(n int) int64 {
 }
 
 // scanAll runs the triple-scan kernel over the whole matrix, adding raw
-// ratio sums into sev and violation counts into cnt (cnt may be nil;
-// only upper-triangle entries are written, raw — callers
-// normalize/mirror). Returns the violating-triangle total.
+// ratio sums into sev and violation counts into cnt (sev is required,
+// cnt may be nil; only upper-triangle entries are written, raw —
+// callers normalize/mirror). Returns the violating-triangle total.
 func (e *Engine) scanAll(m *delayspace.Matrix, sev []float64, cnt []int32) int64 {
 	n := m.N()
 	if n < 3 {
@@ -171,10 +168,8 @@ func (e *Engine) scanAll(m *delayspace.Matrix, sev []float64, cnt []int32) int64
 	// The per-extra-worker accumulators cost O(N²) each; cap the
 	// worker count so the scratch stays within a fixed budget instead
 	// of scaling with GOMAXPROCS on huge matrices.
-	if bytesPer := bytesPerAccum(n, sev != nil, cnt != nil); bytesPer > 0 {
-		if maxExtra := accumBudgetBytes / bytesPer; w > 1+maxExtra {
-			w = 1 + maxExtra
-		}
+	if maxExtra := accumBudgetBytes / bytesPerAccum(n, cnt != nil); w > 1+maxExtra {
+		w = 1 + maxExtra
 	}
 	// Fully measured rows take a tiled full-range scan with no mask
 	// iteration at all; flag them once up front.
@@ -188,7 +183,7 @@ func (e *Engine) scanAll(m *delayspace.Matrix, sev []float64, cnt []int32) int64
 		return scanRows(m, ctx, 0, n)
 	}
 
-	e.growScratch(w-1, n, sev != nil, cnt != nil)
+	e.growScratch(w-1, n, cnt != nil)
 	// Scheduling: float severity sums are not associative, so chunks
 	// are dealt statically by stride — every run with the same worker
 	// count then groups each edge's contributions identically, keeping
@@ -213,7 +208,7 @@ func (e *Engine) scanAll(m *delayspace.Matrix, sev []float64, cnt []int32) int64
 		wg.Add(1)
 		go func(k int) {
 			defer wg.Done()
-			run(k+1, pickFloats(e.accSev, k, sev), pickInts(e.accCnt, k, cnt))
+			run(k+1, e.accSev[k], pickInts(e.accCnt, k, cnt))
 		}(k)
 	}
 	run(0, sev, cnt) // worker 0 adds into the destination directly
@@ -221,11 +216,9 @@ func (e *Engine) scanAll(m *delayspace.Matrix, sev []float64, cnt []int32) int64
 	for k := 0; k < w-1; k++ {
 		for i := 0; i < n-1; i++ {
 			lo, hi := i*n+i+1, (i+1)*n
-			if sev != nil {
-				dst, src := sev[lo:hi], e.accSev[k][lo:hi]
-				for x := range dst {
-					dst[x] += src[x]
-				}
+			dst, src := sev[lo:hi], e.accSev[k][lo:hi]
+			for x := range dst {
+				dst[x] += src[x]
 			}
 			if cnt != nil {
 				dst, src := cnt[lo:hi], e.accCnt[k][lo:hi]
@@ -366,7 +359,7 @@ func scanPair(m *delayspace.Matrix, ctx *scanCtx, rowA []float64, maskA []uint64
 					if cnt != nil {
 						cnt[e]++
 					}
-					if alt > 0 && sev != nil {
+					if alt > 0 {
 						sev[e] += mx / alt
 					}
 				}
@@ -439,7 +432,7 @@ func scanPair(m *delayspace.Matrix, ctx *scanCtx, rowA []float64, maskA []uint64
 					if cnt != nil {
 						cnt[e]++
 					}
-					if alt > 0 && sev != nil {
+					if alt > 0 {
 						sev[e] += mx / alt
 					}
 				}
@@ -450,9 +443,7 @@ func scanPair(m *delayspace.Matrix, ctx *scanCtx, rowA []float64, maskA []uint64
 	if cnt != nil {
 		cnt[eAB] += cntAB
 	}
-	if sev != nil {
-		sev[eAB] += sumAB
-	}
+	sev[eAB] += sumAB
 	return bad
 }
 
@@ -501,13 +492,6 @@ func ensureInts(buf []int32, size int) []int32 {
 	return buf
 }
 
-func pickFloats(acc [][]float64, k int, dst []float64) []float64 {
-	if dst == nil {
-		return nil
-	}
-	return acc[k]
-}
-
 func pickInts(acc [][]int32, k int, dst []int32) []int32 {
 	if dst == nil {
 		return nil
@@ -516,15 +500,13 @@ func pickInts(acc [][]int32, k int, dst []int32) []int32 {
 }
 
 // growScratch sizes (and zeroes) the per-extra-worker accumulators.
-func (e *Engine) growScratch(k, n int, needSev, needCnt bool) {
+func (e *Engine) growScratch(k, n int, needCnt bool) {
 	for len(e.accSev) < k {
 		e.accSev = append(e.accSev, nil)
 		e.accCnt = append(e.accCnt, nil)
 	}
 	for i := 0; i < k; i++ {
-		if needSev {
-			e.accSev[i] = ensureFloats(e.accSev[i], n*n)
-		}
+		e.accSev[i] = ensureFloats(e.accSev[i], n*n)
 		if needCnt {
 			e.accCnt[i] = ensureInts(e.accCnt[i], n*n)
 		}
