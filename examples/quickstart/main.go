@@ -7,7 +7,6 @@ import (
 	"context"
 	"fmt"
 	"log"
-	"os"
 
 	"tivaware/internal/repro/core"
 	"tivaware/internal/repro/vivaldi"
@@ -112,5 +111,4 @@ func main() {
 			label, s.Median, s.P90)
 	}
 
-	os.Exit(0)
 }
