@@ -479,7 +479,7 @@ func TestFlagValidation(t *testing.T) {
 
 // TestServeMatrixFile boots `tivd -in` on one matrix written as CSV and
 // as TIVM binary, with no format named: both daemons serve the same
-// node count, the same analysis (its source version included: each
+// node count, the same analysis (its matrix version included: each
 // load is one mutation) and the same worst edges.
 func TestServeMatrixFile(t *testing.T) {
 	sp, err := synth.Generate(synth.DS2Like(30, 5))

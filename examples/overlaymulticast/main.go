@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"log"
 
+	"tivaware/internal/delayspace"
 	"tivaware/internal/repro/core"
 	"tivaware/internal/repro/overlay"
 	"tivaware/internal/repro/vivaldi"
@@ -47,16 +48,16 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Each variant supplies parent-selection delays through the
-	// tivaware.DelaySource seam: the true matrix for the oracle, and
-	// coordinate predictors adapted with tivaware.FromPredictor.
+	// Each variant supplies the delays parent selection ranks by: the
+	// tree's own measured delays for the oracle (nil), and coordinate
+	// predictions for the two embeddings.
 	for _, v := range []struct {
 		name    string
-		predict tivaware.DelaySource
+		predict func(i, j int) (float64, bool)
 	}{
-		{"oracle (true delays)   ", tivaware.MatrixSource(space.Matrix)},
-		{"original Vivaldi       ", tivaware.FromPredictor(plain, n)},
-		{"dynamic-neighbor (it 5)", tivaware.FromPredictor(snaps[0].Predictor(), n)},
+		{"oracle (true delays)   ", nil},
+		{"original Vivaldi       ", predicted(plain)},
+		{"dynamic-neighbor (it 5)", predicted(snaps[0].Predictor())},
 	} {
 		tree, err := overlay.NewTree(space.Matrix, overlay.Options{Predict: v.predict, Fanout: 8})
 		if err != nil {
@@ -98,5 +99,18 @@ func main() {
 		g := stats.Summarize(gains)
 		fmt.Printf("one-hop detours beat the direct edge on %d/20 worst TIV edges: median gain %.1f ms, max %.1f ms\n",
 			len(gains), g.Median, g.Max)
+	}
+}
+
+// predicted adapts a coordinate predictor to overlay.Options.Predict: a
+// prediction that is no delay (negative, NaN or infinite) is no
+// estimate.
+func predicted(p core.Predictor) func(i, j int) (float64, bool) {
+	return func(i, j int) (float64, bool) {
+		d := p.Predict(i, j)
+		if !delayspace.IsDelay(d) {
+			return 0, false
+		}
+		return d, true
 	}
 }

@@ -1,17 +1,18 @@
 // Server selection: clients locate the closest server through a
 // Meridian overlay, with and without the paper's TIV alert mechanism
 // (§5.3: ring membership adjustment + query restart), and through the
-// tivaware service's severity-penalized ranking — the same selection
-// primitive without an overlay.
+// tivaware service — the same selection without an overlay: servers
+// ranked on Vivaldi-predicted delays, each demoted by the measured TIV
+// severity of its edge to the client.
 //
-// The final sections run that ranking through one QueryBatch call in
+// The final sections run selections through one QueryBatch call in
 // three deployment shapes — in-process against the Service, over the
-// wire against a tivd daemon via tivclient (batched, binary framing),
-// and against a 3-shard loopback cluster via the tivshard gateway —
-// same code, same answers, verified exactly in the sharded case. All
-// clients resolve in one QueryBatch per run: one pinned epoch
-// in-process, one /v1/batch round trip over the wire, one shard request
-// through the gateway.
+// wire against a tivd daemon via tivclient, and against a 3-shard
+// loopback cluster via the tivshard gateway (the measured-delay
+// ranking there, verified exactly against a monolith). All clients
+// resolve in one QueryBatch per run: one pinned epoch in-process, one
+// /v1/batch round trip over the wire, one shard request through the
+// gateway.
 package main
 
 import (
@@ -48,17 +49,15 @@ func main() {
 	// Half the nodes run Meridian (the servers), the rest are clients.
 	servers, clients := core.SplitNodes(n, n/2, 5)
 
-	// A Vivaldi embedding supplies prediction ratios for the alerts.
-	// Exposed once as a tivaware.DelaySource, it feeds both Meridian's
-	// TIV-aware extensions (PredictFunc is the source's Delay method)
-	// and the service-layer ranking below.
+	// A Vivaldi embedding supplies predicted delays: prediction ratios
+	// for Meridian's alerts, and the ranking delays of the service-layer
+	// selection below.
 	emb, err := vivaldi.NewSystem(space.Matrix, vivaldi.Config{Seed: 11})
 	if err != nil {
 		log.Fatal(err)
 	}
 	emb.Run(100)
-	vsrc := tivaware.FromPredictor(emb, n)
-	predict := meridian.PredictFunc(vsrc.Delay)
+	predict := predicted(emb)
 
 	type variant struct {
 		name  string
@@ -99,19 +98,17 @@ func main() {
 			v.name, optimal, len(run.Penalties), s.Median, s.P90, run.QueryProbes)
 	}
 
-	// The same selection primitive through the tivaware service: rank
-	// the servers for each client on the Vivaldi-predicted delays while
-	// the severity penalty — computed from the measured matrix via
-	// AnalysisSource — demotes servers behind TIV-violated edges.
-	svc, err := tivaware.New(vsrc, tivaware.Options{
-		AnalysisSource: tivaware.MatrixSource(space.Matrix),
-	})
+	// The same selection through the tivaware service: the service
+	// holds the measured matrix, and its severities demote servers
+	// behind TIV-violated edges while the servers rank on the
+	// Vivaldi-predicted delays.
+	svc, err := tivaware.NewFromMatrix(space.Matrix, tivaware.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
 	ctx := context.Background()
 	for _, penalty := range []float64{0, 2} {
-		pens, err := servicePenalties(ctx, svc, space.Matrix, servers, clients, penalty)
+		pens, err := predictedPenalties(ctx, svc, space.Matrix, predict, servers, clients, penalty)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -122,7 +119,7 @@ func main() {
 
 	// Client↔daemon mode: serve the same Service from a tivd daemon on
 	// loopback and rerun the penalized selection through tivclient.
-	// servicePenalties takes any batchQuerier, so the only change is
+	// predictedPenalties takes any batchQuerier, so the only change is
 	// which value it is handed — the networked answers must match the
 	// in-process ones exactly.
 	daemon, err := tivd.New(svc, tivd.Options{})
@@ -146,7 +143,7 @@ func main() {
 	}
 	fmt.Printf("tivd on %s: %d nodes, epoch %d\n", ln.Addr(), h.N, h.Epoch)
 	for _, penalty := range []float64{0, 2} {
-		pens, err := servicePenalties(ctx, client, space.Matrix, servers, clients, penalty)
+		pens, err := predictedPenalties(ctx, client, space.Matrix, predict, servers, clients, penalty)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -194,22 +191,20 @@ func main() {
 	}
 }
 
-// batchQuerier is the one call servicePenalties makes: the Service, a
+// batchQuerier is the one call a selection run makes: the Service, a
 // tivd client and the tivshard gateway all answer it.
 type batchQuerier interface {
 	QueryBatch(ctx context.Context, queries []tivaware.Query) ([]tivaware.Result, error)
 }
 
-// servicePenalties evaluates severity-penalized closest-server
-// selection against the true delays: the percentage penalty of the
-// selected server vs the optimal one, per client. All clients are
-// resolved in ONE QueryBatch call against a single consistent state —
-// in-process that is one pinned epoch; over the wire it is one
-// /v1/batch round trip instead of a request per client; through the
-// gateway it is one shard request instead of one per client. A
-// per-client failure (no eligible server) lands in its Result.Err and
-// just skips that client, exactly as the old one-call-per-client loop
-// did.
+// servicePenalties runs severity-penalized closest-server selection on
+// the measured delays and returns each client's penalty (see
+// pickPenalties). All clients are resolved in ONE QueryBatch call
+// against a single consistent state — in-process that is one pinned
+// epoch; over the wire it is one /v1/batch round trip instead of a
+// request per client; through the gateway it is one shard request
+// instead of one per client. A per-client failure (no eligible server)
+// lands in its Result.Err and just skips that client.
 func servicePenalties(ctx context.Context, q batchQuerier, m *delayspace.Matrix, servers, clients []int, penalty float64) ([]float64, error) {
 	queries := make([]tivaware.Query, len(clients))
 	for i, c := range clients {
@@ -224,11 +219,56 @@ func servicePenalties(ctx context.Context, q batchQuerier, m *delayspace.Matrix,
 	if err != nil {
 		return nil, err
 	}
+	picks := make([]int, len(clients))
+	for i, r := range results {
+		picks[i] = -1 // no eligible server for this client
+		if r.Err == nil && len(r.Selections) > 0 {
+			picks[i] = r.Selections[0].Node
+		}
+	}
+	return pickPenalties(m, servers, clients, picks), nil
+}
+
+// predictedPenalties is the paper's selection mechanism: servers ranked
+// on predicted delays, each demoted by the measured severity of its edge
+// to the client — score = predicted × (1 + penalty × severity), ties to
+// the lower node id. One QueryBatch of rank queries reads every
+// client's severities to the servers; the scoring runs here, on delays
+// the service never holds. Penalties are as in servicePenalties.
+func predictedPenalties(ctx context.Context, q batchQuerier, m *delayspace.Matrix, predict meridian.PredictFunc, servers, clients []int, penalty float64) ([]float64, error) {
+	queries := make([]tivaware.Query, len(clients))
+	for i, c := range clients {
+		queries[i] = tivaware.Query{Kind: tivaware.KindRank, Target: c, Candidates: servers}
+	}
+	results, err := q.QueryBatch(ctx, queries)
+	if err != nil {
+		return nil, err
+	}
+	picks := make([]int, len(clients))
+	for i, c := range clients {
+		picks[i] = -1
+		best := 0.0
+		for _, s := range results[i].Selections {
+			d, ok := predict(c, s.Node)
+			if !ok {
+				continue
+			}
+			if score := d * (1 + penalty*s.Severity); picks[i] < 0 || score < best || score == best && s.Node < picks[i] {
+				picks[i], best = s.Node, score
+			}
+		}
+	}
+	return pickPenalties(m, servers, clients, picks), nil
+}
+
+// pickPenalties returns, for every client with a pick (>= 0), the
+// percentage penalty of the picked server's true delay against the
+// optimal server's.
+func pickPenalties(m *delayspace.Matrix, servers, clients, picks []int) []float64 {
 	out := make([]float64, 0, len(clients))
 	for i, c := range clients {
-		r := results[i]
-		if r.Err != nil || len(r.Selections) == 0 {
-			continue // no eligible server for this client
+		if picks[i] < 0 {
+			continue
 		}
 		optimal := math.Inf(1)
 		for _, srv := range servers {
@@ -239,11 +279,24 @@ func servicePenalties(ctx context.Context, q batchQuerier, m *delayspace.Matrix,
 				optimal = d
 			}
 		}
-		actual := m.At(c, r.Selections[0].Node)
+		actual := m.At(c, picks[i])
 		if math.IsInf(optimal, 1) || optimal <= 0 || actual == delayspace.Missing {
 			continue
 		}
 		out = append(out, (actual-optimal)*100/optimal)
 	}
-	return out, nil
+	return out
+}
+
+// predicted adapts a coordinate predictor to meridian.PredictFunc: a
+// prediction that is no delay (negative, NaN or infinite) is no
+// estimate. The diagonal predicts (0, true).
+func predicted(p core.Predictor) meridian.PredictFunc {
+	return func(i, j int) (float64, bool) {
+		d := p.Predict(i, j)
+		if !delayspace.IsDelay(d) {
+			return 0, false
+		}
+		return d, true
+	}
 }

@@ -9,7 +9,6 @@ import (
 	"tivaware/internal/repro/vivaldi"
 	"tivaware/internal/stats"
 	"tivaware/internal/synth"
-	"tivaware/internal/tivaware"
 )
 
 func lineMatrix(n int) *delayspace.Matrix {
@@ -29,9 +28,6 @@ func TestNewTreeValidation(t *testing.T) {
 	}
 	if _, err := overlay.NewTree(m, overlay.Options{Fanout: -1}); err == nil {
 		t.Error("negative fanout should error")
-	}
-	if _, err := overlay.NewTree(m, overlay.Options{Predict: tivaware.MatrixSource(lineMatrix(3))}); err == nil {
-		t.Error("predictor size mismatch should error")
 	}
 	// The zero value is valid: unlimited fan-out, parents selected on
 	// true measured delays.
@@ -168,8 +164,9 @@ func TestTIVAwareTreesBeatPlainVivaldi(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	build := func(p tivaware.Predictor) overlay.Quality {
-		tr, err := overlay.NewTree(space.Matrix, overlay.Options{Predict: tivaware.FromPredictor(p, space.Matrix.N())})
+	build := func(p core.Predictor) overlay.Quality {
+		predict := func(i, j int) (float64, bool) { return p.Predict(i, j), true }
+		tr, err := overlay.NewTree(space.Matrix, overlay.Options{Predict: predict})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -153,8 +153,7 @@ func (s *System) Landmarks() []int { return append([]int(nil), s.lm...) }
 // Predict returns the estimated delay xᵢ·yⱼ, symmetrized over both
 // directions and clamped at zero (inner products can go negative; a
 // negative delay estimate carries no meaning for neighbor selection).
-// It satisfies tivaware.Predictor, so an IDES system plugs into the
-// service layer through tivaware.FromPredictor.
+// It satisfies core.Predictor.
 func (s *System) Predict(i, j int) float64 {
 	if i == j {
 		return 0

@@ -67,10 +67,6 @@ func (c Config) beta() float64 {
 // PredictFunc supplies predicted delays (for example from a Vivaldi
 // embedding) to the TIV-aware extensions. ok=false means no
 // prediction is available for the pair.
-//
-// The signature deliberately matches the Delay method of
-// tivaware.DelaySource, so any source feeding the service layer plugs
-// straight in: meridian.BuildOptions{Predict: src.Delay}.
 type PredictFunc func(i, j int) (predicted float64, ok bool)
 
 // BuildOptions controls ring construction beyond Config.

@@ -15,7 +15,6 @@ import (
 	"fmt"
 
 	"tivaware/internal/delayspace"
-	"tivaware/internal/tivaware"
 )
 
 // root is the multicast source node: every tree is rooted at node 0.
@@ -29,22 +28,21 @@ type Options struct {
 	// that still has capacity (real multicast systems bound per-node
 	// fan-out by uplink bandwidth). Zero means unlimited.
 	Fanout int
-	// Predict supplies the delay estimates parent selection ranks by —
-	// any tivaware.DelaySource: the true matrix (tivaware.MatrixSource),
-	// a coordinate embedding (tivaware.FromPredictor), or a live
-	// service's source. Nil means the true measured delays of the
-	// tree's matrix.
-	Predict tivaware.DelaySource
+	// Predict supplies the delay estimates parent selection ranks by,
+	// for example a coordinate embedding's predictions (the same shape
+	// as meridian.PredictFunc); ok=false means no estimate for the
+	// pair. Nil means the true measured delays of the tree's matrix.
+	Predict func(i, j int) (float64, bool)
 }
 
 // Tree is a multicast tree over nodes of a delay matrix. The zero
 // value is unusable; use NewTree.
 type Tree struct {
-	m      *delayspace.Matrix
-	src    tivaware.DelaySource
-	parent map[int]int
-	kids   map[int][]int
-	fanout int
+	m       *delayspace.Matrix
+	predict func(i, j int) (float64, bool)
+	parent  map[int]int
+	kids    map[int][]int
+	fanout  int
 }
 
 // NewTree creates a multicast tree over m rooted at node 0.
@@ -55,19 +53,17 @@ func NewTree(m *delayspace.Matrix, opts Options) (*Tree, error) {
 	if opts.Fanout < 0 {
 		return nil, fmt.Errorf("overlay: negative fanout %d", opts.Fanout)
 	}
-	src := opts.Predict
-	if src == nil {
-		src = tivaware.MatrixSource(m)
-	}
-	if src.N() != m.N() {
-		return nil, fmt.Errorf("overlay: predictor covers %d nodes, matrix has %d", src.N(), m.N())
+	predict := opts.Predict
+	if predict == nil {
+		// Join reads only measured pairs.
+		predict = func(i, j int) (float64, bool) { return m.At(i, j), true }
 	}
 	return &Tree{
-		m:      m,
-		src:    src,
-		parent: map[int]int{root: -1},
-		kids:   map[int][]int{},
-		fanout: opts.Fanout,
+		m:       m,
+		predict: predict,
+		parent:  map[int]int{root: -1},
+		kids:    map[int][]int{},
+		fanout:  opts.Fanout,
 	}, nil
 }
 
@@ -110,7 +106,7 @@ func (t *Tree) Join(n int) (parent int, err error) {
 		if t.fanout > 0 && len(t.kids[member]) >= t.fanout {
 			continue
 		}
-		pred, ok := t.src.Delay(n, member)
+		pred, ok := t.predict(n, member)
 		if !ok {
 			continue
 		}

@@ -206,9 +206,7 @@ func (s *System) LocalError(i int) float64 { return s.errs[i] }
 
 // Predict returns the embedding's delay prediction for the pair
 // (i, j): the distance between their current coordinates. It satisfies
-// tivaware.Predictor, so tivaware.FromPredictor(sys, sys.N()) exposes
-// the embedding as a DelaySource for the service layer and overlay
-// trees.
+// core.Predictor.
 func (s *System) Predict(i, j int) float64 {
 	if i == j {
 		return 0

@@ -95,7 +95,7 @@ type AnalysisSummary struct {
 	// total triangles.
 	ViolatingTriangles int64
 	Triangles          int64
-	// Version is the primary-source version the analysis reflects.
+	// Version is the matrix version the analysis reflects.
 	Version uint64
 }
 
@@ -138,13 +138,11 @@ type Result struct {
 // answer (wrapped in the per-query Result.Err).
 var ErrUnsupportedQuery = errors.New("tivaware: query kind unsupported by this querier")
 
-// Versions returns the primary- and analysis-source version counters.
-// The pair is the service's logical state token: epochs are keyed on
-// it, so two reads under equal version pairs observe identical state —
-// the invariant version-keyed query caches (internal/tivd) rest on.
-func (s *Service) Versions() (primary, analysis uint64) {
-	return s.src.Version(), s.asrc.Version()
-}
+// Version returns the matrix's version counter, the service's logical
+// state token: epochs are keyed on it, so two reads under equal
+// versions observe identical state — the invariant version-keyed query
+// caches (internal/tivd) rest on.
+func (s *Service) Version() uint64 { return s.m.Version() }
 
 // QueryBatch answers every query against one pinned epoch: the batch
 // is mutually consistent even while updates race, exactly like issuing

@@ -43,7 +43,7 @@ func (w *sightings) verify(t *testing.T) {
 	defer w.mu.Unlock()
 	for e, h := range w.epochs {
 		if hashEpoch(e) != h {
-			t.Errorf("epoch seq %d (versions %d/%d) was written after it was published", e.seq, e.qVersion, e.aVersion)
+			t.Errorf("epoch seq %d (version %d) was written after it was published", e.seq, e.m.Version())
 		}
 	}
 }
@@ -60,14 +60,14 @@ func hashWords(f func(word func(uint64))) uint64 {
 }
 
 // hashEpoch covers everything a query reads off an epoch: the delay
-// rows, severities, counts, triangle totals, sequence and versions.
+// rows, severities, counts, triangle totals, sequence and version.
 func hashEpoch(e *epoch) uint64 {
 	return hashWords(func(word func(uint64)) {
-		for _, x := range []uint64{e.seq, e.qVersion, e.aVersion, uint64(e.ViolatingTriangles), uint64(e.Triangles)} {
+		for _, x := range []uint64{e.seq, e.m.Version(), uint64(e.ViolatingTriangles), uint64(e.Triangles)} {
 			word(x)
 		}
-		for i := 0; i < e.q.N(); i++ {
-			for _, d := range e.delayRow(i) {
+		for i := 0; i < e.m.N(); i++ {
+			for _, d := range e.m.Row(i) {
 				word(math.Float64bits(d))
 			}
 			for _, v := range e.Severities.Row(i) {
@@ -143,10 +143,11 @@ func queryAll(t *testing.T, s *Service, w *sightings, rng *rand.Rand) {
 //
 // The live burst runs writers (single updates, batches and removals),
 // subscribers that query from their callbacks, and readers of every
-// query kind, Views included. The batch burst mutates its sources out
-// of band — Matrix.Set and a predictor's Invalidate, each followed by a
+// query kind, Views included. The batch burst mutates its matrix out
+// of band — two Matrix.Set calls per round, each followed by a
 // ViolatingTriangleFraction that builds the next epoch — between rounds
-// of concurrent readers, as the DelaySource contract requires.
+// of concurrent readers, as the Service's concurrency contract
+// requires.
 func TestPublishedEpochsNeverWritten(t *testing.T) {
 	defer hangWatchdog(t, 20*time.Second)()
 	const n = 40
@@ -226,28 +227,24 @@ func TestPublishedEpochsNeverWritten(t *testing.T) {
 
 	t.Run("batch", func(t *testing.T) {
 		m := holeyMatrix(n, 4, 0.1)
-		pred := &shiftPredictor{m: holeyMatrix(n, 5, 0)}
-		psrc := FromPredictor(pred, n)
-		svc, err := NewFromMatrix(m, Options{Workers: 1, AnalysisSource: psrc})
+		svc, err := NewFromMatrix(m, Options{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
 		w := newSightings()
-		// Out-of-band mutations and readers take turns: no source may
-		// change under a running call.
+		// Out-of-band mutations and readers take turns: the matrix may
+		// not change under a running call.
 		rng := rand.New(rand.NewSource(6))
 		for round := 0; round < 40; round++ {
-			i, j := rng.Intn(n), rng.Intn(n-1)
-			if j >= i {
-				j++
+			for set := 0; set < 2; set++ {
+				i, j := rng.Intn(n), rng.Intn(n-1)
+				if j >= i {
+					j++
+				}
+				m.Set(i, j, 1+rng.Float64()*200)
+				svc.ViolatingTriangleFraction()
+				w.sight(svc)
 			}
-			m.Set(i, j, 1+rng.Float64()*200)
-			svc.ViolatingTriangleFraction()
-			w.sight(svc)
-			pred.shift = float64(round%7) * 3
-			psrc.Invalidate()
-			svc.ViolatingTriangleFraction()
-			w.sight(svc)
 
 			var readers sync.WaitGroup
 			for r := 0; r < 3; r++ {
@@ -270,18 +267,4 @@ func TestPublishedEpochsNeverWritten(t *testing.T) {
 		}
 		t.Logf("%d epochs hashed", len(w.epochs))
 	})
-}
-
-// shiftPredictor predicts a matrix's delays plus a shift the test
-// advances between Invalidate calls.
-type shiftPredictor struct {
-	m     *delayspace.Matrix
-	shift float64
-}
-
-func (p *shiftPredictor) Predict(i, j int) float64 {
-	if i == j {
-		return 0
-	}
-	return p.m.At(i, j) + p.shift
 }

@@ -10,7 +10,7 @@ import (
 )
 
 // QueryOptions tunes one selection query. The zero value ranks purely
-// by source delay, the TIV-oblivious baseline.
+// by delay, the TIV-oblivious baseline.
 type QueryOptions struct {
 	// Candidates restricts the nodes considered; nil means every node
 	// except the target. Out-of-range or duplicate candidates error.
@@ -33,7 +33,7 @@ type QueryOptions struct {
 type Selection struct {
 	// Node is the candidate's id.
 	Node int `json:"node"`
-	// Delay is the source's delay estimate to the target.
+	// Delay is the measured delay to the target.
 	Delay float64 `json:"delay"`
 	// Severity is the TIV severity of the target-candidate edge.
 	Severity float64 `json:"severity"`
@@ -89,7 +89,7 @@ func selectEpoch(ctx context.Context, e *epoch, target int, candidates []int, op
 	if candidates == nil {
 		candidates = opts.Candidates
 	}
-	n := e.q.N()
+	n := e.m.N()
 	count := n // nil candidates: every node, the target skipped below
 	if candidates != nil {
 		count = len(candidates)
@@ -115,7 +115,7 @@ func selectEpoch(ctx context.Context, e *epoch, target int, candidates []int, op
 		k = count
 	}
 
-	delays, sevs, counts := e.delayRow(target), e.Severities.Row(target), e.Counts.Row(target)
+	delays, sevs, counts := e.m.Row(target), e.Severities.Row(target), e.Counts.Row(target)
 	kept = make([]Selection, 0, k)
 	for idx := 0; idx < count; idx++ {
 		if idx&ctxPollMask == 0 {
@@ -238,7 +238,7 @@ func closestNodeEpoch(ctx context.Context, e *epoch, target int, opts QueryOptio
 type Detour struct {
 	I int `json:"i"`
 	J int `json:"j"`
-	// Direct is the source's direct delay estimate, or
+	// Direct is the measured direct delay, or
 	// delayspace.Missing when the pair has none.
 	Direct float64 `json:"direct"`
 	// Via is the relay of the best one-hop detour i→via→j, or -1 when
@@ -292,14 +292,15 @@ func detourEpoch(ctx context.Context, e *epoch, i, j int) (Detour, error) {
 		return Detour{}, fmt.Errorf("tivaware: DetourPath on diagonal (%d,%d)", i, j)
 	}
 	d := Detour{I: i, J: j, Via: -1, Direct: delayspace.Missing}
-	direct, hasDirect := e.q.Delay(i, j)
+	direct, hasDirect := e.delay(i, j)
 	if hasDirect {
 		d.Direct = direct
 	}
 	best := math.Inf(1)
 	bestVia := -1
-	// Two contiguous rows, not a strided column of Delay(k, j) calls.
-	fromI, toJ := e.delayRow(i), e.delayRowTo(j)
+	// Two contiguous rows, not a strided column: the matrix is
+	// symmetric, so row j holds the delays to j.
+	fromI, toJ := e.m.Row(i), e.m.Row(j)
 	for k, dik := range fromI {
 		if k&ctxPollMask == 0 && k > 0 {
 			if err := checkCtx(ctx); err != nil {

@@ -257,47 +257,6 @@ func TestKClosestAndErrors(t *testing.T) {
 	}
 }
 
-// TestRankWithAnalysisSource checks the split-source mode: candidates
-// rank on predicted delays while severities (and the penalty) come
-// from the measured matrix.
-func TestRankWithAnalysisSource(t *testing.T) {
-	m := tivMatrix()
-	m.Set(0, 1, 35) // violated (30 < 35) but cheap
-	// The "embedding" predicts edge (0,1) even cheaper and everything
-	// else at its true delay: metrically plausible, TIV-free.
-	pred := delayspace.New(4)
-	pred.Set(0, 1, 25)
-	pred.Set(0, 2, 10)
-	pred.Set(1, 2, 20)
-	pred.Set(0, 3, 40)
-	pred.Set(1, 3, 40)
-	pred.Set(2, 3, 45)
-	svc, err := New(MatrixSource(pred), Options{Workers: 1, AnalysisSource: MatrixSource(m)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	opts := QueryOptions{Candidates: []int{1, 3}}
-	best, err := svc.ClosestNode(ctx, 0, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if best.Node != 1 || best.Delay != 25 {
-		t.Fatalf("prediction-ranked pick = %+v, want node 1 at 25", best)
-	}
-	if !best.Violated {
-		t.Error("split-source selection lost the measured-matrix violation flag")
-	}
-	opts.SeverityPenalty = 50
-	best, err = svc.ClosestNode(ctx, 0, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if best.Node != 3 {
-		t.Fatalf("penalized split-source pick = %d, want 3", best.Node)
-	}
-}
-
 // TestPreCancelledContext is the satellite regression test: every
 // context-taking query must return promptly — before doing any scan
 // work — when handed an already-cancelled context.

@@ -16,8 +16,8 @@ import (
 // rankReference is the retired sort-everything rankEpoch, kept
 // verbatim as the oracle the bounded selection is pinned against: a
 // map for duplicates, a Selection for every candidate, a sort of all
-// of them. It reads delays through DelaySource.Delay, so it also pins
-// the argument order on asymmetric sources.
+// of them. It reads delays one pair at a time through epoch.delay, not
+// off the matrix rows the selection scans.
 func rankReference(ctx context.Context, e *epoch, target int, candidates []int, opts QueryOptions) ([]Selection, error) {
 	if err := checkCtx(ctx); err != nil {
 		return nil, err
@@ -41,7 +41,7 @@ func rankReference(ctx context.Context, e *epoch, target int, candidates []int, 
 		}
 		seen[c] = true
 	}
-	n := e.q.N()
+	n := e.m.N()
 	if candidates == nil {
 		all := make([]int, 0, n-1)
 		for c := 0; c < n; c++ {
@@ -56,7 +56,7 @@ func rankReference(ctx context.Context, e *epoch, target int, candidates []int, 
 		if c == target {
 			continue
 		}
-		d, ok := e.q.Delay(target, c)
+		d, ok := e.delay(target, c)
 		if !ok {
 			continue
 		}
@@ -97,24 +97,24 @@ func resultReference(ctx context.Context, e *epoch, q Query) Result {
 	return res
 }
 
-// detourReference is the retired detour scan: 2(n−2) Delay calls, the
-// second down a column, in exactly this argument order.
+// detourReference is the retired detour scan: 2(n−2) delay reads, the
+// second down a column.
 func detourReference(e *epoch, i, j int) Detour {
 	d := Detour{I: i, J: j, Via: -1, Direct: delayspace.Missing}
-	direct, hasDirect := e.q.Delay(i, j)
+	direct, hasDirect := e.delay(i, j)
 	if hasDirect {
 		d.Direct = direct
 	}
 	best, bestVia := math.Inf(1), -1
-	for k := 0; k < e.q.N(); k++ {
+	for k := 0; k < e.m.N(); k++ {
 		if k == i || k == j {
 			continue
 		}
-		dik, ok := e.q.Delay(i, k)
+		dik, ok := e.delay(i, k)
 		if !ok {
 			continue
 		}
-		dkj, ok := e.q.Delay(k, j)
+		dkj, ok := e.delay(k, j)
 		if !ok {
 			continue
 		}
@@ -186,7 +186,7 @@ func checkSelectionQueries(t testing.TB, e *epoch, target, k int, candidates []i
 		q := Query{Kind: kind, Target: target, K: k, Candidates: candidates, SeverityPenalty: penalty, ExcludeViolated: exclude}
 		if err := sameResult(v.resolveQuery(ctx, q), resultReference(ctx, e, q)); err != nil {
 			t.Fatalf("%s n=%d target=%d k=%d cands=%v penalty=%g exclude=%v: %v",
-				kind, e.q.N(), target, k, candidates, penalty, exclude, err)
+				kind, e.m.N(), target, k, candidates, penalty, exclude, err)
 		}
 	}
 	if k > 0 {
@@ -194,7 +194,7 @@ func checkSelectionQueries(t testing.TB, e *epoch, target, k int, candidates []i
 		got, err := kClosestEpoch(ctx, e, target, k, q.options())
 		want := resultReference(ctx, e, q)
 		if err := sameResult(Result{Selections: got, Err: err, Truncated: want.Truncated}, want); err != nil {
-			t.Fatalf("KClosest n=%d target=%d k=%d: %v", e.q.N(), target, k, err)
+			t.Fatalf("KClosest n=%d target=%d k=%d: %v", e.m.N(), target, k, err)
 		}
 	}
 }
@@ -359,66 +359,6 @@ func TestRankCandidateFloodIsBounded(t *testing.T) {
 		if got := after.TotalAlloc - before.TotalAlloc; got >= 64<<10 {
 			t.Errorf("%s: the query allocated %d bytes, want < 64 KiB", tc.name, got)
 		}
-	}
-}
-
-// asymPredictor is a hand-built asymmetric predictor over four nodes.
-// For the pair (0, 1) relay 2 is best in the served orientation
-// (0→2→1 = 20 against 0→3→1 = 40) and relay 3 is best if the second
-// leg is read backwards (P(1,2) = 100 makes "0→2, 1→2" cost 110).
-// Node 0's outgoing row orders its neighbours 2, 3, 1; its incoming
-// column orders them 1, 3, 2.
-type asymPredictor struct{}
-
-func (asymPredictor) Predict(i, j int) float64 {
-	return [4][4]float64{
-		{0, 100, 10, 20},
-		{1, 0, 100, 20},
-		{30, 10, 0, 50},
-		{15, 20, 50, 0},
-	}[i][j]
-}
-
-// TestDetourAsymmetricPredictor pins the argument order on a source
-// that is not symmetric: a detour sums Delay(i,k) + Delay(k,j) and a
-// rank reads Delay(target, c). A row materialised the wrong way round
-// would flip both answers on this predictor.
-func TestDetourAsymmetricPredictor(t *testing.T) {
-	svc, err := New(FromPredictor(asymPredictor{}, 4), Options{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	e, err := svc.currentEpoch(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 4; i++ {
-		for j := 0; j < 4; j++ {
-			if i == j {
-				continue
-			}
-			got, err := svc.DetourPath(ctx, i, j)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if want := detourReference(e, i, j); got != want {
-				t.Errorf("DetourPath(%d,%d) = %+v, want %+v", i, j, got, want)
-			}
-		}
-		got, err := svc.Rank(ctx, i, nil, QueryOptions{SeverityPenalty: 1})
-		want, wantErr := rankReference(ctx, e, i, nil, QueryOptions{SeverityPenalty: 1})
-		if err != nil || wantErr != nil || !reflect.DeepEqual(got, want) {
-			t.Errorf("Rank(%d) = %+v, %v; want %+v, %v", i, got, err, want, wantErr)
-		}
-	}
-	// The literal answers, so the reference cannot drift with the code.
-	if d, _ := svc.DetourPath(ctx, 0, 1); d.Via != 2 || d.ViaDelay != 20 || d.Gain != 80 {
-		t.Errorf("DetourPath(0,1) = %+v, want via 2 at 20 (gain 80)", d)
-	}
-	ranked, _ := svc.Rank(ctx, 0, nil, QueryOptions{})
-	if len(ranked) != 3 || ranked[0].Node != 2 || ranked[1].Node != 3 || ranked[2].Node != 1 {
-		t.Errorf("Rank(0) = %+v, want nodes 2, 3, 1 (the outgoing row)", ranked)
 	}
 }
 

@@ -1,3 +1,23 @@
+// Package tivaware is the application-facing API of this repository:
+// the paper's TIV-aware primitives — severity-aware candidate ranking,
+// violated-edge flags, one-hop detour exploitation, and violated-edge
+// change subscriptions — behind one stable service façade.
+//
+// The paper's thesis is that distributed systems (server selection,
+// closest-node search, overlay multicast) should both *defend against*
+// triangle inequality violations and *exploit* them: an edge that is
+// violated by some third node C admits a detour path A→C→B that is
+// strictly faster than the direct edge A→B. Consumers — the examples,
+// the CLIs, the daemon, the experiment suite — talk to a Service
+// rather than wiring into tiv.Engine or tiv.Monitor directly; the
+// service owns its severity provider — the batch engine, or with
+// Options.Live an incremental monitor nothing else holds.
+//
+// A Service serves one measured delayspace.Matrix: it ranks on the
+// matrix's delays and defends them with the matrix's severities. A
+// caller that ranks on predicted delays (a coordinate embedding) reads
+// the measured severities from a rank query and scores its own
+// predictions with them, as examples/serverselection does.
 package tivaware
 
 import (
@@ -17,30 +37,20 @@ type Options struct {
 	// Workers bounds analysis parallelism; zero means GOMAXPROCS.
 	Workers int
 	// Live maintains an incremental tiv.Monitor instead of re-running
-	// the batch engine when the source changes: O(N) per edge update
+	// the batch engine when the matrix changes: O(N) per edge update
 	// via ApplyUpdate/ApplyBatch, with Subscribe delivering
-	// violated-edge deltas. Requires a matrix-backed source
-	// (MatrixSource or NewFromMatrix).
+	// violated-edge deltas. The monitor owns the matrix from then on.
 	Live bool
-	// AnalysisSource, when non-nil, supplies the delays the severity
-	// analysis runs over while queries keep ranking on the primary
-	// source's delays. The paper's selection mechanisms work exactly
-	// this way: candidates are ranked on cheap predicted delays (a
-	// coordinate embedding) but defended with severities of the
-	// measured delay space, which the embedding cannot express. Must
-	// cover the same node count as the primary source; incompatible
-	// with Live (a live service analyzes the matrix it monitors).
-	AnalysisSource DelaySource
 }
 
 // Service is the TIV-aware application API: severity-penalized
 // candidate ranking, violated-edge flags, one-hop detour discovery,
-// and violated-edge change subscriptions over one DelaySource.
+// and violated-edge change subscriptions over one delay matrix.
 //
 // The severity provider follows Options.Live: a live service owns an
 // incremental monitor over its matrix and keeps the analysis current
 // in O(N) per update; all others run the batch engine lazily,
-// re-analyzing only when the source's Version moves.
+// re-analyzing only when the matrix's Version moves.
 //
 // # Concurrency
 //
@@ -49,16 +59,13 @@ type Options struct {
 // run lock-free against the current epoch from any number of
 // goroutines, while updates build the next epoch copy-on-write under
 // an internal mutex — there is no lock on the query hot path, so
-// query throughput scales with GOMAXPROCS. The remaining obligations
-// sit with the sources (see the DelaySource contract): mutate a live
-// service's matrix through the service (ApplyUpdate / ApplyBatch) or,
-// if mutating a source directly (out-of-band Matrix.Set, advancing a
-// predictor before Invalidate), do not run those mutations
-// concurrently with service calls — the version seam then picks the
-// change up on the next query.
+// query throughput scales with GOMAXPROCS. One obligation sits with
+// the caller: mutate a live service's matrix through the service
+// (ApplyUpdate / ApplyBatch), and do not run out-of-band Matrix.Set
+// calls on a batch service's matrix concurrently with service calls —
+// the matrix Version then picks the change up on the next query.
 type Service struct {
-	src  DelaySource // ranking/detour delays
-	asrc DelaySource // severity-analysis delays (== src unless Options.AnalysisSource)
+	m *delayspace.Matrix // the served delays; a live service's monitor mutates them
 
 	// Exactly one severity provider is active.
 	mon *tiv.Monitor // incremental provider (Options.Live); owned, under mu
@@ -70,12 +77,6 @@ type Service struct {
 	cur        atomic.Pointer[epoch]
 	mu         sync.Mutex
 	seqCounter uint64 // epoch sequence allocator; under mu
-
-	// Scratch matrix for analysis sources without a backing matrix,
-	// materialized at most once per source version; under mu.
-	scratch   *delayspace.Matrix
-	scratchV  uint64
-	scratchOK bool
 
 	// Subscriber registry, guarded by subMu — never held while a
 	// subscriber callback runs, so cancel (and Subscribe) are safe to
@@ -96,56 +97,37 @@ type subscriber struct {
 	fn func(tiv.ChangeSet)
 }
 
-// New builds a Service over src. With Options.Live the source must be
-// matrix-backed (MatrixSource); otherwise any source works and the
-// batch engine re-analyzes when src.Version moves (predictor-backed
-// sources are materialized into a snapshot matrix first).
-func New(src DelaySource, opts Options) (*Service, error) {
-	if src == nil {
-		return nil, fmt.Errorf("tivaware: nil DelaySource")
+// NewFromMatrix builds a Service over m. Without Options.Live the
+// batch engine re-analyzes m when its Version moves; with it, an
+// incremental monitor takes m over.
+func NewFromMatrix(m *delayspace.Matrix, opts Options) (*Service, error) {
+	if m == nil {
+		return nil, fmt.Errorf("tivaware: nil matrix")
 	}
 	if opts.Workers < 0 {
 		return nil, fmt.Errorf("tivaware: negative Workers %d", opts.Workers)
 	}
-	s := &Service{src: src, asrc: src}
-	if opts.AnalysisSource != nil {
-		if opts.Live {
-			return nil, fmt.Errorf("tivaware: AnalysisSource is incompatible with Live (a live service analyzes the matrix it monitors)")
-		}
-		if opts.AnalysisSource.N() != src.N() {
-			return nil, fmt.Errorf("tivaware: AnalysisSource covers %d nodes, primary source %d", opts.AnalysisSource.N(), src.N())
-		}
-		s.asrc = opts.AnalysisSource
-	}
+	s := &Service{m: m}
 	if opts.Live {
-		ms, ok := src.(matrixSource)
-		if !ok {
-			return nil, fmt.Errorf("tivaware: Live mode requires a matrix-backed source, have %T", src)
-		}
-		s.mon = tiv.NewMonitor(ms.m, tiv.MonitorOptions{Workers: opts.Workers, OnChange: s.onMonitorChange})
-		return s, nil
+		s.mon = tiv.NewMonitor(m, tiv.MonitorOptions{Workers: opts.Workers, OnChange: s.onMonitorChange})
+	} else {
+		s.eng = tiv.NewEngine(tiv.Options{Workers: opts.Workers})
 	}
-	s.eng = tiv.NewEngine(tiv.Options{Workers: opts.Workers})
 	return s, nil
 }
 
-// NewFromMatrix is New over MatrixSource(m).
-func NewFromMatrix(m *delayspace.Matrix, opts Options) (*Service, error) {
-	return New(MatrixSource(m), opts)
-}
-
 // N returns the node count.
-func (s *Service) N() int { return s.src.N() }
+func (s *Service) N() int { return s.m.N() }
 
 // Live reports whether the severity provider is an incremental
 // monitor.
 func (s *Service) Live() bool { return s.mon != nil }
 
-// Delay returns the delay estimate for (i, j) as of the current
-// epoch.
+// Delay returns the measured delay for (i, j) as of the current
+// epoch: (0, false) when the pair is unmeasured or out of range.
 func (s *Service) Delay(i, j int) (float64, bool) {
 	e, _ := s.currentEpoch(nil)
-	return e.q.Delay(i, j)
+	return e.delay(i, j)
 }
 
 // onMonitorChange is the monitor's change hook. The monitor only runs
@@ -260,7 +242,7 @@ func (s *Service) fanout(cs tiv.ChangeSet) {
 }
 
 // Severities returns the current per-edge exact TIV severities, kept
-// current with the source. The result is an immutable epoch snapshot:
+// current with the matrix. The result is an immutable epoch snapshot:
 // it remains valid — and unchanged — after later updates.
 func (s *Service) Severities() *tiv.EdgeSeverities {
 	e, _ := s.currentEpoch(nil)
@@ -291,8 +273,8 @@ func (s *Service) TopEdges(k int) []delayspace.Edge {
 
 // checkNode validates a node index against an epoch.
 func (e *epoch) checkNode(what string, i int) error {
-	if i < 0 || i >= e.q.N() {
-		return fmt.Errorf("tivaware: %s %d out of range [0,%d)", what, i, e.q.N())
+	if i < 0 || i >= e.m.N() {
+		return fmt.Errorf("tivaware: %s %d out of range [0,%d)", what, i, e.m.N())
 	}
 	return nil
 }

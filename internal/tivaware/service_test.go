@@ -64,7 +64,7 @@ func TestServiceSeveritiesMatchEngine(t *testing.T) {
 }
 
 // TestStaticServiceBuildsOneEpochPerVersion: a static exact service
-// analyses a source version once, whichever call arrives first — a
+// analyses a matrix version once, whichever call arrives first — a
 // detour (which needs no counts) followed by calls that do leaves the
 // epoch it built, not a second O(N³) scan at the same version — and the
 // severities that one analysis publishes are, bit for bit, the
@@ -229,35 +229,51 @@ func TestBatchServiceRejectsLiveOnlyCalls(t *testing.T) {
 
 func TestOptionValidation(t *testing.T) {
 	m := genSpace(t, 40, 3)
-	if _, err := New(nil, Options{}); err == nil {
-		t.Error("nil source should error")
+	if _, err := NewFromMatrix(nil, Options{}); err == nil {
+		t.Error("nil matrix should error")
 	}
 	if _, err := NewFromMatrix(m, Options{Workers: -1}); err == nil {
 		t.Error("negative workers should error")
 	}
-	if _, err := New(FromPredictor(matrixPredictor{m}, m.N()), Options{Live: true}); err == nil {
-		t.Error("live over a predictor source should error")
-	}
-	other := genSpace(t, 20, 4)
-	if _, err := NewFromMatrix(m, Options{AnalysisSource: MatrixSource(other)}); err == nil {
-		t.Error("mismatched AnalysisSource size should error")
-	}
-	if _, err := NewFromMatrix(m, Options{Live: true, AnalysisSource: MatrixSource(m)}); err == nil {
-		t.Error("live + AnalysisSource should error")
-	}
 }
 
-// matrixPredictor adapts a matrix to the Predictor seam for tests.
-type matrixPredictor struct{ m *delayspace.Matrix }
-
-func (p matrixPredictor) Predict(i, j int) float64 {
-	if i == j {
-		return 0
+// TestDelayRangeChecks: Matrix.At does no range check, so unchecked an
+// out-of-range pair aliases another entry ((0,4) on 4 nodes reads
+// d(1,0)) or panics; Service.Delay and View.Delay answer (0, false).
+func TestDelayRangeChecks(t *testing.T) {
+	m := delayspace.New(4)
+	m.Set(0, 1, 12)
+	m.Set(2, 3, 7)
+	for _, live := range []bool{false, true} {
+		svc, err := NewFromMatrix(m, Options{Live: live, Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		view, err := svc.View(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, delay := range map[string]func(i, j int) (float64, bool){
+			"Service": svc.Delay,
+			"View":    view.Delay,
+		} {
+			for _, p := range [][2]int{{0, 4}, {0, -1}, {3, 4}, {-1, -1}, {4, 4}} {
+				if d, ok := delay(p[0], p[1]); ok || d != 0 {
+					t.Errorf("live=%v %s.Delay(%d,%d) = (%g, %v), want (0, false)", live, name, p[0], p[1], d, ok)
+				}
+			}
+			// In-range answers are unchanged.
+			if d, ok := delay(1, 0); !ok || d != 12 {
+				t.Errorf("live=%v %s.Delay(1,0) = (%g, %v), want (12, true)", live, name, d, ok)
+			}
+			if d, ok := delay(3, 3); !ok || d != 0 {
+				t.Errorf("live=%v %s.Delay(3,3) = (%g, %v), want (0, true)", live, name, d, ok)
+			}
+			if d, ok := delay(0, 2); ok || d != 0 {
+				t.Errorf("live=%v %s.Delay(0,2) = (%g, %v), want (0, false): unmeasured", live, name, d, ok)
+			}
+		}
 	}
-	if d := p.m.At(i, j); d != delayspace.Missing {
-		return d
-	}
-	return 0
 }
 
 // TestUnsubscribeDuringFanout is the satellite regression test: a

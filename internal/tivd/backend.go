@@ -30,7 +30,7 @@ type Backend interface {
 	N() int
 	// Live reports whether updates and subscriptions are accepted.
 	Live() bool
-	// Health returns the current epoch and delay-source version.
+	// Health returns the current epoch and matrix version.
 	Health(ctx context.Context) (epoch, version uint64, err error)
 	// QueryBatch answers a vector of typed queries against one pinned
 	// epoch (returned alongside; for a gateway it is the generation
@@ -38,11 +38,11 @@ type Backend interface {
 	// the call-level error is whole-batch.
 	QueryBatch(ctx context.Context, queries []tivaware.Query) ([]tivaware.Result, uint64, error)
 	// CacheVersion returns the backend's logical state token, cheap
-	// enough for every request. Equal token pairs guarantee identical
-	// query answers — the coherence contract of the server's
-	// epoch-keyed cache. For a service it is the source version pair;
-	// for a gateway the generation counter (see tivshard.Backend).
-	CacheVersion() (uint64, uint64)
+	// enough for every request. Equal tokens guarantee identical query
+	// answers — the coherence contract of the server's epoch-keyed
+	// cache. For a service it is the matrix version; for a gateway the
+	// generation counter (see tivshard.Backend).
+	CacheVersion() uint64
 	// ApplyBatch applies edge measurements as one batch.
 	ApplyBatch(ctx context.Context, updates []tiv.Update) (tiv.ChangeSet, error)
 	// Subscribe registers fn for violated-edge change sets.
@@ -95,7 +95,7 @@ func (b serviceBackend) QueryBatch(ctx context.Context, queries []tivaware.Query
 	return res, v.Seq(), coded(err, tivwire.CodeBadRequest)
 }
 
-func (b serviceBackend) CacheVersion() (uint64, uint64) { return b.svc.Versions() }
+func (b serviceBackend) CacheVersion() uint64 { return b.svc.Version() }
 
 func (b serviceBackend) ApplyBatch(_ context.Context, updates []tiv.Update) (tiv.ChangeSet, error) {
 	cs, err := b.svc.ApplyBatch(updates)

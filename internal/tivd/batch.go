@@ -135,13 +135,13 @@ func (s *Server) resolveBatch(ctx context.Context, req *tivwire.BatchRequest) (*
 // resident entries, every miss in ONE Backend.QueryBatch call against
 // one pinned epoch. Each query is normalized in a copy that goes into
 // the miss list, so the caller's slice is never written. The double
-// version read brackets that call: keys embed the version pair
-// observed before, and results are stored only if the pair still holds
-// after — so a stored entry can never describe a state its key
-// predates. Failed results are never stored (they may be transient).
+// version read brackets that call: keys embed the version observed
+// before, and results are stored only if it still holds after — so a
+// stored entry can never describe a state its key predates. Failed
+// results are never stored (they may be transient).
 func (s *Server) resolveQueries(ctx context.Context, queries []tivaware.Query) ([]tivwire.Result, uint64, error) {
 	results := make([]tivwire.Result, len(queries))
-	qv, av := s.b.CacheVersion()
+	v := s.b.CacheVersion()
 	// missed is one query the backend must answer: its index, and the
 	// key to store the answer under ("" bypasses the cache); miss holds
 	// the normalized queries in the same order.
@@ -162,7 +162,7 @@ func (s *Server) resolveQueries(ctx context.Context, queries []tivaware.Query) (
 		}
 		key := ""
 		if cacheableKind(q.Kind) {
-			val, e, missKey := s.cache.get(q, qv, av)
+			val, e, missKey := s.cache.get(q, v)
 			if val != nil {
 				results[i] = *val
 				epoch = max(epoch, e)
@@ -186,8 +186,7 @@ func (s *Server) resolveQueries(ctx context.Context, queries []tivaware.Query) (
 	if len(res) != len(miss) {
 		return nil, 0, internalErrorf("backend answered %d results for %d queries", len(res), len(miss))
 	}
-	qv2, av2 := s.b.CacheVersion()
-	store := qv2 == qv && av2 == av
+	store := s.b.CacheVersion() == v
 	for k, m := range misses {
 		wr := tivwire.FromResult(miss[k], res[k], epoch, errorEnvelope)
 		results[m.idx] = wr

@@ -14,8 +14,8 @@ import (
 )
 
 // The epoch-keyed hot-query cache. Epochs are immutable and keyed by
-// the backend's version pair (Backend.CacheVersion): equal versions
-// guarantee identical answers, so every cache key embeds the pair and
+// the backend's version (Backend.CacheVersion): equal versions
+// guarantee identical answers, so every cache key embeds it and
 // the cache needs no invalidation — an update moves the version,
 // every old key simply stops being generated, and the entries
 // admitted after it push the stale ones out of the LRU. Identical
@@ -30,7 +30,7 @@ import (
 // ≈ 1.9 µs on a 2-core Xeon), against the O(N) scan a miss costs.
 
 // queryCache is a fixed-capacity LRU keyed by appendKey's spelling of
-// a query (version pair included). resolveQueries is its only
+// a query (version included). resolveQueries is its only
 // request-path caller.
 type queryCache struct {
 	cap int
@@ -67,19 +67,19 @@ func (c *queryCache) stats() *tivwire.CacheStats {
 	return &tivwire.CacheStats{Hits: c.hits.Load(), Misses: c.misses.Load(), Entries: n}
 }
 
-// get probes the cache for q under the version pair: the resident
+// get probes the cache for q under version v: the resident
 // result and its epoch on a hit (bumping its recency), or on a miss
 // the key to put the answer under, "" if the miss is declined. The key
 // is spelled into a stack buffer and looked up without converting it,
 // so a hit and a declined miss allocate nothing. The returned result
 // is shared and must not be mutated. Every miss records its key's hash,
-// version pair excluded (a hot query re-warms on its first miss after
+// version excluded (a hot query re-warms on its first miss after
 // an update), in a two-slot bucket, so two hot queries sharing one
 // cannot keep erasing each other's mark; a full cache admits only a
 // hash its bucket already held, as a one-shot entry would evict a hot one.
-func (c *queryCache) get(q tivaware.Query, qv, av uint64) (val *tivwire.Result, epoch uint64, missKey string) {
+func (c *queryCache) get(q tivaware.Query, v uint64) (val *tivwire.Result, epoch uint64, missKey string) {
 	var buf [384]byte
-	key := appendKey(buf[:0], q, qv, av)
+	key := appendKey(buf[:0], q, v)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if e, ok := c.entries[string(key)]; ok {
@@ -88,7 +88,7 @@ func (c *queryCache) get(q tivaware.Query, qv, av uint64) (val *tivwire.Result, 
 		return e.val, e.epoch, ""
 	}
 	c.misses.Add(1)
-	h := maphash.Bytes(c.seed, key[16:])
+	h := maphash.Bytes(c.seed, key[8:])
 	bucket := c.seen[2*(h&uint64(len(c.seen)/2-1)):][:2]
 	again := bucket[0] == h || bucket[1] == h
 	if bucket[0] != h {
@@ -101,7 +101,7 @@ func (c *queryCache) get(q tivaware.Query, qv, av uint64) (val *tivwire.Result, 
 }
 
 // put inserts a computed result (evicting the least-recent entry at
-// capacity). Callers only put results whose key version pair was
+// capacity). Callers only put results whose key version was
 // re-validated after the compute, so a stored entry can never witness
 // a state its key predates.
 func (c *queryCache) put(key string, val *tivwire.Result, epoch uint64) {
@@ -166,17 +166,16 @@ func cacheableKind(kind tivaware.QueryKind) bool {
 	return false
 }
 
-// appendKey spells a query and the version pair it will be answered
-// under as its cache key, in fixed-width binary: the versions, the
+// appendKey spells a query and the version it will be answered under
+// as its cache key, in fixed-width binary: the version, the
 // kind, then exactly the fields that kind's answer reads — target, k,
 // penalty, exclude and the candidate ids for rank and closest, i and j
 // for detour, k for top, nothing for analysis — so key equality is
 // answer equality both ways. Candidates are sorted (a ranking is
 // order-independent) and a nil list ("every node") stays distinct from
 // an empty one; a penalty of −0 keys as +0, which scores the same.
-func appendKey(b []byte, q tivaware.Query, qv, av uint64) []byte {
-	b = binary.LittleEndian.AppendUint64(b, qv)
-	b = binary.LittleEndian.AppendUint64(b, av)
+func appendKey(b []byte, q tivaware.Query, v uint64) []byte {
+	b = binary.LittleEndian.AppendUint64(b, v)
 	b = append(append(b, byte(len(q.Kind))), q.Kind...)
 	word := func(v int) { b = binary.LittleEndian.AppendUint64(b, uint64(v)) }
 	switch q.Kind {

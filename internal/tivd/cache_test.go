@@ -160,13 +160,13 @@ func TestCacheAdmission(t *testing.T) {
 	// fill puts the answer to detours 100.. until c is full, at v.
 	fill := func(c *queryCache, v uint64) {
 		for i := 100; len(c.entries) < c.cap; i++ {
-			if _, _, key := c.get(detour(i), v, 0); key != "" {
+			if _, _, key := c.get(detour(i), v); key != "" {
 				c.put(key, &tivwire.Result{}, v)
 			}
 		}
 	}
 	admitted := func(c *queryCache, q tivaware.Query, v uint64) bool {
-		_, _, key := c.get(q, v, 0)
+		_, _, key := c.get(q, v)
 		return key != ""
 	}
 	t.Run("room admits a first sighting", func(t *testing.T) {
@@ -188,7 +188,7 @@ func TestCacheAdmission(t *testing.T) {
 		c := newQueryCache(4)
 		fill(c, 7)
 		admitted(c, detour(1), 7) // the first sighting, declined
-		_, _, key := c.get(detour(1), 7, 0)
+		_, _, key := c.get(detour(1), 7)
 		c.put(key, &tivwire.Result{}, 7)
 		if !admitted(c, detour(1), 8) {
 			t.Fatal("a query admitted at version 7 was declined on its first miss at 8")
@@ -198,7 +198,7 @@ func TestCacheAdmission(t *testing.T) {
 		c := newQueryCache(4)
 		fill(c, 0)
 		bucket := func(q tivaware.Query) uint64 {
-			return maphash.Bytes(c.seed, appendKey(nil, q, 0, 0)[16:]) & uint64(len(c.seen)/2-1)
+			return maphash.Bytes(c.seed, appendKey(nil, q, 0)[8:]) & uint64(len(c.seen)/2-1)
 		}
 		a, b := detour(1), detour(2)
 		for i := 3; bucket(b) != bucket(a); i++ {

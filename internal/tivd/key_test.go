@@ -17,13 +17,13 @@ import (
 var keyPenalties = []float64{0, math.Copysign(0, -1), 1, -1, 2.5, 1e308, 5e-324,
 	math.NaN(), math.Float64frombits(0x7ff8000000000001), math.Inf(1), math.Inf(-1)}
 
-// fuzzKeyQuery decodes one cacheable query and the version pair it is
-// keyed under from fuzz bytes. Every field is set whatever the kind —
+// fuzzKeyQuery decodes one cacheable query and the version it is keyed
+// under from fuzz bytes. Every field is set whatever the kind —
 // a detour carries a stray k, a top a target — and each is drawn from
 // a small domain, so two inputs agree on a field often. The byte
 // after the fixed fields is the candidates marker: 0 is nil, anything
 // else a list of the remaining bytes as ids (empty when none remain).
-func fuzzKeyQuery(kind uint8, data []byte) (q tivaware.Query, qv, av uint64) {
+func fuzzKeyQuery(kind uint8, data []byte) (q tivaware.Query, v uint64) {
 	next := func() int {
 		if len(data) == 0 {
 			return 0
@@ -34,7 +34,8 @@ func fuzzKeyQuery(kind uint8, data []byte) (q tivaware.Query, qv, av uint64) {
 	}
 	kinds := []tivaware.QueryKind{tivaware.KindRank, tivaware.KindClosest, tivaware.KindDetour, tivaware.KindTop, tivaware.KindAnalysis}
 	q.Kind = kinds[int(kind)%len(kinds)]
-	qv, av = uint64(next()%2), uint64(next()%2)
+	// The first two bytes are the version's two low bits.
+	v = uint64(next()%2 | next()%2<<1)
 	q.Target, q.K, q.I, q.J = next()%4-1, next()%4-1, next()%3, next()%3
 	q.SeverityPenalty = keyPenalties[next()%len(keyPenalties)]
 	q.ExcludeViolated = next()%2 == 1
@@ -44,14 +45,14 @@ func fuzzKeyQuery(kind uint8, data []byte) (q tivaware.Query, qv, av uint64) {
 			q.Candidates = append(q.Candidates, next()%6-1)
 		}
 	}
-	return q, qv, av
+	return q, v
 }
 
 // keyedFieldsEqual is what the cache key must distinguish, and nothing
-// more: the version pair, the kind, and the fields that kind's answer
+// more: the version, the kind, and the fields that kind's answer
 // reads, with candidates compared as sorted lists (nil apart from
 // empty) and penalties as floats, or by their bits when both are NaN.
-func keyedFieldsEqual(a, b tivaware.Query, av, bv [2]uint64) bool {
+func keyedFieldsEqual(a, b tivaware.Query, av, bv uint64) bool {
 	if av != bv || a.Kind != b.Kind {
 		return false
 	}
@@ -74,7 +75,7 @@ func keyedFieldsEqual(a, b tivaware.Query, av, bv [2]uint64) bool {
 
 // FuzzCacheKey holds key equality to answer equality in both
 // directions: after normalizeQuery, two queries get the same cache key
-// exactly when they agree on the version pair, the kind and the fields
+// exactly when they agree on the version, the kind and the fields
 // that kind reads. A key that misses a read field serves one query's
 // answer to another; a key that spells an unread one (or the candidate
 // order) splits one answer over several entries.
@@ -86,7 +87,7 @@ func FuzzCacheKey(f *testing.F) {
 	}
 	longRev := slices.Clone(long)
 	slices.Reverse(longRev[9:])
-	// kindA, a, kindB, b: versions, target, k, i, j, penalty, exclude, candidates marker, ids
+	// kindA, a, kindB, b: version bits, target, k, i, j, penalty, exclude, candidates marker, ids
 	f.Add(uint8(0), []byte{0, 0, 1, 2, 0, 1, 2, 0, 1, 3, 4, 5}, uint8(0), []byte{0, 0, 1, 2, 0, 1, 2, 0, 1, 5, 3, 4}) // permuted candidates
 	f.Add(uint8(0), []byte{0, 0, 1, 2, 0, 1, 2, 0, 1, 3, 4}, uint8(0), []byte{0, 0, 1, 2, 0, 1, 2, 0, 1, 3, 4, 4})    // one more id
 	f.Add(uint8(0), []byte{0, 0, 1, 2, 0, 1, 2, 0, 0}, uint8(0), []byte{0, 0, 1, 2, 0, 1, 2, 0, 1})                   // nil vs empty
@@ -106,15 +107,15 @@ func FuzzCacheKey(f *testing.F) {
 
 	s := &Server{}
 	f.Fuzz(func(t *testing.T, kindA uint8, a []byte, kindB uint8, b []byte) {
-		qa, qva, ava := fuzzKeyQuery(kindA, a)
-		qb, qvb, avb := fuzzKeyQuery(kindB, b)
+		qa, va := fuzzKeyQuery(kindA, a)
+		qb, vb := fuzzKeyQuery(kindB, b)
 		if s.normalizeQuery(&qa) != nil || s.normalizeQuery(&qb) != nil {
 			return // refused before any key is spelled
 		}
-		ka, kb := appendKey(nil, qa, qva, ava), appendKey(nil, qb, qvb, avb)
-		want := keyedFieldsEqual(qa, qb, [2]uint64{qva, ava}, [2]uint64{qvb, avb})
+		ka, kb := appendKey(nil, qa, va), appendKey(nil, qb, vb)
+		want := keyedFieldsEqual(qa, qb, va, vb)
 		if got := string(ka) == string(kb); got != want {
-			t.Fatalf("keys equal = %v, want %v:\n%+v (versions %d.%d)\n%+v (versions %d.%d)", got, want, qa, qva, ava, qb, qvb, avb)
+			t.Fatalf("keys equal = %v, want %v:\n%+v (version %d)\n%+v (version %d)", got, want, qa, va, qb, vb)
 		}
 	})
 }
@@ -188,7 +189,7 @@ func TestSteadyStateAllocs(t *testing.T) {
 	full.put("resident", &tivwire.Result{}, 0)
 	declined := testing.AllocsPerRun(50, func() {
 		i++
-		if _, _, key := full.get(tivaware.Query{Kind: tivaware.KindRank, Target: i, Candidates: []int{3, 1, 2}}, 1, 0); key != "" {
+		if _, _, key := full.get(tivaware.Query{Kind: tivaware.KindRank, Target: i, Candidates: []int{3, 1, 2}}, 1); key != "" {
 			t.Fatalf("a full cache admitted the first sighting of rank target %d", i)
 		}
 	})

@@ -102,9 +102,9 @@ func (b *Backend) QueryBatch(ctx context.Context, queries []tivaware.Query) ([]t
 	return res, b.g.Generation(), err
 }
 
-// CacheVersion returns (generation, 0). The generation advances on
-// every update batch committed through this gateway (answered or only
-// journaled for replay) and on every shard readmission, so equal
+// CacheVersion returns the generation. It advances on every update
+// batch committed through this gateway (answered or only journaled for
+// replay) and on every shard readmission, so equal
 // generations imply identical answers under the sharded plane's
 // deployment contract: all writes flow through the gateway (out-of-
 // band writes directly to a shard daemon are invisible here — see the
@@ -113,4 +113,4 @@ func (b *Backend) QueryBatch(ctx context.Context, queries []tivaware.Query) ([]t
 // cached under the pre-batch generation for the remainder of that
 // apply; the entry stops being served the moment the generation
 // advances.
-func (b *Backend) CacheVersion() (uint64, uint64) { return b.g.Generation(), 0 }
+func (b *Backend) CacheVersion() uint64 { return b.g.Generation() }

@@ -81,7 +81,7 @@ func assertBatchAgreement(t *testing.T, mono *tivaware.Service, gw *tivshard.Gat
 			continue
 		}
 		if w.Kind == tivaware.KindAnalysis {
-			// Version counters differ by plane (primary source vs
+			// Version counters differ by plane (matrix version vs
 			// cluster-agreed monitor version); the triangle census is
 			// the exactness witness.
 			if g.Analysis.N != w.Analysis.N ||

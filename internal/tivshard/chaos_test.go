@@ -386,8 +386,8 @@ func TestJournalEvictionMarksShardStale(t *testing.T) {
 		t.Fatalf("served /healthz status = %q (err %v), want stale", h.Status, err)
 	}
 	// The restarted replica really is behind, and nothing reads it.
-	victimV, _ := c.Shards[victim].Service.Versions()
-	survivorV, _ := c.Shards[0].Service.Versions()
+	victimV := c.Shards[victim].Service.Version()
+	survivorV := c.Shards[0].Service.Version()
 	if victimV >= survivorV {
 		t.Fatalf("victim version %d not behind a survivor's %d: the scenario did not leave it stale", victimV, survivorV)
 	}

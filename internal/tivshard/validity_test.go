@@ -75,8 +75,7 @@ func TestInvalidDelayRefusedAtEveryIngress(t *testing.T) {
 	state := func() string {
 		s := fmt.Sprintf("gen=%d", c.Gateway.Generation())
 		for _, svc := range append([]*tivaware.Service{mono}, c.Shards[0].Service, c.Shards[1].Service, c.Shards[2].Service) {
-			qv, av := svc.Versions()
-			s += fmt.Sprintf(" %d.%d", qv, av)
+			s += fmt.Sprintf(" %d", svc.Version())
 		}
 		return s
 	}

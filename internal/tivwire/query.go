@@ -40,7 +40,7 @@ type Result struct {
 // BatchResponse is the POST /v1/batch response. Results align with
 // the request's queries by index. Epoch is the pinned epoch the
 // uncached queries were answered against (cache hits may carry
-// earlier epoch stamps from the same source version; see DESIGN.md).
+// earlier epoch stamps from the same matrix version; see DESIGN.md).
 type BatchResponse struct {
 	Epoch   uint64   `json:"epoch"`
 	Results []Result `json:"results"`

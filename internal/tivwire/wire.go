@@ -29,7 +29,7 @@ type Health struct {
 	N       int    `json:"n"`
 	Live    bool   `json:"live"`    // updates and subscriptions accepted
 	Epoch   uint64 `json:"epoch"`   // service epoch sequence number
-	Version uint64 `json:"version"` // delay-source version the epoch reflects
+	Version uint64 `json:"version"` // matrix version the epoch reflects
 	// Cache reports the query-cache counters, which every tivd server
 	// has. Load tools diff two readings for a hit rate.
 	Cache *CacheStats `json:"cache,omitempty"`

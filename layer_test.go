@@ -27,8 +27,7 @@ import (
 //     serving plane reads published epochs only.
 //   - The paper reproduction is fenced: no non-test file under
 //     internal/ outside internal/repro imports a package under
-//     internal/repro. Binaries, examples and tests may (tivaware's
-//     tests use Vivaldi, IDES and LAT as predictor sources).
+//     internal/repro. Binaries, examples and tests may.
 //   - The kernel draws nothing at random: no non-test file in
 //     internal/tiv imports math/rand. The sampled estimators are the
 //     reproduction's.
