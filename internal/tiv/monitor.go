@@ -26,18 +26,17 @@ import (
 //
 // Batches touching a third of the edges or more fall back to one batch
 // rescan — at that point O(N³/6) beats k·O(N). The Monitor owns all
-// mutations of its matrix; an out-of-band mutation (detected through
-// the delayspace version seam) forces a rescan before the next update
-// is applied.
+// mutations of its matrix; after an out-of-band mutation (detected
+// through the delayspace version seam) the next update or batch is
+// applied by rescan, and its one ChangeSet covers both moves.
 //
 // A Monitor has one consumer: the tivaware.Service that constructs it,
 // serializes every call under its build mutex, and takes the state out
 // through SnapshotAnalysis. It is not safe for concurrent use.
 type Monitor struct {
-	m    *delayspace.Matrix
-	eng  *Engine
-	opts MonitorOptions
-	n    int
+	m   *delayspace.Matrix
+	eng *Engine
+	n   int
 
 	rawSev []float64 // upper-triangle raw ratio sums, indexed i*n+j, i<j
 	cnt    []int32   // upper-triangle violation counts
@@ -100,10 +99,6 @@ type MonitorOptions struct {
 	// (incremental updates are single-threaded O(N) passes); zero means
 	// GOMAXPROCS.
 	Workers int
-	// OnChange, when non-nil, runs synchronously after every mutation
-	// whose ChangeSet is non-empty (and after every rescan). It must
-	// not mutate the monitor or its matrix.
-	OnChange func(ChangeSet)
 }
 
 // NewMonitor wraps m with an incrementally maintained TIV analysis,
@@ -116,7 +111,6 @@ func NewMonitor(m *delayspace.Matrix, opts MonitorOptions) *Monitor {
 	mon := &Monitor{
 		m:       m,
 		eng:     NewEngine(Options{Workers: opts.Workers}),
-		opts:    opts,
 		n:       n,
 		rawSev:  make([]float64, n*n),
 		cnt:     make([]int32, n*n),
@@ -175,22 +169,20 @@ func (mon *Monitor) ApplyUpdate(i, j int, rtt float64) (ChangeSet, error) {
 	if err := mon.checkUpdate(i, j, rtt); err != nil {
 		return ChangeSet{}, err
 	}
-	if cs, stale := mon.resyncIfStale(); stale {
-		mon.notify(cs)
+	if mon.m.Version() != mon.matVersion {
+		return mon.applyByRescan([]Update{{I: i, J: j, RTT: rtt}}), nil
 	}
 	mon.startApply()
 	mon.applyOne(i, j, rtt)
-	cs := mon.finishApply(false)
-	mon.notify(cs)
-	return cs, nil
+	return mon.finishApply(), nil
 }
 
 // ApplyBatch applies the updates in order. Small batches run as
 // per-update O(N) deltas; batches touching a third of the edges or
 // more fall back to setting every value and running one batch
-// rescan. The returned ChangeSet is the net movement of the
-// violated-edge set over the whole batch, and the hook (if any) fires
-// once.
+// rescan, as does any batch after an out-of-band mutation. The
+// returned ChangeSet is the net movement of the violated-edge set over
+// the whole batch.
 func (mon *Monitor) ApplyBatch(updates []Update) (ChangeSet, error) {
 	for _, u := range updates {
 		if err := mon.checkUpdate(u.I, u.J, u.RTT); err != nil {
@@ -200,37 +192,20 @@ func (mon *Monitor) ApplyBatch(updates []Update) (ChangeSet, error) {
 	if len(updates) == 0 {
 		return ChangeSet{Version: mon.version}, nil
 	}
-	if cs, stale := mon.resyncIfStale(); stale {
-		mon.notify(cs)
-	}
-	if edges := mon.n * (mon.n - 1) / 2; float64(len(updates)) >= mon.dirtyFraction*float64(edges) {
-		cs := mon.applyByRescan(updates)
-		mon.notify(cs)
-		return cs, nil
+	edges := mon.n * (mon.n - 1) / 2
+	if mon.m.Version() != mon.matVersion || float64(len(updates)) >= mon.dirtyFraction*float64(edges) {
+		return mon.applyByRescan(updates), nil
 	}
 	mon.startApply()
 	for _, u := range updates {
 		mon.applyOne(u.I, u.J, u.RTT)
 	}
-	cs := mon.finishApply(false)
-	mon.notify(cs)
-	return cs, nil
+	return mon.finishApply(), nil
 }
 
-// resyncIfStale rebuilds the state when the matrix was mutated behind
-// the monitor's back (its version moved without us).
-func (mon *Monitor) resyncIfStale() (ChangeSet, bool) {
-	if mon.m.Version() == mon.matVersion {
-		return ChangeSet{}, false
-	}
-	copy(mon.oldCntScratch(), mon.cnt)
-	mon.rescan()
-	mon.version++
-	return mon.diffChangeSet(true), true
-}
-
-// applyByRescan is the dirty-fraction fallback: write all values, then
-// one batch scan.
+// applyByRescan is the dirty-fraction and out-of-band fallback: write
+// all values, then one batch scan, diffed against the counts the
+// monitor last synced.
 func (mon *Monitor) applyByRescan(updates []Update) ChangeSet {
 	copy(mon.oldCntScratch(), mon.cnt)
 	for _, u := range updates {
@@ -238,7 +213,7 @@ func (mon *Monitor) applyByRescan(updates []Update) ChangeSet {
 	}
 	mon.rescan()
 	mon.version++
-	return mon.diffChangeSet(true)
+	return mon.diffChangeSet()
 }
 
 // rescan rebuilds rawSev/cnt/bad from the matrix with the batch engine
@@ -261,8 +236,8 @@ func (mon *Monitor) oldCntScratch() []int32 {
 }
 
 // diffChangeSet compares oldCnt against cnt over the upper triangle.
-func (mon *Monitor) diffChangeSet(rescan bool) ChangeSet {
-	cs := ChangeSet{Version: mon.version, Rescan: rescan}
+func (mon *Monitor) diffChangeSet() ChangeSet {
+	cs := ChangeSet{Version: mon.version, Rescan: true}
 	n := mon.n
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
@@ -280,15 +255,6 @@ func (mon *Monitor) diffChangeSet(rescan bool) ChangeSet {
 		}
 	}
 	return cs
-}
-
-func (mon *Monitor) notify(cs ChangeSet) {
-	if cs.Empty() && !cs.Rescan {
-		return
-	}
-	if mon.opts.OnChange != nil {
-		mon.opts.OnChange(cs)
-	}
 }
 
 // startApply opens a flip-tracking window: edges touched by the coming
@@ -314,8 +280,8 @@ func (mon *Monitor) touch(e int) {
 
 // finishApply closes the window: assembles the ChangeSet from the
 // touched edges whose violated status net-flipped.
-func (mon *Monitor) finishApply(rescan bool) ChangeSet {
-	cs := ChangeSet{Version: mon.version, Rescan: rescan}
+func (mon *Monitor) finishApply() ChangeSet {
+	cs := ChangeSet{Version: mon.version}
 	n := mon.n
 	for k, e := range mon.flipIdx {
 		was, now := mon.flipWas[k], mon.cnt[e] > 0

@@ -209,14 +209,13 @@ func TestMonitorRejectsInvalidUpdates(t *testing.T) {
 }
 
 // TestMonitorChangeSets uses the paper's canonical triangle to pin the
-// violated-edge set deltas and the OnChange hook.
+// violated-edge set deltas.
 func TestMonitorChangeSets(t *testing.T) {
 	m := delayspace.New(3)
 	m.Set(0, 1, 5)
 	m.Set(1, 2, 5)
 	m.Set(2, 0, 100) // edge (0,2) is violated: 5+5 < 100
-	var hooked []ChangeSet
-	mon := NewMonitor(m, MonitorOptions{OnChange: func(cs ChangeSet) { hooked = append(hooked, cs) }})
+	mon := NewMonitor(m, MonitorOptions{})
 	if mon.ViolatingTriangles() != 1 {
 		t.Fatalf("baseline violating triangles = %d, want 1", mon.ViolatingTriangles())
 	}
@@ -240,15 +239,13 @@ func TestMonitorChangeSets(t *testing.T) {
 	if want := 100.0 / 10.0 / 3.0; math.Abs(cs.NewlyViolated[0].Delay-want) > 1e-12 {
 		t.Errorf("severity in ChangeSet = %g, want %g", cs.NewlyViolated[0].Delay, want)
 	}
-	// A no-flip update does not fire the hook.
-	if _, err := mon.ApplyUpdate(2, 0, 110); err != nil {
+	// A no-flip update returns an empty set.
+	cs, err = mon.ApplyUpdate(2, 0, 110)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if len(hooked) != 2 {
-		t.Fatalf("hook fired %d times, want 2 (clear + violate)", len(hooked))
-	}
-	if len(hooked[0].Cleared) != 1 || len(hooked[1].NewlyViolated) != 1 {
-		t.Errorf("hook payloads: %+v", hooked)
+	if !cs.Empty() || cs.Rescan {
+		t.Errorf("no-flip ChangeSet = %+v, want empty", cs)
 	}
 }
 
@@ -287,22 +284,18 @@ func TestMonitorBatchFallback(t *testing.T) {
 }
 
 // TestMonitorOutOfBandMutation mutates the matrix directly; the
-// version seam must make the monitor rebuild before the next delta.
+// version seam must make the monitor apply the next update by rescan.
 func TestMonitorOutOfBandMutation(t *testing.T) {
 	m := monitorMatrix(24, 0.1, 23)
-	var rescans int
-	mon := NewMonitor(m, MonitorOptions{OnChange: func(cs ChangeSet) {
-		if cs.Rescan {
-			rescans++
-		}
-	}})
+	mon := NewMonitor(m, MonitorOptions{})
 	m.Set(0, 1, 500) // behind the monitor's back
-	if _, err := mon.ApplyUpdate(2, 3, 75); err != nil {
+	cs, err := mon.ApplyUpdate(2, 3, 75)
+	if err != nil {
 		t.Fatal(err)
 	}
 	assertMatchesRescan(t, mon)
-	if rescans != 1 {
-		t.Errorf("out-of-band mutation triggered %d rescans, want 1", rescans)
+	if !cs.Rescan {
+		t.Errorf("update after an out-of-band mutation returned %+v, want a rescan set", cs)
 	}
 }
 

@@ -80,16 +80,12 @@ type Service struct {
 
 	// Subscriber registry, guarded by subMu — never held while a
 	// subscriber callback runs, so cancel (and Subscribe) are safe to
-	// call from inside one. nSubs mirrors len(subs) atomically so the
-	// per-update hook skips all delivery work when nobody listens.
+	// call from inside one. nSubs mirrors len(subs) atomically so
+	// fanout skips all delivery work when nobody listens.
 	subMu   sync.Mutex
 	subs    []subscriber
 	nextSub int
 	nSubs   atomic.Int32
-
-	// Monitor change sets recorded by onMonitorChange during an apply,
-	// delivered after mu is released; under mu.
-	pending []tiv.ChangeSet
 }
 
 type subscriber struct {
@@ -109,7 +105,7 @@ func NewFromMatrix(m *delayspace.Matrix, opts Options) (*Service, error) {
 	}
 	s := &Service{m: m}
 	if opts.Live {
-		s.mon = tiv.NewMonitor(m, tiv.MonitorOptions{Workers: opts.Workers, OnChange: s.onMonitorChange})
+		s.mon = tiv.NewMonitor(m, tiv.MonitorOptions{Workers: opts.Workers})
 	} else {
 		s.eng = tiv.NewEngine(tiv.Options{Workers: opts.Workers})
 	}
@@ -130,26 +126,6 @@ func (s *Service) Delay(i, j int) (float64, bool) {
 	return e.delay(i, j)
 }
 
-// onMonitorChange is the monitor's change hook. The monitor only runs
-// inside ApplyUpdate/ApplyBatch, which hold mu: change sets are queued
-// here and delivered after the mutex is released.
-func (s *Service) onMonitorChange(cs tiv.ChangeSet) {
-	if s.nSubs.Load() != 0 {
-		s.pending = append(s.pending, cs)
-	}
-}
-
-// finishApply closes one monitor mutation: takes the change sets the
-// hook queued and releases the mutex, for the caller to deliver in
-// order. Kept free of closures and allocations — the monitor delta
-// itself is ~µs, so per-update overhead matters.
-func (s *Service) finishApply() []tiv.ChangeSet {
-	pend := s.pending
-	s.pending = nil
-	s.mu.Unlock()
-	return pend
-}
-
 // ApplyUpdate streams one edge measurement into a live service: the
 // matrix mutates and the analysis is re-established incrementally in
 // O(N). The next query (including one issued from a subscriber
@@ -161,12 +137,11 @@ func (s *Service) ApplyUpdate(i, j int, rtt float64) (tiv.ChangeSet, error) {
 	}
 	s.mu.Lock()
 	cs, err := s.mon.ApplyUpdate(i, j, rtt)
-	for _, p := range s.finishApply() {
-		s.fanout(p)
-	}
+	s.mu.Unlock()
 	if err != nil {
 		return tiv.ChangeSet{}, err
 	}
+	s.fanout(cs)
 	return cs, nil
 }
 
@@ -177,12 +152,11 @@ func (s *Service) ApplyBatch(updates []tiv.Update) (tiv.ChangeSet, error) {
 	}
 	s.mu.Lock()
 	cs, err := s.mon.ApplyBatch(updates)
-	for _, p := range s.finishApply() {
-		s.fanout(p)
-	}
+	s.mu.Unlock()
 	if err != nil {
 		return tiv.ChangeSet{}, err
 	}
+	s.fanout(cs)
 	return cs, nil
 }
 
@@ -226,10 +200,14 @@ func (s *Service) Subscribe(fn func(tiv.ChangeSet)) (cancel func(), err error) {
 	}, nil
 }
 
-// fanout delivers one change set to every subscriber registered at
-// delivery time. The registry lock is released before any callback
-// runs, so callbacks may subscribe, cancel, query, or apply updates.
+// fanout delivers one change set, unless it is empty and no rescan, to
+// every subscriber registered at delivery time. The registry lock is
+// released before any callback runs, so callbacks may subscribe,
+// cancel, query, or apply updates.
 func (s *Service) fanout(cs tiv.ChangeSet) {
+	if (cs.Empty() && !cs.Rescan) || s.nSubs.Load() == 0 {
+		return
+	}
 	s.subMu.Lock()
 	fns := make([]func(tiv.ChangeSet), len(s.subs))
 	for k := range s.subs {
