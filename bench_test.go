@@ -87,7 +87,7 @@ func BenchmarkFig25(b *testing.B) { benchmarkSpec(b, "fig25") }
 func BenchmarkTab1(b *testing.B)  { benchmarkSpec(b, "tab1") }
 func BenchmarkTab2(b *testing.B)  { benchmarkSpec(b, "tab2") }
 
-// Ablation benches (design choices called out in DESIGN.md).
+// Ablation benches: the ablate-* experiments of cmd/tivbench -list.
 
 func BenchmarkAblateAware(b *testing.B)    { benchmarkSpec(b, "ablate-aware") }
 func BenchmarkAblateTimestep(b *testing.B) { benchmarkSpec(b, "ablate-timestep") }

@@ -8,7 +8,7 @@
 //	tivbench -run fig19 -csv           # CSV series for plotting
 //
 // Experiment IDs follow the paper's figure numbers (fig2 … fig25,
-// tab1) plus the ablations (ablate-*); see DESIGN.md for the index.
+// tab1) plus the ablations (ablate-*); -list prints the index.
 package main
 
 import (

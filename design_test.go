@@ -13,9 +13,14 @@ import (
 // other's names, so a cut or a renamed section cannot leave a pointer
 // to nothing:
 //
-//   - every section a Go comment or the CI workflow points to — the
-//     file name, an optional comma, then the quoted name — is a heading
-//     or a bold paragraph lead of DESIGN.md;
+//   - every mention of DESIGN.md in a Go file or the CI workflow names
+//     a section — DESIGN.md "X", DESIGN.md, "X" or DESIGN.md's "X" —
+//     and X is a heading (with or without its parenthesised tail) or a
+//     bold paragraph lead there: a bare mention leaves the reader to
+//     search the whole file. This file and budget_test.go, which open
+//     DESIGN.md, are exempt;
+//   - every section README.md names the same way (or as DESIGN.md § "X")
+//     is a heading or a bold lead;
 //   - every Test, Fuzz or Benchmark function DESIGN.md cites is
 //     defined somewhere in the repo (the bench/ module included).
 //
@@ -28,16 +33,22 @@ func TestDesignReferencesResolve(t *testing.T) {
 	design := string(raw)
 	sections := map[string]bool{}
 	for _, m := range regexp.MustCompile(`(?m)^#+\s+(.+)$`).FindAllStringSubmatch(design, -1) {
-		sections[strings.TrimSpace(m[1])] = true
+		name := strings.TrimSpace(m[1])
+		sections[name] = true
+		short, _, _ := strings.Cut(name, " (")
+		sections[short] = true // "The framed transport (`internal/tivframe`)" is "The framed transport"
 	}
 	for _, m := range regexp.MustCompile(`(?m)^(?:- )?\*\*([^*]+)\*\*`).FindAllStringSubmatch(design, -1) {
 		sections[strings.TrimRight(strings.Join(strings.Fields(m[1]), " "), ".:")] = true
 	}
 
-	ref := regexp.MustCompile(`DESIGN\.md,?\s+"([^"]+)"`)
-	check := func(path, text string) {
+	ref := regexp.MustCompile(`DESIGN\.md(?:,|'s| §)?(?:\s+"([^"]+)")?`)
+	check := func(path, text string, strict bool) {
 		for _, m := range ref.FindAllStringSubmatch(text, -1) {
-			if !sections[m[1]] {
+			switch {
+			case m[1] == "" && strict:
+				t.Errorf("%s mentions DESIGN.md without naming a section", path)
+			case m[1] != "" && !sections[m[1]]:
 				t.Errorf("%s points to DESIGN.md %q, which is no heading or bold lead there", path, m[1])
 			}
 		}
@@ -46,7 +57,12 @@ func TestDesignReferencesResolve(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	check(".github/workflows/ci.yml", regexp.MustCompile(`\n\s*#\s*`).ReplaceAllString(string(ci), " "))
+	check(".github/workflows/ci.yml", regexp.MustCompile(`\n\s*#\s*`).ReplaceAllString(string(ci), " "), true)
+	readme, err := os.ReadFile("README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("README.md", strings.Join(strings.Fields(string(readme)), " "), false)
 
 	defined := map[string]bool{}
 	testFunc := regexp.MustCompile(`(?m)^func ((?:Test|Fuzz|Benchmark)\w*)\(`)
@@ -68,7 +84,9 @@ func TestDesignReferencesResolve(t *testing.T) {
 		for _, m := range testFunc.FindAllStringSubmatch(string(src), -1) {
 			defined[m[1]] = true
 		}
-		check(path, joinComments.ReplaceAllString(string(src), " "))
+		if path != "design_test.go" && path != "budget_test.go" {
+			check(path, joinComments.ReplaceAllString(string(src), " "), true)
+		}
 		return nil
 	})
 	if err != nil {

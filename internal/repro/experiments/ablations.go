@@ -11,7 +11,7 @@ import (
 
 // AblateAware separates the two halves of TIV-aware Meridian — ring
 // adjustment and query restart — to show each one's contribution
-// (DESIGN.md ablation; the paper only evaluates them combined).
+// (the paper only evaluates them combined).
 func AblateAware(cfg Config) (Result, error) {
 	return runAwareComparison(cfg, "ablate-aware",
 		"TIV-aware Meridian ablation: ring adjustment vs query restart vs both",
@@ -108,7 +108,7 @@ func probeCount(note string) string {
 }
 
 // AblateSeveritySampling quantifies the exact-vs-sampled severity
-// estimator trade-off (DESIGN.md ablation): aggregate agreement at a
+// estimator trade-off: aggregate agreement at a
 // fraction of the cost.
 func AblateSeveritySampling(cfg Config) (Result, error) {
 	sp, err := cfg.space("ds2")
@@ -169,8 +169,8 @@ func AblateHeight(cfg Config) (Result, error) {
 
 // AblateGenerator reports the TIV profile of every synthetic preset
 // side by side, documenting how the substitution for the measured data
-// sets behaves (DESIGN.md: substitutions must preserve the relevant
-// behaviour).
+// sets behaves (a substitution must preserve the behaviour the
+// figures measure).
 func AblateGenerator(cfg Config) (Result, error) {
 	r := &TableResult{meta: meta{id: "ablate-generator", title: "Synthetic data set TIV profiles (substitution validation)"}}
 	r.Columns = []string{"preset", "nodes", "violating_triangle_frac", "median_severity", "p99_severity", "max_delay_ms"}

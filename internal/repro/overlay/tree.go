@@ -20,9 +20,8 @@ import (
 // root is the multicast source node: every tree is rooted at node 0.
 const root = 0
 
-// Options configures a Tree, following the repository's options-struct
-// convention (DESIGN.md): the zero value is valid and means unlimited
-// fan-out, parents selected on true measured delays.
+// Options configures a Tree (DESIGN.md "Configuration convention"): the
+// zero value means unlimited fan-out, parents on true measured delays.
 type Options struct {
 	// Fanout caps children per member; joiners pick the closest member
 	// that still has capacity (real multicast systems bound per-node

@@ -52,7 +52,8 @@ func (c *countingCtx) Err() error {
 // few measured triples.
 //
 // The top query is not in the table: EdgeSeverities.TopEdges takes no
-// context and its O(N²) scan runs to the end (see DESIGN.md).
+// context and its O(N²) scan runs to the end (see DESIGN.md
+// "Invariants held by tests").
 func TestScansPollCancellation(t *testing.T) {
 	const small, large = 1000, 2100
 	build := func(n int) (*Service, *View) {

@@ -107,8 +107,8 @@ func (b *Backend) QueryBatch(ctx context.Context, queries []tivaware.Query) ([]t
 // replay) and on every shard readmission, so equal
 // generations imply identical answers under the sharded plane's
 // deployment contract: all writes flow through the gateway (out-of-
-// band writes directly to a shard daemon are invisible here — see the
-// traffic-plane section of DESIGN.md). The generation is bumped after
+// band writes directly to a shard daemon are invisible here — see
+// DESIGN.md "The query cache"). The generation is bumped after
 // replication completes, so a query racing an in-flight batch may be
 // cached under the pre-batch generation for the remainder of that
 // apply; the entry stops being served the moment the generation

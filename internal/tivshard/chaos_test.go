@@ -16,7 +16,7 @@ import (
 
 // The chaos-differential suite: the PR 5 exactness bar re-proved with
 // faults flowing. The contract under test is the one DESIGN.md's
-// failure model states — the gateway may refuse to answer (typed,
+// "The failure model" states — the gateway may refuse to answer (typed,
 // retryable), but whenever it answers, the answer is the monolith's,
 // bit for bit; a batch admitted to the journal is applied to every
 // replica exactly once (at-least-once delivery made exact by

@@ -314,7 +314,8 @@ func (g *Gateway) ApplyUpdate(ctx context.Context, i, j int, rtt float64) (tivwi
 // change the answer. The same change set, unless empty, goes to the
 // subscribers before the sequencer is released (see Subscribe).
 //
-// Failure handling (the failover contract; see DESIGN.md):
+// Failure handling (the failover contract; see DESIGN.md "The failure
+// model"):
 //
 //   - Journal admission is the commit point: from there the round runs
 //     to its end, on every replica, whatever becomes of the caller's

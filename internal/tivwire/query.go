@@ -37,10 +37,9 @@ type Result struct {
 	Analysis *AnalysisResponse `json:"analysis,omitempty"`
 }
 
-// BatchResponse is the POST /v1/batch response. Results align with
-// the request's queries by index. Epoch is the pinned epoch the
-// uncached queries were answered against (cache hits may carry
-// earlier epoch stamps from the same matrix version; see DESIGN.md).
+// BatchResponse is the POST /v1/batch response, its results aligned
+// with the request's queries. Uncached queries read epoch Epoch; a hit
+// may carry an earlier stamp of one version (DESIGN.md "The query cache").
 type BatchResponse struct {
 	Epoch   uint64   `json:"epoch"`
 	Results []Result `json:"results"`

@@ -190,7 +190,7 @@ const (
 	CodeNotLive = "not_live"
 	// CodeDiverged: a sharded backend's replicas disagree; the answer
 	// would be unreliable. Terminal for this request (operators must
-	// intervene; see the tivshard failure model in DESIGN.md).
+	// intervene; see DESIGN.md "The failure model").
 	CodeDiverged = "diverged"
 	// CodeUnavailable: the backend (or enough of its shards) is
 	// temporarily unreachable, shutting down, or out of capacity.
