@@ -108,8 +108,7 @@ func probeCount(note string) string {
 }
 
 // AblateSeveritySampling quantifies the exact-vs-sampled severity
-// estimator trade-off: aggregate agreement at a
-// fraction of the cost.
+// estimator trade-off: aggregate agreement at a fraction of the cost.
 func AblateSeveritySampling(cfg Config) (Result, error) {
 	sp, err := cfg.space("ds2")
 	if err != nil {
