@@ -1,108 +1,26 @@
-// Package tivaware's root benchmark harness: one benchmark per table
-// and figure in the paper's evaluation, each regenerating the
-// corresponding result via internal/repro/experiments, plus
-// micro-benchmarks of the core primitives.
+// The root test package holds the tree-shape tests (layer boundary,
+// line budget, section pointers into the design notes) and the serving
+// plane's benchmarks: the severity kernel, the monitor, the
+// service-layer queries and a sharded gateway. The reproduction's
+// benchmarks, one per table and figure, are BenchmarkSpecs in
+// internal/repro/experiments.
 //
-// Run everything:
+// Run every benchmark here:
 //
-//	go test -bench=. -benchmem
-//
-// Run one figure at paper-like scale:
-//
-//	go test -bench=BenchmarkFig24 -benchtime=1x -tivbench.n=4000
+//	go test -run '^$' -bench . -benchmem .
 package tivaware_test
 
 import (
 	"context"
-	"flag"
 	"fmt"
-	"io"
 	"testing"
 
-	"tivaware/internal/repro/experiments"
-	"tivaware/internal/repro/nsim"
-	"tivaware/internal/repro/vivaldi"
 	"tivaware/internal/synth"
 	"tivaware/internal/tivaware"
 	"tivaware/internal/tivshard/testcluster"
 )
 
-var benchN = flag.Int("tivbench.n", 300, "experiment scale (DS2-equivalent node count) for the figure benchmarks")
-
-// benchConfig keeps every figure benchmark at a size where the whole
-// harness finishes in minutes; raise -tivbench.n for fidelity runs.
-func benchConfig() experiments.Config {
-	return experiments.Config{N: *benchN, Runs: 2, Seed: 1}
-}
-
-// benchmarkSpec runs one experiment per iteration and reports a
-// figure-specific metric alongside time/allocs.
-func benchmarkSpec(b *testing.B, id string) {
-	spec, err := experiments.Lookup(id)
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := benchConfig()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		res, err := spec.Run(cfg)
-		if err != nil {
-			b.Fatalf("%s: %v", id, err)
-		}
-		if i == 0 {
-			// Render once so a regression in the output path fails
-			// the bench rather than hiding.
-			if err := res.WriteTable(io.Discard); err != nil {
-				b.Fatalf("%s: render: %v", id, err)
-			}
-		}
-	}
-}
-
-// One benchmark per figure/table of the paper's evaluation.
-
-func BenchmarkFig2(b *testing.B)  { benchmarkSpec(b, "fig2") }
-func BenchmarkFig3(b *testing.B)  { benchmarkSpec(b, "fig3") }
-func BenchmarkFig4(b *testing.B)  { benchmarkSpec(b, "fig4") }
-func BenchmarkFig5(b *testing.B)  { benchmarkSpec(b, "fig5") }
-func BenchmarkFig6(b *testing.B)  { benchmarkSpec(b, "fig6") }
-func BenchmarkFig7(b *testing.B)  { benchmarkSpec(b, "fig7") }
-func BenchmarkFig8(b *testing.B)  { benchmarkSpec(b, "fig8") }
-func BenchmarkFig9(b *testing.B)  { benchmarkSpec(b, "fig9") }
-func BenchmarkFig10(b *testing.B) { benchmarkSpec(b, "fig10") }
-func BenchmarkFig11(b *testing.B) { benchmarkSpec(b, "fig11") }
-func BenchmarkFig13(b *testing.B) { benchmarkSpec(b, "fig13") }
-func BenchmarkFig14(b *testing.B) { benchmarkSpec(b, "fig14") }
-func BenchmarkFig15(b *testing.B) { benchmarkSpec(b, "fig15") }
-func BenchmarkFig16(b *testing.B) { benchmarkSpec(b, "fig16") }
-func BenchmarkFig17(b *testing.B) { benchmarkSpec(b, "fig17") }
-func BenchmarkFig18(b *testing.B) { benchmarkSpec(b, "fig18") }
-func BenchmarkFig19(b *testing.B) { benchmarkSpec(b, "fig19") }
-func BenchmarkFig20(b *testing.B) { benchmarkSpec(b, "fig20") }
-func BenchmarkFig21(b *testing.B) { benchmarkSpec(b, "fig21") }
-func BenchmarkFig22(b *testing.B) { benchmarkSpec(b, "fig22") }
-func BenchmarkFig23(b *testing.B) { benchmarkSpec(b, "fig23") }
-func BenchmarkFig24(b *testing.B) { benchmarkSpec(b, "fig24") }
-func BenchmarkFig25(b *testing.B) { benchmarkSpec(b, "fig25") }
-func BenchmarkTab1(b *testing.B)  { benchmarkSpec(b, "tab1") }
-func BenchmarkTab2(b *testing.B)  { benchmarkSpec(b, "tab2") }
-
-// Ablation benches: the ablate-* experiments of cmd/tivbench -list.
-
-func BenchmarkAblateAware(b *testing.B)    { benchmarkSpec(b, "ablate-aware") }
-func BenchmarkAblateTimestep(b *testing.B) { benchmarkSpec(b, "ablate-timestep") }
-func BenchmarkAblateBeta(b *testing.B)     { benchmarkSpec(b, "ablate-beta") }
-func BenchmarkAblateSampling(b *testing.B) { benchmarkSpec(b, "ablate-sampling") }
-func BenchmarkAblateHeight(b *testing.B)   { benchmarkSpec(b, "ablate-height") }
-func BenchmarkAblateRings(b *testing.B)    { benchmarkSpec(b, "ablate-rings") }
-func BenchmarkAblateCoords(b *testing.B)   { benchmarkSpec(b, "ablate-coords") }
-func BenchmarkAblateFilter(b *testing.B)   { benchmarkSpec(b, "ablate-filter") }
-func BenchmarkAblateGen(b *testing.B)      { benchmarkSpec(b, "ablate-generator") }
-func BenchmarkStreamDrift(b *testing.B)    { benchmarkSpec(b, "stream-drift") }
-func BenchmarkDetourGain(b *testing.B)     { benchmarkSpec(b, "detour") }
-
-// Micro-benchmarks of the primitives the experiments are built from.
-// All of them go through the tivaware service layer — the only
+// Every benchmark goes through the tivaware service layer — the only
 // application-facing surface — with the matrix version bumped per
 // iteration where needed so the service's cache never short-circuits
 // the kernel being measured.
@@ -138,21 +56,6 @@ func BenchmarkSeverityAllEdges(b *testing.B) {
 				svc.Severities()
 			}
 		})
-	}
-}
-
-// BenchmarkSeveritySampledB64 measures the reproduction's sampled
-// severity estimator (64 random third nodes per edge), which only the
-// ablate-sampling figure runs.
-func BenchmarkSeveritySampledB64(b *testing.B) {
-	sp, err := synth.Generate(synth.DS2Like(400, 1))
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		experiments.SampledSeverities(sp.Matrix, 64, 1)
 	}
 }
 
@@ -317,54 +220,6 @@ func BenchmarkMonitorRescanPerUpdate(b *testing.B) {
 				svc.Severities()
 			}
 		})
-	}
-}
-
-func BenchmarkVivaldiTick(b *testing.B) {
-	for _, n := range []int{100, 400, 800} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			sp, err := synth.Generate(synth.DS2Like(n, 1))
-			if err != nil {
-				b.Fatal(err)
-			}
-			sys, err := vivaldi.NewSystem(sp.Matrix, vivaldi.Config{Seed: 1})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				sys.Tick()
-			}
-		})
-	}
-}
-
-func BenchmarkMeridianQuery(b *testing.B) {
-	sp, err := synth.Generate(synth.DS2Like(400, 1))
-	if err != nil {
-		b.Fatal(err)
-	}
-	prober, err := nsim.NewMatrixProber(sp.Matrix, 0, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ids := make([]int, 200)
-	for i := range ids {
-		ids[i] = i
-	}
-	// Import cycle avoidance: build directly.
-	sys, err := buildMeridian(prober, ids)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		target := 200 + i%200
-		if _, err := sys.ClosestTo(target, ids[i%len(ids)], queryOptions()); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 

@@ -15,7 +15,9 @@ import (
 // table: every row's directories (the backquoted paths of its second
 // column, counted recursively) may hold at most the row's budget of
 // non-test Go lines — no *_test.go, nothing under testdata/ — and
-// every directory under internal/ and cmd/ belongs to some row. Going
+// every directory under internal/ and cmd/ belongs to some row. No
+// directory under internal/, cmd/ or examples/ holds tests without
+// the code they test. Going
 // over is a decision made in the PR that does it: raise the number in
 // the table, with the reason. DESIGN.md itself is held to the byte cap
 // the same section states. Run with -v for the weighed table.
@@ -77,6 +79,30 @@ func TestLineBudget(t *testing.T) {
 			if dir := root + "/" + d.Name(); d.IsDir() && !budgeted[dir] {
 				t.Errorf("%s is in no row of the budget table", dir)
 			}
+		}
+	}
+	for _, root := range []string{"internal", "cmd", "examples"} {
+		err := filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
+			if err != nil || !d.IsDir() {
+				return err
+			}
+			if d.Name() == "testdata" {
+				return filepath.SkipDir
+			}
+			files, err := filepath.Glob(filepath.Join(p, "*.go"))
+			tests := 0
+			for _, f := range files {
+				if strings.HasSuffix(f, "_test.go") {
+					tests++
+				}
+			}
+			if tests > 0 && tests == len(files) {
+				t.Errorf("%s holds only *_test.go files: tests live beside the code they test", p)
+			}
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
 	}
 }

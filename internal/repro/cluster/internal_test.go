@@ -1,7 +1,7 @@
 package cluster
 
 // The tests here read unexported state. The black-box tests of this
-// package are in tivaware/internal/cluster.
+// package are the cluster_test files beside them.
 
 import "testing"
 

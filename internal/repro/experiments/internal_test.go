@@ -1,7 +1,7 @@
 package experiments
 
 // The tests here read unexported state. The black-box tests of this
-// package are in tivaware/internal/experiments.
+// package are the experiments_test files beside them.
 
 import (
 	"testing"

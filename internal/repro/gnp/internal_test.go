@@ -1,7 +1,7 @@
 package gnp
 
 // The tests here read unexported state. The black-box tests of this
-// package are in tivaware/internal/gnp.
+// package are the gnp_test files beside them.
 
 import (
 	"testing"

@@ -1,7 +1,7 @@
 package ides
 
 // The tests here read unexported state. The black-box tests of this
-// package are in tivaware/internal/ides.
+// package are the ides_test files beside them.
 
 import "testing"
 

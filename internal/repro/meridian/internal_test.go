@@ -1,8 +1,8 @@
 package meridian
 
 // The tests here and in failure_test.go read unexported state; prober
-// and allIDs serve both. The black-box tests of this package are in
-// tivaware/internal/meridian.
+// and allIDs serve both. The black-box tests of this package are the
+// meridian_test files beside them.
 
 import (
 	"testing"

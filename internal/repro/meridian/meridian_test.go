@@ -345,3 +345,23 @@ func TestMisplacementBetaMonotone(t *testing.T) {
 		t.Errorf("misplacement not decreasing in beta: %.3f, %.3f, %.3f", m01, m05, m09)
 	}
 }
+
+func BenchmarkMeridianQuery(b *testing.B) {
+	sp, err := synth.Generate(synth.DS2Like(400, 1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	ids := allIDs(200)
+	sys, err := meridian.Build(prober(b, sp.Matrix), ids, meridian.Config{Seed: 1}, meridian.BuildOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		target := 200 + i%200
+		if _, err := sys.ClosestTo(target, ids[i%len(ids)], meridian.QueryOptions{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -1,7 +1,7 @@
 package vivaldi
 
 // The tests here read unexported state. The black-box tests of this
-// package are in tivaware/internal/vivaldi.
+// package are the vivaldi_test files beside them.
 
 import (
 	"testing"
