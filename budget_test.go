@@ -17,9 +17,10 @@ import (
 // non-test Go lines — no *_test.go, nothing under testdata/ — and
 // every directory under internal/ and cmd/ belongs to some row. No
 // directory under internal/, cmd/ or examples/ holds tests without
-// the code they test. Going
-// over is a decision made in the PR that does it: raise the number in
-// the table, with the reason. DESIGN.md itself is held to the byte cap
+// the code they test, except those a 0-line row names: the
+// reproduction's black-box tests still waiting to move beside their
+// code. Going over is a decision made in the PR that does it: raise
+// the number in the table, with the reason. DESIGN.md itself is held to the byte cap
 // the same section states. Run with -v for the weighed table.
 func TestLineBudget(t *testing.T) {
 	design, err := os.ReadFile("DESIGN.md")
@@ -43,7 +44,7 @@ func TestLineBudget(t *testing.T) {
 	}
 
 	path := regexp.MustCompile("`([^`]+)`")
-	budgeted := map[string]bool{}
+	budgeted, testOnly := map[string]bool{}, map[string]bool{}
 	for _, line := range strings.Split(section, "\n") {
 		cells := strings.Split(strings.Trim(line, "|"), "|")
 		if len(cells) != 3 {
@@ -60,6 +61,7 @@ func TestLineBudget(t *testing.T) {
 				t.Fatalf("%s: %v", layer, err)
 			}
 			budgeted[m[1]] = true
+			testOnly[m[1]] = budget == 0
 			total += n
 		}
 		t.Logf("%6d of %6d  %s", total, budget, layer)
@@ -96,7 +98,7 @@ func TestLineBudget(t *testing.T) {
 					tests++
 				}
 			}
-			if tests > 0 && tests == len(files) {
+			if tests > 0 && tests == len(files) && !testOnly[p] {
 				t.Errorf("%s holds only *_test.go files: tests live beside the code they test", p)
 			}
 			return err

@@ -1,7 +1,8 @@
 package experiments
 
 // The tests here read unexported state. The black-box tests of this
-// package are the experiments_test files beside them.
+// package are in tivaware/internal/experiments; its benchmarks are in
+// bench_test.go beside this file.
 
 import (
 	"testing"

@@ -1,7 +1,8 @@
 package vivaldi
 
 // The tests here read unexported state. The black-box tests of this
-// package are the vivaldi_test files beside them.
+// package are in tivaware/internal/vivaldi; BenchmarkVivaldiTick is in
+// bench_test.go beside this file.
 
 import (
 	"testing"
