@@ -10,8 +10,8 @@ import (
 
 func TestDiverseRingsRespectCap(t *testing.T) {
 	m := synth.Euclidean(60, 100, 7) // tight space, crowded rings
-	p := prober(t, m)
-	sys, err := meridian.Build(p, allIDs(60), meridian.Config{K: 4, Seed: 1},
+	p := meridian.Prober(t, m)
+	sys, err := meridian.Build(p, meridian.AllIDs(60), meridian.Config{K: 4, Seed: 1},
 		meridian.BuildOptions{DiverseRings: true})
 	if err != nil {
 		t.Fatal(err)
@@ -42,8 +42,8 @@ func TestDiverseRingsPickSpreadMembers(t *testing.T) {
 		m.Set(a, 5, 60)
 	}
 	m.Set(4, 5, 55)
-	p := prober(t, m)
-	sys, err := meridian.Build(p, allIDs(6), meridian.Config{K: 3, Seed: 2},
+	p := meridian.Prober(t, m)
+	sys, err := meridian.Build(p, meridian.AllIDs(6), meridian.Config{K: 3, Seed: 2},
 		meridian.BuildOptions{DiverseRings: true})
 	if err != nil {
 		t.Fatal(err)
@@ -72,13 +72,13 @@ func TestDiverseRingsPickSpreadMembers(t *testing.T) {
 
 func TestDiverseRingsCostProbes(t *testing.T) {
 	m := synth.Euclidean(40, 100, 9)
-	p1 := prober(t, m)
-	plain, err := meridian.Build(p1, allIDs(40), meridian.Config{K: 3, Seed: 3}, meridian.BuildOptions{})
+	p1 := meridian.Prober(t, m)
+	plain, err := meridian.Build(p1, meridian.AllIDs(40), meridian.Config{K: 3, Seed: 3}, meridian.BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2 := prober(t, m)
-	diverse, err := meridian.Build(p2, allIDs(40), meridian.Config{K: 3, Seed: 3},
+	p2 := meridian.Prober(t, m)
+	diverse, err := meridian.Build(p2, meridian.AllIDs(40), meridian.Config{K: 3, Seed: 3},
 		meridian.BuildOptions{DiverseRings: true})
 	if err != nil {
 		t.Fatal(err)
@@ -93,13 +93,13 @@ func TestDiverseRingsNoopWhenUnderCap(t *testing.T) {
 	// With unlimited K nothing is pruned and membership matches the
 	// plain build.
 	m := synth.Euclidean(20, 200, 11)
-	pa := prober(t, m)
-	a, err := meridian.Build(pa, allIDs(20), meridian.Config{K: -1, Seed: 4}, meridian.BuildOptions{})
+	pa := meridian.Prober(t, m)
+	a, err := meridian.Build(pa, meridian.AllIDs(20), meridian.Config{K: -1, Seed: 4}, meridian.BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pb := prober(t, m)
-	b, err := meridian.Build(pb, allIDs(20), meridian.Config{K: -1, Seed: 4}, meridian.BuildOptions{DiverseRings: true})
+	pb := meridian.Prober(t, m)
+	b, err := meridian.Build(pb, meridian.AllIDs(20), meridian.Config{K: -1, Seed: 4}, meridian.BuildOptions{DiverseRings: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,8 +118,8 @@ func TestDiverseQueriesStillWork(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := prober(t, s.Matrix)
-	sys, err := meridian.Build(p, allIDs(40), meridian.Config{K: 8, Seed: 5},
+	p := meridian.Prober(t, s.Matrix)
+	sys, err := meridian.Build(p, meridian.AllIDs(40), meridian.Config{K: 8, Seed: 5},
 		meridian.BuildOptions{DiverseRings: true})
 	if err != nil {
 		t.Fatal(err)

@@ -1,8 +1,8 @@
 package meridian
 
 // The tests here and in failure_test.go read unexported state; prober
-// and allIDs serve both. The black-box tests of this package are the
-// meridian_test files beside them.
+// and allIDs serve both, and export_test.go hands them to the
+// black-box meridian_test files beside them.
 
 import (
 	"testing"

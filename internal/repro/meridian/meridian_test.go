@@ -6,30 +6,12 @@ import (
 
 	"tivaware/internal/delayspace"
 	"tivaware/internal/repro/meridian"
-	"tivaware/internal/repro/nsim"
 	"tivaware/internal/synth"
 )
 
-func prober(t testing.TB, m *delayspace.Matrix) *nsim.MatrixProber {
-	t.Helper()
-	p, err := nsim.NewMatrixProber(m, 0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return p
-}
-
-func allIDs(n int) []int {
-	ids := make([]int, n)
-	for i := range ids {
-		ids[i] = i
-	}
-	return ids
-}
-
 func TestBuildValidation(t *testing.T) {
 	m := synth.Euclidean(10, 200, 1)
-	p := prober(t, m)
+	p := meridian.Prober(t, m)
 	if _, err := meridian.Build(p, []int{0}, meridian.Config{}, meridian.BuildOptions{}); err == nil {
 		t.Error("single node should error")
 	}
@@ -44,7 +26,7 @@ func TestBuildValidation(t *testing.T) {
 
 func TestRingIndexBoundaries(t *testing.T) {
 	m := synth.Euclidean(5, 100, 2)
-	sys, err := meridian.Build(prober(t, m), allIDs(5), meridian.Config{}, meridian.BuildOptions{})
+	sys, err := meridian.Build(meridian.Prober(t, m), meridian.AllIDs(5), meridian.Config{}, meridian.BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +61,7 @@ func TestRingMembership(t *testing.T) {
 	m.Set(1, 2, 2)
 	m.Set(1, 3, 9)
 	m.Set(2, 3, 8)
-	sys, err := meridian.Build(prober(t, m), allIDs(4), meridian.Config{}, meridian.BuildOptions{})
+	sys, err := meridian.Build(meridian.Prober(t, m), meridian.AllIDs(4), meridian.Config{}, meridian.BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +97,7 @@ func TestRingMembership(t *testing.T) {
 
 func TestKLimitsRingSize(t *testing.T) {
 	m := synth.Euclidean(40, 50, 3) // tight space: most delays in few rings
-	sys, err := meridian.Build(prober(t, m), allIDs(40), meridian.Config{K: 2}, meridian.BuildOptions{})
+	sys, err := meridian.Build(meridian.Prober(t, m), meridian.AllIDs(40), meridian.Config{K: 2}, meridian.BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +113,7 @@ func TestKLimitsRingSize(t *testing.T) {
 func TestExcludeEdge(t *testing.T) {
 	m := synth.Euclidean(20, 200, 5)
 	banned := func(i, j int) bool { return true }
-	sys, err := meridian.Build(prober(t, m), allIDs(20), meridian.Config{}, meridian.BuildOptions{ExcludeEdge: banned})
+	sys, err := meridian.Build(meridian.Prober(t, m), meridian.AllIDs(20), meridian.Config{}, meridian.BuildOptions{ExcludeEdge: banned})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,8 +131,8 @@ func TestQueryFindsNearestOnEuclidean(t *testing.T) {
 	// termination, metric space. Meridian should nearly always find
 	// the true closest Meridian node to the target.
 	m := synth.Euclidean(80, 300, 6)
-	p := prober(t, m)
-	meridianIDs := allIDs(40) // first 40 nodes form the overlay
+	p := meridian.Prober(t, m)
+	meridianIDs := meridian.AllIDs(40) // first 40 nodes form the overlay
 	sys, err := meridian.Build(p, meridianIDs, meridian.Config{K: -1, Seed: 7}, meridian.BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -186,7 +168,7 @@ func TestQueryFindsNearestOnEuclidean(t *testing.T) {
 
 func TestQueryValidation(t *testing.T) {
 	m := synth.Euclidean(10, 200, 8)
-	sys, err := meridian.Build(prober(t, m), allIDs(5), meridian.Config{}, meridian.BuildOptions{})
+	sys, err := meridian.Build(meridian.Prober(t, m), meridian.AllIDs(5), meridian.Config{}, meridian.BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +183,7 @@ func TestQueryValidation(t *testing.T) {
 	holey.Set(0, 1, 5)
 	holey.Set(0, 2, 7)
 	holey.Set(1, 2, 6)
-	sys2, err := meridian.Build(prober(t, holey), []int{0, 1, 2}, meridian.Config{}, meridian.BuildOptions{})
+	sys2, err := meridian.Build(meridian.Prober(t, holey), []int{0, 1, 2}, meridian.Config{}, meridian.BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +194,7 @@ func TestQueryValidation(t *testing.T) {
 
 func TestQueryTargetIsMeridianNode(t *testing.T) {
 	m := synth.Euclidean(20, 200, 9)
-	sys, err := meridian.Build(prober(t, m), allIDs(20), meridian.Config{K: -1}, meridian.BuildOptions{})
+	sys, err := meridian.Build(meridian.Prober(t, m), meridian.AllIDs(20), meridian.Config{K: -1}, meridian.BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +224,7 @@ func TestTIVBreaksMeridianAndDoublePlacementHelps(t *testing.T) {
 	m.Set(1, 2, 12) // B-N
 	m.Set(1, 3, 4)  // B-T
 	m.Set(2, 3, 1)  // N-T
-	p := prober(t, m)
+	p := meridian.Prober(t, m)
 	sys, err := meridian.Build(p, []int{0, 1, 2}, meridian.Config{K: -1, Beta: 0.5}, meridian.BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -351,8 +333,8 @@ func BenchmarkMeridianQuery(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	ids := allIDs(200)
-	sys, err := meridian.Build(prober(b, sp.Matrix), ids, meridian.Config{Seed: 1}, meridian.BuildOptions{})
+	ids := meridian.AllIDs(200)
+	sys, err := meridian.Build(meridian.Prober(b, sp.Matrix), ids, meridian.Config{Seed: 1}, meridian.BuildOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}

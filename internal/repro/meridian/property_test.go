@@ -15,7 +15,7 @@ import (
 // boundary semantics: ring i >= 1 holds [α·sⁱ⁻¹, α·sⁱ).
 func TestRingIndexProperties(t *testing.T) {
 	m := synth.Euclidean(5, 100, 1)
-	sys, err := meridian.Build(prober(t, m), allIDs(5), meridian.Config{}, meridian.BuildOptions{})
+	sys, err := meridian.Build(meridian.Prober(t, m), meridian.AllIDs(5), meridian.Config{}, meridian.BuildOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestQueryNeverWorseThanStart(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		sys, err := meridian.Build(p, allIDs(20), meridian.Config{Seed: seed}, meridian.BuildOptions{})
+		sys, err := meridian.Build(p, meridian.AllIDs(20), meridian.Config{Seed: seed}, meridian.BuildOptions{})
 		if err != nil {
 			return false
 		}
