@@ -10,7 +10,7 @@ import (
 // TestSteadyStateAllocs pins the kernels on the monitor's and the
 // engine's steady-state paths to the allocator: an incremental update
 // that flips no edge allocates nothing, and a warm AllSeverities
-// allocates exactly its result — so scanRows, scanPair and
+// allocates exactly its result — so scanTiles, scanPair and
 // denseViolMask (whichever kernel this build selects) allocate nothing.
 func TestSteadyStateAllocs(t *testing.T) {
 	mon := NewMonitor(monitorMatrix(200, 0.05, 31), MonitorOptions{})

@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/bits"
 	"sync"
-	"sync/atomic"
 
 	"tivaware/internal/delayspace"
 )
@@ -13,7 +12,8 @@ import (
 // package's O(N³) analyses. It reuses its scratch buffers across calls
 // (a steady-state call allocates exactly its result) and runs the
 // triple-scan kernel described below over row chunks dealt to its
-// workers by stride.
+// workers by stride, each worker walking its chunks in L2-sized tiles
+// (scanTiles).
 //
 // The kernel exploits two structural facts:
 //
@@ -42,6 +42,8 @@ type Engine struct {
 	// destination directly.
 	accSev [][]float64
 	accCnt [][]int32
+	accBad []int64
+	wg     sync.WaitGroup // a field, so a one-worker scan allocates nothing
 
 	rowFull []bool // per-row "fully measured" flags for the current scan
 }
@@ -149,19 +151,11 @@ func (e *Engine) scanAll(m *delayspace.Matrix, sev []float64, cnt []int32) int64
 	if n < 3 {
 		return 0
 	}
-	// Contiguous row blocks sized so the block's delays and masks
-	// (~the only state reused across one worker's grabs) stay L2
-	// resident, with enough blocks left over to load-balance the
-	// shrinking per-row work.
-	chunk := 1 + (1<<16)/(8*n+1)
-	if chunk > 64 {
-		chunk = 64
-	}
+	// Contiguous row chunks of ~64 KiB of delays: few enough rows that
+	// dealing them by stride balances the shrinking per-row work.
+	chunk := min(1+(1<<16)/(8*n+1), 64)
 	numChunks := (n + chunk - 1) / chunk
-	w := e.opts.workers()
-	if w > numChunks {
-		w = numChunks
-	}
+	w := min(e.opts.workers(), numChunks)
 	if n < 128 {
 		w = 1 // goroutine + merge overhead dominates tiny matrices
 	}
@@ -171,49 +165,36 @@ func (e *Engine) scanAll(m *delayspace.Matrix, sev []float64, cnt []int32) int64
 	if maxExtra := accumBudgetBytes / bytesPerAccum(n, cnt != nil); w > 1+maxExtra {
 		w = 1 + maxExtra
 	}
+	// A tile groups a worker's chunks so that its rows' 20 B × N of
+	// state (delays, severity and count sums) fits in about 1 MiB of
+	// L2: the tile is what each row b streamed past it reuses.
+	tileChunks := max(tileBytes/(20*n)/chunk, 1)
 	// Fully measured rows take a tiled full-range scan with no mask
 	// iteration at all; flag them once up front.
 	e.rowFull = ensureBools(e.rowFull, n)
-	rowFull := e.rowFull
 	for i := 0; i < n; i++ {
-		rowFull[i] = maskPopcount(m.MaskRow(i)) == n-1
+		e.rowFull[i] = maskPopcount(m.MaskRow(i)) == n-1
 	}
-	if w <= 1 {
-		ctx := &scanCtx{n: n, words: m.MaskWords(), sev: sev, cnt: cnt, rowFull: rowFull}
-		return scanRows(m, ctx, 0, n)
-	}
+	plan := scanPlan{n: n, words: m.MaskWords(), chunk: chunk, numChunks: numChunks, stride: w, tileChunks: tileChunks, rowFull: e.rowFull}
 
-	e.growScratch(w-1, n, cnt != nil)
 	// Scheduling: float severity sums are not associative, so chunks
-	// are dealt statically by stride — every run with the same worker
-	// count then groups each edge's contributions identically, keeping
-	// results run-to-run deterministic (the stride also balances the
-	// shrinking per-row work).
-	var bad atomic.Int64
-	run := func(worker int, sv []float64, ct []int32) {
-		ctx := &scanCtx{n: n, words: m.MaskWords(), sev: sv, cnt: ct, rowFull: rowFull}
-		var local int64
-		for blk := worker; blk < numChunks; blk += w {
-			lo := blk * chunk
-			hi := lo + chunk
-			if hi > n {
-				hi = n
-			}
-			local += scanRows(m, ctx, lo, hi)
-		}
-		bad.Add(local)
-	}
-	var wg sync.WaitGroup
-	for k := 0; k < w-1; k++ {
-		wg.Add(1)
+	// are dealt statically by stride. The chunk fixes which worker sums
+	// which terms, so every run with the same worker count groups each
+	// edge's contributions identically. One worker is the same walk
+	// with no goroutine and no merge.
+	e.growScratch(w-1, n, cnt != nil)
+	for k := 1; k < w; k++ {
+		e.wg.Add(1)
 		go func(k int) {
-			defer wg.Done()
-			run(k+1, e.accSev[k], pickInts(e.accCnt, k, cnt))
+			defer e.wg.Done()
+			ctx := &scanCtx{scanPlan: plan, sev: e.accSev[k-1], cnt: pickInts(e.accCnt, k-1, cnt)}
+			e.accBad[k-1] = scanTiles(m, ctx, k)
 		}(k)
 	}
-	run(0, sev, cnt) // worker 0 adds into the destination directly
-	wg.Wait()
+	bad := scanTiles(m, &scanCtx{scanPlan: plan, sev: sev, cnt: cnt}, 0) // into the destination directly
+	e.wg.Wait()
 	for k := 0; k < w-1; k++ {
+		bad += e.accBad[k]
 		for i := 0; i < n-1; i++ {
 			lo, hi := i*n+i+1, (i+1)*n
 			dst, src := sev[lo:hi], e.accSev[k][lo:hi]
@@ -228,41 +209,59 @@ func (e *Engine) scanAll(m *delayspace.Matrix, sev []float64, cnt []int32) int64
 			}
 		}
 	}
-	return bad.Load()
+	return bad
 }
 
-// scanCtx carries one worker's kernel state: the destination
-// accumulators, the per-row fullness flags, and the violation index
-// buffer, so the per-pair call passes a single pointer instead of a
-// dozen arguments.
+// tileBytes is the row state one tile may hold: about half the L2 of
+// the 2-core Xeons the kernel is measured on, leaving room for the
+// row b streamed past it.
+const tileBytes = 1 << 20
+
+// scanPlan is what every worker of one scan shares: the partition
+// (chunk c covers rows [c·chunk, (c+1)·chunk), worker k owns chunks k,
+// k+stride, …, and each run of tileChunks owned chunks forms one tile)
+// and the per-row fullness flags.
+type scanPlan struct {
+	n, words                             int
+	chunk, numChunks, stride, tileChunks int
+	rowFull                              []bool
+}
+
+// scanCtx carries one worker's kernel state: the shared plan, the
+// destination accumulators and the violation index buffer, so the
+// per-pair call passes a single pointer instead of a dozen arguments.
 type scanCtx struct {
-	n, words int
-	sev      []float64
-	cnt      []int32
-	rowFull  []bool
-	vc       [violTile]int32
+	scanPlan
+	sev []float64
+	cnt []int32
+	vc  [violTile]int32
 }
 
-// scanRows scans every triple whose lowest index falls in [lo, hi).
-func scanRows(m *delayspace.Matrix, ctx *scanCtx, lo, hi int) int64 {
-	words := ctx.words
+// scanTiles scans every triple whose lowest index falls in one of
+// worker's chunks, a tile at a time, tiles in ascending order. Within a
+// tile it walks the pairs (a, b) b-major: for each b, the tile's rows
+// a < b in ascending order, so row b is read once per tile, not once
+// per row a. Each edge (u, v), u < v, still takes its terms in the
+// order an a-major walk of the same chunks gives it — the bc-leg terms
+// of pairs (x, u) by x, then the ac-leg terms of pairs (u, w) by w,
+// then its own sum at (u, v) — so every bit matches that walk.
+func scanTiles(m *delayspace.Matrix, ctx *scanCtx, worker int) int64 {
+	n, chunk, stride := ctx.n, ctx.chunk, ctx.stride
 	rowFull := ctx.rowFull
 	var bad int64
-	for a := lo; a < hi; a++ {
-		rowA := m.Row(a)
-		maskA := m.MaskRow(a)
-		fullA := rowFull[a]
-		// Pairs (a, b), b > a, with d(a,b) measured.
-		bw := (a + 1) >> 6
-		for w := bw; w < words; w++ {
-			mw := maskA[w]
-			if w == bw {
-				mw &= ^uint64(0) << uint((a+1)&63)
-			}
-			for mw != 0 {
-				b := w<<6 + bits.TrailingZeros64(mw)
-				mw &= mw - 1
-				bad += scanPair(m, ctx, rowA, maskA, a, b, fullA && rowFull[b])
+	for first := worker; first < ctx.numChunks; first += stride * ctx.tileChunks {
+		last := min(first+stride*ctx.tileChunks, ctx.numChunks)
+		for b := first*chunk + 1; b < n; b++ {
+			maskB := m.MaskRow(b)
+			fullB := rowFull[b]
+			for blk := first; blk < last && blk*chunk < b; blk += stride {
+				hi := min(blk*chunk+chunk, b)
+				// Pairs (a, b), a < b, with d(a,b) measured.
+				for a := blk * chunk; a < hi; a++ {
+					if maskB[a>>6]&(1<<uint(a&63)) != 0 {
+						bad += scanPair(m, ctx, m.Row(a), m.MaskRow(a), a, b, rowFull[a] && fullB)
+					}
+				}
 			}
 		}
 	}
@@ -504,6 +503,7 @@ func (e *Engine) growScratch(k, n int, needCnt bool) {
 	for len(e.accSev) < k {
 		e.accSev = append(e.accSev, nil)
 		e.accCnt = append(e.accCnt, nil)
+		e.accBad = append(e.accBad, 0)
 	}
 	for i := 0; i < k; i++ {
 		e.accSev[i] = ensureFloats(e.accSev[i], n*n)
