@@ -169,7 +169,7 @@ func (e *Engine) scanAll(m *delayspace.Matrix, sev []float64, cnt []int32) int64
 	// state (delays, severity and count sums) fits in about 1 MiB of
 	// L2: the tile is what each row b streamed past it reuses.
 	tileChunks := max(tileBytes/(20*n)/chunk, 1)
-	// Fully measured rows take a tiled full-range scan with no mask
+	// Fully measured rows take the dense full-range scan with no mask
 	// iteration at all; flag them once up front.
 	e.rowFull = ensureBools(e.rowFull, n)
 	for i := 0; i < n; i++ {
